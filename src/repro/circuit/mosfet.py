@@ -232,8 +232,10 @@ class DeviceArrays:
     """Effective device parameters over a Monte-Carlo sample axis.
 
     Produced by a technology's ``realize`` method; consumed by the analytic
-    topology evaluators.  Every attribute is an array of shape
-    ``(n_samples,)`` (scalars broadcast fine too).
+    topology evaluators.  Every attribute is an array over the rows of one
+    evaluation (scalars broadcast fine too): the drawn geometry ``w``/``l``
+    has one entry per design row — or a single entry shared by every
+    sample — and the effective parameters one entry per sample row.
 
     The bias-point helpers use an EKV-style all-region interpolation::
 
@@ -274,8 +276,8 @@ class DeviceArrays:
     def __init__(
         self,
         card: MosfetModelCard,
-        w: float,
-        l: float,
+        w: np.ndarray | float,
+        l: np.ndarray | float,
         vth: np.ndarray,
         kp: np.ndarray,
         lam: np.ndarray,
@@ -289,8 +291,8 @@ class DeviceArrays:
         phi: np.ndarray | float | None = None,
     ) -> None:
         self.card = card
-        self.w = float(w)
-        self.l = float(l)
+        self.w = np.asarray(w, dtype=float)
+        self.l = np.asarray(l, dtype=float)
         self.vth = np.asarray(vth, dtype=float)
         self.kp = np.asarray(kp, dtype=float)
         self.lam = np.asarray(lam, dtype=float)
@@ -424,6 +426,6 @@ class DeviceArrays:
         """Source-bulk junction capacitance [F]."""
         return self.cdb()
 
-    def area(self) -> float:
+    def area(self) -> np.ndarray:
         """Drawn gate area W*L [m^2] (for the area spec)."""
         return self.w * self.l

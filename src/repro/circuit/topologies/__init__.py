@@ -3,8 +3,11 @@
 Each topology implements the paper's corresponding benchmark circuit as a
 *vectorised performance model*: given one design vector and a matrix of
 process samples it returns the performance metrics for every sample in one
-NumPy pass.  The small-signal netlist builders allow cross-checking the
-analytic models against the MNA engine (see tests/test_crosscheck_mna.py).
+NumPy pass.  The two analytic amplifiers also batch across designs:
+``evaluate_pairs(X, samples)`` evaluates design row ``i`` at sample row
+``i`` in the same pass.  The small-signal netlist builders allow
+cross-checking the analytic models against the MNA engine (see
+tests/test_crosscheck_mna.py).
 """
 
 from repro.circuit.topologies.base import AmplifierTopology

@@ -118,7 +118,26 @@ class AmplifierTopology(ABC):
         nominal = self._variation.nominal()[None, :]
         return self.evaluate(x, nominal)[0]
 
-    def _realized(self, device: str, polarity: str, w: float, l: float,
+    @staticmethod
+    def _design_columns(
+        names: list[str], X: np.ndarray, samples: np.ndarray
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Name -> per-row design column, and the 2-D sample matrix.
+
+        ``X`` is either ``(N, d)``, aligned row by row with ``samples`` of
+        shape ``(N, p)``, or a single row ``(1, d)`` shared by every sample;
+        the columns broadcast against the per-sample arrays either way.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        if X.shape[0] not in (1, samples.shape[0]):
+            raise ValueError(
+                f"pairs must align row by row: {X.shape[0]} designs vs "
+                f"{samples.shape[0]} samples"
+            )
+        return dict(zip(names, X.T)), samples
+
+    def _realized(self, device: str, polarity: str, w, l,
                   inter: dict[str, np.ndarray], samples: np.ndarray):
         """Realize one device's effective parameters over all samples."""
         scores = self._variation.mismatch_scores(samples, device)

@@ -129,9 +129,14 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
 
     # ------------------------------------------------------------------
     def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        d = dict(zip(_DESIGN_NAMES, x.tolist()))
+        return self.evaluate_pairs(np.asarray(x, dtype=float)[None, :], samples)
+
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Design row ``X[i]`` at sample row ``samples[i]``, ``(N, n_metrics)``.
+
+        The only evaluation body: :meth:`evaluate` is its one-row case.
+        """
+        d, samples = self._design_columns(_DESIGN_NAMES, X, samples)
         vdd = self.tech.vdd
         vout_cm = 0.5 * vdd
 

@@ -92,6 +92,13 @@ class MOHECOConfig:
             raise ValueError(
                 f"n_max ({self.n_max}) must be >= sim_ave ({self.sim_ave})"
             )
+        if not self.as_safety > 0.0:
+            raise ValueError(f"as_safety must be > 0, got {self.as_safety}")
+        if self.as_min_train < 2:
+            raise ValueError(
+                f"as_min_train must be >= 2, got {self.as_min_train}; the "
+                "screener's residual floor takes a ddof=1 standard deviation"
+            )
         if not 0.0 < self.stage2_threshold <= 1.0:
             raise ValueError(
                 f"stage2_threshold must be in (0, 1], got {self.stage2_threshold}"

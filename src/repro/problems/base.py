@@ -4,7 +4,8 @@ A problem couples
 
 * an **evaluator** — anything with ``design_space()``, ``metric_names()``,
   ``evaluate(x, samples)`` and a ``variation`` model (amplifier topologies
-  and synthetic evaluators both qualify),
+  and synthetic evaluators both qualify); one that also has
+  ``evaluate_pairs(X, samples)`` is batched across designs,
 * a **spec set** — pass/fail semantics per sample, and
 * **ledger accounting** — every evaluated sample is charged to the supplied
   :class:`~repro.ledger.SimulationLedger`, which is what the paper's
@@ -23,6 +24,12 @@ from repro.ledger import SimulationLedger
 from repro.specs import SpecSet
 
 __all__ = ["YieldProblem"]
+
+
+#: Rows per evaluator call on the batched paths.  Fixed slabs keep the
+#: evaluator's intermediate arrays, and with them peak memory, flat however
+#: large a fused round grows.
+SLAB_ROWS = 2048
 
 
 def _equal_row_runs(X: np.ndarray):
@@ -117,7 +124,8 @@ class YieldProblem:
         call: one array op instead of ``m`` Python-level evaluator calls.
         Evaluators that define ``evaluate_batch(X, samples)`` (the synthetic
         problems do) are called once for the whole design batch; all others
-        fall back to a per-design loop with identical semantics.
+        see the ``m * n`` (design, sample) pairs through the same slabbed
+        row evaluation as :meth:`evaluate_pairs`.
 
         Parameters
         ----------
@@ -140,10 +148,9 @@ class YieldProblem:
         batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
         if batch_evaluate is not None:
             return np.asarray(batch_evaluate(X, samples), dtype=float)
-        out = np.empty((X.shape[0], samples.shape[0], len(self.specs)))
-        for i, x in enumerate(X):
-            out[i] = self.evaluator.evaluate(x, samples)
-        return out
+        m, n = X.shape[0], samples.shape[0]
+        rows = self._evaluate_rows(np.repeat(X, n, axis=0), np.tile(samples, (m, 1)))
+        return rows.reshape(m, n, -1)
 
     def evaluate_pairs(
         self,
@@ -161,10 +168,11 @@ class YieldProblem:
         :meth:`evaluate_batch` — the cross-product ``m x n`` protocol — it
         charges exactly ``N`` simulations.
 
-        Evaluators that define ``evaluate_pairs(X, samples)`` handle the
-        whole matrix in one array op; all others are dispatched one call
-        per run of identical consecutive design rows (which is exactly one
-        call per candidate when the engines build the stack).
+        Evaluators that define ``evaluate_pairs(X, samples)`` (the paper's
+        circuits and the synthetic problems) are called once per
+        :data:`SLAB_ROWS` rows; all others are dispatched one call per run
+        of identical consecutive design rows (which is exactly one call per
+        candidate when the engines build the stack).
 
         Parameters
         ----------
@@ -188,12 +196,19 @@ class YieldProblem:
             )
         if ledger is not None:
             ledger.charge(X.shape[0], category=category)
-        pairs_evaluate = getattr(self.evaluator, "evaluate_pairs", None)
-        if pairs_evaluate is not None:
-            return np.asarray(pairs_evaluate(X, samples), dtype=float)
+        return self._evaluate_rows(X, samples)
+
+    def _evaluate_rows(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Row-aligned performance ``(N, n_metrics)``; charges nothing."""
         out = np.empty((X.shape[0], len(self.specs)))
-        for start, stop in _equal_row_runs(X):
-            out[start:stop] = self.evaluator.evaluate(X[start], samples[start:stop])
+        pairs_evaluate = getattr(self.evaluator, "evaluate_pairs", None)
+        if pairs_evaluate is None:
+            for start, stop in _equal_row_runs(X):
+                out[start:stop] = self.evaluator.evaluate(X[start], samples[start:stop])
+            return out
+        for start in range(0, X.shape[0], SLAB_ROWS):
+            stop = start + SLAB_ROWS
+            out[start:stop] = pairs_evaluate(X[start:stop], samples[start:stop])
         return out
 
     # -- nominal feasibility -------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+from scipy import special as _scipy_special
 from scipy import stats as _scipy_stats
 
 __all__ = [
@@ -190,4 +191,4 @@ class TruncatedNormalDistribution(Distribution):
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Standard-normal inverse CDF, clipped away from 0/1 for stability."""
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return _scipy_stats.norm.ppf(u)
+    return _scipy_special.ndtri(u)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.process.distributions import Distribution, NormalDistribution
+from repro.process.distributions import Distribution, NormalDistribution, _ndtri
 
 __all__ = ["StatisticalParameter", "ParameterGroup"]
 
@@ -53,6 +53,7 @@ class ParameterGroup:
     def __init__(self, parameters: list[StatisticalParameter] | None = None) -> None:
         self._parameters: list[StatisticalParameter] = []
         self._index: dict[str, int] = {}
+        self._families: tuple | None = None
         for parameter in parameters or []:
             self.add(parameter)
 
@@ -63,6 +64,7 @@ class ParameterGroup:
             raise ValueError(f"duplicate parameter name: {parameter.name!r}")
         self._index[parameter.name] = len(self._parameters)
         self._parameters.append(parameter)
+        self._families = None
 
     def extend(self, parameters: list[StatisticalParameter]) -> None:
         """Append several parameters."""
@@ -114,10 +116,27 @@ class ParameterGroup:
             out[:, j] = parameter.distribution.sample(n, rng)
         return out
 
+    def _by_family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """Gaussian ``(columns, mu, sigma)`` plus ``[(column, distribution)]``
+        of every other parameter; cached until the group grows."""
+        if self._families is None:
+            columns = list(enumerate(p.distribution for p in self._parameters))
+            gaussian = [(j, d) for j, d in columns if type(d) is NormalDistribution]
+            others = [(j, d) for j, d in columns if type(d) is not NormalDistribution]
+            self._families = (
+                np.array([j for j, _ in gaussian], dtype=int),
+                np.array([d.mu for _, d in gaussian]),
+                np.array([d.sigma for _, d in gaussian]),
+                others,
+            )
+        return self._families
+
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Map a uniform(0,1) matrix onto the parameter space via inverse CDFs.
 
         ``u`` has shape ``(n, len(group))``; used by LHS/Sobol samplers.
+        All Gaussian columns map in one ``mu + sigma * ndtri(u)`` op, each
+        other column through its own distribution's ``ppf``.
         """
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != len(self._parameters):
@@ -125,8 +144,10 @@ class ParameterGroup:
                 f"uniform matrix must have shape (n, {len(self._parameters)}), got {u.shape}"
             )
         out = np.empty_like(u)
-        for j, parameter in enumerate(self._parameters):
-            out[:, j] = parameter.distribution.ppf(u[:, j])
+        columns, mu, sigma, others = self._by_family()
+        out[:, columns] = mu + sigma * _ndtri(u[:, columns])
+        for j, dist in others:
+            out[:, j] = dist.ppf(u[:, j])
         return out
 
     def describe(self) -> str:

@@ -95,8 +95,9 @@ class LinearMarginScreener:
         self.safety = float(safety)
         self.min_train = int(min_train)
         self.ridge = float(ridge)
-        self._x: list[np.ndarray] = []      # simulated process samples
-        self._m: list[np.ndarray] = []      # their margin rows
+        self._x: list[np.ndarray] = []      # blocks of simulated process samples
+        self._m: list[np.ndarray] = []      # their margin rows, block by block
+        self._n_train = 0
         self._weights: np.ndarray | None = None   # (d+1, n_specs)
         self._resid_std: np.ndarray | None = None  # (n_specs,)
         self._trained_at = 0
@@ -105,15 +106,15 @@ class LinearMarginScreener:
     @property
     def n_train(self) -> int:
         """Number of simulated samples available for training."""
-        return len(self._x)
+        return self._n_train
 
     def update(self, samples: np.ndarray, margins: np.ndarray) -> None:
         """Feed back simulated samples and their spec margins."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         margins = np.atleast_2d(np.asarray(margins, dtype=float))
-        for row_x, row_m in zip(samples, margins):
-            self._x.append(row_x)
-            self._m.append(row_m)
+        self._x.append(samples)
+        self._m.append(margins)
+        self._n_train += samples.shape[0]
         # Refit on a doubling schedule to amortise the lstsq cost.
         if self.n_train >= self.min_train and self.n_train >= 2 * max(
             self._trained_at, self.min_train // 2

@@ -5,9 +5,10 @@ plain Monte Carlo and often much smaller — the paper adopts LHS as the DOE
 technique replacing PMC in all compared methods.
 
 Implementation: for each of the ``d`` dimensions independently, the ``n``
-strata ``[(k + u_k)/n, k=0..n-1]`` are randomly permuted, giving exactly one
-point per stratum per dimension; the uniform matrix is then pushed through
-the marginal inverse CDFs of the variation model.
+strata ``[(k + u_k)/n, k=0..n-1]`` are randomly permuted (one
+``Generator.permuted`` call shuffles every column in turn), giving exactly
+one point per stratum per dimension; the uniform matrix is then pushed
+through the marginal inverse CDFs of the variation model.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ def latin_hypercube_uniforms(
     if n == 0:
         return np.empty((0, d))
     u = (rng.uniform(size=(n, d)) + np.arange(n)[:, None]) / n
-    for j in range(d):
-        u[:, j] = u[rng.permutation(n), j]
-    return u
+    return rng.permuted(u, axis=0)
 
 
 class LatinHypercubeSampler(Sampler):

@@ -1,0 +1,234 @@
+"""Bit-equality of the batched hot paths with the per-design code they replace.
+
+Each vectorized path must reproduce, element for element
+(``np.array_equal``, never a tolerance), what the one-call-per-design or
+one-call-per-column code computes on the same host.  These checks hold on
+any platform, unlike the pinned identity hashes of ``test_goldens.py``.
+"""
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from repro.ledger import SimulationLedger
+from repro.problems import make_problem
+from repro.problems.base import SLAB_ROWS
+from repro.process.distributions import (
+    LognormalDistribution,
+    NormalDistribution,
+    TruncatedNormalDistribution,
+    UniformDistribution,
+    _ndtri,
+)
+from repro.process.parameters import ParameterGroup, StatisticalParameter
+from repro.sampling.acceptance import LinearMarginScreener
+from repro.sampling.lhs import latin_hypercube_uniforms
+
+PAPER_CIRCUITS = ["folded_cascode", "telescopic"]
+
+
+@pytest.fixture(scope="module", params=PAPER_CIRCUITS)
+def circuit(request):
+    return make_problem(request.param)
+
+
+def _designs(problem, n, seed=0):
+    """Random designs plus the box's lower and upper corners."""
+    space = problem.space
+    designs = space.sample(n, np.random.default_rng(seed))
+    return np.vstack([designs, space.lower, space.upper])
+
+
+def _row_by_row(evaluator, X, samples):
+    return np.vstack([evaluator.evaluate(x, s[None, :]) for x, s in zip(X, samples)])
+
+
+class TestEvaluatePairs:
+    def test_random_designs_and_corners(self, circuit):
+        X = _designs(circuit, 40)
+        samples = circuit.variation.sample(len(X), np.random.default_rng(1))
+        pairs = circuit.evaluator.evaluate_pairs(X, samples)
+        assert np.array_equal(pairs, _row_by_row(circuit.evaluator, X, samples))
+
+    def test_single_row(self, circuit):
+        X = _designs(circuit, 1)[:1]
+        samples = circuit.variation.sample(1, np.random.default_rng(2))
+        assert np.array_equal(
+            circuit.evaluator.evaluate_pairs(X, samples),
+            circuit.evaluator.evaluate(X[0], samples),
+        )
+
+    def test_one_design_broadcasts_over_samples(self, circuit):
+        """``evaluate`` is the one-row case, equal to the repeated design."""
+        x = _designs(circuit, 1)[0]
+        samples = circuit.variation.sample(50, np.random.default_rng(3))
+        repeated = circuit.evaluator.evaluate_pairs(np.tile(x, (50, 1)), samples)
+        assert np.array_equal(circuit.evaluator.evaluate(x, samples), repeated)
+        row_by_row = _row_by_row(circuit.evaluator, [x] * 50, samples)
+        assert np.array_equal(row_by_row, repeated)
+
+    def test_more_rows_than_one_slab(self, circuit):
+        """Fused-round shape through the problem: design blocks over slabs."""
+        X = _designs(circuit, 3, seed=4)
+        n = SLAB_ROWS // 2 + 7  # five blocks -> three slabs, blocks straddle slabs
+        samples = circuit.variation.sample(n * len(X), np.random.default_rng(5))
+        ledger = SimulationLedger()
+        pairs = circuit.evaluate_pairs(np.repeat(X, n, axis=0), samples, ledger)
+        assert ledger.total == n * len(X)
+        per_design = np.vstack(
+            [
+                circuit.evaluator.evaluate(x, samples[i * n : (i + 1) * n])
+                for i, x in enumerate(X)
+            ]
+        )
+        assert np.array_equal(pairs, per_design)
+
+    def test_misaligned_rows_rejected(self, circuit):
+        X = _designs(circuit, 2)
+        samples = circuit.variation.sample(3, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="align"):
+            circuit.evaluator.evaluate_pairs(X, samples)
+
+
+class TestEvaluateBatch:
+    # The paper circuits' 6 x 682 pairs span two slabs; the netlist OTA has
+    # no ``evaluate_pairs`` and takes one call per design.
+    @pytest.mark.parametrize(
+        "name,n",
+        [(name, SLAB_ROWS // 3) for name in PAPER_CIRCUITS] + [("netlist_ota", 40)],
+    )
+    def test_matches_per_design_evaluate(self, name, n):
+        problem = make_problem(name)
+        X = _designs(problem, 4, seed=7)
+        samples = problem.variation.sample(n, np.random.default_rng(8))
+        ledger = SimulationLedger()
+        batch = problem.evaluate_batch(X, samples, ledger)
+        assert batch.shape == (len(X), len(samples), len(problem.specs))
+        assert ledger.total == len(X) * len(samples)
+        for x, block in zip(X, batch):
+            assert np.array_equal(block, problem.evaluator.evaluate(x, samples))
+
+
+class TestFeasibilityGate:
+    @pytest.mark.parametrize("name", PAPER_CIRCUITS + ["netlist_ota"])
+    def test_batch_matches_scalar_checks(self, name):
+        problem = make_problem(name)
+        X = _designs(problem, 30, seed=9)
+        batch_ledger, scalar_ledger = SimulationLedger(), SimulationLedger()
+        feasible, violation = problem.nominal_feasibility_batch(X, batch_ledger)
+        scalar = [problem.nominal_feasibility(x, scalar_ledger) for x in X]
+        assert np.array_equal(feasible, [ok for ok, _ in scalar])
+        assert np.array_equal(violation, [v for _, v in scalar])
+        assert batch_ledger.to_dict() == scalar_ledger.to_dict()
+
+
+def _mixed_group():
+    return ParameterGroup(
+        [
+            StatisticalParameter("n0", NormalDistribution(1.0, 0.02)),
+            StatisticalParameter("ln", LognormalDistribution(0.1, 0.2)),
+            StatisticalParameter("n1", NormalDistribution(-3e-9, 4e-9)),
+            StatisticalParameter("un", UniformDistribution(-1.0, 2.0)),
+            StatisticalParameter(
+                "tn", TruncatedNormalDistribution(0.0, 1.0, -1.5, 2.5)
+            ),
+            StatisticalParameter("n2", NormalDistribution(0.0, 0.0)),
+        ]
+    )
+
+
+class TestFromUniform:
+    def test_mixed_families_match_per_column_ppf(self):
+        group = _mixed_group()
+        u = np.random.default_rng(10).uniform(size=(300, len(group)))
+        u[:3] = [[0.0] * len(group), [1.0] * len(group), [0.5] * len(group)]
+        per_column = np.column_stack(
+            [param.distribution.ppf(u[:, j]) for j, param in enumerate(group)]
+        )
+        assert np.array_equal(group.from_uniform(u), per_column)
+
+    def test_group_growth_resets_the_column_split(self):
+        group = _mixed_group()
+        u = np.random.default_rng(11).uniform(size=(5, len(group) + 1))
+        group.from_uniform(u[:, :-1])
+        group.add(StatisticalParameter.normal("late", 2.0, 0.5))
+        assert np.array_equal(
+            group.from_uniform(u)[:, -1], NormalDistribution(2.0, 0.5).ppf(u[:, -1])
+        )
+
+    def test_circuit_variation_matches_per_column_ppf(self, circuit):
+        group = circuit.variation.full_group
+        u = np.random.default_rng(12).uniform(size=(64, len(group)))
+        per_column = np.column_stack(
+            [param.distribution.ppf(u[:, j]) for j, param in enumerate(group)]
+        )
+        assert np.array_equal(circuit.variation.from_uniform(u), per_column)
+
+    def test_ndtri_matches_scipy_norm_ppf(self):
+        u = np.concatenate(
+            [
+                np.random.default_rng(13).uniform(size=1000),
+                [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 1e-16, 1.0],
+            ]
+        )
+        clipped = np.clip(u, 1e-12, 1.0 - 1e-12)
+        assert np.array_equal(_ndtri(u), stats.norm.ppf(clipped))
+
+
+def _lhs_column_loop(n, d, rng):
+    """The per-column permutation loop ``latin_hypercube_uniforms`` replaced."""
+    if n == 0:
+        return np.empty((0, d))
+    u = (rng.uniform(size=(n, d)) + np.arange(n)[:, None]) / n
+    for j in range(d):
+        u[:, j] = u[rng.permutation(n), j]
+    return u
+
+
+class TestLatinHypercube:
+    @pytest.mark.parametrize("d", [5, 80, 123])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 20, 35, 76, 500])
+    def test_matches_column_loop_and_generator_state(self, n, d):
+        rng_new = np.random.default_rng(n * 1000 + d)
+        rng_old = np.random.default_rng(n * 1000 + d)
+        assert np.array_equal(
+            latin_hypercube_uniforms(n, d, rng_new), _lhs_column_loop(n, d, rng_old)
+        )
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+class _RowWiseScreener(LinearMarginScreener):
+    """The row-at-a-time ``update`` that block appends replaced."""
+
+    def update(self, samples, margins):
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        margins = np.atleast_2d(np.asarray(margins, dtype=float))
+        for row_x, row_m in zip(samples, margins):
+            self._x.append(row_x)
+            self._m.append(row_m)
+            self._n_train += 1
+        if self.n_train >= self.min_train and self.n_train >= 2 * max(
+            self._trained_at, self.min_train // 2
+        ):
+            self._fit()
+
+
+class TestScreenerUpdate:
+    def test_block_update_fits_and_classifies_identically(self, circuit):
+        x = _designs(circuit, 1, seed=14)[0]
+        rng = np.random.default_rng(15)
+        block = LinearMarginScreener(circuit.specs, min_train=30)
+        row = _RowWiseScreener(circuit.specs, min_train=30)
+        for size in (15, 7, 1, 30, 64, 3, 120):
+            samples = circuit.variation.sample(size, rng)
+            margins = circuit.specs.margins(circuit.evaluator.evaluate(x, samples))
+            block.update(samples, margins)
+            row.update(samples, margins)
+            assert block.n_train == row.n_train
+            assert block.active == row.active
+            if block.active:
+                assert np.array_equal(block._weights, row._weights)
+                assert np.array_equal(block._resid_std, row._resid_std)
+            probe = circuit.variation.sample(40, rng)
+            labels = block.classify(probe).labels
+            assert np.array_equal(labels, row.classify(probe).labels)

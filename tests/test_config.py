@@ -41,6 +41,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             MOHECOConfig(stage2_threshold=1.5)
 
+    @pytest.mark.parametrize("safety", [0.0, -1.0, float("nan")])
+    def test_as_safety_must_be_positive(self, safety):
+        with pytest.raises(ValueError, match="as_safety"):
+            MOHECOConfig(as_safety=safety)
+
+    @pytest.mark.parametrize("min_train", [1, 0, -5])
+    def test_as_min_train_covers_a_ddof1_std(self, min_train):
+        with pytest.raises(ValueError, match="as_min_train"):
+            MOHECOConfig(as_min_train=min_train)
+
+    def test_smallest_valid_as_settings(self):
+        config = MOHECOConfig(as_safety=1e-3, as_min_train=2)
+        assert config.as_safety == 1e-3 and config.as_min_train == 2
+
+    def test_bad_as_settings_fail_before_the_run(self):
+        """Rejected at submission even where no candidate is ever feasible."""
+        from repro.api import RunSpec, SpecError, validate_run_spec
+
+        for overrides in ({"as_safety": 0}, {"as_min_train": -5}):
+            spec = RunSpec(problem="folded_cascode", overrides=overrides)
+            with pytest.raises(SpecError):
+                validate_run_spec(spec)
+
 
 class TestVariants:
     def test_moheco(self):
