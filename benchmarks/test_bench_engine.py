@@ -1,11 +1,13 @@
-"""Execution-engine micro-benchmark: serial-loop vs fused vs process-pool.
+"""Execution-engine micro-benchmark: per-candidate loop vs fused vs process-pool.
 
 Measures simulation throughput (sims/sec) of the OCBA hot path on the
-synthetic sphere problem, three ways:
+synthetic sphere problem, three ways (the ``legacy`` arm is a bench-local
+loop of one ``CandidateYieldState.refine`` per candidate, the path the
+engines fuse):
 
 * ``round``: one 20-candidate OCBA refinement round dispatched through
   each backend — the unit the engine layer fuses.  This is where the
-  fused :class:`~repro.engine.serial.SerialEngine` must beat the legacy
+  fused :class:`~repro.engine.serial.SerialEngine` must beat the
   per-candidate loop by >= 3x.
 * ``ocba``: a full ``ocba_sequential`` run (pilot + allocation rounds),
   which dilutes the dispatch win with the shared per-candidate RNG-stream
@@ -17,7 +19,8 @@ reported so the trade-off stays visible.  The ``circuit`` section runs
 the same fused round on the circuit-priced ``netlist_ota`` problem
 (stacked MNA/AC solves, hundreds of microseconds per row), where the
 measured per-row cost sits *above* the engine-selection crossover and the
-shared-memory process pool must therefore beat the serial dispatch.
+process pool must therefore beat the serial dispatch wherever the
+crossover model predicts a pool win.
 
 Results land in ``BENCH_engine.json`` at the repo root (each test merges
 its section) so successive PRs can track the trajectory.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job
@@ -32,7 +35,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import LegacyEngine, ProcessPoolEngine, SerialEngine
+from repro.engine import EvaluationEngine, ProcessPoolEngine, SerialEngine
 from repro.engine.auto import AutoEngine
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
@@ -53,9 +56,18 @@ OCBA_REPS = 3 if SMOKE else 20
 # only applies where the model says the pool should win.
 CIRCUIT_ROUND_GAIN = 8
 CIRCUIT_ROUND_REPS = 3 if SMOKE else 20
-CIRCUIT_CPUS = os.cpu_count() or 1
-CIRCUIT_WORKERS = max(2, min(CIRCUIT_CPUS, 4))
+CPUS = os.cpu_count() or 1
+CIRCUIT_WORKERS = max(2, min(CPUS, 4))
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_engine.json")
+
+
+class _PerCandidateLoop(EvaluationEngine):
+    """The unfused reference: one full draw-screen-simulate per candidate."""
+
+    def refine_round(self, problem, states, gains, category=None):
+        for state, gain in zip(states, gains):
+            if gain > 0:
+                state.refine(int(gain), category)
 
 
 def _merge_bench(section: str, data) -> dict:
@@ -111,12 +123,13 @@ def test_engine_throughput():
     problem = make_sphere_problem()
     sampler = make_sampler("pmc", problem.variation)
     engines = {
-        "legacy": LegacyEngine(),
+        "legacy": _PerCandidateLoop(),
         "serial": SerialEngine(),
         "process": ProcessPoolEngine(workers=2),
     }
     payload = {
         "problem": problem.name,
+        "cpus": CPUS,
         "candidates": N_CANDIDATES,
         "round_gain": ROUND_GAIN,
         "round_reps": ROUND_REPS,
@@ -191,19 +204,15 @@ def test_circuit_priced_crossover():
     serial per-row cost, evaluates the auto engine's crossover cost for
     this round shape, verifies the workload really sits above it, and —
     wherever the model predicts a pool win (>= 2 CPUs, i.e. CI) — requires
-    the shared-memory process pool to be at least as fast as the fused
-    serial dispatch: the regression guard for the "make the process pool
-    win" roadmap item.
+    the process pool to be at least as fast as the fused serial dispatch:
+    the regression guard for the "make the process pool win" roadmap item.
     """
     problem = make_netlist_ota_problem()
     sampler = make_sampler("pmc", problem.variation)
     rows_per_round = N_CANDIDATES * CIRCUIT_ROUND_GAIN
     engines = {
         "serial": SerialEngine(),
-        "process_shm": ProcessPoolEngine(workers=CIRCUIT_WORKERS, transfer="shm"),
-        "process_pickle": ProcessPoolEngine(
-            workers=CIRCUIT_WORKERS, transfer="pickle"
-        ),
+        "process": ProcessPoolEngine(workers=CIRCUIT_WORKERS),
     }
     results = {}
     try:
@@ -224,7 +233,7 @@ def test_circuit_priced_crossover():
     # The crossover the auto engine would apply on *this* host: inf on a
     # single CPU (its default worker count is 1 there — the pool can never
     # win), finite once real parallelism exists.
-    auto_workers = min(CIRCUIT_CPUS, 8)
+    auto_workers = min(CPUS, 8)
     host_crossover = AutoEngine().crossover_cost_seconds(
         auto_workers, rows_per_round
     )
@@ -238,7 +247,7 @@ def test_circuit_priced_crossover():
         "candidates": N_CANDIDATES,
         "round_gain": CIRCUIT_ROUND_GAIN,
         "round_reps": CIRCUIT_ROUND_REPS,
-        "cpus": CIRCUIT_CPUS,
+        "cpus": CPUS,
         "workers": CIRCUIT_WORKERS,
         "smoke": SMOKE,
         "round": results,
@@ -246,14 +255,8 @@ def test_circuit_priced_crossover():
         "crossover_cost_seconds": pool_crossover,
         "row_cost_over_crossover": row_cost / pool_crossover,
         "pool_should_win_here": pool_should_win,
-        "speedup_process_vs_serial": {
-            "shm": results["process_shm"]["sims_per_sec"]
-            / serial["sims_per_sec"],
-            "pickle": results["process_pickle"]["sims_per_sec"]
-            / serial["sims_per_sec"],
-        },
-        "speedup_shm_vs_pickle": results["process_shm"]["sims_per_sec"]
-        / results["process_pickle"]["sims_per_sec"],
+        "speedup_process_vs_serial": results["process"]["sims_per_sec"]
+        / serial["sims_per_sec"],
     }
     _merge_bench("circuit", payload)
 
@@ -265,9 +268,7 @@ def test_circuit_priced_crossover():
         f"serial row cost {row_cost * 1e6:.0f}us vs crossover "
         f"{pool_crossover * 1e6:.0f}us "
         f"({row_cost / pool_crossover:.1f}x above); "
-        f"process-shm speedup "
-        f"{payload['speedup_process_vs_serial']['shm']:.2f}x "
-        f"(shm vs pickle {payload['speedup_shm_vs_pickle']:.2f}x)"
+        f"process speedup {payload['speedup_process_vs_serial']:.2f}x"
     )
 
     # The circuit workload must sit above the engine-selection crossover
@@ -283,17 +284,14 @@ def test_circuit_priced_crossover():
     # stay serial — so a pool loss there is the *expected* outcome, not a
     # regression.
     if pool_should_win:
-        assert (
-            results["process_shm"]["sims_per_sec"] >= serial["sims_per_sec"]
-        ), (
-            "shared-memory process pool slower than fused serial on the "
-            "circuit-priced round: "
-            f"{results['process_shm']['sims_per_sec']:,.0f}/s vs "
+        assert results["process"]["sims_per_sec"] >= serial["sims_per_sec"], (
+            "process pool slower than fused serial on the circuit-priced "
+            f"round: {results['process']['sims_per_sec']:,.0f}/s vs "
             f"{serial['sims_per_sec']:,.0f}/s"
         )
     else:
         print(
-            f"single-CPU host ({CIRCUIT_CPUS} core): crossover model "
+            f"single-CPU host ({CPUS} core): crossover model "
             "correctly keeps auto on serial; pool-supremacy assertion "
             "applies on multi-core (CI) hosts"
         )

@@ -1,9 +1,9 @@
 """Remote streaming engine benchmark: serial vs HTTP worker fan-out.
 
-Measures the fused refinement round three ways — local serial, remote
-streaming dispatch, remote barrier (wave-synchronized) dispatch — against
-real ``repro worker`` subprocesses, so the numbers include genuine HTTP
-framing, JSON+base64 wire cost, and process-level parallelism.
+Measures the fused refinement round two ways — local serial and remote
+streaming dispatch — against real ``repro worker`` subprocesses, so the
+numbers include genuine HTTP framing, JSON+base64 wire cost, and
+process-level parallelism.
 
 Two sections land in ``BENCH_remote.json`` at the repo root:
 
@@ -122,12 +122,7 @@ def _bench_backends(problem, sampler, fleet, gain, reps):
     workers = ",".join(fleet.urls)
     engines = {
         "serial": SerialEngine(),
-        "remote_streaming": RemoteEngine(
-            workers=workers, chunk_rows=CHUNK_ROWS, dispatch="streaming"
-        ),
-        "remote_barrier": RemoteEngine(
-            workers=workers, chunk_rows=CHUNK_ROWS, dispatch="barrier"
-        ),
+        "remote_streaming": RemoteEngine(workers=workers, chunk_rows=CHUNK_ROWS),
     }
     results = {}
     try:
@@ -198,10 +193,6 @@ def test_remote_crossover_and_streaming_supremacy():
             circuit_results["remote_streaming"]["sims_per_sec"]
             / circuit_results["serial"]["sims_per_sec"]
         )
-        streaming_vs_barrier = (
-            circuit_results["remote_streaming"]["sims_per_sec"]
-            / circuit_results["remote_barrier"]["sims_per_sec"]
-        )
         # Remote can only win with real parallel hardware (workers are
         # separate processes) and a row cost above the wire crossover.
         remote_should_win = (
@@ -224,27 +215,20 @@ def test_remote_crossover_and_streaming_supremacy():
                 "row_cost_over_crossover": costs["serial"] / crossover_row_cost,
                 "remote_should_win_here": remote_should_win,
                 "speedup_streaming_vs_serial": streaming_speedup,
-                "speedup_streaming_vs_barrier": streaming_vs_barrier,
             },
         )
         print(
             f"circuit round: serial {circuit_results['serial']['sims_per_sec']:,.0f}/s  "
-            f"streaming {circuit_results['remote_streaming']['sims_per_sec']:,.0f}/s  "
-            f"barrier {circuit_results['remote_barrier']['sims_per_sec']:,.0f}/s"
+            f"streaming {circuit_results['remote_streaming']['sims_per_sec']:,.0f}/s"
         )
         print(
             f"row cost {costs['serial'] * 1e6:.0f}us vs crossover "
             f"{crossover_row_cost * 1e6:.0f}us; streaming "
-            f"{streaming_speedup:.2f}x over serial, "
-            f"{streaming_vs_barrier:.2f}x over barrier"
+            f"{streaming_speedup:.2f}x over serial"
         )
         print(f"[saved to {os.path.abspath(OUT_PATH)}]")
 
         if remote_should_win:
-            # Streaming must never lose to wave-synchronized barrier
-            # dispatch by more than measurement noise (on single-core or
-            # smoke runs both are pure scheduling jitter).
-            assert streaming_vs_barrier > 0.8
             assert streaming_speedup >= 1.5, (
                 f"remote streaming only {streaming_speedup:.2f}x over serial "
                 f"with {N_WORKERS} workers on a {CPUS}-core host; expected "

@@ -66,3 +66,13 @@ code=$(curl -s -o bad.json -w "%{http_code}" \
 test "$code" = 400
 grep -q '"error": "invalid_spec"' bad.json
 grep -q '"field": "pop_size"' bad.json
+
+# Engine parameters are bound at submission: a removed or misspelled
+# engine option answers 400 naming engine_params, never a failed job.
+code=$(curl -s -o bad-params.json -w "%{http_code}" \
+  -X POST http://127.0.0.1:8032/v1/runs \
+  -H 'Content-Type: application/json' \
+  -d '{"problem": "sphere", "engine": "remote", "engine_params": {"dispatch": "barrier"}}')
+test "$code" = 400
+grep -q '"error": "invalid_spec"' bad-params.json
+grep -q '"field": "engine_params"' bad-params.json

@@ -18,9 +18,9 @@ the shell::
         --set pop_size=20 --set max_generations=40 --out result.json
 
 The Monte-Carlo refinement rounds execute on a pluggable backend
-(``--engine serial|process|legacy``); backends are seed-equivalent, so
-picking one only changes the wall-clock — the demo proves it by re-running
-the same spec on the legacy per-candidate loop and comparing results.
+(``--engine serial|process|auto|remote``); backends are seed-equivalent,
+so picking one only changes the wall-clock — the demo proves it by
+re-running the same spec on the process pool and comparing results.
 
 Replicated evaluation — the paper's "runs with independent random
 numbers" — is one :class:`~repro.sweep.SweepSpec` handed to
@@ -80,15 +80,14 @@ def main() -> None:
           f"{abs(result.best_yield - reference.value):.2%}")
 
     # Execution engines are seed-equivalent: the fused serial backend (the
-    # default above) and the legacy per-candidate loop produce the same
-    # run, sample for sample — engines change how fast, never what.
-    legacy_engine = optimize(spec.with_engine("legacy"))
-    assert legacy_engine.best_yield == result.best_yield
-    assert legacy_engine.n_simulations == result.n_simulations
+    # default above) and the process pool produce the same run, sample for
+    # sample — engines change how fast, never what.
+    pooled = optimize(spec.with_engine("process", workers=2))
+    assert pooled.identity_dict() == result.identity_dict()
     print(f"\nfused serial engine: {result.elapsed_seconds:.2f}s "
-          f"({result.sims_per_second:,.0f} sims/s); legacy loop: "
-          f"{legacy_engine.elapsed_seconds:.2f}s "
-          f"({legacy_engine.sims_per_second:,.0f} sims/s) — same result")
+          f"({result.sims_per_second:,.0f} sims/s); process pool: "
+          f"{pooled.elapsed_seconds:.2f}s "
+          f"({pooled.sims_per_second:,.0f} sims/s) — same result")
 
     # The pre-1.1 wrappers still work (as deprecation shims over optimize)
     # and reproduce the exact same run for the same seed.

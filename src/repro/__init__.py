@@ -64,7 +64,8 @@ pluggable :class:`~repro.engine.base.EvaluationEngine`:
   simulation-bound circuit problems (``engine_params={"workers": N}``);
 * ``"auto"`` times a pilot of in-process rounds and commits to serial or
   process based on the measured per-simulation cost;
-* ``"legacy"`` is the original per-candidate loop.
+* ``"remote"`` streams fused rounds to ``repro worker`` daemons on other
+  hosts (``engine_params={"workers": "host:port,..."}``).
 
 Every backend is seed-equivalent — sample draws stay in per-candidate RNG
 streams, so the result is bit-identical and only the wall-clock changes::
@@ -86,7 +87,7 @@ Package map
 * :mod:`repro.api` — the public facade: registries, RunSpec, optimize, CLI.
 * :mod:`repro.core` — the MOHECO engine, config, history, callbacks.
 * :mod:`repro.engine` — execution backends for the refinement rounds
-  (fused serial dispatch, process pool, legacy loop).
+  (fused serial dispatch, process pool, auto, remote workers).
 * :mod:`repro.problems` — the paper's two circuits + synthetic problems.
 * :mod:`repro.circuit` — the analog evaluation substrate (devices, MNA,
   topologies, technologies).

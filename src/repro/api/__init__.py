@@ -17,8 +17,9 @@ Everything a user (or a deployment) needs is reachable from here:
   stopping, checkpointing.
 * **Engines** — pluggable execution backends for the Monte-Carlo
   refinement rounds (:mod:`repro.engine`): the fused ``"serial"`` default,
-  the sharded ``"process"`` pool, the per-candidate ``"legacy"`` loop —
-  all seed-equivalent, selected via ``RunSpec.engine`` or ``--engine``.
+  the sharded ``"process"`` pool, the pilot-measured ``"auto"`` choice,
+  the ``"remote"`` worker fleet — all seed-equivalent, selected via
+  ``RunSpec.engine`` or ``--engine``.
 * **Caches** — warm-start evaluation caches (:mod:`repro.engine.cache`):
   content-addressed replay of already-simulated sample blocks, with an
   LRU byte budget and an optional JSONL spill file shared across runs;
@@ -88,9 +89,7 @@ from repro.engine import (
     CacheStats,
     EvaluationCache,
     EvaluationEngine,
-    LegacyEngine,
     LRUEvaluationCache,
-    NullCache,
     ProcessPoolEngine,
     SerialEngine,
     make_cache,
@@ -176,14 +175,12 @@ __all__ = [
     "run_composed",
     # engines
     "EvaluationEngine",
-    "LegacyEngine",
     "SerialEngine",
     "ProcessPoolEngine",
     "make_engine",
     # caches
     "EvaluationCache",
     "LRUEvaluationCache",
-    "NullCache",
     "CacheStats",
     "make_cache",
     # callbacks

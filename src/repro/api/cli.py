@@ -101,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         "single-process dispatch, the default), 'process' (fused rounds "
         "sharded across worker processes), 'auto' (measures the per-"
         "simulation cost on a pilot, then commits to serial or process), "
-        "'remote' (rounds streamed to `repro worker` daemons; needs "
-        "--engine-param workers=host:port,...), or 'legacy' (the per-"
-        "candidate loop); all backends produce the identical seeded result",
+        "or 'remote' (rounds streamed to `repro worker` daemons; needs "
+        "--engine-param workers=host:port,...); all backends produce the "
+        "identical seeded result",
     )
     run.add_argument(
         "--engine-param",
@@ -117,10 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         help="warm-start evaluation cache for the refinement rounds: 'lru' "
         "(content-addressed LRU with a byte budget and an optional JSONL "
-        "spill file shared across runs) or 'null' (always-miss, for "
-        "overhead A/B).  Ledger-faithful by default: replayed rows are "
-        "still charged, so results and simulation totals match a "
-        "cache-off run",
+        "spill file shared across runs).  Ledger-faithful by default: "
+        "replayed rows are still charged, so results and simulation "
+        "totals match a cache-off run",
     )
     run.add_argument(
         "--cache-param",
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--engine",
-        help="per-run execution backend (serial/process/auto/legacy); "
+        help="per-run execution backend (serial/process/auto/remote); "
         "seed-equivalent, combines with --workers sharding whole runs",
     )
     sweep.add_argument(
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--cache",
-        help="per-run warm-start cache (lru/null); with a spill_path cache "
+        help="per-run warm-start cache (lru); with a spill_path cache "
         "parameter the runs of the sweep share one warm cache file",
     )
     sweep.add_argument(
@@ -532,8 +531,7 @@ def _command_run(args: argparse.Namespace) -> int:
                     f"engine[remote]: {decision['rows']} rows in "
                     f"{decision['chunks']} chunks over {fleet}/"
                     f"{len(decision['workers'])} worker(s) "
-                    f"({decision['dispatch']} dispatch, "
-                    f"re_dispatched={decision['re_dispatched']}, "
+                    f"(re_dispatched={decision['re_dispatched']}, "
                     f"local_rows={decision['local_rows']}, "
                     f"worker_cache_rows={decision.get('worker_cache_rows', 0)})"
                 )
@@ -543,8 +541,7 @@ def _command_run(args: argparse.Namespace) -> int:
                     f"{crossover * 1e6:.0f}us" if crossover is not None else "inf"
                 )
                 print(
-                    f"engine[auto]: chose {decision['chosen']} "
-                    f"({decision['model']}: measured "
+                    f"engine[auto]: chose {decision['chosen']} (measured "
                     f"{decision['pilot_cost_seconds'] * 1e6:.0f}us/row vs "
                     f"crossover {crossover_text} at "
                     f"{decision['mean_rows_per_round']:.0f} rows/round, "

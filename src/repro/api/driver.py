@@ -104,8 +104,8 @@ def optimize(
         Factory kwargs when ``problem`` is a registry name.
     engine / engine_params:
         Execution backend for the refinement rounds: an engine-registry
-        name (``"legacy"``, ``"serial"``, ``"process"``; ``engine_params``
-        go to its factory, e.g. ``workers=4``) or a ready
+        name (``"serial"``, ``"process"``, ``"auto"``, ``"remote"``;
+        ``engine_params`` go to its factory, e.g. ``workers=4``) or a ready
         :class:`~repro.engine.base.EvaluationEngine` instance.  An engine
         argument overrides the spec's ``engine`` field.  Name-resolved
         engines are closed when the run finishes; instances stay open (the
@@ -113,8 +113,8 @@ def optimize(
         the result is identical, only the wall-clock changes.
     cache / cache_params:
         Warm-start evaluation cache for the refinement rounds: a
-        cache-registry name (``"lru"``, ``"null"``; ``cache_params`` go to
-        its factory, e.g. ``max_bytes=..., spill_path=...``) or a ready
+        cache-registry name (``"lru"``; ``cache_params`` go to its
+        factory, e.g. ``max_bytes=..., spill_path=...``) or a ready
         :class:`~repro.engine.cache.EvaluationCache` instance shared
         across runs.  A cache argument overrides the spec's ``cache``
         field.  Name-resolved caches are namespaced to the resolved

@@ -9,11 +9,14 @@ maps it to a 400 body clients can route on, and the CLI prints it as a
 
 :func:`validate_run_spec` / :func:`validate_sweep_spec` go one step past
 shape checking: they resolve every registry name (problem, method, engine,
-cache) so a typo fails at submission time with the list of valid names —
+cache) and bind the engine and cache parameter names to the resolved
+class, so a typo fails at submission time with the list of valid names —
 not minutes later inside a queued job.
 """
 
 from __future__ import annotations
+
+import inspect
 
 __all__ = ["SpecError", "validate_run_spec", "validate_sweep_spec"]
 
@@ -63,6 +66,45 @@ def _check_registry(registry, name: str, field: str, spec: str) -> None:
         raise SpecError(str(error), field=field, spec=spec) from error
 
 
+def _check_params(registry, name: str, params: dict, field: str, spec: str) -> None:
+    """Bind ``params`` to the signature of the class registered as ``name``.
+
+    Names are bound, never passed to the constructor: the service injects
+    the remote ``workers`` after validation, and building an LRU cache
+    would open its spill file.
+    """
+    if not params:
+        return
+    signature = inspect.signature(registry.get(name))
+    try:
+        signature.bind_partial(**params)
+    except TypeError as error:
+        accepted = ", ".join(
+            parameter.name
+            for parameter in signature.parameters.values()
+            if parameter.kind
+            in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+        )
+        raise SpecError(
+            f"{error} ({name!r} accepts: {accepted or 'no parameters'})",
+            field=field,
+            spec=spec,
+        ) from error
+
+
+def _check_execution(spec, kind: str) -> None:
+    """Engine and cache: the registry name, then the parameter names."""
+    from repro.api.registries import CACHES, ENGINES
+
+    for registry, name, params, field in (
+        (ENGINES, spec.engine, spec.engine_params, "engine"),
+        (CACHES, spec.cache, spec.cache_params, "cache"),
+    ):
+        if name is not None:
+            _check_registry(registry, name, field, kind)
+            _check_params(registry, name, params, f"{field}_params", kind)
+
+
 def _check_overrides(runner, overrides: dict, field: str, spec: str) -> None:
     """Run the method's own overrides validator, if it declares one.
 
@@ -89,27 +131,25 @@ def validate_run_spec(spec) -> None:
     """Resolve every registry name a :class:`RunSpec` references.
 
     Raises :class:`SpecError` (with the offending field) for unregistered
-    problem/method/engine/cache names, and for overrides the resolved
+    problem/method/engine/cache names, for engine/cache parameter names
+    the resolved class does not accept, and for overrides the resolved
     method itself rejects (via its ``validate_overrides`` hook).  Shape
     errors (unknown keys, wrong types) are already raised by
     ``RunSpec.from_dict`` itself.
     """
-    from repro.api.registries import CACHES, ENGINES, METHODS, PROBLEMS
+    from repro.api.registries import METHODS, PROBLEMS
 
     _check_registry(PROBLEMS, spec.problem, "problem", "RunSpec")
     _check_registry(METHODS, spec.method, "method", "RunSpec")
     _check_overrides(
         METHODS.get(spec.method), spec.overrides, "overrides", "RunSpec"
     )
-    if spec.engine is not None:
-        _check_registry(ENGINES, spec.engine, "engine", "RunSpec")
-    if spec.cache is not None:
-        _check_registry(CACHES, spec.cache, "cache", "RunSpec")
+    _check_execution(spec, "RunSpec")
 
 
 def validate_sweep_spec(spec) -> None:
     """Resolve every registry name a :class:`SweepSpec` references."""
-    from repro.api.registries import CACHES, ENGINES, METHODS, PROBLEMS
+    from repro.api.registries import METHODS, PROBLEMS
 
     for index, method in enumerate(spec.methods):
         _check_registry(
@@ -125,7 +165,4 @@ def validate_sweep_spec(spec) -> None:
         _check_registry(
             PROBLEMS, problem.problem, f"problems[{index}].problem", "SweepSpec"
         )
-    if spec.engine is not None:
-        _check_registry(ENGINES, spec.engine, "engine", "SweepSpec")
-    if spec.cache is not None:
-        _check_registry(CACHES, spec.cache, "cache", "SweepSpec")
+    _check_execution(spec, "SweepSpec")

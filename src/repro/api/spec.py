@@ -77,16 +77,16 @@ class RunSpec:
     overrides:
         Method/config overrides (e.g. ``{"pop_size": 20, "n_max": 300}``).
     engine:
-        Execution-engine registry name (``"legacy"``, ``"serial"``,
-        ``"process"``); ``None`` leaves the method's default (the fused
+        Execution-engine registry name (``"serial"``, ``"process"``,
+        ``"auto"``, ``"remote"``); ``None`` leaves the method's default (the fused
         serial engine).  Engines never change the seeded result — only how
         fast it is produced — so the field travels with the spec as a
         deployment knob, not an algorithm knob.
     engine_params:
         Keyword arguments for the engine factory (e.g. ``{"workers": 4}``).
     cache:
-        Warm-start evaluation-cache registry name (``"lru"``, ``"null"``);
-        ``None`` disables caching.  Under the default ledger-faithful
+        Warm-start evaluation-cache registry name (``"lru"``); ``None``
+        disables caching.  Under the default ledger-faithful
         accounting a cache never changes the seeded result — it is a
         deployment knob like ``engine`` — but ``count_hits=False`` in
         ``cache_params`` changes the reported simulation totals.

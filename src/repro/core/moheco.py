@@ -180,15 +180,15 @@ class MOHECO:
     engine:
         Execution backend for the refinement rounds — an
         :class:`~repro.engine.base.EvaluationEngine` instance or a name in
-        :data:`repro.engine.ENGINES` (``"legacy"``, ``"serial"``,
-        ``"process"``).  Defaults to the fused
+        :data:`repro.engine.ENGINES` (``"serial"``, ``"process"``,
+        ``"auto"``, ``"remote"``).  Defaults to the fused
         :class:`~repro.engine.serial.SerialEngine`; every backend is
         seed-equivalent, so this is purely an execution choice.
     cache:
         Warm-start evaluation cache for the refinement rounds — an
         :class:`~repro.engine.cache.EvaluationCache` instance (typically
         shared across runs of the same problem; that is the point) or a
-        name in :data:`repro.engine.CACHES` (``"lru"``, ``"null"``).
+        name in :data:`repro.engine.CACHES` (``"lru"``).
         ``None`` (the default) disables caching.  Under the default
         ledger-faithful accounting a cache never changes the seeded
         result or the simulation totals — only the wall-clock.

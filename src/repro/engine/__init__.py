@@ -5,10 +5,10 @@ baseline, memetic local search) describes *what* to refine — ``(candidate,
 k_i samples)`` per round — and an :class:`~repro.engine.base.EvaluationEngine`
 decides *how* to execute it:
 
-* :class:`~repro.engine.base.LegacyEngine` (``"legacy"``) — the original
-  per-candidate Python loop; the bit-identical reference baseline.
 * :class:`~repro.engine.serial.SerialEngine` (``"serial"``, the default) —
-  fuses each round into one stacked ``(sum(k_i), ...)`` dispatch.
+  fuses each round into one stacked ``(sum(k_i), ...)`` dispatch.  Its
+  ``refine_round`` is the round template of every built-in backend; the
+  three below override only where the fused dispatch is simulated.
 * :class:`~repro.engine.process.ProcessPoolEngine` (``"process"``) — shards
   fused rounds across worker processes for simulation-bound problems.
 * :class:`~repro.engine.auto.AutoEngine` (``"auto"``) — measures the
@@ -35,13 +35,12 @@ paper-accounting totals.
 """
 
 from repro.engine.auto import AutoEngine
-from repro.engine.base import EvaluationEngine, LegacyEngine
+from repro.engine.base import EvaluationEngine
 from repro.engine.cache import (
     CACHES,
     CacheStats,
     EvaluationCache,
     LRUEvaluationCache,
-    NullCache,
     make_cache,
 )
 from repro.engine.process import ProcessPoolEngine
@@ -51,7 +50,6 @@ from repro.registry import Registry
 
 __all__ = [
     "EvaluationEngine",
-    "LegacyEngine",
     "SerialEngine",
     "ProcessPoolEngine",
     "AutoEngine",
@@ -60,7 +58,6 @@ __all__ = [
     "make_engine",
     "EvaluationCache",
     "LRUEvaluationCache",
-    "NullCache",
     "CacheStats",
     "CACHES",
     "make_cache",
@@ -68,7 +65,6 @@ __all__ = [
 
 #: Name -> execution-engine class; the API layer resolves through it.
 ENGINES: Registry = Registry("engine")
-ENGINES.register("legacy", LegacyEngine)
 ENGINES.register("serial", SerialEngine)
 ENGINES.register("process", ProcessPoolEngine)
 ENGINES.register("auto", AutoEngine)

@@ -4,18 +4,18 @@
 to the user: the fused in-process dispatch wins on cheap synthetic
 problems (micro-second simulations — IPC would dominate), while the
 process pool wins on simulation-bound circuit problems (hundreds of
-microseconds per MNA/AC solve).  :class:`AutoEngine` makes that choice
-from *measured* workload shape instead of guesswork: the first rounds run
-in-process as a pilot (identically to
-:class:`~repro.engine.serial.SerialEngine`), timing the simulation
-dispatch and counting the rows each round stacks, and once enough rows
-are measured the engine commits.
+microseconds per MNA/AC solve) on a host with cores to spare.
+:class:`AutoEngine` makes that choice from *measured* workload shape
+instead of guesswork: the first rounds simulate in-process as a pilot
+(identically to :class:`~repro.engine.serial.SerialEngine`), timing the
+simulation dispatch and counting the rows each round stacks, and once
+enough rows are measured the engine commits.
 
-The commit uses a crossover model rather than a bare cost threshold.  A
-round of ``R`` rows at per-row cost ``t`` takes ``R * t`` in-process; on a
-``W``-worker pool it takes roughly ``overhead + R * ipc + R * t / W``
-(per-round dispatch overhead, per-row descriptor/result IPC, then the
-simulations at ideal speed-up).  Shipping therefore wins when::
+The commit uses a crossover model.  A round of ``R`` rows at per-row cost
+``t`` takes ``R * t`` in-process; on a ``W``-worker pool it takes roughly
+``overhead + R * ipc + R * t / W`` (per-round dispatch overhead, per-row
+chunk/result IPC, then the simulations at ideal speed-up).  Shipping
+therefore wins when::
 
     t  >  (overhead / R + ipc) / (1 - 1 / W)
 
@@ -25,9 +25,11 @@ measured inputs and the resulting decision are recorded in
 :attr:`AutoEngine.decision` and surface on
 :class:`~repro.core.moheco.MOHECOResult` as ``engine_decision``.
 
-Determinism is untouched: the pilot evaluates exactly the rounds a serial
-backend would evaluate, and every backend is seed-equivalent, so the
-decision only ever changes wall-clock.
+Only :meth:`AutoEngine.simulate` is timed and delegated: the round
+template (draw, cache partition, scatter) stays the inherited serial one,
+so the committed backend never sees the warm-start cache and only ever
+simulates miss rows.  Determinism is untouched: every backend is
+seed-equivalent, so the decision only ever changes wall-clock.
 """
 
 from __future__ import annotations
@@ -35,33 +37,22 @@ from __future__ import annotations
 import os
 import time
 
-from repro.engine.base import (
-    EvaluationEngine,
-    collect_pending,
-    evaluate_pending,
-    scatter_round,
-)
-from repro.engine.cache import CachedRound
 from repro.engine.process import ProcessPoolEngine
 from repro.engine.serial import SerialEngine
 
 __all__ = ["AutoEngine"]
 
-#: Per-row IPC cost of the pool path [s]: descriptor pickling, result
-#: pickling and queue traffic, per stacked row.  Calibrated from the
+#: Per-row IPC cost of the pool path [s]: chunk pickling, result pickling
+#: and queue traffic, per stacked row.  Calibrated from the
 #: BENCH_engine.json sphere numbers (where the round is pure IPC).
 DEFAULT_IPC_ROW_COST_SECONDS = 25e-6
 
-#: Fixed per-round pool dispatch cost [s]: chunking, shared-memory
-#: staging, future submission and collection.
+#: Fixed per-round pool dispatch cost [s]: chunking, future submission
+#: and collection.
 DEFAULT_ROUND_OVERHEAD_SECONDS = 400e-6
 
-#: Kept for backward compatibility with callers of the pre-crossover
-#: fixed-threshold interface (``cost_threshold_seconds=...``).
-DEFAULT_COST_THRESHOLD_SECONDS = 100e-6
 
-
-class AutoEngine(EvaluationEngine):
+class AutoEngine(SerialEngine):
     """Pilot-measured choice between the serial and process backends.
 
     Parameters
@@ -72,17 +63,10 @@ class AutoEngine(EvaluationEngine):
     pilot_rows:
         Keep measuring in-process until this many simulation rows have
         been timed; then commit.
-    cost_threshold_seconds:
-        ``None`` (default) commits via the crossover model above.  A float
-        bypasses the model: the process pool is selected iff the measured
-        per-row cost is at or above this fixed threshold (``0.0`` forces
-        the pool — handy in tests).
     ipc_row_cost_seconds / round_overhead_seconds:
         The crossover model's IPC constants; override after measuring a
-        platform with ``benchmarks/test_bench_engine.py``.
-    transfer:
-        Transfer mechanism handed to the process pool if chosen (see
-        :class:`~repro.engine.process.ProcessPoolEngine`).
+        platform with ``benchmarks/test_bench_engine.py``.  Setting both
+        to ``0.0`` commits to the pool whenever it has 2+ workers.
     """
 
     name = "auto"
@@ -91,10 +75,8 @@ class AutoEngine(EvaluationEngine):
         self,
         workers: int | None = None,
         pilot_rows: int = 64,
-        cost_threshold_seconds: float | None = None,
         ipc_row_cost_seconds: float = DEFAULT_IPC_ROW_COST_SECONDS,
         round_overhead_seconds: float = DEFAULT_ROUND_OVERHEAD_SECONDS,
-        transfer: str = "shm",
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -102,12 +84,8 @@ class AutoEngine(EvaluationEngine):
             raise ValueError(f"pilot_rows must be >= 1, got {pilot_rows}")
         self.workers = workers
         self.pilot_rows = int(pilot_rows)
-        self.cost_threshold_seconds = (
-            None if cost_threshold_seconds is None else float(cost_threshold_seconds)
-        )
         self.ipc_row_cost_seconds = float(ipc_row_cost_seconds)
         self.round_overhead_seconds = float(round_overhead_seconds)
-        self.transfer = transfer
         #: Registry name of the committed backend (``None`` while piloting).
         self.chosen: str | None = None
         #: Measured per-simulation cost the decision was based on.
@@ -115,58 +93,24 @@ class AutoEngine(EvaluationEngine):
         #: Full record of the commit (inputs + outcome); ``None`` while
         #: piloting.  Surfaces as ``MOHECOResult.engine_decision``.
         self.decision: dict | None = None
-        self._cache = None
-        self._delegate: EvaluationEngine | None = None
+        self._delegate: SerialEngine | None = None
         self._timed_rows = 0
         self._timed_seconds = 0.0
         self._timed_rounds = 0
 
-    # The attached warm-start cache must follow the delegation: rounds
-    # executed before the commit consult it in the pilot path below, and
-    # the committed backend inherits it.
-    @property
-    def cache(self):
-        return self._cache
-
-    @cache.setter
-    def cache(self, value) -> None:
-        self._cache = value
+    def simulate(self, problem, pending):
         if self._delegate is not None:
-            self._delegate.cache = value
-
-    def refine_round(self, problem, states, gains, category=None):
-        if self._delegate is not None:
-            self._delegate.refine_round(problem, states, gains, category)
-            return
-        # Pilot: evaluate in-process exactly as SerialEngine would, timing
-        # the simulation dispatch (not the draw/screen bookkeeping, which
-        # every backend pays identically in-parent).
-        pending = collect_pending(states, gains, category)
-        if not pending:
-            return
-        if self._cache is None:
-            started = time.perf_counter()
-            performance = evaluate_pending(problem, pending)
-            self._timed_seconds += time.perf_counter() - started
-            scatter_round(problem, pending, performance)
-            self._timed_rows += sum(block.n_samples for block in pending)
-            self._timed_rounds += 1
-        else:
-            # Only genuinely simulated rows may inform the cost estimate:
-            # replayed rows would read as impossibly cheap simulations and
-            # bias the engine toward staying serial.
-            round_ = CachedRound(self._cache, problem, pending)
-            missed = None
-            if round_.misses:
-                started = time.perf_counter()
-                missed = evaluate_pending(problem, round_.misses)
-                self._timed_seconds += time.perf_counter() - started
-                self._timed_rows += sum(b.n_samples for b in round_.misses)
-                self._timed_rounds += 1
-            performance = round_.assemble(missed)
-            scatter_round(problem, pending, performance, round_.hit_rows, self._cache)
+            return self._delegate.simulate(problem, pending)
+        # Pilot: the template hands over only genuinely simulated rows, so
+        # replayed cache hits never read as impossibly cheap simulations.
+        started = time.perf_counter()
+        performance = super().simulate(problem, pending)
+        self._timed_seconds += time.perf_counter() - started
+        self._timed_rows += sum(block.n_samples for block in pending)
+        self._timed_rounds += 1
         if self._timed_rows >= self.pilot_rows:
             self._commit()
+        return performance
 
     def crossover_cost_seconds(self, workers: int, rows_per_round: float) -> float:
         """Per-row cost above which a ``workers``-wide pool beats serial."""
@@ -181,25 +125,16 @@ class AutoEngine(EvaluationEngine):
             self.workers if self.workers is not None else min(os.cpu_count() or 1, 8)
         )
         rows_per_round = self._timed_rows / max(self._timed_rounds, 1)
-        if self.cost_threshold_seconds is not None:
-            model = "fixed-threshold"
-            crossover = self.cost_threshold_seconds
-        else:
-            model = "crossover"
-            crossover = self.crossover_cost_seconds(pool_workers, rows_per_round)
+        crossover = self.crossover_cost_seconds(pool_workers, rows_per_round)
         if pool_workers > 1 and self.pilot_cost_seconds >= crossover:
-            self._delegate = ProcessPoolEngine(
-                workers=pool_workers, transfer=self.transfer
-            )
+            self._delegate = ProcessPoolEngine(workers=pool_workers)
         else:
             # Cheap simulations (or nothing to parallelise across): IPC
             # would dominate, stay fused in-process.
             self._delegate = SerialEngine()
-        self._delegate.cache = self._cache
         self.chosen = self._delegate.name
         self.decision = {
             "chosen": self.chosen,
-            "model": model,
             "pilot_cost_seconds": self.pilot_cost_seconds,
             # inf (single worker: the pool can never win) is stored as None
             # to keep the dict JSON-clean.
@@ -210,7 +145,6 @@ class AutoEngine(EvaluationEngine):
             "pilot_rows": self._timed_rows,
             "pilot_rounds": self._timed_rounds,
             "workers": pool_workers,
-            "transfer": self.transfer if self.chosen == "process" else None,
         }
 
     def close(self) -> None:

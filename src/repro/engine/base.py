@@ -1,4 +1,4 @@
-"""The execution-engine protocol and the legacy per-candidate backend.
+"""The execution-engine protocol and the round helpers every backend shares.
 
 An :class:`EvaluationEngine` executes one *round* of refinement requests —
 ``(candidate state_i, k_i additional samples)`` for many candidates at once
@@ -6,8 +6,11 @@ An :class:`EvaluationEngine` executes one *round* of refinement requests —
 the pilot-``n0`` phase, stage-2 promotions and the fixed-budget baseline
 all submit their per-round work through this interface, which is what lets
 a backend fuse the simulations into one stacked dispatch
-(:class:`~repro.engine.serial.SerialEngine`) or shard them across worker
-processes (:class:`~repro.engine.process.ProcessPoolEngine`).
+(:class:`~repro.engine.serial.SerialEngine`, whose ``refine_round`` is the
+one round template the built-in backends share) and then simulate that
+dispatch wherever it likes: in-process, on worker processes
+(:class:`~repro.engine.process.ProcessPoolEngine`) or on remote hosts
+(:class:`~repro.engine.remote.RemoteEngine`).
 
 Reproducibility contract
 ------------------------
@@ -28,12 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.cache import CachedRound, EvaluationCache
+from repro.engine.cache import EvaluationCache
 from repro.yieldsim.estimator import CandidateYieldState, PendingRefinement
 
 __all__ = [
     "EvaluationEngine",
-    "LegacyEngine",
+    "chunk_pending",
     "collect_pending",
     "evaluate_pending",
     "scatter_round",
@@ -88,6 +91,27 @@ def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
     return np.concatenate([np.atleast_2d(r) for r in rows])
 
 
+def chunk_pending(pending, chunk_rows: int) -> list[list]:
+    """Split blocks into contiguous chunks of roughly ``chunk_rows`` rows.
+
+    Block boundaries are respected (grouped evaluator dispatch stays
+    intact); a block larger than ``chunk_rows`` forms its own chunk.  The
+    process pool cuts ``ceil(rows / workers)``-row chunks, one per worker;
+    the remote engine cuts fixed-size chunks, its unit of re-dispatch,
+    whose boundaries therefore must not depend on which workers are alive.
+    """
+    chunks, current, rows = [], [], 0
+    for block in pending:
+        current.append(block)
+        rows += block.n_samples
+        if rows >= chunk_rows:
+            chunks.append(current)
+            current, rows = [], 0
+    if current:
+        chunks.append(current)
+    return chunks
+
+
 def scatter_round(
     problem,
     pending: list[PendingRefinement],
@@ -139,9 +163,13 @@ class EvaluationEngine(ABC):
 
     Engines are resolved by name through :data:`repro.engine.ENGINES`
     (``MOHECO(engine=...)``, ``RunSpec.engine``, ``repro run --engine``).
-    They hold no per-run state beyond optional worker resources, so one
-    engine instance can serve many runs; call :meth:`close` (or use the
-    engine as a context manager) to release worker resources.
+    A third-party backend (``repro.api.register_engine``) implements
+    :meth:`refine_round`; the built-in ones subclass
+    :class:`~repro.engine.serial.SerialEngine` and override only where a
+    round's simulations run.  Engines hold no per-run state beyond
+    optional worker resources, so one engine instance can serve many runs;
+    call :meth:`close` (or use the engine as a context manager) to release
+    worker resources.
     """
 
     #: Registry name of the backend.
@@ -181,35 +209,3 @@ class EvaluationEngine(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
-
-class LegacyEngine(EvaluationEngine):
-    """The pre-engine path: one full draw-screen-simulate loop per candidate.
-
-    Kept as the bit-identical baseline the cross-backend equivalence suite
-    (and any downstream problem with exotic duck typing) can fall back to;
-    every Python-level loop iteration pays the full call-chain overhead the
-    fused backends exist to remove.
-    """
-
-    name = "legacy"
-
-    def refine_round(self, problem, states, gains, category=None):
-        if self.cache is None:
-            for state, gain in zip(states, gains):
-                if gain > 0:
-                    state.refine(int(gain), category)
-            return
-        # Cached dispatch keeps the per-candidate granularity (one block
-        # per iteration, no fusing) but routes each block through the same
-        # partition/splice/scatter path as the fused backends, so hits,
-        # accounting and results stay bit-identical across engines.
-        for state, gain in zip(states, gains):
-            if gain <= 0:
-                continue
-            block = state.prepare(int(gain), category)
-            if block is None:
-                continue
-            round_ = CachedRound(self.cache, problem, [block])
-            missed = evaluate_pending(problem, round_.misses) if round_.misses else None
-            performance = round_.assemble(missed)
-            scatter_round(problem, [block], performance, round_.hit_rows, self.cache)

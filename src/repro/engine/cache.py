@@ -69,7 +69,6 @@ __all__ = [
     "CacheStats",
     "EvaluationCache",
     "LRUEvaluationCache",
-    "NullCache",
     "CachedRound",
     "CACHES",
     "KEY_MODES",
@@ -410,23 +409,6 @@ class LRUEvaluationCache(EvaluationCache):
             self._spill_handle = None
 
 
-class NullCache(EvaluationCache):
-    """A cache that never remembers: every lookup misses, puts are dropped.
-
-    Useful to A/B the pure cache-layer overhead (keying + partition) with
-    no behaviour change, and as an explicit "caching off" spec value that
-    still exercises the cached dispatch path.
-    """
-
-    name = "null"
-
-    def _get(self, key: str) -> np.ndarray | None:
-        return None
-
-    def _put(self, key: str, rows: np.ndarray) -> None:
-        return None
-
-
 class CachedRound:
     """One refinement round partitioned into cache hits and misses.
 
@@ -532,7 +514,6 @@ class CachedRound:
 #: Name -> evaluation-cache class; the API layer resolves through it.
 CACHES: Registry = Registry("cache")
 CACHES.register("lru", LRUEvaluationCache)
-CACHES.register("null", NullCache)
 
 
 def make_cache(kind, **kwargs) -> EvaluationCache | None:

@@ -2,34 +2,21 @@
 
 For expensive circuit problems (MNA/AC amplifier simulation) the per-round
 evaluation dominates wall-clock; :class:`ProcessPoolEngine` splits the
-stacked pair matrix of each round into contiguous chunks — respecting
-candidate-block boundaries so grouped evaluator dispatch stays intact —
-and simulates the chunks on a pool of worker processes.
-
-Zero-copy transfer
-------------------
-With the default ``transfer="shm"`` the round's numeric payload crosses
-the process boundary through one :class:`multiprocessing.shared_memory`
-block created per round: the parent packs the per-block design vectors and
-the stacked sample matrix into the block once, and each worker receives
-only a tiny descriptor — ``(shm_name, shapes, block offsets)`` — from
-which it reconstructs zero-copy NumPy views.  Nothing per-sample is ever
-pickled on the way in; the pool stays warm across rounds (it is only
-rebuilt when the problem object changes), so steady-state round cost is
-descriptor pickling + the simulations themselves.  ``transfer="pickle"``
-keeps the legacy behaviour of shipping ``(designs, samples)`` chunks
-through the call pickle, and is also the automatic fallback on platforms
-where POSIX shared memory is unavailable.
+stacked miss blocks of each round into one contiguous chunk per worker —
+respecting candidate-block boundaries so grouped evaluator dispatch stays
+intact — and simulates the chunks on a pool of worker processes.  Each
+chunk crosses the process boundary as a pickled
+:class:`~repro.engine.wire.ChunkRequest`, the same ``(designs, samples,
+block extents)`` request the remote engine sends over HTTP.
 
 Determinism
 -----------
-Workers are *pure*: they receive chunk descriptors (or pickled chunks) and
-return performance rows.  All RNG streams, screener state and ledger
-accounting stay in the parent; the block partition and chunk boundaries do
-not depend on the transfer mechanism; and chunk results are reassembled in
-submission order — so a run is bit-for-bit reproducible for any worker
-count and either transfer, including ``workers=1`` and the in-process
-:class:`~repro.engine.serial.SerialEngine`.
+Workers are *pure*: they receive chunks and return performance rows.  All
+RNG streams, screener state and ledger accounting stay in the parent; the
+chunk boundaries depend only on the round and the worker count; and chunk
+results are reassembled in submission order — so a run is bit-for-bit
+reproducible for any worker count, including ``workers=1`` and the
+in-process :class:`~repro.engine.serial.SerialEngine`.
 
 The problem object is shipped to each worker once, at pool start-up (via
 the initializer, which under the default ``fork`` start method costs no
@@ -41,21 +28,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.engine.base import (
-    EvaluationEngine,
-    collect_pending,
-    evaluate_pending,
-    scatter_round,
-)
-from repro.engine.cache import CachedRound
+from repro.engine.base import chunk_pending, evaluate_pending
+from repro.engine.serial import SerialEngine
+from repro.engine.wire import ChunkRequest
 
-__all__ = ["ProcessPoolEngine", "make_process_pool", "pool_mp_context", "ShmRound"]
-
-TRANSFERS = ("shm", "pickle")
+__all__ = ["ProcessPoolEngine", "make_process_pool", "pool_mp_context"]
 
 
 def make_process_pool(workers: int, **kwargs) -> ProcessPoolExecutor:
@@ -91,130 +71,12 @@ def _init_worker(problem) -> None:
     _WORKER_PROBLEM = problem
 
 
-def _evaluate_chunk(pending) -> np.ndarray:
-    """Simulate one pickled chunk of pending blocks (legacy transfer)."""
-    return evaluate_pending(_WORKER_PROBLEM, pending)
+def _evaluate_chunk(chunk: ChunkRequest) -> np.ndarray:
+    """Simulate one chunk on a pool worker."""
+    return evaluate_pending(_WORKER_PROBLEM, chunk.to_pending())
 
 
-def _evaluate_shm_chunk(descriptor) -> np.ndarray:
-    """Simulate one chunk described by shared-memory offsets.
-
-    ``descriptor`` is ``(shm_name, designs_shape, samples_shape, blocks)``
-    with ``blocks`` a list of ``(design_row, start_row, stop_row,
-    category)``.  The worker attaches to the parent's block, rebuilds
-    read-only zero-copy views, and evaluates — no array bytes cross the
-    call pickle.  (Attaching registers the name with the resource tracker;
-    under ``fork`` the tracker is shared with the parent, whose ``unlink``
-    retires the name exactly once.)
-    """
-    from repro.yieldsim.estimator import PendingRefinement
-
-    name, designs_shape, samples_shape, blocks = descriptor
-    shm = shared_memory.SharedMemory(name=name)
-    designs = np.ndarray(designs_shape, dtype=np.float64, buffer=shm.buf)
-    samples = np.ndarray(
-        samples_shape,
-        dtype=np.float64,
-        buffer=shm.buf,
-        offset=designs.nbytes,
-    )
-    designs.flags.writeable = False
-    samples.flags.writeable = False
-    pending = []
-    try:
-        pending = [
-            PendingRefinement(
-                _BareState(designs[design_row]), samples[start:stop], category
-            )
-            for design_row, start, stop, category in blocks
-        ]
-        return evaluate_pending(_WORKER_PROBLEM, pending)
-    finally:
-        del pending, designs, samples
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - evaluator kept a view alive
-            pass  # mapping lives until GC drops the view; unlink still reclaims
-
-
-def _chunk_blocks(pending, n_chunks: int) -> list[list]:
-    """Split blocks into up to ``n_chunks`` contiguous, row-balanced chunks."""
-    total_rows = sum(block.n_samples for block in pending)
-    target = max(1, -(-total_rows // n_chunks))  # ceil division
-    chunks, current, rows = [], [], 0
-    for block in pending:
-        current.append(block)
-        rows += block.n_samples
-        if rows >= target and len(chunks) < n_chunks - 1:
-            chunks.append(current)
-            current, rows = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-class ShmRound:
-    """One round's ``(designs, samples)`` staged in a shared-memory block.
-
-    The parent packs each pending block's design vector (one row of the
-    ``designs`` matrix) and its sample rows (a contiguous slice of the
-    stacked ``samples`` matrix) into a single block, then hands workers
-    offset descriptors via :meth:`chunk_descriptor`.  Use as a context
-    manager: exit closes *and unlinks*, so the segment never outlives the
-    round even on error paths.
-    """
-
-    def __init__(self, blocks) -> None:
-        designs = np.ascontiguousarray(
-            np.stack([np.asarray(block.state.x, dtype=np.float64) for block in blocks])
-        )
-        samples = np.ascontiguousarray(
-            np.concatenate(
-                [np.atleast_2d(np.asarray(block.samples, dtype=np.float64))
-                 for block in blocks]
-            )
-        )
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=designs.nbytes + samples.nbytes
-        )
-        buf = self._shm.buf
-        np.ndarray(designs.shape, np.float64, buffer=buf)[:] = designs
-        np.ndarray(
-            samples.shape, np.float64, buffer=buf, offset=designs.nbytes
-        )[:] = samples
-        self.name = self._shm.name
-        self._designs_shape = designs.shape
-        self._samples_shape = samples.shape
-        # Row extents of each block inside the stacked sample matrix.
-        self._rows = {}
-        start = 0
-        for i, block in enumerate(blocks):
-            stop = start + block.n_samples
-            self._rows[id(block)] = (i, start, stop)
-            start = stop
-
-    def chunk_descriptor(self, chunk) -> tuple:
-        """The picklable descriptor workers get instead of array payloads."""
-        blocks = [
-            (*self._rows[id(block)], block.category) for block in chunk
-        ]
-        return (self.name, self._designs_shape, self._samples_shape, blocks)
-
-    def close(self) -> None:
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already retired
-            pass
-
-    def __enter__(self) -> ShmRound:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ProcessPoolEngine(EvaluationEngine):
+class ProcessPoolEngine(SerialEngine):
     """Sharded backend for simulation-bound problems.
 
     Parameters
@@ -229,31 +91,15 @@ class ProcessPoolEngine(EvaluationEngine):
         local — on circuit problems even a small promotion round is worth
         shipping; raise it when each simulation is cheap enough that IPC
         would dominate.
-    transfer:
-        ``"shm"`` (default) stages each round's arrays in one shared-memory
-        block and ships only offset descriptors to the workers;
-        ``"pickle"`` ships ``(designs, samples)`` chunks through the call
-        pickle.  ``"shm"`` silently downgrades to ``"pickle"`` if the
-        platform cannot allocate POSIX shared memory.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        min_dispatch_rows: int = 2,
-        transfer: str = "shm",
-    ) -> None:
+    def __init__(self, workers: int | None = None, min_dispatch_rows: int = 2) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transfer not in TRANSFERS:
-            raise ValueError(
-                f"transfer must be one of {TRANSFERS}, got {transfer!r}"
-            )
         self.workers = workers if workers is not None else min(os.cpu_count() or 1, 8)
         self.min_dispatch_rows = int(min_dispatch_rows)
-        self.transfer = transfer
         self._pool: ProcessPoolExecutor | None = None
         self._pool_problem = None
 
@@ -276,79 +122,19 @@ class ProcessPoolEngine(EvaluationEngine):
             self._pool_problem = None
 
     # -- dispatch ----------------------------------------------------------
-    def _simulate_sharded(self, problem, to_simulate) -> np.ndarray:
-        """Evaluate miss blocks on the pool; returns stacked rows."""
+    def simulate(self, problem, pending) -> np.ndarray:
+        rows = sum(block.n_samples for block in pending)
+        if self.workers == 1 or rows < self.min_dispatch_rows:
+            return super().simulate(problem, pending)
         pool = self._ensure_pool(problem)
-        chunks = _chunk_blocks(to_simulate, self.workers)
-        if self.transfer == "shm":
-            try:
-                staged = ShmRound(to_simulate)
-            except OSError:  # pragma: no cover - no POSIX shm on platform
-                self.transfer = "pickle"
-            else:
-                with staged:
-                    futures = [
-                        pool.submit(
-                            _evaluate_shm_chunk, staged.chunk_descriptor(chunk)
-                        )
-                        for chunk in chunks
-                    ]
-                    return np.concatenate(
-                        [future.result() for future in futures]
-                    )
         # Workers must not drag parent-side state (RNGs, ledgers,
-        # screeners) through the queue: ship bare (x, samples) shells.
+        # screeners) through the queue: chunks carry only designs and
+        # samples.
         futures = [
-            pool.submit(_evaluate_chunk, [_strip(block) for block in chunk])
-            for chunk in chunks
+            pool.submit(_evaluate_chunk, ChunkRequest.from_pending("", chunk))
+            for chunk in chunk_pending(pending, -(-rows // self.workers))
         ]
         return np.concatenate([future.result() for future in futures])
 
-    # -- rounds ------------------------------------------------------------
-    def refine_round(self, problem, states, gains, category=None):
-        pending = collect_pending(states, gains, category)
-        if not pending:
-            return
-        # The cache partition happens in the parent, before any dispatch:
-        # hit blocks never cross the pool boundary at all, and the chunking
-        # below sees only the miss blocks — block boundaries stay intact,
-        # and the partition is identical for every worker count.
-        round_ = None
-        to_simulate = pending
-        if self.cache is not None:
-            round_ = CachedRound(self.cache, problem, pending)
-            to_simulate = round_.misses
-        total_rows = sum(block.n_samples for block in to_simulate)
-        if not to_simulate:
-            performance = None
-        elif self.workers == 1 or total_rows < self.min_dispatch_rows:
-            performance = evaluate_pending(problem, to_simulate)
-        else:
-            performance = self._simulate_sharded(problem, to_simulate)
-        if round_ is None:
-            scatter_round(problem, pending, performance)
-        else:
-            performance = round_.assemble(performance)
-            scatter_round(problem, pending, performance, round_.hit_rows, self.cache)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessPoolEngine(workers={self.workers}, "
-            f"transfer={self.transfer!r})"
-        )
-
-
-class _BareState:
-    """Pickle-light stand-in for a candidate state: just the design vector."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: np.ndarray) -> None:
-        self.x = x
-
-
-def _strip(block):
-    """A pending block reduced to what workers need: design + samples."""
-    from repro.yieldsim.estimator import PendingRefinement
-
-    return PendingRefinement(_BareState(block.state.x), block.samples, block.category)
+        return f"ProcessPoolEngine(workers={self.workers})"

@@ -16,9 +16,7 @@ round's stacked performance matrix, so completion order cannot change the
 result.  Dispatch is pipelined with bounded in-flight backpressure — each
 worker serves at most ``max_in_flight`` chunks at a time, and a fast
 worker that finishes early immediately pulls the next chunk off the queue
-instead of waiting for the round's slowest peer (``dispatch="barrier"``
-keeps the wave-synchronized alternative for A/B measurement; see
-``benchmarks/test_bench_remote.py``).
+instead of waiting for the round's slowest peer.
 
 Failure semantics
 -----------------
@@ -44,29 +42,29 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from collections import deque
 
 import numpy as np
 
-from repro.engine.base import (
-    EvaluationEngine,
-    collect_pending,
-    evaluate_pending,
-    scatter_round,
-)
-from repro.engine.cache import CachedRound
+from repro.engine.base import chunk_pending
+from repro.engine.serial import SerialEngine
 from repro.engine.wire import ChunkRequest, encode_problem, decode_array
 
 __all__ = ["RemoteEngine", "WorkerError", "normalize_worker_url"]
 
-DISPATCH_MODES = ("streaming", "barrier")
-
 
 class WorkerError(RuntimeError):
-    """One worker failed one request (timeout, connection loss, 5xx)."""
+    """One worker failed one request (timeout, connection loss, 5xx).
+
+    ``status`` is the HTTP error status the worker answered, or ``None``
+    when there was none (unreachable, timed out, malformed reply).
+    """
+
+    def __init__(self, message: str, status: int | None = None) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def normalize_worker_url(worker: str) -> str:
@@ -94,26 +92,6 @@ def _parse_workers(workers) -> list[str]:
             "(engine_params={'workers': 'host:port,...'})"
         )
     return urls
-
-
-def _chunk_pending(pending, chunk_rows: int) -> list[list]:
-    """Split blocks into contiguous chunks of roughly ``chunk_rows`` rows.
-
-    Block boundaries are respected (grouped evaluator dispatch stays
-    intact); a block larger than ``chunk_rows`` forms its own chunk.  The
-    chunk list — not the worker set — is the unit of re-dispatch, so its
-    boundaries must not depend on which workers are alive.
-    """
-    chunks, current, rows = [], [], 0
-    for block in pending:
-        current.append(block)
-        rows += block.n_samples
-        if rows >= chunk_rows:
-            chunks.append(current)
-            current, rows = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 class _RoundState:
@@ -148,7 +126,7 @@ class _RoundState:
         return self.completed >= self.total
 
 
-class RemoteEngine(EvaluationEngine):
+class RemoteEngine(SerialEngine):
     """Stream refinement rounds to a pool of HTTP simulator workers.
 
     Parameters
@@ -170,11 +148,6 @@ class RemoteEngine(EvaluationEngine):
     timeout_seconds:
         Per-chunk HTTP timeout; a worker that blows it is treated as dead
         for the round and its chunk is re-dispatched.
-    dispatch:
-        ``"streaming"`` (default) pipelines chunks with bounded in-flight
-        backpressure; ``"barrier"`` submits worker-count-sized waves and
-        waits for each wave to fully return — the round-barrier baseline
-        the benchmark A/Bs against.
     min_dispatch_rows:
         Rounds smaller than this many rows are evaluated in-parent (HTTP
         overhead would dominate).
@@ -194,7 +167,6 @@ class RemoteEngine(EvaluationEngine):
         chunk_rows: int = 64,
         max_in_flight: int = 2,
         timeout_seconds: float = 60.0,
-        dispatch: str = "streaming",
         min_dispatch_rows: int = 2,
         local_fallback: bool = True,
         health_timeout_seconds: float = 5.0,
@@ -203,15 +175,10 @@ class RemoteEngine(EvaluationEngine):
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
         self.worker_urls = _parse_workers(workers)
         self.chunk_rows = int(chunk_rows)
         self.max_in_flight = int(max_in_flight)
         self.timeout_seconds = float(timeout_seconds)
-        self.dispatch = dispatch
         self.min_dispatch_rows = int(min_dispatch_rows)
         self.local_fallback = bool(local_fallback)
         self.health_timeout_seconds = float(health_timeout_seconds)
@@ -226,7 +193,6 @@ class RemoteEngine(EvaluationEngine):
         #: auto engine's commit record).
         self.decision: dict = {
             "engine": "remote",
-            "dispatch": dispatch,
             "workers": list(self.worker_urls),
             "chunk_rows": self.chunk_rows,
             "max_in_flight": self.max_in_flight,
@@ -263,7 +229,7 @@ class RemoteEngine(EvaluationEngine):
             except OSError:  # pragma: no cover - socket already gone
                 pass
             raise WorkerError(
-                f"{url} answered {error.code}: {detail[:200]!r}"
+                f"{url} answered {error.code}: {detail[:200]!r}", error.code
             ) from error
         except (urllib.error.URLError, OSError, TimeoutError, ValueError) as error:
             raise WorkerError(f"{url} unreachable: {error}") from error
@@ -334,7 +300,7 @@ class RemoteEngine(EvaluationEngine):
                 f"{url}/v1/evaluate", chunk.to_dict(), self.timeout_seconds
             )
         except WorkerError as error:
-            if "409" in str(error):
+            if error.status == 409:
                 # The worker restarted and lost the problem store: this is
                 # recoverable on the same worker, not a death.
                 self._installed[url] = set()
@@ -382,7 +348,7 @@ class RemoteEngine(EvaluationEngine):
             stats["cache_hit_rows"] += hit_rows
             self.decision["worker_cache_rows"] += hit_rows
 
-    def _drain_streaming(self, live, state: _RoundState, chunks, payload) -> None:
+    def _drain(self, live, state: _RoundState, chunks, payload) -> None:
         threads = [
             threading.Thread(
                 target=self._pump,
@@ -405,59 +371,21 @@ class RemoteEngine(EvaluationEngine):
         for thread in threads:
             thread.join(timeout=self.timeout_seconds)
 
-    def _drain_barrier(self, live, state: _RoundState, chunks, payload) -> None:
-        """Wave-synchronized dispatch: the round-barrier baseline."""
-        while not state.done:
-            wave_live = [url for url in live if url not in self._dead]
-            if not wave_live:
-                return  # leftovers fall back locally
-            wave: list[tuple[str, int]] = []
-            for url in wave_live:
-                index = state.take()
-                if index is None:
-                    break
-                wave.append((url, index))
-            if not wave:
-                return
-
-            def _one(url: str, index: int) -> None:
-                try:
-                    rows, hit_rows = self._evaluate_on(url, chunks[index], payload)
-                except WorkerError:
-                    self._mark_dead(url)
-                    self.decision["re_dispatched"] += 1
-                    state.requeue(index)
-                    return
-                state.finish(index, rows)
-                stats = self.decision["per_worker"][url]
-                stats["chunks"] += 1
-                stats["rows"] += chunks[index].n_rows
-                stats["cache_hit_rows"] += hit_rows
-                self.decision["worker_cache_rows"] += hit_rows
-
-            threads = [
-                threading.Thread(target=_one, args=pair, daemon=True)
-                for pair in wave
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:  # the barrier
-                thread.join(timeout=self.timeout_seconds * 2)
-
-    def _simulate_remote(self, problem, to_simulate) -> np.ndarray:
+    def simulate(self, problem, pending) -> np.ndarray:
+        rows = sum(block.n_samples for block in pending)
+        if rows < self.min_dispatch_rows:
+            self.decision["local_rows"] += rows
+            return super().simulate(problem, pending)
         token, payload = self._problem_wire(problem)
-        block_chunks = _chunk_pending(to_simulate, self.chunk_rows)
+        block_chunks = chunk_pending(pending, self.chunk_rows)
         chunks = [
             ChunkRequest.from_pending(token, blocks) for blocks in block_chunks
         ]
         state = _RoundState(len(chunks))
         live = self._live_workers()
         if live:
-            if self.dispatch == "streaming":
-                self._drain_streaming(live, state, chunks, payload)
-            else:
-                self._drain_barrier(live, state, chunks, payload)
-        leftovers = [i for i, rows in enumerate(state.results) if rows is None]
+            self._drain(live, state, chunks, payload)
+        leftovers = [i for i, done in enumerate(state.results) if done is None]
         if leftovers:
             if not self.local_fallback and not live:
                 raise WorkerError(
@@ -467,44 +395,15 @@ class RemoteEngine(EvaluationEngine):
             # Survivors gone mid-round (or none to begin with): finish the
             # round in-parent with the identical fused serial path.
             for index in leftovers:
-                state.results[index] = evaluate_pending(
-                    problem, block_chunks[index]
-                )
+                state.results[index] = super().simulate(problem, block_chunks[index])
                 self.decision["local_rows"] += chunks[index].n_rows
         self.decision["rounds"] += 1
         self.decision["chunks"] += len(chunks)
-        self.decision["rows"] += sum(chunk.n_rows for chunk in chunks)
+        self.decision["rows"] += rows
         return np.concatenate(state.results)
-
-    # -- rounds ------------------------------------------------------------
-    def refine_round(self, problem, states, gains, category=None):
-        pending = collect_pending(states, gains, category)
-        if not pending:
-            return
-        # The cache partition happens in the parent before any dispatch —
-        # hit rows never cross the wire, and chunk boundaries see only the
-        # miss rows, identically for every worker set.
-        round_ = None
-        to_simulate = pending
-        if self.cache is not None:
-            round_ = CachedRound(self.cache, problem, pending)
-            to_simulate = round_.misses
-        total_rows = sum(block.n_samples for block in to_simulate)
-        if not to_simulate:
-            performance = None
-        elif total_rows < self.min_dispatch_rows:
-            performance = evaluate_pending(problem, to_simulate)
-            self.decision["local_rows"] += total_rows
-        else:
-            performance = self._simulate_remote(problem, to_simulate)
-        if round_ is None:
-            scatter_round(problem, pending, performance)
-        else:
-            performance = round_.assemble(performance)
-            scatter_round(problem, pending, performance, round_.hit_rows, self.cache)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RemoteEngine(workers={len(self.worker_urls)}, "
-            f"dispatch={self.dispatch!r}, chunk_rows={self.chunk_rows})"
+            f"chunk_rows={self.chunk_rows})"
         )

@@ -1,6 +1,6 @@
-"""Fused single-process backend: one stacked dispatch per round.
+"""Fused single-process backend, and the one round template.
 
-Where the legacy path walks the candidates one by one (draw, screen,
+Where a per-candidate loop walks the candidates one by one (draw, screen,
 simulate a handful of samples, bookkeep — times 50 candidates, times every
 OCBA increment), :class:`SerialEngine` runs the cheap per-candidate halves
 locally and fuses every border-band sample of the round into **one**
@@ -8,9 +8,19 @@ locally and fuses every border-band sample of the round into **one**
 margin computation — before scattering the results back.  On the synthetic
 problems this removes almost all Python-level overhead from the OCBA hot
 path (see ``benchmarks/test_bench_engine.py``).
+
+:meth:`SerialEngine.refine_round` is the round sequence of every built-in
+backend: collect the pending blocks, partition them against the warm-start
+cache, :meth:`~SerialEngine.simulate` the misses, splice the replayed rows
+back and scatter the round.  The process, auto and remote engines subclass
+it and override only :meth:`~SerialEngine.simulate`, so the draw order,
+the cache partition and the ledger charges are the same code on every
+backend.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.engine.base import (
     EvaluationEngine,
@@ -39,10 +49,17 @@ class SerialEngine(EvaluationEngine):
         if not pending:
             return
         if self.cache is None:
-            performance = evaluate_pending(problem, pending)
-            scatter_round(problem, pending, performance)
+            scatter_round(problem, pending, self.simulate(problem, pending))
             return
+        # The partition happens here, in the parent, before any dispatch:
+        # hit rows never reach a backend, and every backend sees the same
+        # miss blocks whatever its worker count.
         round_ = CachedRound(self.cache, problem, pending)
-        missed = evaluate_pending(problem, round_.misses) if round_.misses else None
+        missed = self.simulate(problem, round_.misses) if round_.misses else None
         performance = round_.assemble(missed)
         scatter_round(problem, pending, performance, round_.hit_rows, self.cache)
+
+    def simulate(self, problem, pending) -> np.ndarray:
+        """Performance rows of the (non-empty) ``pending`` blocks, stacked
+        in block order; backends override where the rows are computed."""
+        return evaluate_pending(problem, pending)

@@ -1,9 +1,10 @@
-"""Chunk wire format of the remote streaming engine (stdlib + NumPy only).
+"""Chunk format of the process and remote engines (stdlib + NumPy only).
 
-One refinement round's miss blocks are streamed to remote simulator
-workers as *chunks* — contiguous runs of pending blocks, exactly the unit
-:class:`~repro.engine.process.ProcessPoolEngine` ships to its pool, but
-serialized as JSON so they can cross a host boundary over plain HTTP.
+One refinement round's miss blocks leave the parent as *chunks* —
+contiguous runs of pending blocks packed into one :class:`ChunkRequest`.
+:class:`~repro.engine.process.ProcessPoolEngine` pickles the request to
+its pool; :class:`~repro.engine.remote.RemoteEngine` serializes it as JSON
+so it can cross a host boundary over plain HTTP.
 
 Bit-exactness is the whole contract: array payloads travel as base64 of
 their raw little-endian ``float64`` bytes (never a decimal rendering), so
@@ -114,10 +115,10 @@ class ChunkRequest:
 
     ``designs`` holds one row per block, ``samples`` the stacked sample
     rows, and ``blocks`` the ``(design_row, start_row, stop_row)`` extents
-    tying them together — the same descriptor layout
-    :class:`~repro.engine.process.ShmRound` uses, minus the shared-memory
-    indirection.  ``problem_token`` references a problem previously
-    installed on the worker via :func:`encode_problem`.
+    tying them together.  ``problem_token`` references a problem
+    previously installed on a remote worker via :func:`encode_problem`;
+    the process pool leaves it empty, because its workers receive the
+    problem at start-up.
     """
 
     problem_token: str

@@ -13,9 +13,8 @@ feasibility check.
 The loop is *round-oriented*: each iteration computes every candidate's
 gain, clamps the round to the remaining budget, and submits the whole
 round to an :class:`~repro.engine.base.EvaluationEngine` as one fused
-refinement — the engine decides whether that means a per-candidate loop
-(legacy), one stacked vectorized dispatch (serial), or sharded worker
-processes.
+refinement — the engine decides whether that means one stacked vectorized
+dispatch (serial), sharded worker processes, or remote workers.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.base import EvaluationEngine, LegacyEngine
+from repro.engine.base import EvaluationEngine
+from repro.engine.serial import SerialEngine
 from repro.ocba.allocation import clamp_gains, ocba_allocation
 from repro.yieldsim.estimator import CandidateYieldState
 
@@ -71,7 +71,7 @@ def ocba_sequential(
         Budget increment per allocation round.
     engine:
         Execution backend for the fused refinement rounds; ``None`` uses
-        the legacy per-candidate loop.
+        a :class:`~repro.engine.serial.SerialEngine`.
 
     Returns
     -------
@@ -100,7 +100,7 @@ def ocba_sequential(
         )
     if total_budget < 0:
         raise ValueError(f"total budget must be non-negative, got {total_budget}")
-    engine = engine if engine is not None else LegacyEngine()
+    engine = engine if engine is not None else SerialEngine()
     problem = states[0].problem
 
     def counts() -> np.ndarray:

@@ -21,13 +21,11 @@ import pytest
 from repro.api import RunSpec, optimize
 from repro.engine import (
     CACHES,
-    LegacyEngine,
+    AutoEngine,
     LRUEvaluationCache,
-    NullCache,
     ProcessPoolEngine,
     SerialEngine,
     make_cache,
-    make_engine,
 )
 from repro.engine.cache import KEY_MODES, block_key
 from repro.ledger import SimulationLedger
@@ -89,7 +87,7 @@ def _fingerprint(states, ledger):
 
 class TestRegistryAndFactory:
     def test_builtin_caches_registered(self):
-        assert {"lru", "null"} <= set(CACHES.names())
+        assert set(CACHES.names()) == {"lru"}
 
     def test_make_cache_none_means_no_cache(self):
         assert make_cache(None) is None
@@ -104,7 +102,7 @@ class TestRegistryAndFactory:
         assert cache.max_bytes == 1234
 
     def test_make_cache_passes_instances_through(self):
-        cache = NullCache()
+        cache = LRUEvaluationCache()
         assert make_cache(cache) is cache
 
     def test_make_cache_rejects_params_for_instances(self):
@@ -112,7 +110,7 @@ class TestRegistryAndFactory:
             make_cache(LRUEvaluationCache(), max_bytes=1)
 
     def test_unknown_cache_lists_registered(self):
-        with pytest.raises(ValueError, match="lru.*null"):
+        with pytest.raises(ValueError, match="registered.*lru"):
             make_cache("memcached")
 
     def test_negative_byte_budget_rejected(self):
@@ -194,12 +192,6 @@ class TestLRUMechanics:
         cache.store("k", rows)
         assert cache.stats.entries == 1
         assert cache.stats.bytes == rows.nbytes
-
-    def test_null_cache_never_remembers(self):
-        cache = NullCache()
-        cache.store("k", np.zeros((2, 2)))
-        assert cache.lookup("k", 2) is None
-        assert cache.stats.misses == 1
 
 
 class TestSpillFile:
@@ -284,7 +276,7 @@ class TestEngineEquivalence:
         reference = self._run(problem, SerialEngine(), None)
         for engine in (
             SerialEngine(),
-            LegacyEngine(),
+            AutoEngine(pilot_rows=10),
             ProcessPoolEngine(workers=2, min_dispatch_rows=1),
         ):
             assert self._run(problem, engine, LRUEvaluationCache()) == reference
@@ -296,7 +288,7 @@ class TestEngineEquivalence:
         self._run(problem, SerialEngine(), cache)  # populate
         for engine in (
             SerialEngine(),
-            LegacyEngine(),
+            AutoEngine(pilot_rows=10),
             ProcessPoolEngine(workers=2, min_dispatch_rows=1),
         ):
             before = cache.stats.to_dict()
@@ -308,25 +300,36 @@ class TestEngineEquivalence:
     def test_hit_partition_identical_for_all_backends(self):
         problem = make_sphere_problem()
         stats = []
-        for engine in (SerialEngine(), LegacyEngine(), ProcessPoolEngine(workers=2)):
+        for engine in (SerialEngine(), AutoEngine(), ProcessPoolEngine(workers=2)):
             cache = LRUEvaluationCache()
             self._run(problem, engine, cache)
             stats.append(cache.stats.to_dict())
         assert stats[0] == stats[1] == stats[2]
 
     def test_auto_engine_carries_cache_through_commit(self):
-        problem = make_sphere_problem()
-        cache = LRUEvaluationCache()
-        engine = make_engine("auto", pilot_rows=10)
-        engine.cache = cache
-        states, _ = _states(problem)
-        try:
-            engine.refine_round(problem, states, self.GAINS)
-            assert engine.chosen is not None
-            assert engine._delegate.cache is cache
-        finally:
+        # The cache stays with the round template: the committed delegate
+        # only simulates miss rows and never holds the cache, yet the run's
+        # hits, misses and result match a serial run's, cold and warm.
+        def run(engine, cache):
+            result = optimize("sphere", seed=4, engine=engine, cache=cache, **TINY)
+            return result.identity_dict(), result.cache_stats
+
+        serial_cache, auto_cache = LRUEvaluationCache(), LRUEvaluationCache()
+        engines = []
+        for _ in ("cold", "warm"):
+            engine = AutoEngine(
+                workers=2,
+                pilot_rows=10,
+                ipc_row_cost_seconds=0.0,
+                round_overhead_seconds=0.0,
+            )
+            engines.append(engine)
+            assert run(engine, auto_cache) == run(SerialEngine(), serial_cache)
             engine.close()
-        assert cache.stats.misses > 0
+        cold = engines[0]
+        assert cold.chosen == "process"
+        assert cold._delegate.cache is None
+        assert auto_cache.stats.hits > 0
 
 
 class TestLedgerFaithfulness:

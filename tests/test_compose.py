@@ -445,7 +445,7 @@ class TestComposedRun:
 class TestDeterminism:
     def test_engines_bit_identical(self):
         baseline = _run(engine="serial")
-        for engine in ("legacy", "process"):
+        for engine in ("auto", "process"):
             result = _run(engine=engine)
             assert result.identity_dict() == baseline.identity_dict(), engine
             assert result.screen_trace == baseline.screen_trace, engine

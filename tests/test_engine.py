@@ -1,12 +1,14 @@
 """The execution-engine layer: fused rounds, backends, cross-backend equivalence.
 
-The load-bearing guarantee: every backend — the legacy per-candidate loop,
-the fused serial dispatch, the sharded process pool — produces *bit-identical*
-seeded results, because sample generation stays in per-candidate RNG streams
-and only the execution of the simulations moves.
+The load-bearing guarantee: every backend — the fused serial dispatch, the
+sharded process pool, and the per-candidate ``state.refine`` loop they are
+checked against — produces *bit-identical* seeded results, because sample
+generation stays in per-candidate RNG streams and only the execution of the
+simulations moves.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -14,15 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSpec, optimize
+import repro.engine.serial
 from repro.engine import (
     ENGINES,
+    AutoEngine,
     EvaluationEngine,
-    LegacyEngine,
     ProcessPoolEngine,
+    RemoteEngine,
     SerialEngine,
     make_engine,
 )
-from repro.engine.process import _chunk_blocks
+from repro.engine.base import chunk_pending
 from repro.core.callbacks import Callback
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
@@ -31,6 +35,15 @@ from repro.sampling import LinearMarginScreener, make_sampler
 from repro.yieldsim import CandidateYieldState
 
 TINY = {"pop_size": 8, "max_generations": 4}
+
+
+class PerCandidateEngine(EvaluationEngine):
+    """The reference every fused backend must match: one refine per candidate."""
+
+    def refine_round(self, problem, states, gains, category=None):
+        for state, gain in zip(states, gains):
+            if gain > 0:
+                state.refine(int(gain), category)
 
 
 def _states(problem, n=6, seed=0, sampler="lhs", screener=False, ledger=None):
@@ -67,7 +80,7 @@ def _state_fingerprint(states, ledger):
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert {"legacy", "serial", "process"} <= set(ENGINES.names())
+        assert set(ENGINES.names()) == {"serial", "process", "auto", "remote"}
 
     def test_make_engine_default_is_serial(self):
         assert isinstance(make_engine(None), SerialEngine)
@@ -79,7 +92,7 @@ class TestRegistry:
         engine.close()
 
     def test_make_engine_passes_instances_through(self):
-        engine = LegacyEngine()
+        engine = PerCandidateEngine()
         assert make_engine(engine) is engine
 
     def test_make_engine_rejects_params_for_instances(self):
@@ -87,7 +100,7 @@ class TestRegistry:
             make_engine(SerialEngine(), workers=2)
 
     def test_unknown_engine_lists_registered(self):
-        with pytest.raises(ValueError, match="legacy.*process.*serial"):
+        with pytest.raises(ValueError, match="auto.*process.*remote.*serial"):
             make_engine("distributed")
 
     def test_engines_are_context_managers(self):
@@ -142,10 +155,63 @@ class TestFusedRounds:
     def test_empty_round_is_a_no_op(self):
         problem = make_sphere_problem()
         states, ledger = _states(problem, n=3)
-        for engine in (LegacyEngine(), SerialEngine()):
+        for engine in (PerCandidateEngine(), SerialEngine()):
             engine.refine_round(problem, states, [0, 0, 0])
         assert ledger.total == 0
         assert all(state.n == 0 for state in states)
+
+
+class TestRoundTemplate:
+    """SerialEngine.refine_round is the one round sequence of every engine."""
+
+    def test_only_serial_defines_refine_round(self):
+        assert "refine_round" in vars(SerialEngine)
+        for name in ENGINES.names():
+            engine_cls = ENGINES.get(name)
+            if engine_cls is not SerialEngine:
+                assert issubclass(engine_cls, SerialEngine), name
+                assert "refine_round" not in vars(engine_cls), name
+
+    def test_every_engine_scatters_each_round_once(self, monkeypatch):
+        from repro.service.worker import serve_worker
+
+        calls = []
+        scatter = repro.engine.serial.scatter_round
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return scatter(*args, **kwargs)
+
+        monkeypatch.setattr(repro.engine.serial, "scatter_round", counted)
+        problem = make_sphere_problem()
+        server = serve_worker(port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        auto = AutoEngine(pilot_rows=40)
+        engines = {
+            "serial": (SerialEngine(), 1),
+            "process": (ProcessPoolEngine(workers=2, min_dispatch_rows=1), 1),
+            # 30 rows per round: the first round pilots, the second commits,
+            # the third runs on the committed delegate.
+            "auto": (auto, 3),
+            "remote": (RemoteEngine(workers=server.url, min_dispatch_rows=1), 1),
+        }
+        try:
+            for name, (engine, rounds) in engines.items():
+                states, _ = _states(problem, n=3)
+                for round_index in range(rounds):
+                    before = len(calls)
+                    engine.refine_round(problem, states, [10, 10, 10])
+                    assert len(calls) == before + 1, (name, round_index)
+                    assert all(state.n == 10 * (round_index + 1) for state in states)
+                    if engine is auto:
+                        assert (auto.chosen is None) == (round_index == 0)
+            # The rounds really left the parent.
+            assert engines["process"][0]._pool is not None
+            assert engines["remote"][0].decision["rows"] == 30
+        finally:
+            for engine, _ in engines.values():
+                engine.close()
+            server.close()
 
 
 class TestProcessPool:
@@ -155,7 +221,8 @@ class TestProcessPool:
                 self.n_samples = n
 
         blocks = [Block(n) for n in (5, 1, 9, 3, 2, 7)]
-        chunks = _chunk_blocks(blocks, 3)
+        # The pool's cut: one ceil(rows / workers)-row chunk per worker.
+        chunks = chunk_pending(blocks, -(-27 // 3))
         assert 1 <= len(chunks) <= 3
         flattened = [block for chunk in chunks for block in chunk]
         assert flattened == blocks  # order preserved, nothing lost
@@ -188,16 +255,18 @@ class TestProcessPool:
         engine.close()
 
 
-def _run(engine_name, engine_params=None, problem="sphere", method="moheco", seed=7):
+def _run(engine, engine_params=None, problem="sphere", method="moheco", seed=7):
+    """One seeded run as JSON; ``engine`` is a registry name or an instance."""
+    named = isinstance(engine, str)
     spec = RunSpec(
         problem=problem,
         method=method,
         seed=seed,
         overrides=dict(TINY),
-        engine=engine_name,
+        engine=engine if named else None,
         engine_params=engine_params or {},
     )
-    result = optimize(spec)
+    result = optimize(spec) if named else optimize(spec, engine=engine)
     payload = result.to_dict()
     # Wall-clock is the one legitimately backend-dependent field.
     payload.pop("elapsed_seconds")
@@ -211,25 +280,44 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("method", ["moheco", "oo_only", "fixed_budget"])
     def test_serial_matches_legacy(self, problem, method):
         assert _run("serial", problem=problem, method=method) == _run(
-            "legacy", problem=problem, method=method
+            PerCandidateEngine(), problem=problem, method=method
         )
 
     def test_process_pool_matches_legacy(self):
-        legacy = _run("legacy")
-        assert _run("process", {"workers": 2}) == legacy
+        reference = _run(PerCandidateEngine())
+        assert _run("process", {"workers": 2}) == reference
 
     def test_worker_count_does_not_change_results(self):
         assert _run("process", {"workers": 2}) == _run("process", {"workers": 3})
 
     def test_engine_argument_overrides_spec(self):
         spec = RunSpec(
-            problem="sphere", seed=7, overrides=dict(TINY), engine="legacy"
+            problem="sphere", seed=7, overrides=dict(TINY), engine="process"
         )
         via_argument = optimize(spec, engine="serial")
         via_spec = optimize(spec)
         a, b = via_argument.to_dict(), via_spec.to_dict()
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
         assert a == b
+
+
+class TestCLIEngineLine:
+    def test_run_prints_the_auto_engine_line(self, capsys):
+        from repro.api.cli import main
+
+        code = main(
+            [
+                "run",
+                "--problem", "sphere",
+                "--seed", "7",
+                "--set", "pop_size=8",
+                "--set", "max_generations=4",
+                "--engine", "auto",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("engine[auto]: chose serial") for line in lines)
 
 
 class TestRunSpecEngine:
@@ -335,7 +423,7 @@ class TestBudgetClamp:
     def test_clamped_round_identical_across_backends(self):
         problem = make_sphere_problem()
         fingerprints = []
-        for engine in (LegacyEngine(), SerialEngine()):
+        for engine in (PerCandidateEngine(), SerialEngine()):
             states, ledger = _states(problem, n=5, seed=9)
             ocba_sequential(states, total_budget=333, n0=15, delta=50, engine=engine)
             fingerprints.append(_state_fingerprint(states, ledger))
@@ -411,7 +499,7 @@ class TestCustomEngines:
 
             def refine_round(self, problem, states, gains, category=None):
                 calls.append(int(np.sum(gains)))
-                LegacyEngine().refine_round(problem, states, gains, category)
+                PerCandidateEngine().refine_round(problem, states, gains, category)
 
         result = optimize("sphere", seed=5, engine=CountingEngine(), **TINY)
         assert calls, "the engine must have executed rounds"
@@ -435,6 +523,6 @@ class TestCustomEngines:
                 return inner.nominal_feasibility(x, ledger)
 
         fused = optimize(MinimalProblem(), seed=6, engine="serial", **TINY)
-        loop = optimize(MinimalProblem(), seed=6, engine="legacy", **TINY)
+        loop = optimize(MinimalProblem(), seed=6, engine=PerCandidateEngine(), **TINY)
         assert fused.best_yield == loop.best_yield
         assert fused.n_simulations == loop.n_simulations

@@ -295,7 +295,7 @@ class TestLadderDeterminism:
 
     def test_engines_agree(self):
         results = {
-            name: _run_mf(engine=name) for name in ("legacy", "serial", "process")
+            name: _run_mf(engine=name) for name in ("auto", "serial", "process")
         }
         baseline = results["serial"]
         for name, result in results.items():

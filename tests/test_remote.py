@@ -3,8 +3,8 @@
 The load-bearing contract: a :class:`~repro.engine.remote.RemoteEngine`
 run is bit-identical (``MOHECOResult.identity_dict()``) to
 :class:`~repro.engine.serial.SerialEngine` for any worker count, chunk
-size, cache state (cold, warm, block- or sample-keyed), dispatch mode,
-and any injected worker failure — a mid-round death re-dispatches the
+size, cache state (cold, warm, block- or sample-keyed), and any injected
+worker failure — a mid-round death re-dispatches the
 dead worker's chunks and changes nothing but the dispatch stats.
 """
 
@@ -18,9 +18,9 @@ import pytest
 
 from repro.api import optimize
 from repro.engine import ENGINES, RemoteEngine, make_engine
-from repro.engine.base import evaluate_pending
+from repro.engine.base import chunk_pending, evaluate_pending
 from repro.engine.cache import make_cache
-from repro.engine.remote import _chunk_pending, normalize_worker_url
+from repro.engine.remote import WorkerError, normalize_worker_url
 from repro.engine.wire import (
     ChunkRequest,
     decode_array,
@@ -162,13 +162,13 @@ class TestWireFormat:
 class TestChunking:
     def test_respects_block_boundaries_and_row_target(self):
         blocks = [_block([1.0], np.zeros((rows, 2))) for rows in (5, 5, 5, 20, 3)]
-        chunks = _chunk_pending(blocks, 10)
+        chunks = chunk_pending(blocks, 10)
         assert [sum(b.n_samples for b in chunk) for chunk in chunks] == [10, 25, 3]
         assert [b for chunk in chunks for b in chunk] == blocks
 
     def test_single_chunk_when_target_exceeds_round(self):
         blocks = [_block([1.0], np.zeros((2, 2)))] * 3
-        assert len(_chunk_pending(blocks, 1000)) == 1
+        assert len(chunk_pending(blocks, 1000)) == 1
 
     def test_url_normalization(self):
         assert normalize_worker_url("host:9101") == "http://host:9101"
@@ -239,6 +239,46 @@ class TestWorkerDaemon:
         assert excinfo.value.code == 404
 
 
+class TestProblemNotLoaded:
+    """Only an HTTP 409 means "re-install the problem on this worker"."""
+
+    def test_real_409_reinstalls_on_the_same_worker(self, worker_pool):
+        (server,) = worker_pool(1)
+        problem = make_problem("quadratic")
+        engine = RemoteEngine(workers=server.url)
+        token, payload = engine._problem_wire(problem)
+        rng = np.random.default_rng(6)
+        x = problem.space.clip(rng.normal(size=problem.space.dimension))
+        chunk = ChunkRequest.from_pending(
+            token, [_block(x, rng.normal(size=(4, problem.variation.dimension)))]
+        )
+        rows, _ = engine._evaluate_on(server.url, chunk, payload)
+        server.problems.clear()  # the worker restarted and lost its store
+        again, _ = engine._evaluate_on(server.url, chunk, payload)
+        np.testing.assert_array_equal(again, rows)
+        assert token in server.problems
+
+    def test_timeout_on_a_port_409_worker_is_not_a_reinstall(self, monkeypatch):
+        # The worker URL contains "409"; a timeout must still fail at once
+        # instead of triggering a second problem install first.
+        url = "http://127.0.0.1:40977"
+        engine = RemoteEngine(workers=url)
+        posted = []
+
+        def post(target, payload, timeout):
+            posted.append(target.rsplit("/", 1)[-1])
+            if target.endswith("/v1/evaluate"):
+                raise WorkerError(f"{target} unreachable: timed out")
+            return {"ok": True}
+
+        monkeypatch.setattr(engine, "_post_json", post)
+        chunk = ChunkRequest.from_pending("tok", [_block([1.0], np.zeros((2, 2)))])
+        with pytest.raises(WorkerError) as excinfo:
+            engine._evaluate_on(url, chunk, {"token": "tok"})
+        assert excinfo.value.status is None
+        assert posted == ["problems", "evaluate"]
+
+
 class TestEngineParams:
     def test_registered(self):
         assert "remote" in ENGINES.names()
@@ -254,7 +294,7 @@ class TestEngineParams:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"chunk_rows": 0}, {"max_in_flight": 0}, {"dispatch": "psychic"}],
+        [{"chunk_rows": 0}, {"max_in_flight": 0}],
     )
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -301,16 +341,6 @@ class TestBitIdentity:
             **CONFIG,
         )
         assert result.identity_dict() == serial_identity
-
-    def test_barrier_dispatch_matches_serial(self, serial_identity, worker_pool):
-        urls = ",".join(w.url for w in worker_pool(2))
-        result = optimize(
-            engine="remote",
-            engine_params={"workers": urls, "dispatch": "barrier", "chunk_rows": 16},
-            **CONFIG,
-        )
-        assert result.identity_dict() == serial_identity
-        assert result.engine_decision["dispatch"] == "barrier"
 
     @pytest.mark.parametrize("key_mode", ["block", "sample"])
     def test_cold_and_warm_cache_match_serial(
@@ -399,6 +429,32 @@ class TestBitIdentity:
         )
         assert "engine_decision" in result.to_dict()
         assert "engine_decision" not in result.identity_dict()
+
+
+class TestCLI:
+    def test_run_prints_the_remote_engine_line(self, worker_pool, capsys):
+        from repro.api.cli import main
+
+        (server,) = worker_pool(1)
+        code = main(
+            [
+                "run",
+                "--problem", "quadratic",
+                "--seed", "3",
+                "--set", "pop_size=8",
+                "--set", "max_generations=2",
+                "--engine", "remote",
+                "--engine-param", f"workers={server.url}",
+            ]
+        )
+        assert code == 0
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine[remote]:")
+        )
+        assert "over 1/1 worker(s)" in line
+        assert server.chunks_served > 0
 
 
 @pytest.mark.slow

@@ -84,6 +84,49 @@ class TestSpecError:
         assert excinfo.value.field == "problem"
         assert "not_a_problem" in excinfo.value.reason
 
+    def test_engine_and_cache_params_bound_at_validation(self):
+        spec = RunSpec(problem="sphere", engine="process", engine_params={"workerz": 2})
+        with pytest.raises(SpecError) as excinfo:
+            validate_run_spec(spec)
+        assert excinfo.value.field == "engine_params"
+        assert "workerz" in excinfo.value.reason
+        assert "workers" in excinfo.value.reason.split("accepts")[1]
+        spec = RunSpec(problem="sphere", cache="lru", cache_params={"max_byts": 5})
+        with pytest.raises(SpecError) as excinfo:
+            validate_run_spec(spec)
+        assert excinfo.value.field == "cache_params"
+        assert "max_bytes" in excinfo.value.reason
+
+    def test_params_are_bound_not_constructed(self, tmp_path):
+        # Remote workers may be injected after validation, and a cache
+        # spill file must not be opened by validating the spec.
+        spill = tmp_path / "never.jsonl"
+        validate_run_spec(
+            RunSpec(
+                problem="sphere",
+                engine="remote",
+                engine_params={"chunk_rows": 16},
+                cache="lru",
+                cache_params={"spill_path": str(spill)},
+            )
+        )
+        assert not spill.exists()
+
+    def test_sweep_engine_and_cache_params_bound_at_validation(self):
+        spec = SweepSpec.from_dict(
+            dict(TINY_SWEEP, engine="auto", engine_params={"transfer": "shm"})
+        )
+        with pytest.raises(SpecError) as excinfo:
+            validate_sweep_spec(spec)
+        assert excinfo.value.field == "engine_params"
+        assert excinfo.value.spec == "SweepSpec"
+        spec = SweepSpec.from_dict(
+            dict(TINY_SWEEP, cache="lru", cache_params={"keys": "sample"})
+        )
+        with pytest.raises(SpecError) as excinfo:
+            validate_sweep_spec(spec)
+        assert excinfo.value.field == "cache_params"
+
     def test_sweep_method_index_in_field(self):
         spec = SweepSpec.from_dict(
             dict(TINY_SWEEP, methods=["moheco", "not_a_method"])
@@ -335,6 +378,21 @@ class TestServiceHTTP:
             service.submit_sweep(dict(TINY_SWEEP, methods=["no_such_method"]))
         assert excinfo.value.status == 400
         assert excinfo.value.payload["field"] == "methods[0].method"
+
+    def test_bad_engine_params_answer_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit_run(
+                dict(TINY_RUN, engine="remote", engine_params={"dispatch": "barrier"})
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "invalid_spec"
+        assert excinfo.value.payload["field"] == "engine_params"
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit_sweep(
+                dict(TINY_SWEEP, cache="lru", cache_params={"max_byts": 5})
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["field"] == "cache_params"
 
     def test_unknown_job_404(self, service):
         with pytest.raises(ServiceError) as excinfo:

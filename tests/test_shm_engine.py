@@ -1,106 +1,25 @@
-"""Zero-copy process engine: shared-memory staging and bit-identity.
+"""Process engine and auto engine on circuit-priced rounds.
 
-PR 6 replaced the process pool's per-round ``(designs, samples)`` pickling
-with one :class:`multiprocessing.shared_memory` block per round.  These
-tests pin the staging mechanics (:class:`~repro.engine.process.ShmRound`)
-and the engine contract that matters: results are bit-identical to
-:class:`~repro.engine.serial.SerialEngine` for any worker count and
-transfer, with and without a warm-start cache — on the circuit-priced
-``netlist_ota`` problem whose per-row cost is what the pool exists for.
+The process pool ships each chunk of a round to its workers as a pickled
+:class:`~repro.engine.wire.ChunkRequest`.  These tests pin the engine
+contract that matters: results are bit-identical to
+:class:`~repro.engine.serial.SerialEngine` for any worker count, with and
+without a warm-start cache — on the circuit-priced ``netlist_ota``
+problem whose per-row cost is what the pool exists for — and the auto
+engine records why it committed to serial or process.  (The ``shm`` in
+some test names is historical: the pool used to stage rounds in shared
+memory.)
 """
 
-import numpy as np
 import pytest
-from multiprocessing import shared_memory
 
 from repro.api import optimize
-from repro.engine import make_engine
 from repro.engine.cache import make_cache
-from repro.engine.process import ProcessPoolEngine, ShmRound, _evaluate_shm_chunk
-from repro.yieldsim.estimator import PendingRefinement
-
-
-class _Shell:
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=float)
-
-
-def _block(x, samples, category="stage1"):
-    return PendingRefinement(_Shell(x), np.asarray(samples, dtype=float), category)
-
-
-class TestShmRound:
-    def test_round_trip_and_descriptors(self):
-        rng = np.random.default_rng(0)
-        blocks = [
-            _block([1.0, 2.0], rng.normal(size=(5, 3))),
-            _block([3.0, 4.0], rng.normal(size=(2, 3)), category="stage2"),
-            _block([5.0, 6.0], rng.normal(size=(7, 3))),
-        ]
-        with ShmRound(blocks) as staged:
-            name, d_shape, s_shape, rows = staged.chunk_descriptor(blocks)
-            assert d_shape == (3, 2)
-            assert s_shape == (14, 3)
-            assert rows == [
-                (0, 0, 5, "stage1"),
-                (1, 5, 7, "stage2"),
-                (2, 7, 14, "stage1"),
-            ]
-            # A reader attached by name sees the exact bytes.
-            shm = shared_memory.SharedMemory(name=name)
-            designs = np.ndarray(d_shape, np.float64, buffer=shm.buf)
-            samples = np.ndarray(
-                s_shape, np.float64, buffer=shm.buf, offset=designs.nbytes
-            )
-            np.testing.assert_array_equal(designs[1], [3.0, 4.0])
-            np.testing.assert_array_equal(samples[5:7], blocks[1].samples)
-            del designs, samples
-            shm.close()
-
-    def test_close_unlinks_segment(self):
-        staged = ShmRound([_block([1.0], np.zeros((2, 2)))])
-        name = staged.name
-        staged.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_worker_chunk_evaluates_against_views(self):
-        # Drive the worker entry point in-process: attach, rebuild views,
-        # evaluate, detach — no pool needed to pin the descriptor protocol.
-        import repro.engine.process as process_module
-        from repro.engine.base import evaluate_pending
-        from repro.problems import make_problem
-
-        problem = make_problem("sphere")
-        rng = np.random.default_rng(1)
-        x = problem.space.clip(np.zeros(problem.space.dimension) + 0.5)
-        samples = rng.normal(size=(6, problem.variation.dimension))
-        blocks = [_block(x, samples[:4]), _block(x, samples[4:])]
-        expected = evaluate_pending(problem, blocks)
-        old = process_module._WORKER_PROBLEM
-        process_module._WORKER_PROBLEM = problem
-        try:
-            with ShmRound(blocks) as staged:
-                got = _evaluate_shm_chunk(staged.chunk_descriptor(blocks))
-        finally:
-            process_module._WORKER_PROBLEM = old
-        np.testing.assert_array_equal(got, expected)
-
-
-class TestEngineParams:
-    def test_rejects_unknown_transfer(self):
-        with pytest.raises(ValueError, match="transfer"):
-            ProcessPoolEngine(workers=2, transfer="carrier-pigeon")
-
-    def test_transfer_surfaces_through_registry(self):
-        engine = make_engine("process", workers=2, transfer="pickle")
-        assert engine.transfer == "pickle"
-        engine.close()
 
 
 @pytest.mark.slow
 class TestCircuitPricedBitIdentity:
-    """Serial vs process{1,2,4} x {shm,pickle} on the netlist OTA."""
+    """Serial vs process{1,2,4} on the netlist OTA."""
 
     CONFIG = dict(
         problem="netlist_ota",
@@ -119,15 +38,7 @@ class TestCircuitPricedBitIdentity:
     def test_shm_transfer_matches_serial(self, serial_identity, workers):
         result = optimize(
             engine="process",
-            engine_params={"workers": workers, "transfer": "shm"},
-            **self.CONFIG,
-        )
-        assert result.identity_dict() == serial_identity
-
-    def test_pickle_transfer_matches_serial(self, serial_identity):
-        result = optimize(
-            engine="process",
-            engine_params={"workers": 2, "transfer": "pickle"},
+            engine_params={"workers": workers},
             **self.CONFIG,
         )
         assert result.identity_dict() == serial_identity
@@ -139,14 +50,14 @@ class TestCircuitPricedBitIdentity:
         cache = make_cache("lru")
         cold = optimize(
             engine="process",
-            engine_params={"workers": workers, "transfer": "shm"},
+            engine_params={"workers": workers},
             cache=cache,
             **self.CONFIG,
         )
         assert cold.identity_dict() == serial_identity
         warm = optimize(
             engine="process",
-            engine_params={"workers": workers, "transfer": "shm"},
+            engine_params={"workers": workers},
             cache=cache,
             **self.CONFIG,
         )
@@ -167,7 +78,6 @@ class TestAutoEngineDecision:
         decision = result.engine_decision
         assert decision is not None
         assert decision["chosen"] == "serial"
-        assert decision["model"] == "crossover"
         assert decision["pilot_cost_seconds"] < decision["crossover_cost_seconds"]
         assert decision["workers"] == 4
 
@@ -186,7 +96,6 @@ class TestAutoEngineDecision:
         decision = result.engine_decision
         assert decision is not None
         assert decision["chosen"] == "process"
-        assert decision["transfer"] == "shm"
         assert decision["pilot_cost_seconds"] >= decision["crossover_cost_seconds"]
 
     def test_decision_outside_result_identity(self):
@@ -203,19 +112,21 @@ class TestAutoEngineDecision:
         assert "engine_decision" not in result.identity_dict()
 
     def test_fixed_threshold_override_still_forces_process(self):
-        # The pre-crossover interface: an explicit threshold bypasses the
-        # model entirely (0.0 forces the pool on any workload).
+        # Zero IPC constants fix the crossover threshold at 0 s/row for any
+        # round shape, so every measured workload commits to a 2+ worker
+        # pool.
         result = optimize(
             problem="sphere",
             seed=5,
             engine="auto",
             engine_params={
                 "workers": 2,
-                "cost_threshold_seconds": 0.0,
+                "ipc_row_cost_seconds": 0.0,
+                "round_overhead_seconds": 0.0,
                 "pilot_rows": 1,
             },
             max_generations=2,
             pop_size=8,
         )
         assert result.engine_decision["chosen"] == "process"
-        assert result.engine_decision["model"] == "fixed-threshold"
+        assert result.engine_decision["crossover_cost_seconds"] == 0.0

@@ -399,7 +399,11 @@ class TestAutoEngine:
 
     def test_forced_process_choice_is_seed_equivalent(self):
         engine = make_engine(
-            "auto", workers=2, cost_threshold_seconds=0.0, pilot_rows=1
+            "auto",
+            workers=2,
+            ipc_row_cost_seconds=0.0,
+            round_overhead_seconds=0.0,
+            pilot_rows=1,
         )
         result = optimize(
             "sphere", seed=7, engine=engine, pop_size=8, n_max=100, max_generations=6
@@ -413,7 +417,12 @@ class TestAutoEngine:
         engine.close()
 
     def test_single_cpu_stays_serial(self):
-        engine = AutoEngine(workers=1, cost_threshold_seconds=0.0, pilot_rows=1)
+        engine = AutoEngine(
+            workers=1,
+            ipc_row_cost_seconds=0.0,
+            round_overhead_seconds=0.0,
+            pilot_rows=1,
+        )
         optimize("sphere", seed=7, engine=engine, pop_size=8, n_max=100,
                  max_generations=4)
         assert engine.chosen == "serial"
