@@ -17,10 +17,10 @@ The process pool is expected to *lose* on the synthetic problem — its IPC
 overhead only pays off when each simulation is expensive — and is
 reported so the trade-off stays visible.  The ``circuit`` section runs
 the same fused round on the circuit-priced ``netlist_ota`` problem
-(stacked MNA/AC solves, hundreds of microseconds per row), where the
-measured per-row cost sits *above* the engine-selection crossover and the
-process pool must therefore beat the serial dispatch wherever the
-crossover model predicts a pool win.
+(batched MNA/AC solves, the costliest rows of the built-in circuits),
+where the measured per-row cost must sit *above* the engine-selection
+crossover and the process pool must therefore beat the serial dispatch
+wherever the crossover model predicts a pool win.
 
 Results land in ``BENCH_engine.json`` at the repo root (each test merges
 its section) so successive PRs can track the trajectory.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job

@@ -5,12 +5,15 @@ Given a circuit and a DC operating point, the small-signal system is
 grid and extracts the quantities analog designers measure: low-frequency
 gain, unity-gain frequency (GBW), phase margin, pole locations.
 
-The solve is *stacked*: one batched ``np.linalg.solve`` over a
-``(n_freq, dim, dim)`` tensor replaces the per-frequency Python loop, and
-:class:`BatchACAnalysis` extends the same dispatch to per-sample stamped
-systems — a ``(n_samples, n_freq, dim, dim)`` tensor solved in one (memory-
-chunked) LAPACK call, which is what keeps netlist-backed Monte-Carlo
-problems from being loop-bound.
+The solve is *entrywise*: Gaussian elimination with per-system partial
+pivoting runs over the matrix entries, each a broadcast array over
+``(n_samples, n_freq)`` systems, instead of one small LAPACK call per
+(sample, frequency) system.  An entry keeps its natural shape — a scalar
+when it is equal across samples, one value per sample when only ``G``
+varies, the full grid only when it carries capacitance — and structural
+zeros cost nothing.  :class:`BatchACAnalysis` feeds it per-sample stamped
+systems in memory-bounded sample chunks, which is what keeps
+netlist-backed Monte-Carlo problems from being loop-bound.
 """
 
 from __future__ import annotations
@@ -35,10 +38,12 @@ _DEFAULT_GRID_ARGS = (0.0, 11.0, 661)
 
 _DEFAULT_GRID: np.ndarray | None = None
 
-#: Complex-entry budget of one stacked solve; batches beyond it are solved
-#: in sample chunks so a large Monte-Carlo block cannot balloon memory
-#: (2M entries = 32 MiB of complex128 for the system tensor alone).
-_SOLVE_ENTRY_BUDGET = 2_000_000
+#: Complex-entry budget of one stacked solve: samples are eliminated in
+#: chunks of at most ``budget / (n_freq * dim**2)``, so a large Monte-Carlo
+#: block cannot balloon memory (500k entries = 8 MiB of complex128), and
+#: one ``(chunk, n_freq)`` entry array stays small enough for a core's L2
+#: cache (about 100 rows of a 301-point grid at ``dim = 4``).
+_SOLVE_ENTRY_BUDGET = 500_000
 
 
 def default_frequency_grid() -> np.ndarray:
@@ -73,39 +78,157 @@ def _stacked_response(
 ) -> np.ndarray:
     """Solve ``(G + j w C) x = b`` over a frequency grid, batched.
 
-    ``g``/``c`` may be a single ``(dim, dim)`` system or a stacked
-    ``(n_samples, dim, dim)`` tensor; ``b`` is shared.  Returns the output
-    node (or node-pair) response with shape ``(n_freq,)`` respectively
-    ``(n_samples, n_freq)``.  The assembled tensor is solved in sample
-    chunks bounded by :data:`_SOLVE_ENTRY_BUDGET`.
+    ``g`` may be a single ``(dim, dim)`` system or a stacked
+    ``(n_samples, dim, dim)`` tensor; ``c`` has either of those shapes and
+    ``b`` is shared.  Returns the output node (or node-pair) response with
+    shape ``(n_freq,)`` respectively ``(n_samples, n_freq)``; a grounded
+    output is identically zero.  Samples are eliminated in chunks bounded
+    by :data:`_SOLVE_ENTRY_BUDGET`.
     """
-    omega = 2.0 * np.pi * frequencies
-    rhs = b.astype(complex)
-    jw = 1j * omega[:, None, None]
-
-    def solve_block(g_block: np.ndarray, c_block: np.ndarray) -> np.ndarray:
-        # (..., F, dim, dim) systems against one shared RHS column.
-        matrices = g_block[..., None, :, :] + jw * c_block[..., None, :, :]
-        solution = np.linalg.solve(matrices, rhs[:, None])
-        v = solution[..., out_idx, 0] if out_idx is not None else 0.0
-        if neg_idx is not None:
-            v = v - solution[..., neg_idx, 0]
-        return v
-
-    if g.ndim == 2:
-        return solve_block(g, c)
-
+    single = g.ndim == 2
+    if single:
+        g = g[None]
+    c = np.broadcast_to(c, g.shape)
     n_samples, dim = g.shape[0], g.shape[-1]
-    per_sample = len(frequencies) * dim * dim
-    chunk = max(1, _SOLVE_ENTRY_BUDGET // max(per_sample, 1))
-    if n_samples <= chunk:
-        return solve_block(g, c if c.ndim == 3 else np.broadcast_to(c, g.shape))
-    c_stacked = c if c.ndim == 3 else np.broadcast_to(c, g.shape)
-    out = np.empty((n_samples, len(frequencies)), dtype=complex)
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        out[start:stop] = solve_block(g[start:stop], c_stacked[start:stop])
-    return out
+    jw = 1j * (2.0 * np.pi * np.asarray(frequencies, dtype=float))
+    out = np.zeros((n_samples, len(jw)), dtype=complex)
+    wanted = [i for i in (out_idx, neg_idx) if i is not None]
+    if wanted and n_samples:
+        chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(jw) * dim * dim, 1))
+        for start in range(0, n_samples, chunk):
+            stop = start + chunk
+            x = _eliminate(g[start:stop], c[start:stop], b, jw, min(wanted))
+            x = [0.0 if v is None else v for v in x]
+            v = x[out_idx] if out_idx is not None else 0.0
+            if neg_idx is not None:
+                v = v - x[neg_idx]
+            out[start:stop] = v
+    return out[0] if single else out
+
+
+def _system_entries(g: np.ndarray, c: np.ndarray, jw: np.ndarray) -> list[list]:
+    """Entries of ``G + j w C`` for ``S`` stacked systems over ``F`` frequencies.
+
+    Each entry is a complex array broadcastable to ``(S, F)``: ``(1, 1)``
+    when it is equal across samples and frequencies, ``(S, 1)`` when only
+    its conductance varies by sample, ``(1, F)`` or ``(S, F)`` when it
+    carries capacitance.  A structural zero (zero in every system) is
+    ``None``.
+    """
+    dim = g.shape[-1]
+    g_same = np.all(g == g[:1], axis=0)
+    c_same = np.all(c == c[:1], axis=0)
+    g_zero = g_same & (g[0] == 0.0)
+    c_zero = c_same & (c[0] == 0.0)
+
+    def column(m, same, i, j):
+        return m[:1, i, j, None] if same[i, j] else m[:, i, j, None]
+
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            entry = None
+            if not c_zero[i, j]:
+                entry = jw * column(c, c_same, i, j)
+            if not g_zero[i, j]:
+                conductance = column(g, g_same, i, j)
+                entry = conductance.astype(complex) if entry is None else conductance + entry
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def _cabs1(z: np.ndarray) -> np.ndarray:
+    """``|Re z| + |Im z|``, the magnitude LAPACK's partial pivoting compares."""
+    return np.abs(z.real) + np.abs(z.imag)
+
+
+def _where(mask: np.ndarray, a, b):
+    """``np.where`` over entries where ``None`` is a structural zero."""
+    if a is None and b is None:
+        return None
+    return np.where(mask, 0.0 if a is None else a, 0.0 if b is None else b)
+
+
+def _minus(a, b: np.ndarray) -> np.ndarray:
+    """``a - b`` where ``a`` may be a structural zero."""
+    return -b if a is None else a - b
+
+
+def _eliminate(
+    g: np.ndarray, c: np.ndarray, b: np.ndarray, jw: np.ndarray, lowest: int
+) -> list:
+    """Solution unknowns ``lowest..dim-1`` of ``S`` stacked systems over a grid.
+
+    Gaussian elimination with partial pivoting chosen per system (the
+    largest ``|Re| + |Im|`` in the column, first one on ties), run on the
+    broadcast entries of :func:`_system_entries`.  When every system picks
+    the same pivot row the rows swap outright, otherwise per system with
+    ``np.where``.  Back-substitution stops at unknown ``lowest``; entries
+    of the returned list are arrays broadcastable to ``(S, F)``, ``None``
+    for an unknown that is identically zero (or was not asked for).
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If any system meets an exactly zero pivot, as LAPACK's ``zgesv``.
+    """
+    dim = g.shape[-1]
+    a = _system_entries(g, c, jw)
+    rhs = [None if v == 0.0 else np.full((1, 1), v, dtype=complex) for v in b]
+
+    for k in range(dim):
+        candidates = [i for i in range(k, dim) if a[i][k] is not None]
+        if not candidates:
+            raise np.linalg.LinAlgError("Singular matrix")
+        choice = np.zeros((1, 1), dtype=np.intp)
+        if len(candidates) > 1:
+            best = _cabs1(a[candidates[0]][k])
+            for pos, i in enumerate(candidates[1:], start=1):
+                magnitude = _cabs1(a[i][k])
+                wins = magnitude > best
+                best = np.where(wins, magnitude, best)
+                choice = np.where(wins, pos, choice)
+        first = int(choice.flat[0])
+        if np.all(choice == first):
+            p = candidates[first]
+            a[k], a[p] = a[p], a[k]
+            rhs[k], rhs[p] = rhs[p], rhs[k]
+        else:
+            old = {i: a[i][k:] + [rhs[i]] for i in {k, *candidates}}
+            new_k = old[k]
+            for pos, i in enumerate(candidates):
+                if i == k:
+                    continue
+                mask = choice == pos
+                new_k = [_where(mask, x, y) for x, y in zip(old[i], new_k)]
+                new_i = [_where(mask, x, y) for x, y in zip(old[k], old[i])]
+                a[i][k:], rhs[i] = new_i[:-1], new_i[-1]
+            a[k][k:], rhs[k] = new_k[:-1], new_k[-1]
+
+        pivot = a[k][k]
+        if not np.all(pivot):
+            raise np.linalg.LinAlgError("Singular matrix")
+        for i in range(k + 1, dim):
+            if a[i][k] is None:
+                continue
+            factor = a[i][k] / pivot
+            a[i][k] = None
+            for j in range(k + 1, dim):
+                if a[k][j] is not None:
+                    a[i][j] = _minus(a[i][j], factor * a[k][j])
+            if rhs[k] is not None:
+                rhs[i] = _minus(rhs[i], factor * rhs[k])
+
+    x = [None] * dim
+    for i in range(dim - 1, lowest - 1, -1):
+        acc = rhs[i]
+        for j in range(dim - 1, i, -1):
+            if a[i][j] is not None and x[j] is not None:
+                acc = _minus(acc, a[i][j] * x[j])
+        x[i] = None if acc is None else acc / a[i][i]
+    return x
 
 
 def _unity_gain_frequency(frequencies: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -225,7 +348,7 @@ class TransferFunction:
         finite = np.isfinite(fu)
         if not np.any(finite):
             return self._scalarize(np.full(fu.shape, np.nan))
-        # nan crossings query the grid start (a valid positive frequency)
+        # nan crossings query the grid end (a valid positive frequency)
         # and are masked back to nan afterwards.
         safe = np.where(finite, fu, self.frequencies[-1])
         pm = 180.0 + np.asarray(self.phase_at(safe))
@@ -276,8 +399,6 @@ class ACAnalysis:
         response = _stacked_response(
             self._g, self._c, self._b, frequencies, out_idx, neg_idx
         )
-        if out_idx is None and neg_idx is None:
-            response = np.zeros(len(frequencies), dtype=complex)
         return TransferFunction(frequencies, response)
 
     # -- poles -------------------------------------------------------------------
@@ -302,10 +423,10 @@ class BatchACAnalysis:
 
     Holds ``n_samples`` variants of one circuit topology — the same node
     map and excitation, per-sample ``G`` (and optionally ``C``) matrices —
-    and solves all of them over a frequency grid as a single
-    ``(n_samples, n_freq, dim, dim)`` batched LAPACK call.  This is the
-    primitive netlist-backed Monte-Carlo evaluators build on: stamp the
-    nominal system once, add per-sample deltas, and never loop in Python.
+    and solves all of them over a frequency grid in one entrywise
+    elimination over ``(n_samples, n_freq)`` arrays.  This is the primitive
+    netlist-backed Monte-Carlo evaluators build on: stamp unit element
+    patterns once, scale them per sample, and never loop in Python.
 
     Parameters
     ----------
@@ -383,6 +504,4 @@ class BatchACAnalysis:
         response = _stacked_response(
             self._g, self._c, self._b, frequencies, out_idx, neg_idx
         )
-        if out_idx is None and neg_idx is None:
-            response = np.zeros((self.n_samples, len(frequencies)), dtype=complex)
         return TransferFunction(frequencies, response)

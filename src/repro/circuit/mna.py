@@ -20,6 +20,9 @@ from repro.circuit.netlist import Circuit
 
 __all__ = ["MNAAssembler", "DCSolution", "solve_dc", "ConvergenceError"]
 
+#: Conductance [S] from every node to ground in the AC systems.
+AC_GMIN = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """Raised when the DC Newton iteration fails to converge."""
@@ -102,7 +105,7 @@ class MNAAssembler:
         for element in self.circuit.elements:
             element.stamp_ac(g, c, b_ac, op, self.nodemap)
         for i in range(self.nodemap.n_nodes):
-            g[i, i] += 1e-12
+            g[i, i] += AC_GMIN
         return g, c, b_ac
 
     def ac_system_batch(
@@ -135,7 +138,7 @@ class MNAAssembler:
                     "systems must share one RHS"
                 )
         g[:, : self.nodemap.n_nodes, : self.nodemap.n_nodes] += (
-            1e-12 * np.eye(self.nodemap.n_nodes)
+            AC_GMIN * np.eye(self.nodemap.n_nodes)
         )
         return g, c, b_ac
 

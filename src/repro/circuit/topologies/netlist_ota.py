@@ -3,13 +3,14 @@
 Unlike the paper's two amplifiers — whose performance models are closed-form
 vectorised expressions — this topology evaluates through the **netlist
 path**: it builds a small-signal macro netlist (transconductor + output
-resistance per stage, Miller compensation, load), stamps it once per design
-with :class:`~repro.circuit.mna.MNAAssembler`, applies per-sample process
-deltas to the varying element stamps, and solves every sample's AC system
-in one stacked :class:`~repro.circuit.ac.BatchACAnalysis` dispatch.  Each
-Monte-Carlo sample therefore costs a genuine multi-frequency linear solve
-(hundreds of microseconds), which is the regime where the process-pool
-execution engine pays off — the role HSPICE plays in the paper.
+resistance per stage, Miller compensation, load), stamps each varying
+element's unit pattern once per instance with
+:class:`~repro.circuit.mna.MNAAssembler`, scales the patterns by every
+(design, sample) row's element values, and solves all rows' AC systems in
+one :class:`~repro.circuit.ac.BatchACAnalysis`.  Each Monte-Carlo sample
+therefore costs a genuine 301-point complex linear solve — the role HSPICE
+plays in the paper — now tens of microseconds per row, several times the
+paper circuits' closed-form rows.
 
 Topology (single-ended small-signal equivalent)::
 
@@ -52,8 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.ac import BatchACAnalysis
-from repro.circuit.elements import VCCS, Resistor
-from repro.circuit.mna import MNAAssembler
+from repro.circuit.mna import AC_GMIN, MNAAssembler
 from repro.circuit.netlist import Circuit
 from repro.circuit.topologies.base import AmplifierTopology, DesignSpace
 from repro.units import ratio_to_db
@@ -82,6 +82,10 @@ _UPPER = np.array([500e-6, 1500e-6, 0.40, 0.50, 8.0e-12])
 _DEVICES = ["GM1", "GM2", "RO1", "RO2"]
 _METRICS = ["a0_db", "gbw_hz", "pm_deg", "power_w"]
 
+#: Per-row element values -> the netlist element each one sets; a unit
+#: value of each stamps its pattern (for R1/R2, unit conductance).
+_ELEMENTS = {"gm1": "G1", "gm2": "G2", "go1": "R1", "go2": "R2", "cc": "CC"}
+
 #: Analysis grid: 1 Hz .. 10 GHz, 30 points/decade.  Coarser than the
 #: default Bode grid — metric extraction interpolates — and shared across
 #: every evaluation (module-level, read-only).
@@ -106,91 +110,59 @@ class NetlistTwoStageOTA(AmplifierTopology):
 
     def __init__(self, tech) -> None:
         super().__init__(tech)
-        # One-design memo of the assembled nominal system + unit stamps:
-        # OCBA refines the same candidate in many small rounds, and the
-        # stamps only depend on the design vector.
-        self._assembled: tuple[bytes, tuple] | None = None
+        self._stamps = self._unit_stamps()
 
     # -- netlist ---------------------------------------------------------------
     @staticmethod
     def nominal_values(x: np.ndarray) -> dict[str, float]:
         """Element values implied by a design vector (nominal process)."""
-        d = dict(zip(_DESIGN_NAMES, np.asarray(x, dtype=float).tolist()))
-        return {
-            "gm1": 2.0 * d["i1"] / d["vov1"],
-            "gm2": 2.0 * d["i2"] / d["vov2"],
-            "ro1": EARLY_V1 / d["i1"],
-            "ro2": EARLY_V2 / d["i2"],
-            "cc": d["cc"],
-        }
+        return _nominal(dict(zip(_DESIGN_NAMES, np.asarray(x, dtype=float).tolist())))
 
     @classmethod
     def build_circuit(cls, x: np.ndarray) -> Circuit:
         """The macro netlist at nominal element values."""
-        v = cls.nominal_values(x)
-        c = Circuit("netlist_ota")
-        c.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
-        c.add_vccs("G1", "x1", "0", "in", "0", v["gm1"])
-        c.add_resistor("R1", "x1", "0", v["ro1"])
-        c.add_capacitor("C1", "x1", "0", STAGE1_CAP)
-        c.add_capacitor("CC", "x1", "out", v["cc"])
-        c.add_vccs("G2", "out", "0", "x1", "0", v["gm2"])
-        c.add_resistor("R2", "out", "0", v["ro2"])
-        c.add_capacitor("CL", "out", "0", LOAD_CAP)
-        return c
+        return _netlist(cls.nominal_values(x))
 
-    def _assemble(self, x: np.ndarray):
-        """Nominal (G, C, b), node map and unit stamps of the varying elements.
+    @staticmethod
+    def _unit_stamps():
+        """Fixed ``(G, C, b)``, node map and unit ``(G, C)`` stamps per element.
 
-        Memoized on the design-vector bytes: samples that share a topology
-        (every sample of one candidate) reuse the assembled stamps, so the
-        per-sample work is one tensor update plus the stacked solve.
+        The netlist at unit element values is stamped element by element:
+        the source, the fixed capacitors and gmin into the fixed part, each
+        element of :data:`_ELEMENTS` into its own pattern.  A row's system
+        is then the fixed part plus its element values times the patterns.
         """
-        key = np.asarray(x, dtype=float).tobytes()
-        if self._assembled is not None and self._assembled[0] == key:
-            return self._assembled[1]
-        circuit = self.build_circuit(x)
-        assembler = MNAAssembler(circuit)
-        g0, c0, b0 = assembler.ac_system({})
-        nodemap = assembler.nodemap
+        circuit = _netlist(dict.fromkeys(("gm1", "gm2", "ro1", "ro2", "cc"), 1.0))
+        nodemap = MNAAssembler(circuit).nodemap
         n = nodemap.size
-        # Unit stamps of the per-sample-varying elements, in the order of
-        # the delta columns built by `small_signal_values`: gm1, gm2 stamp
-        # as unit-transconductance VCCS patterns, the output resistances as
-        # unit-*conductance* resistor patterns.
-        basis = np.zeros((4, n, n))
-        scratch_c, scratch_b = np.zeros((n, n)), np.zeros(n)
-        VCCS("G1u", "x1", "0", "in", "0", 1.0).stamp_ac(
-            basis[0], scratch_c, scratch_b, {}, nodemap
-        )
-        VCCS("G2u", "out", "0", "x1", "0", 1.0).stamp_ac(
-            basis[1], scratch_c, scratch_b, {}, nodemap
-        )
-        Resistor("R1u", "x1", "0", 1.0).stamp_ac(
-            basis[2], scratch_c, scratch_b, {}, nodemap
-        )
-        Resistor("R2u", "out", "0", 1.0).stamp_ac(
-            basis[3], scratch_c, scratch_b, {}, nodemap
-        )
-        assembled = (g0, c0, b0, nodemap, basis)
-        self._assembled = (key, assembled)
-        return assembled
+        g_fixed, c_fixed = np.zeros((2, n, n))
+        g_unit, c_unit = np.zeros((2, len(_ELEMENTS), n, n))
+        b = np.zeros(n)
+        pattern = {name: e for e, name in enumerate(_ELEMENTS.values())}
+        for element in circuit.elements:
+            if element.name in pattern:
+                e = pattern[element.name]
+                element.stamp_ac(g_unit[e], c_unit[e], b, {}, nodemap)
+            else:
+                element.stamp_ac(g_fixed, c_fixed, b, {}, nodemap)
+        g_fixed[np.diag_indices(nodemap.n_nodes)] += AC_GMIN
+        return g_fixed, c_fixed, b, nodemap, g_unit, c_unit
 
     # -- per-sample element values ------------------------------------------------
     def small_signal_values(
-        self, x: np.ndarray, samples: np.ndarray
+        self, X: np.ndarray, samples: np.ndarray
     ) -> dict[str, np.ndarray]:
-        """Per-sample element values (gm1, gm2, go1, go2, power) [arrays].
+        """Per-row element values (gm1, gm2, go1, go2, cc) and power [arrays].
 
-        This is the process model: inter-die mobility/oxide variables move
-        both stages together, per-device ``dVTH0`` mismatch scores perturb
-        each element individually (Pelgrom area law for the
-        transconductors), and power follows the oxide ratio.
+        ``X`` is one design vector shared by every sample or an ``(N, d)``
+        design matrix aligned row by row with ``samples``.  This is the
+        process model: inter-die mobility/oxide variables move both stages
+        together, per-device ``dVTH0`` mismatch scores perturb each element
+        individually (Pelgrom area law for the transconductors), and power
+        follows the oxide ratio.
         """
-        x = np.asarray(x, dtype=float)
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        d = dict(zip(_DESIGN_NAMES, x.tolist()))
-        v = self.nominal_values(x)
+        d, samples = self._design_columns(_DESIGN_NAMES, X, samples)
+        v = _nominal(d)
         variation = self.variation
         inter = variation.inter_values(samples)
 
@@ -222,32 +194,55 @@ class NetlistTwoStageOTA(AmplifierTopology):
 
         i_total = 2.0 * d["i1"] + d["i2"] + BIAS_FIXED
         power = self.tech.vdd * i_total * inter["TOXRn"] * (1.0 + 0.02 * z_pow)
-        return {"gm1": gm1, "gm2": gm2, "go1": go1, "go2": go2, "power": power}
+        cc = np.broadcast_to(v["cc"], power.shape)
+        return {"gm1": gm1, "gm2": gm2, "go1": go1, "go2": go2, "cc": cc, "power": power}
+
+    def ac_analysis(self, values: dict[str, np.ndarray]) -> BatchACAnalysis:
+        """One stamped AC system per row of :meth:`small_signal_values`."""
+        g_fixed, c_fixed, b, nodemap, g_unit, c_unit = self._stamps
+        elements = np.column_stack([values[name] for name in _ELEMENTS])
+        g = g_fixed + np.einsum("se,eij->sij", elements, g_unit)
+        c = c_fixed + np.einsum("se,eij->sij", elements, c_unit)
+        return BatchACAnalysis(g, c, b, nodemap)
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        g0, c0, b0, nodemap, basis = self._assemble(x)
-        v = self.nominal_values(x)
-        values = self.small_signal_values(x, samples)
+        return self.evaluate_pairs(np.asarray(x, dtype=float)[None, :], samples)
 
-        # Per-sample deltas against the nominally-stamped system, one
-        # column per basis stamp (gm1, gm2, go1, go2).
-        deltas = np.stack(
-            [
-                values["gm1"] - v["gm1"],
-                values["gm2"] - v["gm2"],
-                values["go1"] - 1.0 / v["ro1"],
-                values["go2"] - 1.0 / v["ro2"],
-            ],
-            axis=1,
-        )
-        g_batch = g0[None, :, :] + np.einsum("se,eij->sij", deltas, basis)
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Design row ``X[i]`` at sample row ``samples[i]``, ``(N, n_metrics)``.
 
-        analysis = BatchACAnalysis(g_batch, c0, b0, nodemap)
-        tf = analysis.transfer_batch("out", frequencies=_GRID)
+        The only evaluation body: :meth:`evaluate` is its one-row case.
+        All rows' AC systems are solved in one batched analysis.
+        """
+        values = self.small_signal_values(X, samples)
+        tf = self.ac_analysis(values).transfer_batch("out", frequencies=_GRID)
         a0_db = ratio_to_db(np.maximum(tf.dc_gain(), 1e-12))
         gbw = np.nan_to_num(tf.unity_gain_frequency(), nan=0.0)
         pm = np.nan_to_num(tf.phase_margin(), nan=0.0)
         return np.column_stack([a0_db, gbw, pm, values["power"]])
+
+
+def _nominal(d: dict) -> dict:
+    """Nominal element values from named design values (floats or columns)."""
+    return {
+        "gm1": 2.0 * d["i1"] / d["vov1"],
+        "gm2": 2.0 * d["i2"] / d["vov2"],
+        "ro1": EARLY_V1 / d["i1"],
+        "ro2": EARLY_V2 / d["i2"],
+        "cc": d["cc"],
+    }
+
+
+def _netlist(v: dict) -> Circuit:
+    """The macro netlist at element values ``v`` (keys of :func:`_nominal`)."""
+    c = Circuit("netlist_ota")
+    c.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
+    c.add_vccs("G1", "x1", "0", "in", "0", v["gm1"])
+    c.add_resistor("R1", "x1", "0", v["ro1"])
+    c.add_capacitor("C1", "x1", "0", STAGE1_CAP)
+    c.add_capacitor("CC", "x1", "out", v["cc"])
+    c.add_vccs("G2", "out", "0", "x1", "0", v["gm2"])
+    c.add_resistor("R2", "out", "0", v["ro2"])
+    c.add_capacitor("CL", "out", "0", LOAD_CAP)
+    return c

@@ -140,7 +140,7 @@ class RemoteEngine(SerialEngine):
         Target sample rows per chunk.  Smaller chunks pipeline better
         (more re-fill opportunities, finer re-dispatch on failure) at the
         price of more HTTP round-trips; the default suits circuit-priced
-        rows (hundreds of microseconds each).
+        rows (tens of microseconds or more each).
     max_in_flight:
         Chunks in flight per worker.  ``2`` keeps a worker's next chunk
         queued behind its current one (transfer overlaps compute) without

@@ -2,12 +2,12 @@
 
 Unlike ``folded_cascode``/``telescopic`` — whose performance models are
 closed-form NumPy expressions costing microseconds per sample — every
-sample here is priced like a real simulator run: a stacked multi-frequency
-complex linear solve over the amplifier's MNA system (see
-:class:`~repro.circuit.topologies.netlist_ota.NetlistTwoStageOTA`).  That
-makes this the benchmark of choice for the execution-engine layer: the
-per-row cost sits well above the serial/process crossover, so the process
-pool genuinely wins here.
+sample here is priced like a real simulator run: a multi-frequency complex
+linear solve over the amplifier's MNA system (see
+:class:`~repro.circuit.topologies.netlist_ota.NetlistTwoStageOTA`).  Its
+rows are the most expensive of the built-in circuits, which makes it the
+benchmark of choice for the execution-engine layer (``BENCH_engine.json``
+records where its fused round sits against the serial/process crossover).
 
 Specifications (chosen so the feasible region is non-trivial but
 reachable, mirroring the paper's spec style)::

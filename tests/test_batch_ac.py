@@ -8,6 +8,8 @@ same operating points, solved one `(dim, dim)` system at a time — and
 require tolerance-tight agreement.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,166 @@ class TestBatchACAnalysisEquivalence:
         for s, (circuit, dc) in enumerate(zip(circuits, solutions)):
             one = ACAnalysis(circuit, dc).solve_at(1e6)
             np.testing.assert_allclose(stacked[s], one, rtol=1e-11, atol=0.0)
+
+
+#: Agreement of the entrywise elimination with the LAPACK loop, fixed from
+#: float64 before measuring (the largest deviation on these stacks is ~1e-15).
+ENTRYWISE_RTOL = 1e-12
+
+GRID = np.logspace(2, 11, 46)
+
+
+def _lapack_loop(g, c, b, frequencies, out_idx, neg_idx=None):
+    """Reference: one LAPACK solve per (sample, frequency) system."""
+    c = np.broadcast_to(c, g.shape)
+    response = np.array([_loop_response(gs, cs, b, frequencies, out_idx) for gs, cs in zip(g, c)])
+    if neg_idx is not None:
+        response -= np.array(
+            [_loop_response(gs, cs, b, frequencies, neg_idx) for gs, cs in zip(g, c)]
+        )
+    return response
+
+
+def _permuted_stack(seed, n_samples=6, dim=5):
+    """Well-conditioned systems whose partial-pivot rows differ by sample.
+
+    Each sample is a row permutation of ``G`` and ``C`` with a dominant
+    diagonal, a moderate superdiagonal and a 1e-17 subdiagonal, so the
+    largest entry of a column sits in a different row from one sample to
+    the next, and the other rows hold an exact zero or a pivot too small
+    to eliminate with.
+    """
+    rng = np.random.default_rng(seed)
+
+    def dominant():
+        return (
+            np.diag(rng.uniform(2.0, 3.0, dim))
+            + np.diag(rng.uniform(-0.5, 0.5, dim - 1), 1)
+            + np.diag(1e-17 * rng.uniform(0.5, 1.0, dim - 1), -1)
+        )
+
+    g, c = np.empty((2, n_samples, dim, dim))
+    for s in range(n_samples):
+        perm = rng.permutation(dim)
+        g[s] = dominant()[perm]
+        c[s] = 1e-9 * dominant()[perm]
+    return g, c, rng.normal(size=dim)
+
+
+def _stamped_stack(build, values):
+    """Per-sample (G, C) of one linear netlist topology, and its node map."""
+    assemblers = [MNAAssembler(build(*v)) for v in values]
+    g, c, b = zip(*(assembler.ac_system({}) for assembler in assemblers))
+    return np.stack(g), np.stack(c), b[0], assemblers[0].nodemap
+
+
+def _driven_rc(r, c_in, c_out):
+    # The source's branch row has a zero diagonal: it must swap.
+    c = Circuit("rc_driven")
+    c.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
+    c.add_capacitor("Cin", "in", "0", c_in)
+    c.add_resistor("R1", "in", "out", r)
+    c.add_capacitor("Cout", "out", "0", c_out)
+    c.add_vccs("G1", "out", "0", "in", "0", 1e-4)
+    return c
+
+
+def _bridge(r1, r2, c1, c2):
+    c = Circuit("bridge")
+    c.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
+    c.add_resistor("R1", "in", "a", r1)
+    c.add_capacitor("C1", "a", "0", c1)
+    c.add_capacitor("C2", "in", "b", c2)
+    c.add_resistor("R2", "b", "0", r2)
+    return c
+
+
+def _divider(r1, r2, cap):
+    # Node m touches no capacitor: its response is flat in frequency.
+    c = Circuit("divider")
+    c.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
+    c.add_resistor("R1", "in", "m", r1)
+    c.add_resistor("R2", "m", "0", r2)
+    c.add_resistor("R3", "in", "o", 1e3)
+    c.add_capacitor("C1", "o", "0", cap)
+    return c
+
+
+_DRIVEN_RC = [(1e3, 1e-12, 2e-12), (2e3, 3e-12, 1e-12), (5e2, 1e-13, 5e-12)]
+
+#: case -> (netlist builder, per-sample element values, output, output_neg)
+LINEAR_NETLISTS = {
+    "capacitive_node_behind_a_source": (_driven_rc, _DRIVEN_RC, "out", None),
+    "node_driven_by_a_source": (_driven_rc, _DRIVEN_RC, "in", None),
+    "output_neg_pair": (_bridge, [(1e3, 2e3, 1e-9, 2e-9), (3e3, 1e3, 5e-10, 1e-9)], "a", "b"),
+    "capacitance_free_unknown": (
+        _divider, [(1e3, 3e3, 1e-9), (2e3, 2e3, 2e-9), (4e3, 1e3, 1e-10)], "m", None
+    ),
+}
+
+
+class TestEntrywiseElimination:
+    """The entrywise elimination vs one LAPACK solve per system."""
+
+    def _batch(self, g, c, b):
+        return BatchACAnalysis(g, c, b, {f"n{i}": i for i in range(g.shape[-1])})
+
+    def test_pivot_rows_differ_between_samples(self):
+        g, c, b = _permuted_stack(seed=21)
+        pivot_rows = {int(np.argmax(np.abs(gs[:, 0]))) for gs in g}
+        assert len(pivot_rows) > 1
+        tf = self._batch(g, c, b).transfer_batch("n3", frequencies=GRID)
+        np.testing.assert_allclose(
+            tf.response, _lapack_loop(g, c, b, GRID, 3), rtol=ENTRYWISE_RTOL, atol=0.0
+        )
+
+    def test_pivot_rows_differ_between_frequencies(self):
+        topo = NetlistTwoStageOTA(C035Technology())
+        X = topo.design_space().sample(5, np.random.default_rng(22))
+        samples = topo.variation.sample(5, np.random.default_rng(23))
+        analysis = topo.ac_analysis(topo.small_signal_values(X, samples))
+        g, c, b, nodemap = analysis._g, analysis._c, analysis._b, analysis._nodemap
+        # Column x1 of rows x1 and out: gm2 wins at low frequency, the
+        # x1-node capacitance at high frequency.
+        x1, out = nodemap["x1"], nodemap["out"]
+        w = 2.0 * np.pi * topo.frequency_grid
+        own = np.abs(g[:, x1, x1, None]) + w * np.abs(c[:, x1, x1, None])
+        other = np.abs(g[:, out, x1, None]) + w * np.abs(c[:, out, x1, None])
+        assert np.any(own > other) and np.any(own < other)
+        tf = analysis.transfer_batch("out", frequencies=topo.frequency_grid)
+        reference = _lapack_loop(g, c, b, topo.frequency_grid, out)
+        np.testing.assert_allclose(tf.response, reference, rtol=ENTRYWISE_RTOL, atol=0.0)
+
+    def test_per_sample_and_shared_capacitance(self):
+        g, c, b = _permuted_stack(seed=24)
+        for cap in (c, c[0]):
+            tf = self._batch(g, cap, b).transfer_batch("n1", frequencies=GRID)
+            reference = _lapack_loop(g, cap, b, GRID, 1)
+            np.testing.assert_allclose(tf.response, reference, rtol=ENTRYWISE_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(LINEAR_NETLISTS))
+    def test_linear_netlists(self, case):
+        build, values, output, output_neg = LINEAR_NETLISTS[case]
+        g, c, b, nodemap = _stamped_stack(build, values)
+        tf = BatchACAnalysis(g, c, b, nodemap).transfer_batch(output, output_neg, GRID)
+        assert tf.response.shape == (len(values), len(GRID))
+        neg_idx = None if output_neg is None else nodemap[output_neg]
+        reference = _lapack_loop(g, c, b, GRID, nodemap[output], neg_idx)
+        np.testing.assert_allclose(tf.response, reference, rtol=ENTRYWISE_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("singular", ["zero_row_in_one_sample", "unknown_in_no_equation"])
+    def test_singular_system_raises_without_warning(self, singular):
+        g, c, b = _permuted_stack(seed=25, n_samples=3)
+        if singular == "zero_row_in_one_sample":
+            g[1, 2] = c[1, 2] = 0.0
+        else:
+            g[:, :, 4] = c[:, :, 4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _lapack_loop(g, c, b, GRID[:1], 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                self._batch(g, c, b).transfer_batch("n0", frequencies=GRID)
 
 
 class TestNetlistOTABatchedEvaluation:

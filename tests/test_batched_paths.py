@@ -25,10 +25,17 @@ from repro.sampling.acceptance import LinearMarginScreener
 from repro.sampling.lhs import latin_hypercube_uniforms
 
 PAPER_CIRCUITS = ["folded_cascode", "telescopic"]
+#: Every circuit problem: each evaluates through ``evaluate_pairs``.
+CIRCUITS = PAPER_CIRCUITS + ["netlist_ota"]
 
 
 @pytest.fixture(scope="module", params=PAPER_CIRCUITS)
 def circuit(request):
+    return make_problem(request.param)
+
+
+@pytest.fixture(scope="module", params=CIRCUITS)
+def any_circuit(request):
     return make_problem(request.param)
 
 
@@ -44,55 +51,67 @@ def _row_by_row(evaluator, X, samples):
 
 
 class TestEvaluatePairs:
-    def test_random_designs_and_corners(self, circuit):
-        X = _designs(circuit, 40)
-        samples = circuit.variation.sample(len(X), np.random.default_rng(1))
-        pairs = circuit.evaluator.evaluate_pairs(X, samples)
-        assert np.array_equal(pairs, _row_by_row(circuit.evaluator, X, samples))
+    def test_defined_by_every_circuit(self, any_circuit, monkeypatch):
+        """No circuit falls back to the one-call-per-design loop."""
+        assert "evaluate_pairs" in vars(type(any_circuit.evaluator))
 
-    def test_single_row(self, circuit):
-        X = _designs(circuit, 1)[:1]
-        samples = circuit.variation.sample(1, np.random.default_rng(2))
+        def per_design_loop(X):
+            raise AssertionError("fell back to the per-design loop")
+
+        monkeypatch.setattr("repro.problems.base._equal_row_runs", per_design_loop)
+        X = _designs(any_circuit, 2)
+        samples = any_circuit.variation.sample(len(X), np.random.default_rng(0))
+        any_circuit.evaluate_pairs(X, samples)
+
+    def test_random_designs_and_corners(self, any_circuit):
+        X = _designs(any_circuit, 40)
+        samples = any_circuit.variation.sample(len(X), np.random.default_rng(1))
+        pairs = any_circuit.evaluator.evaluate_pairs(X, samples)
+        assert np.array_equal(pairs, _row_by_row(any_circuit.evaluator, X, samples))
+
+    def test_single_row(self, any_circuit):
+        X = _designs(any_circuit, 1)[:1]
+        samples = any_circuit.variation.sample(1, np.random.default_rng(2))
         assert np.array_equal(
-            circuit.evaluator.evaluate_pairs(X, samples),
-            circuit.evaluator.evaluate(X[0], samples),
+            any_circuit.evaluator.evaluate_pairs(X, samples),
+            any_circuit.evaluator.evaluate(X[0], samples),
         )
 
-    def test_one_design_broadcasts_over_samples(self, circuit):
+    def test_one_design_broadcasts_over_samples(self, any_circuit):
         """``evaluate`` is the one-row case, equal to the repeated design."""
-        x = _designs(circuit, 1)[0]
-        samples = circuit.variation.sample(50, np.random.default_rng(3))
-        repeated = circuit.evaluator.evaluate_pairs(np.tile(x, (50, 1)), samples)
-        assert np.array_equal(circuit.evaluator.evaluate(x, samples), repeated)
-        row_by_row = _row_by_row(circuit.evaluator, [x] * 50, samples)
+        x = _designs(any_circuit, 1)[0]
+        samples = any_circuit.variation.sample(50, np.random.default_rng(3))
+        repeated = any_circuit.evaluator.evaluate_pairs(np.tile(x, (50, 1)), samples)
+        assert np.array_equal(any_circuit.evaluator.evaluate(x, samples), repeated)
+        row_by_row = _row_by_row(any_circuit.evaluator, [x] * 50, samples)
         assert np.array_equal(row_by_row, repeated)
 
-    def test_more_rows_than_one_slab(self, circuit):
+    def test_more_rows_than_one_slab(self, any_circuit):
         """Fused-round shape through the problem: design blocks over slabs."""
-        X = _designs(circuit, 3, seed=4)
+        X = _designs(any_circuit, 3, seed=4)
         n = SLAB_ROWS // 2 + 7  # five blocks -> three slabs, blocks straddle slabs
-        samples = circuit.variation.sample(n * len(X), np.random.default_rng(5))
+        samples = any_circuit.variation.sample(n * len(X), np.random.default_rng(5))
         ledger = SimulationLedger()
-        pairs = circuit.evaluate_pairs(np.repeat(X, n, axis=0), samples, ledger)
+        pairs = any_circuit.evaluate_pairs(np.repeat(X, n, axis=0), samples, ledger)
         assert ledger.total == n * len(X)
         per_design = np.vstack(
             [
-                circuit.evaluator.evaluate(x, samples[i * n : (i + 1) * n])
+                any_circuit.evaluator.evaluate(x, samples[i * n : (i + 1) * n])
                 for i, x in enumerate(X)
             ]
         )
         assert np.array_equal(pairs, per_design)
 
-    def test_misaligned_rows_rejected(self, circuit):
-        X = _designs(circuit, 2)
-        samples = circuit.variation.sample(3, np.random.default_rng(6))
+    def test_misaligned_rows_rejected(self, any_circuit):
+        X = _designs(any_circuit, 2)
+        samples = any_circuit.variation.sample(3, np.random.default_rng(6))
         with pytest.raises(ValueError, match="align"):
-            circuit.evaluator.evaluate_pairs(X, samples)
+            any_circuit.evaluator.evaluate_pairs(X, samples)
 
 
 class TestEvaluateBatch:
-    # The paper circuits' 6 x 682 pairs span two slabs; the netlist OTA has
-    # no ``evaluate_pairs`` and takes one call per design.
+    # The paper circuits' 6 x 682 pairs span two slabs; the netlist OTA's
+    # 6 x 40 pairs fit in one.
     @pytest.mark.parametrize(
         "name,n",
         [(name, SLAB_ROWS // 3) for name in PAPER_CIRCUITS] + [("netlist_ota", 40)],
@@ -110,7 +129,7 @@ class TestEvaluateBatch:
 
 
 class TestFeasibilityGate:
-    @pytest.mark.parametrize("name", PAPER_CIRCUITS + ["netlist_ota"])
+    @pytest.mark.parametrize("name", CIRCUITS)
     def test_batch_matches_scalar_checks(self, name):
         problem = make_problem(name)
         X = _designs(problem, 30, seed=9)
