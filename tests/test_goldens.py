@@ -39,6 +39,7 @@ RUNS = [
     ("folded_cascode", "fixed_budget", 11, {"max_generations": 30}),
     ("folded_cascode", "moheco_mf", 11, {"max_generations": 40}),
     ("folded_cascode", "moheco_screened", 11, {"max_generations": 40}),
+    ("folded_cascode", "fixed_budget_screened", 11, {"max_generations": 40}),
     ("telescopic", "moheco", 11, {"max_generations": 60}),
     ("telescopic", "oo_only", 11, {"max_generations": 14}),
     ("telescopic", "fixed_budget", 11, {"max_generations": 12}),
@@ -49,6 +50,7 @@ RUNS = [
     ("netlist_ota", "fixed_budget", 7, {"max_generations": 10}),
     ("netlist_ota", "moheco_mf", 7, {"max_generations": 10}),
     ("netlist_ota", "moheco_screened", 7, {"max_generations": 10}),
+    ("netlist_ota", "moheco_lineasy", 7, {"max_generations": 10}),
 ]
 
 
