@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Multi-fidelity ladder smoke: the ladder must beat the fixed-fidelity
-# baseline on sims-to-target, stay bit-identical over a remote worker
-# (cold and warm cache), then run the tiny-budget mf benchmark.
+# baseline on sims-to-target, combine with the surrogate screen of a
+# composed method, stay bit-identical over a remote worker (cold and warm
+# cache), then run the tiny-budget mf benchmark.
 set -euo pipefail
 
 cleanup() {
@@ -38,6 +39,27 @@ print(
     f"sims-to-target: moheco_mf {mf['n_simulations']} vs "
     f"fixed_budget {fixed['n_simulations']} "
     f"({len(trace)} ladder generations)"
+)
+EOF
+
+# Stage 1 is a config value, so a composed method climbs the ladder too:
+# the surrogate screen prunes trials before the feasibility gate and the
+# survivors climb the rungs, in one run.
+repro run --problem netlist_ota --method moheco_screened --seed 23 \
+  --set pop_size=20 --set max_generations=20 --set n0=15 --set n_max=500 \
+  --set allocation=ladder \
+  --set "screen_params={'min_train': 60, 'keep_fraction': 0.5}" \
+  --out mf-screened.json
+python - <<'EOF'
+import json
+result = json.load(open("mf-screened.json"))["result"]
+fidelity = result["fidelity_trace"]
+assert fidelity and any(entry["rungs"] for entry in fidelity), fidelity
+assert result["screen_trace"], "screen_trace is empty"
+assert result["ledger"]["pruned"] > 0, result["ledger"]
+print(
+    f"screened ladder: {result['ledger']['pruned']} trials pruned, "
+    f"{sum(bool(entry['rungs']) for entry in fidelity)} ladder generations"
 )
 EOF
 

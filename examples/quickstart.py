@@ -32,8 +32,6 @@ bit-identical.  Shell form::
         --method fixed_budget --runs 3 --workers 2 --out store.jsonl
 """
 
-import warnings
-
 import numpy as np
 
 from repro import (
@@ -43,7 +41,6 @@ from repro import (
     SweepSpec,
     optimize,
     reference_yield,
-    run_moheco,
     run_sweep,
 )
 from repro.problems import make_problem
@@ -89,15 +86,13 @@ def main() -> None:
           f"{pooled.elapsed_seconds:.2f}s "
           f"({pooled.sims_per_second:,.0f} sims/s) — same result")
 
-    # The pre-1.1 wrappers still work (as deprecation shims over optimize)
-    # and reproduce the exact same run for the same seed.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_moheco(problem, rng=2010, pop_size=20, max_generations=40)
-    assert legacy.best_yield == result.best_yield
-    assert legacy.n_simulations == result.n_simulations
-    print("\nlegacy run_moheco shim reproduces the run exactly "
-          f"({legacy.n_simulations} simulations)")
+    # The imperative form (a problem object, the method name and overrides
+    # as keywords) reproduces the exact same run for the same seed.
+    imperative = optimize(problem, method="moheco", rng=2010,
+                          pop_size=20, max_generations=40)
+    assert imperative.identity_dict() == result.identity_dict()
+    print("\nimperative optimize(problem, method=...) reproduces the run "
+          f"exactly ({imperative.n_simulations} simulations)")
 
     # Replicated evaluation is a declarative sweep: the same grid executed
     # serially and sharded across two worker processes yields bit-identical

@@ -47,9 +47,7 @@ or from the shell::
 Results serialize losslessly (``result.to_dict()`` /
 ``MOHECOResult.from_dict``), and third-party problems, methods, samplers,
 yield estimators and execution engines plug in by name via
-``repro.api.register_*``.  The pre-1.1
-``run_moheco``/``run_oo_only``/``run_fixed_budget`` wrappers still work as
-deprecation shims over :func:`optimize`.
+``repro.api.register_*``.
 
 Execution engines
 -----------------
@@ -113,7 +111,6 @@ from repro.api import (
     register_sampler,
     run_sweep,
 )
-from repro.baselines import run_fixed_budget, run_moheco, run_oo_only
 from repro.core import (
     MOHECO,
     MOHECOConfig,
@@ -168,10 +165,6 @@ __all__ = [
     "make_telescopic_problem",
     "make_sphere_problem",
     "make_quadratic_problem",
-    # legacy shims
-    "run_moheco",
-    "run_oo_only",
-    "run_fixed_budget",
     "reference_yield",
     "__version__",
 ]

@@ -6,8 +6,8 @@ Everything a user (or a deployment) needs is reachable from here:
   :func:`list_methods` (and the problem/sampler/estimator equivalents) let
   third-party scenarios plug in by name.
 * **RunSpec** — a declarative, JSON-round-trippable description of one run.
-* **optimize** — the single driver behind every entry point (legacy
-  ``run_*`` wrappers, experiments, CLI).
+* **optimize** — the single driver behind every entry point (sweeps,
+  experiments, service, CLI).
 * **Sweeps** — :class:`~repro.sweep.spec.SweepSpec` grids
   (methods × problems × seeds) executed by
   :func:`~repro.sweep.executor.run_sweep`: whole runs sharded across a
@@ -83,7 +83,6 @@ from repro.compose import (
     register_proposer,
     register_screener,
     register_selection,
-    run_composed,
 )
 from repro.engine import (
     CacheStats,
@@ -172,7 +171,6 @@ __all__ = [
     "get_selection",
     "list_selections",
     "register_composed_method",
-    "run_composed",
     # engines
     "EvaluationEngine",
     "SerialEngine",

@@ -2,9 +2,9 @@
 
 :func:`optimize` accepts either a declarative :class:`~repro.api.spec.RunSpec`
 or an imperative ``(problem, method=...)`` call, resolves names through the
-registries, and dispatches to the registered method runner.  The legacy
-``run_moheco``/``run_oo_only``/``run_fixed_budget`` wrappers, the experiment
-harness and the CLI are all thin shims over this function.
+registries, and dispatches to the registered method runner.  The sweep
+executor, the experiment harness, the job service and the CLI all funnel
+through this function.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def optimize(
 
     runner = METHODS.get(method if method is not None else "moheco")
     # Methods may declare factory defaults for name-resolved caches (e.g.
-    # ``moheco_mf`` asks for sample-level keying so promoted candidates
+    # ladder backbones ask for sample-level keying so promoted candidates
     # replay their low-rung rows); explicit cache_params still win, and
     # ready-made cache instances are never reconfigured.
     cache_defaults = getattr(runner, "cache_defaults", None)

@@ -1,6 +1,6 @@
 """Built-in method registrations.
 
-The paper's compared methods are four entries in the method registry, all
+The paper's compared methods are entries in the method registry, all
 driven through :func:`repro.api.optimize`:
 
 * ``moheco`` — the full algorithm (OO + AS + LHS + memetic NM).
@@ -9,188 +9,27 @@ driven through :func:`repro.api.optimize`:
   candidate (the state-of-the-art MC flow the paper compares against).
 * ``pswcd`` — the performance-specific worst-case-distance baseline of
   section 3.4, adapted to the common result type.
+
+The first three, ``moheco_mf`` and the composed methods form the MOHECO
+family, registered from one backbone table by :mod:`repro.compose.method`.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from repro.api.registries import register_method
 from repro.baselines.pswcd import PSWCDOptimizer
 from repro.core.callbacks import CallbackList
-from repro.core.config import MOHECOConfig
 from repro.core.history import OptimizationHistory
-from repro.core.moheco import MOHECO, MOHECOResult
+from repro.core.moheco import MOHECOResult
 from repro.ledger import SimulationLedger
 from repro.yieldsim.estimator import YieldEstimate
 
+# The MOHECO family registers itself on import.
+import repro.compose.method  # noqa: F401
+
 __all__ = []
-
-
-def _config_builder(config_factory, budget_arg: str):
-    """Overrides-dict -> validated ``MOHECOConfig`` for one method entry.
-
-    ``budget_arg`` is the factory's named budget parameter (``n_max`` or the
-    ``n_fixed`` alias); it is routed to the factory while every other
-    override goes through ``with_overrides`` — so a config-field override
-    that shadows the alias (e.g. ``n_fixed=50, n_max=60``) wins instead of
-    colliding, matching the legacy ``run_*`` semantics.  Bad overrides —
-    unknown names, or values the config rejects (e.g. a stage-1 budget that
-    cannot cover the pilot samples) — raise ``ValueError`` here, which the
-    spec layer (:func:`repro.api.errors.validate_run_spec`) surfaces as a
-    structured :class:`~repro.api.errors.SpecError` at submission time.
-    """
-
-    config_fields = {field.name for field in dataclasses.fields(MOHECOConfig)}
-
-    def build(overrides: dict) -> MOHECOConfig:
-        overrides = dict(overrides)
-        factory_kwargs = (
-            {budget_arg: overrides.pop(budget_arg)} if budget_arg in overrides else {}
-        )
-        unknown = set(overrides) - config_fields
-        if unknown:
-            raise ValueError(
-                f"unknown config override(s) {sorted(unknown)}; valid fields: "
-                f"{', '.join(sorted(config_fields | {budget_arg}))}"
-            )
-        return config_factory(**factory_kwargs).with_overrides(**overrides)
-
-    return build
-
-
-def _engine_runner(config_factory, budget_arg: str):
-    """Wrap a MOHECOConfig classmethod into a method-registry runner.
-
-    The runner grows a ``validate_overrides`` attribute — the config build
-    without the run — so ``validate_run_spec`` can reject bad overrides at
-    submission time with a structured error instead of letting a queued job
-    trip the bare config assertion minutes later.
-    """
-
-    build = _config_builder(config_factory, budget_arg)
-
-    def runner(
-        problem,
-        *,
-        rng=None,
-        ledger=None,
-        callbacks=None,
-        engine=None,
-        cache=None,
-        **overrides,
-    ):
-        optimizer = MOHECO(
-            problem,
-            build(overrides),
-            ledger=ledger,
-            rng=rng,
-            callbacks=callbacks,
-            engine=engine,
-            cache=cache,
-        )
-        return optimizer.run()
-
-    runner.validate_overrides = build
-    return runner
-
-
-def _mf_runner():
-    """The ``moheco_mf`` runner: MOHECO stage 1 becomes a fidelity ladder.
-
-    Accepts every ``moheco`` override plus ``mf_params`` — the ladder knobs
-    ``{"eta", "r_min", "brackets"}`` (``R`` is pinned to the config's
-    ``n_max``).  ``validate_overrides`` builds both the config and the
-    ladder, so impossible schedules (``r_min`` above the fidelity ceiling,
-    a pilot the budget cannot cover) fail at spec validation; and
-    ``cache_defaults`` asks the API driver for sample-level cache keying —
-    a promoted candidate's low-rung rows replay for free when later rungs
-    and stage-2 promotions re-cover them.
-    """
-    from repro.mf import FidelityLadder, run_multi_fidelity
-
-    build = _config_builder(MOHECOConfig.moheco, "n_max")
-
-    def _check_mf_params(mf_params):
-        if mf_params is not None and not isinstance(mf_params, dict):
-            raise ValueError(
-                f"mf_params must be a dict of ladder knobs, got {mf_params!r}"
-            )
-
-    def runner(
-        problem,
-        *,
-        rng=None,
-        ledger=None,
-        callbacks=None,
-        engine=None,
-        cache=None,
-        mf_params=None,
-        **overrides,
-    ):
-        _check_mf_params(mf_params)
-        return run_multi_fidelity(
-            problem,
-            build(overrides),
-            mf_params=mf_params,
-            ledger=ledger,
-            rng=rng,
-            callbacks=callbacks,
-            engine=engine,
-            cache=cache,
-        )
-
-    def validate_overrides(overrides: dict) -> None:
-        overrides = dict(overrides)
-        mf_params = overrides.pop("mf_params", None)
-        _check_mf_params(mf_params)
-        config = build(overrides)
-        FidelityLadder.from_params(config.n_max, config.n0, mf_params)
-
-    runner.validate_overrides = validate_overrides
-    runner.cache_defaults = {"key": "sample"}
-    return runner
-
-
-def _described(runner, description: str):
-    """Attach the one-liner ``repro list methods`` prints."""
-    runner.description = description
-    return runner
-
-
-register_method(
-    "moheco",
-    _described(
-        _engine_runner(MOHECOConfig.moheco, "n_max"),
-        "The paper's full algorithm: OCBA budget allocation + acceptance "
-        "sampling + LHS + memetic Nelder-Mead local search",
-    ),
-)
-register_method(
-    "oo_only",
-    _described(
-        _engine_runner(MOHECOConfig.oo_only, "n_max"),
-        "Ablation: OCBA budget allocation without the memetic operators",
-    ),
-)
-register_method(
-    "fixed_budget",
-    _described(
-        _engine_runner(MOHECOConfig.fixed_budget, "n_fixed"),
-        "State-of-the-art Monte-Carlo baseline: n_fixed simulations per "
-        "feasible candidate",
-    ),
-)
-register_method(
-    "moheco_mf",
-    _described(
-        _mf_runner(),
-        "Multi-fidelity MOHECO: stage 1 climbs a Hyperband-style ladder "
-        "over the MC sample count",
-    ),
-)
 
 
 @register_method("pswcd")
@@ -252,7 +91,3 @@ run_pswcd.description = (
     "Performance-specific worst-case-distance sizing baseline "
     "(section 3.4); best_yield is its pessimistic worst-case bound"
 )
-
-# Composed methods (repro/compose) register themselves on import, after the
-# plain entries above so their backbones already exist.
-import repro.compose.method  # noqa: E402,F401

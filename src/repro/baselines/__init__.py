@@ -1,16 +1,15 @@
 """Comparison methods from the paper's experimental section.
 
-* :func:`run_fixed_budget` — "AS + LHS, N simulations per feasible
-  candidate" (the state-of-the-art MC flow of Tables 1-4).
-* :func:`run_oo_only` — "OO + AS + LHS": ordinal optimization without the
-  memetic operators (isolates the OO contribution, Table 1/2 row 4).
-* :func:`run_moheco` — the full method.
+The fixed-budget, OO-only and full MOHECO flows are registry methods
+(``fixed_budget``, ``oo_only``, ``moheco``) run through
+:func:`repro.api.optimize`.  This package holds the baselines with code
+of their own:
+
 * :mod:`repro.baselines.pswcd` — the performance-specific worst-case
   distance method discussed in section 3.4.
 * The RSB (response-surface) baseline lives in :mod:`repro.surrogate`.
 """
 
-from repro.baselines.runners import run_fixed_budget, run_moheco, run_oo_only
 from repro.baselines.pswcd import (
     PSWCDOptimizer,
     WorstCaseAnalysis,
@@ -18,9 +17,6 @@ from repro.baselines.pswcd import (
 )
 
 __all__ = [
-    "run_fixed_budget",
-    "run_oo_only",
-    "run_moheco",
     "pswcd_analysis",
     "WorstCaseAnalysis",
     "PSWCDOptimizer",

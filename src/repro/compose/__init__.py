@@ -5,9 +5,10 @@ backbone}`` — whose parts resolve by name from the :data:`SCREENERS` /
 :data:`PROPOSERS` / :data:`SELECTIONS` registries, so a new scenario in
 ``repro list methods`` is ~10 lines of config rather than a driver.
 
-Importing this package registers the shipped composed methods
-(``moheco_screened``, ``moheco_lineasy``, ``fixed_budget_screened``) and
-the built-in parts.
+Importing this package registers the whole MOHECO method family — the
+four backbone methods (``moheco``, ``oo_only``, ``fixed_budget``,
+``moheco_mf``) and the shipped composed methods (``moheco_screened``,
+``moheco_lineasy``, ``fixed_budget_screened``) — and the built-in parts.
 """
 
 from repro.compose.parts import (
@@ -30,7 +31,6 @@ from repro.compose.method import (
     BACKBONES,
     ComposedMOHECO,
     register_composed_method,
-    run_composed,
 )
 from repro.compose.proposers import DEProposer, LineSubspaceProposer
 from repro.compose.screeners import NullScreener, SurrogateScreener
@@ -52,7 +52,6 @@ __all__ = [
     "make_screener",
     "make_proposer",
     "ComposedMOHECO",
-    "run_composed",
     "register_composed_method",
     "NullScreener",
     "SurrogateScreener",

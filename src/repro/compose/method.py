@@ -1,8 +1,11 @@
-"""Config-composed optimization methods.
+"""The MOHECO method family: backbones, composed methods, one runner.
 
-A composed method is declared, not written: a four-field config names its
-parts and :func:`register_composed_method` turns it into a full method-
-registry entry —
+Every MOHECO-family method is a config over one of the :data:`BACKBONES`
+— a :class:`~repro.core.config.MOHECOConfig` factory and its budget
+argument.  Each backbone registers as a plain method (``moheco``,
+``oo_only``, ``fixed_budget``, ``moheco_mf``); a composed method adds a
+four-field config naming its parts, and :func:`register_composed_method`
+turns it into a full method-registry entry —
 
 ::
 
@@ -17,23 +20,27 @@ registry entry —
         description="...",
     )
 
-The parts resolve by name from :mod:`repro.compose.parts`; the backbone
-names a :class:`~repro.core.config.MOHECOConfig` factory, so every config
-override the backbone accepts (``pop_size``, ``n_max``, ...) works
-unchanged, plus the per-run ``screen_params`` dict for the screener.
+The parts resolve by name from :mod:`repro.compose.parts`.  Every method
+takes the config overrides its backbone accepts (``pop_size``, ``n_max``,
+``allocation``, ...), the per-run ``mf_params`` dict when stage 1 climbs a
+fidelity ladder (``allocation="ladder"``, as ``moheco_mf`` does), and a
+composed method also the per-run ``screen_params`` dict for its screener.
+:func:`moheco_runner` builds the registry runner of all of them.
 
-:class:`ComposedMOHECO` is the one driver behind every config: a MOHECO
-subclass that swaps the three composable loop stages (`_propose_trials`,
-`_make_trials`, `_select`) for the named parts.  Screening happens in
-``_make_trials`` — *before* the step-3 feasibility check — so a pruned
-trial charges zero simulations; the ledger's ``pruned`` column counts
-them, and every decision is appended to ``MOHECOResult.screen_trace``
-(part of the result identity, bit-identical across engines and caches).
+:class:`ComposedMOHECO` is the one driver subclass behind every composed
+config: a MOHECO subclass that swaps the three composable loop stages
+(`_propose_trials`, `_make_trials`, `_select`) for the named parts.
+Screening happens in ``_make_trials`` — *before* the step-3 feasibility
+check — so a pruned trial charges zero simulations; the ledger's
+``pruned`` column counts them, and every decision is appended to
+``MOHECOResult.screen_trace`` (part of the result identity,
+bit-identical across engines and caches).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
@@ -45,8 +52,9 @@ from repro.compose.parts import (
     register_selection,
 )
 from repro.core.config import MOHECOConfig
-from repro.core.moheco import MOHECO, MOHECOResult
+from repro.core.moheco import MOHECO, select_one_to_one
 from repro.core.state import Individual
+from repro.mf.driver import ladder_allocation
 from repro.optim.constraints import deb_better
 from repro.rng import spawn
 
@@ -57,27 +65,43 @@ import repro.compose.screeners  # noqa: F401
 __all__ = [
     "BACKBONES",
     "ComposedMOHECO",
-    "run_composed",
+    "moheco_runner",
     "register_composed_method",
 ]
 
-#: Backbone name -> (MOHECOConfig factory, its budget-argument name).
+#: Backbone name -> (MOHECOConfig factory, its budget-argument name, the
+#: description of the plain method registered under the same name).
 BACKBONES = {
-    "moheco": (MOHECOConfig.moheco, "n_max"),
-    "oo_only": (MOHECOConfig.oo_only, "n_max"),
-    "fixed_budget": (MOHECOConfig.fixed_budget, "n_fixed"),
+    "moheco": (
+        MOHECOConfig.moheco,
+        "n_max",
+        "The paper's full algorithm: OCBA budget allocation + acceptance "
+        "sampling + LHS + memetic Nelder-Mead local search",
+    ),
+    "oo_only": (
+        MOHECOConfig.oo_only,
+        "n_max",
+        "Ablation: OCBA budget allocation without the memetic operators",
+    ),
+    "fixed_budget": (
+        MOHECOConfig.fixed_budget,
+        "n_fixed",
+        "State-of-the-art Monte-Carlo baseline: n_fixed simulations per "
+        "feasible candidate",
+    ),
+    "moheco_mf": (
+        partial(MOHECOConfig.moheco, allocation="ladder"),
+        "n_max",
+        "Multi-fidelity MOHECO: stage 1 climbs a Hyperband-style ladder "
+        "over the MC sample count",
+    ),
 }
 
 COMPOSE_FIELDS = ("screener", "proposer", "selection", "backbone")
 
 
 # -- built-in selection rules ----------------------------------------------
-@register_selection("one_to_one")
-def select_one_to_one(population: list[Individual], trials: list[Individual]) -> None:
-    """Standard DE one-to-one replacement; the trial wins ties."""
-    for i, trial in enumerate(trials):
-        if not deb_better(population[i].fitness(), trial.fitness()):
-            population[i] = trial
+register_selection("one_to_one", select_one_to_one)
 
 
 @register_selection("greedy")
@@ -105,41 +129,6 @@ def _normalize_compose(compose: dict) -> dict:
             f"{', '.join(sorted(BACKBONES))}"
         )
     return compose
-
-
-def _backbone_builder(backbone: str):
-    """Overrides-dict -> validated ``MOHECOConfig`` for a backbone name.
-
-    Mirrors the semantics of the plain method entries: the backbone's
-    budget alias (``n_max``/``n_fixed``) routes to the factory, every
-    other override goes through ``with_overrides``, and unknown names
-    raise ``ValueError`` — surfaced as a structured ``SpecError`` by
-    spec validation.
-    """
-    config_factory, budget_arg = BACKBONES[backbone]
-    config_fields = {field.name for field in dataclasses.fields(MOHECOConfig)}
-
-    def build(overrides: dict) -> MOHECOConfig:
-        overrides = dict(overrides)
-        factory_kwargs = (
-            {budget_arg: overrides.pop(budget_arg)} if budget_arg in overrides else {}
-        )
-        unknown = set(overrides) - config_fields
-        if unknown:
-            raise ValueError(
-                f"unknown config override(s) {sorted(unknown)}; valid fields: "
-                f"{', '.join(sorted(config_fields | {budget_arg}))}"
-            )
-        return config_factory(**factory_kwargs).with_overrides(**overrides)
-
-    return build
-
-
-def _check_screen_params(screen_params) -> None:
-    if screen_params is not None and not isinstance(screen_params, dict):
-        raise ValueError(
-            f"screen_params must be a dict of screener knobs, got {screen_params!r}"
-        )
 
 
 class ComposedMOHECO(MOHECO):
@@ -171,7 +160,6 @@ class ComposedMOHECO(MOHECO):
         **kwargs,
     ) -> None:
         super().__init__(problem, config, **kwargs)
-        _check_screen_params(screen_params)
         self.compose = _normalize_compose(compose)
         self._screener = make_screener(
             self.compose["screener"], screen_params, rng=spawn(self.rng)
@@ -181,7 +169,6 @@ class ComposedMOHECO(MOHECO):
         )
         self._selection = get_selection(self.compose["selection"])
         self._screen_trace = []
-        self._generation = 0
 
     # -- composable stages --------------------------------------------------
     def _propose_trials(
@@ -198,8 +185,8 @@ class ComposedMOHECO(MOHECO):
         one-to-one selection.  They are charged to the ledger's
         ``pruned`` column, not its simulation counters.
         """
-        self._generation += 1
-        keep_mask, record = self._screener.screen(trial_xs, self._generation)
+        generation = len(self._screen_trace) + 1
+        keep_mask, record = self._screener.screen(trial_xs, generation)
         self._screen_trace.append(record)
         n_pruned = int(np.count_nonzero(~keep_mask))
         if n_pruned:
@@ -237,53 +224,50 @@ class ComposedMOHECO(MOHECO):
         self._selection(population, trials)
 
 
-def run_composed(
-    problem,
-    config: MOHECOConfig | None = None,
-    *,
-    compose: dict,
-    screen_params: dict | None = None,
-    ledger=None,
-    rng=None,
-    callbacks=None,
-    engine=None,
-    cache=None,
-) -> MOHECOResult:
-    """Run one composed optimization (the imperative entry point)."""
-    return ComposedMOHECO(
-        problem,
-        config,
-        compose=compose,
-        screen_params=screen_params,
-        ledger=ledger,
-        rng=rng,
-        callbacks=callbacks,
-        engine=engine,
-        cache=cache,
-    ).run()
+def moheco_runner(backbone: str, description: str, compose: dict | None = None):
+    """The method-registry runner of one MOHECO-family method.
 
+    ``backbone`` names the :data:`BACKBONES` row; ``compose`` is a
+    normalized part config, or ``None`` for the plain backbone method.
+    The backbone's budget alias (``n_max``/``n_fixed``) routes to its
+    factory while every other override goes through ``with_overrides`` —
+    so a config-field override that shadows the alias (e.g.
+    ``n_fixed=50, n_max=60``) wins instead of colliding.  The runner
+    carries the standard method-registry extras:
 
-def register_composed_method(
-    name: str, compose: dict, description: str, *, overwrite: bool = False
-):
-    """Turn a part config into a registered method (the ~10-line method).
-
-    The produced runner carries the standard method-registry extras:
-
-    * ``validate_overrides`` — builds the backbone config *and*
-      instantiates the screener with the run's ``screen_params``, so bad
-      knobs fail at submission time as structured ``SpecError``s;
+    * ``validate_overrides`` — builds the config, the ladder from the
+      run's ``mf_params`` and the screener from its ``screen_params``
+      without running, so bad overrides (unknown names, a stage-1 budget
+      that cannot cover the pilot samples, an impossible rung schedule,
+      bad screener knobs) fail at submission time as a structured
+      :class:`~repro.api.errors.SpecError`;
     * ``description`` — the one-liner ``repro list methods`` prints;
-    * ``compose_config`` — the config itself, for introspection and the
-      CLI's composed-config summary.
+    * ``compose_config`` — the part config of a composed method, for
+      introspection and the CLI's composed-config summary;
+    * ``cache_defaults`` — on backbones whose stage 1 climbs a ladder,
+      sample-level cache keying: a promoted candidate's low-rung rows
+      replay for free when later rungs and stage-2 promotions re-cover
+      them.
     """
-    compose = _normalize_compose(compose)
-    build = _backbone_builder(compose["backbone"])
-    # Fail at registration time (not first run) if a part name is unknown
-    # or its static params are bad.
-    make_screener(compose["screener"], None, rng=0)
-    make_proposer(compose["proposer"], compose.get("proposer_params"))
-    get_selection(compose["selection"])
+    config_factory, budget_arg, _ = BACKBONES[backbone]
+    config_fields = {field.name for field in dataclasses.fields(MOHECOConfig)}
+
+    def split(overrides: dict) -> tuple[MOHECOConfig, dict | None, dict | None]:
+        """Overrides -> (validated config, mf_params, screen_params)."""
+        overrides = dict(overrides)
+        mf_params = overrides.pop("mf_params", None)
+        screen_params = overrides.pop("screen_params", None) if compose else None
+        factory_kwargs = (
+            {budget_arg: overrides.pop(budget_arg)} if budget_arg in overrides else {}
+        )
+        unknown = set(overrides) - config_fields
+        if unknown:
+            raise ValueError(
+                f"unknown config override(s) {sorted(unknown)}; valid fields: "
+                f"{', '.join(sorted(config_fields | {budget_arg}))}"
+            )
+        config = config_factory(**factory_kwargs).with_overrides(**overrides)
+        return config, mf_params, screen_params
 
     def runner(
         problem,
@@ -293,36 +277,59 @@ def register_composed_method(
         callbacks=None,
         engine=None,
         cache=None,
-        screen_params=None,
         **overrides,
     ):
-        return run_composed(
-            problem,
-            build(overrides),
-            compose=compose,
-            screen_params=screen_params,
+        config, mf_params, screen_params = split(overrides)
+        kwargs = dict(
             ledger=ledger,
             rng=rng,
             callbacks=callbacks,
             engine=engine,
             cache=cache,
+            mf_params=mf_params,
         )
+        if compose is None:
+            return MOHECO(problem, config, **kwargs).run()
+        return ComposedMOHECO(
+            problem, config, compose=compose, screen_params=screen_params, **kwargs
+        ).run()
 
     def validate_overrides(overrides: dict) -> None:
-        overrides = dict(overrides)
-        screen_params = overrides.pop("screen_params", None)
-        _check_screen_params(screen_params)
-        build(overrides)
-        make_screener(compose["screener"], screen_params, rng=0)
+        config, mf_params, screen_params = split(overrides)
+        ladder_allocation(config, mf_params)
+        if compose is not None:
+            make_screener(compose["screener"], screen_params, rng=0)
 
     runner.validate_overrides = validate_overrides
     runner.description = str(description)
-    runner.compose_config = compose
-    register_method(name, runner, overwrite=overwrite)
+    if compose is not None:
+        runner.compose_config = compose
+    if config_factory().allocation == "ladder":
+        runner.cache_defaults = {"key": "sample"}
     return runner
 
 
-# -- the shipped composed methods ------------------------------------------
+def register_composed_method(
+    name: str, compose: dict, description: str, *, overwrite: bool = False
+):
+    """Turn a part config into a registered method (the ~10-line method).
+
+    Returns the registered :func:`moheco_runner`.
+    """
+    compose = _normalize_compose(compose)
+    # Fail at registration time (not first run) if a part name is unknown
+    # or its static params are bad.
+    make_screener(compose["screener"], None, rng=0)
+    make_proposer(compose["proposer"], compose.get("proposer_params"))
+    get_selection(compose["selection"])
+    runner = moheco_runner(compose["backbone"], description, compose)
+    return register_method(name, runner, overwrite=overwrite)
+
+
+# -- the shipped methods ------------------------------------------------------
+for _backbone, (_, _, _description) in BACKBONES.items():
+    register_method(_backbone, moheco_runner(_backbone, _description))
+
 register_composed_method(
     "moheco_screened",
     {

@@ -109,6 +109,10 @@ def make_screener(name: str, params: dict | None = None, *, rng=None):
     validation surfaces as a structured
     :class:`~repro.api.errors.SpecError` at submission time.
     """
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(
+            f"screen_params must be a dict of screener knobs, got {params!r}"
+        )
     return SCREENERS.create(name, **(params or {}), rng=rng)
 
 

@@ -5,8 +5,11 @@
   97 %, local-search patience 5, stop patience 20).
 * :class:`MOHECO` — the two-stage memetic OO-based hybrid evolutionary
   constrained optimizer (Fig. 4 of the paper).
-* The same engine with ``use_ocba=False`` / ``use_memetic=False`` realises
-  the paper's comparison methods (see :mod:`repro.baselines`).
+* The same engine realises the paper's comparison methods and the
+  multi-fidelity variant through two config switches: ``allocation``
+  (the stage-1 budget policy: ``"ocba"``, ``"fixed"`` or ``"ladder"``)
+  and ``use_memetic`` (see :mod:`repro.compose.method` for the method
+  table).
 """
 
 from repro.core.callbacks import (

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
-__all__ = ["MOHECOConfig"]
+__all__ = ["ALLOCATIONS", "MOHECOConfig"]
+
+#: The stage-1 budget policies :attr:`MOHECOConfig.allocation` accepts.
+ALLOCATIONS = ("ocba", "fixed", "ladder")
 
 
 @dataclass(frozen=True)
@@ -25,9 +28,12 @@ class MOHECOConfig:
     de_variant: str = "best/1"
 
     # -- two-stage yield estimation ----------------------------------------------
-    #: Enable ordinal optimization in stage 1.  ``False`` reproduces the
-    #: fixed-budget baselines: every feasible candidate receives ``n_max``.
-    use_ocba: bool = True
+    #: Stage-1 budget policy, one of :data:`ALLOCATIONS`: ``"ocba"`` is the
+    #: paper's ordinal optimization; ``"fixed"`` reproduces the fixed-budget
+    #: baselines (every feasible candidate receives ``n_max``); ``"ladder"``
+    #: climbs a Hyperband-style fidelity ladder (:mod:`repro.mf`), tuned by
+    #: the run's ``mf_params``.
+    allocation: str = "ocba"
     #: Initial samples per candidate in the OCBA loop (paper: 15).
     n0: int = 15
     #: Average per-candidate budget; stage-1 generation budget is
@@ -79,6 +85,11 @@ class MOHECOConfig:
     yield_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        if self.allocation not in ALLOCATIONS:
+            raise ValueError(
+                f"allocation must be one of {', '.join(ALLOCATIONS)}, "
+                f"got {self.allocation!r}"
+            )
         if self.pop_size < 4:
             raise ValueError(f"pop_size must be >= 4 for DE, got {self.pop_size}")
         if self.n0 < 1:
@@ -122,14 +133,14 @@ class MOHECOConfig:
     @classmethod
     def moheco(cls, n_max: int = 500, **kwargs) -> "MOHECOConfig":
         """The full method (OO + memetic)."""
-        return cls(use_ocba=True, use_memetic=True, n_max=n_max, **kwargs)
+        return cls(use_memetic=True, n_max=n_max, **kwargs)
 
     @classmethod
     def oo_only(cls, n_max: int = 500, **kwargs) -> "MOHECOConfig":
         """OO + AS + LHS, no memetic operators."""
-        return cls(use_ocba=True, use_memetic=False, n_max=n_max, **kwargs)
+        return cls(use_memetic=False, n_max=n_max, **kwargs)
 
     @classmethod
     def fixed_budget(cls, n_fixed: int = 500, **kwargs) -> "MOHECOConfig":
         """AS + LHS with the same sample count for every feasible candidate."""
-        return cls(use_ocba=False, use_memetic=False, n_max=n_fixed, **kwargs)
+        return cls(allocation="fixed", use_memetic=False, n_max=n_fixed, **kwargs)

@@ -1,23 +1,29 @@
 """The MOHECO algorithm (paper Fig. 4).
 
 One engine implements the paper's method *and* its compared baselines via
-config switches:
+config switches: ``allocation`` picks the stage-1 budget policy and
+``use_memetic`` the memetic operators.
 
-========================  ==========================================
-paper method              config
-========================  ==========================================
-MOHECO                    ``MOHECOConfig.moheco(n_max=500)``
-OO + AS + LHS             ``MOHECOConfig.oo_only(n_max=500)``
-AS + LHS, N sims          ``MOHECOConfig.fixed_budget(n_fixed=N)``
-========================  ==========================================
+==========================  ================================================
+method                      config
+==========================  ================================================
+MOHECO                      ``MOHECOConfig.moheco(n_max=500)``
+OO + AS + LHS               ``MOHECOConfig.oo_only(n_max=500)``
+AS + LHS, N sims            ``MOHECOConfig.fixed_budget(n_fixed=N)``
+                            (``allocation="fixed"``)
+multi-fidelity MOHECO       ``MOHECOConfig.moheco(allocation="ladder")``
+                            plus the run's ``mf_params`` (:mod:`repro.mf`)
+==========================  ================================================
 
 Flow per generation (paper steps 1-11):
 
 1. select the current best candidate (Deb's rules),
 2. DE mutation + crossover produce one trial per parent,
 3. nominal feasibility check per trial (1 simulation),
-4-7. feasible trials get yield estimates — OCBA-allocated in stage 1, the
-     full ``n_max`` once promoted to stage 2 (estimated yield > 97 %);
+4-7. feasible trials get yield estimates — allocated by the stage-1 policy
+     (OCBA, a fidelity ladder, or ``n_max`` outright for the fixed-budget
+     baseline), the full ``n_max`` once promoted to stage 2 (estimated
+     yield > 97 %);
      infeasible trials get yield 0 and their constraint violation,
 8. one-to-one selection parent vs trial,
 9-10. if the best yield has stalled for ``ls_patience`` generations, run a
@@ -39,6 +45,7 @@ from repro.core.history import GenerationRecord, OptimizationHistory
 from repro.core.state import Individual
 from repro.engine import EvaluationCache, EvaluationEngine, make_cache, make_engine
 from repro.ledger import SimulationLedger
+from repro.mf.driver import ladder_allocation
 from repro.ocba.sequential import OCBAReport, ocba_sequential
 from repro.optim.constraints import deb_better
 from repro.optim.de import DifferentialEvolution
@@ -50,7 +57,14 @@ from repro.sampling.acceptance import LinearMarginScreener
 from repro.yieldsim import make_estimator
 from repro.yieldsim.estimator import YieldEstimate
 
-__all__ = ["MOHECO", "MOHECOResult"]
+__all__ = ["MOHECO", "MOHECOResult", "select_one_to_one"]
+
+
+def select_one_to_one(population: list[Individual], trials: list[Individual]) -> None:
+    """Step 8: standard DE one-to-one replacement, in place; the trial wins ties."""
+    for i, trial in enumerate(trials):
+        if not deb_better(population[i].fitness(), trial.fitness()):
+            population[i] = trial
 
 
 @dataclass
@@ -77,12 +91,13 @@ class MOHECOResult:
     #: per-row cost, crossover cost, chosen backend); ``None`` for runs on
     #: a hard-coded backend.  Observational, like ``cache_stats``.
     engine_decision: dict | None = None
-    #: Per-generation ladder record of a multi-fidelity run
-    #: (:mod:`repro.mf`): bracket index, rung fidelities/gains, fused
-    #: estimates and promotion decisions; ``None`` for single-fidelity
-    #: methods.  Unlike the observational fields above this is part of the
-    #: result *identity* — ladder decisions must be bit-identical across
-    #: execution backends, worker counts and cache states.
+    #: Per-generation ladder record of a run whose stage 1 climbs a
+    #: fidelity ladder (``allocation="ladder"``, :mod:`repro.mf`): bracket
+    #: index, rung fidelities/gains, fused estimates and promotion
+    #: decisions; ``None`` under the other stage-1 policies.  Unlike the
+    #: observational fields above this is part of the result *identity* —
+    #: ladder decisions must be bit-identical across execution backends,
+    #: worker counts and cache states.
     fidelity_trace: list | None = None
     #: Per-generation screening record of a composed method
     #: (:mod:`repro.compose`): surrogate refits, per-trial scores and
@@ -192,6 +207,10 @@ class MOHECO:
         ``None`` (the default) disables caching.  Under the default
         ledger-faithful accounting a cache never changes the seeded
         result or the simulation totals — only the wall-clock.
+    mf_params:
+        Fidelity-ladder knobs ``{"eta", "r_min", "brackets"}`` (see
+        :meth:`~repro.mf.ladder.FidelityLadder.from_params`); only valid
+        with ``config.allocation == "ladder"``, rejected otherwise.
     """
 
     def __init__(
@@ -203,6 +222,7 @@ class MOHECO:
         callbacks: Callback | list[Callback] | None = None,
         engine: EvaluationEngine | str | None = None,
         cache: EvaluationCache | str | None = None,
+        mf_params: dict | None = None,
     ) -> None:
         self.problem = problem
         self.config = config or MOHECOConfig()
@@ -220,11 +240,11 @@ class MOHECO:
         self._owns_cache = self.cache is not None and not isinstance(
             cache, EvaluationCache
         )
-        # Multi-fidelity subclasses (:mod:`repro.mf`) fill this with their
-        # per-generation ladder record; it rides onto the result as
-        # ``fidelity_trace``.  Composed subclasses (:mod:`repro.compose`)
-        # do the same with their screening record via ``screen_trace``.
-        self._fidelity_trace: list | None = None
+        # A ladder allocation records every generation's climb; the record
+        # rides onto the result as ``fidelity_trace``.  Composed methods
+        # (:mod:`repro.compose`) do the same with their screening record
+        # via ``screen_trace``.
+        self._ladder = ladder_allocation(self.config, mf_params)
         self._screen_trace: list | None = None
         self.sampler = make_sampler(self.config.sampler, problem.variation)
         self.de = DifferentialEvolution(
@@ -297,8 +317,8 @@ class MOHECO:
 
         All missing samples are refined together (one engine dispatch),
         then ``on_stage2_promotion`` fires once per candidate, in order —
-        the fixed-budget baseline and OCBA promotions both funnel through
-        here so callbacks see every promotion.
+        the promotions of every stage-1 policy funnel through here so
+        callbacks see every promotion.
         """
         if not individuals:
             return
@@ -312,37 +332,40 @@ class MOHECO:
 
     # -- population yield estimation (steps 4-7) ----------------------------------
     def _estimate_population(self, individuals: list[Individual]) -> OCBAReport:
+        cfg = self.config
         feasible = [ind for ind in individuals if ind.feasible]
+        rounds = 1  # the fixed budget's one fused stage-2 round
+        if self._ladder is not None:
+            # Climbed even with nothing feasible: the trace keeps one entry
+            # per generation.
+            rounds = self._ladder.climb(feasible, self._refine_round)
         if not feasible:
             return OCBAReport(counts=np.zeros(0, dtype=int), estimates=np.zeros(0), rounds=0)
 
-        if self.config.use_ocba:
-            budget = self.config.sim_ave * len(feasible)
+        report = None
+        if cfg.allocation == "ocba":
             report = ocba_sequential(
                 [ind.state for ind in feasible],
-                total_budget=budget,
-                n0=self.config.n0,
-                delta=self.config.delta,
+                total_budget=cfg.sim_ave * len(feasible),
+                n0=cfg.n0,
+                delta=cfg.delta,
                 engine=self.engine,
             )
-            self._promote_all(
-                [
-                    ind
-                    for ind in feasible
-                    if ind.state.value >= self.config.stage2_threshold
-                ]
-            )
-            return report
-
-        # Fixed-budget baseline: everyone gets n_max outright, as one fused
-        # stage-2 round (and with promotion callbacks firing, same as the
-        # OCBA path).
-        self._promote_all(feasible)
-        return OCBAReport(
-            counts=np.array([ind.n_samples for ind in feasible], dtype=int),
-            estimates=np.array([ind.yield_value for ind in feasible]),
-            rounds=1,
+        # The fixed-budget baseline promotes everyone: n_max outright, as one
+        # fused stage-2 round, with promotion callbacks firing as for the
+        # other policies.
+        self._promote_all(
+            feasible
+            if cfg.allocation == "fixed"
+            else [ind for ind in feasible if ind.state.value >= cfg.stage2_threshold]
         )
+        if report is None:
+            report = OCBAReport(
+                counts=np.array([ind.n_samples for ind in feasible], dtype=int),
+                estimates=np.array([ind.yield_value for ind in feasible]),
+                rounds=rounds,
+            )
+        return report
 
     # -- composable loop stages (overridden by :mod:`repro.compose`) -----------
     def _propose_trials(
@@ -366,9 +389,7 @@ class MOHECO:
         self, population: list[Individual], trials: list[Individual]
     ) -> None:
         """Step 8: one-to-one selection, in place (trial wins ties)."""
-        for i, trial in enumerate(trials):
-            if not deb_better(population[i].fitness(), trial.fitness()):
-                population[i] = trial
+        select_one_to_one(population, trials)
 
     # -- selection helpers ------------------------------------------------------------
     @staticmethod
@@ -561,7 +582,7 @@ class MOHECO:
                 cache.stats.delta(cache_stats_before) if cache is not None else None
             ),
             engine_decision=getattr(self.engine, "decision", None),
-            fidelity_trace=self._fidelity_trace,
+            fidelity_trace=self._ladder.trace if self._ladder is not None else None,
             screen_trace=self._screen_trace,
         )
         self.callbacks.on_stop(self, result)

@@ -20,7 +20,6 @@ from repro.experiments.runner import (
     ExperimentSettings,
     MethodSummary,
     RunRecord,
-    replicate_method,
 )
 from repro.experiments.stats import summary_row
 
@@ -28,6 +27,5 @@ __all__ = [
     "ExperimentSettings",
     "RunRecord",
     "MethodSummary",
-    "replicate_method",
     "summary_row",
 ]

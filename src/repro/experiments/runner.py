@@ -1,20 +1,16 @@
-"""Multi-run experiment driver (now a thin adapter over :mod:`repro.sweep`).
+"""Multi-run experiment settings (a thin adapter over :mod:`repro.sweep`).
 
 The paper's protocol: "10 runs with independent random numbers have been
 performed for all experiments and the results have been analyzed and
 compared statistically."  That protocol is owned by the sweep layer —
 :class:`~repro.sweep.spec.SweepSpec` grids executed by
 :func:`~repro.sweep.executor.run_sweep` (serial or process-sharded,
-resumable) — and this module keeps the historical entry points alive on
-top of it:
+resumable) — and this module keeps the historical settings on top of it:
 
 * :class:`ExperimentSettings` — the legacy ``REPRO_*`` environment knobs,
   now a **deprecated compatibility path**: each knob maps onto a
   :class:`SweepSpec` field (see :meth:`ExperimentSettings.sweep_spec`).
   New code should build the spec directly (or use ``repro sweep``).
-* :func:`replicate_method` — **deprecated** closure-driven replication
-  shim; same records as before, produced with the sweep layer's
-  index-addressable streams (:func:`repro.rng.run_streams`).
 * :class:`RunRecord` / :class:`MethodSummary` — re-exported from their
   canonical home :mod:`repro.sweep.records`.
 """
@@ -22,21 +18,15 @@ top of it:
 from __future__ import annotations
 
 import os
-import time
-import warnings
 from dataclasses import dataclass
 
-from repro.ledger import SimulationLedger
-from repro.rng import run_streams
 from repro.sweep.records import MethodSummary, RunRecord
 from repro.sweep.spec import SweepSpec
-from repro.yieldsim import reference_yield
 
 __all__ = [
     "ExperimentSettings",
     "RunRecord",
     "MethodSummary",
-    "replicate_method",
     "ensure_method_specs",
 ]
 
@@ -128,70 +118,3 @@ class ExperimentSettings:
             **kwargs,
         )
 
-
-def replicate_method(
-    problem,
-    method: str,
-    run_fn,
-    settings: ExperimentSettings,
-    base_seed: int = 20100308,
-) -> MethodSummary:
-    """Run ``run_fn(problem, rng=..., ledger=..., max_generations=...)``
-    ``settings.runs`` times with independent streams.
-
-    .. deprecated:: 1.2
-        Describe the runs as a :class:`~repro.sweep.spec.SweepSpec`
-        (method registry name + overrides instead of a ``run_fn`` closure)
-        and execute it with :func:`repro.sweep.run_sweep`, which adds
-        process sharding and a resumable result store.  This shim remains
-        for closures that cannot be expressed as registry methods.
-
-    ``run_fn`` must return a :class:`~repro.core.moheco.MOHECOResult`-like
-    object (``best_x``, ``best_yield``, ``n_simulations``, ``generations``,
-    ``reason``).  The reference MC at the returned design point is charged
-    to the excluded ``reference`` ledger category.  Run ``i`` sees exactly
-    the streams :func:`repro.rng.run_streams` derives for it — the same
-    streams a sweep over an equivalent spec would use.
-    """
-    warnings.warn(
-        "replicate_method is deprecated; describe the runs as a SweepSpec "
-        "and execute them with repro.sweep.run_sweep (sharded + resumable)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    problem_label = getattr(problem, "name", "")
-    records: list[RunRecord] = []
-    for i in range(settings.runs):
-        optimizer_rng, reference_rng = run_streams(base_seed, i)
-        ledger = SimulationLedger()
-        start = time.perf_counter()
-        result = run_fn(
-            problem,
-            rng=optimizer_rng,
-            ledger=ledger,
-            max_generations=settings.max_generations,
-        )
-        elapsed = time.perf_counter() - start
-        reference = reference_yield(
-            problem,
-            result.best_x,
-            n=settings.reference_n,
-            rng=reference_rng,
-            ledger=ledger,
-        )
-        to_dict = getattr(result, "to_dict", None)
-        records.append(
-            RunRecord(
-                method=method,
-                problem=problem_label,
-                run_index=i,
-                reported_yield=result.best_yield,
-                reference_yield=reference.value,
-                n_simulations=result.n_simulations,
-                generations=result.generations,
-                reason=result.reason,
-                wall_seconds=elapsed,
-                result=to_dict() if to_dict is not None else None,
-            )
-        )
-    return MethodSummary(method=method, records=records, problem=problem_label)

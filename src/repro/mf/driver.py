@@ -1,16 +1,18 @@
-"""Multi-fidelity MOHECO: successive-halving ladders inside the DE loop.
+"""Multi-fidelity stage 1: successive-halving ladders inside the DE loop.
 
-:class:`MultiFidelityMOHECO` replaces the flat stage-1 OCBA pass with a
-:class:`~repro.mf.ladder.FidelityLadder` per generation: every feasible
-trial enters the bracket's cheap wide rung, each rung dispatches as
-**one fused refinement round** through the ordinary engine layer (serial,
+With ``MOHECOConfig.allocation == "ladder"``, :class:`~repro.core.moheco.MOHECO`
+replaces the flat stage-1 OCBA pass with a :class:`LadderAllocation`: every
+feasible trial enters the bracket's cheap wide rung of a
+:class:`~repro.mf.ladder.FidelityLadder`, each rung dispatches as **one
+fused refinement round** through the ordinary engine layer (serial,
 process, remote — all unchanged), OCBA allocates *within* a rung
 (:func:`~repro.ocba.allocation.rung_allocation`), and the top ``1/eta``
 by the precision-weighted cross-rung fusion
 (:func:`~repro.mf.fusion.fuse_segments`) climb to the next fidelity.
 Survivors of the final rung sit at full stage-2 fidelity (``n_max``), so
 the surrounding loop — stage-2 promotion, memetic local search, stopping
-rules — runs exactly as in the paper's method.
+rules — runs exactly as in the paper's method.  Any MOHECO-family method,
+composed ones included, climbs the ladder under ``allocation="ladder"``.
 
 Every ladder decision (bracket, rung fidelities, gains, fused ranking,
 promotions) is recorded on ``MOHECOResult.fidelity_trace``, which is part
@@ -25,80 +27,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.moheco import MOHECO, MOHECOResult
-from repro.core.state import Individual
 from repro.mf.fusion import RungSegment, fuse_segments
 from repro.mf.ladder import FidelityLadder
 from repro.ocba.allocation import rung_allocation
-from repro.ocba.sequential import OCBAReport
 
-__all__ = ["MultiFidelityMOHECO", "run_multi_fidelity"]
+__all__ = ["LadderAllocation", "ladder_allocation"]
 
 
-class MultiFidelityMOHECO(MOHECO):
-    """MOHECO with ladder-scheduled stage-1 yield estimation.
+def ladder_allocation(config, mf_params: dict | None = None):
+    """The run's :class:`LadderAllocation`, or ``None`` without a ladder.
 
-    Accepts everything :class:`~repro.core.moheco.MOHECO` accepts, plus
-    ``mf_params`` — the ladder knobs ``{"eta", "r_min", "brackets"}``
+    ``mf_params`` only configure a ladder, so a config whose
+    ``allocation`` is not ``"ladder"`` rejects them with ``ValueError``
+    instead of running as if they were not there.
+    """
+    if config.allocation == "ladder":
+        return LadderAllocation(config, mf_params)
+    if mf_params is not None:
+        raise ValueError(
+            "mf_params configure the fidelity ladder and need "
+            f"allocation='ladder', got allocation={config.allocation!r}"
+        )
+    return None
+
+
+class LadderAllocation:
+    """Ladder-scheduled stage-1 yield estimation of one run.
+
+    ``mf_params`` are the ladder knobs ``{"eta", "r_min", "brackets"}``
     (see :meth:`FidelityLadder.from_params`; ``R`` is pinned to the
-    config's ``n_max``).
+    config's ``n_max``).  Every :meth:`climb` appends one entry to
+    :attr:`trace`, the run's ``fidelity_trace``.
     """
 
-    def __init__(self, problem, config=None, *, mf_params=None, **kwargs) -> None:
-        super().__init__(problem, config, **kwargs)
-        self.ladder = FidelityLadder.from_params(
-            self.config.n_max, self.config.n0, mf_params
-        )
-        self._fidelity_trace = []
-        self._mf_generation = 0
+    def __init__(self, config, mf_params: dict | None = None) -> None:
+        self.ladder = FidelityLadder.from_params(config.n_max, config.n0, mf_params)
+        self.trace: list[dict] = []
 
-    # -- the ladder replaces the flat OCBA pass (steps 4-7) ------------------
-    def _estimate_population(self, individuals: list[Individual]) -> OCBAReport:
-        generation = self._mf_generation
-        self._mf_generation += 1
-        feasible = [ind for ind in individuals if ind.feasible]
-        if not feasible:
-            self._fidelity_trace.append(
-                {
-                    "generation": int(generation),
-                    "bracket": int(self.ladder.bracket_for(generation)),
-                    "rungs": [],
-                    "fused": [],
-                    "ranking": [],
-                }
-            )
-            return OCBAReport(
-                counts=np.zeros(0, dtype=int), estimates=np.zeros(0), rounds=0
-            )
+    def climb(self, feasible: list, refine_round) -> int:
+        """Climb one bracket with a generation's feasible candidates.
 
-        entry, rounds = self._run_ladder(feasible, generation)
-        self._fidelity_trace.append(entry)
-        self._promote_all(
-            [
-                ind
-                for ind in feasible
-                if ind.state.value >= self.config.stage2_threshold
-            ]
-        )
-        return OCBAReport(
-            counts=np.array([ind.n_samples for ind in feasible], dtype=int),
-            estimates=np.array([ind.yield_value for ind in feasible]),
-            rounds=rounds,
-        )
-
-    def _run_ladder(
-        self, feasible: list[Individual], generation: int
-    ) -> tuple[dict, int]:
-        """Climb one bracket; returns (trace entry, rung count).
-
-        ``members`` holds indices into ``feasible`` — stable identifiers
-        for the trace.  Rung 0 is the flat pilot (everyone raised to the
-        opening fidelity); later rungs spend ``m_k * r_k - already_spent``
+        ``refine_round(states, gains, category=...)`` runs one fused
+        engine round; returns the number of rungs climbed.  ``members``
+        holds indices into ``feasible`` — stable identifiers for the
+        trace.  Rung 0 is the flat pilot (everyone raised to the opening
+        fidelity); later rungs spend ``m_k * r_k - already_spent``
         OCBA-weighted.  Each rung is exactly one fused engine round.
         """
         ladder = self.ladder
+        generation = len(self.trace)
         s = ladder.bracket_for(generation)
-        fidelities = ladder.rung_fidelities(s)
+        fidelities = ladder.rung_fidelities(s) if feasible else []
         members = list(range(len(feasible)))
         segments: list[list[RungSegment]] = [[] for _ in feasible]
         rung_trace = []
@@ -119,9 +98,7 @@ class MultiFidelityMOHECO(MOHECO):
                     fidelity * len(members),
                 )
             if np.any(gains):
-                self._refine_round(
-                    states, [int(g) for g in gains], category="stage1"
-                )
+                refine_round(states, [int(g) for g in gains], category="stage1")
             for index, state, prior in zip(members, states, before):
                 now = state.estimate
                 if now.n > prior.n:
@@ -151,45 +128,14 @@ class MultiFidelityMOHECO(MOHECO):
             members = promoted
 
         final_fused = [fuse_segments(history) for history in segments]
-        ranking = sorted(
-            range(len(feasible)), key=lambda i: (-final_fused[i], i)
+        ranking = sorted(range(len(feasible)), key=lambda i: (-final_fused[i], i))
+        self.trace.append(
+            {
+                "generation": int(generation),
+                "bracket": int(s),
+                "rungs": rung_trace,
+                "fused": [float(value) for value in final_fused],
+                "ranking": [int(i) for i in ranking],
+            }
         )
-        entry = {
-            "generation": int(generation),
-            "bracket": int(s),
-            "rungs": rung_trace,
-            "fused": [float(value) for value in final_fused],
-            "ranking": [int(i) for i in ranking],
-        }
-        return entry, len(fidelities)
-
-
-def run_multi_fidelity(
-    problem,
-    config=None,
-    *,
-    mf_params: dict | None = None,
-    ledger=None,
-    rng=None,
-    callbacks=None,
-    engine=None,
-    cache=None,
-) -> MOHECOResult:
-    """Run one multi-fidelity optimization; the ``moheco_mf`` entry point.
-
-    A thin constructor-plus-``run()`` over :class:`MultiFidelityMOHECO`,
-    mirroring how the registered methods drive :class:`MOHECO`.  The
-    returned result carries the full ladder record on
-    ``MOHECOResult.fidelity_trace``.
-    """
-    optimizer = MultiFidelityMOHECO(
-        problem,
-        config,
-        mf_params=mf_params,
-        ledger=ledger,
-        rng=rng,
-        callbacks=callbacks,
-        engine=engine,
-        cache=cache,
-    )
-    return optimizer.run()
+        return len(fidelities)

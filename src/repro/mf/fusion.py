@@ -57,10 +57,6 @@ class RungSegment:
         p = self.value
         return self.n / max(p * (1.0 - p), _VARIANCE_FLOOR)
 
-    def to_dict(self) -> dict:
-        """JSON-compatible form (recorded on the fidelity trace)."""
-        return {"n": self.n, "passes": self.passes}
-
 
 def fuse_segments(segments: list[RungSegment]) -> float:
     """Precision-weighted yield estimate across a candidate's rungs.

@@ -106,6 +106,10 @@ class FidelityLadder:
         the OCBA pilot ``n0``.  Unknown keys raise ``ValueError`` listing
         the valid ones, same contract as config-field overrides.
         """
+        if mf_params is not None and not isinstance(mf_params, dict):
+            raise ValueError(
+                f"mf_params must be a dict of ladder knobs, got {mf_params!r}"
+            )
         params = dict(mf_params or {})
         unknown = set(params) - set(MF_PARAM_KEYS)
         if unknown:
@@ -141,19 +145,3 @@ class FidelityLadder:
             raise ValueError(f"members must be >= 1, got {members}")
         return max(1, members // self.eta)
 
-    def member_schedule(self, members: int, s: int) -> list[int]:
-        """Member counts at each rung of bracket ``s``, starting wide."""
-        schedule = [members]
-        for _ in range(s):
-            schedule.append(self.survivors(schedule[-1]))
-        return schedule
-
-    def to_dict(self) -> dict:
-        """JSON-compatible description (recorded on the fidelity trace)."""
-        return {
-            "R": self.R,
-            "r_min": self.r_min,
-            "eta": self.eta,
-            "brackets": self.brackets,
-            "s_max": self.s_max,
-        }

@@ -41,7 +41,7 @@ class RunRecord:
     #: producer dropped it.
     result: dict | None = field(repr=False, default=None)
     #: Problem label of the sweep cell this run belongs to ("" for records
-    #: produced outside a sweep grid, e.g. the legacy ``replicate_method``).
+    #: built outside a sweep grid).
     problem: str = ""
 
     @property

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import MOHECOResult, RunSpec, optimize, run_moheco
+from repro import MOHECOResult, RunSpec, optimize
 from repro.api import (
     ESTIMATORS,
     METHODS,
@@ -141,15 +141,6 @@ class TestRunSpec:
 
 
 class TestOptimizeDriver:
-    def test_legacy_shim_equivalence(self):
-        """Acceptance: the deprecated wrapper and the spec path coincide."""
-        with pytest.deprecated_call():
-            legacy = run_moheco(make_sphere_problem(), rng=7)
-        spec = optimize(RunSpec(problem="sphere", method="moheco", seed=7))
-        assert legacy.best_yield == spec.best_yield
-        assert legacy.n_simulations == spec.n_simulations
-        np.testing.assert_array_equal(legacy.best_x, spec.best_x)
-
     def test_problem_name_and_object_agree(self, sphere):
         by_name = optimize("sphere", seed=5, problem_params={"sigma": 0.2}, **TINY)
         by_object = optimize(sphere, seed=5, **TINY)

@@ -9,7 +9,7 @@ The load-bearing contracts:
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
 * ``screen_trace`` is part of the result identity: bit-identical across
-  legacy/serial/process/remote engines and cold/warm caches.
+  serial/auto/process/remote engines and cold/warm caches.
 * Bad ``screen_params`` fail at spec-validation time as structured
   :class:`~repro.api.errors.SpecError`, not inside a queued run.
 """
@@ -37,9 +37,7 @@ from repro.compose import (
     NullScreener,
     SurrogateScreener,
     register_composed_method,
-    register_proposer,
     register_screener,
-    run_composed,
 )
 from repro.compose.method import select_greedy, select_one_to_one
 from repro.core.config import MOHECOConfig
@@ -347,6 +345,11 @@ class TestSelections:
         select_one_to_one(population, trials)
         assert population[0] is trials[0]
 
+    def test_one_to_one_part_is_the_backbone_rule(self):
+        from repro.core.moheco import select_one_to_one as backbone_rule
+
+        assert SELECTIONS.get("one_to_one") is backbone_rule
+
     def test_greedy_parent_wins_ties(self):
         population, trials = self._pair(0.5, 0.5)
         parent = population[0]
@@ -417,8 +420,8 @@ class TestComposedRun:
         assert identity["screen_trace"] == result.screen_trace
         assert identity["ledger"]["pruned"] == result.ledger.pruned
 
-    def test_run_composed_entry_point(self):
-        result = run_composed(
+    def test_composed_driver_runs_directly(self):
+        result = ComposedMOHECO(
             make_problem("quadratic"),
             MOHECOConfig.moheco(n_max=100).with_overrides(
                 pop_size=8, max_generations=3, n0=20
@@ -431,7 +434,7 @@ class TestComposedRun:
             },
             screen_params=SCREEN,
             rng=3,
-        )
+        ).run()
         assert result.screen_trace
 
     def test_pruned_placeholder_never_enters_population(self):

@@ -21,6 +21,10 @@ class TestDefaults:
 
 
 class TestValidation:
+    def test_allocation(self):
+        with pytest.raises(ValueError, match="ocba, fixed, ladder"):
+            MOHECOConfig(allocation="hyperband")
+
     def test_pop_size(self):
         with pytest.raises(ValueError):
             MOHECOConfig(pop_size=3)
@@ -68,17 +72,21 @@ class TestValidation:
 class TestVariants:
     def test_moheco(self):
         config = MOHECOConfig.moheco(n_max=700)
-        assert config.use_ocba and config.use_memetic
+        assert config.allocation == "ocba" and config.use_memetic
         assert config.n_max == 700
 
     def test_oo_only(self):
         config = MOHECOConfig.oo_only()
-        assert config.use_ocba and not config.use_memetic
+        assert config.allocation == "ocba" and not config.use_memetic
 
     def test_fixed_budget(self):
         config = MOHECOConfig.fixed_budget(n_fixed=300)
-        assert not config.use_ocba and not config.use_memetic
+        assert config.allocation == "fixed" and not config.use_memetic
         assert config.n_max == 300
+
+    def test_ladder_is_an_allocation_of_the_moheco_factory(self):
+        config = MOHECOConfig.moheco(allocation="ladder")
+        assert config.allocation == "ladder" and config.use_memetic
 
     def test_with_overrides_copies(self):
         base = MOHECOConfig()

@@ -3,18 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.baselines import run_fixed_budget, run_moheco
-from repro.experiments import (
-    ExperimentSettings,
-    replicate_method,
-    summary_row,
-)
+from repro.api import MethodSpec, ProblemSpec, run_sweep
+from repro.experiments import ExperimentSettings, summary_row
 from repro.experiments.tables import (
     format_deviation_table,
     format_generic,
     format_simulation_table,
 )
-from repro.problems import make_sphere_problem
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +17,18 @@ def tiny_settings():
     return ExperimentSettings(runs=2, reference_n=2000, max_generations=10, full=False)
 
 
+SPHERE = ProblemSpec("sphere", problem_params={"sigma": 0.2})
+
+
+def _sweep(settings, methods, base_seed):
+    spec = settings.sweep_spec([SPHERE], methods, base_seed=base_seed)
+    return run_sweep(spec, workers=1)
+
+
 @pytest.fixture(scope="module")
 def sphere_summary(tiny_settings):
-    problem = make_sphere_problem(sigma=0.2)
-    return replicate_method(
-        problem,
-        "MOHECO",
-        lambda p, **kw: run_moheco(p, pop_size=8, **kw),
-        tiny_settings,
-        base_seed=1,
-    )
+    methods = [MethodSpec("moheco", label="MOHECO", overrides={"pop_size": 8})]
+    return _sweep(tiny_settings, methods, base_seed=1).summary("MOHECO")
 
 
 class TestSettings:
@@ -115,15 +112,17 @@ class TestTables:
 
 class TestMethodContrast:
     def test_fixed_budget_summary_costs_more(self, tiny_settings):
-        problem = make_sphere_problem(sigma=0.2)
-        moheco = replicate_method(
-            problem, "MOHECO",
-            lambda p, **kw: run_moheco(p, pop_size=8, **kw),
-            tiny_settings, base_seed=2,
+        sweep = _sweep(
+            tiny_settings,
+            [
+                MethodSpec("moheco", label="MOHECO", overrides={"pop_size": 8}),
+                MethodSpec(
+                    "fixed_budget",
+                    label="fixed500",
+                    overrides={"n_fixed": 500, "pop_size": 8},
+                ),
+            ],
+            base_seed=2,
         )
-        fixed = replicate_method(
-            problem, "fixed500",
-            lambda p, **kw: run_fixed_budget(p, n_fixed=500, pop_size=8, **kw),
-            tiny_settings, base_seed=2,
-        )
+        moheco, fixed = sweep.summary("MOHECO"), sweep.summary("fixed500")
         assert np.mean(fixed.simulations()) > np.mean(moheco.simulations())

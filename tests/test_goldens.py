@@ -1,8 +1,10 @@
-"""Pinned result identities: every shipped method on every circuit problem.
+"""Pinned result identities of every shipped MOHECO-family method.
 
 ``tests/goldens/identity.json`` holds the sha256 of
-``MOHECOResult.identity_dict()`` for each method x problem below, produced
-by this file run as a script.  A performance or refactoring change that
+``MOHECOResult.identity_dict()`` for each method x circuit problem below
+(the five older methods on all three circuits, each newer composed method
+on one circuit where it leaves the infeasible phase), produced by this
+file run as a script.  A performance or refactoring change that
 claims to change nothing must leave every hash as it is.
 
 The runs are long enough to leave the infeasible phase: each paper circuit

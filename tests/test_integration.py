@@ -9,7 +9,7 @@ DE/NM -> MOHECO -> experiment harness.
 import numpy as np
 import pytest
 
-from repro.baselines import run_moheco, run_oo_only
+from repro.api import optimize
 from repro.core import MOHECO, MOHECOConfig
 from repro.ledger import SimulationLedger
 from repro.problems import (
@@ -36,8 +36,8 @@ class TestCircuitProblemSmoke:
 
     def test_folded_cascode_progress(self, fc_problem):
         ledger = SimulationLedger()
-        result = run_moheco(
-            fc_problem, rng=5, ledger=ledger,
+        result = optimize(
+            fc_problem, "moheco", rng=5, ledger=ledger,
             pop_size=20, max_generations=25, stop_patience=25,
         )
         # Within 25 generations the engine must at least be reducing
@@ -48,8 +48,8 @@ class TestCircuitProblemSmoke:
         assert result.n_simulations > 0
 
     def test_telescopic_progress(self, ts_problem):
-        result = run_moheco(
-            ts_problem, rng=7, pop_size=20, max_generations=25,
+        result = optimize(
+            ts_problem, "moheco", rng=7, pop_size=20, max_generations=25,
             stop_patience=25,
         )
         history = result.history
@@ -57,8 +57,8 @@ class TestCircuitProblemSmoke:
 
     def test_estimates_charged_by_category(self, fc_problem):
         ledger = SimulationLedger()
-        run_moheco(fc_problem, rng=9, ledger=ledger,
-                   pop_size=16, max_generations=15)
+        optimize(fc_problem, "moheco", rng=9, ledger=ledger,
+                 pop_size=16, max_generations=15)
         categories = ledger.by_category()
         assert categories.get("feasibility", 0) >= 16  # initial population
 
@@ -69,7 +69,7 @@ class TestReportedYieldAccuracy:
 
     def test_deviation_small(self):
         problem = make_sphere_problem(sigma=0.2)
-        result = run_moheco(problem, rng=11, pop_size=10, max_generations=25)
+        result = optimize(problem, "moheco", rng=11, pop_size=10, max_generations=25)
         reference = reference_yield(
             problem, result.best_x, n=20_000, rng=np.random.default_rng(0)
         )
@@ -79,7 +79,7 @@ class TestReportedYieldAccuracy:
 class TestMethodEquivalences:
     def test_oo_only_is_moheco_without_memetic(self):
         problem = make_sphere_problem(sigma=0.2)
-        a = run_oo_only(problem, rng=13, pop_size=8, max_generations=10)
+        a = optimize(problem, "oo_only", rng=13, pop_size=8, max_generations=10)
         config = MOHECOConfig.oo_only().with_overrides(
             pop_size=8, max_generations=10
         )
@@ -89,10 +89,10 @@ class TestMethodEquivalences:
 
     def test_acceptance_sampling_reduces_cost_not_accuracy(self):
         problem = make_sphere_problem(sigma=0.2)
-        with_as = run_moheco(problem, rng=15, pop_size=8, max_generations=12,
-                             use_acceptance_sampling=True)
-        without = run_moheco(problem, rng=15, pop_size=8, max_generations=12,
-                             use_acceptance_sampling=False)
+        with_as = optimize(problem, "moheco", rng=15, pop_size=8,
+                           max_generations=12, use_acceptance_sampling=True)
+        without = optimize(problem, "moheco", rng=15, pop_size=8,
+                           max_generations=12, use_acceptance_sampling=False)
         assert with_as.ledger.screened_out > 0
         assert without.ledger.screened_out == 0
         # Both runs land on high-yield designs.
@@ -105,6 +105,6 @@ class TestSamplerChoice:
     @pytest.mark.parametrize("sampler", ["pmc", "lhs", "sobol"])
     def test_all_samplers_work_in_the_loop(self, sampler):
         problem = make_sphere_problem(sigma=0.25)
-        result = run_moheco(problem, rng=17, pop_size=8, max_generations=8,
-                            sampler=sampler)
+        result = optimize(problem, "moheco", rng=17, pop_size=8,
+                          max_generations=8, sampler=sampler)
         assert result.best_yield >= 0.0

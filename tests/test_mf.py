@@ -29,14 +29,7 @@ from repro.api import (
 from repro.api.registries import METHODS
 from repro.core.moheco import MOHECOResult
 from repro.engine.remote import RemoteEngine
-from repro.mf import (
-    FidelityLadder,
-    MF_PARAM_KEYS,
-    MultiFidelityMOHECO,
-    RungSegment,
-    fuse_segments,
-    run_multi_fidelity,
-)
+from repro.mf import FidelityLadder, RungSegment, fuse_segments
 from repro.ocba.allocation import clamp_gains, rung_allocation
 from repro.service.worker import serve_worker
 from repro.sweep.spec import SweepSpec
@@ -93,7 +86,11 @@ class TestLadderArithmetic:
         ladder = FidelityLadder(R=500, r_min=15, eta=3)
         assert ladder.survivors(50) == 16
         assert ladder.survivors(2) == 1  # never drops to zero members
-        assert ladder.member_schedule(50, 3) == [50, 16, 5, 1]
+        # The members of each rung of bracket 3, as the driver climbs it.
+        schedule = [50]
+        for _ in range(3):
+            schedule.append(ladder.survivors(schedule[-1]))
+        assert schedule == [50, 16, 5, 1]
 
     def test_bracket_cycling(self):
         ladder = FidelityLadder(R=500, r_min=15, eta=3, brackets=2)
@@ -133,11 +130,6 @@ class TestLadderArithmetic:
         with pytest.raises(ValueError, match="unknown mf_params key"):
             FidelityLadder.from_params(500, 15, {"bogus": 1})
 
-    def test_to_dict(self):
-        payload = FidelityLadder(R=500, r_min=15, eta=3, brackets=2).to_dict()
-        assert payload == {"R": 500, "r_min": 15, "eta": 3, "brackets": 2, "s_max": 3}
-        assert set(MF_PARAM_KEYS) < set(payload)
-
 
 class TestFusion:
     def test_single_segment_is_its_own_estimate(self):
@@ -174,7 +166,6 @@ class TestFusion:
             RungSegment(n=0, passes=0)
         with pytest.raises(ValueError, match="passes must be in"):
             RungSegment(n=5, passes=6)
-        assert RungSegment(n=5, passes=3).to_dict() == {"n": 5, "passes": 3}
 
 
 class TestRungAllocation:
@@ -218,9 +209,9 @@ class TestRungAllocation:
         assert (gains >= 0).all()
 
 
-def _run_mf(**kwargs):
+def _run_mf(method="moheco_mf", **kwargs):
     params = {**CONFIG, **kwargs}
-    return optimize(params.pop("problem"), method="moheco_mf", **params)
+    return optimize(params.pop("problem"), method=method, **params)
 
 
 class TestMultiFidelityRun:
@@ -274,20 +265,22 @@ class TestMultiFidelityRun:
 
     def test_direct_class_matches_registry_entry(self):
         from repro.core.config import MOHECOConfig
+        from repro.core.moheco import MOHECO
         from repro.problems import make_problem
 
-        config = MOHECOConfig.moheco(n_max=CONFIG["n_max"]).with_overrides(
+        config = MOHECOConfig.moheco(
+            n_max=CONFIG["n_max"],
+            allocation="ladder",
             max_generations=CONFIG["max_generations"],
             pop_size=CONFIG["pop_size"],
             n0=CONFIG["n0"],
         )
-        direct = run_multi_fidelity(
-            make_problem("quadratic"), config, rng=CONFIG["seed"]
-        )
+        direct = MOHECO(make_problem("quadratic"), config, rng=CONFIG["seed"]).run()
         registry = _run_mf()
         assert direct.identity_dict() == registry.identity_dict()
-        assert METHODS.get("moheco_mf") is not None
-        assert MultiFidelityMOHECO.__mro__[1].__name__ == "MOHECO"
+        # moheco_mf is the moheco backbone with allocation="ladder".
+        via_moheco = _run_mf(method="moheco", allocation="ladder")
+        assert via_moheco.identity_dict() == registry.identity_dict()
 
 
 class TestLadderDeterminism:
@@ -335,7 +328,107 @@ class TestLadderDeterminism:
         assert result.cache_stats is not None
 
 
+def _run_screened_ladder(**kwargs):
+    """``moheco_screened`` climbing the ladder: screen, then ladder stage 1."""
+    spec = RunSpec(
+        problem="quadratic",
+        method="moheco_screened",
+        seed=11,
+        overrides={
+            "pop_size": 8,
+            "max_generations": 4,
+            "n0": 20,
+            "n_max": 100,
+            "allocation": "ladder",
+            "screen_params": {"min_train": 8, "keep_fraction": 0.5},
+        },
+    )
+    return optimize(spec, **kwargs)
+
+
+class TestComposedLadder:
+    """Any composed method climbs the ladder under allocation="ladder"."""
+
+    def test_screen_and_ladder_both_act(self):
+        result = _run_screened_ladder()
+        assert any(entry["rungs"] for entry in result.fidelity_trace)
+        assert result.screen_trace
+        assert result.ledger.pruned > 0
+        # Without the ladder the same method has no fidelity trace.
+        assert _run_screened_ladder(allocation="ocba").fidelity_trace is None
+
+    def test_engines_agree(self):
+        baseline = _run_screened_ladder(engine="serial")
+        result = _run_screened_ladder(engine="process")
+        assert result.identity_dict() == baseline.identity_dict()
+
+    def test_cold_and_warm_cache_agree(self):
+        from repro.engine.cache import make_cache
+
+        baseline = _run_screened_ladder()
+        shared = make_cache("lru")
+        try:
+            cold = _run_screened_ladder(cache=shared)
+            warm = _run_screened_ladder(cache=shared)
+        finally:
+            shared.close()
+        assert cold.identity_dict() == baseline.identity_dict()
+        assert warm.identity_dict() == baseline.identity_dict()
+        assert warm.cache_stats["hit_rows"] > 0
+
+    def test_cache_defaults_follow_the_backbone_allocation(self):
+        from repro.compose import register_composed_method
+
+        assert METHODS.get("moheco_mf").cache_defaults == {"key": "sample"}
+        for name in ("moheco", "oo_only", "fixed_budget", "moheco_screened"):
+            assert getattr(METHODS.get(name), "cache_defaults", None) is None
+        try:
+            runner = register_composed_method(
+                "moheco_mf_screened_test",
+                {
+                    "screener": "surrogate",
+                    "proposer": "de",
+                    "selection": "one_to_one",
+                    "backbone": "moheco_mf",
+                },
+                description="test-only: screened ladder backbone",
+            )
+            assert runner.cache_defaults == {"key": "sample"}
+        finally:
+            METHODS.unregister("moheco_mf_screened_test")
+
+
 class TestSpecValidation:
+    def test_mf_params_need_the_ladder(self):
+        for method, overrides in (
+            ("moheco", {}),
+            ("moheco_mf", {"allocation": "ocba"}),
+            ("moheco_screened", {}),
+            ("fixed_budget", {}),
+        ):
+            spec = RunSpec(
+                problem="quadratic",
+                method=method,
+                overrides={**overrides, "mf_params": {"eta": 2}},
+            )
+            with pytest.raises(SpecError, match="allocation='ladder'") as excinfo:
+                validate_run_spec(spec)
+            assert excinfo.value.field == "overrides"
+        validate_run_spec(
+            RunSpec(
+                problem="quadratic",
+                method="moheco_screened",
+                overrides={"allocation": "ladder", "mf_params": {"eta": 2}},
+            )
+        )
+
+    def test_unknown_allocation_fails_as_spec_error(self):
+        spec = RunSpec(
+            problem="quadratic", method="moheco", overrides={"allocation": "ucb"}
+        )
+        with pytest.raises(SpecError, match="allocation must be one of"):
+            validate_run_spec(spec)
+
     def test_tiny_budget_fails_as_spec_error(self):
         spec = RunSpec(
             problem="quadratic",

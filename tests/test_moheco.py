@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import run_fixed_budget, run_moheco, run_oo_only
+import repro.core.moheco
+from repro.api import optimize
 from repro.core import MOHECO, MOHECOConfig
 from repro.ledger import SimulationLedger
 from repro.problems import make_quadratic_problem, make_sphere_problem
@@ -19,13 +20,13 @@ SMALL = dict(pop_size=12, max_generations=30)
 
 class TestBasicRun:
     def test_finds_high_yield_design(self, sphere):
-        result = run_moheco(sphere, rng=0, **SMALL)
+        result = optimize(sphere, "moheco", rng=0, **SMALL)
         truth = sphere.evaluator.analytic_yield(result.best_x, sphere.specs)
         assert truth > 0.9
         assert result.best_yield > 0.9
 
     def test_result_fields(self, sphere):
-        result = run_moheco(sphere, rng=1, **SMALL)
+        result = optimize(sphere, "moheco", rng=1, **SMALL)
         assert result.best_x.shape == (sphere.design_dimension,)
         assert result.generations >= 1
         assert result.n_simulations == result.ledger.total
@@ -33,40 +34,40 @@ class TestBasicRun:
         assert len(result.history) == result.generations + 1  # + generation 0
 
     def test_reproducible_with_same_seed(self, sphere):
-        a = run_moheco(sphere, rng=7, **SMALL)
-        b = run_moheco(sphere, rng=7, **SMALL)
+        a = optimize(sphere, "moheco", rng=7, **SMALL)
+        b = optimize(sphere, "moheco", rng=7, **SMALL)
         np.testing.assert_array_equal(a.best_x, b.best_x)
         assert a.n_simulations == b.n_simulations
 
     def test_different_seeds_explore_differently(self, sphere):
-        a = run_moheco(sphere, rng=1, **SMALL)
-        b = run_moheco(sphere, rng=2, **SMALL)
+        a = optimize(sphere, "moheco", rng=1, **SMALL)
+        b = optimize(sphere, "moheco", rng=2, **SMALL)
         assert not np.array_equal(a.best_x, b.best_x)
 
     def test_final_estimate_has_stage2_accuracy(self, sphere):
-        result = run_moheco(sphere, rng=3, **SMALL)
+        result = optimize(sphere, "moheco", rng=3, **SMALL)
         assert result.best_estimate.n >= MOHECOConfig().n_max
 
 
 class TestBudgetAccounting:
     def test_ledger_categories_populated(self, sphere):
         ledger = SimulationLedger()
-        run_moheco(sphere, rng=4, ledger=ledger, **SMALL)
+        optimize(sphere, "moheco", rng=4, ledger=ledger, **SMALL)
         categories = ledger.by_category()
         assert categories.get("feasibility", 0) > 0
         assert categories.get("stage1", 0) > 0
 
     def test_ocba_cheaper_than_fixed_budget(self, sphere):
         """The core efficiency claim, on the synthetic problem."""
-        fixed = run_fixed_budget(sphere, n_fixed=500, rng=5, **SMALL)
-        ocba = run_oo_only(sphere, n_max=500, rng=5, **SMALL)
+        fixed = optimize(sphere, "fixed_budget", n_fixed=500, rng=5, **SMALL)
+        ocba = optimize(sphere, "oo_only", n_max=500, rng=5, **SMALL)
         assert ocba.n_simulations < 0.5 * fixed.n_simulations
 
     def test_fixed_budget_spends_n_per_feasible(self):
         problem = make_sphere_problem(sigma=0.2)
-        result = run_fixed_budget(problem, n_fixed=200, rng=6,
-                                  pop_size=8, max_generations=5,
-                                  use_acceptance_sampling=False)
+        result = optimize(problem, "fixed_budget", n_fixed=200, rng=6,
+                          pop_size=8, max_generations=5,
+                          use_acceptance_sampling=False)
         # Every feasible candidate costs exactly 200 samples.
         for record in result.history:
             if record.ocba_counts.size:
@@ -75,25 +76,34 @@ class TestBudgetAccounting:
 
 class TestStopping:
     def test_stalls_on_flat_problem(self, sphere):
-        result = run_moheco(sphere, rng=8, pop_size=8, max_generations=100,
-                            stop_patience=5)
+        result = optimize(sphere, "moheco", rng=8, pop_size=8,
+                          max_generations=100, stop_patience=5)
         assert result.reason in ("stalled", "yield_100")
         assert result.generations < 100
 
     def test_max_generations_cap(self, sphere):
-        result = run_moheco(sphere, rng=9, pop_size=8, max_generations=2,
-                            stop_patience=50)
+        result = optimize(sphere, "moheco", rng=9, pop_size=8,
+                          max_generations=2, stop_patience=50)
         assert result.generations == 2
 
 
 class TestStages:
     def test_stage2_promotion_on_good_candidates(self, sphere):
-        result = run_moheco(sphere, rng=10, **SMALL)
+        result = optimize(sphere, "moheco", rng=10, **SMALL)
         assert any(record.stage2_count > 0 for record in result.history)
 
-    def test_no_ocba_in_fixed_mode(self, sphere):
-        config = MOHECOConfig.fixed_budget(n_fixed=100)
-        config = config.with_overrides(pop_size=8, max_generations=3)
+    def test_no_ocba_in_fixed_mode(self, sphere, monkeypatch):
+        def no_ocba(*args, **kwargs):
+            raise AssertionError("allocation='fixed' must not run OCBA")
+
+        monkeypatch.setattr(repro.core.moheco, "ocba_sequential", no_ocba)
+        config = MOHECOConfig(
+            allocation="fixed", use_memetic=False, n_max=100,
+            pop_size=8, max_generations=3,
+        )
+        assert config == MOHECOConfig.fixed_budget(n_fixed=100).with_overrides(
+            pop_size=8, max_generations=3
+        )
         engine = MOHECO(sphere, config, rng=11)
         result = engine.run()
         # All estimated candidates carry exactly n_fixed samples.
@@ -104,18 +114,18 @@ class TestStages:
 
 class TestHistory:
     def test_records_monotone_simulations(self, sphere):
-        result = run_moheco(sphere, rng=12, **SMALL)
+        result = optimize(sphere, "moheco", rng=12, **SMALL)
         sims = result.history.simulations_series()
         assert np.all(np.diff(sims) >= 0)
 
     def test_training_data_accumulates(self, sphere):
-        result = run_moheco(sphere, rng=13, **SMALL)
+        result = optimize(sphere, "moheco", rng=13, **SMALL)
         n_early = result.history.training_data(2)[1].size
         n_late = result.history.training_data(result.generations)[1].size
         assert n_late >= n_early
 
     def test_generation_data_lookup(self, sphere):
-        result = run_moheco(sphere, rng=14, **SMALL)
+        result = optimize(sphere, "moheco", rng=14, **SMALL)
         x, y = result.history.generation_data(1)
         assert x.shape[0] == y.shape[0]
         missing_x, missing_y = result.history.generation_data(10_000)
@@ -126,13 +136,14 @@ class TestConstraintHandling:
     def test_infeasible_population_improves_violation(self):
         """Start far from feasibility: violations must decrease."""
         problem = make_quadratic_problem(cost_bound=0.55)
-        result = run_moheco(problem, rng=15, pop_size=10, max_generations=25)
+        result = optimize(problem, "moheco", rng=15, pop_size=10,
+                          max_generations=25)
         violations = [r.best_violation for r in result.history]
         assert violations[-1] <= violations[0]
 
     def test_memetic_trigger_recorded(self, sphere):
-        result = run_moheco(sphere, rng=16, pop_size=10, max_generations=40,
-                            ls_patience=2)
+        result = optimize(sphere, "moheco", rng=16, pop_size=10,
+                          max_generations=40, ls_patience=2)
         fired = [r.local_search_fired for r in result.history]
         # On a stalling synthetic problem the LS should fire at least once.
         assert any(fired) or result.reason == "yield_100"

@@ -9,8 +9,7 @@ import pytest
 from repro.api import make_engine, optimize
 from repro.api.cli import main
 from repro.engine import ENGINES, AutoEngine
-from repro.experiments import ExperimentSettings, replicate_method
-from repro.problems import make_sphere_problem
+from repro.experiments import ExperimentSettings
 from repro.rng import independent_streams, run_streams
 from repro.sweep import (
     MethodSpec,
@@ -352,30 +351,6 @@ class TestLegacyMethodsDictRejected:
             sweep_spec_example1(settings, methods=legacy)
         with pytest.raises(TypeError, match="MethodSpec"):
             sweep_spec_example2(settings, methods=legacy)
-
-
-class TestReplicateMethodShim:
-    def test_matches_equivalent_sweep(self, serial_result):
-        problem = make_sphere_problem(sigma=0.2)
-        settings = ExperimentSettings(
-            runs=3, reference_n=1000, max_generations=6, full=False
-        )
-        with pytest.warns(DeprecationWarning, match="replicate_method"):
-            summary = replicate_method(
-                problem,
-                "MOHECO",
-                lambda p, **kw: optimize(p, method="moheco", pop_size=8, n_max=100, **kw),
-                settings,
-                base_seed=42,
-            )
-        sweep_summary = serial_result.summary("MOHECO")
-        np.testing.assert_array_equal(
-            summary.deviations(), sweep_summary.deviations()
-        )
-        np.testing.assert_array_equal(
-            summary.simulations(), sweep_summary.simulations()
-        )
-        assert all(isinstance(r.result, dict) for r in summary.records)
 
 
 class TestAutoEngine:
