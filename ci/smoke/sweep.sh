@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Sweep orchestration smoke: a sharded seed sweep, a no-op resume on the
-# complete store, and the tiny-budget sweep benchmark.
+# complete store, the paper's checked-in Tables 1-4 specs at a tiny scale,
+# and the tiny-budget sweep benchmark.
 set -euo pipefail
 
 # Sharded seed sweep (2 methods x 3 seeds, 2 workers).
@@ -14,6 +15,13 @@ repro sweep --problem sphere --method moheco --method fixed_budget \
   --set pop_size=10 --workers 2 --resume --no-tables \
   --out sweep-store.jsonl | tee resume.log
 grep -q "0 run(s) executed, 6 resumed" resume.log
+
+# The Tables 1-4 sweep specs parse, validate and run end to end (one run
+# per method, two generations).
+for spec in benchmarks/specs/example1.json benchmarks/specs/example2.json; do
+  repro sweep --spec "$spec" --runs 1 --max-generations 2 --reference-n 500 \
+    --set pop_size=8 --no-tables
+done
 
 # Sweep benchmark (tiny budget): REPRO_BENCH_SMOKE shrinks the workload
 # and skips the speedup assertion (shared runners are too noisy for

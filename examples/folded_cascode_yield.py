@@ -1,8 +1,7 @@
 """Paper example 1: yield-optimize the folded-cascode amplifier (C035).
 
 Run:
-    python examples/folded_cascode_yield.py            # short demo run
-    REPRO_FULL=1 python examples/folded_cascode_yield.py  # paper-length run
+    python examples/folded_cascode_yield.py
 
 This is the workload behind Tables 1-2 and Fig. 6.  The script runs MOHECO
 once through :func:`repro.api.optimize` with a progress callback streaming
@@ -12,9 +11,10 @@ the simulation budget breakdown.  The equivalent CLI invocation::
 
     python -m repro run --problem folded_cascode --method moheco --seed 42 \
         --set max_generations=120 --progress --out result.json
-"""
 
-import os
+The tables themselves come from the replicated sweep in
+``benchmarks/specs/example1.json`` (``repro sweep --spec ...``).
+"""
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro import ProgressCallback, make_folded_cascode_problem, optimize, \
 
 
 def main() -> None:
-    full = os.environ.get("REPRO_FULL", "0") == "1"
     problem = make_folded_cascode_problem()
     print(f"problem: {problem.name}")
     print(f"design variables ({problem.design_dimension}): {problem.space.names}")
@@ -34,7 +33,7 @@ def main() -> None:
         problem,
         method="moheco",
         seed=42,
-        max_generations=200 if full else 120,
+        max_generations=120,
         callbacks=[ProgressCallback(every=10)],
     )
 
@@ -55,7 +54,7 @@ def main() -> None:
     for spec, value in zip(problem.specs, nominal):
         print(f"  {spec!s:28s} nominal = {value:.5g} {spec.unit}")
 
-    n_mc = 20_000 if full else 4_000
+    n_mc = 4_000
     samples = problem.variation.sample(n_mc, np.random.default_rng(7))
     performance = problem.evaluator.evaluate(result.best_x, samples)
     print(f"\nper-spec pass rates over {n_mc} Monte-Carlo samples:")
@@ -64,7 +63,7 @@ def main() -> None:
         print(f"  {spec!s:28s} {rate:8.2%}")
 
     reference = reference_yield(problem, result.best_x,
-                                n=50_000 if full else 10_000,
+                                n=10_000,
                                 rng=np.random.default_rng(11))
     print(f"\nreference MC yield: {reference.value:.2%} "
           f"(deviation {abs(result.best_yield - reference.value):.2%})")

@@ -44,9 +44,13 @@ or from the shell::
     python -m repro sweep --problem folded_cascode --method moheco \
         --method fixed_budget --runs 10 --workers 4 --out store.jsonl
 
+The paper's Tables 1-4 are two such sweeps, checked in as JSON specs
+(``benchmarks/specs/example1.json`` and ``example2.json``) and run with
+``python -m repro sweep --spec <file>``.
+
 Results serialize losslessly (``result.to_dict()`` /
 ``MOHECOResult.from_dict``), and third-party problems, methods, samplers,
-yield estimators and execution engines plug in by name via
+execution engines and caches plug in by name via
 ``repro.api.register_*``.
 
 Execution engines
@@ -95,7 +99,8 @@ Package map
 * :mod:`repro.ocba` — ordinal optimization / budget allocation.
 * :mod:`repro.optim` — DE, Nelder-Mead, constraint handling.
 * :mod:`repro.baselines` / :mod:`repro.surrogate` — compared methods.
-* :mod:`repro.experiments` — the paper's tables and figures.
+* :mod:`repro.experiments` — rendering of the paper's tables and figures,
+  and the studies that are not sweeps.
 """
 
 from repro.api import (
@@ -105,7 +110,6 @@ from repro.api import (
     RunSpec,
     SweepSpec,
     optimize,
-    register_estimator,
     register_method,
     register_problem,
     register_sampler,
@@ -146,7 +150,6 @@ __all__ = [
     "register_method",
     "register_problem",
     "register_sampler",
-    "register_estimator",
     "Callback",
     "ProgressCallback",
     "EarlyStopOnYield",

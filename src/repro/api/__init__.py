@@ -3,7 +3,7 @@
 Everything a user (or a deployment) needs is reachable from here:
 
 * **Registries** — :func:`register_method` / :func:`get_method` /
-  :func:`list_methods` (and the problem/sampler/estimator equivalents) let
+  :func:`list_methods` (and the problem/sampler/engine/cache equivalents) let
   third-party scenarios plug in by name.
 * **RunSpec** — a declarative, JSON-round-trippable description of one run.
 * **optimize** — the single driver behind every entry point (sweeps,
@@ -45,25 +45,21 @@ from repro.api.errors import SpecError, validate_run_spec, validate_sweep_spec
 from repro.api.registries import (
     CACHES,
     ENGINES,
-    ESTIMATORS,
     METHODS,
     PROBLEMS,
     SAMPLERS,
     get_cache,
     get_engine,
-    get_estimator,
     get_method,
     get_problem,
     get_sampler,
     list_caches,
     list_engines,
-    list_estimators,
     list_methods,
     list_problems,
     list_samplers,
     register_cache,
     register_engine,
-    register_estimator,
     register_method,
     register_problem,
     register_sampler,
@@ -136,7 +132,6 @@ __all__ = [
     "METHODS",
     "PROBLEMS",
     "SAMPLERS",
-    "ESTIMATORS",
     "ENGINES",
     "register_method",
     "get_method",
@@ -147,9 +142,6 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    "register_estimator",
-    "get_estimator",
-    "list_estimators",
     "register_engine",
     "get_engine",
     "list_engines",

@@ -48,7 +48,6 @@ from repro.api.driver import optimize
 from repro.api.registries import (
     list_caches,
     list_engines,
-    list_estimators,
     list_methods,
     list_problems,
     list_samplers,
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     lister.add_argument(
         "category",
         nargs="?",
-        choices=["methods", "problems", "samplers", "estimators", "engines", "caches"],
+        choices=["methods", "problems", "samplers", "engines", "caches"],
         help="one registry (default: all)",
     )
     return parser
@@ -861,7 +860,6 @@ def _command_list(args: argparse.Namespace) -> int:
         "methods": list_methods,
         "problems": list_problems,
         "samplers": list_samplers,
-        "estimators": list_estimators,
         "engines": list_engines,
         "caches": list_caches,
     }

@@ -1,11 +1,10 @@
-"""The six public plugin registries and their register/get/list helpers.
+"""The five public plugin registries and their register/get/list helpers.
 
-Samplers, problems, yield estimators, execution engines and evaluation
-caches live next to their implementations (:data:`repro.sampling.SAMPLERS`,
-:data:`repro.problems.PROBLEMS`, :data:`repro.yieldsim.ESTIMATORS`,
-:data:`repro.engine.ENGINES`, :data:`repro.engine.CACHES`); the method
-registry is owned here.  All
-six share :class:`~repro.registry.Registry` semantics: case-insensitive
+Samplers, problems, execution engines and evaluation caches live next to
+their implementations (:data:`repro.sampling.SAMPLERS`,
+:data:`repro.problems.PROBLEMS`, :data:`repro.engine.ENGINES`,
+:data:`repro.engine.CACHES`); the method registry is owned here.  All
+five share :class:`~repro.registry.Registry` semantics: case-insensitive
 names, :class:`~repro.registry.DuplicateNameError` on re-registration, and
 unknown-name errors that list what *is* registered.
 
@@ -25,13 +24,11 @@ from repro.engine import CACHES, ENGINES
 from repro.problems import PROBLEMS
 from repro.registry import Registry
 from repro.sampling import SAMPLERS
-from repro.yieldsim import ESTIMATORS
 
 __all__ = [
     "METHODS",
     "PROBLEMS",
     "SAMPLERS",
-    "ESTIMATORS",
     "ENGINES",
     "register_method",
     "get_method",
@@ -42,9 +39,6 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    "register_estimator",
-    "get_estimator",
-    "list_estimators",
     "register_engine",
     "get_engine",
     "list_engines",
@@ -101,21 +95,6 @@ def get_sampler(name: str):
 def list_samplers() -> list[str]:
     """Sorted names of the registered samplers."""
     return SAMPLERS.names()
-
-
-def register_estimator(name: str, estimator_cls=None, *, overwrite: bool = False):
-    """Register a per-candidate yield estimator class."""
-    return ESTIMATORS.register(name, estimator_cls, overwrite=overwrite)
-
-
-def get_estimator(name: str):
-    """The estimator class registered under ``name``."""
-    return ESTIMATORS.get(name)
-
-
-def list_estimators() -> list[str]:
-    """Sorted names of the registered yield estimators."""
-    return ESTIMATORS.names()
 
 
 def register_engine(name: str, engine_cls=None, *, overwrite: bool = False):

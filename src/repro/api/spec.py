@@ -12,37 +12,31 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.api.errors import SpecError
 
 __all__ = ["RunSpec"]
 
 
-def _coerce_str(data: dict, key: str, spec: str, *, default=None) -> str | None:
-    """A required-string field of a spec payload, or its default."""
-    value = data.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value:
-        raise SpecError(
-            f"expected a non-empty registry-name string, got {value!r}",
-            field=key,
-            spec=spec,
-        )
-    return value
-
-
-def _coerce_int(data: dict, key: str, spec: str) -> int | None:
-    """An optional-integer field of a spec payload."""
+def _coerce_int(data: dict, key: str, spec: str, default=None) -> int | None:
+    """An optional-integer field of a spec payload (``None`` means default)."""
     value = data.get(key)
     if value is None:
-        return None
+        return default
     # bool is an int subclass; `"seed": true` is a mistake, not seed 1.
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(
             f"expected an integer, got {value!r}", field=key, spec=spec
         )
+    return value
+
+
+def _coerce_text(data: dict, key: str, spec: str) -> str | None:
+    """An optional free-text field of a spec payload (labels, tags)."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, str):
+        raise SpecError(f"expected a string, got {value!r}", field=key, spec=spec)
     return value
 
 
@@ -56,6 +50,43 @@ def _coerce_dict(data: dict, key: str, spec: str) -> dict:
             f"expected a JSON object, got {value!r}", field=key, spec=spec
         )
     return dict(value)
+
+
+def _reject_unknown(data: dict, known: tuple, kind: str, spec: str) -> None:
+    """Unknown keys fail loudly, naming the first one: a misspelled key
+    would otherwise be dropped and its default silently used."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise SpecError(
+            f"unknown {kind} keys {sorted(unknown)}; expected a subset of "
+            f"{sorted(known)}",
+            field=sorted(unknown)[0],
+            spec=spec,
+        )
+
+
+def _check_name(value, key: str, spec: str, *, optional: bool = False) -> None:
+    """A registry-name field: a non-empty string (or ``None`` if optional)."""
+    if optional and value is None:
+        return
+    if not isinstance(value, str) or not value:
+        raise SpecError(
+            f"expected a registry name, got {value!r}", field=key, spec=spec
+        )
+
+
+def _check_engine_and_cache(spec_obj, spec: str) -> None:
+    """The engine/cache fields a Run- or SweepSpec share."""
+    _check_name(spec_obj.engine, "engine", spec, optional=True)
+    _check_name(spec_obj.cache, "cache", spec, optional=True)
+    if spec_obj.engine_params and spec_obj.engine is None:
+        raise SpecError(
+            "engine_params require an engine name", field="engine_params", spec=spec
+        )
+    if spec_obj.cache_params and spec_obj.cache is None:
+        raise SpecError(
+            "cache_params require a cache name", field="cache_params", spec=spec
+        )
 
 
 @dataclass(frozen=True)
@@ -109,26 +140,9 @@ class RunSpec:
     tag: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.problem, str) or not self.problem:
-            raise ValueError(f"problem must be a registry name, got {self.problem!r}")
-        if not isinstance(self.method, str) or not self.method:
-            raise ValueError(f"method must be a registry name, got {self.method!r}")
-        if self.engine is not None and (
-            not isinstance(self.engine, str) or not self.engine
-        ):
-            raise ValueError(
-                f"engine must be a registry name or None, got {self.engine!r}"
-            )
-        if self.engine_params and self.engine is None:
-            raise ValueError("engine_params require an engine name")
-        if self.cache is not None and (
-            not isinstance(self.cache, str) or not self.cache
-        ):
-            raise ValueError(
-                f"cache must be a registry name or None, got {self.cache!r}"
-            )
-        if self.cache_params and self.cache is None:
-            raise ValueError("cache_params require a cache name")
+        _check_name(self.problem, "problem", "RunSpec")
+        _check_name(self.method, "method", "RunSpec")
+        _check_engine_and_cache(self, "RunSpec")
         # Detach from caller-owned dicts: a frozen, hashable spec must not
         # change identity when the caller later mutates what it passed in.
         object.__setattr__(self, "problem_params", copy.deepcopy(self.problem_params))
@@ -180,54 +194,32 @@ class RunSpec:
         """Inverse of :meth:`to_dict`.
 
         Raises :class:`~repro.api.errors.SpecError` — with the offending
-        field — for non-object payloads, unknown keys and wrong value
-        types, so services and the CLI can report *which* part of a
-        submitted spec is broken.
+        field — for non-object payloads, unknown keys, wrong value types
+        and the constructor's own checks, so services and the CLI can
+        report *which* part of a submitted spec is broken.
         """
         if not isinstance(data, dict):
             raise SpecError(
                 f"expected a JSON object, got {type(data).__name__}",
                 spec="RunSpec",
             )
-        known = {
-            "problem",
-            "method",
-            "seed",
-            "problem_params",
-            "overrides",
-            "engine",
-            "engine_params",
-            "cache",
-            "cache_params",
-            "tag",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise SpecError(
-                f"unknown RunSpec keys {sorted(unknown)}; expected a subset "
-                f"of {sorted(known)}",
-                field=sorted(unknown)[0],
-                spec="RunSpec",
-            )
-        problem = _coerce_str(data, "problem", "RunSpec")
-        if problem is None:
+        _reject_unknown(
+            data, tuple(f.name for f in fields(cls)), "RunSpec", "RunSpec"
+        )
+        if data.get("problem") is None:
             raise SpecError("required field is missing", field="problem", spec="RunSpec")
-        tag = data.get("tag")
-        if tag is not None and not isinstance(tag, str):
-            raise SpecError(
-                f"expected a string, got {tag!r}", field="tag", spec="RunSpec"
-            )
+        # Registry-name fields are type-checked by the constructor.
         return cls(
-            problem=problem,
-            method=_coerce_str(data, "method", "RunSpec", default="moheco"),
+            problem=data["problem"],
+            method=data.get("method", "moheco"),
             seed=_coerce_int(data, "seed", "RunSpec"),
             problem_params=_coerce_dict(data, "problem_params", "RunSpec"),
             overrides=_coerce_dict(data, "overrides", "RunSpec"),
-            engine=_coerce_str(data, "engine", "RunSpec"),
+            engine=data.get("engine"),
             engine_params=_coerce_dict(data, "engine_params", "RunSpec"),
-            cache=_coerce_str(data, "cache", "RunSpec"),
+            cache=data.get("cache"),
             cache_params=_coerce_dict(data, "cache_params", "RunSpec"),
-            tag=tag,
+            tag=_coerce_text(data, "tag", "RunSpec"),
         )
 
     def to_json(self, indent: int | None = 2) -> str:

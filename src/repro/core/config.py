@@ -25,7 +25,6 @@ class MOHECOConfig:
     pop_size: int = 50
     de_f: float = 0.8
     de_cr: float = 0.8
-    de_variant: str = "best/1"
 
     # -- two-stage yield estimation ----------------------------------------------
     #: Stage-1 budget policy, one of :data:`ALLOCATIONS`: ``"ocba"`` is the
@@ -51,9 +50,6 @@ class MOHECOConfig:
     #: Sampler name resolved through :data:`repro.sampling.SAMPLERS`
     #: ("pmc", "lhs" or "sobol" ship built in; paper uses LHS everywhere).
     sampler: str = "lhs"
-    #: Per-candidate yield estimator name resolved through
-    #: :data:`repro.yieldsim.ESTIMATORS`.
-    estimator: str = "incremental"
     #: Acceptance sampling on/off (paper uses AS everywhere).
     use_acceptance_sampling: bool = True
     as_safety: float = 3.0

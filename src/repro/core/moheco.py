@@ -54,10 +54,27 @@ from repro.optim.nelder_mead import nelder_mead_maximize
 from repro.rng import ensure_rng, spawn
 from repro.sampling import make_sampler
 from repro.sampling.acceptance import LinearMarginScreener
-from repro.yieldsim import make_estimator
-from repro.yieldsim.estimator import YieldEstimate
+from repro.yieldsim.estimator import CandidateYieldState, YieldEstimate
 
-__all__ = ["MOHECO", "MOHECOResult", "select_one_to_one"]
+__all__ = ["MOHECO", "MOHECOResult", "result_identity", "select_one_to_one"]
+
+#: Result fields that describe how a run was produced, not what it is.
+OBSERVATIONAL_FIELDS = ("elapsed_seconds", "cache_stats", "engine_decision")
+
+
+def result_identity(data: dict) -> dict:
+    """A :meth:`MOHECOResult.to_dict` payload minus its observational fields.
+
+    The one identity rule for live results and for the payloads stored in
+    sweep records: drops :data:`OBSERVATIONAL_FIELDS` and the ledger's
+    ``cached`` column (how much was replayed, not what was computed).
+    """
+    identity = {k: v for k, v in data.items() if k not in OBSERVATIONAL_FIELDS}
+    if isinstance(identity.get("ledger"), dict):
+        identity["ledger"] = {
+            k: v for k, v in identity["ledger"].items() if k != "cached"
+        }
+    return identity
 
 
 def select_one_to_one(population: list[Individual], trials: list[Individual]) -> None:
@@ -145,13 +162,7 @@ class MOHECOResult:
         legitimately differ — they describe how the result was produced,
         not what it is.
         """
-        data = self.to_dict()
-        data.pop("elapsed_seconds")
-        data.pop("cache_stats")
-        data.pop("engine_decision")
-        data["ledger"] = dict(data["ledger"])
-        data["ledger"].pop("cached", None)
-        return data
+        return result_identity(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "MOHECOResult":
@@ -248,10 +259,7 @@ class MOHECO:
         self._screen_trace: list | None = None
         self.sampler = make_sampler(self.config.sampler, problem.variation)
         self.de = DifferentialEvolution(
-            problem.space,
-            f=self.config.de_f,
-            cr=self.config.de_cr,
-            variant=self.config.de_variant,
+            problem.space, f=self.config.de_f, cr=self.config.de_cr
         )
 
     # -- candidate construction ------------------------------------------------
@@ -268,8 +276,7 @@ class MOHECO:
                     safety=self.config.as_safety,
                     min_train=self.config.as_min_train,
                 )
-            state = make_estimator(
-                self.config.estimator,
+            state = CandidateYieldState(
                 self.problem,
                 x,
                 self.sampler,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.example1 import Example1Results
+from repro.sweep.records import MethodSummary
 
 __all__ = ["format_fig6"]
 
@@ -20,14 +20,14 @@ def _bar_chart(title: str, labels: list[str], values: np.ndarray, unit: str,
     return "\n".join(lines)
 
 
-def format_fig6(results: Example1Results) -> str:
+def format_fig6(summaries: list[MethodSummary]) -> str:
     """Paper Fig. 6: average yield deviation and simulation count per method."""
-    labels = [summary.method for summary in results.summaries]
+    labels = [summary.method for summary in summaries]
     deviations = np.array(
-        [float(np.mean(summary.deviations())) * 100 for summary in results.summaries]
+        [float(np.mean(summary.deviations())) * 100 for summary in summaries]
     )
     simulations = np.array(
-        [float(np.mean(summary.simulations())) for summary in results.summaries]
+        [float(np.mean(summary.simulations())) for summary in summaries]
     )
     parts = [
         "Fig. 6. Average yield-estimate deviation and number of simulations "

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import MethodSummary
 from repro.experiments.stats import summary_row
+from repro.sweep.records import MethodSummary
 
 __all__ = ["format_deviation_table", "format_simulation_table", "format_generic"]
 

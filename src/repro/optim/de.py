@@ -50,8 +50,9 @@ class DifferentialEvolution:
         Differential weight (paper: 0.8).
     cr:
         Crossover rate (paper: 0.8).
-    variant:
-        ``"best/1"`` (paper's base-vector choice) or ``"rand/1"``.
+
+    Mutation is DE/best/1, the paper's base-vector choice: every donor is
+    the population best plus ``F`` times a difference of two other members.
     """
 
     def __init__(
@@ -59,18 +60,14 @@ class DifferentialEvolution:
         space: DesignSpace,
         f: float = 0.8,
         cr: float = 0.8,
-        variant: str = "best/1",
     ) -> None:
         if not 0.0 < f <= 2.0:
             raise ValueError(f"F must be in (0, 2], got {f}")
         if not 0.0 <= cr <= 1.0:
             raise ValueError(f"CR must be in [0, 1], got {cr}")
-        if variant not in ("best/1", "rand/1"):
-            raise ValueError(f"variant must be 'best/1' or 'rand/1', got {variant!r}")
         self.space = space
         self.f = float(f)
         self.cr = float(cr)
-        self.variant = variant
 
     # -- population initialisation ------------------------------------------
     def init_population(self, pop_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,17 +80,16 @@ class DifferentialEvolution:
     def mutate(
         self, population: np.ndarray, best_index: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Donor vectors for every population member."""
+        """Donor vectors for every population member (DE/best/1)."""
         population = np.asarray(population, dtype=float)
         n, d = population.shape
         donors = np.empty_like(population)
+        base = population[best_index]
         for i in range(n):
             candidates = [j for j in range(n) if j != i]
-            r1, r2, r3 = rng.choice(candidates, size=3, replace=False)
-            if self.variant == "best/1":
-                base = population[best_index]
-            else:
-                base = population[r3]
+            # Three indices are drawn although best/1 uses two: the draw
+            # size is part of every seeded run's random stream.
+            r1, r2, _ = rng.choice(candidates, size=3, replace=False)
             donors[i] = base + self.f * (population[r1] - population[r2])
         return donors
 

@@ -1,6 +1,6 @@
 """Named plugin registries.
 
-The public API resolves methods, problems, samplers and yield estimators by
+The public API resolves methods, problems, samplers, engines and caches by
 name through :class:`Registry` instances, so third-party scenarios plug in
 without touching library code::
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.moheco import result_identity
+
 __all__ = ["RunRecord", "MethodSummary"]
 
 
@@ -83,25 +85,14 @@ class RunRecord:
 
         This is the record's *result identity* — what must be byte-equal
         between a serial and a sharded execution of the same run (timing
-        legitimately differs).  The equivalence tests and benchmarks
-        compare these.
+        legitimately differs).  The result payload goes through
+        :func:`~repro.core.moheco.result_identity`, the same rule as
+        :meth:`MOHECOResult.identity_dict`.
         """
         data = self.to_dict()
         data.pop("wall_seconds")
         if isinstance(data.get("result"), dict):
-            result = dict(data["result"])
-            result.pop("elapsed_seconds", None)
-            result.pop("cache_stats", None)
-            # Timing-derived, like the two above: the auto engine's pilot
-            # measures wall-clock, so its commit record varies run to run.
-            result.pop("engine_decision", None)
-            if isinstance(result.get("ledger"), dict):
-                # The ledger's ``cached`` column says how much was
-                # replayed, not what was computed — warm vs cold runs
-                # legitimately differ there.
-                result["ledger"] = dict(result["ledger"])
-                result["ledger"].pop("cached", None)
-            data["result"] = result
+            data["result"] = result_identity(data["result"])
         return data
 
     @classmethod

@@ -23,25 +23,52 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.api.errors import SpecError
-from repro.api.spec import RunSpec, _coerce_dict, _coerce_str
+from repro.api.spec import (
+    RunSpec,
+    _check_engine_and_cache,
+    _check_name,
+    _coerce_dict,
+    _coerce_int,
+    _coerce_text,
+    _reject_unknown,
+)
 
 __all__ = ["MethodSpec", "ProblemSpec", "SweepRun", "SweepSpec"]
 
 
-def _coerce_opt_int(data: dict, key: str, default=None):
-    """Optional-integer sweep field; ``None`` stays ``None``."""
-    value = data.get(key, default)
-    if value is None:
-        # JSON null means "unset": the field's default applies.
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
+def _check_label(label: str) -> None:
+    if "|" in label:
+        # '|' is the store-key separator; allowing it would let two
+        # distinct grid cells collide into one key.
         raise SpecError(
-            f"expected an integer, got {value!r}", field=key, spec="SweepSpec"
+            f"labels must not contain '|': {label!r}", field="label", spec="SweepSpec"
         )
-    return int(value)
+
+
+def _entry_payload(data, name_key: str, known: tuple) -> dict:
+    """One grid entry as a checked dict; a bare string is a registry name.
+
+    Field names in the raised :class:`SpecError` are relative to the entry
+    (``"overrides"``); :class:`SweepSpec` prefixes them with its position.
+    """
+    if isinstance(data, str):
+        return {name_key: data}
+    if not isinstance(data, dict):
+        raise SpecError(
+            f"expected a registry-name string or an object, got {data!r}",
+            spec="SweepSpec",
+        )
+    _reject_unknown(data, known, f"{name_key} entry", "SweepSpec")
+    if name_key not in data:
+        raise SpecError(
+            f"entry is missing its {name_key!r} registry name",
+            field=name_key,
+            spec="SweepSpec",
+        )
+    return data
 
 
 @dataclass(frozen=True)
@@ -59,14 +86,10 @@ class MethodSpec:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.method, str) or not self.method:
-            raise ValueError(f"method must be a registry name, got {self.method!r}")
+        _check_name(self.method, "method", "SweepSpec")
         if self.label is None:
             object.__setattr__(self, "label", self.method)
-        if "|" in self.label:
-            # '|' is the store-key separator; allowing it would let two
-            # distinct grid cells collide into one key.
-            raise ValueError(f"labels must not contain '|': {self.label!r}")
+        _check_label(self.label)
         object.__setattr__(self, "overrides", copy.deepcopy(self.overrides))
 
     def to_dict(self) -> dict:
@@ -79,19 +102,15 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, data: "dict | str") -> "MethodSpec":
-        """Inverse of :meth:`to_dict`; a bare string means no overrides."""
-        if isinstance(data, str):
-            return cls(method=data)
-        if "method" not in data:
-            raise SpecError(
-                "method entry is missing its 'method' registry name",
-                field="methods",
-                spec="SweepSpec",
-            )
+        """Inverse of :meth:`to_dict`; a bare string means no overrides.
+
+        Unknown keys and wrong value types raise :class:`SpecError`.
+        """
+        data = _entry_payload(data, "method", ("method", "label", "overrides"))
         return cls(
             method=data["method"],
-            label=data.get("label"),
-            overrides=dict(data.get("overrides") or {}),
+            label=_coerce_text(data, "label", "SweepSpec"),
+            overrides=_coerce_dict(data, "overrides", "SweepSpec"),
         )
 
 
@@ -104,13 +123,10 @@ class ProblemSpec:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.problem, str) or not self.problem:
-            raise ValueError(f"problem must be a registry name, got {self.problem!r}")
+        _check_name(self.problem, "problem", "SweepSpec")
         if self.label is None:
             object.__setattr__(self, "label", self.problem)
-        if "|" in self.label:
-            # '|' is the store-key separator; see MethodSpec.
-            raise ValueError(f"labels must not contain '|': {self.label!r}")
+        _check_label(self.label)
         object.__setattr__(
             self, "problem_params", copy.deepcopy(self.problem_params)
         )
@@ -125,20 +141,30 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, data: "dict | str") -> "ProblemSpec":
-        """Inverse of :meth:`to_dict`; a bare string means default params."""
-        if isinstance(data, str):
-            return cls(problem=data)
-        if "problem" not in data:
-            raise SpecError(
-                "problem entry is missing its 'problem' registry name",
-                field="problems",
-                spec="SweepSpec",
-            )
+        """Inverse of :meth:`to_dict`; a bare string means default params.
+
+        Unknown keys and wrong value types raise :class:`SpecError`.
+        """
+        data = _entry_payload(data, "problem", ("problem", "label", "problem_params"))
         return cls(
             problem=data["problem"],
-            label=data.get("label"),
-            problem_params=dict(data.get("problem_params") or {}),
+            label=_coerce_text(data, "label", "SweepSpec"),
+            problem_params=_coerce_dict(data, "problem_params", "SweepSpec"),
         )
+
+
+def _grid_axis(entries, entry_cls, axis: str) -> tuple:
+    """``entries`` as ``entry_cls`` objects; errors name ``axis[i].key``."""
+    parsed = []
+    for index, entry in enumerate(entries):
+        try:
+            parsed.append(
+                entry if isinstance(entry, entry_cls) else entry_cls.from_dict(entry)
+            )
+        except SpecError as error:
+            where = f"{axis}[{index}]" + (f".{error.field}" if error.field else "")
+            raise SpecError(error.reason, field=where, spec="SweepSpec") from error
+    return tuple(parsed)
 
 
 @dataclass(frozen=True)
@@ -223,47 +249,42 @@ class SweepSpec:
     tag: str | None = None
 
     def __post_init__(self) -> None:
-        methods = tuple(
-            m if isinstance(m, MethodSpec) else MethodSpec.from_dict(m)
-            for m in self.methods
-        )
-        problems = tuple(
-            p if isinstance(p, ProblemSpec) else ProblemSpec.from_dict(p)
-            for p in self.problems
-        )
+        methods = _grid_axis(self.methods, MethodSpec, "methods")
+        problems = _grid_axis(self.problems, ProblemSpec, "problems")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "problems", problems)
         object.__setattr__(self, "engine_params", copy.deepcopy(self.engine_params))
         object.__setattr__(self, "cache_params", copy.deepcopy(self.cache_params))
-        if not methods:
-            raise ValueError("a sweep needs at least one method")
-        if not problems:
-            raise ValueError("a sweep needs at least one problem")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.engine_params and self.engine is None:
-            raise ValueError("engine_params require an engine name")
-        if self.cache_params and self.cache is None:
-            raise ValueError("cache_params require a cache name")
+        for axis, entries in (("methods", methods), ("problems", problems)):
+            labels = [entry.label for entry in entries]
+            if not labels:
+                raise SpecError(
+                    "a sweep needs at least one entry", field=axis, spec="SweepSpec"
+                )
+            if len(set(labels)) != len(labels):
+                raise SpecError(
+                    f"duplicate labels in sweep: {labels}", field=axis, spec="SweepSpec"
+                )
+        for key in ("runs", "workers"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise SpecError(
+                    f"must be >= 1, got {value}", field=key, spec="SweepSpec"
+                )
+        _check_engine_and_cache(self, "SweepSpec")
         if self.cache is not None and not self.cache_params.get("count_hits", True):
             # Free-hit accounting changes the reported simulation totals,
             # which would make the sweep's records non-comparable with the
             # paper protocol *and* with stores written cache-off — exactly
             # what sweep_hash interchangeability promises.  Refused here,
             # loudly, rather than silently producing skewed tables.
-            raise ValueError(
+            raise SpecError(
                 "sweeps require ledger-faithful cache accounting; "
                 "count_hits=False would change the recorded simulation "
-                "totals (use a plain RunSpec for free-hit experiments)"
+                "totals (use a plain RunSpec for free-hit experiments)",
+                field="cache_params",
+                spec="SweepSpec",
             )
-        seen_m = [m.label for m in methods]
-        if len(set(seen_m)) != len(seen_m):
-            raise ValueError(f"duplicate method labels in sweep: {seen_m}")
-        seen_p = [p.label for p in problems]
-        if len(set(seen_p)) != len(seen_p):
-            raise ValueError(f"duplicate problem labels in sweep: {seen_p}")
 
     # -- derivation --------------------------------------------------------
     def with_workers(self, workers: int | None) -> "SweepSpec":
@@ -358,74 +379,42 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected.
+        """Inverse of :meth:`to_dict`.
 
-        Method/problem entries may be bare registry-name strings.
+        Method/problem entries may be bare registry-name strings.  Unknown
+        keys (at the top level or inside an entry), wrong value types and
+        the constructor's own checks raise :class:`SpecError` naming the
+        field, e.g. ``methods[1].overrides``.
         """
-        known = {
-            "methods",
-            "problems",
-            "runs",
-            "base_seed",
-            "reference_n",
-            "max_generations",
-            "engine",
-            "engine_params",
-            "cache",
-            "cache_params",
-            "workers",
-            "tag",
-        }
         if not isinstance(data, dict):
             raise SpecError(
                 f"expected a JSON object, got {type(data).__name__}",
                 spec="SweepSpec",
             )
-        unknown = set(data) - known
-        if unknown:
-            raise SpecError(
-                f"unknown SweepSpec keys: {sorted(unknown)}; expected a "
-                f"subset of {sorted(known)}",
-                field=sorted(unknown)[0],
-                spec="SweepSpec",
-            )
-        for axis, entry_cls in (("methods", MethodSpec), ("problems", ProblemSpec)):
+        _reject_unknown(
+            data, tuple(f.name for f in fields(cls)), "SweepSpec", "SweepSpec"
+        )
+        for axis in ("methods", "problems"):
             if not isinstance(data.get(axis, ()), (list, tuple)):
                 raise SpecError(
                     f"expected a list, got {data[axis]!r}",
                     field=axis,
                     spec="SweepSpec",
                 )
-            for index, entry in enumerate(data.get(axis, ())):
-                if not isinstance(entry, (dict, str)):
-                    raise SpecError(
-                        "expected a registry-name string or an object, got "
-                        f"{entry!r}",
-                        field=f"{axis}[{index}]",
-                        spec="SweepSpec",
-                    )
-        tag = data.get("tag")
-        if tag is not None and not isinstance(tag, str):
-            raise SpecError(
-                f"expected a string, got {tag!r}", field="tag", spec="SweepSpec"
-            )
+        # Grid entries and registry names are checked by the constructor.
         return cls(
-            methods=tuple(
-                MethodSpec.from_dict(m) for m in data.get("methods", ())
-            ),
-            problems=tuple(
-                ProblemSpec.from_dict(p) for p in data.get("problems", ())
-            ),
-            runs=_coerce_opt_int(data, "runs", 3),
-            base_seed=_coerce_opt_int(data, "base_seed", 20100308),
-            reference_n=_coerce_opt_int(data, "reference_n", 20_000),
-            max_generations=_coerce_opt_int(data, "max_generations"),
-            engine=_coerce_str(data, "engine", "SweepSpec"),
+            methods=tuple(data.get("methods", ())),
+            problems=tuple(data.get("problems", ())),
+            runs=_coerce_int(data, "runs", "SweepSpec", 3),
+            base_seed=_coerce_int(data, "base_seed", "SweepSpec", 20100308),
+            reference_n=_coerce_int(data, "reference_n", "SweepSpec", 20_000),
+            max_generations=_coerce_int(data, "max_generations", "SweepSpec"),
+            engine=data.get("engine"),
             engine_params=_coerce_dict(data, "engine_params", "SweepSpec"),
-            cache=_coerce_str(data, "cache", "SweepSpec"),
+            cache=data.get("cache"),
             cache_params=_coerce_dict(data, "cache_params", "SweepSpec"),
-            workers=_coerce_opt_int(data, "workers"),
-            tag=tag,
+            workers=_coerce_int(data, "workers", "SweepSpec"),
+            tag=_coerce_text(data, "tag", "SweepSpec"),
         )
 
     def to_json(self, indent: int | None = 2) -> str:

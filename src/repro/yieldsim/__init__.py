@@ -8,15 +8,11 @@
   to score accuracy (50 000 samples; charged to the excluded ``reference``
   ledger category).
 
-Per-candidate estimator implementations are resolved by name through the
-:data:`ESTIMATORS` registry (``MOHECOConfig.estimator``); a replacement must
-accept the :class:`CandidateYieldState` constructor signature and expose its
-``refine``/``refine_to``/``value``/``std``/``estimate`` surface, plus the
-``prepare``/``absorb`` halves the execution engines
-(:mod:`repro.engine`) use to fuse refinement rounds across candidates.
+The execution engines (:mod:`repro.engine`) fuse refinement rounds across
+candidates through :class:`CandidateYieldState`'s ``prepare``/``absorb``
+halves.
 """
 
-from repro.registry import Registry
 from repro.yieldsim.estimator import (
     CandidateYieldState,
     PendingRefinement,
@@ -28,17 +24,5 @@ __all__ = [
     "YieldEstimate",
     "CandidateYieldState",
     "PendingRefinement",
-    "ESTIMATORS",
-    "make_estimator",
     "reference_yield",
 ]
-
-#: Name -> per-candidate yield estimator class.
-ESTIMATORS: Registry = Registry("yield estimator")
-ESTIMATORS.register("incremental", CandidateYieldState)
-ESTIMATORS.register("mc", CandidateYieldState)
-
-
-def make_estimator(kind: str, *args, **kwargs) -> CandidateYieldState:
-    """Build the per-candidate yield estimator registered under ``kind``."""
-    return ESTIMATORS.create(kind, *args, **kwargs)

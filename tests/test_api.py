@@ -8,7 +8,6 @@ import pytest
 
 from repro import MOHECOResult, RunSpec, optimize
 from repro.api import (
-    ESTIMATORS,
     METHODS,
     PROBLEMS,
     SAMPLERS,
@@ -70,7 +69,6 @@ class TestRegistry:
             list_problems()
         )
         assert {"pmc", "lhs", "sobol"} <= set(SAMPLERS.names())
-        assert "incremental" in ESTIMATORS.names()
 
     def test_make_sampler_error_lists_names_dynamically(self, sphere):
         with pytest.raises(ValueError, match="lhs, pmc, sobol"):
@@ -434,7 +432,7 @@ class TestCLI:
     def test_list_command(self, capsys):
         assert cli_main(["list"]) == 0
         output = capsys.readouterr().out
-        for needle in ("moheco", "sphere", "lhs", "incremental"):
+        for needle in ("moheco", "sphere", "lhs", "serial"):
             assert needle in output
 
     def test_run_requires_problem_or_spec(self):

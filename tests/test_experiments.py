@@ -1,62 +1,70 @@
-"""Experiment harness: runner, statistics, table rendering."""
+"""Experiment harness: the paper's sweep specs, replication through
+run_sweep, statistics, tables and the Fig. 6 chart."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import MethodSpec, ProblemSpec, run_sweep
-from repro.experiments import ExperimentSettings, summary_row
+from repro.api import MethodSpec, ProblemSpec, SweepSpec, run_sweep, validate_sweep_spec
+from repro.api.cli import _build_sweep_spec, build_parser
+from repro.experiments import summary_row
+from repro.experiments.figures import format_fig6
 from repro.experiments.tables import (
     format_deviation_table,
     format_generic,
     format_simulation_table,
 )
 
-
-@pytest.fixture(scope="module")
-def tiny_settings():
-    return ExperimentSettings(runs=2, reference_n=2000, max_generations=10, full=False)
-
-
 SPHERE = ProblemSpec("sphere", problem_params={"sigma": 0.2})
 
 
-def _sweep(settings, methods, base_seed):
-    spec = settings.sweep_spec([SPHERE], methods, base_seed=base_seed)
+def _sweep(methods, base_seed):
+    spec = SweepSpec(
+        methods=tuple(methods),
+        problems=(SPHERE,),
+        runs=2,
+        base_seed=base_seed,
+        reference_n=2000,
+        max_generations=10,
+    )
     return run_sweep(spec, workers=1)
 
 
 @pytest.fixture(scope="module")
-def sphere_summary(tiny_settings):
+def sphere_summary():
     methods = [MethodSpec("moheco", label="MOHECO", overrides={"pop_size": 8})]
-    return _sweep(tiny_settings, methods, base_seed=1).summary("MOHECO")
+    return _sweep(methods, base_seed=1).summary("MOHECO")
 
 
-class TestSettings:
-    def test_defaults_scaled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        monkeypatch.delenv("REPRO_RUNS", raising=False)
-        settings = ExperimentSettings.from_env()
-        assert settings.runs == 3
-        assert not settings.full
+SPECS = Path(__file__).resolve().parents[1] / "benchmarks" / "specs"
 
-    def test_full_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        settings = ExperimentSettings.from_env()
-        assert settings.runs == 10
-        assert settings.reference_n == 50_000
 
-    def test_individual_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        monkeypatch.setenv("REPRO_RUNS", "4")
-        monkeypatch.setenv("REPRO_REF_N", "12345")
-        settings = ExperimentSettings.from_env()
-        assert settings.runs == 4
-        assert settings.reference_n == 12345
+class TestPaperSpecs:
+    """The checked-in Tables 1-4 sweeps keep the identity of the stores
+    the earlier harness wrote, at laptop and at paper scale."""
+
+    PAPER_SCALE = ["--runs", "10", "--reference-n", "50000", "--max-generations", "200"]
+
+    @pytest.mark.parametrize(
+        "name, laptop_hash, paper_hash",
+        [
+            ("example1", "6c04a0a58276e60c", "7ab75ee718b59f42"),
+            ("example2", "611a76d3dd65865c", "90c4cea2849d93ff"),
+        ],
+    )
+    def test_specs_validate_and_keep_their_hashes(self, name, laptop_hash, paper_hash):
+        path = SPECS / f"{name}.json"
+        spec = SweepSpec.from_json(path.read_text(encoding="utf-8"))
+        validate_sweep_spec(spec)
+        assert spec.sweep_hash() == laptop_hash
+        args = build_parser().parse_args(["sweep", "--spec", str(path), *self.PAPER_SCALE])
+        assert _build_sweep_spec(args).sweep_hash() == paper_hash
 
 
 class TestReplication:
-    def test_record_contents(self, sphere_summary, tiny_settings):
-        assert len(sphere_summary.records) == tiny_settings.runs
+    def test_record_contents(self, sphere_summary):
+        assert len(sphere_summary.records) == 2
         for record in sphere_summary.records:
             assert 0.0 <= record.reported_yield <= 1.0
             assert 0.0 <= record.reference_yield <= 1.0
@@ -109,11 +117,16 @@ class TestTables:
         assert "MOHECO" in dev and "%" in dev
         assert "MOHECO" in sim and "%" not in sim.splitlines()[3]
 
+    def test_fig6_charts_sweep_summaries(self, sphere_summary):
+        chart = format_fig6([sphere_summary])
+        assert "average deviation from reference MC" in chart
+        assert "average total simulations" in chart
+        assert chart.count("MOHECO") == 2
+
 
 class TestMethodContrast:
-    def test_fixed_budget_summary_costs_more(self, tiny_settings):
+    def test_fixed_budget_summary_costs_more(self):
         sweep = _sweep(
-            tiny_settings,
             [
                 MethodSpec("moheco", label="MOHECO", overrides={"pop_size": 8}),
                 MethodSpec(

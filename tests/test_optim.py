@@ -87,8 +87,6 @@ class TestDEOperators:
             DifferentialEvolution(space, f=0.0)
         with pytest.raises(ValueError):
             DifferentialEvolution(space, cr=1.5)
-        with pytest.raises(ValueError):
-            DifferentialEvolution(space, variant="best/2")
 
     def test_propose_within_bounds(self, space):
         de = DifferentialEvolution(space)
@@ -109,7 +107,7 @@ class TestDEOperators:
         assert np.all(differs >= 1)
 
     def test_best_variant_uses_best_as_base(self, space):
-        de = DifferentialEvolution(space, f=1e-9, cr=1.0, variant="best/1")
+        de = DifferentialEvolution(space, f=1e-9, cr=1.0)
         rng = np.random.default_rng(3)
         pop = de.init_population(8, rng)
         donors = de.mutate(pop, best_index=2, rng=rng)

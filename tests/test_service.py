@@ -45,6 +45,46 @@ TINY_SWEEP = {
     "max_generations": 4,
 }
 
+#: Payloads whose errors used to escape SpecError (bare TypeError or
+#: ValueError) or pass silently (a misspelled key inside a grid entry),
+#: with the field the structured error must name.
+MALFORMED_SPECS = [
+    (
+        "sweep",
+        dict(TINY_SWEEP, methods=[{"method": "moheco", "overrides": 5}]),
+        "methods[0].overrides",
+    ),
+    ("sweep", dict(TINY_SWEEP, runs=0), "runs"),
+    (
+        "sweep",
+        dict(
+            TINY_SWEEP,
+            methods=[
+                {
+                    "method": "fixed_budget",
+                    "label": "300 simulations (AS+LHS)",
+                    "overides": {"n_fixed": 300},
+                }
+            ],
+        ),
+        "methods[0].overides",
+    ),
+    (
+        "sweep",
+        dict(TINY_SWEEP, problems=[{"problem": "sphere", "params": {}}]),
+        "problems[0].params",
+    ),
+    (
+        "sweep",
+        dict(TINY_SWEEP, problems=[{"problem": "sphere", "label": 3}]),
+        "problems[0].label",
+    ),
+    ("sweep", dict(TINY_SWEEP, methods=["moheco", "moheco"]), "methods"),
+    ("sweep", dict(TINY_SWEEP, engine_params={"workers": 2}), "engine_params"),
+    ("run", dict(TINY_RUN, engine_params={"workers": 2}), "engine_params"),
+    ("run", dict(TINY_RUN, method=7), "method"),
+]
+
 
 class TestSpecError:
     def test_unknown_run_key_is_structured(self):
@@ -143,8 +183,19 @@ class TestSpecError:
     def test_method_entry_requires_method_key(self):
         with pytest.raises(SpecError) as excinfo:
             SweepSpec.from_dict(dict(TINY_SWEEP, methods=[{"label": "x"}]))
-        assert excinfo.value.field == "methods"
+        assert excinfo.value.field == "methods[0].method"
         assert "missing its 'method'" in excinfo.value.reason
+
+    @pytest.mark.parametrize(
+        "kind, payload, field",
+        MALFORMED_SPECS,
+        ids=[f"{kind}:{field}" for kind, _, field in MALFORMED_SPECS],
+    )
+    def test_malformed_payload_names_the_field(self, kind, payload, field):
+        parse = RunSpec.from_dict if kind == "run" else SweepSpec.from_dict
+        with pytest.raises(SpecError) as excinfo:
+            parse(payload)
+        assert excinfo.value.field == field
 
 
 class TestSweepProgressBridge:
@@ -378,6 +429,13 @@ class TestServiceHTTP:
             service.submit_sweep(dict(TINY_SWEEP, methods=["no_such_method"]))
         assert excinfo.value.status == 400
         assert excinfo.value.payload["field"] == "methods[0].method"
+        for kind, payload, field in MALFORMED_SPECS:
+            submit = service.submit_run if kind == "run" else service.submit_sweep
+            with pytest.raises(ServiceError) as excinfo:
+                submit(payload)
+            assert excinfo.value.status == 400, payload
+            assert excinfo.value.payload["error"] == "invalid_spec"
+            assert excinfo.value.payload["field"] == field
 
     def test_bad_engine_params_answer_400(self, service):
         with pytest.raises(ServiceError) as excinfo:

@@ -9,7 +9,6 @@ import pytest
 from repro.api import make_engine, optimize
 from repro.api.cli import main
 from repro.engine import ENGINES, AutoEngine
-from repro.experiments import ExperimentSettings
 from repro.rng import independent_streams, run_streams
 from repro.sweep import (
     MethodSpec,
@@ -309,6 +308,24 @@ class TestRunRecordPayload:
         record = serial_result.records[0]
         assert RunRecord.from_dict(record.to_dict()) == record
 
+    def test_record_and_result_share_one_identity_rule(self):
+        from repro.sweep import RunRecord
+
+        # auto + lru fill every observational field the rule drops.
+        result = optimize(
+            "sphere", seed=7, engine="auto", cache="lru", pop_size=8,
+            n_max=100, max_generations=4,
+        )
+        assert result.engine_decision is not None
+        assert result.cache_stats is not None
+        record = RunRecord(
+            method="moheco", run_index=0, reported_yield=result.best_yield,
+            reference_yield=1.0, n_simulations=result.n_simulations,
+            generations=result.generations, reason=result.reason,
+            wall_seconds=1.0, result=result.to_dict(),
+        )
+        assert record.identity_dict()["result"] == result.identity_dict()
+
 
 class TestCallbacks:
     def test_sweep_hooks_fire(self):
@@ -336,21 +353,6 @@ class TestCallbacks:
         run_sweep(spec, callbacks=[SweepProgressCallback(print_fn=lines.append)])
         assert any("sweep:" in line for line in lines)
         assert any("sweep done" in line for line in lines)
-
-
-class TestLegacyMethodsDictRejected:
-    def test_example_specs_reject_dict_of_closures(self):
-        from repro.experiments.example1 import sweep_spec_example1
-        from repro.experiments.example2 import sweep_spec_example2
-
-        settings = ExperimentSettings(
-            runs=1, reference_n=500, max_generations=5, full=False
-        )
-        legacy = {"MOHECO": lambda p, **kw: None}
-        with pytest.raises(TypeError, match="MethodSpec"):
-            sweep_spec_example1(settings, methods=legacy)
-        with pytest.raises(TypeError, match="MethodSpec"):
-            sweep_spec_example2(settings, methods=legacy)
 
 
 class TestAutoEngine:
