@@ -53,17 +53,17 @@ def test_ablation_ocba_vs_equal_pcs(benchmark, results_dir):
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_sampler_variance(benchmark, results_dir):
     problem = make_sphere_problem(sigma=0.3)
-    x = np.full(4, 0.55)
+    X = np.full((200, 4), 0.55)
 
     def study():
         out = {}
         for kind in ("pmc", "lhs", "sobol"):
             sampler = make_sampler(kind, problem.variation)
             rng = make_rng(7)
-            estimates = [
-                float(np.mean(problem.indicator(x, sampler.draw(200, rng))))
-                for _ in range(60)
-            ]
+            estimates = []
+            for _ in range(60):
+                performance = problem.evaluate_pairs(X, sampler.draw(200, rng))
+                estimates.append(float(np.mean(problem.specs.passes(performance))))
             out[kind] = float(np.std(estimates))
         return out
 

@@ -80,16 +80,6 @@ class _PricedEvaluator:
         for _ in range(rows):
             float(np.sum(np.sin(self._spin)))
 
-    def evaluate(self, x, samples):
-        out = self._inner.evaluate(x, samples)
-        self._burn(np.atleast_2d(samples).shape[0])
-        return out
-
-    def evaluate_batch(self, X, samples):
-        out = self._inner.evaluate_batch(X, samples)
-        self._burn(np.atleast_2d(X).shape[0] * np.atleast_2d(samples).shape[0])
-        return out
-
     def evaluate_pairs(self, X, samples):
         out = self._inner.evaluate_pairs(X, samples)
         self._burn(np.atleast_2d(X).shape[0])

@@ -3,10 +3,13 @@
 Run:
     python examples/custom_problem.py
 
-Any object with ``design_space()``, ``metric_names()``, ``evaluate(x,
-samples)`` and a ``variation`` model can be wrapped in a
+Any object with ``design_space()``, ``metric_names()``,
+``evaluate_pairs(X, samples)`` and a ``variation`` model can be wrapped in a
 :class:`~repro.problems.base.YieldProblem` — circuits, behavioural models,
-or (as here) an RC filter specified analytically.  Registering the factory
+or (as here) an RC filter specified analytically.  ``evaluate_pairs`` is
+the whole evaluation contract: design row ``X[i]`` at process sample row
+``samples[i]``, one performance row each, as arrays — the optimizer
+stacks every candidate's samples into one call.  Registering the factory
 with :func:`repro.api.register_problem` makes it a first-class citizen: it
 becomes addressable by name from :func:`~repro.api.optimize`, from
 :class:`~repro.api.RunSpec` JSON files and from the CLI
@@ -46,14 +49,14 @@ class RCFilterEvaluator:
     def metric_names(self) -> list[str]:
         return ["corner_hz", "area_score"]
 
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        r, c = float(x[0]), float(x[1])
-        samples = np.atleast_2d(samples)
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Performance of design row ``X[i]`` at sample row ``samples[i]``."""
+        r, c = X[:, 0], X[:, 1]
         r_eff = r * (1.0 + samples[:, 0])
         c_eff = c * (1.0 + samples[:, 1])
         corner = 1.0 / (2.0 * np.pi * r_eff * c_eff)
         # A crude "cost": large R and C both cost area.
-        area_score = (r / 1e6 + c / 1e-9) * np.ones(samples.shape[0])
+        area_score = r / 1e6 + c / 1e-9
         return np.column_stack([corner, area_score])
 
 

@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  {name:10s} {value:.4g} {unit}")
 
     print("\nnominal performance vs specs:")
-    nominal = problem.nominal_performance(result.best_x)
+    nominal = problem.evaluator.evaluate_nominal(result.best_x)
     for spec, value in zip(problem.specs, nominal):
         print(f"  {spec!s:28s} nominal = {value:.5g} {spec.unit}")
 

@@ -47,7 +47,7 @@ def main() -> None:
     print(f"MOHECO reference-MC yield: {reference.value:.2%} "
           f"(deviation {abs(moheco.best_yield - reference.value):.2%})")
 
-    nominal = problem.nominal_performance(moheco.best_x)
+    nominal = problem.evaluator.evaluate_nominal(moheco.best_x)
     print("\nMOHECO design, nominal performance vs specs:")
     for spec, value in zip(problem.specs, nominal):
         print(f"  {spec!s:30s} nominal = {value:.5g} {spec.unit}")

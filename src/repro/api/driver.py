@@ -33,13 +33,21 @@ def resolve_problem(problem, problem_params: dict | None = None) -> YieldProblem
 
     ``problem_params`` are forwarded to the factory for names and rejected
     for ready-made problem objects (they would be silently ignored).
+    Anything that is not a :class:`YieldProblem`, including what a
+    registered factory returns, raises :class:`TypeError` before any
+    simulation runs.
     """
     if isinstance(problem, str):
-        return PROBLEMS.create(problem, **(problem_params or {}))
-    if problem_params:
+        problem = PROBLEMS.create(problem, **(problem_params or {}))
+    elif problem_params:
         raise TypeError(
             "problem_params only apply when the problem is resolved by "
             "name; pass a configured problem object instead"
+        )
+    if not isinstance(problem, YieldProblem):
+        raise TypeError(
+            f"expected a YieldProblem, got {type(problem).__name__}; wrap "
+            "the evaluator as YieldProblem(evaluator, specs)"
         )
     return problem
 
@@ -88,7 +96,7 @@ def optimize(
     ----------
     problem:
         A :class:`RunSpec`, a problem-registry name, or a
-        :class:`~repro.problems.base.YieldProblem`-like object.
+        :class:`~repro.problems.base.YieldProblem`.
     method:
         Method-registry name; default ``"moheco"``.  When ``problem`` is a
         spec, passing a method that differs from the spec's is an error.

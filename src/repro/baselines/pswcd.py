@@ -71,7 +71,8 @@ def pswcd_analysis(
     rng = ensure_rng(rng)
     variation = problem.variation
     samples = variation.sample(n_train, rng)
-    performance = problem.simulate(x, samples, ledger, category="pswcd")
+    X = np.broadcast_to(np.asarray(x, dtype=float), (n_train, problem.design_dimension))
+    performance = problem.evaluate_pairs(X, samples, ledger, category="pswcd")
     margins = problem.specs.margins(performance)
 
     # Standardise process coordinates so distances are in sigma units.

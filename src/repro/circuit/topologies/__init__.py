@@ -1,11 +1,10 @@
 """Parametric amplifier topologies.
 
 Each topology implements the paper's corresponding benchmark circuit as a
-*vectorised performance model*: given one design vector and a matrix of
-process samples it returns the performance metrics for every sample in one
-NumPy pass.  The two analytic amplifiers also batch across designs:
-``evaluate_pairs(X, samples)`` evaluates design row ``i`` at sample row
-``i`` in the same pass.  The small-signal netlist builders allow
+*vectorised performance model* batched across designs:
+``evaluate_pairs(X, samples)`` evaluates design row ``i`` at process sample
+row ``i`` for every row in one NumPy pass, and ``evaluate(x, samples)`` is
+its one-design case.  The small-signal netlist builders allow
 cross-checking the analytic models against the MNA engine (see
 tests/test_crosscheck_mna.py).
 """

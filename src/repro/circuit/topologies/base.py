@@ -69,7 +69,7 @@ class AmplifierTopology(ABC):
     """A parametric amplifier performance model in one technology.
 
     Subclasses define the design space, the mismatch-carrying device list
-    and the vectorised performance evaluation.
+    and the vectorised performance evaluation :meth:`evaluate_pairs`.
     """
 
     def __init__(self, tech: Technology) -> None:
@@ -91,21 +91,27 @@ class AmplifierTopology(ABC):
 
     # -- evaluation -------------------------------------------------------------
     @abstractmethod
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Performance of design ``x`` at each process sample.
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Performance of design row ``X[i]`` at process sample ``samples[i]``.
 
         Parameters
         ----------
-        x:
-            Design vector, shape ``(design_space().dimension,)``.
+        X:
+            Design matrix, shape ``(N, design_space().dimension)``, aligned
+            row by row with ``samples``; a single row ``(1, d)`` is shared
+            by every sample.
         samples:
-            Process sample matrix, shape ``(n, variation.dimension)``.
+            Process sample matrix, shape ``(N, variation.dimension)``.
 
         Returns
         -------
         numpy.ndarray
-            Performance matrix, shape ``(n, len(metric_names()))``.
+            Performance matrix, shape ``(N, len(metric_names()))``.
         """
+
+    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Performance of one design ``x`` at each sample: the one-row case."""
+        return self.evaluate_pairs(np.asarray(x, dtype=float)[None, :], samples)
 
     # -- shared helpers ------------------------------------------------------------
     @property

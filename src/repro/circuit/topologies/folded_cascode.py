@@ -111,9 +111,6 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         return list(_METRICS)
 
     # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        return self.evaluate_pairs(np.asarray(x, dtype=float)[None, :], samples)
-
     def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Design row ``X[i]`` at sample row ``samples[i]``, ``(N, n_metrics)``.
 

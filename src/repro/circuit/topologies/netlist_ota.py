@@ -206,9 +206,6 @@ class NetlistTwoStageOTA(AmplifierTopology):
         return BatchACAnalysis(g, c, b, nodemap)
 
     # -- evaluation -------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        return self.evaluate_pairs(np.asarray(x, dtype=float)[None, :], samples)
-
     def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Design row ``X[i]`` at sample row ``samples[i]``, ``(N, n_metrics)``.
 

@@ -95,6 +95,11 @@ class MOHECOConfig:
                 f"sim_ave ({self.sim_ave}) must be >= n0 ({self.n0}); the "
                 "stage-1 budget must at least cover the pilot samples"
             )
+        if self.delta < 1:
+            raise ValueError(
+                f"delta must be >= 1, got {self.delta}; an OCBA round that "
+                "adds no budget never reaches the stage-1 total"
+            )
         if self.n_max < self.sim_ave:
             raise ValueError(
                 f"n_max ({self.n_max}) must be >= sim_ave ({self.sim_ave})"

@@ -263,50 +263,35 @@ class MOHECO:
         )
 
     # -- candidate construction ------------------------------------------------
-    def _attach_state(
-        self, x: np.ndarray, feasible: bool, violation: float, category: str
-    ) -> Individual:
-        """Build the individual, with a fresh yield state when feasible."""
-        state = None
-        if feasible:
-            screener = None
-            if self.config.use_acceptance_sampling:
-                screener = LinearMarginScreener(
-                    self.problem.specs,
-                    safety=self.config.as_safety,
-                    min_train=self.config.as_min_train,
-                )
-            state = CandidateYieldState(
-                self.problem,
-                x,
-                self.sampler,
-                spawn(self.rng),
-                self.ledger,
-                category=category,
-                screener=screener,
-            )
-        return Individual(x, feasible, violation, state)
-
-    def _new_individual(self, x: np.ndarray, category: str = "stage1") -> Individual:
-        """Feasibility-check ``x`` and attach a fresh yield state if feasible."""
-        feasible, violation = self.problem.nominal_feasibility(x, self.ledger)
-        return self._attach_state(x, feasible, float(violation), category)
-
     def _new_individuals(
         self, xs: np.ndarray, category: str = "stage1"
     ) -> list[Individual]:
         """Batched step-3 gate: one vectorized feasibility evaluation for the
-        whole candidate matrix, then per-candidate state attachment (in
-        order, so the RNG spawn sequence matches the scalar path).  Duck-typed
-        problems without the batched protocol fall back to scalar checks."""
-        feasibility_batch = getattr(self.problem, "nominal_feasibility_batch", None)
-        if feasibility_batch is None:
-            return [self._new_individual(x, category) for x in xs]
-        feasible, violations = feasibility_batch(xs, self.ledger)
-        return [
-            self._attach_state(x, bool(ok), float(violation), category)
-            for x, ok, violation in zip(xs, feasible, violations)
-        ]
+        whole candidate matrix, then a fresh yield state for each feasible
+        candidate (in order, so the RNG spawn sequence is fixed)."""
+        feasible, violations = self.problem.nominal_feasibility_batch(xs, self.ledger)
+        individuals = []
+        for x, ok, violation in zip(xs, feasible, violations):
+            state = None
+            if ok:
+                screener = None
+                if self.config.use_acceptance_sampling:
+                    screener = LinearMarginScreener(
+                        self.problem.specs,
+                        safety=self.config.as_safety,
+                        min_train=self.config.as_min_train,
+                    )
+                state = CandidateYieldState(
+                    self.problem,
+                    x,
+                    self.sampler,
+                    spawn(self.rng),
+                    self.ledger,
+                    category=category,
+                    screener=screener,
+                )
+            individuals.append(Individual(x, bool(ok), float(violation), state))
+        return individuals
 
     # -- engine-driven refinement ---------------------------------------------
     def _refine_round(
@@ -413,7 +398,7 @@ class MOHECO:
         evaluated: list[Individual] = []
 
         def objective(x: np.ndarray) -> float:
-            individual = self._new_individual(x, category="local_search")
+            (individual,) = self._new_individuals(x[None, :], "local_search")
             if not individual.feasible:
                 # Strictly below any feasible yield; graded by violation so
                 # the simplex can climb back into the feasible region.

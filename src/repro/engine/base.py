@@ -64,31 +64,19 @@ def collect_pending(
 def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
     """Simulate a fused round: one stacked dispatch, no ledger side effects.
 
-    Stacks every pending block into one ``(sum(k_i), ...)`` pair matrix and
-    resolves it through the problem's ``evaluate_pairs`` protocol; problems
-    that predate the protocol fall back to one ``evaluate_batch`` /
-    ``simulate`` call per block.  Returns the stacked performance matrix in
-    block order.  Ledger charging is the caller's job (workers in a process
-    pool must not touch the parent's ledger).
+    Stacks every pending block into one ``(sum(k_i), ...)`` pair matrix
+    (each candidate's design row repeated for its own samples) and resolves
+    it through ``problem.evaluate_pairs``.  Returns the stacked performance
+    matrix in block order.  Ledger charging is the caller's job (workers in
+    a process pool must not touch the parent's ledger).
     """
-    evaluate_pairs = getattr(problem, "evaluate_pairs", None)
-    if evaluate_pairs is not None:
-        X = np.repeat(
-            np.stack([block.state.x for block in pending]),
-            [block.n_samples for block in pending],
-            axis=0,
-        )
-        samples = np.concatenate([block.samples for block in pending])
-        return np.asarray(evaluate_pairs(X, samples), dtype=float)
-
-    rows = []
-    for block in pending:
-        evaluate_batch = getattr(problem, "evaluate_batch", None)
-        if evaluate_batch is not None:
-            rows.append(evaluate_batch(block.state.x[None, :], block.samples)[0])
-        else:
-            rows.append(problem.simulate(block.state.x, block.samples))
-    return np.concatenate([np.atleast_2d(r) for r in rows])
+    X = np.repeat(
+        np.stack([block.state.x for block in pending]),
+        [block.n_samples for block in pending],
+        axis=0,
+    )
+    samples = np.concatenate([block.samples for block in pending])
+    return problem.evaluate_pairs(X, samples)
 
 
 def chunk_pending(pending, chunk_rows: int) -> list[list]:

@@ -68,7 +68,7 @@ def ocba_sequential(
     n0:
         Initial samples per candidate.
     delta:
-        Budget increment per allocation round.
+        Budget increment per allocation round (>= 1).
     engine:
         Execution backend for the fused refinement rounds; ``None`` uses
         a :class:`~repro.engine.serial.SerialEngine`.
@@ -91,6 +91,8 @@ def ocba_sequential(
     one exception — every candidate is owed ``n0`` regardless, and
     pre-refined states keep what they have).
     """
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
     if not states:
         return OCBAReport(
             counts=np.zeros(0, dtype=int),

@@ -3,16 +3,19 @@
 A problem couples
 
 * an **evaluator** — anything with ``design_space()``, ``metric_names()``,
-  ``evaluate(x, samples)`` and a ``variation`` model (amplifier topologies
-  and synthetic evaluators both qualify); one that also has
-  ``evaluate_pairs(X, samples)`` is batched across designs,
+  ``evaluate_pairs(X, samples)`` (design row ``i`` at process sample row
+  ``i``) and a ``variation`` model; amplifier topologies and synthetic
+  evaluators both qualify,
 * a **spec set** — pass/fail semantics per sample, and
 * **ledger accounting** — every evaluated sample is charged to the supplied
   :class:`~repro.ledger.SimulationLedger`, which is what the paper's
   simulation-count tables report.
 
-The per-sample indicator ``J(x, xi) in {0, 1}`` of the paper is
-:meth:`YieldProblem.indicator`; yield is its mean over the process
+:meth:`YieldProblem.evaluate_pairs` is the one evaluation entry point:
+engine rounds, per-candidate refinement, the reference MC and the PSWCD
+analysis all call it, and the step-3 feasibility gate evaluates through the
+same slabbed rows.  The per-sample indicator ``J(x, xi) in {0, 1}`` of the
+paper is ``specs.passes`` of those rows; yield is its mean over the process
 distribution.
 """
 
@@ -26,22 +29,10 @@ from repro.specs import SpecSet
 __all__ = ["YieldProblem"]
 
 
-#: Rows per evaluator call on the batched paths.  Fixed slabs keep the
-#: evaluator's intermediate arrays, and with them peak memory, flat however
-#: large a fused round grows.
+#: Rows per evaluator call.  Fixed slabs keep the evaluator's intermediate
+#: arrays, and with them peak memory, flat however large a fused round
+#: grows.
 SLAB_ROWS = 2048
-
-
-def _equal_row_runs(X: np.ndarray):
-    """Yield ``(start, stop)`` slices of runs of identical consecutive rows."""
-    n = X.shape[0]
-    if n == 0:
-        return
-    changed = np.flatnonzero(np.any(X[1:] != X[:-1], axis=1)) + 1
-    start = 0
-    for stop in (*changed.tolist(), n):
-        yield start, stop
-        start = stop
 
 
 class YieldProblem:
@@ -50,7 +41,8 @@ class YieldProblem:
     Parameters
     ----------
     evaluator:
-        The circuit performance model.
+        The circuit performance model; it must implement
+        ``evaluate_pairs(X, samples)``.
     specs:
         Specifications defining pass/fail; metric names must match the
         evaluator's ``metric_names()`` (order included).
@@ -59,6 +51,12 @@ class YieldProblem:
     """
 
     def __init__(self, evaluator, specs: SpecSet, name: str = "problem") -> None:
+        if not callable(getattr(evaluator, "evaluate_pairs", None)):
+            raise TypeError(
+                f"{type(evaluator).__name__} does not implement "
+                "evaluate_pairs(X, samples), the evaluator protocol "
+                "(see examples/custom_problem.py)"
+            )
         if list(specs.metric_names) != list(evaluator.metric_names()):
             raise ValueError(
                 "spec metrics must match evaluator metrics in order: "
@@ -82,76 +80,6 @@ class YieldProblem:
         return self.variation.dimension
 
     # -- simulation ------------------------------------------------------------
-    def simulate(
-        self,
-        x: np.ndarray,
-        samples: np.ndarray,
-        ledger: SimulationLedger | None = None,
-        category: str = "mc",
-    ) -> np.ndarray:
-        """Performance matrix of ``x`` at ``samples``; charges the ledger.
-
-        One charged simulation per sample row — the unit the paper's
-        Tables 2/4 count.
-        """
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if ledger is not None:
-            ledger.charge(samples.shape[0], category=category)
-        return self.evaluator.evaluate(np.asarray(x, dtype=float), samples)
-
-    def indicator(
-        self,
-        x: np.ndarray,
-        samples: np.ndarray,
-        ledger: SimulationLedger | None = None,
-        category: str = "mc",
-    ) -> np.ndarray:
-        """Per-sample pass indicator J(x, xi), shape ``(n,)`` of bool."""
-        performance = self.simulate(x, samples, ledger, category)
-        return self.specs.passes(performance)
-
-    # -- batched simulation ----------------------------------------------------
-    def evaluate_batch(
-        self,
-        X: np.ndarray,
-        samples: np.ndarray,
-        ledger: SimulationLedger | None = None,
-        category: str = "mc",
-    ) -> np.ndarray:
-        """Performance tensor of ``m`` designs at ``n`` shared samples.
-
-        This is the batched evaluation protocol the Monte-Carlo hot paths
-        call: one array op instead of ``m`` Python-level evaluator calls.
-        Evaluators that define ``evaluate_batch(X, samples)`` (the synthetic
-        problems do) are called once for the whole design batch; all others
-        see the ``m * n`` (design, sample) pairs through the same slabbed
-        row evaluation as :meth:`evaluate_pairs`.
-
-        Parameters
-        ----------
-        X:
-            Design matrix, shape ``(m, design_dimension)`` (a single design
-            vector is promoted to ``m = 1``).
-        samples:
-            Process sample matrix, shape ``(n, process_dimension)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Performance tensor, shape ``(m, n, n_metrics)``; ``m * n``
-            simulations are charged to the ledger.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if ledger is not None:
-            ledger.charge(X.shape[0] * samples.shape[0], category=category)
-        batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
-        if batch_evaluate is not None:
-            return np.asarray(batch_evaluate(X, samples), dtype=float)
-        m, n = X.shape[0], samples.shape[0]
-        rows = self._evaluate_rows(np.repeat(X, n, axis=0), np.tile(samples, (m, 1)))
-        return rows.reshape(m, n, -1)
-
     def evaluate_pairs(
         self,
         X: np.ndarray,
@@ -161,18 +89,13 @@ class YieldProblem:
     ) -> np.ndarray:
         """Row-aligned evaluation: design ``X[i]`` at its own ``samples[i]``.
 
-        This is the fused-round protocol of the execution engines: one OCBA
-        round's border-band samples for *all* candidates, stacked into a
-        single ``(N, ...)`` pair matrix (each design row repeated for its
-        own samples), resolved in one dispatch.  Unlike
-        :meth:`evaluate_batch` — the cross-product ``m x n`` protocol — it
-        charges exactly ``N`` simulations.
-
-        Evaluators that define ``evaluate_pairs(X, samples)`` (the paper's
-        circuits and the synthetic problems) are called once per
-        :data:`SLAB_ROWS` rows; all others are dispatched one call per run
-        of identical consecutive design rows (which is exactly one call per
-        candidate when the engines build the stack).
+        The one evaluation entry point.  Engines stack one OCBA round's
+        border-band samples for *all* candidates into a single ``(N, ...)``
+        pair matrix (each design row repeated for its own samples); one
+        design at ``n`` samples is ``np.broadcast_to(x, (n, d))``.  Exactly
+        ``N`` simulations are charged — one per row, the unit the paper's
+        Tables 2/4 count.  The evaluator is called once per
+        :data:`SLAB_ROWS` rows.
 
         Parameters
         ----------
@@ -199,26 +122,16 @@ class YieldProblem:
         return self._evaluate_rows(X, samples)
 
     def _evaluate_rows(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Row-aligned performance ``(N, n_metrics)``; charges nothing."""
+        """Row-aligned performance ``(N, n_metrics)`` in slabs; charges nothing."""
         out = np.empty((X.shape[0], len(self.specs)))
-        pairs_evaluate = getattr(self.evaluator, "evaluate_pairs", None)
-        if pairs_evaluate is None:
-            for start, stop in _equal_row_runs(X):
-                out[start:stop] = self.evaluator.evaluate(X[start], samples[start:stop])
-            return out
         for start in range(0, X.shape[0], SLAB_ROWS):
             stop = start + SLAB_ROWS
-            out[start:stop] = pairs_evaluate(X[start:stop], samples[start:stop])
+            out[start:stop] = self.evaluator.evaluate_pairs(
+                X[start:stop], samples[start:stop]
+            )
         return out
 
     # -- nominal feasibility -------------------------------------------------------
-    def nominal_performance(
-        self, x: np.ndarray, ledger: SimulationLedger | None = None
-    ) -> np.ndarray:
-        """Performance at the nominal process point (one charged sim)."""
-        nominal = self.variation.nominal()[None, :]
-        return self.simulate(x, nominal, ledger, category="feasibility")[0]
-
     def nominal_feasibility(
         self, x: np.ndarray, ledger: SimulationLedger | None = None
     ) -> tuple[bool, float]:
@@ -226,11 +139,13 @@ class YieldProblem:
 
         This is the paper's step-3 feasibility check: infeasible candidates
         get yield 0 and compete by violation (Deb's rules); no MC analysis
-        is spent on them.
+        is spent on them.  It is the one-row case of
+        :meth:`nominal_feasibility_batch`.
         """
-        performance = self.nominal_performance(x, ledger)[None, :]
-        violation = float(self.specs.violation(performance)[0])
-        return violation == 0.0, violation
+        feasible, violation = self.nominal_feasibility_batch(
+            np.asarray(x, dtype=float)[None, :], ledger
+        )
+        return bool(feasible[0]), float(violation[0])
 
     def nominal_feasibility_batch(
         self, X: np.ndarray, ledger: SimulationLedger | None = None
@@ -238,13 +153,15 @@ class YieldProblem:
         """Step-3 feasibility of a whole design batch in one evaluation.
 
         Returns ``(feasible, violation)`` arrays of shape ``(m,)``; one
-        simulation per design is charged, exactly as ``m`` scalar calls
-        would.
+        simulation per design is charged to ``feasibility``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        nominal = self.variation.nominal()[None, :]
-        performance = self.evaluate_batch(X, nominal, ledger, category="feasibility")
-        violations = self.specs.violation(performance[:, 0, :])
+        if ledger is not None:
+            ledger.charge(X.shape[0], category="feasibility")
+        nominal = np.broadcast_to(
+            self.variation.nominal(), (X.shape[0], self.process_dimension)
+        )
+        violations = self.specs.violation(self._evaluate_rows(X, nominal))
         return violations == 0.0, violations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -42,8 +42,8 @@ class SyntheticEvaluator:
     Parameters
     ----------
     g_funcs:
-        One noise-free function per metric; each maps a design vector to a
-        scalar.
+        One noise-free function per metric; each maps a design matrix
+        ``(N, d)`` to the metric's column ``(N,)``.
     sigmas:
         Noise standard deviation per metric.
     space:
@@ -54,20 +54,14 @@ class SyntheticEvaluator:
 
     def __init__(
         self,
-        g_funcs: list[Callable[[np.ndarray], float]],
+        g_funcs: list[Callable[[np.ndarray], np.ndarray]],
         sigmas: list[float],
         space: DesignSpace,
         metric_labels: list[str],
-        g_batch_funcs: list[Callable[[np.ndarray], np.ndarray] | None] | None = None,
     ) -> None:
         if not (len(g_funcs) == len(sigmas) == len(metric_labels)):
             raise ValueError("g_funcs, sigmas and metric_labels must align")
-        if g_batch_funcs is not None and len(g_batch_funcs) != len(g_funcs):
-            raise ValueError("g_batch_funcs must align with g_funcs")
         self._g_funcs = list(g_funcs)
-        self._g_batch_funcs = (
-            list(g_batch_funcs) if g_batch_funcs is not None else [None] * len(g_funcs)
-        )
         self._sigmas = np.asarray(sigmas, dtype=float)
         self._space = space
         self._labels = list(metric_labels)
@@ -83,34 +77,8 @@ class SyntheticEvaluator:
     def metric_names(self) -> list[str]:
         return list(self._labels)
 
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        x = np.asarray(x, dtype=float)
-        out = np.empty((samples.shape[0], len(self._g_funcs)))
-        for j, g in enumerate(self._g_funcs):
-            out[:, j] = float(g(x)) + self._sigmas[j] * samples[:, j]
-        return out
-
-    def evaluate_batch(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Vectorized batch evaluation: ``(m, n, n_metrics)`` in one array op.
-
-        Metrics registered with a batch-aware ``g`` evaluate the whole
-        design matrix at once; the rest fall back to a per-design loop for
-        the noise-free part only (the noise add is always vectorized).
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        out = np.empty((X.shape[0], samples.shape[0], len(self._g_funcs)))
-        for j, (g, g_batch) in enumerate(zip(self._g_funcs, self._g_batch_funcs)):
-            if g_batch is not None:
-                base = np.asarray(g_batch(X), dtype=float)
-            else:
-                base = np.array([float(g(x)) for x in X])
-            out[:, :, j] = base[:, None] + self._sigmas[j] * samples[None, :, j]
-        return out
-
     def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Row-aligned evaluation ``(N, n_metrics)`` — the fused-round path.
+        """Row-aligned evaluation ``(N, n_metrics)`` in one array op per metric.
 
         Design row ``i`` is evaluated at its own sample row ``i``; this is
         what lets an execution engine resolve one OCBA round's samples for
@@ -119,18 +87,15 @@ class SyntheticEvaluator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         out = np.empty((X.shape[0], len(self._g_funcs)))
-        for j, (g, g_batch) in enumerate(zip(self._g_funcs, self._g_batch_funcs)):
-            if g_batch is not None:
-                base = np.asarray(g_batch(X), dtype=float)
-            else:
-                base = np.array([float(g(x)) for x in X])
-            out[:, j] = base + self._sigmas[j] * samples[:, j]
+        for j, g in enumerate(self._g_funcs):
+            out[:, j] = g(X) + self._sigmas[j] * samples[:, j]
         return out
 
     # -- ground truth ---------------------------------------------------------------
     def noise_free(self, x: np.ndarray) -> np.ndarray:
         """The vector g(x) (no process noise)."""
-        return np.array([float(g(np.asarray(x, dtype=float))) for g in self._g_funcs])
+        x = np.asarray(x, dtype=float)[None, :]
+        return np.array([g(x)[0] for g in self._g_funcs])
 
     def analytic_yield(self, x: np.ndarray, specs: SpecSet) -> float:
         """Exact yield of design ``x`` under ``specs``."""
@@ -146,7 +111,7 @@ class SyntheticEvaluator:
 
 
 class _CenteredQuadratic:
-    """``offset - scale * ||x - c||^2`` as a picklable callable.
+    """``offset - scale * ||x - c||^2`` per design row, as a picklable callable.
 
     The synthetic factories used local closures here, which cannot cross a
     process boundary; the :class:`~repro.engine.process.ProcessPoolEngine`
@@ -159,20 +124,14 @@ class _CenteredQuadratic:
         self.scale = float(scale)
         self.offset = float(offset)
 
-    def __call__(self, x: np.ndarray) -> float:
-        return self.offset - self.scale * float(np.sum((x - self.center) ** 2))
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.offset - self.scale * np.sum((X - self.center) ** 2, axis=1)
 
 
 class _MeanCost:
-    """``mean(x)`` as a picklable callable (see :class:`_CenteredQuadratic`)."""
+    """``mean(x)`` per design row, picklable (see :class:`_CenteredQuadratic`)."""
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(np.mean(x))
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         return np.mean(X, axis=1)
 
 
@@ -191,9 +150,7 @@ def make_sphere_problem(
     )
     margin = _CenteredQuadratic(np.full(dimension, center), scale=4.0, offset=1.0)
 
-    evaluator = SyntheticEvaluator(
-        [margin], [sigma], space, ["margin"], g_batch_funcs=[margin.batch]
-    )
+    evaluator = SyntheticEvaluator([margin], [sigma], space, ["margin"])
     specs = SpecSet([Spec("margin", ">=", 0.0)])
     return YieldProblem(evaluator, specs, name=f"sphere_d{dimension}")
 
@@ -229,7 +186,6 @@ def make_quadratic_problem(
         [sigma_perf, sigma_cost],
         space,
         ["perf", "cost"],
-        g_batch_funcs=[perf.batch, cost.batch],
     )
     specs = SpecSet(
         [Spec("perf", ">=", 1.0), Spec("cost", "<=", float(cost_bound))]

@@ -19,11 +19,11 @@ simulations into one dispatch:
 * :meth:`CandidateYieldState.absorb` incorporates the simulated
   performance rows back into the running estimate.
 
-``refine(k)`` composes the two with an immediate local evaluation, which
-is exactly the legacy per-candidate path.  Because each candidate owns a
-private generator, the draw streams are independent of how (or where) the
-pending blocks are eventually simulated — the foundation of the
-cross-backend reproducibility guarantee.
+``refine(k)`` composes the two with an immediate local evaluation through
+``problem.evaluate_pairs``, one candidate at a time.  Because each
+candidate owns a private generator, the draw streams are independent of
+how (or where) the pending blocks are eventually simulated — the
+foundation of the cross-backend reproducibility guarantee.
 """
 
 from __future__ import annotations
@@ -249,20 +249,10 @@ class CandidateYieldState:
         pending = self.prepare(n_additional, category)
         if pending is None:
             return self.estimate
-
-        # The MC hot path goes through the batched protocol: evaluators
-        # with a vectorized ``evaluate_batch`` resolve the whole sample
-        # block in one array op.  Duck-typed problems that predate the
-        # protocol keep working through plain ``simulate``.
-        evaluate_batch = getattr(self.problem, "evaluate_batch", None)
-        if evaluate_batch is not None:
-            performance = evaluate_batch(
-                self.x[None, :], pending.samples, self.ledger, pending.category
-            )[0]
-        else:
-            performance = self.problem.simulate(
-                self.x, pending.samples, self.ledger, pending.category
-            )
+        X = np.broadcast_to(self.x, (pending.n_samples, self.x.size))
+        performance = self.problem.evaluate_pairs(
+            X, pending.samples, self.ledger, pending.category
+        )
         return self.absorb(pending.samples, performance)
 
     def refine_to(self, n_target: int, category: str | None = None) -> YieldEstimate:

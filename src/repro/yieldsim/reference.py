@@ -30,15 +30,27 @@ def reference_yield(
 
     Batching bounds peak memory (the 123-variable problem at 50 k samples
     would otherwise materialise hundreds of MB of device arrays at once).
+    Raises :class:`ValueError` unless ``n`` and ``batch_size`` are >= 1.
     """
+    if n < 1 or batch_size < 1:
+        raise ValueError(
+            f"reference MC needs n >= 1 and batch_size >= 1, got n={n}, "
+            f"batch_size={batch_size}"
+        )
     if rng is None:
         rng = np.random.default_rng(2**32 - 1)
+    x = np.asarray(x, dtype=float)
     passes = 0
     remaining = int(n)
     while remaining > 0:
         batch = min(batch_size, remaining)
         samples = problem.variation.sample(batch, rng)
-        passed = problem.indicator(x, samples, ledger, category=REFERENCE_CATEGORY)
-        passes += int(np.sum(passed))
+        performance = problem.evaluate_pairs(
+            np.broadcast_to(x, (batch, x.size)),
+            samples,
+            ledger,
+            category=REFERENCE_CATEGORY,
+        )
+        passes += int(np.sum(problem.specs.passes(performance)))
         remaining -= batch
     return YieldEstimate(passes=passes, n=int(n))

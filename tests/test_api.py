@@ -19,6 +19,7 @@ from repro.api import (
     register_problem,
 )
 from repro.api.cli import main as cli_main
+from repro.ledger import SimulationLedger
 from repro.problems import make_sphere_problem
 from repro.registry import DuplicateNameError, Registry, UnknownNameError
 from repro.sampling import make_sampler
@@ -160,6 +161,38 @@ class TestOptimizeDriver:
         with pytest.raises(UnknownNameError):
             optimize("hypercube")
 
+    def test_non_yield_problem_rejected_before_simulating(self, sphere):
+        """An object that only looks like a YieldProblem fails at the door,
+        passed directly or returned by a registered factory."""
+
+        class LegacyProblem:
+            def __init__(self, inner):
+                self._inner = inner
+                self.specs = inner.specs
+                self.space = inner.space
+                self.variation = inner.variation
+                self.design_dimension = inner.design_dimension
+                self.name = "legacy"
+
+            def simulate(self, x, samples, ledger=None, category="mc"):
+                X = np.broadcast_to(x, (len(samples), len(x)))
+                return self._inner.evaluate_pairs(X, samples, ledger, category)
+
+            def nominal_feasibility(self, x, ledger=None):
+                return self._inner.nominal_feasibility(x, ledger)
+
+        ledger = SimulationLedger()
+        with pytest.raises(TypeError, match="YieldProblem"):
+            optimize(LegacyProblem(sphere), seed=1, ledger=ledger, **TINY)
+        assert ledger.grand_total == 0
+        register_problem("legacy_for_test", lambda: LegacyProblem(sphere))
+        try:
+            with pytest.raises(TypeError, match="YieldProblem"):
+                optimize("legacy_for_test", seed=1, ledger=ledger, **TINY)
+        finally:
+            PROBLEMS.unregister("legacy_for_test")
+        assert ledger.grand_total == 0
+
     def test_custom_method_registration(self, sphere):
         calls = {}
 
@@ -226,30 +259,6 @@ class TestOptimizeDriver:
         # Legacy with_overrides semantics: the explicit config field wins.
         assert result.best_estimate.n >= 60
 
-    def test_duck_typed_problem_without_batch_protocol(self, sphere):
-        """Pre-1.1 'YieldProblem-like' objects (no evaluate_batch /
-        nominal_feasibility_batch) still run through optimize()."""
-
-        class LegacyProblem:
-            def __init__(self, inner):
-                self._inner = inner
-                self.specs = inner.specs
-                self.space = inner.space
-                self.variation = inner.variation
-                self.design_dimension = inner.design_dimension
-                self.name = "legacy"
-
-            def simulate(self, x, samples, ledger=None, category="mc"):
-                return self._inner.simulate(x, samples, ledger, category)
-
-            def nominal_feasibility(self, x, ledger=None):
-                return self._inner.nominal_feasibility(x, ledger)
-
-        modern = optimize(sphere, seed=5, **TINY)
-        legacy = optimize(LegacyProblem(sphere), seed=5, **TINY)
-        assert legacy.best_yield == modern.best_yield
-        assert legacy.n_simulations == modern.n_simulations
-
 
 class RecordingCallback(Callback):
     def __init__(self):
@@ -309,50 +318,25 @@ class TestCallbacks:
 
 
 class TestBatchedEvaluation:
-    def test_evaluate_batch_matches_scalar_path(self, sphere):
+    def test_fused_pairs_match_per_design_calls(self, sphere):
+        """All designs' pairs in one call equal one call per design."""
         rng = np.random.default_rng(0)
         X = sphere.space.sample(5, rng)
         samples = sphere.variation.sample(40, rng)
-        batched = sphere.evaluate_batch(X, samples)
+        fused = (np.repeat(X, 40, axis=0), np.tile(samples, (5, 1)))
+        batched = sphere.evaluate_pairs(*fused).reshape(5, 40, -1)
         assert batched.shape == (5, 40, len(sphere.specs))
         for i, x in enumerate(X):
-            np.testing.assert_allclose(batched[i], sphere.simulate(x, samples))
-
-    def test_loop_fallback_matches_override(self, sphere):
-        rng = np.random.default_rng(1)
-        X = sphere.space.sample(4, rng)
-        samples = sphere.variation.sample(16, rng)
-        vectorized = sphere.evaluate_batch(X, samples)
-        # Hide the synthetic evaluator's vectorized override to force the
-        # generic per-design loop in YieldProblem.evaluate_batch.
-        class Hidden:
-            def __init__(self, inner):
-                self._inner = inner
-                self.variation = inner.variation
-
-            def evaluate(self, x, s):
-                return self._inner.evaluate(x, s)
-
-            def metric_names(self):
-                return self._inner.metric_names()
-
-            def design_space(self):
-                return self._inner.design_space()
-
-        from repro.problems.base import YieldProblem
-
-        looped_problem = YieldProblem(Hidden(sphere.evaluator), sphere.specs)
-        np.testing.assert_allclose(
-            looped_problem.evaluate_batch(X, samples), vectorized
-        )
+            single = sphere.evaluate_pairs(np.broadcast_to(x, (40, x.size)), samples)
+            np.testing.assert_allclose(batched[i], single)
 
     def test_ledger_charged_per_design_sample(self, sphere):
-        from repro.ledger import SimulationLedger
-
         ledger = SimulationLedger()
         X = sphere.space.sample(3, np.random.default_rng(2))
         samples = sphere.variation.sample(7, np.random.default_rng(3))
-        sphere.evaluate_batch(X, samples, ledger, category="mc")
+        sphere.evaluate_pairs(
+            np.repeat(X, 7, axis=0), np.tile(samples, (3, 1)), ledger, category="mc"
+        )
         assert ledger.count("mc") == 3 * 7
 
     def test_nominal_feasibility_batch_matches_scalar(self, sphere):

@@ -51,18 +51,6 @@ def _row_by_row(evaluator, X, samples):
 
 
 class TestEvaluatePairs:
-    def test_defined_by_every_circuit(self, any_circuit, monkeypatch):
-        """No circuit falls back to the one-call-per-design loop."""
-        assert "evaluate_pairs" in vars(type(any_circuit.evaluator))
-
-        def per_design_loop(X):
-            raise AssertionError("fell back to the per-design loop")
-
-        monkeypatch.setattr("repro.problems.base._equal_row_runs", per_design_loop)
-        X = _designs(any_circuit, 2)
-        samples = any_circuit.variation.sample(len(X), np.random.default_rng(0))
-        any_circuit.evaluate_pairs(X, samples)
-
     def test_random_designs_and_corners(self, any_circuit):
         X = _designs(any_circuit, 40)
         samples = any_circuit.variation.sample(len(X), np.random.default_rng(1))
@@ -121,7 +109,8 @@ class TestEvaluateBatch:
         X = _designs(problem, 4, seed=7)
         samples = problem.variation.sample(n, np.random.default_rng(8))
         ledger = SimulationLedger()
-        batch = problem.evaluate_batch(X, samples, ledger)
+        pairs = (np.repeat(X, n, axis=0), np.tile(samples, (len(X), 1)))
+        batch = problem.evaluate_pairs(*pairs, ledger).reshape(len(X), n, -1)
         assert batch.shape == (len(X), len(samples), len(problem.specs))
         assert ledger.total == len(X) * len(samples)
         for x, block in zip(X, batch):

@@ -68,6 +68,21 @@ class TestValidation:
             with pytest.raises(SpecError):
                 validate_run_spec(spec)
 
+    @pytest.mark.parametrize("delta", [0, -5])
+    def test_delta_below_one_fails_at_validation(self, delta):
+        """A zero OCBA increment would never reach the stage-1 budget."""
+        from repro.api import RunSpec, SpecError, validate_run_spec
+
+        with pytest.raises(ValueError, match="delta"):
+            MOHECOConfig(delta=delta)
+        spec = RunSpec(
+            problem="sphere",
+            overrides={"delta": delta, "pop_size": 8, "max_generations": 2},
+        )
+        with pytest.raises(SpecError) as excinfo:
+            validate_run_spec(spec)
+        assert excinfo.value.field == "overrides"
+
 
 class TestVariants:
     def test_moheco(self):

@@ -504,25 +504,3 @@ class TestCustomEngines:
         result = optimize("sphere", seed=5, engine=CountingEngine(), **TINY)
         assert calls, "the engine must have executed rounds"
         assert result.best_yield > 0.0
-
-    def test_duck_typed_problem_runs_on_serial_engine(self):
-        """Problems without evaluate_pairs/evaluate_batch still fuse."""
-        inner = make_sphere_problem()
-
-        class MinimalProblem:
-            specs = inner.specs
-            space = inner.space
-            variation = inner.variation
-            design_dimension = inner.design_dimension
-            name = "minimal"
-
-            def simulate(self, x, samples, ledger=None, category="mc"):
-                return inner.simulate(x, samples, ledger, category)
-
-            def nominal_feasibility(self, x, ledger=None):
-                return inner.nominal_feasibility(x, ledger)
-
-        fused = optimize(MinimalProblem(), seed=6, engine="serial", **TINY)
-        loop = optimize(MinimalProblem(), seed=6, engine=PerCandidateEngine(), **TINY)
-        assert fused.best_yield == loop.best_yield
-        assert fused.n_simulations == loop.n_simulations

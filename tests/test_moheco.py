@@ -73,6 +73,27 @@ class TestBudgetAccounting:
             if record.ocba_counts.size:
                 assert np.all(record.ocba_counts == 200)
 
+    def test_local_search_gates_through_evaluate_pairs(self, monkeypatch):
+        """Every charged simulation is an evaluator row, local search included:
+        its candidates pass the batched gate, never the one-design check."""
+        problem = make_sphere_problem(sigma=0.3)
+        evaluate_pairs = problem.evaluator.evaluate_pairs
+        rows = []
+
+        def counting(X, samples):
+            rows.append(len(X))
+            return evaluate_pairs(X, samples)
+
+        def one_design_gate(self, x, ledger=None):
+            raise AssertionError("local search used nominal_feasibility")
+
+        monkeypatch.setattr(problem.evaluator, "evaluate_pairs", counting)
+        monkeypatch.setattr(type(problem), "nominal_feasibility", one_design_gate)
+        result = optimize(problem, "moheco", rng=2, pop_size=8, max_generations=8,
+                          ls_patience=1, n_max=100, sim_ave=20, n0=10)
+        assert result.ledger.by_category()["local_search"] > 0
+        assert sum(rows) == result.ledger.total
+
 
 class TestStopping:
     def test_stalls_on_flat_problem(self, sphere):

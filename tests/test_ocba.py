@@ -123,6 +123,12 @@ class TestSequential:
         assert report.total_samples == 0
         assert report.rounds == 0
 
+    @pytest.mark.parametrize("delta", [0, -5])
+    def test_delta_below_one_rejected(self, delta):
+        for states in ([], self._states([0.5])[0]):
+            with pytest.raises(ValueError, match="delta"):
+                ocba_sequential(states, total_budget=100, delta=delta)
+
     def test_negative_budget_rejected(self):
         states, _ = self._states([0.5])
         with pytest.raises(ValueError):

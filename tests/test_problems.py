@@ -5,6 +5,7 @@ import pytest
 
 from repro.ledger import SimulationLedger
 from repro.problems import (
+    YieldProblem,
     make_folded_cascode_problem,
     make_quadratic_problem,
     make_sphere_problem,
@@ -39,13 +40,33 @@ class TestPaperProblems:
         with pytest.raises(ValueError):
             type(problem)(problem.evaluator, wrong)
 
+    def test_evaluator_without_evaluate_pairs_rejected(self):
+        """A one-design ``evaluate(x, samples)`` is not the protocol."""
+        inner = make_sphere_problem().evaluator
+
+        class OneDesignEvaluator:
+            variation = inner.variation
+
+            def design_space(self):
+                return inner.design_space()
+
+            def metric_names(self):
+                return inner.metric_names()
+
+            def evaluate(self, x, samples):
+                X = np.broadcast_to(x, (len(samples), len(x)))
+                return inner.evaluate_pairs(X, samples)
+
+        with pytest.raises(TypeError, match="evaluate_pairs"):
+            YieldProblem(OneDesignEvaluator(), make_sphere_problem().specs)
+
 
 class TestSimulationAccounting:
     def test_simulate_charges_per_sample(self):
         problem = make_sphere_problem()
         ledger = SimulationLedger()
         samples = problem.variation.sample(37, np.random.default_rng(0))
-        problem.simulate(np.full(4, 0.6), samples, ledger, category="mc")
+        problem.evaluate_pairs(np.full((37, 4), 0.6), samples, ledger, category="mc")
         assert ledger.total == 37
         assert ledger.count("mc") == 37
 
@@ -59,7 +80,7 @@ class TestSimulationAccounting:
     def test_simulate_without_ledger_is_fine(self):
         problem = make_sphere_problem()
         samples = problem.variation.sample(3, np.random.default_rng(0))
-        out = problem.simulate(np.full(4, 0.6), samples)
+        out = problem.evaluate_pairs(np.full((3, 4), 0.6), samples)
         assert out.shape == (3, 1)
 
 
@@ -82,7 +103,9 @@ class TestSyntheticGroundTruth:
         for x in (np.full(5, 0.62), np.full(5, 0.55), np.full(5, 0.68)):
             analytic = problem.evaluator.analytic_yield(x, problem.specs)
             samples = problem.variation.sample(40_000, rng)
-            mc = float(np.mean(problem.indicator(x, samples)))
+            X = np.broadcast_to(x, (40_000, x.size))
+            passed = problem.specs.passes(problem.evaluate_pairs(X, samples))
+            mc = float(np.mean(passed))
             assert mc == pytest.approx(analytic, abs=0.01)
 
     def test_quadratic_cost_constraint_active(self):
@@ -100,7 +123,8 @@ class TestSyntheticGroundTruth:
     def test_indicator_shape_and_dtype(self):
         problem = make_sphere_problem()
         samples = problem.variation.sample(11, np.random.default_rng(0))
-        out = problem.indicator(np.full(4, 0.6), samples)
+        performance = problem.evaluate_pairs(np.full((11, 4), 0.6), samples)
+        out = problem.specs.passes(performance)
         assert out.shape == (11,)
         assert out.dtype == bool
 

@@ -108,10 +108,11 @@ class TestLHSStructure:
         truth = problem.evaluator.analytic_yield(x, problem.specs)
         sampler = LatinHypercubeSampler(problem.variation)
         rng = np.random.default_rng(11)
-        estimates = [
-            float(np.mean(problem.indicator(x, sampler.draw(200, rng))))
-            for _ in range(50)
-        ]
+        X = np.broadcast_to(x, (200, x.size))
+        estimates = []
+        for _ in range(50):
+            performance = problem.evaluate_pairs(X, sampler.draw(200, rng))
+            estimates.append(float(np.mean(problem.specs.passes(performance))))
         assert np.mean(estimates) == pytest.approx(truth, abs=0.02)
 
 

@@ -55,6 +55,7 @@ MALFORMED_SPECS = [
         "methods[0].overrides",
     ),
     ("sweep", dict(TINY_SWEEP, runs=0), "runs"),
+    ("sweep", dict(TINY_SWEEP, reference_n=0), "reference_n"),
     (
         "sweep",
         dict(

@@ -127,3 +127,18 @@ class TestReferenceYield:
         truth = problem.evaluator.analytic_yield(x, problem.specs)
         est = reference_yield(problem, x, n=30_000, rng=make_rng(1))
         assert est.value == pytest.approx(truth, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "n, batch_size", [(0, 5_000), (-5, 5_000), (10, 0), (10, -1)]
+    )
+    def test_sizes_below_one_rejected(self, problem, n, batch_size):
+        """Refused before the first draw (a zero batch would never finish)."""
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("reference_yield drew samples")
+
+        with pytest.raises(ValueError, match="n >= 1 and batch_size >= 1"):
+            reference_yield(
+                problem, np.full(4, 0.6), n=n, rng=NoDraws(), batch_size=batch_size
+            )
