@@ -48,6 +48,31 @@ def test_telescopic_500_sample_evaluation(benchmark, ts_setup):
     assert out.shape == (500, 8)
 
 
+def _gate_rows(amp, rows):
+    """``rows`` random designs at the nominal process point: the shape of a
+    feasibility gate (1 row under the local search, 11 for a small
+    generation)."""
+    X = amp.design_space().sample(rows, np.random.default_rng(5))
+    nominal = np.broadcast_to(amp.variation.nominal(), (rows, amp.variation.dimension))
+    return X, nominal
+
+
+@pytest.mark.benchmark(group="evaluator")
+@pytest.mark.parametrize("rows", [1, 11])
+def test_folded_cascode_gate_evaluation(benchmark, fc_setup, rows):
+    amp, _, _ = fc_setup
+    out = benchmark(amp.evaluate_pairs, *_gate_rows(amp, rows))
+    assert out.shape == (rows, 6)
+
+
+@pytest.mark.benchmark(group="evaluator")
+@pytest.mark.parametrize("rows", [1, 11])
+def test_telescopic_gate_evaluation(benchmark, ts_setup, rows):
+    amp, _, _ = ts_setup
+    out = benchmark(amp.evaluate_pairs, *_gate_rows(amp, rows))
+    assert out.shape == (rows, 8)
+
+
 @pytest.mark.benchmark(group="sampling")
 def test_lhs_draw_80dim(benchmark, fc_setup):
     amp, _, _ = fc_setup

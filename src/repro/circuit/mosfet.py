@@ -10,8 +10,11 @@ Two views of the same device are provided:
 * :class:`DeviceArrays` — *effective* per-sample device parameters after
   process variations have been applied by a technology.  All entries are
   NumPy arrays over the Monte-Carlo sample axis, and the bias-point helper
-  methods (``vov_for_current``, ``gm``, ``gds`` …) are fully vectorised.
-  This is what the fast analytic topology evaluators consume.
+  methods are fully vectorised.  ``vov_for_current`` solves a device's
+  operating point (the overdrive that carries a drain current) once;
+  ``gm``, ``gmbs`` and ``vdsat`` take that solved overdrive, and only
+  ``gds`` and ``ro`` take the drain current itself.  This is what the
+  fast analytic topology evaluators consume.
 
 Sign conventions: p-channel devices are evaluated with source-referenced
 *magnitudes* (``vgs``, ``vds`` >= 0 meaning |VGS|, |VDS|); polarity handling
@@ -237,6 +240,12 @@ class DeviceArrays:
     has one entry per design row — or a single entry shared by every
     sample — and the effective parameters one entry per sample row.
 
+    An evaluator solves each (device, current) operating point once with
+    :meth:`vov_for_current` and passes the solved overdrive ``vov`` on to
+    :meth:`gm`, :meth:`gmbs` and :meth:`vdsat`; the gate-source magnitude
+    is ``vth + vov``.  Only :meth:`gds` and :meth:`ro` take the drain
+    current ``ids``, the one input they use.
+
     The bias-point helpers use an EKV-style all-region interpolation::
 
         u   = vov / (2 n Vt)
@@ -305,14 +314,9 @@ class DeviceArrays:
         self.gamma = np.asarray(card.gamma if gamma is None else gamma, dtype=float)
         self.phi = np.asarray(card.phi if phi is None else phi, dtype=float)
         self.nfactor = float(getattr(card, "nfactor", 1.4))
+        self.beta = self.kp * self.weff / self.leff
 
-    # -- derived ------------------------------------------------------------
-    @property
-    def beta(self) -> np.ndarray:
-        """Transconductance factor kp * Weff / Leff [A/V^2]."""
-        return self.kp * self.weff / self.leff
-
-    # -- bias-point quantities (current-driven, EKV all-region) ----------------
+    # -- bias-point quantities (EKV all-region) ---------------------------------
     def _nvt(self) -> float:
         """2 n Vt, the EKV interpolation scale [V]."""
         return 2.0 * self.nfactor * THERMAL_VOLTAGE
@@ -334,24 +338,23 @@ class DeviceArrays:
         """
         ids = np.maximum(np.asarray(ids, dtype=float), 1e-15)
         scale = self._nvt()
+        i_scale = 0.5 * self.beta * scale**2  # ids = i_scale * h^2 / denom
         vov = np.zeros_like(ids + self.beta)  # broadcast shape
         for _ in range(8):
-            q = np.sqrt(ids * (1.0 + self.theta * np.maximum(vov, 0.0))
-                        / (0.5 * self.beta * scale**2))
+            q = np.sqrt(ids * (1.0 + self.theta * np.maximum(vov, 0.0)) / i_scale)
             # invert softplus: u = ln(exp(q) - 1), guarded for large q
             vov = scale * np.where(q > 30.0, q, np.log(np.expm1(np.minimum(q, 30.0))))
         return vov
 
-    def gm(self, ids) -> np.ndarray:
-        """Transconductance at drain current ``ids`` (saturation) [S].
+    def gm(self, vov) -> np.ndarray:
+        """Transconductance at the solved overdrive ``vov`` (saturation) [S].
 
         Exact derivative of :meth:`current_for_vov` at the operating
         overdrive, including the mobility-degradation term.  Strong
         inversion: ~ beta*vov/n degraded by theta; weak inversion:
         Id/(n*Vt) — the physical ceiling.
         """
-        ids = np.asarray(ids, dtype=float)
-        vov = self.vov_for_current(ids)
+        vov = np.asarray(vov, dtype=float)
         scale = self._nvt()
         u = vov / scale
         h = np.logaddexp(0.0, u)
@@ -374,19 +377,14 @@ class DeviceArrays:
         """Output resistance 1/gds [ohm]."""
         return 1.0 / np.maximum(self.gds(ids), 1e-15)
 
-    def vdsat(self, ids) -> np.ndarray:
-        """Saturation voltage at current ``ids`` [V].
+    def vdsat(self, vov) -> np.ndarray:
+        """Saturation voltage at the solved overdrive ``vov`` [V].
 
         Approaches the overdrive in strong inversion and floors near
         ~3.5 Vt in weak inversion (EKV-style blend).
         """
-        vov = self.vov_for_current(ids)
         floor = 3.5 * THERMAL_VOLTAGE
         return np.sqrt(np.maximum(vov, 0.0) ** 2 + floor**2)
-
-    def vgs_for_current(self, ids) -> np.ndarray:
-        """Gate-source magnitude needed to carry ``ids`` [V]."""
-        return self.vth + self.vov_for_current(ids)
 
     def vth_at(self, vsb) -> np.ndarray:
         """Threshold with body effect at source-bulk reverse bias ``vsb`` [V].
@@ -399,11 +397,12 @@ class DeviceArrays:
             np.sqrt(self.phi + vsb) - np.sqrt(self.phi)
         )
 
-    def gmbs(self, ids, vsb=0.0) -> np.ndarray:
-        """Bulk transconductance at current ``ids`` and bias ``vsb`` [S]."""
+    def gmbs(self, vov, vsb=0.0) -> np.ndarray:
+        """Bulk transconductance at the solved overdrive ``vov`` and
+        source-bulk bias ``vsb`` [S]."""
         vsb = np.maximum(np.asarray(vsb, dtype=float), 0.0)
         chi = self.gamma / (2.0 * np.sqrt(self.phi + vsb))
-        return chi * self.gm(ids)
+        return chi * self.gm(vov)
 
     # -- capacitances ---------------------------------------------------------
     def cgs(self) -> np.ndarray:

@@ -150,59 +150,80 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         i3_design = icas + 0.5 * itail
 
         # -- current mirrors (exact device equations) ----------------------
-        i0 = _mirror_current(mb1, m0, itail)
+        i0 = _mirror_current(mb1.vth + mb1.vov_for_current(itail), m0)
         i1 = 0.5 * i0  # balanced split of the tail current
-        i9_l = _mirror_current(mb4, m9, icas)
-        i9_r = _mirror_current(mb4, m10, icas)
+        vgs_b4 = mb4.vth + mb4.vov_for_current(icas)  # shared by both sinks
+        i9_l = _mirror_current(vgs_b4, m9)
+        i9_r = _mirror_current(vgs_b4, m10)
         i5_l, i5_r = i9_l, i9_r            # series cascode branch
         i3_l, i3_r = i9_l + i1, i9_r + i1  # CMFB closes KCL at the fold node
 
+        # -- operating points: one overdrive solve per (device, current) ------
+        vov0 = m0.vov_for_current(i0)
+        vov1 = m1.vov_for_current(i1)
+        vov2 = m2.vov_for_current(i1)
+        vov3 = m3.vov_for_current(i3_l)
+        vov4 = m4.vov_for_current(i3_r)
+        vov5 = m5.vov_for_current(i5_l)
+        vov6 = m6.vov_for_current(i5_r)
+        vov7 = m7.vov_for_current(i5_l)
+        vov8 = m8.vov_for_current(i5_r)
+        vov9 = m9.vov_for_current(i9_l)
+        vov10 = m10.vov_for_current(i9_r)
+        vgs5_avg = m5_avg.vth + m5_avg.vov_for_current(icas)
+        vgs7_avg = m7_avg.vth + m7_avg.vov_for_current(icas)
+
         # -- bias voltages --------------------------------------------------
         # Folding-node target from the PMOS replica MB2 + margin.
-        va_target = vdd - (mb2.vdsat(i3_design) + d["vmargin_p"])
+        va_target = vdd - (mb2.vdsat(mb2.vov_for_current(i3_design)) + d["vmargin_p"])
         # Per-side fold node shifts with the cascode's VGS mismatch.
-        va_l = va_target + (m5.vgs_for_current(i5_l) - m5_avg.vgs_for_current(icas))
-        va_r = va_target + (m6.vgs_for_current(i5_r) - m5_avg.vgs_for_current(icas))
+        va_l = va_target + ((m5.vth + vov5) - vgs5_avg)
+        va_r = va_target + ((m6.vth + vov6) - vgs5_avg)
 
         # N-cascode source node from the NMOS replica MB3 + margin.
-        vb_target = mb3.vdsat(icas) + d["vmargin_n"]
-        vb_l = vb_target - (m7.vgs_for_current(i5_l) - m7_avg.vgs_for_current(icas))
-        vb_r = vb_target - (m8.vgs_for_current(i5_r) - m7_avg.vgs_for_current(icas))
+        vb_target = mb3.vdsat(mb3.vov_for_current(icas)) + d["vmargin_n"]
+        vb_l = vb_target - ((m7.vth + vov7) - vgs7_avg)
+        vb_r = vb_target - ((m8.vth + vov8) - vgs7_avg)
 
         # Input-pair source node (body effect solved by fixed-point iteration).
-        vs1 = vcm_in - (m1.vth + m1.vov_for_current(i1))
+        vs1 = vcm_in - (m1.vth + vov1)
         for _ in range(3):
-            vs1 = vcm_in - (m1.vth_at(np.maximum(vs1, 0.0)) + m1.vov_for_current(i1))
+            vs1 = vcm_in - (m1.vth_at(np.maximum(vs1, 0.0)) + vov1)
 
         # -- saturation margins ----------------------------------------------
         margins = [
-            vs1 - m0.vdsat(i0),                       # tail
-            (va_l - vs1) - m1.vdsat(i1),              # input left
-            (va_r - vs1) - m2.vdsat(i1),              # input right
-            (vdd - va_l) - m3.vdsat(i3_l),            # fold source L
-            (vdd - va_r) - m4.vdsat(i3_r),            # fold source R
-            (va_l - vout_cm) - m5.vdsat(i5_l),        # p-cascode L
-            (va_r - vout_cm) - m6.vdsat(i5_r),        # p-cascode R
-            (vout_cm - vb_l) - m7.vdsat(i5_l),        # n-cascode L
-            (vout_cm - vb_r) - m8.vdsat(i5_r),        # n-cascode R
-            vb_l - m9.vdsat(i9_l),                    # sink L
-            vb_r - m10.vdsat(i9_r),                   # sink R
+            vs1 - m0.vdsat(vov0),                     # tail
+            (va_l - vs1) - m1.vdsat(vov1),            # input left
+            (va_r - vs1) - m2.vdsat(vov2),            # input right
+            (vdd - va_l) - m3.vdsat(vov3),            # fold source L
+            (vdd - va_r) - m4.vdsat(vov4),            # fold source R
+            (va_l - vout_cm) - m5.vdsat(vov5),        # p-cascode L
+            (va_r - vout_cm) - m6.vdsat(vov6),        # p-cascode R
+            (vout_cm - vb_l) - m7.vdsat(vov7),        # n-cascode L
+            (vout_cm - vb_r) - m8.vdsat(vov8),        # n-cascode R
+            vb_l - m9.vdsat(vov9),                    # sink L
+            vb_r - m10.vdsat(vov10),                  # sink R
         ]
         satmargin = np.min(np.vstack(margins), axis=0)
 
         # -- small-signal quantities per side ---------------------------------
-        gm1 = m1.gm(i1)
-        gm2 = m2.gm(i1)
+        gm1 = m1.gm(vov1)
+        gm2 = m2.gm(vov2)
 
-        def side_rout(m_in, m_src, m_pc, m_nc, m_snk, va, vb, i5, i3, i9):
-            gm_pc = m_pc.gm(i5) + m_pc.gmbs(i5, np.maximum(vdd - va, 0.0))
-            gm_nc = m_nc.gm(i5) + m_nc.gmbs(i5, np.maximum(vb, 0.0))
+        def side_rout(m_in, m_src, m_pc, m_nc, m_snk, va, vb, i5, i3, i9,
+                      vov_pc, vov_nc):
+            gm_pc = m_pc.gm(vov_pc) + m_pc.gmbs(vov_pc, np.maximum(vdd - va, 0.0))
+            gm_nc = m_nc.gm(vov_nc) + m_nc.gmbs(vov_nc, np.maximum(vb, 0.0))
             ro_up = m_pc.ro(i5) * gm_pc * _parallel(m_src.ro(i3), m_in.ro(i1))
             ro_dn = m_nc.ro(i5) * gm_nc * m_snk.ro(i9)
             return _parallel(ro_up, ro_dn), gm_pc, gm_nc
 
-        rout_l, gm5_eff, gm7_eff = side_rout(m1, m3, m5, m7, m9, va_l, vb_l, i5_l, i3_l, i9_l)
-        rout_r, gm6_eff, gm8_eff = side_rout(m2, m4, m6, m8, m10, va_r, vb_r, i5_r, i3_r, i9_r)
+        rout_l, gm5_eff, gm7_eff = side_rout(
+            m1, m3, m5, m7, m9, va_l, vb_l, i5_l, i3_l, i9_l, vov5, vov7
+        )
+        rout_r, gm6_eff, gm8_eff = side_rout(
+            m2, m4, m6, m8, m10, va_r, vb_r, i5_r, i3_r, i9_r, vov6, vov8
+        )
 
         a0 = 0.5 * (gm1 * rout_l + gm2 * rout_r)
         a0_db = ratio_to_db(np.maximum(a0, 1e-12))
@@ -228,10 +249,10 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         pm = phase_margin_deg(gbw, nondominant_poles_hz=(p_fold, p_casc))
 
         # -- swing ------------------------------------------------------------------
-        vout_max = np.minimum(va_l - m5.vdsat(i5_l),
-                              va_r - m6.vdsat(i5_r))
-        vout_min = np.maximum(vb_l + m7.vdsat(i5_l),
-                              vb_r + m8.vdsat(i5_r))
+        vout_max = np.minimum(va_l - m5.vdsat(vov5),
+                              va_r - m6.vdsat(vov6))
+        vout_min = np.maximum(vb_l + m7.vdsat(vov7),
+                              vb_r + m8.vdsat(vov8))
         os = 2.0 * (vout_max - vout_min)
 
         # -- power ---------------------------------------------------------------------
@@ -242,14 +263,14 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         return out
 
 
-def _mirror_current(reference, output, i_ref):
-    """Current of a mirror output device given the reference diode current.
+def _mirror_current(vgs_ref, output):
+    """Current of a mirror output device at the reference diode's gate voltage.
 
-    The reference device is diode-connected at ``i_ref``; the output device
-    sees the same gate voltage, so VTH/beta mismatch between the two maps
-    into an output-current error via the exact square-law-with-theta model.
+    The reference device is diode-connected at its current, which sets
+    ``vgs_ref``; the output device sees the same gate voltage, so VTH/beta
+    mismatch between the two maps into an output-current error via the
+    exact square-law-with-theta model.
     """
-    vgs_ref = reference.vgs_for_current(i_ref)
     return output.current_for_vov(vgs_ref - output.vth)
 
 

@@ -174,72 +174,95 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
 
         # -- reference distribution and mirrors ------------------------------
         # The master bias chain (MB5/MB6) perturbs the reference currents.
-        iref_tail = _mirror_current(mb5, mb1, itail)
-        i0 = _mirror_current(mb1, m0, iref_tail)
+        iref_tail = _mirror_current(mb5.vth + mb5.vov_for_current(itail), mb1)
+        i0 = _mirror_current(mb1.vth + mb1.vov_for_current(iref_tail), m0)
         i1 = 0.5 * i0
 
         # Stage-1 output common mode from the replica CMFB: biased so that
         # the stage-2 device M9 nominally carries i2.
-        vgs9_applied = m9_avg.vgs_for_current(i2)
+        vgs9_applied = m9_avg.vth + m9_avg.vov_for_current(i2)
         vo1_cm = vdd - vgs9_applied
         # Per-side stage-2 currents from M9/M10 threshold/beta mismatch.
-        i9_l = m9.current_for_vov(vgs9_applied - m9.vth)
-        i9_r = m10.current_for_vov(vgs9_applied - m10.vth)
+        i9_l = _mirror_current(vgs9_applied, m9)
+        i9_r = _mirror_current(vgs9_applied, m10)
         # Stage-2 sinks mirrored from MB4 (reference scaled through MB6).
-        iref2 = _mirror_current(mb6, mb4, i2)
-        i11_l = _mirror_current(mb4, m11, iref2)
-        i11_r = _mirror_current(mb4, m12, iref2)
+        iref2 = _mirror_current(mb6.vth + mb6.vov_for_current(i2), mb4)
+        vgs_b4 = mb4.vth + mb4.vov_for_current(iref2)  # shared by both sinks
+        i11_l = _mirror_current(vgs_b4, m11)
+        i11_r = _mirror_current(vgs_b4, m12)
+
+        # -- operating points: one overdrive solve per (device, current) ------
+        vov0 = m0.vov_for_current(i0)
+        vov1 = m1.vov_for_current(i1)
+        vov2 = m2.vov_for_current(i1)
+        vov3 = m3.vov_for_current(i1)
+        vov4 = m4.vov_for_current(i1)
+        vov5 = m5.vov_for_current(i1)
+        vov6 = m6.vov_for_current(i1)
+        vov7 = m7.vov_for_current(i1)
+        vov8 = m8.vov_for_current(i1)
+        vov9 = m9.vov_for_current(i9_l)
+        vov10 = m10.vov_for_current(i9_r)
+        vov11 = m11.vov_for_current(i11_l)
+        vov12 = m12.vov_for_current(i11_r)
 
         # -- stage-1 node voltages --------------------------------------------
-        vs1 = VCM_IN - (m1.vth + m1.vov_for_current(i1))
+        vs1 = VCM_IN - (m1.vth + vov1)
         for _ in range(3):
-            vs1 = VCM_IN - (m1.vth_at(np.maximum(vs1, 0.0)) + m1.vov_for_current(i1))
+            vs1 = VCM_IN - (m1.vth_at(np.maximum(vs1, 0.0)) + vov1)
 
-        # Node X (input drain / n-cascode source) target + per-side shifts.
-        vx_target = m1_avg.vdsat(i1) + np.maximum(vs1, 0.0) + d["vmargin_n"]
-        vg3 = vx_target + mb2.vgs_for_current(0.5 * itail)
-        vx_l = vg3 - m3.vgs_for_current(i1)
-        vx_r = vg3 - m4.vgs_for_current(i1)
+        # Node X (input drain / n-cascode source) target + per-side shifts;
+        # the cascode bias replicas MB2/MB3 carry half the tail current.
+        i_replica = 0.5 * itail
+        vx_target = (
+            m1_avg.vdsat(m1_avg.vov_for_current(i1)) + np.maximum(vs1, 0.0)
+            + d["vmargin_n"]
+        )
+        vg3 = vx_target + (mb2.vth + mb2.vov_for_current(i_replica))
+        vx_l = vg3 - (m3.vth + vov3)
+        vx_r = vg3 - (m4.vth + vov4)
 
         # Node Z (p-cascode source / p-source drain) target + shifts.
-        vz_target = vdd - (m7_avg.vdsat(i1) + d["vmargin_p"])
-        vg5 = vz_target - mb3.vgs_for_current(0.5 * itail)
-        vz_l = vg5 + m5.vgs_for_current(i1)
-        vz_r = vg5 + m6.vgs_for_current(i1)
+        vz_target = vdd - (
+            m7_avg.vdsat(m7_avg.vov_for_current(i1)) + d["vmargin_p"]
+        )
+        vg5 = vz_target - (mb3.vth + mb3.vov_for_current(i_replica))
+        vz_l = vg5 + (m5.vth + vov5)
+        vz_r = vg5 + (m6.vth + vov6)
 
         # -- saturation margins -------------------------------------------------
         margins = [
-            vs1 - m0.vdsat(i0),
-            (vx_l - vs1) - m1.vdsat(i1),
-            (vx_r - vs1) - m2.vdsat(i1),
-            (vo1_cm - vx_l) - m3.vdsat(i1),
-            (vo1_cm - vx_r) - m4.vdsat(i1),
-            (vz_l - vo1_cm) - m5.vdsat(i1),
-            (vz_r - vo1_cm) - m6.vdsat(i1),
-            (vdd - vz_l) - m7.vdsat(i1),
-            (vdd - vz_r) - m8.vdsat(i1),
-            (vdd - vout_cm) - m9.vdsat(i9_l),
-            (vdd - vout_cm) - m10.vdsat(i9_r),
-            vout_cm - m11.vdsat(i11_l),
-            vout_cm - m12.vdsat(i11_r),
+            vs1 - m0.vdsat(vov0),
+            (vx_l - vs1) - m1.vdsat(vov1),
+            (vx_r - vs1) - m2.vdsat(vov2),
+            (vo1_cm - vx_l) - m3.vdsat(vov3),
+            (vo1_cm - vx_r) - m4.vdsat(vov4),
+            (vz_l - vo1_cm) - m5.vdsat(vov5),
+            (vz_r - vo1_cm) - m6.vdsat(vov6),
+            (vdd - vz_l) - m7.vdsat(vov7),
+            (vdd - vz_r) - m8.vdsat(vov8),
+            (vdd - vout_cm) - m9.vdsat(vov9),
+            (vdd - vout_cm) - m10.vdsat(vov10),
+            vout_cm - m11.vdsat(vov11),
+            vout_cm - m12.vdsat(vov12),
         ]
         satmargin = np.min(np.vstack(margins), axis=0)
 
         # -- stage gains ------------------------------------------------------------
-        gm1 = m1.gm(i1)
-        gm2 = m2.gm(i1)
-        gm3_eff = m3.gm(i1) + m3.gmbs(i1, np.maximum(vx_l, 0.0))
-        gm4_eff = m4.gm(i1) + m4.gmbs(i1, np.maximum(vx_r, 0.0))
-        gm5_eff = m5.gm(i1) + m5.gmbs(i1, np.maximum(vdd - vz_l, 0.0))
-        gm6_eff = m6.gm(i1) + m6.gmbs(i1, np.maximum(vdd - vz_r, 0.0))
+        gm1 = m1.gm(vov1)
+        gm2 = m2.gm(vov2)
+        gm3_eff = m3.gm(vov3) + m3.gmbs(vov3, np.maximum(vx_l, 0.0))
+        gm4_eff = m4.gm(vov4) + m4.gmbs(vov4, np.maximum(vx_r, 0.0))
+        gm5_eff = m5.gm(vov5) + m5.gmbs(vov5, np.maximum(vdd - vz_l, 0.0))
+        gm6_eff = m6.gm(vov6) + m6.gmbs(vov6, np.maximum(vdd - vz_r, 0.0))
 
         r1_l = _parallel(gm3_eff * m3.ro(i1) * m1.ro(i1),
                          gm5_eff * m5.ro(i1) * m7.ro(i1))
         r1_r = _parallel(gm4_eff * m4.ro(i1) * m2.ro(i1),
                          gm6_eff * m6.ro(i1) * m8.ro(i1))
 
-        gm9 = m9.gm(i9_l)
-        gm10 = m10.gm(i9_r)
+        gm9 = m9.gm(vov9)
+        gm10 = m10.gm(vov10)
         r2_l = _parallel(m9.ro(i9_l), m11.ro(i11_l))
         r2_r = _parallel(m10.ro(i9_r), m12.ro(i11_r))
 
@@ -280,8 +303,8 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         )
 
         # -- swing (stage-2 output, differential peak-to-peak) ------------------------
-        vout_max = vdd - np.maximum(m9.vdsat(i9_l), m10.vdsat(i9_r))
-        vout_min = np.maximum(m11.vdsat(i11_l), m12.vdsat(i11_r))
+        vout_max = vdd - np.maximum(m9.vdsat(vov9), m10.vdsat(vov10))
+        vout_min = np.maximum(m11.vdsat(vov11), m12.vdsat(vov12))
         os = 2.0 * (vout_max - vout_min)
 
         # -- power ------------------------------------------------------------------------
@@ -300,12 +323,12 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         # -- offset -----------------------------------------------------------------------
         dvth_in = m1.vth - m2.vth
         dvth_load = m7.vth - m8.vth
-        vov1 = m1.vov_for_current(i1)
         dbeta_in = (m1.beta - m2.beta) / np.maximum(0.5 * (m1.beta + m2.beta), 1e-12)
         stage2_imbalance = ((i9_l - i11_l) - (i9_r - i11_r)) / np.maximum(gm9_avg, 1e-12)
         vos_raw = (
             dvth_in
-            + (0.5 * (m7.gm(i1) + m8.gm(i1)) / np.maximum(0.5 * (gm1 + gm2), 1e-12))
+            + (0.5 * (m7.gm(vov7) + m8.gm(vov8))
+               / np.maximum(0.5 * (gm1 + gm2), 1e-12))
             * dvth_load
             + 0.5 * vov1 * dbeta_in
             + stage2_imbalance / np.maximum(0.5 * (a1_l + a1_r), 1.0)
@@ -317,9 +340,8 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         )
 
 
-def _mirror_current(reference, output, i_ref):
-    """Mirror output current given the reference diode current (exact model)."""
-    vgs_ref = reference.vgs_for_current(i_ref)
+def _mirror_current(vgs_ref, output):
+    """Mirror output current at the reference diode's gate voltage (exact model)."""
     return output.current_for_vov(vgs_ref - output.vth)
 
 

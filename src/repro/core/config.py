@@ -62,8 +62,9 @@ class MOHECOConfig:
     #: NM iterations per trigger (paper: "about 10").
     ls_max_iterations: int = 10
     #: Hard cap on NM objective evaluations per trigger (each evaluation
-    #: costs ``n_max`` simulations).  The default allows the initial simplex
-    #: (d+1 points) plus roughly the paper's "about 10 iterations".
+    #: costs ``n_max`` simulations), the initial simplex's d+1 points
+    #: included.  The default allows the initial simplex plus roughly the
+    #: paper's "about 10 iterations".
     ls_max_evaluations: int = 24
     #: Hard cap on local-search triggers per run (keeps the memetic cost
     #: bounded on problems whose best yield saturates below 100 %).
@@ -114,6 +115,15 @@ class MOHECOConfig:
         if not 0.0 < self.stage2_threshold <= 1.0:
             raise ValueError(
                 f"stage2_threshold must be in (0, 1], got {self.stage2_threshold}"
+            )
+        if self.ls_max_evaluations < 1:
+            raise ValueError(
+                f"ls_max_evaluations must be >= 1, got {self.ls_max_evaluations}"
+            )
+        if not self.ls_initial_step > 0.0:
+            raise ValueError(
+                f"ls_initial_step must be > 0, got {self.ls_initial_step}; a "
+                "zero step puts every simplex vertex on the start point"
             )
 
     # -- named variants (the paper's compared methods) --------------------------

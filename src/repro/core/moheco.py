@@ -394,21 +394,31 @@ class MOHECO:
 
     # -- local search (steps 9-10) -------------------------------------------------------
     def _local_search(self, incumbent: Individual) -> Individual | None:
-        """NM around the best member; returns an improved individual or None."""
+        """NM around the best member; returns an improved individual or None.
+
+        Each batch of simplex points passes one gate call, and every
+        feasible point is refined to ``n_max`` in one fused round; the gate
+        spawns the points' RNG streams in row order.
+        """
         evaluated: list[Individual] = []
 
-        def objective(x: np.ndarray) -> float:
-            (individual,) = self._new_individuals(x[None, :], "local_search")
-            if not individual.feasible:
-                # Strictly below any feasible yield; graded by violation so
-                # the simplex can climb back into the feasible region.
-                return -1.0 - individual.violation
-            missing = self.config.n_max - individual.state.n
-            if missing > 0:
-                self._refine_round([individual.state], [missing])
-            individual.stage = 2
-            evaluated.append(individual)
-            return individual.yield_value
+        def objective(xs: np.ndarray) -> np.ndarray:
+            individuals = self._new_individuals(xs, "local_search")
+            feasible = [ind for ind in individuals if ind.feasible]
+            if feasible:
+                self._refine_round(
+                    [ind.state for ind in feasible], [self.config.n_max] * len(feasible)
+                )
+            for individual in feasible:
+                individual.stage = 2
+            evaluated.extend(feasible)
+            # An infeasible point scores strictly below any feasible yield,
+            # graded by violation so the simplex can climb back into the
+            # feasible region.
+            return np.array([
+                ind.yield_value if ind.feasible else -1.0 - ind.violation
+                for ind in individuals
+            ])
 
         nelder_mead_maximize(
             objective,

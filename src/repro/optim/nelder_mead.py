@@ -4,7 +4,15 @@ MOHECO's local engine: gradient-free (yield estimates are noisy and
 non-differentiable), cheap in bookkeeping, and effective for the local
 refinement of a single good candidate.  Objective evaluations are expensive
 (each costs ``n_max`` circuit simulations), so the implementation counts
-evaluations and honours a hard cap.
+evaluated points and honours a hard cap on them, the initial simplex
+included.
+
+The objective is batched: it takes an ``(m, d)`` matrix of points and
+returns their ``m`` values.  Independent points share one call — the
+``d + 1`` vertices of the initial simplex, and the vertices of a shrink
+step — so an objective that simulates can fuse them into one round.
+Reflection, expansion and contraction each depend on the value before
+them and are one-row calls.
 
 Standard coefficients: reflection 1, expansion 2, contraction 0.5,
 shrink 0.5.  Points are clipped into the design box before evaluation (the
@@ -30,11 +38,12 @@ class NelderMeadResult:
     x: np.ndarray
     objective: float
     iterations: int
+    #: Points evaluated (not objective calls), the initial simplex included.
     evaluations: int
 
 
 def nelder_mead_maximize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     space: DesignSpace,
     max_iterations: int = 10,
@@ -46,7 +55,8 @@ def nelder_mead_maximize(
     Parameters
     ----------
     objective:
-        Function to maximise (MOHECO passes a stage-2 yield estimator).
+        Batched function to maximise: an ``(m, d)`` matrix of points in,
+        ``m`` values out (MOHECO passes a stage-2 yield estimator).
     x0:
         Start point (the population best).
     space:
@@ -57,19 +67,25 @@ def nelder_mead_maximize(
     initial_step:
         Initial simplex size as a fraction of each variable's range.
     max_evaluations:
-        Optional hard cap on objective calls (budget guard).
+        Optional hard cap on evaluated points (budget guard), at least 1.
+        The ``d + 1`` vertices of the initial simplex count against it;
+        under a cap below ``d + 1`` only the first ``max_evaluations``
+        vertices are evaluated, and the best of them is returned after 0
+        iterations.
     """
     x0 = space.clip(np.asarray(x0, dtype=float))
     d = space.dimension
     span = space.upper - space.lower
     cap = max_evaluations if max_evaluations is not None else (d + 1) * (max_iterations + 2)
+    if cap < 1:
+        raise ValueError(f"max_evaluations must be >= 1, got {cap}")
 
     evaluations = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(xs: np.ndarray) -> np.ndarray:
         nonlocal evaluations
-        evaluations += 1
-        return float(objective(space.clip(x)))
+        evaluations += len(xs)
+        return np.asarray(objective(space.clip(xs)), dtype=float)
 
     # Initial simplex: x0 plus one step along each axis (sign chosen away
     # from the nearer bound so the simplex starts inside the box).
@@ -81,23 +97,22 @@ def nelder_mead_maximize(
         vertex[j] += direction * step
         simplex.append(space.clip(vertex))
     simplex = np.array(simplex)
-    values = np.array([f(v) for v in simplex])
+    values = f(simplex[: min(d + 1, cap)])
 
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if evaluations >= cap:
-            break
+    while iterations < max_iterations and evaluations < cap:
+        iterations += 1
         order = np.argsort(-values)  # descending: best first
         simplex, values = simplex[order], values[order]
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
 
         reflected = centroid + 1.0 * (centroid - worst)
-        fr = f(reflected)
+        fr = f(reflected[None, :])[0]
         if fr > values[0]:
             # Try to expand.
             expanded = centroid + 2.0 * (centroid - worst)
-            fe = f(expanded) if evaluations < cap else -np.inf
+            fe = f(expanded[None, :])[0] if evaluations < cap else -np.inf
             if fe > fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
@@ -110,16 +125,16 @@ def nelder_mead_maximize(
                 contracted = centroid + 0.5 * (reflected - centroid)
             else:
                 contracted = centroid + 0.5 * (worst - centroid)
-            fc = f(contracted) if evaluations < cap else -np.inf
+            fc = f(contracted[None, :])[0] if evaluations < cap else -np.inf
             if fc > min(fr, values[-1]):
                 simplex[-1], values[-1] = contracted, fc
             else:
-                # Shrink toward the best vertex.
-                for k in range(1, d + 1):
-                    if evaluations >= cap:
-                        break
-                    simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-                    values[k] = f(simplex[k])
+                # Shrink toward the best vertex, as many vertices as the
+                # cap still allows, in one call.
+                shrunk = slice(1, 1 + min(d, cap - evaluations))
+                if shrunk.stop > 1:
+                    simplex[shrunk] = simplex[0] + 0.5 * (simplex[shrunk] - simplex[0])
+                    values[shrunk] = f(simplex[shrunk])
 
     best = int(np.argmax(values))
     return NelderMeadResult(

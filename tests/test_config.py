@@ -84,6 +84,30 @@ class TestValidation:
         assert excinfo.value.field == "overrides"
 
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"ls_max_evaluations": 0}, "ls_max_evaluations"),
+            ({"ls_max_evaluations": -3}, "ls_max_evaluations"),
+            ({"ls_initial_step": 0.0}, "ls_initial_step"),
+        ],
+    )
+    def test_local_search_budget_and_step_fail_at_validation(self, overrides, field):
+        """A local search that cannot evaluate a point, or whose simplex
+        collapses onto its start, is refused before the run."""
+        from repro.api import RunSpec, SpecError, validate_run_spec
+
+        with pytest.raises(ValueError, match=field):
+            MOHECOConfig(**overrides)
+        spec = RunSpec(
+            problem="sphere",
+            overrides={**overrides, "pop_size": 8, "max_generations": 2},
+        )
+        with pytest.raises(SpecError) as excinfo:
+            validate_run_spec(spec)
+        assert excinfo.value.field == "overrides"
+
+
 class TestVariants:
     def test_moheco(self):
         config = MOHECOConfig.moheco(n_max=700)

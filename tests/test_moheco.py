@@ -17,6 +17,10 @@ def sphere():
 
 SMALL = dict(pop_size=12, max_generations=30)
 
+#: A sphere run (d = 4) whose one local search fires within 8 generations.
+LOCAL_SEARCH_RUN = dict(rng=2, pop_size=8, max_generations=8, ls_patience=1,
+                        n_max=100, sim_ave=20, n0=10, ls_max_triggers=1)
+
 
 class TestBasicRun:
     def test_finds_high_yield_design(self, sphere):
@@ -93,6 +97,47 @@ class TestBudgetAccounting:
                           ls_patience=1, n_max=100, sim_ave=20, n0=10)
         assert result.ledger.by_category()["local_search"] > 0
         assert sum(rows) == result.ledger.total
+
+    def test_local_search_batches_the_initial_simplex(self, monkeypatch):
+        """The d+1 starting vertices pass one gate call, and every feasible
+        one is refined in one fused round."""
+        problem = make_sphere_problem(sigma=0.3)
+        searching, gates, rounds = [], [], []
+        search = repro.core.moheco.nelder_mead_maximize
+        gate = type(problem).nominal_feasibility_batch
+        refine = MOHECO._refine_round
+
+        def traced_search(*args, **kwargs):
+            searching.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        def traced_gate(self, X, ledger=None):
+            feasible, violations = gate(self, X, ledger)
+            if searching:
+                gates.append((len(X), int(np.sum(feasible))))
+            return feasible, violations
+
+        def traced_refine(self, states, gains, category=None):
+            if searching:
+                rounds.append(len(states))
+            return refine(self, states, gains, category)
+
+        monkeypatch.setattr(repro.core.moheco, "nelder_mead_maximize", traced_search)
+        monkeypatch.setattr(type(problem), "nominal_feasibility_batch", traced_gate)
+        monkeypatch.setattr(MOHECO, "_refine_round", traced_refine)
+        optimize(problem, "moheco", **LOCAL_SEARCH_RUN)
+        rows, feasible = gates[0]
+        assert rows == problem.design_dimension + 1 == 5
+        assert rounds[0] == feasible > 0
+
+    def test_local_search_cap_counts_the_initial_simplex(self):
+        """A cap below the d+1 starting vertices bounds the charge too."""
+        problem = make_sphere_problem(sigma=0.3)
+        result = optimize(problem, "moheco", ls_max_evaluations=2, **LOCAL_SEARCH_RUN)
+        assert 0 < result.ledger.by_category()["local_search"] <= 2 * 100
 
 
 class TestStopping:

@@ -97,26 +97,28 @@ class TestDeviceArraysEKV:
             h = 1e-5
             gm_fd = (device.current_for_vov(vov + h)
                      - device.current_for_vov(vov - h)) / (2 * h)
-            assert _s(device.gm(ids)) == pytest.approx(_s(gm_fd), rel=2e-2)
+            assert _s(device.gm(vov)) == pytest.approx(_s(gm_fd), rel=2e-2)
 
     def test_gm_respects_weak_inversion_ceiling(self, device):
         ids = 1e-6  # deep weak inversion on a 50 um device
         ceiling = ids / (device.nfactor * THERMAL_VOLTAGE)
-        assert _s(device.gm(ids)) <= ceiling * 1.01
+        assert _s(device.gm(device.vov_for_current(ids))) <= ceiling * 1.01
 
     def test_gm_over_id_decreases_with_current(self, device):
         currents = np.array([1e-6, 1e-5, 1e-4, 1e-3])
-        gm_over_id = np.array([_s(device.gm(i)) / i for i in currents])
+        gm_over_id = np.array(
+            [_s(device.gm(device.vov_for_current(i))) / i for i in currents]
+        )
         assert np.all(np.diff(gm_over_id) < 0)
 
     def test_vdsat_floors_in_weak_inversion(self, device):
-        vdsat = _s(device.vdsat(1e-9))
+        vdsat = _s(device.vdsat(device.vov_for_current(1e-9)))
         assert vdsat == pytest.approx(3.5 * THERMAL_VOLTAGE, rel=0.05)
 
     def test_vdsat_tracks_overdrive_in_strong_inversion(self, device):
         ids = 2e-3
-        vov = _s(device.vov_for_current(ids))
-        assert _s(device.vdsat(ids)) == pytest.approx(vov, rel=0.1)
+        vov = device.vov_for_current(ids)
+        assert _s(device.vdsat(vov)) == pytest.approx(_s(vov), rel=0.1)
 
     def test_output_resistance(self, device):
         ids = 1e-4
@@ -130,7 +132,8 @@ class TestDeviceArraysEKV:
 
     def test_gmbs_fraction_of_gm(self, device):
         ids = 1e-4
-        ratio = _s(device.gmbs(ids, 0.5)) / _s(device.gm(ids))
+        vov = device.vov_for_current(ids)
+        ratio = _s(device.gmbs(vov, 0.5)) / _s(device.gm(vov))
         assert 0.05 < ratio < 0.5
 
     def test_capacitances_positive_and_scale_with_width(self):

@@ -139,8 +139,8 @@ class TestNelderMead:
     def test_maximizes_quadratic(self, space):
         target = np.array([0.4, 0.6, 0.5])
 
-        def objective(x):
-            return -float(np.sum((x - target) ** 2))
+        def objective(X):
+            return -np.sum((X - target) ** 2, axis=1)
 
         result = nelder_mead_maximize(
             objective, np.array([0.5, 0.5, 0.5]), space,
@@ -151,8 +151,8 @@ class TestNelderMead:
 
     def test_respects_bounds(self, space):
         # Optimum outside the box: NM must stop at the boundary.
-        def objective(x):
-            return float(np.sum(x))
+        def objective(X):
+            return np.sum(X, axis=1)
 
         result = nelder_mead_maximize(
             objective, np.full(3, 0.9), space, max_iterations=40,
@@ -162,26 +162,75 @@ class TestNelderMead:
         assert result.objective <= 3.0 + 1e-9
 
     def test_evaluation_cap_honoured(self, space):
-        calls = []
+        rows = []
 
-        def objective(x):
-            calls.append(1)
-            return 0.0
+        def objective(X):
+            rows.append(len(X))
+            return np.zeros(len(X))
 
-        nelder_mead_maximize(
+        result = nelder_mead_maximize(
             objective, np.full(3, 0.5), space, max_iterations=100,
             max_evaluations=10,
         )
-        assert len(calls) <= 11  # cap + possibly the last partial probe
+        assert sum(rows) <= 10  # the cap counts every evaluated point
+        assert result.evaluations == sum(rows)
 
     def test_improves_from_start(self, space):
-        def objective(x):
-            return -float(np.sum((x - 0.5) ** 2))
+        def objective(X):
+            return -np.sum((X - 0.5) ** 2, axis=1)
 
         start = np.full(3, 0.8)
         result = nelder_mead_maximize(objective, start, space,
                                       max_iterations=25, max_evaluations=200)
-        assert result.objective > objective(start)
+        assert result.objective > objective(start[None, :])[0]
+
+    def test_initial_simplex_is_one_batch_in_vertex_order(self, space):
+        calls = []
+
+        def objective(X):
+            calls.append(np.array(X))
+            return -np.sum((X - 0.5) ** 2, axis=1)
+
+        x0 = np.array([0.5, 0.99, 0.2])
+        nelder_mead_maximize(objective, x0, space, max_iterations=3,
+                             initial_step=0.05)
+        # x0, then one step per axis; the step on axis 1 would leave the
+        # box, so it points down instead.
+        expected = np.array([
+            [0.5, 0.99, 0.2],
+            [0.55, 0.99, 0.2],
+            [0.5, 0.94, 0.2],
+            [0.5, 0.99, 0.25],
+        ])
+        assert calls[0].shape == (4, 3)
+        np.testing.assert_allclose(calls[0], expected, rtol=0, atol=1e-12)
+        assert all(len(X) in (1, 3) for X in calls[1:])
+
+    def test_cap_below_the_simplex_evaluates_only_the_cap(self, space):
+        rows = []
+
+        def objective(X):
+            rows.append(len(X))
+            return X[:, 0]
+
+        result = nelder_mead_maximize(
+            objective, np.full(3, 0.5), space, initial_step=0.1,
+            max_evaluations=2,
+        )
+        assert rows == [2]
+        assert result.evaluations == 2 and result.iterations == 0
+        # The best of x0 and the first axis step.
+        np.testing.assert_allclose(result.x, [0.6, 0.5, 0.5])
+        assert result.objective == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_refused(self, space, cap):
+        def objective(X):
+            raise AssertionError("objective called under an empty budget")
+
+        with pytest.raises(ValueError, match="max_evaluations"):
+            nelder_mead_maximize(objective, np.full(3, 0.5), space,
+                                 max_evaluations=cap)
 
 
 class TestMemeticTrigger:

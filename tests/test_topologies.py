@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit.mosfet import DeviceArrays
 from repro.circuit.tech import C035Technology, N90Technology
 from repro.circuit.topologies import (
     FoldedCascodeAmplifier,
@@ -70,6 +71,31 @@ class TestStructure:
     def test_metric_names_match_output_width(self, fc, fc_design):
         nominal = fc.evaluate_nominal(fc_design)
         assert nominal.shape == (len(fc.metric_names()),)
+
+
+class TestOperatingPoints:
+    @pytest.mark.parametrize(
+        "amp, design, pairs",
+        [("fc", "fc_design", 17), ("ts", "ts_design", 22)],
+    )
+    def test_each_operating_point_is_solved_once(
+        self, request, monkeypatch, amp, design, pairs
+    ):
+        """One overdrive solve per distinct (device, current) pair; a mirror
+        reference shared by two outputs is solved once."""
+        amp = request.getfixturevalue(amp)
+        x = request.getfixturevalue(design)
+        solve = DeviceArrays.vov_for_current
+        calls = []
+
+        def counting(self, ids):
+            calls.append(1)
+            return solve(self, ids)
+
+        monkeypatch.setattr(DeviceArrays, "vov_for_current", counting)
+        samples = amp.variation.sample(16, np.random.default_rng(3))
+        amp.evaluate_pairs(np.repeat(x[None, :], 16, axis=0), samples)
+        assert 0 < len(calls) <= pairs
 
 
 class TestFoldedCascodePhysics:
