@@ -11,6 +11,7 @@ import pytest
 from repro.circuit.tech import C035Technology, N90Technology
 from repro.circuit.topologies import (
     FoldedCascodeAmplifier,
+    NetlistTwoStageOTA,
     TwoStageTelescopicAmplifier,
 )
 from repro.ocba import ocba_allocation
@@ -71,6 +72,30 @@ def test_telescopic_gate_evaluation(benchmark, ts_setup, rows):
     amp, _, _ = ts_setup
     out = benchmark(amp.evaluate_pairs, *_gate_rows(amp, rows))
     assert out.shape == (rows, 8)
+
+
+@pytest.fixture(scope="module")
+def ota():
+    return NetlistTwoStageOTA(C035Technology())
+
+
+@pytest.mark.benchmark(group="evaluator")
+def test_netlist_ota_gate_evaluation(benchmark, ota):
+    out = benchmark(ota.evaluate_pairs, *_gate_rows(ota, 1))
+    assert out.shape == (1, 4)
+
+
+@pytest.mark.benchmark(group="evaluator")
+@pytest.mark.parametrize("designs, rows", [(6, 480), (8, 2048)])
+def test_netlist_ota_fused_evaluation(benchmark, ota, designs, rows):
+    """A fused refinement round (~480 rows from several designs on
+    ``ota_tight``) and a full 2048-row slab: each row one 301-point AC solve."""
+    rng = np.random.default_rng(6)
+    X = np.repeat(ota.design_space().sample(designs, rng), rows // designs, axis=0)
+    samples = ota.variation.sample(len(X), rng)
+    out = benchmark(ota.evaluate_pairs, X, samples)
+    assert out.shape == (rows, 4)
+    assert np.all(np.isfinite(out))
 
 
 @pytest.mark.benchmark(group="sampling")

@@ -14,11 +14,19 @@ varies, the full grid only when it carries capacitance — and structural
 zeros cost nothing.  :class:`BatchACAnalysis` feeds it per-sample stamped
 systems in memory-bounded sample chunks, which is what keeps
 netlist-backed Monte-Carlo problems from being loop-bound.
+
+Metric extraction makes one pass over each full-grid quantity it needs.
+A :class:`TransferFunction` computes ``|H|`` and the unity-gain crossing
+once, at first use, and caches both read-only; the phase margin then reads
+the phase only at the two grid points bracketing each curve's crossing,
+unwrapping the angle no further than the rightmost of them.  Every value
+equals the full-grid formula bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as _scipy_linalg
@@ -40,10 +48,13 @@ _DEFAULT_GRID: np.ndarray | None = None
 
 #: Complex-entry budget of one stacked solve: samples are eliminated in
 #: chunks of at most ``budget / (n_freq * dim**2)``, so a large Monte-Carlo
-#: block cannot balloon memory (500k entries = 8 MiB of complex128), and
+#: block cannot balloon memory (250k entries = 4 MiB of complex128), and
 #: one ``(chunk, n_freq)`` entry array stays small enough for a core's L2
-#: cache (about 100 rows of a 301-point grid at ``dim = 4``).
-_SOLVE_ENTRY_BUDGET = 500_000
+#: cache (about 50 rows of a 301-point grid at ``dim = 4``).  On a 2-CPU
+#: Xeon VM, halving the chunk from about 100 rows halved the page faults
+#: of a 480-row netlist-OTA call (smaller temporaries are reused instead of
+#: re-mapped) and made it ~15% faster; 2048-row calls did not change.
+_SOLVE_ENTRY_BUDGET = 250_000
 
 
 def default_frequency_grid() -> np.ndarray:
@@ -90,14 +101,14 @@ def _stacked_response(
         g = g[None]
     c = np.broadcast_to(c, g.shape)
     n_samples, dim = g.shape[0], g.shape[-1]
-    jw = 1j * (2.0 * np.pi * np.asarray(frequencies, dtype=float))
-    out = np.zeros((n_samples, len(jw)), dtype=complex)
+    omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    out = np.zeros((n_samples, len(omega)), dtype=complex)
     wanted = [i for i in (out_idx, neg_idx) if i is not None]
     if wanted and n_samples:
-        chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(jw) * dim * dim, 1))
+        chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(omega) * dim * dim, 1))
         for start in range(0, n_samples, chunk):
             stop = start + chunk
-            x = _eliminate(g[start:stop], c[start:stop], b, jw, min(wanted))
+            x = _eliminate(g[start:stop], c[start:stop], b, omega, min(wanted))
             x = [0.0 if v is None else v for v in x]
             v = x[out_idx] if out_idx is not None else 0.0
             if neg_idx is not None:
@@ -106,7 +117,7 @@ def _stacked_response(
     return out[0] if single else out
 
 
-def _system_entries(g: np.ndarray, c: np.ndarray, jw: np.ndarray) -> list[list]:
+def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[list]:
     """Entries of ``G + j w C`` for ``S`` stacked systems over ``F`` frequencies.
 
     Each entry is a complex array broadcastable to ``(S, F)``: ``(1, 1)``
@@ -114,12 +125,23 @@ def _system_entries(g: np.ndarray, c: np.ndarray, jw: np.ndarray) -> list[list]:
     its conductance varies by sample, ``(1, F)`` or ``(S, F)`` when it
     carries capacitance.  A structural zero (zero in every system) is
     ``None``.
+
+    Every entry equals ``g + (1j * omega) * c`` bit for bit.  In complex
+    arithmetic that product is ``(0*c - omega*0) + j(0*0 + omega*c)``; on a
+    grid of finite, non-negative ``omega`` (every analysis grid) a
+    capacitive entry is therefore written part by part, as ``g + 0*c`` and
+    ``omega*c``, without a complex multiply.  The imaginary part's ``0 + ``
+    only turns a ``-0.0`` product into ``+0.0``, so it runs only where a
+    capacitance in the column, or a frequency, is exactly zero.  Any other
+    grid takes the complex product itself.
     """
     dim = g.shape[-1]
     g_same = np.all(g == g[:1], axis=0)
     c_same = np.all(c == c[:1], axis=0)
     g_zero = g_same & (g[0] == 0.0)
     c_zero = c_same & (c[0] == 0.0)
+    by_parts = np.all(np.isfinite(omega)) and not np.any(np.signbit(omega))
+    zero_frequency = not np.all(omega)
 
     def column(m, same, i, j):
         return m[:1, i, j, None] if same[i, j] else m[:, i, j, None]
@@ -128,12 +150,23 @@ def _system_entries(g: np.ndarray, c: np.ndarray, jw: np.ndarray) -> list[list]:
     for i in range(dim):
         row = []
         for j in range(dim):
-            entry = None
-            if not c_zero[i, j]:
-                entry = jw * column(c, c_same, i, j)
-            if not g_zero[i, j]:
-                conductance = column(g, g_same, i, j)
-                entry = conductance.astype(complex) if entry is None else conductance + entry
+            conductance = None if g_zero[i, j] else column(g, g_same, i, j)
+            if c_zero[i, j]:
+                entry = None if conductance is None else conductance.astype(complex)
+            elif not by_parts:
+                entry = 1j * omega * column(c, c_same, i, j)
+                if conductance is not None:
+                    entry = conductance + entry
+            else:
+                capacitance = column(c, c_same, i, j)
+                real = 0.0 * capacitance
+                if conductance is not None:
+                    real = conductance + real
+                entry = np.empty(np.broadcast_shapes(real.shape, omega.shape), complex)
+                entry.real = real
+                np.multiply(omega, capacitance, out=entry.imag)
+                if zero_frequency or not np.all(capacitance):
+                    entry.imag += 0.0
             row.append(entry)
         rows.append(row)
     return rows
@@ -157,7 +190,7 @@ def _minus(a, b: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(
-    g: np.ndarray, c: np.ndarray, b: np.ndarray, jw: np.ndarray, lowest: int
+    g: np.ndarray, c: np.ndarray, b: np.ndarray, omega: np.ndarray, lowest: int
 ) -> list:
     """Solution unknowns ``lowest..dim-1`` of ``S`` stacked systems over a grid.
 
@@ -175,7 +208,7 @@ def _eliminate(
         If any system meets an exactly zero pivot, as LAPACK's ``zgesv``.
     """
     dim = g.shape[-1]
-    a = _system_entries(g, c, jw)
+    a = _system_entries(g, c, omega)
     rhs = [None if v == 0.0 else np.full((1, 1), v, dtype=complex) for v in b]
 
     for k in range(dim):
@@ -183,7 +216,10 @@ def _eliminate(
         if not candidates:
             raise np.linalg.LinAlgError("Singular matrix")
         choice = np.zeros((1, 1), dtype=np.intp)
-        if len(candidates) > 1:
+        if len(candidates) == 2:
+            # The comparison is the choice: True (1) picks the second row.
+            choice = _cabs1(a[candidates[1]][k]) > _cabs1(a[candidates[0]][k])
+        elif len(candidates) > 2:
             best = _cabs1(a[candidates[0]][k])
             for pos, i in enumerate(candidates[1:], start=1):
                 magnitude = _cabs1(a[i][k])
@@ -252,18 +288,47 @@ def _unity_gain_frequency(frequencies: np.ndarray, magnitude: np.ndarray) -> np.
     return np.where(valid, fu, np.nan)
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """Row-wise linear interpolation: ``fp`` is ``(..., n)``, ``x`` ``(...)``.
+def _unwrapped_phase_deg(response: np.ndarray, idx: np.ndarray) -> tuple:
+    """Unwrapped phase [deg] at columns ``idx - 1`` and ``idx`` of each curve.
 
-    Equivalent to ``np.interp(x[i], xp, fp[i])`` per row, with the same
-    clamp-at-the-edges semantics, but vectorized over the leading axes.
+    ``response`` is ``(..., n)`` and ``idx`` ``(...)`` with entries in
+    ``1..n-1``.  The result equals ``np.degrees(np.unwrap(np.angle(response)))``
+    gathered at those columns, bit for bit, but reads only what the gather
+    needs: the angle up to column ``max(idx)``, the unwrap's corrections
+    only where ``np.unwrap`` keeps them, their running sum only on curves
+    that keep one before their own column, and degrees only of the
+    gathered values.
     """
-    x = np.clip(x, xp[0], xp[-1])
-    idx = np.clip(np.searchsorted(xp, x), 1, len(xp) - 1)
-    x1, x2 = xp[idx - 1], xp[idx]
-    y1 = np.take_along_axis(fp, (idx - 1)[..., None], axis=-1)[..., 0]
-    y2 = np.take_along_axis(fp, idx[..., None], axis=-1)[..., 0]
-    return y1 + (x - x1) / (x2 - x1) * (y2 - y1)
+    shape = idx.shape
+    idx = idx.reshape(-1)
+    if not idx.size:
+        return np.empty(shape), np.empty(shape)
+    response = response.reshape(-1, response.shape[-1])
+    cols = np.stack([idx - 1, idx], axis=-1)
+    angle = np.angle(response[:, : int(idx.max()) + 1])
+    phase = np.take_along_axis(angle, cols, axis=-1)
+    # np.unwrap adds to column j >= 1 the running sum of its corrections
+    # over steps 0..j-1.  A step's correction is zero where |step| < pi
+    # (NaN steps keep theirs), and a curve needs the sum only if it keeps
+    # a correction before its own column idx.
+    step = np.diff(angle, axis=-1)
+    kept = ~(np.abs(step) < np.pi)
+    first = np.argmax(kept, axis=-1)
+    offset = np.zeros_like(phase)
+    wrapped = np.flatnonzero(kept[np.arange(len(idx)), first] & (first < idx))
+    if wrapped.size:
+        at = np.nonzero(kept[wrapped])
+        jump = step[wrapped[at[0]], at[1]]
+        folded = np.mod(jump + np.pi, 2 * np.pi) - np.pi
+        folded[(folded == -np.pi) & (jump > 0)] = np.pi
+        correction = np.zeros((wrapped.size, step.shape[-1]))
+        correction[at] = folded - jump
+        running = np.cumsum(correction, axis=-1)
+        offset[wrapped] = np.take_along_axis(
+            running, np.maximum(cols[wrapped] - 1, 0), axis=-1
+        )
+    phase = np.degrees(np.where(cols > 0, phase + offset, phase))
+    return phase[:, 0].reshape(shape), phase[:, 1].reshape(shape)
 
 
 @dataclass
@@ -275,15 +340,32 @@ class TransferFunction:
     :meth:`BatchACAnalysis.transfer_batch` returns).  Every metric is
     vectorized over the batch axis: scalar responses keep returning plain
     floats, batched responses return arrays of shape ``(n_samples,)``.
+
+    :attr:`magnitude` and the unity-gain crossing are each computed once,
+    at first use, and cached as read-only arrays; :meth:`dc_gain`,
+    :meth:`unity_gain_frequency` and :meth:`phase_margin` all read that
+    cache (the first two return read-only views of it on a batch), so
+    metrics describe the response as it was at first use.  A
+    batched :meth:`phase_at` reads the phase only at the two grid points
+    bracketing each query (see :func:`_unwrapped_phase_deg`) and equals
+    :attr:`phase_deg` interpolated there, bit for bit.
     """
 
     frequencies: np.ndarray
     response: np.ndarray
 
-    @property
+    @cached_property
     def magnitude(self) -> np.ndarray:
-        """|H(f)|."""
-        return np.abs(self.response)
+        """|H(f)| (read-only, computed once)."""
+        magnitude = np.abs(self.response)
+        magnitude.setflags(write=False)
+        return magnitude
+
+    @cached_property
+    def _unity_crossing(self) -> np.ndarray:
+        crossing = _unity_gain_frequency(self.frequencies, self.magnitude)
+        crossing.setflags(write=False)
+        return crossing
 
     @property
     def magnitude_db(self) -> np.ndarray:
@@ -311,14 +393,16 @@ class TransferFunction:
         Returns ``nan`` (per curve) if the magnitude never crosses unity
         inside the grid.
         """
-        return self._scalarize(_unity_gain_frequency(self.frequencies, self.magnitude))
+        return self._scalarize(self._unity_crossing)
 
     def phase_at(self, frequency):
         """Phase [deg] at ``frequency`` by log-frequency interpolation.
 
-        ``frequency`` broadcasts against the batch axis (one query per
-        curve).  Non-positive grid points or queries cannot be mapped to
-        log-frequency and raise ``ValueError`` before any ``np.log``.
+        On a single curve, a scalar query returns a float and an array of
+        queries an array.  On a batch, ``frequency`` broadcasts against the
+        batch axis (one query per curve).  Non-positive grid points or
+        queries cannot be mapped to log-frequency and raise ``ValueError``
+        before any ``np.log``.
         """
         if float(self.frequencies[0]) <= 0.0:
             raise ValueError(
@@ -331,26 +415,29 @@ class TransferFunction:
                 f"frequency must be positive for log interpolation, got "
                 f"{frequency!r}"
             )
-        phase = self.phase_deg
-        if self.response.ndim == 1 and frequency.ndim == 0:
-            return float(
-                np.interp(np.log(frequency), np.log(self.frequencies), phase)
-            )
-        query = np.broadcast_to(frequency, phase.shape[:-1])
-        return _interp_rows(np.log(query), np.log(self.frequencies), phase)
+        log_f = np.log(self.frequencies)
+        if self.response.ndim == 1:
+            phase = np.interp(np.log(frequency), log_f, self.phase_deg)
+            return float(phase) if frequency.ndim == 0 else phase
+        query = np.broadcast_to(frequency, self.response.shape[:-1])
+        x = np.clip(np.log(query), log_f[0], log_f[-1])
+        idx = np.clip(np.searchsorted(log_f, x), 1, len(log_f) - 1)
+        below, above = _unwrapped_phase_deg(self.response, idx)
+        x1, x2 = log_f[idx - 1], log_f[idx]
+        return below + (x - x1) / (x2 - x1) * (above - below)
 
     def phase_margin(self):
         """Phase margin [deg] = 180 + phase at the unity-gain frequency.
 
         ``nan`` when no unity-gain crossing exists in the analysed band.
         """
-        fu = np.asarray(self.unity_gain_frequency())
+        fu = self._unity_crossing
         finite = np.isfinite(fu)
         if not np.any(finite):
             return self._scalarize(np.full(fu.shape, np.nan))
-        # nan crossings query the grid end (a valid positive frequency)
-        # and are masked back to nan afterwards.
-        safe = np.where(finite, fu, self.frequencies[-1])
+        # nan crossings query the grid start, whose bracketing columns every
+        # curve reads anyway, and are masked back to nan afterwards.
+        safe = np.where(finite, fu, self.frequencies[0])
         pm = 180.0 + np.asarray(self.phase_at(safe))
         return self._scalarize(np.where(finite, pm, np.nan))
 

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.circuit import ac
 from repro.circuit.ac import (
     ACAnalysis,
     BatchACAnalysis,
@@ -350,6 +351,46 @@ class TestNetlistOTABatchedEvaluation:
             ]
         )
         np.testing.assert_array_equal(full, parts)
+
+    def _fused_rows(self, topo, designs=4, per_design=12):
+        rng = np.random.default_rng(13)
+        X = np.repeat(topo.design_space().sample(designs, rng), per_design, axis=0)
+        return X, topo.variation.sample(len(X), rng)
+
+    def test_rows_independent_of_solve_budget(self, monkeypatch):
+        topo = NetlistTwoStageOTA(C035Technology())
+        X, samples = self._fused_rows(topo)
+        outputs = []
+        for budget in (10_000_000, 50_000):  # one chunk; chunks of 10 rows
+            monkeypatch.setattr(ac, "_SOLVE_ENTRY_BUDGET", budget)
+            outputs.append(topo.evaluate_pairs(X, samples))
+        one_chunk, chunked = (out.view(np.int64) for out in outputs)
+        np.testing.assert_array_equal(one_chunk, chunked)
+
+    def test_one_call_reads_each_full_grid_metric_once(self, monkeypatch):
+        topo = NetlistTwoStageOTA(C035Technology())
+        X, samples = self._fused_rows(topo)
+        calls = {"crossing": 0, "unwrap": 0, "complex_abs": 0}
+        crossing, absolute, unwrap = ac._unity_gain_frequency, np.abs, np.unwrap
+
+        def counted_crossing(*args):
+            calls["crossing"] += 1
+            return crossing(*args)
+
+        def counted_abs(x, *args, **kwargs):
+            calls["complex_abs"] += np.iscomplexobj(x)
+            return absolute(x, *args, **kwargs)
+
+        def counted_unwrap(*args, **kwargs):
+            calls["unwrap"] += 1
+            return unwrap(*args, **kwargs)
+
+        monkeypatch.setattr(ac, "_unity_gain_frequency", counted_crossing)
+        monkeypatch.setattr(ac.np, "abs", counted_abs)
+        monkeypatch.setattr(ac.np, "unwrap", counted_unwrap)
+        out = topo.evaluate_pairs(X, samples)
+        assert np.all(np.isfinite(out))
+        assert calls == {"crossing": 1, "unwrap": 0, "complex_abs": 1}
 
 
 class TestDefaultFrequencyGrid:
