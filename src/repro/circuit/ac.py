@@ -126,22 +126,17 @@ def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[lis
     carries capacitance.  A structural zero (zero in every system) is
     ``None``.
 
-    Every entry equals ``g + (1j * omega) * c`` bit for bit.  In complex
-    arithmetic that product is ``(0*c - omega*0) + j(0*0 + omega*c)``; on a
-    grid of finite, non-negative ``omega`` (every analysis grid) a
-    capacitive entry is therefore written part by part, as ``g + 0*c`` and
-    ``omega*c``, without a complex multiply.  The imaginary part's ``0 + ``
-    only turns a ``-0.0`` product into ``+0.0``, so it runs only where a
-    capacitance in the column, or a frequency, is exactly zero.  Any other
-    grid takes the complex product itself.
+    A capacitive entry is written part by part, as ``g + 0*c`` and
+    ``0 + omega*c``, without a complex multiply.  On a grid of finite,
+    non-negative frequencies (every analysis grid) that equals
+    ``g + (1j * omega) * c`` bit for bit: the complex product is
+    ``(0*c - omega*0) + j(0*0 + omega*c)``.
     """
     dim = g.shape[-1]
     g_same = np.all(g == g[:1], axis=0)
     c_same = np.all(c == c[:1], axis=0)
     g_zero = g_same & (g[0] == 0.0)
     c_zero = c_same & (c[0] == 0.0)
-    by_parts = np.all(np.isfinite(omega)) and not np.any(np.signbit(omega))
-    zero_frequency = not np.all(omega)
 
     def column(m, same, i, j):
         return m[:1, i, j, None] if same[i, j] else m[:, i, j, None]
@@ -153,10 +148,6 @@ def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[lis
             conductance = None if g_zero[i, j] else column(g, g_same, i, j)
             if c_zero[i, j]:
                 entry = None if conductance is None else conductance.astype(complex)
-            elif not by_parts:
-                entry = 1j * omega * column(c, c_same, i, j)
-                if conductance is not None:
-                    entry = conductance + entry
             else:
                 capacitance = column(c, c_same, i, j)
                 real = 0.0 * capacitance
@@ -165,8 +156,7 @@ def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[lis
                 entry = np.empty(np.broadcast_shapes(real.shape, omega.shape), complex)
                 entry.real = real
                 np.multiply(omega, capacitance, out=entry.imag)
-                if zero_frequency or not np.all(capacitance):
-                    entry.imag += 0.0
+                entry.imag += 0.0  # the product's 0*0 + omega*c: -0.0 turns +0.0
             row.append(entry)
         rows.append(row)
     return rows
@@ -216,10 +206,7 @@ def _eliminate(
         if not candidates:
             raise np.linalg.LinAlgError("Singular matrix")
         choice = np.zeros((1, 1), dtype=np.intp)
-        if len(candidates) == 2:
-            # The comparison is the choice: True (1) picks the second row.
-            choice = _cabs1(a[candidates[1]][k]) > _cabs1(a[candidates[0]][k])
-        elif len(candidates) > 2:
+        if len(candidates) > 1:
             best = _cabs1(a[candidates[0]][k])
             for pos, i in enumerate(candidates[1:], start=1):
                 magnitude = _cabs1(a[i][k])
@@ -293,42 +280,23 @@ def _unwrapped_phase_deg(response: np.ndarray, idx: np.ndarray) -> tuple:
 
     ``response`` is ``(..., n)`` and ``idx`` ``(...)`` with entries in
     ``1..n-1``.  The result equals ``np.degrees(np.unwrap(np.angle(response)))``
-    gathered at those columns, bit for bit, but reads only what the gather
-    needs: the angle up to column ``max(idx)``, the unwrap's corrections
-    only where ``np.unwrap`` keeps them, their running sum only on curves
-    that keep one before their own column, and degrees only of the
-    gathered values.
+    gathered at those columns, bit for bit, at less cost.  ``np.unwrap``
+    adds a running sum of corrections, so the angle is read only up to
+    column ``max(idx)``.  A correction is zero wherever a step is below pi,
+    so only curves with a step of pi or more (or NaN) before their own
+    column go through ``np.unwrap``, whose ``np.mod`` pass is most of its
+    cost; no netlist-OTA curve of the ``ota_tight`` benchmark workload has
+    one before its crossing.  Only the gathered values become degrees.
     """
-    shape = idx.shape
-    idx = idx.reshape(-1)
-    if not idx.size:
-        return np.empty(shape), np.empty(shape)
-    response = response.reshape(-1, response.shape[-1])
+    angle = np.angle(response[..., : idx.max(initial=1) + 1])
+    kept = ~(np.abs(np.diff(angle, axis=-1)) < np.pi)  # np.unwrap's rule, NaN kept
+    wraps = np.logical_or.accumulate(kept, axis=-1)
+    wraps = np.take_along_axis(wraps, (idx - 1)[..., None], axis=-1)[..., 0]
+    angle[~wraps, 1:] += 0.0  # zero corrections still turn -0.0 into +0.0
+    angle[wraps] = np.unwrap(angle[wraps], axis=-1)
     cols = np.stack([idx - 1, idx], axis=-1)
-    angle = np.angle(response[:, : int(idx.max()) + 1])
-    phase = np.take_along_axis(angle, cols, axis=-1)
-    # np.unwrap adds to column j >= 1 the running sum of its corrections
-    # over steps 0..j-1.  A step's correction is zero where |step| < pi
-    # (NaN steps keep theirs), and a curve needs the sum only if it keeps
-    # a correction before its own column idx.
-    step = np.diff(angle, axis=-1)
-    kept = ~(np.abs(step) < np.pi)
-    first = np.argmax(kept, axis=-1)
-    offset = np.zeros_like(phase)
-    wrapped = np.flatnonzero(kept[np.arange(len(idx)), first] & (first < idx))
-    if wrapped.size:
-        at = np.nonzero(kept[wrapped])
-        jump = step[wrapped[at[0]], at[1]]
-        folded = np.mod(jump + np.pi, 2 * np.pi) - np.pi
-        folded[(folded == -np.pi) & (jump > 0)] = np.pi
-        correction = np.zeros((wrapped.size, step.shape[-1]))
-        correction[at] = folded - jump
-        running = np.cumsum(correction, axis=-1)
-        offset[wrapped] = np.take_along_axis(
-            running, np.maximum(cols[wrapped] - 1, 0), axis=-1
-        )
-    phase = np.degrees(np.where(cols > 0, phase + offset, phase))
-    return phase[:, 0].reshape(shape), phase[:, 1].reshape(shape)
+    phase = np.degrees(np.take_along_axis(angle, cols, axis=-1))
+    return phase[..., 0], phase[..., 1]
 
 
 @dataclass

@@ -8,6 +8,7 @@ from repro.circuit.ac import (
     TransferFunction,
     _system_entries,
     _unity_gain_frequency,
+    _unwrapped_phase_deg,
 )
 from repro.circuit.mna import solve_dc
 from repro.circuit.netlist import Circuit
@@ -197,8 +198,40 @@ def _adversarial_responses(seed=0, random_rows=48):
     return np.vstack([np.asarray(fixed), walk])
 
 
+def _wrap_free_responses(seed=4, rows=24):
+    """Curves on ``GRID`` whose angle never steps by pi or more, with
+    ``-0.0`` angles (positive real, ``-0.0`` imaginary part) past column 0."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, len(GRID))
+    decay = np.cumsum(rng.uniform(0.0, 0.4, shape), axis=-1)
+    response = np.exp(-decay) * 10 ** rng.uniform(0, 3, (rows, 1))
+    response = response * np.exp(1j * rng.uniform(-1.5, 1.5, shape))
+    signed_zero = rng.random(shape) < 0.2
+    response[signed_zero] = np.abs(response[signed_zero])
+    response.imag[signed_zero] = -0.0
+    return response
+
+
 class TestPhaseReadBitIdentity:
     """Batched ``phase_at``/``phase_margin`` vs the full-grid unwrap."""
+
+    def test_gathered_phase_matches_full_unwrap(self):
+        response = np.vstack([_adversarial_responses(), _wrap_free_responses()])
+        idx = np.random.default_rng(5).integers(1, len(GRID), len(response))
+        idx[:2] = [1, len(GRID) - 1]
+        rows = np.arange(len(response))
+        with np.errstate(invalid="ignore"):
+            angle = np.angle(response)
+            small = np.abs(np.diff(angle, axis=-1)) < np.pi
+            full = np.degrees(np.unwrap(angle, axis=-1))
+            below, above = _unwrapped_phase_deg(response, idx)
+        # Curves that wrap before their column and curves that do not, with
+        # -0.0 angles that np.unwrap turns into +0.0, share the batch.
+        wraps = np.array([not np.all(small[i, : idx[i]]) for i in rows])
+        assert 0 < wraps.sum() < len(rows)
+        assert np.any((angle[~wraps, 1:] == 0.0) & np.signbit(angle[~wraps, 1:]))
+        _assert_bitwise_equal(below, full[rows, idx - 1])
+        _assert_bitwise_equal(above, full[rows, idx])
 
     def test_phase_at_matches_full_unwrap(self):
         response = _adversarial_responses()
@@ -265,12 +298,13 @@ def _reference_entries(g, c, jw):
 
 
 class TestSystemEntriesBitIdentity:
-    VALUES = [0.0, -0.0, 1.5, -2.25, 3e-12, -1e-15]
+    # -5e-324 times a sub-Hz omega underflows to a -0.0 product.
+    VALUES = [0.0, -0.0, 1.5, -2.25, 3e-12, -1e-15, -5e-324]
 
     @pytest.mark.parametrize(
         "frequencies",
-        [GRID, np.array([0.0, 1.0, 1e9]), np.array([-3.0, -0.0, 1.0])],
-        ids=["positive", "zero_hz", "negative"],
+        [GRID, np.array([0.0, 1.0, 1e9]), np.array([0.01, 0.05, 1e3])],
+        ids=["positive", "zero_hz", "sub_hz"],
     )
     @pytest.mark.parametrize("shared_c", [False, True])
     @pytest.mark.parametrize("shared_g", [False, True])

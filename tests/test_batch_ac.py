@@ -370,7 +370,8 @@ class TestNetlistOTABatchedEvaluation:
     def test_one_call_reads_each_full_grid_metric_once(self, monkeypatch):
         topo = NetlistTwoStageOTA(C035Technology())
         X, samples = self._fused_rows(topo)
-        calls = {"crossing": 0, "unwrap": 0, "complex_abs": 0}
+        n_freq = len(topo.frequency_grid)
+        calls = {"crossing": 0, "full_grid_unwrap": 0, "complex_abs": 0}
         crossing, absolute, unwrap = ac._unity_gain_frequency, np.abs, np.unwrap
 
         def counted_crossing(*args):
@@ -381,16 +382,16 @@ class TestNetlistOTABatchedEvaluation:
             calls["complex_abs"] += np.iscomplexobj(x)
             return absolute(x, *args, **kwargs)
 
-        def counted_unwrap(*args, **kwargs):
-            calls["unwrap"] += 1
-            return unwrap(*args, **kwargs)
+        def counted_unwrap(p, *args, **kwargs):
+            calls["full_grid_unwrap"] += np.shape(p)[-1] == n_freq
+            return unwrap(p, *args, **kwargs)
 
         monkeypatch.setattr(ac, "_unity_gain_frequency", counted_crossing)
         monkeypatch.setattr(ac.np, "abs", counted_abs)
         monkeypatch.setattr(ac.np, "unwrap", counted_unwrap)
         out = topo.evaluate_pairs(X, samples)
         assert np.all(np.isfinite(out))
-        assert calls == {"crossing": 1, "unwrap": 0, "complex_abs": 1}
+        assert calls == {"crossing": 1, "full_grid_unwrap": 0, "complex_abs": 1}
 
 
 class TestDefaultFrequencyGrid:
