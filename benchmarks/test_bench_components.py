@@ -74,6 +74,33 @@ def test_telescopic_gate_evaluation(benchmark, ts_setup, rows):
     assert out.shape == (rows, 8)
 
 
+def _fused_round(amp, designs, rows, seed):
+    """``rows`` pairs from ``designs`` designs, each repeated over its own
+    samples: the row layout of one fused refinement round (or slab)."""
+    rng = np.random.default_rng(seed)
+    X = np.repeat(amp.design_space().sample(designs, rng), rows // designs, axis=0)
+    return X, amp.variation.sample(len(X), rng)
+
+
+@pytest.mark.benchmark(group="evaluator")
+@pytest.mark.parametrize("designs, rows", [(14, 700), (16, 2048)])
+def test_folded_cascode_fused_evaluation(benchmark, fc_setup, designs, rows):
+    """A stage-1 round of ``paper_circuits`` (~700 rows from 14 designs) and
+    a full 2048-row slab."""
+    amp, _, _ = fc_setup
+    out = benchmark(amp.evaluate_pairs, *_fused_round(amp, designs, rows, 7))
+    assert out.shape == (rows, 6)
+
+
+@pytest.mark.benchmark(group="evaluator")
+@pytest.mark.parametrize("designs, rows", [(10, 500), (16, 2048)])
+def test_telescopic_fused_evaluation(benchmark, ts_setup, designs, rows):
+    """A 500-row round from several designs and a full 2048-row slab."""
+    amp, _, _ = ts_setup
+    out = benchmark(amp.evaluate_pairs, *_fused_round(amp, designs, rows, 8))
+    assert out.shape == (rows, 8)
+
+
 @pytest.fixture(scope="module")
 def ota():
     return NetlistTwoStageOTA(C035Technology())
@@ -99,12 +126,13 @@ def test_netlist_ota_fused_evaluation(benchmark, ota, designs, rows):
 
 
 @pytest.mark.benchmark(group="sampling")
-def test_lhs_draw_80dim(benchmark, fc_setup):
-    amp, _, _ = fc_setup
+@pytest.mark.parametrize("setup, dimension", [("fc_setup", 80), ("ts_setup", 123)])
+def test_lhs_draw(benchmark, request, setup, dimension):
+    amp, _, _ = request.getfixturevalue(setup)
     sampler = make_sampler("lhs", amp.variation)
     rng = np.random.default_rng(2)
     out = benchmark(sampler.draw, 500, rng)
-    assert out.shape == (500, 80)
+    assert out.shape == (500, dimension)
 
 
 @pytest.mark.benchmark(group="ocba")

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Engine benchmark smoke: tiny-budget micro-benchmark plus the persisted
-# crossover assertions.  REPRO_BENCH_SMOKE shrinks the workload and
-# relaxes the 3x assertion: shared CI runners are too noisy for absolute
-# speedup bars.  Includes the circuit-priced round (netlist_ota stacked
-# MNA/AC solves).
+# Benchmark smoke: every component micro-benchmark case with timing off
+# (~4 s, so each hot path's shape and output assertions run on every PR,
+# not only nightly), then the engine's tiny-budget micro-benchmark plus
+# the persisted crossover assertions.  REPRO_BENCH_SMOKE shrinks the
+# workload and relaxes the 3x assertion: shared CI runners are too noisy
+# for absolute speedup bars.  Includes the circuit-priced round
+# (netlist_ota stacked MNA/AC solves).
 set -euo pipefail
+
+pytest benchmarks/test_bench_components.py -q --benchmark-disable
 
 REPRO_BENCH_SMOKE=1 pytest benchmarks/test_bench_engine.py -q -s
 

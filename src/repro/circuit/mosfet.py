@@ -9,12 +9,14 @@ Two views of the same device are provided:
   MNA DC Newton solver.
 * :class:`DeviceArrays` — *effective* per-sample device parameters after
   process variations have been applied by a technology.  All entries are
-  NumPy arrays over the Monte-Carlo sample axis, and the bias-point helper
-  methods are fully vectorised.  ``vov_for_current`` solves a device's
-  operating point (the overdrive that carries a drain current) once;
-  ``gm``, ``gmbs`` and ``vdsat`` take that solved overdrive, and only
-  ``gds`` and ``ro`` take the drain current itself.  This is what the
-  fast analytic topology evaluators consume.
+  NumPy arrays over the Monte-Carlo sample axis, optionally behind a
+  leading device axis (a stack of same-polarity devices realized in one
+  call), and the bias-point helper methods are fully vectorised.
+  ``vov_for_current`` solves operating points (the overdrive that carries
+  a drain current): one call solves a whole stack, one current row per
+  device.  ``gm``, ``gmbs`` and ``vdsat`` take that solved overdrive, and
+  only ``gds`` and ``ro`` take the drain current itself.  This is what
+  the fast analytic topology evaluators consume.
 
 Sign conventions: p-channel devices are evaluated with source-referenced
 *magnitudes* (``vgs``, ``vds`` >= 0 meaning |VGS|, |VDS|); polarity handling
@@ -240,11 +242,20 @@ class DeviceArrays:
     has one entry per design row — or a single entry shared by every
     sample — and the effective parameters one entry per sample row.
 
+    A *stack* holds ``k`` same-polarity devices: its geometry is ``(k, 1)``
+    or ``(k, N)`` and every device-dependent array ``(k, N)``, while the
+    inter-die-only arrays (``theta``, ``gamma``, ``cg_scale``, ``phi``)
+    stay ``(N,)`` and broadcast.  ``stack[i]`` is device ``i``'s view and
+    ``stack[a:b]`` a sub-stack; both slice the stacked arrays, ``beta``
+    included, so a view's entries are bit-equal to a one-device
+    realization's.
+
     An evaluator solves each (device, current) operating point once with
-    :meth:`vov_for_current` and passes the solved overdrive ``vov`` on to
-    :meth:`gm`, :meth:`gmbs` and :meth:`vdsat`; the gate-source magnitude
-    is ``vth + vov``.  Only :meth:`gds` and :meth:`ro` take the drain
-    current ``ids``, the one input they use.
+    :meth:`vov_for_current` — on a sub-stack, one current row per device,
+    so one call solves a whole dependency wave — and passes the solved
+    overdrive ``vov`` on to :meth:`gm`, :meth:`gmbs` and :meth:`vdsat`;
+    the gate-source magnitude is ``vth + vov``.  Only :meth:`gds` and
+    :meth:`ro` take the drain current ``ids``, the one input they use.
 
     The bias-point helpers use an EKV-style all-region interpolation::
 
@@ -315,6 +326,29 @@ class DeviceArrays:
         self.phi = np.asarray(card.phi if phi is None else phi, dtype=float)
         self.nfactor = float(getattr(card, "nfactor", 1.4))
         self.beta = self.kp * self.weff / self.leff
+        #: Attributes that carry the leading device axis of a stack.
+        self._stacked = (
+            tuple(name for name, value in vars(self).items()
+                  if isinstance(value, np.ndarray) and value.ndim == 2)
+            if self.w.ndim == 2 else ()
+        )
+
+    def __getitem__(self, index) -> "DeviceArrays":
+        """Device ``index`` of a stack (or the sub-stack ``index`` slices),
+        as a view of the stacked arrays; shared arrays are reused."""
+        if not self._stacked:
+            raise TypeError("only a stacked realization has per-device views")
+        fields = vars(self)
+        view = object.__new__(DeviceArrays)
+        view.__dict__.update(fields)
+        view.__dict__.update({name: fields[name][index] for name in self._stacked})
+        if view.w.ndim != 2:
+            view._stacked = ()
+        return view
+
+    def __iter__(self):
+        """The per-device views of a stack, in stack order."""
+        return (self[i] for i in range(len(self.w)))
 
     # -- bias-point quantities (EKV all-region) ---------------------------------
     def _nvt(self) -> float:
@@ -335,15 +369,34 @@ class DeviceArrays:
         Inverts the EKV interpolation (negative values = weak inversion).
         The mobility-degradation factor is handled by a short fixed-point
         iteration (it converges fast because theta*vov << 1 + theta*vov).
+        On a stack, ``ids`` has one row per device (``(k, 1)`` or
+        ``(k, N)``) and the result is ``(k, N)``.  The eight steps run on
+        preallocated buffers, in the operation order of
+        ``q = sqrt(ids * (1 + theta * max(vov, 0)) / i_scale)`` and
+        ``vov = scale * where(q > 30, q, log(expm1(min(q, 30))))``.
         """
         ids = np.maximum(np.asarray(ids, dtype=float), 1e-15)
         scale = self._nvt()
         i_scale = 0.5 * self.beta * scale**2  # ids = i_scale * h^2 / denom
-        vov = np.zeros_like(ids + self.beta)  # broadcast shape
+        shape = np.broadcast_shapes(ids.shape, self.beta.shape)
+        vov = np.zeros(shape)
+        q = np.empty(shape)
+        work = np.empty(shape)
+        strong = np.empty(shape, dtype=bool)
         for _ in range(8):
-            q = np.sqrt(ids * (1.0 + self.theta * np.maximum(vov, 0.0)) / i_scale)
+            np.maximum(vov, 0.0, out=work)
+            np.multiply(self.theta, work, out=work)
+            np.add(1.0, work, out=work)
+            np.multiply(ids, work, out=work)
+            np.divide(work, i_scale, out=work)
+            np.sqrt(work, out=q)
             # invert softplus: u = ln(exp(q) - 1), guarded for large q
-            vov = scale * np.where(q > 30.0, q, np.log(np.expm1(np.minimum(q, 30.0))))
+            np.minimum(q, 30.0, out=work)
+            np.expm1(work, out=work)
+            np.log(work, out=work)
+            np.greater(q, 30.0, out=strong)
+            np.copyto(work, q, where=strong)
+            np.multiply(scale, work, out=vov)
         return vov
 
     def gm(self, vov) -> np.ndarray:
@@ -397,12 +450,13 @@ class DeviceArrays:
             np.sqrt(self.phi + vsb) - np.sqrt(self.phi)
         )
 
-    def gmbs(self, vov, vsb=0.0) -> np.ndarray:
+    def gmbs(self, vov, vsb=0.0, gm=None) -> np.ndarray:
         """Bulk transconductance at the solved overdrive ``vov`` and
-        source-bulk bias ``vsb`` [S]."""
+        source-bulk bias ``vsb`` [S]; ``gm`` is :meth:`gm` at ``vov`` when
+        the caller already has it."""
         vsb = np.maximum(np.asarray(vsb, dtype=float), 0.0)
         chi = self.gamma / (2.0 * np.sqrt(self.phi + vsb))
-        return chi * self.gm(vov)
+        return chi * (self.gm(vov) if gm is None else gm)
 
     # -- capacitances ---------------------------------------------------------
     def cgs(self) -> np.ndarray:

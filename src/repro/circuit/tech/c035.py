@@ -137,15 +137,16 @@ class C035Technology(Technology):
     def realize(
         self,
         polarity: str,
-        w: float,
-        l: float,
+        w: np.ndarray | float,
+        l: np.ndarray | float,
         inter: dict[str, np.ndarray],
         scores: np.ndarray,
     ) -> DeviceArrays:
         card = self.card(polarity)
         pel = self.pelgrom[polarity]
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
-        z_tox, z_vth, z_ld, z_wd = (scores[:, i] for i in range(4))
+        z_tox, z_vth, z_ld, z_wd = (scores[..., i] for i in range(4))
+        s_tox, s_vth, s_ld, s_wd = pel.sigmas(w, l)
 
         if polarity == "n":
             toxr = inter["TOXRn"]
@@ -164,7 +165,7 @@ class C035Technology(Technology):
             npeak = inter["NPEAKp"]
             ld_delta, wd_delta = inter["LDp"], inter["WDp"]
 
-        tox = card.tox * toxr * (1.0 + pel.sigma_tox_rel(w, l) * z_tox)
+        tox = card.tox * toxr * (1.0 + s_tox * z_tox)
         cox = EPS_OX / np.maximum(tox, 1e-10)
         u0 = card.u0 * (1.0 + deluo) * (1.0 - _U0_PER_NPEAK * npeak)
         kp = np.maximum(u0, 1e-4) * cox
@@ -172,11 +173,11 @@ class C035Technology(Technology):
         vth = (
             card.vth0 * vthr
             + _VTH_PER_NPEAK * npeak
-            + pel.sigma_vth(w, l) * z_vth
+            + s_vth * z_vth
         )
 
-        ld_eff = card.ld + ld_delta + pel.sigma_ld(w, l) * z_ld
-        wd_eff = card.wd + wd_delta + pel.sigma_wd(w, l) * z_wd
+        ld_eff = card.ld + ld_delta + s_ld * z_ld
+        wd_eff = card.wd + wd_delta + s_wd * z_wd
         leff = np.maximum(l + inter["DELL"] - 2.0 * ld_eff, 0.2 * l)
         weff = np.maximum(w + inter["DELW"] - 2.0 * wd_eff, 0.2 * w)
 

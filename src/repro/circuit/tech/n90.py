@@ -156,24 +156,25 @@ class N90Technology(Technology):
     def realize(
         self,
         polarity: str,
-        w: float,
-        l: float,
+        w: np.ndarray | float,
+        l: np.ndarray | float,
         inter: dict[str, np.ndarray],
         scores: np.ndarray,
     ) -> DeviceArrays:
         card = self.card(polarity)
         pel = self.pelgrom[polarity]
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
-        z_tox, z_vth, z_ld, z_wd = (scores[:, i] for i in range(4))
+        z_tox, z_vth, z_ld, z_wd = (scores[..., i] for i in range(4))
+        s_tox, s_vth, s_ld, s_wd = pel.sigmas(w, l)
         t = polarity
 
-        tox = card.tox * inter[f"TOXR{t}"] * (1.0 + pel.sigma_tox_rel(w, l) * z_tox)
+        tox = card.tox * inter[f"TOXR{t}"] * (1.0 + s_tox * z_tox)
         cox = EPS_OX / np.maximum(tox, 3e-10)
         u0 = card.u0 * (1.0 + inter[f"DELUO{t}"]) * (1.0 - _U0_PER_NPEAK * inter[f"NPEAK{t}"])
         kp = np.maximum(u0, 5e-4) * cox
 
-        ld_eff = card.ld + inter[f"LD{t}"] + pel.sigma_ld(w, l) * z_ld
-        wd_eff = card.wd + inter[f"WD{t}"] + pel.sigma_wd(w, l) * z_wd
+        ld_eff = card.ld + inter[f"LD{t}"] + s_ld * z_ld
+        wd_eff = card.wd + inter[f"WD{t}"] + s_wd * z_wd
         leff = np.maximum(l + inter["DELL"] + inter["XL"] - 2.0 * ld_eff, 0.2 * l)
         weff = np.maximum(w + inter["DELW"] + inter["XW"] - 2.0 * wd_eff, 0.2 * w)
 
@@ -184,7 +185,7 @@ class N90Technology(Technology):
             + 0.002 * inter[f"NFACTOR{t}"]
             + inter[f"LVTH{t}"] * (self.lmin / leff)
             + inter[f"WVTH{t}"] * (self.wmin / weff)
-            + pel.sigma_vth(w, l) * z_vth
+            + s_vth * z_vth
         )
 
         lam = (

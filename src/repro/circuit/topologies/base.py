@@ -143,8 +143,22 @@ class AmplifierTopology(ABC):
             )
         return dict(zip(names, X.T)), samples
 
-    def _realized(self, device: str, polarity: str, w, l,
-                  inter: dict[str, np.ndarray], samples: np.ndarray):
-        """Realize one device's effective parameters over all samples."""
-        scores = self._variation.mismatch_scores(samples, device)
+    def _realize_stack(
+        self,
+        polarity: str,
+        stack: list[tuple[str | None, str]],
+        d: dict[str, np.ndarray],
+        inter: dict[str, np.ndarray],
+        samples: np.ndarray,
+    ):
+        """Realize a stack of same-polarity devices in one call.
+
+        ``stack`` lists ``(device, geometry)`` in stack order: ``device`` is
+        a mismatch-carrying name or ``None`` for a mismatch-free replica,
+        and ``geometry`` the suffix of its design columns (``"0"`` reads
+        ``w0``/``l0``).  Unpack the result into per-device views.
+        """
+        w = np.stack([d["w" + geometry] for _, geometry in stack])
+        l = np.stack([d["l" + geometry] for _, geometry in stack])
+        scores = self._variation.mismatch_stack(samples, [dev for dev, _ in stack])
         return self.tech.realize(polarity, w, l, inter, scores)

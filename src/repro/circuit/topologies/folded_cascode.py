@@ -97,6 +97,21 @@ _DEVICES = [
 
 _METRICS = ["a0_db", "gbw_hz", "pm_deg", "os_v", "power_w", "satmargin_v"]
 
+#: Per-polarity device stacks, ``(device, geometry)`` in stack order; ``None``
+#: is a mismatch-free replica.  Each wave of overdrive solves is a
+#: contiguous slice: first the bias references and replicas (design
+#: currents only), then the 11 core devices (mirrored currents).
+_N_STACK = [
+    ("MB1", "0"), ("MB3", "9"), ("MB4", "9"), (None, "7"),
+    ("M0", "0"), ("M1", "1"), ("M2", "1"), ("M7", "7"), ("M8", "7"),
+    ("M9", "9"), ("M10", "9"),
+]
+_P_STACK = [
+    ("MB2", "3"), (None, "5"),
+    ("M3", "3"), ("M4", "3"), ("M5", "5"), ("M6", "5"),
+]
+_N_BIAS, _P_BIAS = 4, 2
+
 
 class FoldedCascodeAmplifier(AmplifierTopology):
     """Vectorised performance model of the folded-cascode amplifier."""
@@ -122,66 +137,51 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         vout_cm = 0.5 * vdd
 
         inter = self.variation.inter_values(samples)
-        realize = self._realized
-
-        # Core devices (left/right instances carry their own mismatch).
-        m0 = realize("M0", "n", d["w0"], d["l0"], inter, samples)
-        m1 = realize("M1", "n", d["w1"], d["l1"], inter, samples)
-        m2 = realize("M2", "n", d["w1"], d["l1"], inter, samples)
-        m3 = realize("M3", "p", d["w3"], d["l3"], inter, samples)
-        m4 = realize("M4", "p", d["w3"], d["l3"], inter, samples)
-        m5 = realize("M5", "p", d["w5"], d["l5"], inter, samples)
-        m6 = realize("M6", "p", d["w5"], d["l5"], inter, samples)
-        m7 = realize("M7", "n", d["w7"], d["l7"], inter, samples)
-        m8 = realize("M8", "n", d["w7"], d["l7"], inter, samples)
-        m9 = realize("M9", "n", d["w9"], d["l9"], inter, samples)
-        m10 = realize("M10", "n", d["w9"], d["l9"], inter, samples)
-        mb1 = realize("MB1", "n", d["w0"], d["l0"], inter, samples)
-        mb2 = realize("MB2", "p", d["w3"], d["l3"], inter, samples)
-        mb3 = realize("MB3", "n", d["w9"], d["l9"], inter, samples)
-        mb4 = realize("MB4", "n", d["w9"], d["l9"], inter, samples)
-
-        # Mismatch-averaged replicas used by the cascode bias generators.
-        zeros = np.zeros((samples.shape[0], 4))
-        m5_avg = self.tech.realize("p", d["w5"], d["l5"], inter, zeros)
-        m7_avg = self.tech.realize("n", d["w7"], d["l7"], inter, zeros)
+        # Core devices (left/right instances carry their own mismatch) and
+        # the mismatch-averaged replicas of the cascode bias generators.
+        n_dev = self._realize_stack("n", _N_STACK, d, inter, samples)
+        p_dev = self._realize_stack("p", _P_STACK, d, inter, samples)
+        mb1, mb3, mb4, m7_avg, m0, m1, m2, m7, m8, m9, m10 = n_dev
+        mb2, m5_avg, m3, m4, m5, m6 = p_dev
 
         itail, icas = d["itail"], d["icas"]
         i3_design = icas + 0.5 * itail
 
+        # -- operating points: one overdrive solve per (device, current), one
+        # call per polarity and wave; first the references and replicas ------
+        vov_b1, vov_b3, vov_b4, vov7_avg = n_dev[:_N_BIAS].vov_for_current(
+            np.stack([itail, icas, icas, icas])
+        )
+        vov_b2, vov5_avg = p_dev[:_P_BIAS].vov_for_current(np.stack([i3_design, icas]))
+
         # -- current mirrors (exact device equations) ----------------------
-        i0 = _mirror_current(mb1.vth + mb1.vov_for_current(itail), m0)
+        i0 = _mirror_current(mb1.vth + vov_b1, m0)
         i1 = 0.5 * i0  # balanced split of the tail current
-        vgs_b4 = mb4.vth + mb4.vov_for_current(icas)  # shared by both sinks
+        vgs_b4 = mb4.vth + vov_b4  # shared by both sinks
         i9_l = _mirror_current(vgs_b4, m9)
         i9_r = _mirror_current(vgs_b4, m10)
         i5_l, i5_r = i9_l, i9_r            # series cascode branch
         i3_l, i3_r = i9_l + i1, i9_r + i1  # CMFB closes KCL at the fold node
 
-        # -- operating points: one overdrive solve per (device, current) ------
-        vov0 = m0.vov_for_current(i0)
-        vov1 = m1.vov_for_current(i1)
-        vov2 = m2.vov_for_current(i1)
-        vov3 = m3.vov_for_current(i3_l)
-        vov4 = m4.vov_for_current(i3_r)
-        vov5 = m5.vov_for_current(i5_l)
-        vov6 = m6.vov_for_current(i5_r)
-        vov7 = m7.vov_for_current(i5_l)
-        vov8 = m8.vov_for_current(i5_r)
-        vov9 = m9.vov_for_current(i9_l)
-        vov10 = m10.vov_for_current(i9_r)
-        vgs5_avg = m5_avg.vth + m5_avg.vov_for_current(icas)
-        vgs7_avg = m7_avg.vth + m7_avg.vov_for_current(icas)
+        # -- then the core devices at their mirrored currents ------------------
+        vov0, vov1, vov2, vov7, vov8, vov9, vov10 = n_dev[_N_BIAS:].vov_for_current(
+            np.stack([i0, i1, i1, i5_l, i5_r, i9_l, i9_r])
+        )
+        vov3, vov4, vov5, vov6 = p_dev[_P_BIAS:].vov_for_current(
+            np.stack([i3_l, i3_r, i5_l, i5_r])
+        )
+        vgs5_avg = m5_avg.vth + vov5_avg
+        vgs7_avg = m7_avg.vth + vov7_avg
 
         # -- bias voltages --------------------------------------------------
         # Folding-node target from the PMOS replica MB2 + margin.
-        va_target = vdd - (mb2.vdsat(mb2.vov_for_current(i3_design)) + d["vmargin_p"])
+        va_target = vdd - (mb2.vdsat(vov_b2) + d["vmargin_p"])
         # Per-side fold node shifts with the cascode's VGS mismatch.
         va_l = va_target + ((m5.vth + vov5) - vgs5_avg)
         va_r = va_target + ((m6.vth + vov6) - vgs5_avg)
 
         # N-cascode source node from the NMOS replica MB3 + margin.
-        vb_target = mb3.vdsat(mb3.vov_for_current(icas)) + d["vmargin_n"]
+        vb_target = mb3.vdsat(vov_b3) + d["vmargin_n"]
         vb_l = vb_target - ((m7.vth + vov7) - vgs7_avg)
         vb_r = vb_target - ((m8.vth + vov8) - vgs7_avg)
 
@@ -212,8 +212,10 @@ class FoldedCascodeAmplifier(AmplifierTopology):
 
         def side_rout(m_in, m_src, m_pc, m_nc, m_snk, va, vb, i5, i3, i9,
                       vov_pc, vov_nc):
-            gm_pc = m_pc.gm(vov_pc) + m_pc.gmbs(vov_pc, np.maximum(vdd - va, 0.0))
-            gm_nc = m_nc.gm(vov_nc) + m_nc.gmbs(vov_nc, np.maximum(vb, 0.0))
+            gm_pc = m_pc.gm(vov_pc)
+            gm_pc = gm_pc + m_pc.gmbs(vov_pc, np.maximum(vdd - va, 0.0), gm_pc)
+            gm_nc = m_nc.gm(vov_nc)
+            gm_nc = gm_nc + m_nc.gmbs(vov_nc, np.maximum(vb, 0.0), gm_nc)
             ro_up = m_pc.ro(i5) * gm_pc * _parallel(m_src.ro(i3), m_in.ro(i1))
             ro_dn = m_nc.ro(i5) * gm_nc * m_snk.ro(i9)
             return _parallel(ro_up, ro_dn), gm_pc, gm_nc

@@ -114,6 +114,24 @@ _METRICS = [
     "offset_v", "satmargin_v",
 ]
 
+#: Per-polarity device stacks, ``(device, geometry)`` in stack order; ``None``
+#: is a mismatch-free replica.  Each wave of overdrive solves is a
+#: contiguous slice: the references and the M9 replica at design currents,
+#: then the mirror references MB1/MB4, then the 13 core devices and the
+#: M1/M7 replicas.
+_N_STACK = [
+    ("MB5", "0"), ("MB2", "3"),
+    ("MB1", "0"), ("MB4", "11"),
+    ("M0", "0"), ("M1", "1"), ("M2", "1"), ("M3", "3"), ("M4", "3"),
+    ("M11", "11"), ("M12", "11"), (None, "1"),
+]
+_P_STACK = [
+    ("MB6", "5"), ("MB3", "5"), (None, "9"),
+    ("M5", "5"), ("M6", "5"), ("M7", "7"), ("M8", "7"), ("M9", "9"),
+    ("M10", "9"), (None, "7"),
+]
+_N_WAVE_1, _N_WAVE_2, _P_WAVE_1 = 2, 4, 3
+
 
 class TwoStageTelescopicAmplifier(AmplifierTopology):
     """Vectorised performance model of the two-stage telescopic amplifier."""
@@ -138,95 +156,77 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         vout_cm = 0.5 * vdd
 
         inter = self.variation.inter_values(samples)
-        realize = self._realized
-
-        m0 = realize("M0", "n", d["w0"], d["l0"], inter, samples)
-        m1 = realize("M1", "n", d["w1"], d["l1"], inter, samples)
-        m2 = realize("M2", "n", d["w1"], d["l1"], inter, samples)
-        m3 = realize("M3", "n", d["w3"], d["l3"], inter, samples)
-        m4 = realize("M4", "n", d["w3"], d["l3"], inter, samples)
-        m5 = realize("M5", "p", d["w5"], d["l5"], inter, samples)
-        m6 = realize("M6", "p", d["w5"], d["l5"], inter, samples)
-        m7 = realize("M7", "p", d["w7"], d["l7"], inter, samples)
-        m8 = realize("M8", "p", d["w7"], d["l7"], inter, samples)
-        m9 = realize("M9", "p", d["w9"], d["l9"], inter, samples)
-        m10 = realize("M10", "p", d["w9"], d["l9"], inter, samples)
-        m11 = realize("M11", "n", d["w11"], d["l11"], inter, samples)
-        m12 = realize("M12", "n", d["w11"], d["l11"], inter, samples)
-        mb1 = realize("MB1", "n", d["w0"], d["l0"], inter, samples)
-        mb2 = realize("MB2", "n", d["w3"], d["l3"], inter, samples)
-        mb3 = realize("MB3", "p", d["w5"], d["l5"], inter, samples)
-        mb4 = realize("MB4", "n", d["w11"], d["l11"], inter, samples)
-        # Master bias mirrors: their mismatch perturbs the reference currents
-        # fed to the tail and stage-2 mirrors.
-        mb5 = realize("MB5", "n", d["w0"], d["l0"], inter, samples)
-        mb6 = realize("MB6", "p", d["w5"], d["l5"], inter, samples)
-
-        zeros = np.zeros((samples.shape[0], 4))
-        m9_avg = self.tech.realize("p", d["w9"], d["l9"], inter, zeros)
-        m1_avg = self.tech.realize("n", d["w1"], d["l1"], inter, zeros)
-        m7_avg = self.tech.realize("p", d["w7"], d["l7"], inter, zeros)
+        # Master bias mirrors MB5/MB6: their mismatch perturbs the reference
+        # currents fed to the tail and stage-2 mirrors.  Replicas carry no
+        # mismatch.
+        n_dev = self._realize_stack("n", _N_STACK, d, inter, samples)
+        p_dev = self._realize_stack("p", _P_STACK, d, inter, samples)
+        mb5, mb2, mb1, mb4, m0, m1, m2, m3, m4, m11, m12, m1_avg = n_dev
+        mb6, mb3, m9_avg, m5, m6, m7, m8, m9, m10, m7_avg = p_dev
 
         itail, i2 = d["itail"], d["i2"]
         cc, rz_design = d["cc"], d["rz"]
         rz = rz_design * self.tech.poly_sheet_scale(inter) if hasattr(
             self.tech, "poly_sheet_scale") else rz_design * np.ones(samples.shape[0])
+        # The cascode bias replicas MB2/MB3 carry half the tail current.
+        i_replica = 0.5 * itail
+
+        # -- operating points: one overdrive solve per (device, current), one
+        # call per polarity and wave; first the design-current references ----
+        vov_b5, vov_b2 = n_dev[:_N_WAVE_1].vov_for_current(
+            np.stack([itail, i_replica])
+        )
+        vov_b6, vov_b3, vov9_avg = p_dev[:_P_WAVE_1].vov_for_current(
+            np.stack([i2, i_replica, i2])
+        )
 
         # -- reference distribution and mirrors ------------------------------
         # The master bias chain (MB5/MB6) perturbs the reference currents.
-        iref_tail = _mirror_current(mb5.vth + mb5.vov_for_current(itail), mb1)
-        i0 = _mirror_current(mb1.vth + mb1.vov_for_current(iref_tail), m0)
-        i1 = 0.5 * i0
-
+        iref_tail = _mirror_current(mb5.vth + vov_b5, mb1)
         # Stage-1 output common mode from the replica CMFB: biased so that
         # the stage-2 device M9 nominally carries i2.
-        vgs9_applied = m9_avg.vth + m9_avg.vov_for_current(i2)
+        vgs9_applied = m9_avg.vth + vov9_avg
         vo1_cm = vdd - vgs9_applied
         # Per-side stage-2 currents from M9/M10 threshold/beta mismatch.
         i9_l = _mirror_current(vgs9_applied, m9)
         i9_r = _mirror_current(vgs9_applied, m10)
         # Stage-2 sinks mirrored from MB4 (reference scaled through MB6).
-        iref2 = _mirror_current(mb6.vth + mb6.vov_for_current(i2), mb4)
-        vgs_b4 = mb4.vth + mb4.vov_for_current(iref2)  # shared by both sinks
+        iref2 = _mirror_current(mb6.vth + vov_b6, mb4)
+
+        # -- then the mirror references at their perturbed currents -----------
+        vov_b1, vov_b4 = n_dev[_N_WAVE_1:_N_WAVE_2].vov_for_current(
+            np.stack([iref_tail, iref2])
+        )
+        i0 = _mirror_current(mb1.vth + vov_b1, m0)
+        i1 = 0.5 * i0
+        vgs_b4 = mb4.vth + vov_b4  # shared by both sinks
         i11_l = _mirror_current(vgs_b4, m11)
         i11_r = _mirror_current(vgs_b4, m12)
 
-        # -- operating points: one overdrive solve per (device, current) ------
-        vov0 = m0.vov_for_current(i0)
-        vov1 = m1.vov_for_current(i1)
-        vov2 = m2.vov_for_current(i1)
-        vov3 = m3.vov_for_current(i1)
-        vov4 = m4.vov_for_current(i1)
-        vov5 = m5.vov_for_current(i1)
-        vov6 = m6.vov_for_current(i1)
-        vov7 = m7.vov_for_current(i1)
-        vov8 = m8.vov_for_current(i1)
-        vov9 = m9.vov_for_current(i9_l)
-        vov10 = m10.vov_for_current(i9_r)
-        vov11 = m11.vov_for_current(i11_l)
-        vov12 = m12.vov_for_current(i11_r)
+        # -- then the core devices and the M1/M7 replicas ----------------------
+        vov0, vov1, vov2, vov3, vov4, vov11, vov12, vov1_avg = n_dev[
+            _N_WAVE_2:
+        ].vov_for_current(np.stack([i0, i1, i1, i1, i1, i11_l, i11_r, i1]))
+        vov5, vov6, vov7, vov8, vov9, vov10, vov7_avg = p_dev[
+            _P_WAVE_1:
+        ].vov_for_current(np.stack([i1, i1, i1, i1, i9_l, i9_r, i1]))
 
         # -- stage-1 node voltages --------------------------------------------
         vs1 = VCM_IN - (m1.vth + vov1)
         for _ in range(3):
             vs1 = VCM_IN - (m1.vth_at(np.maximum(vs1, 0.0)) + vov1)
 
-        # Node X (input drain / n-cascode source) target + per-side shifts;
-        # the cascode bias replicas MB2/MB3 carry half the tail current.
-        i_replica = 0.5 * itail
+        # Node X (input drain / n-cascode source) target + per-side shifts.
         vx_target = (
-            m1_avg.vdsat(m1_avg.vov_for_current(i1)) + np.maximum(vs1, 0.0)
-            + d["vmargin_n"]
+            m1_avg.vdsat(vov1_avg) + np.maximum(vs1, 0.0) + d["vmargin_n"]
         )
-        vg3 = vx_target + (mb2.vth + mb2.vov_for_current(i_replica))
+        vg3 = vx_target + (mb2.vth + vov_b2)
         vx_l = vg3 - (m3.vth + vov3)
         vx_r = vg3 - (m4.vth + vov4)
 
         # Node Z (p-cascode source / p-source drain) target + shifts.
-        vz_target = vdd - (
-            m7_avg.vdsat(m7_avg.vov_for_current(i1)) + d["vmargin_p"]
-        )
-        vg5 = vz_target - (mb3.vth + mb3.vov_for_current(i_replica))
+        vz_target = vdd - (m7_avg.vdsat(vov7_avg) + d["vmargin_p"])
+        vg5 = vz_target - (mb3.vth + vov_b3)
         vz_l = vg5 + (m5.vth + vov5)
         vz_r = vg5 + (m6.vth + vov6)
 
@@ -251,10 +251,11 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         # -- stage gains ------------------------------------------------------------
         gm1 = m1.gm(vov1)
         gm2 = m2.gm(vov2)
-        gm3_eff = m3.gm(vov3) + m3.gmbs(vov3, np.maximum(vx_l, 0.0))
-        gm4_eff = m4.gm(vov4) + m4.gmbs(vov4, np.maximum(vx_r, 0.0))
-        gm5_eff = m5.gm(vov5) + m5.gmbs(vov5, np.maximum(vdd - vz_l, 0.0))
-        gm6_eff = m6.gm(vov6) + m6.gmbs(vov6, np.maximum(vdd - vz_r, 0.0))
+        gm3, gm4, gm5, gm6 = m3.gm(vov3), m4.gm(vov4), m5.gm(vov5), m6.gm(vov6)
+        gm3_eff = gm3 + m3.gmbs(vov3, np.maximum(vx_l, 0.0), gm3)
+        gm4_eff = gm4 + m4.gmbs(vov4, np.maximum(vx_r, 0.0), gm4)
+        gm5_eff = gm5 + m5.gmbs(vov5, np.maximum(vdd - vz_l, 0.0), gm5)
+        gm6_eff = gm6 + m6.gmbs(vov6, np.maximum(vdd - vz_r, 0.0), gm6)
 
         r1_l = _parallel(gm3_eff * m3.ro(i1) * m1.ro(i1),
                          gm5_eff * m5.ro(i1) * m7.ro(i1))

@@ -188,7 +188,10 @@ class TruncatedNormalDistribution(Distribution):
         )
 
 
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Standard-normal inverse CDF, clipped away from 0/1 for stability."""
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return _scipy_special.ndtri(u)
+def _ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal inverse CDF, clipped away from 0/1 for stability.
+
+    With ``out``, ``u`` is clipped into ``out``, which is then mapped in place.
+    """
+    u = np.clip(u, 1e-12, 1.0 - 1e-12, out=out)
+    return _scipy_special.ndtri(u, out=out)

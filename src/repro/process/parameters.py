@@ -53,7 +53,7 @@ class ParameterGroup:
     def __init__(self, parameters: list[StatisticalParameter] | None = None) -> None:
         self._parameters: list[StatisticalParameter] = []
         self._index: dict[str, int] = {}
-        self._families: tuple | None = None
+        self._moments: tuple | None = None
         for parameter in parameters or []:
             self.add(parameter)
 
@@ -64,7 +64,7 @@ class ParameterGroup:
             raise ValueError(f"duplicate parameter name: {parameter.name!r}")
         self._index[parameter.name] = len(self._parameters)
         self._parameters.append(parameter)
-        self._families = None
+        self._moments = None
 
     def extend(self, parameters: list[StatisticalParameter]) -> None:
         """Append several parameters."""
@@ -116,36 +116,41 @@ class ParameterGroup:
             out[:, j] = parameter.distribution.sample(n, rng)
         return out
 
-    def _by_family(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """Gaussian ``(columns, mu, sigma)`` plus ``[(column, distribution)]``
-        of every other parameter; cached until the group grows."""
-        if self._families is None:
-            columns = list(enumerate(p.distribution for p in self._parameters))
-            gaussian = [(j, d) for j, d in columns if type(d) is NormalDistribution]
-            others = [(j, d) for j, d in columns if type(d) is not NormalDistribution]
-            self._families = (
-                np.array([j for j, _ in gaussian], dtype=int),
-                np.array([d.mu for _, d in gaussian]),
-                np.array([d.sigma for _, d in gaussian]),
-                others,
+    def _gaussian_moments(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """Full-width ``(mu, sigma)`` — 0 and 1 on non-Gaussian columns — plus
+        ``[(column, distribution)]`` of every non-Gaussian parameter; cached
+        until the group grows."""
+        if self._moments is None:
+            gaussian = [type(p.distribution) is NormalDistribution
+                        for p in self._parameters]
+            self._moments = (
+                np.array([p.distribution.mu if g else 0.0
+                          for p, g in zip(self._parameters, gaussian)]),
+                np.array([p.distribution.sigma if g else 1.0
+                          for p, g in zip(self._parameters, gaussian)]),
+                [(j, p.distribution) for j, (p, g)
+                 in enumerate(zip(self._parameters, gaussian)) if not g],
             )
-        return self._families
+        return self._moments
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Map a uniform(0,1) matrix onto the parameter space via inverse CDFs.
 
         ``u`` has shape ``(n, len(group))``; used by LHS/Sobol samplers.
-        All Gaussian columns map in one ``mu + sigma * ndtri(u)`` op, each
-        other column through its own distribution's ``ppf``.
+        Every column maps in place on one clipped copy of ``u`` as
+        ``mu + sigma * ndtri(u)``; each non-Gaussian column is then
+        overwritten from its own distribution's ``ppf``.  ``u`` itself is
+        never written.
         """
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != len(self._parameters):
             raise ValueError(
                 f"uniform matrix must have shape (n, {len(self._parameters)}), got {u.shape}"
             )
-        out = np.empty_like(u)
-        columns, mu, sigma, others = self._by_family()
-        out[:, columns] = mu + sigma * _ndtri(u[:, columns])
+        mu, sigma, others = self._gaussian_moments()
+        out = _ndtri(u, out=np.empty_like(u))
+        out *= sigma
+        out += mu
         for j, dist in others:
             out[:, j] = dist.ppf(u[:, j])
         return out

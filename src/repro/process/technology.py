@@ -9,8 +9,9 @@ A :class:`Technology` bundles
 * Pelgrom mismatch coefficients for the per-device intra-die variables.
 
 Concrete technologies (``repro.circuit.tech.c035``, ``...n90``) implement
-:meth:`realize`, which applies one matrix of process samples to one device
-and returns vectorised effective parameters (:class:`DeviceArrays`).
+:meth:`realize`, which applies one matrix of process samples to one device,
+or to a stack of same-polarity devices, and returns vectorised effective
+parameters (:class:`DeviceArrays`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ class PelgromCoefficients:
         """Width-reduction mismatch sigma [m]."""
         return self.awd / np.sqrt(w * l)
 
+    def sigmas(self, w, l) -> tuple:
+        """``(sigma_tox_rel, sigma_vth, sigma_ld, sigma_wd)`` from one
+        ``sqrt(W*L)``; each equals its own method's value bit for bit."""
+        root = np.sqrt(w * l)
+        return self.atox / root, self.avt / root, self.ald / root, self.awd / root
+
 
 class Technology(ABC):
     """Base class for synthetic CMOS technologies.
@@ -108,24 +115,31 @@ class Technology(ABC):
     def realize(
         self,
         polarity: str,
-        w: float,
-        l: float,
+        w: np.ndarray | float,
+        l: np.ndarray | float,
         inter: dict[str, np.ndarray],
         scores: np.ndarray,
     ) -> DeviceArrays:
-        """Effective device parameters for one device over all samples.
+        """Effective parameters of one device, or of a stack of ``k``
+        same-polarity devices, over all ``N`` samples.
+
+        A stack computes the inter-die terms once on ``(N,)`` and
+        broadcasts them over the device axis; each device's entries are
+        bit-equal to its own one-device call.
 
         Parameters
         ----------
         polarity:
             ``"n"`` or ``"p"``.
         w, l:
-            Drawn geometry [m].
+            Drawn geometry [m]: a scalar, ``(1,)`` or ``(N,)`` for one
+            device; ``(k, 1)`` or ``(k, N)`` for a stack.
         inter:
-            Inter-die variable name -> per-sample value array.
+            Inter-die variable name -> per-sample value array ``(N,)``.
         scores:
-            Standard-normal mismatch scores, shape ``(n_samples, 4)`` with
-            columns (dTOX, dVTH0, dLD, dWD).
+            Standard-normal mismatch scores with columns (dTOX, dVTH0, dLD,
+            dWD), read as ``scores[..., i]``: ``(N, 4)`` for one device,
+            ``(k, N, 4)`` for a stack (zeros for a mismatch-free replica).
         """
 
     # -- helpers ------------------------------------------------------------------

@@ -160,6 +160,20 @@ class ProcessVariationModel:
         start = self.n_inter + idx * self.intra.per_device
         return samples[:, start : start + self.intra.per_device]
 
+    def mismatch_stack(
+        self, samples: np.ndarray, devices: list[str | None]
+    ) -> np.ndarray:
+        """Mismatch scores of several devices, ``(len(devices), n, per_device)``.
+
+        A ``None`` entry is a mismatch-free replica and gets zero scores.
+        """
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        scores = np.zeros((len(devices), samples.shape[0], self.intra.per_device))
+        for j, device in enumerate(devices):
+            if device is not None:
+                scores[j] = self.mismatch_scores(samples, device)
+        return scores
+
     def mismatch_column(self, samples: np.ndarray, device: str, var: str) -> np.ndarray:
         """One mismatch score column, e.g. ``("M1", "dVTH0")``."""
         scores = self.mismatch_scores(samples, device)

@@ -15,7 +15,11 @@ implementation follows that contract:
    one margin below ``-safety * sigma_resid`` (certain fail).  Everything
    else — the border band — is simulated exactly.
 3. Every simulated sample is fed back into the training set; the model is
-   refit on a doubling schedule.
+   refit on a doubling schedule.  A refit only runs when a classification
+   reads it: ``update`` marks it due on the blocks seen so far, and the
+   next ``classify`` fits exactly that prefix first.  A candidate that is
+   never classified again (a fixed budget refines in one round) never
+   pays for the fit.
 
 With the default ``safety = 3`` the per-sample misclassification probability
 is Phi(-3) ~ 0.13 % per spec *under the linear-Gaussian assumption*, and in
@@ -101,6 +105,7 @@ class LinearMarginScreener:
         self._weights: np.ndarray | None = None   # (d+1, n_specs)
         self._resid_std: np.ndarray | None = None  # (n_specs,)
         self._trained_at = 0
+        self._due_blocks = 0  # blocks the due fit covers; 0 = none due
 
     # -- training ------------------------------------------------------------
     @property
@@ -115,15 +120,18 @@ class LinearMarginScreener:
         self._x.append(samples)
         self._m.append(margins)
         self._n_train += samples.shape[0]
-        # Refit on a doubling schedule to amortise the lstsq cost.
+        # Refit on a doubling schedule to amortise the lstsq cost; the fit
+        # itself waits for the next classify.
         if self.n_train >= self.min_train and self.n_train >= 2 * max(
             self._trained_at, self.min_train // 2
         ):
-            self._fit()
+            self._due_blocks = len(self._x)
+            self._trained_at = self.n_train
 
-    def _fit(self) -> None:
-        x = np.vstack(self._x)
-        m = np.vstack(self._m)
+    def _fit(self, blocks: int) -> None:
+        """Fit the margin model on the first ``blocks`` training blocks."""
+        x = np.vstack(self._x[:blocks])
+        m = np.vstack(self._m[:blocks])
         n, d = x.shape
         design = np.hstack([np.ones((n, 1)), x])
         # Ridge via augmented least squares: [A; sqrt(l) I] w = [m; 0].
@@ -140,13 +148,12 @@ class LinearMarginScreener:
         floor = 0.05 * np.std(m, axis=0, ddof=1) + 1e-9
         self._weights = weights
         self._resid_std = np.maximum(resid_std, floor)
-        self._trained_at = n
 
     # -- classification ----------------------------------------------------------
     @property
     def active(self) -> bool:
-        """Whether the model has enough data to screen."""
-        return self._weights is not None
+        """Whether the model has enough data to screen (a fit is due or done)."""
+        return self._due_blocks > 0 or self._weights is not None
 
     def classify(self, samples: np.ndarray) -> ScreenResult:
         """Classify a batch; -1 entries must be simulated."""
@@ -155,6 +162,9 @@ class LinearMarginScreener:
         labels = np.full(n, -1, dtype=int)
         if not self.active or n == 0:
             return ScreenResult(labels)
+        if self._due_blocks:
+            self._fit(self._due_blocks)
+            self._due_blocks = 0
 
         design = np.hstack([np.ones((n, 1)), samples])
         predicted = design @ self._weights

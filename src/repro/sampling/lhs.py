@@ -8,7 +8,8 @@ Implementation: for each of the ``d`` dimensions independently, the ``n``
 strata ``[(k + u_k)/n, k=0..n-1]`` are randomly permuted (one
 ``Generator.permuted`` call shuffles every column in turn), giving exactly
 one point per stratum per dimension; the uniform matrix is then pushed
-through the marginal inverse CDFs of the variation model.
+through the marginal inverse CDFs of the variation model.  Every step
+after the draw works in place on the one ``(n, d)`` matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ def latin_hypercube_uniforms(
     """Raw LHS uniforms on (0,1), shape ``(n, d)``."""
     if n == 0:
         return np.empty((0, d))
-    u = (rng.uniform(size=(n, d)) + np.arange(n)[:, None]) / n
-    return rng.permuted(u, axis=0)
+    u = rng.random(size=(n, d))
+    u += np.arange(n)[:, None]
+    u /= n
+    return rng.permuted(u, axis=0, out=u)
 
 
 class LatinHypercubeSampler(Sampler):

@@ -145,15 +145,24 @@ def _mixed_group():
     )
 
 
+def _matches_per_column_ppf(group, u):
+    """``from_uniform(u)`` is int64-equal to each column's own ``ppf`` and
+    leaves ``u`` as it was."""
+    before = u.copy()
+    out = group.from_uniform(u)
+    per_column = np.column_stack(
+        [param.distribution.ppf(before[:, j]) for j, param in enumerate(group)]
+    )
+    assert np.array_equal(u.view(np.int64), before.view(np.int64))
+    return np.array_equal(out.view(np.int64), per_column.view(np.int64))
+
+
 class TestFromUniform:
     def test_mixed_families_match_per_column_ppf(self):
         group = _mixed_group()
         u = np.random.default_rng(10).uniform(size=(300, len(group)))
         u[:3] = [[0.0] * len(group), [1.0] * len(group), [0.5] * len(group)]
-        per_column = np.column_stack(
-            [param.distribution.ppf(u[:, j]) for j, param in enumerate(group)]
-        )
-        assert np.array_equal(group.from_uniform(u), per_column)
+        assert _matches_per_column_ppf(group, u)
 
     def test_group_growth_resets_the_column_split(self):
         group = _mixed_group()
@@ -166,11 +175,9 @@ class TestFromUniform:
 
     def test_circuit_variation_matches_per_column_ppf(self, circuit):
         group = circuit.variation.full_group
-        u = np.random.default_rng(12).uniform(size=(64, len(group)))
-        per_column = np.column_stack(
-            [param.distribution.ppf(u[:, j]) for j, param in enumerate(group)]
-        )
-        assert np.array_equal(circuit.variation.from_uniform(u), per_column)
+        for rows in (1, 64):
+            u = np.random.default_rng(12).uniform(size=(rows, len(group)))
+            assert _matches_per_column_ppf(group, u)
 
     def test_ndtri_matches_scipy_norm_ppf(self):
         u = np.concatenate(
@@ -218,7 +225,28 @@ class _RowWiseScreener(LinearMarginScreener):
         if self.n_train >= self.min_train and self.n_train >= 2 * max(
             self._trained_at, self.min_train // 2
         ):
-            self._fit()
+            self._due_blocks = len(self._x)
+            self._trained_at = self.n_train
+
+
+class _EagerScreener(LinearMarginScreener):
+    """Fits inside ``update``, as the screener did before fits waited for
+    ``classify``."""
+
+    def update(self, samples, margins):
+        super().update(samples, margins)
+        if self._due_blocks:
+            self._fit(self._due_blocks)
+            self._due_blocks = 0
+
+
+#: Training block sizes: below, at and across ``min_train`` and the doublings.
+_BLOCKS = (15, 7, 1, 30, 64, 3, 120)
+
+
+def _screened_margins(circuit, x, rng, size):
+    samples = circuit.variation.sample(size, rng)
+    return samples, circuit.specs.margins(circuit.evaluator.evaluate(x, samples))
 
 
 class TestScreenerUpdate:
@@ -227,16 +255,58 @@ class TestScreenerUpdate:
         rng = np.random.default_rng(15)
         block = LinearMarginScreener(circuit.specs, min_train=30)
         row = _RowWiseScreener(circuit.specs, min_train=30)
-        for size in (15, 7, 1, 30, 64, 3, 120):
-            samples = circuit.variation.sample(size, rng)
-            margins = circuit.specs.margins(circuit.evaluator.evaluate(x, samples))
+        for size in _BLOCKS:
+            samples, margins = _screened_margins(circuit, x, rng, size)
             block.update(samples, margins)
             row.update(samples, margins)
             assert block.n_train == row.n_train
             assert block.active == row.active
-            if block.active:
-                assert np.array_equal(block._weights, row._weights)
-                assert np.array_equal(block._resid_std, row._resid_std)
             probe = circuit.variation.sample(40, rng)
             labels = block.classify(probe).labels
             assert np.array_equal(labels, row.classify(probe).labels)
+            if block.active:
+                assert np.array_equal(block._weights, row._weights)
+                assert np.array_equal(block._resid_std, row._resid_std)
+
+    def test_unclassified_screener_never_fits(self, circuit, monkeypatch):
+        fits = []
+        fit = LinearMarginScreener._fit
+
+        def counting(self, blocks):
+            fits.append(blocks)
+            fit(self, blocks)
+
+        monkeypatch.setattr(LinearMarginScreener, "_fit", counting)
+        x = _designs(circuit, 1, seed=14)[0]
+        rng = np.random.default_rng(16)
+        screener = LinearMarginScreener(circuit.specs, min_train=30)
+        for size in _BLOCKS:
+            screener.update(*_screened_margins(circuit, x, rng, size))
+        assert screener.active and fits == []
+        screener.classify(circuit.variation.sample(5, rng))
+        assert fits == [len(_BLOCKS)]
+
+    def test_lazy_fit_matches_eager_fit(self, circuit):
+        x = _designs(circuit, 1, seed=14)[0]
+        rng = np.random.default_rng(17)
+        lazy = LinearMarginScreener(circuit.specs, min_train=30)
+        eager = _EagerScreener(circuit.specs, min_train=30)
+        for i, size in enumerate(_BLOCKS):
+            samples, margins = _screened_margins(circuit, x, rng, size)
+            lazy.update(samples, margins)
+            eager.update(samples, margins)
+            assert lazy.active == eager.active
+            if i % 2:  # classify after every other block: fits pile up between
+                continue
+            probe = circuit.variation.sample(40, rng)
+            labels = lazy.classify(probe).labels
+            assert np.array_equal(
+                labels.view(np.int64), eager.classify(probe).labels.view(np.int64)
+            )
+            if lazy.active:
+                assert np.array_equal(
+                    lazy._weights.view(np.int64), eager._weights.view(np.int64)
+                )
+                assert np.array_equal(
+                    lazy._resid_std.view(np.int64), eager._resid_std.view(np.int64)
+                )

@@ -107,6 +107,60 @@ class TestRealize:
         assert (plus.vth - ref.vth).item() == pytest.approx(expected, rel=1e-6)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+#: Every array a realization carries.
+_FIELDS = ("w", "l", "vth", "kp", "lam", "theta", "weff", "leff", "cox",
+           "cj_scale", "cg_scale", "gamma", "phi", "beta")
+
+
+@pytest.mark.parametrize("tech_fixture", ["c035", "n90"])
+@pytest.mark.parametrize("polarity", ["n", "p"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["geometry_k1", "geometry_kN"])
+class TestStackedRealize:
+    """A stack of ``k`` devices, realized and solved in one call each, is
+    int64-equal to ``k`` one-device calls."""
+
+    def _stack(self, tech, polarity, per_row, n=64, k=5):
+        rng = np.random.default_rng(21)
+        inter = {name: tech.inter[name].distribution.sample(n, rng)
+                 for name in tech.inter.names}
+        columns = n if per_row else 1
+        w = rng.uniform(tech.wmin, 100e-6, size=(k, columns))
+        l = rng.uniform(tech.lmin, 4e-6, size=(k, columns))
+        scores = rng.standard_normal((k, n, 4))
+        scores[2] = 0.0  # a mismatch-free replica
+        ids = rng.uniform(1e-7, 1e-3, size=(k, columns))
+        return tech.realize(polarity, w, l, inter, scores), (w, l, inter, scores), ids
+
+    def test_views_match_one_device_calls(self, tech_fixture, request, polarity, per_row):
+        tech = request.getfixturevalue(tech_fixture)
+        stack, (w, l, inter, scores), ids = self._stack(tech, polarity, per_row)
+        vov = stack.vov_for_current(ids)
+        for i, view in enumerate(stack):
+            one = tech.realize(polarity, w[i], l[i], inter, scores[i])
+            for field in _FIELDS:
+                assert np.array_equal(_bits(getattr(view, field)),
+                                      _bits(getattr(one, field))), field
+            solved = one.vov_for_current(ids[i])
+            assert np.array_equal(_bits(vov[i]), _bits(solved))
+            assert np.array_equal(_bits(view.gm(vov[i])), _bits(one.gm(solved)))
+            assert np.array_equal(_bits(view.cdb()), _bits(one.cdb()))
+
+    def test_sub_stack_solves_its_rows(self, tech_fixture, request, polarity, per_row):
+        tech = request.getfixturevalue(tech_fixture)
+        stack, _, ids = self._stack(tech, polarity, per_row)
+        assert np.array_equal(_bits(stack[1:4].vov_for_current(ids[1:4])),
+                              _bits(stack.vov_for_current(ids)[1:4]))
+
+
+def test_one_device_realization_has_no_views(c035):
+    with pytest.raises(TypeError):
+        c035.realize_nominal("n", 20e-6, 1e-6)[0]
+
+
 class TestPelgrom:
     def test_area_law(self, c035):
         pel = c035.pelgrom["n"]

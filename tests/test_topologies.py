@@ -75,27 +75,32 @@ class TestStructure:
 
 class TestOperatingPoints:
     @pytest.mark.parametrize(
-        "amp, design, pairs",
-        [("fc", "fc_design", 17), ("ts", "ts_design", 22)],
+        "amp, design, pairs, waves",
+        [("fc", "fc_design", 17, 4), ("ts", "ts_design", 22, 5)],
+        ids=["fc-fc_design-17", "ts-ts_design-22"],
     )
     def test_each_operating_point_is_solved_once(
-        self, request, monkeypatch, amp, design, pairs
+        self, request, monkeypatch, amp, design, pairs, waves
     ):
-        """One overdrive solve per distinct (device, current) pair; a mirror
-        reference shared by two outputs is solved once."""
+        """One overdrive solve per distinct (device, current) pair -- a mirror
+        reference shared by two outputs is solved once -- in one solver call
+        per polarity and dependency wave."""
         amp = request.getfixturevalue(amp)
         x = request.getfixturevalue(design)
         solve = DeviceArrays.vov_for_current
-        calls = []
+        rows = []  # (device, current) rows each call solved
+        n = 16
 
         def counting(self, ids):
-            calls.append(1)
-            return solve(self, ids)
+            vov = solve(self, ids)
+            rows.append(vov.size // n)
+            return vov
 
         monkeypatch.setattr(DeviceArrays, "vov_for_current", counting)
-        samples = amp.variation.sample(16, np.random.default_rng(3))
-        amp.evaluate_pairs(np.repeat(x[None, :], 16, axis=0), samples)
-        assert 0 < len(calls) <= pairs
+        samples = amp.variation.sample(n, np.random.default_rng(3))
+        amp.evaluate_pairs(np.repeat(x[None, :], n, axis=0), samples)
+        assert sum(rows) == pairs
+        assert 0 < len(rows) <= waves
 
 
 class TestFoldedCascodePhysics:
