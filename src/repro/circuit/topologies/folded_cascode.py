@@ -110,7 +110,8 @@ _P_STACK = [
     ("MB2", "3"), (None, "5"),
     ("M3", "3"), ("M4", "3"), ("M5", "5"), ("M6", "5"),
 ]
-_N_BIAS, _P_BIAS = 4, 2
+_N_BIAS, _N_CORE = slice(0, 4), slice(4, None)
+_P_BIAS, _P_CORE = slice(0, 2), slice(2, None)
 
 
 class FoldedCascodeAmplifier(AmplifierTopology):
@@ -149,10 +150,10 @@ class FoldedCascodeAmplifier(AmplifierTopology):
 
         # -- operating points: one overdrive solve per (device, current), one
         # call per polarity and wave; first the references and replicas ------
-        vov_b1, vov_b3, vov_b4, vov7_avg = n_dev[:_N_BIAS].vov_for_current(
+        vov_b1, vov_b3, vov_b4, vov7_avg = n_dev[_N_BIAS].vov_for_current(
             np.stack([itail, icas, icas, icas])
         )
-        vov_b2, vov5_avg = p_dev[:_P_BIAS].vov_for_current(np.stack([i3_design, icas]))
+        vov_b2, vov5_avg = p_dev[_P_BIAS].vov_for_current(np.stack([i3_design, icas]))
 
         # -- current mirrors (exact device equations) ----------------------
         i0 = _mirror_current(mb1.vth + vov_b1, m0)
@@ -164,10 +165,10 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         i3_l, i3_r = i9_l + i1, i9_r + i1  # CMFB closes KCL at the fold node
 
         # -- then the core devices at their mirrored currents ------------------
-        vov0, vov1, vov2, vov7, vov8, vov9, vov10 = n_dev[_N_BIAS:].vov_for_current(
+        vov0, vov1, vov2, vov7, vov8, vov9, vov10 = n_dev[_N_CORE].vov_for_current(
             np.stack([i0, i1, i1, i5_l, i5_r, i9_l, i9_r])
         )
-        vov3, vov4, vov5, vov6 = p_dev[_P_BIAS:].vov_for_current(
+        vov3, vov4, vov5, vov6 = p_dev[_P_CORE].vov_for_current(
             np.stack([i3_l, i3_r, i5_l, i5_r])
         )
         vgs5_avg = m5_avg.vth + vov5_avg

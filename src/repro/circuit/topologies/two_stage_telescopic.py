@@ -130,7 +130,8 @@ _P_STACK = [
     ("M5", "5"), ("M6", "5"), ("M7", "7"), ("M8", "7"), ("M9", "9"),
     ("M10", "9"), (None, "7"),
 ]
-_N_WAVE_1, _N_WAVE_2, _P_WAVE_1 = 2, 4, 3
+_N_BIAS, _N_MIRROR, _N_CORE = slice(0, 2), slice(2, 4), slice(4, None)
+_P_BIAS, _P_CORE = slice(0, 3), slice(3, None)
 
 
 class TwoStageTelescopicAmplifier(AmplifierTopology):
@@ -156,9 +157,7 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         vout_cm = 0.5 * vdd
 
         inter = self.variation.inter_values(samples)
-        # Master bias mirrors MB5/MB6: their mismatch perturbs the reference
-        # currents fed to the tail and stage-2 mirrors.  Replicas carry no
-        # mismatch.
+        # Every device and the M1/M7/M9 replicas, one stack per polarity.
         n_dev = self._realize_stack("n", _N_STACK, d, inter, samples)
         p_dev = self._realize_stack("p", _P_STACK, d, inter, samples)
         mb5, mb2, mb1, mb4, m0, m1, m2, m3, m4, m11, m12, m1_avg = n_dev
@@ -173,10 +172,8 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
 
         # -- operating points: one overdrive solve per (device, current), one
         # call per polarity and wave; first the design-current references ----
-        vov_b5, vov_b2 = n_dev[:_N_WAVE_1].vov_for_current(
-            np.stack([itail, i_replica])
-        )
-        vov_b6, vov_b3, vov9_avg = p_dev[:_P_WAVE_1].vov_for_current(
+        vov_b5, vov_b2 = n_dev[_N_BIAS].vov_for_current(np.stack([itail, i_replica]))
+        vov_b6, vov_b3, vov9_avg = p_dev[_P_BIAS].vov_for_current(
             np.stack([i2, i_replica, i2])
         )
 
@@ -194,9 +191,7 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         iref2 = _mirror_current(mb6.vth + vov_b6, mb4)
 
         # -- then the mirror references at their perturbed currents -----------
-        vov_b1, vov_b4 = n_dev[_N_WAVE_1:_N_WAVE_2].vov_for_current(
-            np.stack([iref_tail, iref2])
-        )
+        vov_b1, vov_b4 = n_dev[_N_MIRROR].vov_for_current(np.stack([iref_tail, iref2]))
         i0 = _mirror_current(mb1.vth + vov_b1, m0)
         i1 = 0.5 * i0
         vgs_b4 = mb4.vth + vov_b4  # shared by both sinks
@@ -204,12 +199,12 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         i11_r = _mirror_current(vgs_b4, m12)
 
         # -- then the core devices and the M1/M7 replicas ----------------------
-        vov0, vov1, vov2, vov3, vov4, vov11, vov12, vov1_avg = n_dev[
-            _N_WAVE_2:
-        ].vov_for_current(np.stack([i0, i1, i1, i1, i1, i11_l, i11_r, i1]))
-        vov5, vov6, vov7, vov8, vov9, vov10, vov7_avg = p_dev[
-            _P_WAVE_1:
-        ].vov_for_current(np.stack([i1, i1, i1, i1, i9_l, i9_r, i1]))
+        vov_n = n_dev[_N_CORE].vov_for_current(
+            np.stack([i0, i1, i1, i1, i1, i11_l, i11_r, i1])
+        )
+        vov_p = p_dev[_P_CORE].vov_for_current(np.stack([i1, i1, i1, i1, i9_l, i9_r, i1]))
+        vov0, vov1, vov2, vov3, vov4, vov11, vov12, vov1_avg = vov_n
+        vov5, vov6, vov7, vov8, vov9, vov10, vov7_avg = vov_p
 
         # -- stage-1 node voltages --------------------------------------------
         vs1 = VCM_IN - (m1.vth + vov1)

@@ -121,15 +121,12 @@ class ParameterGroup:
         ``[(column, distribution)]`` of every non-Gaussian parameter; cached
         until the group grows."""
         if self._moments is None:
-            gaussian = [type(p.distribution) is NormalDistribution
-                        for p in self._parameters]
+            dists = [p.distribution for p in self._parameters]
+            gaussian = [type(d) is NormalDistribution for d in dists]
             self._moments = (
-                np.array([p.distribution.mu if g else 0.0
-                          for p, g in zip(self._parameters, gaussian)]),
-                np.array([p.distribution.sigma if g else 1.0
-                          for p, g in zip(self._parameters, gaussian)]),
-                [(j, p.distribution) for j, (p, g)
-                 in enumerate(zip(self._parameters, gaussian)) if not g],
+                np.array([d.mu if g else 0.0 for d, g in zip(dists, gaussian)]),
+                np.array([d.sigma if g else 1.0 for d, g in zip(dists, gaussian)]),
+                [(j, d) for j, (d, g) in enumerate(zip(dists, gaussian)) if not g],
             )
         return self._moments
 

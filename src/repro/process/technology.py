@@ -45,25 +45,11 @@ class PelgromCoefficients:
     ald: float
     awd: float
 
-    def sigma_vth(self, w: float, l: float) -> float:
-        """Threshold mismatch sigma [V] for a device of drawn W, L [m]."""
-        return self.avt / np.sqrt(w * l)
-
-    def sigma_tox_rel(self, w: float, l: float) -> float:
-        """Relative oxide-thickness mismatch sigma [-]."""
-        return self.atox / np.sqrt(w * l)
-
-    def sigma_ld(self, w: float, l: float) -> float:
-        """Lateral-diffusion mismatch sigma [m]."""
-        return self.ald / np.sqrt(w * l)
-
-    def sigma_wd(self, w: float, l: float) -> float:
-        """Width-reduction mismatch sigma [m]."""
-        return self.awd / np.sqrt(w * l)
-
     def sigmas(self, w, l) -> tuple:
-        """``(sigma_tox_rel, sigma_vth, sigma_ld, sigma_wd)`` from one
-        ``sqrt(W*L)``; each equals its own method's value bit for bit."""
+        """Mismatch sigmas ``(tox_rel, vth, ld, wd)`` for drawn W, L [m]:
+        relative oxide thickness [-], threshold [V], lateral diffusion [m]
+        and width reduction [m], each ``A / sqrt(W*L)`` from one square
+        root.  ``w`` and ``l`` may be arrays (one device or a stack)."""
         root = np.sqrt(w * l)
         return self.atox / root, self.avt / root, self.ald / root, self.awd / root
 

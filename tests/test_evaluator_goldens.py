@@ -60,7 +60,8 @@ def case_inputs(amp, shape: str, rows: int) -> tuple[np.ndarray, np.ndarray]:
 def output_hash(amp, shape: str, rows: int) -> str:
     out = amp.evaluate_pairs(*case_inputs(amp, shape, rows))
     assert out.shape == (rows, len(amp.metric_names()))
-    return hashlib.sha256(np.ascontiguousarray(out).view(np.int64).tobytes()).hexdigest()
+    bits = np.ascontiguousarray(out).view(np.int64)
+    return hashlib.sha256(bits.tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,8 @@ def goldens():
     here = fingerprint()
     if stored["fingerprint"] != here:
         pytest.skip(
-            f"evaluator goldens pinned on {stored['fingerprint']}; this platform is {here}"
+            f"evaluator goldens pinned on {stored['fingerprint']}; "
+            f"this platform is {here}"
         )
     return stored["cases"]
 
@@ -83,7 +85,8 @@ def amp(request):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_output_matches_golden(goldens, amp, shape, rows):
     circuit, evaluator = amp
-    assert output_hash(evaluator, shape, rows) == goldens[case_key(circuit, shape, rows)]
+    expected = goldens[case_key(circuit, shape, rows)]
+    assert output_hash(evaluator, shape, rows) == expected
 
 
 def test_goldens_cover_every_case():

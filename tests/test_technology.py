@@ -103,7 +103,7 @@ class TestRealize:
         plus = tech.realize("n", 20e-6, 1e-6, nominal,
                             np.array([[0.0, 3.0, 0.0, 0.0]]))
         ref = tech.realize("n", 20e-6, 1e-6, nominal, np.zeros((1, 4)))
-        expected = 3.0 * tech.pelgrom["n"].sigma_vth(20e-6, 1e-6)
+        expected = 3.0 * tech.pelgrom["n"].sigmas(20e-6, 1e-6)[1]
         assert (plus.vth - ref.vth).item() == pytest.approx(expected, rel=1e-6)
 
 
@@ -135,7 +135,9 @@ class TestStackedRealize:
         ids = rng.uniform(1e-7, 1e-3, size=(k, columns))
         return tech.realize(polarity, w, l, inter, scores), (w, l, inter, scores), ids
 
-    def test_views_match_one_device_calls(self, tech_fixture, request, polarity, per_row):
+    def test_views_match_one_device_calls(
+        self, tech_fixture, request, polarity, per_row
+    ):
         tech = request.getfixturevalue(tech_fixture)
         stack, (w, l, inter, scores), ids = self._stack(tech, polarity, per_row)
         vov = stack.vov_for_current(ids)
@@ -149,7 +151,9 @@ class TestStackedRealize:
             assert np.array_equal(_bits(view.gm(vov[i])), _bits(one.gm(solved)))
             assert np.array_equal(_bits(view.cdb()), _bits(one.cdb()))
 
-    def test_sub_stack_solves_its_rows(self, tech_fixture, request, polarity, per_row):
+    def test_sub_stack_solves_its_rows(
+        self, tech_fixture, request, polarity, per_row
+    ):
         tech = request.getfixturevalue(tech_fixture)
         stack, _, ids = self._stack(tech, polarity, per_row)
         assert np.array_equal(_bits(stack[1:4].vov_for_current(ids[1:4])),
@@ -164,9 +168,9 @@ def test_one_device_realization_has_no_views(c035):
 class TestPelgrom:
     def test_area_law(self, c035):
         pel = c035.pelgrom["n"]
-        s_small = pel.sigma_vth(10e-6, 1e-6)
-        s_large = pel.sigma_vth(40e-6, 1e-6)
-        assert s_small == pytest.approx(2.0 * s_large, rel=1e-9)
+        s_small = pel.sigmas(10e-6, 1e-6)
+        s_large = pel.sigmas(40e-6, 1e-6)
+        assert s_small == pytest.approx(tuple(2.0 * s for s in s_large), rel=1e-9)
 
     def test_n90_better_avt_than_c035(self, c035, n90):
         # Thinner oxide gives better matching per unit area.
