@@ -1,15 +1,9 @@
 #!/usr/bin/env bash
 # Multi-fidelity ladder smoke: the ladder must beat the fixed-fidelity
 # baseline on sims-to-target, combine with the surrogate screen of a
-# composed method, stay bit-identical over a remote worker (cold and warm
-# cache), then run the tiny-budget mf benchmark.
+# composed method, stay bit-identical on a 2-worker process pool (cold and
+# warm cache), then run the tiny-budget mf benchmark.
 set -euo pipefail
-
-cleanup() {
-  kill "$(cat worker.pid)" 2>/dev/null || true
-  cat worker.log
-}
-trap cleanup EXIT
 
 # Tiny 2-bracket ladder on the circuit-priced problem: both runs stop at
 # the same verified-100%-yield target, so total charged simulations is
@@ -64,21 +58,16 @@ print(
 EOF
 
 # The fidelity_trace is part of the result identity: the same run
-# dispatched to a worker daemon — first against a cold worker cache,
-# then a warm one — must match the serial reference bit for bit, while
-# the warm replay serves rows from worker memory.
-repro worker --port 9104 > worker.log 2>&1 &
-echo $! > worker.pid
-for i in $(seq 1 50); do
-  curl -sf http://127.0.0.1:9104/v1/health && break
-  sleep 0.2
-done
-for out in mf-remote-cold.json mf-remote-warm.json; do
+# sharded across a 2-worker process pool — first against a cold cache
+# spill, then a warm one — must match the serial reference bit for bit,
+# while the warm replay serves rows from the spill instead of simulating.
+rm -f mf-spill.jsonl
+for out in mf-process-cold.json mf-process-warm.json; do
   repro run --problem netlist_ota --method moheco_mf --seed 7 \
     --set pop_size=10 --set max_generations=6 \
     --set "mf_params={'eta': 2, 'brackets': 2}" \
-    --engine remote --engine-param workers=127.0.0.1:9104 \
-    --engine-param chunk_rows=32 \
+    --engine process --engine-param workers=2 \
+    --cache lru --cache-param spill_path=mf-spill.jsonl \
     --out "$out"
 done
 python - <<'EOF'
@@ -86,7 +75,7 @@ import json
 from repro.core.moheco import MOHECOResult
 results = {
     name: MOHECOResult.from_dict(
-        json.load(open(f"mf-remote-{name}.json"))["result"]
+        json.load(open(f"mf-process-{name}.json"))["result"]
     )
     for name in ("cold", "warm")
 }
@@ -96,10 +85,13 @@ serial = MOHECOResult.from_dict(
 for name, result in results.items():
     assert result.identity_dict() == serial.identity_dict(), name
     assert result.fidelity_trace == serial.fidelity_trace, name
-assert results["cold"].engine_decision["worker_cache_rows"] == 0
-warm_hits = results["warm"].engine_decision["worker_cache_rows"]
-assert warm_hits > 0, results["warm"].engine_decision
-print(f"bit-identity ok; warm worker replayed {warm_hits} rows")
+assert results["cold"].cache_stats["hit_rows"] == 0, results["cold"].cache_stats
+warm = results["warm"].cache_stats
+assert warm["hit_rows"] > 0, warm
+print(
+    f"bit-identity ok; warm run replayed {warm['hit_rows']} of "
+    f"{warm['hit_rows'] + warm['miss_rows']} rows"
+)
 EOF
 
 # Multi-fidelity benchmark (tiny budget): REPRO_BENCH_SMOKE shrinks to

@@ -72,7 +72,16 @@ grep -q '"field": "pop_size"' bad.json
 code=$(curl -s -o bad-params.json -w "%{http_code}" \
   -X POST http://127.0.0.1:8032/v1/runs \
   -H 'Content-Type: application/json' \
-  -d '{"problem": "sphere", "engine": "remote", "engine_params": {"dispatch": "barrier"}}')
+  -d '{"problem": "sphere", "engine": "process", "engine_params": {"dispatch": "barrier"}}')
 test "$code" = 400
 grep -q '"error": "invalid_spec"' bad-params.json
 grep -q '"field": "engine_params"' bad-params.json
+
+# An engine name that is not registered answers 400 naming engine.
+code=$(curl -s -o bad-engine.json -w "%{http_code}" \
+  -X POST http://127.0.0.1:8032/v1/runs \
+  -H 'Content-Type: application/json' \
+  -d '{"problem": "sphere", "engine": "remote"}')
+test "$code" = 400
+grep -q '"error": "invalid_spec"' bad-engine.json
+grep -q '"field": "engine"' bad-engine.json

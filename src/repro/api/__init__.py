@@ -17,9 +17,8 @@ Everything a user (or a deployment) needs is reachable from here:
   stopping, checkpointing.
 * **Engines** — pluggable execution backends for the Monte-Carlo
   refinement rounds (:mod:`repro.engine`): the fused ``"serial"`` default,
-  the sharded ``"process"`` pool, the pilot-measured ``"auto"`` choice,
-  the ``"remote"`` worker fleet — all seed-equivalent, selected via
-  ``RunSpec.engine`` or ``--engine``.
+  the sharded ``"process"`` pool, the pilot-measured ``"auto"`` choice —
+  all seed-equivalent, selected via ``RunSpec.engine`` or ``--engine``.
 * **Caches** — warm-start evaluation caches (:mod:`repro.engine.cache`):
   content-addressed replay of already-simulated sample blocks, with an
   LRU byte budget and an optional JSONL spill file shared across runs;

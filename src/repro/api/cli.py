@@ -20,13 +20,11 @@ plugs in.  Both ``run`` and ``sweep`` take ``--json`` to emit the result
 as machine-readable JSON on stdout (progress lines move to stderr).
 
 The service family turns the same specs into long-lived jobs:
-``serve`` starts the HTTP job server (:mod:`repro.service`), ``worker``
-starts a simulator worker daemon for ``--engine remote``, and the thin
+``serve`` starts the HTTP job server (:mod:`repro.service`), and the thin
 client commands — ``submit``, ``status``, ``result``, ``cancel`` — talk
 to the service over ``urllib`` (``--url``, or ``REPRO_SERVICE_URL``)::
 
     repro serve --port 8032 --data-dir service-data &
-    repro worker --port 9101 --register http://127.0.0.1:8032 &
     repro submit --problem sphere --seed 7 --follow
     repro status <job-id>
     repro result <job-id> --out result.json
@@ -98,11 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         help="execution backend for the refinement rounds: 'serial' (fused "
         "single-process dispatch, the default), 'process' (fused rounds "
-        "sharded across worker processes), 'auto' (measures the per-"
-        "simulation cost on a pilot, then commits to serial or process), "
-        "or 'remote' (rounds streamed to `repro worker` daemons; needs "
-        "--engine-param workers=host:port,...); all backends produce the "
-        "identical seeded result",
+        "sharded across worker processes) or 'auto' (measures the per-"
+        "simulation cost on a pilot, then commits to serial or process); "
+        "all backends produce the identical seeded result",
     )
     run.add_argument(
         "--engine-param",
@@ -208,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--engine",
-        help="per-run execution backend (serial/process/auto/remote); "
+        help="per-run execution backend (serial/process/auto); "
         "seed-equivalent, combines with --workers sharding whole runs",
     )
     sweep.add_argument(
@@ -291,48 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the multi-tenant warm cache (jobs may still bring "
         "their own via the spec's cache fields)",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="start a simulator worker daemon for --engine remote",
-    )
-    worker.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    worker.add_argument(
-        "--port",
-        type=int,
-        default=9101,
-        help="TCP port (default 9101; 0 = ephemeral)",
-    )
-    worker.add_argument(
-        "--register",
-        metavar="SERVICE_URL",
-        help="self-register with a running `repro serve` instance so its "
-        "engine=remote jobs dispatch here (e.g. http://127.0.0.1:8032)",
-    )
-    worker.add_argument(
-        "--fail-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fault-injection drill: answer 503 to every evaluate call "
-        "after N successful chunks (parents must re-dispatch)",
-    )
-    worker.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the worker-side evaluation cache (on by default: "
-        "re-dispatched and replayed sample rows skip the simulator; "
-        "identical rows are returned either way)",
-    )
-    worker.add_argument(
-        "--cache-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="LRU byte budget of the worker-side cache (default 256 MiB)",
     )
 
     def add_url(p: argparse.ArgumentParser) -> None:
@@ -524,28 +478,17 @@ def _command_run(args: argparse.Namespace) -> int:
         )
         if result.engine_decision is not None:
             decision = result.engine_decision
-            if decision.get("engine") == "remote":
-                fleet = len(decision["workers"]) - decision["worker_failures"]
-                print(
-                    f"engine[remote]: {decision['rows']} rows in "
-                    f"{decision['chunks']} chunks over {fleet}/"
-                    f"{len(decision['workers'])} worker(s) "
-                    f"(re_dispatched={decision['re_dispatched']}, "
-                    f"local_rows={decision['local_rows']}, "
-                    f"worker_cache_rows={decision.get('worker_cache_rows', 0)})"
-                )
-            else:
-                crossover = decision["crossover_cost_seconds"]
-                crossover_text = (
-                    f"{crossover * 1e6:.0f}us" if crossover is not None else "inf"
-                )
-                print(
-                    f"engine[auto]: chose {decision['chosen']} (measured "
-                    f"{decision['pilot_cost_seconds'] * 1e6:.0f}us/row vs "
-                    f"crossover {crossover_text} at "
-                    f"{decision['mean_rows_per_round']:.0f} rows/round, "
-                    f"workers={decision['workers']})"
-                )
+            crossover = decision["crossover_cost_seconds"]
+            crossover_text = (
+                f"{crossover * 1e6:.0f}us" if crossover is not None else "inf"
+            )
+            print(
+                f"engine[auto]: chose {decision['chosen']} (measured "
+                f"{decision['pilot_cost_seconds'] * 1e6:.0f}us/row vs "
+                f"crossover {crossover_text} at "
+                f"{decision['mean_rows_per_round']:.0f} rows/round, "
+                f"workers={decision['workers']})"
+            )
         if result.cache_stats is not None:
             stats = result.cache_stats
             print(
@@ -686,43 +629,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"({args.workers} worker(s), data: {server.manager.data_dir})",
         flush=True,
     )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.close()
-    return 0
-
-
-def _command_worker(args: argparse.Namespace) -> int:
-    from repro.service.worker import serve_worker
-
-    cache_kwargs = {}
-    if args.cache_bytes is not None:
-        cache_kwargs["cache_bytes"] = args.cache_bytes
-    try:
-        server = serve_worker(
-            args.host,
-            args.port,
-            fail_after=args.fail_after,
-            cache=not args.no_cache,
-            **cache_kwargs,
-        )
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"error: {error}") from error
-    cache_note = "cache on" if server.cache is not None else "cache off"
-    print(f"repro worker listening on {server.url} ({cache_note})", flush=True)
-    if args.register:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(args.register)
-        fleet = _service_errors(lambda: client.register_worker(server.url))
-        print(
-            f"registered with {args.register} "
-            f"({len(fleet)} worker(s) in the fleet)",
-            flush=True,
-        )
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -876,7 +782,6 @@ _COMMANDS = {
     "run": _command_run,
     "sweep": _command_sweep,
     "serve": _command_serve,
-    "worker": _command_worker,
     "submit": _command_submit,
     "status": _command_status,
     "result": _command_result,

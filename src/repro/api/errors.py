@@ -69,9 +69,8 @@ def _check_registry(registry, name: str, field: str, spec: str) -> None:
 def _check_params(registry, name: str, params: dict, field: str, spec: str) -> None:
     """Bind ``params`` to the signature of the class registered as ``name``.
 
-    Names are bound, never passed to the constructor: the service injects
-    the remote ``workers`` after validation, and building an LRU cache
-    would open its spill file.
+    Names are bound, never passed to the constructor: building an LRU
+    cache would open its spill file.
     """
     if not params:
         return

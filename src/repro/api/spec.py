@@ -4,8 +4,8 @@ A :class:`RunSpec` captures everything needed to reproduce one optimization
 run — problem name (+ factory parameters), method name (+ config
 overrides) and the seed — as plain JSON-compatible data.  Specs are what
 the CLI consumes (``python -m repro run --spec run.json``), what
-experiments archive next to their results, and what remote workers would
-receive in a scaled-out deployment.
+experiments archive next to their results, and what the HTTP service
+(:mod:`repro.service`) accepts as a job.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class RunSpec:
         Method/config overrides (e.g. ``{"pop_size": 20, "n_max": 300}``).
     engine:
         Execution-engine registry name (``"serial"``, ``"process"``,
-        ``"auto"``, ``"remote"``); ``None`` leaves the method's default (the fused
+        ``"auto"``); ``None`` leaves the method's default (the fused
         serial engine).  Engines never change the seeded result — only how
         fast it is produced — so the field travels with the spec as a
         deployment knob, not an algorithm knob.

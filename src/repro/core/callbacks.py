@@ -20,7 +20,7 @@ the generation loop):
 * :meth:`Callback.on_sweep_start` — the grid is expanded; receives the
   total run count and how many still need executing (fewer on resume).
 * :meth:`Callback.on_sweep_run_progress` — one *generation* finished
-  inside a (possibly remote) sweep run; the record arrives as a plain
+  inside a (possibly sharded) sweep run; the record arrives as a plain
   dict because it may have crossed a process-pool boundary.  Only fired
   when some registered callback actually overrides this hook (the
   executor skips the bridging machinery otherwise).

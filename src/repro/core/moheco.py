@@ -207,7 +207,7 @@ class MOHECO:
         Execution backend for the refinement rounds — an
         :class:`~repro.engine.base.EvaluationEngine` instance or a name in
         :data:`repro.engine.ENGINES` (``"serial"``, ``"process"``,
-        ``"auto"``, ``"remote"``).  Defaults to the fused
+        ``"auto"``).  Defaults to the fused
         :class:`~repro.engine.serial.SerialEngine`; every backend is
         seed-equivalent, so this is purely an execution choice.
     cache:

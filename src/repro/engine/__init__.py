@@ -8,16 +8,12 @@ decides *how* to execute it:
 * :class:`~repro.engine.serial.SerialEngine` (``"serial"``, the default) —
   fuses each round into one stacked ``(sum(k_i), ...)`` dispatch.  Its
   ``refine_round`` is the round template of every built-in backend; the
-  three below override only where the fused dispatch is simulated.
+  two below override only where the fused dispatch is simulated.
 * :class:`~repro.engine.process.ProcessPoolEngine` (``"process"``) — shards
   fused rounds across worker processes for simulation-bound problems.
 * :class:`~repro.engine.auto.AutoEngine` (``"auto"``) — measures the
   per-simulation cost on a pilot and commits to serial or process
   accordingly (the ``BENCH_engine.json`` trade-off, automated).
-* :class:`~repro.engine.remote.RemoteEngine` (``"remote"``) — streams fused
-  rounds as wire chunks to a pool of ``repro worker`` HTTP daemons on other
-  hosts, pipelined with bounded in-flight backpressure and re-dispatch on
-  worker death.
 
 All backends are seed-reproducible against each other: sample draws stay in
 per-candidate RNG streams in the parent process, so only the *execution* of
@@ -44,7 +40,6 @@ from repro.engine.cache import (
     make_cache,
 )
 from repro.engine.process import ProcessPoolEngine
-from repro.engine.remote import RemoteEngine
 from repro.engine.serial import SerialEngine
 from repro.registry import Registry
 
@@ -53,7 +48,6 @@ __all__ = [
     "SerialEngine",
     "ProcessPoolEngine",
     "AutoEngine",
-    "RemoteEngine",
     "ENGINES",
     "make_engine",
     "EvaluationCache",
@@ -68,7 +62,6 @@ ENGINES: Registry = Registry("engine")
 ENGINES.register("serial", SerialEngine)
 ENGINES.register("process", ProcessPoolEngine)
 ENGINES.register("auto", AutoEngine)
-ENGINES.register("remote", RemoteEngine)
 
 
 def make_engine(kind, **kwargs) -> EvaluationEngine:

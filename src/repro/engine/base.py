@@ -8,9 +8,8 @@ all submit their per-round work through this interface, which is what lets
 a backend fuse the simulations into one stacked dispatch
 (:class:`~repro.engine.serial.SerialEngine`, whose ``refine_round`` is the
 one round template the built-in backends share) and then simulate that
-dispatch wherever it likes: in-process, on worker processes
-(:class:`~repro.engine.process.ProcessPoolEngine`) or on remote hosts
-(:class:`~repro.engine.remote.RemoteEngine`).
+dispatch in-process or on worker processes
+(:class:`~repro.engine.process.ProcessPoolEngine`).
 
 Reproducibility contract
 ------------------------
@@ -40,6 +39,7 @@ __all__ = [
     "collect_pending",
     "evaluate_pending",
     "scatter_round",
+    "stack_pending",
 ]
 
 
@@ -61,6 +61,20 @@ def collect_pending(
     return pending
 
 
+def stack_pending(pending) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """A run of blocks as plain arrays: ``(designs, sizes, samples)``.
+
+    ``designs`` holds one design row per block, ``sizes`` each block's
+    sample count and ``samples`` the stacked sample rows — all a simulator
+    needs, and what the process pool ships to its workers.
+    """
+    return (
+        np.stack([block.state.x for block in pending]),
+        [block.n_samples for block in pending],
+        np.concatenate([block.samples for block in pending]),
+    )
+
+
 def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
     """Simulate a fused round: one stacked dispatch, no ledger side effects.
 
@@ -70,13 +84,8 @@ def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
     matrix in block order.  Ledger charging is the caller's job (workers in
     a process pool must not touch the parent's ledger).
     """
-    X = np.repeat(
-        np.stack([block.state.x for block in pending]),
-        [block.n_samples for block in pending],
-        axis=0,
-    )
-    samples = np.concatenate([block.samples for block in pending])
-    return problem.evaluate_pairs(X, samples)
+    designs, sizes, samples = stack_pending(pending)
+    return problem.evaluate_pairs(np.repeat(designs, sizes, axis=0), samples)
 
 
 def chunk_pending(pending, chunk_rows: int) -> list[list]:
@@ -84,9 +93,8 @@ def chunk_pending(pending, chunk_rows: int) -> list[list]:
 
     Block boundaries are respected (grouped evaluator dispatch stays
     intact); a block larger than ``chunk_rows`` forms its own chunk.  The
-    process pool cuts ``ceil(rows / workers)``-row chunks, one per worker;
-    the remote engine cuts fixed-size chunks, its unit of re-dispatch,
-    whose boundaries therefore must not depend on which workers are alive.
+    process pool cuts ``ceil(rows / workers)``-row chunks, one per worker,
+    so the boundaries depend only on the round and the worker count.
     """
     chunks, current, rows = [], [], 0
     for block in pending:

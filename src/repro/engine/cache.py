@@ -38,12 +38,12 @@ Key granularity
 The default ``key="block"`` memoizes whole sample blocks: a lookup hits
 only when a block is bit-for-bit a repeat — size included.  ``key="sample"``
 hashes each ``(design, sample-row)`` pair individually, so a block that
-overlaps a previously simulated block *partially* (different OCBA
-allocations, different chunk boundaries on the remote engine) still
-replays its known rows and simulates only the genuinely new ones.  Sample
-keying trades per-row hashing overhead for strictly higher hit rates; both
-modes splice through :class:`CachedRound` and stay bit-identical to an
-uncached run.
+overlaps a previously simulated block *partially* (a fidelity-ladder rung
+or an OCBA allocation that cuts the same sample stream into different
+block sizes) still replays its known rows and simulates only the
+genuinely new ones.  Sample keying trades per-row hashing overhead for
+strictly higher hit rates; both modes splice through :class:`CachedRound`
+and stay bit-identical to an uncached run.
 """
 
 from __future__ import annotations
@@ -264,10 +264,8 @@ class LRUEvaluationCache(EvaluationCache):
         See :class:`EvaluationCache`.
 
     Storage operations take an internal lock, so one instance may be
-    shared across threads — the ``repro worker`` daemon serves every
-    handler thread from a single warm cache.  (The stats counters remain
-    plain ints: racing increments can at worst under-count, never corrupt
-    the store.)
+    shared across threads.  (The stats counters remain plain ints: racing
+    increments can at worst under-count, never corrupt the store.)
     """
 
     name = "lru"

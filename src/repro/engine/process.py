@@ -5,9 +5,8 @@ evaluation dominates wall-clock; :class:`ProcessPoolEngine` splits the
 stacked miss blocks of each round into one contiguous chunk per worker —
 respecting candidate-block boundaries so grouped evaluator dispatch stays
 intact — and simulates the chunks on a pool of worker processes.  Each
-chunk crosses the process boundary as a pickled
-:class:`~repro.engine.wire.ChunkRequest`, the same ``(designs, samples,
-block extents)`` request the remote engine sends over HTTP.
+chunk crosses the process boundary as three plain arrays, ``(designs,
+sizes, samples)`` (:func:`~repro.engine.base.stack_pending`).
 
 Determinism
 -----------
@@ -31,9 +30,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from repro.engine.base import chunk_pending, evaluate_pending
+from repro.engine.base import chunk_pending, stack_pending
 from repro.engine.serial import SerialEngine
-from repro.engine.wire import ChunkRequest
 
 __all__ = ["ProcessPoolEngine", "make_process_pool", "pool_mp_context"]
 
@@ -71,9 +69,11 @@ def _init_worker(problem) -> None:
     _WORKER_PROBLEM = problem
 
 
-def _evaluate_chunk(chunk: ChunkRequest) -> np.ndarray:
-    """Simulate one chunk on a pool worker."""
-    return evaluate_pending(_WORKER_PROBLEM, chunk.to_pending())
+def _evaluate_chunk(designs, sizes, samples) -> np.ndarray:
+    """Simulate one :func:`~repro.engine.base.stack_pending` chunk on a
+    pool worker — the stacking :func:`~repro.engine.base.evaluate_pending`
+    does in-process."""
+    return _WORKER_PROBLEM.evaluate_pairs(np.repeat(designs, sizes, axis=0), samples)
 
 
 class ProcessPoolEngine(SerialEngine):
@@ -128,10 +128,9 @@ class ProcessPoolEngine(SerialEngine):
             return super().simulate(problem, pending)
         pool = self._ensure_pool(problem)
         # Workers must not drag parent-side state (RNGs, ledgers,
-        # screeners) through the queue: chunks carry only designs and
-        # samples.
+        # screeners) through the queue: chunks carry only plain arrays.
         futures = [
-            pool.submit(_evaluate_chunk, ChunkRequest.from_pending("", chunk))
+            pool.submit(_evaluate_chunk, *stack_pending(chunk))
             for chunk in chunk_pending(pending, -(-rows // self.workers))
         ]
         return np.concatenate([future.result() for future in futures])

@@ -12,8 +12,8 @@ path (see ``benchmarks/test_bench_engine.py``).
 :meth:`SerialEngine.refine_round` is the round sequence of every built-in
 backend: collect the pending blocks, partition them against the warm-start
 cache, :meth:`~SerialEngine.simulate` the misses, splice the replayed rows
-back and scatter the round.  The process, auto and remote engines subclass
-it and override only :meth:`~SerialEngine.simulate`, so the draw order,
+back and scatter the round.  The process and auto engines subclass it
+and override only :meth:`~SerialEngine.simulate`, so the draw order,
 the cache partition and the ledger charges are the same code on every
 backend.
 """

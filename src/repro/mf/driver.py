@@ -5,7 +5,7 @@ replaces the flat stage-1 OCBA pass with a :class:`LadderAllocation`: every
 feasible trial enters the bracket's cheap wide rung of a
 :class:`~repro.mf.ladder.FidelityLadder`, each rung dispatches as **one
 fused refinement round** through the ordinary engine layer (serial,
-process, remote — all unchanged), OCBA allocates *within* a rung
+process, auto — all unchanged), OCBA allocates *within* a rung
 (:func:`~repro.ocba.allocation.rung_allocation`), and the top ``1/eta``
 by the precision-weighted cross-rung fusion
 (:func:`~repro.mf.fusion.fuse_segments`) climb to the next fidelity.

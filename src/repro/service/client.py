@@ -123,14 +123,6 @@ class ServiceClient:
         """``DELETE /v1/jobs/{id}`` — request cooperative cancellation."""
         return self._request("DELETE", f"/v1/jobs/{job_id}")
 
-    def register_worker(self, url: str) -> list[str]:
-        """``POST /v1/workers`` — add a simulator worker; returns the fleet."""
-        return self._request("POST", "/v1/workers", {"url": url})["workers"]
-
-    def workers(self) -> list[dict]:
-        """``GET /v1/workers`` — the fleet with per-worker health verdicts."""
-        return self._request("GET", "/v1/workers")["workers"]
-
     def _stream_once(
         self, job_id: str, start: int, follow: bool, timeout: float | None = None
     ):

@@ -26,11 +26,6 @@ wire" and "a result is ready to fetch":
   The cache is ledger-faithful, so results stay bit-identical
   (``MOHECOResult.identity_dict()``) to a direct ``optimize()`` call with
   the same spec and seed.
-* **A simulator-worker registry** — ``repro worker`` daemons register
-  themselves (health-checked at the door) via ``POST /v1/workers``; jobs
-  submitted with ``engine="remote"`` and no explicit ``workers`` engine
-  parameter get the registered fleet injected, the same way the shared
-  cache is injected — submitters never need to know the fleet topology.
 * **Persistence** — events append to ``job-<id>.events.ndjson``, run
   results land in ``job-<id>.json``, and sweep jobs write their records
   through the resumable JSONL :class:`~repro.sweep.store.ResultStore`
@@ -58,7 +53,6 @@ __all__ = [
     "Job",
     "JobManager",
     "UnknownJobError",
-    "UnreachableWorkerError",
     "TERMINAL_STATES",
 ]
 
@@ -80,14 +74,6 @@ _GENERATION_EVENT_FIELDS = (
 
 class UnknownJobError(KeyError):
     """No job with the requested id."""
-
-
-class UnreachableWorkerError(RuntimeError):
-    """A worker registration whose health check did not answer ok."""
-
-    def __init__(self, url: str) -> None:
-        self.url = url
-        super().__init__(f"worker at {url} failed its health check")
 
 
 class Job:
@@ -256,8 +242,6 @@ class JobManager:
         )
         self.cache_max_bytes = int(cache_max_bytes)
         self.jobs: dict[str, Job] = {}
-        #: Registered simulator-worker base URLs, in registration order.
-        self.sim_workers: list[str] = []
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
@@ -306,57 +290,6 @@ class JobManager:
         """Every known job, oldest submission first."""
         with self._lock:
             return sorted(self.jobs.values(), key=lambda job: job.created)
-
-    # -- simulator-worker registry -----------------------------------------
-    def register_worker(self, url: str) -> list[str]:
-        """Add one ``repro worker`` daemon to the fleet; returns the fleet.
-
-        The worker is health-checked at the door: an unreachable daemon
-        raises :class:`UnreachableWorkerError` instead of poisoning every
-        later ``engine="remote"`` job.  Registration is idempotent by URL.
-        """
-        from repro.engine.remote import normalize_worker_url
-
-        url = normalize_worker_url(url)
-        if not self._probe_worker(url):
-            raise UnreachableWorkerError(url)
-        with self._lock:
-            if url not in self.sim_workers:
-                self.sim_workers.append(url)
-            return list(self.sim_workers)
-
-    def list_workers(self) -> list[dict]:
-        """The registered fleet with a fresh per-worker health verdict."""
-        with self._lock:
-            urls = list(self.sim_workers)
-        return [{"url": url, "healthy": self._probe_worker(url)} for url in urls]
-
-    @staticmethod
-    def _probe_worker(url: str, timeout: float = 5.0) -> bool:
-        import urllib.error
-        import urllib.request
-
-        try:
-            request = urllib.request.Request(f"{url}/v1/health", method="GET")
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return bool(json.loads(response.read().decode("utf-8")).get("ok"))
-        except (urllib.error.URLError, OSError, ValueError):
-            return False
-
-    def _remote_engine_fields(self, engine, engine_params) -> dict:
-        """Engine fields injected into a remote job without its own fleet.
-
-        Mirrors :meth:`_shared_cache_fields`: the injected worker list is
-        execution detail, not job identity — ``job.spec`` keeps what the
-        submitter sent.
-        """
-        if engine != "remote" or "workers" in (engine_params or {}):
-            return {}
-        with self._lock:
-            urls = list(self.sim_workers)
-        if not urls:
-            return {}
-        return {"engine_params": {**(engine_params or {}), "workers": ",".join(urls)}}
 
     # -- cancellation ------------------------------------------------------
     def cancel(self, job_id: str) -> Job:
@@ -462,7 +395,6 @@ class JobManager:
 
         spec = RunSpec.from_dict(job.spec)
         injected = self._shared_cache_fields(spec.cache)
-        injected.update(self._remote_engine_fields(spec.engine, spec.engine_params))
         if injected:
             spec = dataclasses.replace(spec, **injected)
         bridge = _RunJobBridge(job, on_event=lambda e: self._persist_event(job, e))
@@ -486,7 +418,6 @@ class JobManager:
 
         spec = SweepSpec.from_dict(job.spec)
         injected = self._shared_cache_fields(spec.cache)
-        injected.update(self._remote_engine_fields(spec.engine, spec.engine_params))
         if injected:
             spec = dataclasses.replace(spec, **injected)
         job.store_path = os.path.join(self.data_dir, f"job-{job.id}.store.jsonl")

@@ -16,9 +16,6 @@ verb        path                          meaning
 ``GET``     ``/v1/jobs/{id}/result``      result payload (409 + ``Retry-After``
                                           until terminal)
 ``DELETE``  ``/v1/jobs/{id}``             cooperative cancel
-``POST``    ``/v1/workers``               register a ``repro worker`` daemon
-                                          (health-checked; 502 if unreachable)
-``GET``     ``/v1/workers``               the registered simulator fleet
 ==========  ============================  =======================================
 
 Malformed JSON and invalid specs answer 400 with the structured
@@ -36,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.api.errors import SpecError
-from repro.service.jobs import JobManager, UnknownJobError, UnreachableWorkerError
+from repro.service.jobs import JobManager, UnknownJobError
 
 __all__ = ["ServiceServer", "serve"]
 
@@ -119,9 +116,6 @@ class _Handler(BaseHTTPRequestHandler):
     # -- verbs -------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         parsed = urlparse(self.path)
-        if parsed.path == "/v1/workers":
-            self._register_worker()
-            return
         if parsed.path not in ("/v1/runs", "/v1/sweeps"):
             self._send_json(404, {"error": "unknown_route", "path": parsed.path})
             return
@@ -153,9 +147,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "active": sum(1 for job in jobs if not job.is_terminal),
                 },
             )
-            return
-        if parts == ["v1", "workers"]:
-            self._send_json(200, {"workers": self.server.manager.list_workers()})
             return
         if parts == ["v1", "jobs"]:
             self._send_json(
@@ -195,26 +186,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(404, {"error": "unknown_route", "path": self.path})
 
     # -- endpoint bodies ---------------------------------------------------
-    def _register_worker(self) -> None:
-        payload = self._json_body()
-        if payload is None:
-            return
-        url = payload.get("url") if isinstance(payload, dict) else None
-        if not url or not isinstance(url, str):
-            self._send_json(
-                400, {"error": "bad_request", "reason": "body needs a 'url' string"}
-            )
-            return
-        try:
-            fleet = self.server.manager.register_worker(url)
-        except UnreachableWorkerError as error:
-            self._send_json(502, {"error": "worker_unreachable", "url": error.url})
-            return
-        except ValueError as error:
-            self._send_json(400, {"error": "bad_request", "reason": str(error)})
-            return
-        self._send_json(201, {"ok": True, "workers": fleet})
-
     def _get_result(self, job) -> None:
         if not job.is_terminal:
             # Retry-After tells well-behaved pollers how long to back off

@@ -9,13 +9,12 @@ The load-bearing contracts:
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
 * ``screen_trace`` is part of the result identity: bit-identical across
-  serial/auto/process/remote engines and cold/warm caches.
+  serial/auto/process engines and cold/warm caches.
 * Bad ``screen_params`` fail at spec-validation time as structured
   :class:`~repro.api.errors.SpecError`, not inside a queued run.
 """
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -46,7 +45,6 @@ from repro.core.state import Individual
 from repro.ledger import SimulationLedger
 from repro.problems import make_problem
 from repro.registry import UnknownNameError
-from repro.service.worker import serve_worker
 from repro.sweep.spec import SweepSpec
 
 # Small enough for sub-second runs, large enough to leave the screener's
@@ -61,25 +59,6 @@ def _run(method="moheco_screened", seed=11, screen_params=SCREEN, **kwargs):
         overrides["screen_params"] = dict(screen_params)
     spec = RunSpec(problem="quadratic", method=method, seed=seed, overrides=overrides)
     return optimize(spec, **kwargs)
-
-
-@pytest.fixture
-def worker_pool():
-    """Start ephemeral-port worker daemons on demand; close them after."""
-    servers = []
-
-    def start(n=1, **kwargs):
-        batch = []
-        for _ in range(n):
-            server = serve_worker(port=0, **kwargs)
-            threading.Thread(target=server.serve_forever, daemon=True).start()
-            servers.append(server)
-            batch.append(server)
-        return batch
-
-    yield start
-    for server in servers:
-        server.close()
 
 
 class TestPartRegistries:
@@ -452,16 +431,6 @@ class TestDeterminism:
             result = _run(engine=engine)
             assert result.identity_dict() == baseline.identity_dict(), engine
             assert result.screen_trace == baseline.screen_trace, engine
-
-    def test_remote_engine_agrees(self, worker_pool):
-        baseline = _run(engine="serial")
-        (worker,) = worker_pool(1)
-        result = _run(
-            engine="remote",
-            engine_params={"workers": worker.url, "chunk_rows": 32},
-        )
-        assert result.identity_dict() == baseline.identity_dict()
-        assert result.screen_trace == baseline.screen_trace
 
     def test_cold_and_warm_cache_agree(self):
         from repro.engine.cache import make_cache

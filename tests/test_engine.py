@@ -8,7 +8,7 @@ simulations moves.
 """
 
 import json
-import threading
+import pickle
 
 import numpy as np
 import pytest
@@ -16,23 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSpec, optimize
+import repro.engine.process
 import repro.engine.serial
 from repro.engine import (
     ENGINES,
     AutoEngine,
     EvaluationEngine,
     ProcessPoolEngine,
-    RemoteEngine,
     SerialEngine,
     make_engine,
 )
-from repro.engine.base import chunk_pending
+from repro.engine.base import chunk_pending, evaluate_pending, stack_pending
 from repro.core.callbacks import Callback
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
 from repro.problems import make_quadratic_problem, make_sphere_problem
 from repro.sampling import LinearMarginScreener, make_sampler
 from repro.yieldsim import CandidateYieldState
+from repro.yieldsim.estimator import PendingRefinement
 
 TINY = {"pop_size": 8, "max_generations": 4}
 
@@ -78,9 +79,20 @@ def _state_fingerprint(states, ledger):
     )
 
 
+class _Shell:
+    """A candidate state reduced to the design vector a simulator reads."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+
+
+def _block(x, samples, category="stage1"):
+    return PendingRefinement(_Shell(x), np.asarray(samples, dtype=float), category)
+
+
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert set(ENGINES.names()) == {"serial", "process", "auto", "remote"}
+        assert set(ENGINES.names()) == {"serial", "process", "auto"}
 
     def test_make_engine_default_is_serial(self):
         assert isinstance(make_engine(None), SerialEngine)
@@ -100,7 +112,7 @@ class TestRegistry:
             make_engine(SerialEngine(), workers=2)
 
     def test_unknown_engine_lists_registered(self):
-        with pytest.raises(ValueError, match="auto.*process.*remote.*serial"):
+        with pytest.raises(ValueError, match="auto.*process.*serial"):
             make_engine("distributed")
 
     def test_engines_are_context_managers(self):
@@ -173,8 +185,6 @@ class TestRoundTemplate:
                 assert "refine_round" not in vars(engine_cls), name
 
     def test_every_engine_scatters_each_round_once(self, monkeypatch):
-        from repro.service.worker import serve_worker
-
         calls = []
         scatter = repro.engine.serial.scatter_round
 
@@ -184,8 +194,6 @@ class TestRoundTemplate:
 
         monkeypatch.setattr(repro.engine.serial, "scatter_round", counted)
         problem = make_sphere_problem()
-        server = serve_worker(port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
         auto = AutoEngine(pilot_rows=40)
         engines = {
             "serial": (SerialEngine(), 1),
@@ -193,7 +201,6 @@ class TestRoundTemplate:
             # 30 rows per round: the first round pilots, the second commits,
             # the third runs on the committed delegate.
             "auto": (auto, 3),
-            "remote": (RemoteEngine(workers=server.url, min_dispatch_rows=1), 1),
         }
         try:
             for name, (engine, rounds) in engines.items():
@@ -207,11 +214,9 @@ class TestRoundTemplate:
                         assert (auto.chosen is None) == (round_index == 0)
             # The rounds really left the parent.
             assert engines["process"][0]._pool is not None
-            assert engines["remote"][0].decision["rows"] == 30
         finally:
             for engine, _ in engines.values():
                 engine.close()
-            server.close()
 
 
 class TestProcessPool:
@@ -226,6 +231,36 @@ class TestProcessPool:
         assert 1 <= len(chunks) <= 3
         flattened = [block for chunk in chunks for block in chunk]
         assert flattened == blocks  # order preserved, nothing lost
+
+    def test_respects_block_boundaries_and_row_target(self):
+        blocks = [_block([1.0], np.zeros((rows, 2))) for rows in (5, 5, 5, 20, 3)]
+        chunks = chunk_pending(blocks, 10)
+        assert [sum(b.n_samples for b in chunk) for chunk in chunks] == [10, 25, 3]
+        assert [b for chunk in chunks for b in chunk] == blocks
+
+    def test_single_chunk_when_target_exceeds_round(self):
+        blocks = [_block([1.0], np.zeros((2, 2)))] * 3
+        assert len(chunk_pending(blocks, 1000)) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_worker_function_matches_evaluate_pending(self, seed, monkeypatch):
+        # Random block structures, pickled as a pool submission would be.
+        problem = make_quadratic_problem()
+        d, p = problem.space.dimension, problem.variation.dimension
+        rng = np.random.default_rng(seed)
+        blocks = [
+            _block(
+                problem.space.clip(rng.normal(size=d)),
+                rng.normal(size=(int(rng.integers(1, 9)), p)),
+            )
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        monkeypatch.setattr(repro.engine.process, "_WORKER_PROBLEM", problem)
+        shipped = pickle.loads(pickle.dumps(stack_pending(blocks)))
+        rows = repro.engine.process._evaluate_chunk(*shipped)
+        np.testing.assert_array_equal(
+            rows.view(np.int64), evaluate_pending(problem, blocks).view(np.int64)
+        )
 
     def test_pool_round_matches_serial_round(self):
         problem = make_quadratic_problem()

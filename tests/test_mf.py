@@ -13,8 +13,6 @@ The load-bearing contracts:
 """
 
 import json
-import threading
-import urllib.request
 
 import numpy as np
 import pytest
@@ -28,35 +26,14 @@ from repro.api import (
 )
 from repro.api.registries import METHODS
 from repro.core.moheco import MOHECOResult
-from repro.engine.remote import RemoteEngine
 from repro.mf import FidelityLadder, RungSegment, fuse_segments
 from repro.ocba.allocation import clamp_gains, rung_allocation
-from repro.service.worker import serve_worker
 from repro.sweep.spec import SweepSpec
 
 # Small enough for sub-second runs, large enough for a 2-rung ladder.
 CONFIG = dict(
     problem="quadratic", seed=3, max_generations=3, pop_size=8, n0=20, n_max=120
 )
-
-
-@pytest.fixture
-def worker_pool():
-    """Start ephemeral-port worker daemons on demand; close them after."""
-    servers = []
-
-    def start(n=1, **kwargs):
-        batch = []
-        for _ in range(n):
-            server = serve_worker(port=0, **kwargs)
-            threading.Thread(target=server.serve_forever, daemon=True).start()
-            servers.append(server)
-            batch.append(server)
-        return batch
-
-    yield start
-    for server in servers:
-        server.close()
 
 
 class TestLadderArithmetic:
@@ -295,17 +272,6 @@ class TestLadderDeterminism:
             assert result.identity_dict() == baseline.identity_dict(), name
             assert result.fidelity_trace == baseline.fidelity_trace, name
 
-    def test_remote_engine_agrees(self, worker_pool):
-        baseline = _run_mf(engine="serial")
-        (worker,) = worker_pool(1)
-        for chunk_rows in (16, 64):
-            result = _run_mf(
-                engine="remote",
-                engine_params={"workers": worker.url, "chunk_rows": chunk_rows},
-            )
-            assert result.identity_dict() == baseline.identity_dict()
-            assert result.fidelity_trace == baseline.fidelity_trace
-
     def test_cold_and_warm_cache_agree(self):
         baseline = _run_mf()
         from repro.engine.cache import make_cache
@@ -499,74 +465,3 @@ class TestSpecValidation:
             _run_mf(sim_ave=5, n0=15)
         with pytest.raises(ValueError, match="mf_params must be a dict"):
             _run_mf(mf_params=7)
-
-
-class TestWorkerSideCache:
-    def test_replayed_round_hits_worker_cache(self, worker_pool):
-        (worker,) = worker_pool(1)
-        params = {"workers": worker.url, "chunk_rows": 16}
-        first = _run_mf(engine="remote", engine_params=params)
-        second = _run_mf(engine="remote", engine_params=params)
-        assert second.identity_dict() == first.identity_dict()
-        assert first.engine_decision["worker_cache_rows"] == 0
-        # The replay is row-for-row the same work: everything hits.
-        decision = second.engine_decision
-        assert decision["worker_cache_rows"] == decision["rows"]
-        per_worker = decision["per_worker"][worker.url]
-        assert per_worker["cache_hit_rows"] == decision["worker_cache_rows"]
-
-    def test_health_reports_cache_stats(self, worker_pool):
-        (worker,) = worker_pool(1)
-        _run_mf(engine="remote", engine_params={"workers": worker.url})
-        with urllib.request.urlopen(f"{worker.url}/v1/health", timeout=10) as r:
-            health = json.loads(r.read())
-        assert health["cache_hit_rows"] == 0
-        assert health["cache"]["misses"] > 0
-        _run_mf(engine="remote", engine_params={"workers": worker.url})
-        with urllib.request.urlopen(f"{worker.url}/v1/health", timeout=10) as r:
-            health = json.loads(r.read())
-        assert health["cache_hit_rows"] > 0
-        assert health["cache"]["hit_rows"] == health["cache_hit_rows"]
-
-    def test_cacheless_worker_still_serves(self, worker_pool):
-        (worker,) = worker_pool(1, cache=False)
-        baseline = _run_mf(engine="serial")
-        for _ in range(2):
-            result = _run_mf(
-                engine="remote", engine_params={"workers": worker.url}
-            )
-            assert result.identity_dict() == baseline.identity_dict()
-            assert result.engine_decision["worker_cache_rows"] == 0
-        with urllib.request.urlopen(f"{worker.url}/v1/health", timeout=10) as r:
-            health = json.loads(r.read())
-        assert health["cache"] is None and health["cache_hit_rows"] == 0
-
-    def test_engine_tolerates_workers_without_hit_counts(self, monkeypatch):
-        # Daemons predating the worker-side cache omit cache_hit_rows from
-        # the evaluate body; the engine must read that as zero hits.
-        from repro.engine.wire import encode_array
-        from repro.problems import make_problem
-        from repro.yieldsim.estimator import PendingRefinement
-
-        engine = RemoteEngine(workers="127.0.0.1:1")
-        problem = make_problem("quadratic")
-        samples = np.zeros((3, problem.process_dimension))
-        block = PendingRefinement(
-            type("Shell", (), {"x": np.zeros(problem.design_dimension)})(),
-            samples,
-            "stage1",
-        )
-        from repro.engine.wire import ChunkRequest, encode_problem
-
-        token = encode_problem(problem)["token"]
-        chunk = ChunkRequest.from_pending(token, [block])
-        rows = np.arange(3.0).reshape(3, 1)
-        monkeypatch.setattr(engine, "_ensure_installed", lambda *a, **k: None)
-        monkeypatch.setattr(
-            engine,
-            "_post_json",
-            lambda *a, **k: {"ok": True, "rows": encode_array(rows)},
-        )
-        returned, hit_rows = engine._evaluate_on("http://x", chunk, {})
-        assert hit_rows == 0
-        assert np.array_equal(returned, rows)

@@ -139,14 +139,13 @@ class TestSpecError:
         assert "max_bytes" in excinfo.value.reason
 
     def test_params_are_bound_not_constructed(self, tmp_path):
-        # Remote workers may be injected after validation, and a cache
-        # spill file must not be opened by validating the spec.
+        # A cache spill file must not be opened by validating the spec.
         spill = tmp_path / "never.jsonl"
         validate_run_spec(
             RunSpec(
                 problem="sphere",
-                engine="remote",
-                engine_params={"chunk_rows": 16},
+                engine="process",
+                engine_params={"workers": 2},
                 cache="lru",
                 cache_params={"spill_path": str(spill)},
             )
@@ -441,7 +440,7 @@ class TestServiceHTTP:
     def test_bad_engine_params_answer_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service.submit_run(
-                dict(TINY_RUN, engine="remote", engine_params={"dispatch": "barrier"})
+                dict(TINY_RUN, engine="process", engine_params={"dispatch": "barrier"})
             )
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"] == "invalid_spec"
@@ -453,60 +452,24 @@ class TestServiceHTTP:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["field"] == "cache_params"
 
-    def test_unknown_job_404(self, service):
+    def test_remote_engine_is_refused_at_the_door(self, service):
+        reason = "unknown engine 'remote'; registered: auto, process, serial"
+        for validate, spec in (
+            (validate_run_spec, RunSpec.from_dict(dict(TINY_RUN, engine="remote"))),
+            (
+                validate_sweep_spec,
+                SweepSpec.from_dict(dict(TINY_SWEEP, engine="remote")),
+            ),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                validate(spec)
+            assert excinfo.value.field == "engine"
+            assert excinfo.value.reason == reason
         with pytest.raises(ServiceError) as excinfo:
-            service.status("definitely-not-a-job")
-        assert excinfo.value.status == 404
-
-    def test_jobs_listing(self, service):
-        listed = service.jobs()
-        assert listed, "earlier tests should have left jobs behind"
-        assert all("id" in job and "state" in job for job in listed)
-
-
-class TestWorkerRegistry:
-    """``/v1/workers``: health-checked registration and fleet injection."""
-
-    def test_register_unreachable_answers_502(self, service):
-        with pytest.raises(ServiceError) as excinfo:
-            service.register_worker("http://127.0.0.1:1")
-        assert excinfo.value.status == 502
-        assert excinfo.value.payload["error"] == "worker_unreachable"
-
-    def test_register_list_and_remote_job_injection(self, service):
-        from repro.service.worker import serve_worker
-
-        worker = serve_worker(port=0)
-        threading.Thread(target=worker.serve_forever, daemon=True).start()
-        try:
-            fleet = service.register_worker(worker.url)
-            assert worker.url in fleet
-            assert service.register_worker(worker.url) == fleet  # idempotent
-            assert {"url": worker.url, "healthy": True} in service.workers()
-
-            # engine=remote with no explicit workers: the service injects
-            # its fleet at execution time; the stored spec stays clean.
-            # A fresh seed keeps the service's shared warm cache out of the
-            # way (a fully-replayed round dispatches nothing).
-            spec = dict(TINY_RUN, engine="remote", seed=1234)
-            job = service.submit_run(spec)
-            final = service.wait(job["id"], timeout=120)
-            assert final["state"] == "succeeded"
-            run = service.result(job["id"])["result"]
-            assert "workers" not in (run["spec"].get("engine_params") or {})
-            decision = run["result"]["engine_decision"]
-            assert decision["engine"] == "remote"
-            # The bulk dispatches remotely; tiny rounds under
-            # min_dispatch_rows may legitimately stay local.
-            assert decision["rows"] > decision["local_rows"]
-
-            direct = optimize(RunSpec.from_dict(dict(TINY_RUN, seed=1234)))
-            assert (
-                MOHECOResult.from_dict(run["result"]).identity_dict()
-                == direct.identity_dict()
-            )
-        finally:
-            worker.close()
+            service.submit_run(dict(TINY_RUN, engine="remote"))
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "invalid_spec"
+        assert excinfo.value.payload["field"] == "engine"
 
     def test_result_conflict_carries_retry_after(self, service):
         job = service.submit_run(SLOW_RUN)
@@ -518,6 +481,16 @@ class TestWorkerRegistry:
         finally:
             service.cancel(job["id"])
             service.wait(job["id"], timeout=120)
+
+    def test_unknown_job_404(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.status("definitely-not-a-job")
+        assert excinfo.value.status == 404
+
+    def test_jobs_listing(self, service):
+        listed = service.jobs()
+        assert listed, "earlier tests should have left jobs behind"
+        assert all("id" in job and "state" in job for job in listed)
 
 
 class TestEventStreamRobustness:

@@ -1,7 +1,7 @@
 """Process engine and auto engine on circuit-priced rounds.
 
-The process pool ships each chunk of a round to its workers as a pickled
-:class:`~repro.engine.wire.ChunkRequest`.  These tests pin the engine
+The process pool ships each chunk of a round to its workers as three
+plain arrays, ``(designs, sizes, samples)``.  These tests pin the engine
 contract that matters: results are bit-identical to
 :class:`~repro.engine.serial.SerialEngine` for any worker count, with and
 without a warm-start cache — on the circuit-priced ``netlist_ota``
