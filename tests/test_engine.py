@@ -262,6 +262,24 @@ class TestProcessPool:
             rows.view(np.int64), evaluate_pending(problem, blocks).view(np.int64)
         )
 
+    def test_chunk_evaluation_matches_local(self):
+        # Each chunk is simulated on a live worker; the rows come back in order.
+        problem = make_quadratic_problem()
+        rng = np.random.default_rng(2)
+        blocks = [
+            _block(
+                problem.space.clip(rng.normal(size=problem.space.dimension)),
+                rng.normal(size=(5, problem.variation.dimension)),
+            )
+            for _ in range(3)
+        ]
+        with ProcessPoolEngine(workers=2) as engine:
+            rows = engine.simulate(problem, blocks)
+            assert engine._pool is not None
+        np.testing.assert_array_equal(
+            rows.view(np.int64), evaluate_pending(problem, blocks).view(np.int64)
+        )
+
     def test_pool_round_matches_serial_round(self):
         problem = make_quadratic_problem()
         gains = [12, 25, 7, 40, 3, 18]
