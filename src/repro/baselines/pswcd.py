@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 from repro.ledger import SimulationLedger
 from repro.optim.de import DifferentialEvolution
@@ -92,7 +92,7 @@ def pswcd_analysis(
     gradients = weights[1:]
     norms = np.maximum(np.linalg.norm(gradients, axis=0), 1e-12)
     betas = intercepts / norms
-    spec_yields = _scipy_stats.norm.cdf(betas)
+    spec_yields = ndtr(betas)
     yield_bound = max(0.0, 1.0 - float(np.sum(1.0 - spec_yields)))
     return WorstCaseAnalysis(
         betas=betas,

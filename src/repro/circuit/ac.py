@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as _scipy_linalg
 
 from repro.circuit.mna import DCSolution, MNAAssembler
 from repro.circuit.netlist import Circuit
@@ -466,7 +465,9 @@ class ACAnalysis:
         huge eigenvalues beyond ``max_hz`` and gmin-artifact eigenvalues
         below ``min_hz`` are filtered out.
         """
-        eigenvalues = _scipy_linalg.eigvals(-self._g, self._c)
+        from scipy.linalg import eigvals
+
+        eigenvalues = eigvals(-self._g, self._c)
         s = eigenvalues[np.isfinite(eigenvalues)]
         f = s / (2.0 * np.pi)
         f = f[(np.abs(f) < max_hz) & (np.abs(f) > min_hz)]

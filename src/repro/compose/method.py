@@ -57,6 +57,7 @@ from repro.core.state import Individual
 from repro.mf.driver import ladder_allocation
 from repro.optim.constraints import deb_better
 from repro.rng import spawn
+from repro.sampling import SAMPLERS
 
 # Part implementations register themselves on import.
 import repro.compose.proposers  # noqa: F401
@@ -235,12 +236,12 @@ def moheco_runner(backbone: str, description: str, compose: dict | None = None):
     ``n_fixed=50, n_max=60``) wins instead of colliding.  The runner
     carries the standard method-registry extras:
 
-    * ``validate_overrides`` — builds the config, the ladder from the
-      run's ``mf_params`` and the screener from its ``screen_params``
-      without running, so bad overrides (unknown names, a stage-1 budget
-      that cannot cover the pilot samples, an impossible rung schedule,
-      bad screener knobs) fail at submission time as a structured
-      :class:`~repro.api.errors.SpecError`;
+    * ``validate_overrides`` — builds the config, resolves its sampler,
+      and builds the ladder from the run's ``mf_params`` and the screener
+      from its ``screen_params`` without running, so bad overrides
+      (unknown names, a stage-1 budget that cannot cover the pilot
+      samples, an impossible rung schedule, bad screener knobs) fail at
+      submission time as a structured :class:`~repro.api.errors.SpecError`;
     * ``description`` — the one-liner ``repro list methods`` prints;
     * ``compose_config`` — the part config of a composed method, for
       introspection and the CLI's composed-config summary;
@@ -296,6 +297,7 @@ def moheco_runner(backbone: str, description: str, compose: dict | None = None):
 
     def validate_overrides(overrides: dict) -> None:
         config, mf_params, screen_params = split(overrides)
+        SAMPLERS.get(config.sampler)
         ladder_allocation(config, mf_params)
         if compose is not None:
             make_screener(compose["screener"], screen_params, rng=0)

@@ -89,6 +89,10 @@ class MOHECOConfig:
             )
         if self.pop_size < 4:
             raise ValueError(f"pop_size must be >= 4 for DE, got {self.pop_size}")
+        if not 0.0 < self.de_f <= 2.0:
+            raise ValueError(f"de_f must be in (0, 2], got {self.de_f}")
+        if not 0.0 <= self.de_cr <= 1.0:
+            raise ValueError(f"de_cr must be in [0, 1], got {self.de_cr}")
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.sim_ave < self.n0:
@@ -124,6 +128,13 @@ class MOHECOConfig:
             raise ValueError(
                 f"ls_initial_step must be > 0, got {self.ls_initial_step}; a "
                 "zero step puts every simplex vertex on the start point"
+            )
+        if self.ls_patience < 1:
+            raise ValueError(f"ls_patience must be >= 1, got {self.ls_patience}")
+        if self.max_generations < 1:
+            raise ValueError(
+                f"max_generations must be >= 1, got {self.max_generations}; "
+                "the initial population alone is not a run"
             )
 
     # -- named variants (the paper's compared methods) --------------------------

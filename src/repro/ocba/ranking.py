@@ -9,7 +9,7 @@ design (P{CS}) than equal allocation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 __all__ = ["approximate_pcs", "equal_allocation"]
 
@@ -57,5 +57,5 @@ def approximate_pcs(
         )
         if scale == 0.0:
             continue
-        miss += float(_scipy_stats.norm.cdf(-gap / scale))
+        miss += float(ndtr(-gap / scale))
     return max(0.0, 1.0 - miss)

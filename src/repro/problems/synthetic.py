@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 from repro.problems.base import YieldProblem
 from repro.process.parameters import ParameterGroup, StatisticalParameter
@@ -106,7 +106,7 @@ class SyntheticEvaluator:
                 z = (g[j] - spec.bound) / self._sigmas[j]
             else:
                 z = (spec.bound - g[j]) / self._sigmas[j]
-            total *= float(_scipy_stats.norm.cdf(z))
+            total *= float(ndtr(z))
         return total
 
 

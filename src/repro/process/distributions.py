@@ -10,7 +10,12 @@ Each distribution exposes
 * ``mean`` / ``std`` — first two moments (used by linearised screeners).
 
 Only the few families that real statistical device models use are
-implemented; all are thin, fully vectorised wrappers over NumPy/SciPy.
+implemented, all fully vectorised.  The normal and lognormal inverse CDFs
+call ``scipy.special.ndtri``.  ``scipy.stats`` is imported only when a
+:class:`TruncatedNormalDistribution` is built (its frozen ``truncnorm``
+supplies the inverse CDF and moments): no shipped technology uses one, and
+importing ``scipy.stats`` costs more start-up than NumPy and
+``scipy.special`` together.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 from scipy import special as _scipy_special
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "Distribution",
@@ -162,7 +166,9 @@ class TruncatedNormalDistribution(Distribution):
         self.high = float(high)
         self._a = (self.low - self.mu) / self.sigma
         self._b = (self.high - self.mu) / self.sigma
-        self._frozen = _scipy_stats.truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
+        from scipy.stats import truncnorm
+
+        self._frozen = truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Inverse-CDF sampling keeps the draw reproducible from ``rng``

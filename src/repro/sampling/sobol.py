@@ -3,6 +3,8 @@
 A low-discrepancy alternative to LHS; not used by the paper's headline
 experiments but provided for ablations (DESIGN.md lists a sampler ablation
 bench) and available through :func:`repro.sampling.make_sampler`.
+``scipy.stats.qmc`` is imported at the first :meth:`SobolSampler.draw`, so
+registering the sampler does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import qmc as _qmc
 
 from repro.sampling.base import Sampler
 
@@ -31,8 +32,10 @@ class SobolSampler(Sampler):
         self._check(n)
         if n == 0:
             return np.empty((0, self.variation.dimension))
+        from scipy.stats import qmc
+
         seed = int(rng.integers(0, 2**31 - 1))
-        engine = _qmc.Sobol(self.variation.dimension, scramble=True, seed=seed)
+        engine = qmc.Sobol(self.variation.dimension, scramble=True, seed=seed)
         with warnings.catch_warnings():
             # scipy warns when n is not a power of two; unbiasedness is
             # preserved by the scrambling, which is all we rely on.

@@ -265,7 +265,7 @@ class SweepSpec:
                 raise SpecError(
                     f"duplicate labels in sweep: {labels}", field=axis, spec="SweepSpec"
                 )
-        for key in ("runs", "reference_n", "workers"):
+        for key in ("runs", "reference_n", "max_generations", "workers"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise SpecError(

@@ -9,10 +9,15 @@ any platform, unlike the pinned identity hashes of ``test_goldens.py``.
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
+from repro.baselines import pswcd_analysis
+from repro.circuit.topologies.base import DesignSpace
 from repro.ledger import SimulationLedger
+from repro.ocba.ranking import approximate_pcs
 from repro.problems import make_problem
-from repro.problems.base import SLAB_ROWS
+from repro.problems.base import SLAB_ROWS, YieldProblem
+from repro.problems.synthetic import SyntheticEvaluator
 from repro.process.distributions import (
     LognormalDistribution,
     NormalDistribution,
@@ -23,6 +28,7 @@ from repro.process.distributions import (
 from repro.process.parameters import ParameterGroup, StatisticalParameter
 from repro.sampling.acceptance import LinearMarginScreener
 from repro.sampling.lhs import latin_hypercube_uniforms
+from repro.specs import Spec, SpecSet
 
 PAPER_CIRCUITS = ["folded_cascode", "telescopic"]
 #: Every circuit problem: each evaluates through ``evaluate_pairs``.
@@ -188,6 +194,70 @@ class TestFromUniform:
         )
         clipped = np.clip(u, 1e-12, 1.0 - 1e-12)
         assert np.array_equal(_ndtri(u), stats.norm.ppf(clipped))
+
+
+#: Standard-normal arguments at the edges of ``ndtr``: signed zeros,
+#: subnormals, the tails out to 40 sigma, the largest finite magnitudes and
+#: the infinities.
+Z_EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2e-310, -2e-310, 1e-300, -1e-300]
+    + [s * z for z in (1e-8, 0.5, 1.0, 8.3, 26.5, 37.5, 38.5, 40.0) for s in (1, -1)]
+    + [1e308, -1e308, np.inf, -np.inf]
+)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestNormalCdf:
+    """``scipy.special.ndtr`` equals the ``scipy.stats.norm.cdf`` it
+    replaced, bit for bit, in each of its three callers."""
+
+    def test_ndtr_matches_norm_cdf(self):
+        rng = np.random.default_rng(14)
+        z = np.concatenate(
+            [Z_EDGES] + [scale * rng.standard_normal(2000) for scale in (0.1, 1, 8, 40)]
+        )
+        assert np.array_equal(_bits(ndtr(z)), _bits(stats.norm.cdf(z)))
+
+    def test_approximate_pcs(self):
+        # One rival at unit scale: the miss probability is Phi(-|z|).
+        for z in Z_EDGES:
+            pcs = approximate_pcs(
+                np.array([abs(z), 0.0]), np.array([1.0, 0.0]), np.array([1, 1])
+            )
+            expected = max(0.0, 1.0 - float(stats.norm.cdf(-abs(z))))
+            assert _bits(pcs) == _bits(expected), z
+
+    def test_synthetic_analytic_yield(self):
+        space = DesignSpace(["x0"], np.zeros(1), np.ones(1))
+        evaluator = SyntheticEvaluator([lambda X: X[:, 0]], [1.0], space, ["m"])
+        specs = SpecSet([Spec("m", ">=", 0.0)])
+        for z in Z_EDGES:
+            value = evaluator.analytic_yield(np.array([z]), specs)
+            assert _bits(value) == _bits(stats.norm.cdf(z)), z
+
+    def test_pswcd_spec_yields(self):
+        # Noise-free constant margins put their worst-case distances at or
+        # near zero; unit-noise ones put them near each constant.
+        constants = [0.0, -0.0, 5e-324] + [float(z) for z in Z_EDGES if 0 < abs(z) <= 40]
+        sigmas = [0.0] * 3 + [1.0] * (len(constants) - 3)
+        labels = [f"m{j}" for j in range(len(constants))]
+        evaluator = SyntheticEvaluator(
+            [lambda X, c=c: np.full(len(X), c) for c in constants],
+            sigmas,
+            DesignSpace(["x0"], np.zeros(1), np.ones(1)),
+            labels,
+        )
+        problem = YieldProblem(
+            evaluator, SpecSet([Spec(label, ">=", 0.0) for label in labels])
+        )
+        analysis = pswcd_analysis(problem, np.array([0.5]), n_train=64, rng=3)
+        assert np.ptp(analysis.betas) > 70
+        assert np.array_equal(
+            _bits(analysis.spec_yields), _bits(stats.norm.cdf(analysis.betas))
+        )
 
 
 def _lhs_column_loop(n, d, rng):

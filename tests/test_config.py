@@ -107,6 +107,54 @@ class TestValidation:
             validate_run_spec(spec)
         assert excinfo.value.field == "overrides"
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"de_f": 0.0}, "de_f"),
+            ({"de_cr": 1.5}, "de_cr"),
+            ({"ls_patience": 0}, "ls_patience"),
+            ({"max_generations": 0}, "max_generations"),
+            ({"max_generations": -3}, "max_generations"),
+            ({"sampler": "bogus"}, "bogus"),
+        ],
+    )
+    def test_bad_run_settings_fail_at_validation(self, overrides, reason):
+        """Values the run would trip over mid-build, or silently clamp,
+        are refused at the door for a run and for each sweep method."""
+        from repro.api import (
+            MethodSpec,
+            RunSpec,
+            SpecError,
+            SweepSpec,
+            validate_run_spec,
+            validate_sweep_spec,
+        )
+
+        spec = RunSpec(
+            problem="sphere",
+            overrides={"pop_size": 8, "max_generations": 2, **overrides},
+        )
+        with pytest.raises(SpecError, match=reason) as excinfo:
+            validate_run_spec(spec)
+        assert excinfo.value.field == "overrides"
+        sweep = SweepSpec(
+            methods=["moheco", MethodSpec("oo_only", overrides=overrides)],
+            problems=["sphere"],
+        )
+        with pytest.raises(SpecError, match=reason) as excinfo:
+            validate_sweep_spec(sweep)
+        assert excinfo.value.field == "methods[1].overrides"
+
+    @pytest.mark.parametrize("max_generations", [0, -3])
+    def test_sweep_wide_generation_cap_must_be_positive(self, max_generations):
+        from repro.api import SpecError, SweepSpec
+
+        with pytest.raises(SpecError) as excinfo:
+            SweepSpec(
+                methods=["moheco"], problems=["sphere"], max_generations=max_generations
+            )
+        assert excinfo.value.field == "max_generations"
+
 
 class TestVariants:
     def test_moheco(self):
