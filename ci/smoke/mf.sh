@@ -60,7 +60,9 @@ EOF
 # The fidelity_trace is part of the result identity: the same run
 # sharded across a 2-worker process pool — first against a cold cache
 # spill, then a warm one — must match the serial reference bit for bit,
-# while the warm replay serves rows from the spill instead of simulating.
+# while the warm replay serves every row from the spill instead of
+# simulating.  The cache keys whole sample blocks, so the spill holds one
+# line per block the cold run simulated.
 rm -f mf-spill.jsonl
 for out in mf-process-cold.json mf-process-warm.json; do
   repro run --problem netlist_ota --method moheco_mf --seed 7 \
@@ -85,12 +87,18 @@ serial = MOHECOResult.from_dict(
 for name, result in results.items():
     assert result.identity_dict() == serial.identity_dict(), name
     assert result.fidelity_trace == serial.fidelity_trace, name
-assert results["cold"].cache_stats["hit_rows"] == 0, results["cold"].cache_stats
+cold = results["cold"].cache_stats
+assert cold["hit_rows"] == 0, cold
 warm = results["warm"].cache_stats
 assert warm["hit_rows"] > 0, warm
+assert warm["miss_rows"] == 0, warm
+with open("mf-spill.jsonl", encoding="utf-8") as handle:
+    spill_lines = sum(1 for line in handle if line.strip())
+assert spill_lines == cold["misses"], (spill_lines, cold)
 print(
     f"bit-identity ok; warm run replayed {warm['hit_rows']} of "
-    f"{warm['hit_rows'] + warm['miss_rows']} rows"
+    f"{warm['hit_rows'] + warm['miss_rows']} rows from {spill_lines} "
+    "spilled blocks"
 )
 EOF
 

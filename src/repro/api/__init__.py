@@ -22,8 +22,7 @@ Everything a user (or a deployment) needs is reachable from here:
 * **Caches** — warm-start evaluation caches (:mod:`repro.engine.cache`):
   content-addressed replay of already-simulated sample blocks, with an
   LRU byte budget and an optional JSONL spill file shared across runs;
-  ledger-faithful by default, selected via ``RunSpec.cache`` or
-  ``--cache``.
+  ledger-faithful, selected via ``RunSpec.cache`` or ``--cache``.
 * **Composed methods** — :func:`register_composed_method` turns a
   ``{screener, proposer, selection, backbone}`` config into a full method
   entry (:mod:`repro.compose`); the parts plug in by name through the

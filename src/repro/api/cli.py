@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         help="warm-start evaluation cache for the refinement rounds: 'lru' "
         "(content-addressed LRU with a byte budget and an optional JSONL "
-        "spill file shared across runs).  Ledger-faithful by default: "
+        "spill file shared across runs).  Ledger-faithful: "
         "replayed rows are still charged, so results and simulation "
         "totals match a cache-off run",
     )

@@ -53,7 +53,7 @@ def resolve_problem(problem, problem_params: dict | None = None) -> YieldProblem
 
 
 def _cache_namespace(problem, problem_params: dict | None) -> str:
-    """The key namespace of a driver-created cache.
+    """The key namespace of a driver-created cache; derived here alone.
 
     Folding the resolved problem name + factory parameters into every key
     keeps a shared spill file safe across sweep cells: ``sphere`` with
@@ -127,9 +127,9 @@ def optimize(
         across runs.  A cache argument overrides the spec's ``cache``
         field.  Name-resolved caches are namespaced to the resolved
         problem (+ params), and closed — spill flushed — when the run
-        finishes; instances are the caller's to share and close.  Under
-        the default ledger-faithful accounting the result is bit-identical
-        to a cache-off run.
+        finishes; instances are the caller's to share and close.  Replayed
+        rows are still charged, so the result is bit-identical to a
+        cache-off run.
     **overrides:
         Method/config overrides (``pop_size=20``, ``n_max=300``, ...).
 
@@ -150,7 +150,7 @@ def optimize(
                 f"{method!r}; put the method in the RunSpec or drop the argument"
             )
         method = spec.method
-        problem = resolve_problem(spec.problem, spec.problem_params)
+        problem, problem_params = spec.problem, spec.problem_params
         overrides = {**spec.overrides, **overrides}
         if engine is None:
             # An explicit engine= argument beats the spec's engine field
@@ -167,12 +167,10 @@ def optimize(
             # Explicit seed= beats the spec's seed (same precedence as the
             # non-spec path); rng= beats both.
             rng = seed if seed is not None else spec.seed
-        namespace = _cache_namespace(spec.problem, spec.problem_params)
-    else:
-        namespace = _cache_namespace(problem, problem_params)
-        problem = resolve_problem(problem, problem_params)
-        if rng is None:
-            rng = seed
+    elif rng is None:
+        rng = seed
+    namespace = _cache_namespace(problem, problem_params)
+    problem = resolve_problem(problem, problem_params)
 
     if engine_params:
         if engine is None:
@@ -194,18 +192,11 @@ def optimize(
             )
 
     runner = METHODS.get(method if method is not None else "moheco")
-    # Methods may declare factory defaults for name-resolved caches (e.g.
-    # ladder backbones ask for sample-level keying so promoted candidates
-    # replay their low-rung rows); explicit cache_params still win, and
-    # ready-made cache instances are never reconfigured.
-    cache_defaults = getattr(runner, "cache_defaults", None)
-    if cache_defaults and isinstance(cache, str):
-        cache_params = {**cache_defaults, **(cache_params or {})}
     engine_obj = make_engine(engine, **(engine_params or {})) if engine is not None else None
     owns_engine = engine_obj is not None and not isinstance(engine, EvaluationEngine)
     cache_obj = make_cache(cache, **(cache_params or {})) if cache is not None else None
     owns_cache = cache_obj is not None and not isinstance(cache, EvaluationCache)
-    if owns_cache and not cache_obj.namespace:
+    if owns_cache:
         # Keys of driver-created caches carry the resolved problem identity,
         # so one spill file can safely serve many problem configurations.
         cache_obj.namespace = namespace

@@ -9,9 +9,9 @@ maps it to a 400 body clients can route on, and the CLI prints it as a
 
 :func:`validate_run_spec` / :func:`validate_sweep_spec` go one step past
 shape checking: they resolve every registry name (problem, method, engine,
-cache) and bind the engine and cache parameter names to the resolved
-class, so a typo fails at submission time with the list of valid names —
-not minutes later inside a queued job.
+cache), bind the engine and cache parameter names to the resolved class
+and check their values, so a typo fails at submission time with the list
+of valid names — not minutes later inside a queued job.
 """
 
 from __future__ import annotations
@@ -66,15 +66,29 @@ def _check_registry(registry, name: str, field: str, spec: str) -> None:
         raise SpecError(str(error), field=field, spec=spec) from error
 
 
-def _check_params(registry, name: str, params: dict, field: str, spec: str) -> None:
-    """Bind ``params`` to the signature of the class registered as ``name``.
+def _refuse(check, field: str, spec: str) -> None:
+    """Run ``check()``; a ``ValueError``/``TypeError`` becomes a
+    :class:`SpecError` on ``field``."""
+    try:
+        check()
+    except SpecError:
+        raise
+    except (ValueError, TypeError) as error:
+        raise SpecError(str(error), field=field, spec=spec) from error
 
-    Names are bound, never passed to the constructor: building an LRU
-    cache would open its spill file.
+
+def _check_params(registry, name: str, params: dict, field: str, spec: str) -> None:
+    """Bind ``params`` to the signature of the class registered as ``name``,
+    then run the class's ``validate_params`` hook on them, if it has one.
+
+    Nothing is constructed: building an LRU cache would open its spill
+    file.  The built-in engines' and cache's hooks are the value checks
+    their constructors run, so the door and the run apply one rule.
     """
     if not params:
         return
-    signature = inspect.signature(registry.get(name))
+    factory = registry.get(name)
+    signature = inspect.signature(factory)
     try:
         signature.bind_partial(**params)
     except TypeError as error:
@@ -89,10 +103,13 @@ def _check_params(registry, name: str, params: dict, field: str, spec: str) -> N
             field=field,
             spec=spec,
         ) from error
+    validator = getattr(factory, "validate_params", None)
+    if validator is not None:
+        _refuse(lambda: validator(**params), field, spec)
 
 
 def _check_execution(spec, kind: str) -> None:
-    """Engine and cache: the registry name, then the parameter names."""
+    """Engine and cache: the registry name, then the parameters."""
     from repro.api.registries import CACHES, ENGINES
 
     for registry, name, params, field in (
@@ -116,25 +133,19 @@ def _check_overrides(runner, overrides: dict, field: str, spec: str) -> None:
     inside a queued job.
     """
     validator = getattr(runner, "validate_overrides", None)
-    if validator is None:
-        return
-    try:
-        validator(overrides)
-    except SpecError:
-        raise
-    except (ValueError, TypeError) as error:
-        raise SpecError(str(error), field=field, spec=spec) from error
+    if validator is not None:
+        _refuse(lambda: validator(overrides), field, spec)
 
 
 def validate_run_spec(spec) -> None:
     """Resolve every registry name a :class:`RunSpec` references.
 
     Raises :class:`SpecError` (with the offending field) for unregistered
-    problem/method/engine/cache names, for engine/cache parameter names
-    the resolved class does not accept, and for overrides the resolved
-    method itself rejects (via its ``validate_overrides`` hook).  Shape
-    errors (unknown keys, wrong types) are already raised by
-    ``RunSpec.from_dict`` itself.
+    problem/method/engine/cache names, for engine/cache parameters the
+    resolved class does not accept (by name, or by value via its
+    ``validate_params`` hook), and for overrides the resolved method itself
+    rejects (via its ``validate_overrides`` hook).  Shape errors (unknown
+    keys, wrong types) are already raised by ``RunSpec.from_dict`` itself.
     """
     from repro.api.registries import METHODS, PROBLEMS
 

@@ -24,12 +24,40 @@ from repro.core.callbacks import CallbackList
 from repro.core.history import OptimizationHistory
 from repro.core.moheco import MOHECOResult
 from repro.ledger import SimulationLedger
+from repro.registry import check_count
 from repro.yieldsim.estimator import YieldEstimate
 
 # The MOHECO family registers itself on import.
 import repro.compose.method  # noqa: F401
 
 __all__ = []
+
+
+#: ``pswcd`` overrides -> (default, least allowed value); DE needs 4 members.
+_PSWCD_OVERRIDES = {
+    "n_train": (200, 1),
+    "pop_size": (30, 4),
+    "max_generations": (40, 1),
+    "patience": (10, 1),
+}
+
+
+def _pswcd_settings(overrides: dict) -> dict:
+    """The ``pswcd`` overrides, checked, with defaults filled in.
+
+    The run and the spec validators (as ``run_pswcd.validate_overrides``)
+    share this one rule.
+    """
+    unknown = set(overrides) - set(_PSWCD_OVERRIDES)
+    if unknown:
+        raise TypeError(
+            f"pswcd accepts {'/'.join(_PSWCD_OVERRIDES)}, got unexpected "
+            f"overrides: {sorted(unknown)}"
+        )
+    return {
+        name: check_count(name, overrides.get(name, default), minimum)
+        for name, (default, minimum) in _PSWCD_OVERRIDES.items()
+    }
 
 
 @register_method("pswcd")
@@ -41,10 +69,6 @@ def run_pswcd(
     callbacks=None,
     engine=None,
     cache=None,
-    n_train: int = 200,
-    pop_size: int = 30,
-    max_generations: int = 40,
-    patience: int = 10,
     **overrides,
 ):
     """PSWCD sizing, adapted to the common :class:`MOHECOResult` shape.
@@ -52,6 +76,7 @@ def run_pswcd(
     ``best_yield`` is the method's own (pessimistic) worst-case yield bound
     — exactly the quantity whose over-design the paper criticises; score it
     against :func:`repro.yieldsim.reference_yield` to see the gap.
+    ``overrides`` are the keys of ``_PSWCD_OVERRIDES``.
 
     Callback support is partial: PSWCD drives a plain DE loop with no
     staged yield estimation, so only ``on_run_start`` and ``on_stop`` fire;
@@ -61,18 +86,14 @@ def run_pswcd(
     refinement rounds, so there is nothing for an execution backend to fuse
     or for a warm-start cache to replay.
     """
-    if overrides:
-        raise TypeError(
-            f"pswcd accepts n_train/pop_size/max_generations/patience, "
-            f"got unexpected overrides: {sorted(overrides)}"
-        )
+    settings = _pswcd_settings(overrides)
     ledger = ledger if ledger is not None else SimulationLedger()
     callbacks = CallbackList(callbacks)
-    optimizer = PSWCDOptimizer(problem, n_train=n_train, rng=rng, ledger=ledger)
-    callbacks.on_run_start(optimizer)
-    best_x, _, analysis = optimizer.run(
-        pop_size=pop_size, max_generations=max_generations, patience=patience
+    optimizer = PSWCDOptimizer(
+        problem, n_train=settings.pop("n_train"), rng=rng, ledger=ledger
     )
+    callbacks.on_run_start(optimizer)
+    best_x, _, analysis = optimizer.run(**settings)
     result = MOHECOResult(
         best_x=np.asarray(best_x, dtype=float),
         best_yield=analysis.yield_bound,
@@ -87,6 +108,7 @@ def run_pswcd(
     return result
 
 
+run_pswcd.validate_overrides = _pswcd_settings
 run_pswcd.description = (
     "Performance-specific worst-case-distance sizing baseline "
     "(section 3.4); best_yield is its pessimistic worst-case bound"

@@ -117,10 +117,9 @@ class RunSpec:
         Keyword arguments for the engine factory (e.g. ``{"workers": 4}``).
     cache:
         Warm-start evaluation-cache registry name (``"lru"``); ``None``
-        disables caching.  Under the default ledger-faithful
-        accounting a cache never changes the seeded result — it is a
-        deployment knob like ``engine`` — but ``count_hits=False`` in
-        ``cache_params`` changes the reported simulation totals.
+        disables caching.  Replayed rows are still charged, so a cache
+        never changes the seeded result or the simulation totals — it is
+        a deployment knob like ``engine``.
     cache_params:
         Keyword arguments for the cache factory (e.g. ``{"max_bytes":
         67108864, "spill_path": "cache.jsonl"}``).

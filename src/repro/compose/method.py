@@ -244,11 +244,7 @@ def moheco_runner(backbone: str, description: str, compose: dict | None = None):
       submission time as a structured :class:`~repro.api.errors.SpecError`;
     * ``description`` — the one-liner ``repro list methods`` prints;
     * ``compose_config`` — the part config of a composed method, for
-      introspection and the CLI's composed-config summary;
-    * ``cache_defaults`` — on backbones whose stage 1 climbs a ladder,
-      sample-level cache keying: a promoted candidate's low-rung rows
-      replay for free when later rungs and stage-2 promotions re-cover
-      them.
+      introspection and the CLI's composed-config summary.
     """
     config_factory, budget_arg, _ = BACKBONES[backbone]
     config_fields = {field.name for field in dataclasses.fields(MOHECOConfig)}
@@ -306,8 +302,6 @@ def moheco_runner(backbone: str, description: str, compose: dict | None = None):
     runner.description = str(description)
     if compose is not None:
         runner.compose_config = compose
-    if config_factory().allocation == "ladder":
-        runner.cache_defaults = {"key": "sample"}
     return runner
 
 

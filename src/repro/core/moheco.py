@@ -100,9 +100,8 @@ class MOHECOResult:
     elapsed_seconds: float = 0.0
     #: Warm-start cache statistics for *this run* (hit/miss counters as
     #: deltas, residency gauges absolute); ``None`` when no cache was
-    #: attached.  Purely observational — under the default ledger-faithful
-    #: accounting the rest of the result is bit-identical with or without
-    #: a cache.
+    #: attached.  Purely observational — replayed rows are still charged,
+    #: so the rest of the result is bit-identical with or without a cache.
     cache_stats: dict | None = None
     #: The :class:`~repro.engine.auto.AutoEngine` commit record (measured
     #: per-row cost, crossover cost, chosen backend); ``None`` for runs on
@@ -215,9 +214,9 @@ class MOHECO:
         :class:`~repro.engine.cache.EvaluationCache` instance (typically
         shared across runs of the same problem; that is the point) or a
         name in :data:`repro.engine.CACHES` (``"lru"``).
-        ``None`` (the default) disables caching.  Under the default
-        ledger-faithful accounting a cache never changes the seeded
-        result or the simulation totals — only the wall-clock.
+        ``None`` (the default) disables caching.  Replayed rows are still
+        charged, so a cache never changes the seeded result or the
+        simulation totals — only the wall-clock.
     mf_params:
         Fidelity-ladder knobs ``{"eta", "r_min", "brackets"}`` (see
         :meth:`~repro.mf.ladder.FidelityLadder.from_params`); only valid

@@ -39,6 +39,7 @@ import time
 
 from repro.engine.process import ProcessPoolEngine
 from repro.engine.serial import SerialEngine
+from repro.registry import check_count
 
 __all__ = ["AutoEngine"]
 
@@ -78,10 +79,7 @@ class AutoEngine(SerialEngine):
         ipc_row_cost_seconds: float = DEFAULT_IPC_ROW_COST_SECONDS,
         round_overhead_seconds: float = DEFAULT_ROUND_OVERHEAD_SECONDS,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if pilot_rows < 1:
-            raise ValueError(f"pilot_rows must be >= 1, got {pilot_rows}")
+        self.validate_params(workers, pilot_rows)
         self.workers = workers
         self.pilot_rows = int(pilot_rows)
         self.ipc_row_cost_seconds = float(ipc_row_cost_seconds)
@@ -97,6 +95,12 @@ class AutoEngine(SerialEngine):
         self._timed_rows = 0
         self._timed_seconds = 0.0
         self._timed_rounds = 0
+
+    @staticmethod
+    def validate_params(workers: int | None = None, pilot_rows: int = 64, **_) -> None:
+        """The constructor's value checks, starting no worker process."""
+        ProcessPoolEngine.validate_params(workers)
+        check_count("pilot_rows", pilot_rows, 1)
 
     def simulate(self, problem, pending):
         if self._delegate is not None:

@@ -113,7 +113,6 @@ def scatter_round(
     pending: list[PendingRefinement],
     performance: np.ndarray,
     hit_rows: Sequence[int] | None = None,
-    cache: EvaluationCache | None = None,
 ) -> None:
     """Charge ledgers and feed each block its performance rows back.
 
@@ -123,11 +122,10 @@ def scatter_round(
     pre-sliced share.
 
     ``hit_rows[i]`` counts the rows of block ``i`` that were replayed from
-    ``cache`` instead of simulated (under block keying that is all-or-none;
-    sample keying can replay part of a block).  Replayed rows are recorded
-    under the ledger's ``cached`` column and — unless the cache opted into
-    ``count_hits=False`` — still charged to the block's category, so the
-    paper-accounting totals match a cache-off run exactly.
+    the warm-start cache instead of simulated (all of them or none).
+    Replayed rows are recorded under the ledger's ``cached`` column and
+    still charged to the block's category, so the paper-accounting totals
+    match a cache-off run exactly.
     """
     margins = problem.specs.margins(performance)
     passed = np.all(margins >= 0.0, axis=1)
@@ -138,12 +136,9 @@ def scatter_round(
     for i, (block, size, n_passed) in enumerate(zip(pending, sizes, pass_counts)):
         ledger = block.state.ledger
         if ledger is not None:
-            replayed = 0 if hit_rows is None else int(hit_rows[i])
-            if replayed:
-                ledger.record_cached(replayed)
-            charged = size if cache is None or cache.count_hits else size - replayed
-            if charged > 0:
-                ledger.charge(charged, category=block.category)
+            if hit_rows is not None and hit_rows[i]:
+                ledger.record_cached(int(hit_rows[i]))
+            ledger.charge(size, category=block.category)
         stop = offset + size
         block.state.absorb(
             block.samples,

@@ -15,35 +15,23 @@ Ledger faithfulness
 A cache hit is **not** free in paper accounting.  The tables count every
 Monte-Carlo sample the method *needed*, not every sample the machine
 *computed*; a warm-started run needed exactly as many as a cold one.  Hits
-are therefore still charged to the candidate's ledger category by default,
-and additionally recorded under the ledger's separate ``cached`` column
+are therefore still charged to the candidate's ledger category, and
+additionally recorded under the ledger's separate ``cached`` column
 (:meth:`repro.ledger.SimulationLedger.record_cached`) — mirroring how
 acceptance-sampling screening is reported without distorting the totals.
-Opting into ``count_hits=False`` makes hits free (only the ``cached``
-column moves), which *changes paper accounting* and is refused by the
-sweep layer for that reason.
 
 Keys and correctness
 --------------------
-Keys cover the cache's ``namespace`` (the API driver fills it with the
-resolved problem name + factory parameters), a cheap problem token, and
-the bytes/shapes of the design vector and sample block.  Two problems that
-share a registry name but were built with different factory parameters
-therefore hash apart when resolved through :func:`repro.api.optimize`;
-hand-constructed problems fall back to the token alone, so share one cache
-(or one spill file) only across runs of the same problem configuration.
-
-Key granularity
----------------
-The default ``key="block"`` memoizes whole sample blocks: a lookup hits
-only when a block is bit-for-bit a repeat — size included.  ``key="sample"``
-hashes each ``(design, sample-row)`` pair individually, so a block that
-overlaps a previously simulated block *partially* (a fidelity-ladder rung
-or an OCBA allocation that cuts the same sample stream into different
-block sizes) still replays its known rows and simulates only the
-genuinely new ones.  Sample keying trades per-row hashing overhead for
-strictly higher hit rates; both modes splice through :class:`CachedRound`
-and stay bit-identical to an uncached run.
+Keys cover the cache's ``namespace``, a cheap problem token (type + report
+name), and the bytes/shapes of the design vector and the whole sample
+block, so a lookup hits only when a block is bit-for-bit a repeat — size
+included.  The API driver sets the namespace of the caches it creates to
+the resolved problem name + factory parameters: two problems that share a
+registry name but were built with different factory parameters hash apart
+when resolved through :func:`repro.api.optimize`.  Hand-constructed
+caches keep an empty namespace and fall back to the token alone, so share
+one (or one spill file) only across runs of the same problem
+configuration.
 """
 
 from __future__ import annotations
@@ -59,11 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.registry import Registry
-from repro.yieldsim.estimator import PendingRefinement
-
-#: Key granularities understood by :class:`EvaluationCache`.
-KEY_MODES = ("block", "sample")
+from repro.registry import Registry, check_count
 
 __all__ = [
     "CacheStats",
@@ -71,25 +55,9 @@ __all__ = [
     "LRUEvaluationCache",
     "CachedRound",
     "CACHES",
-    "KEY_MODES",
     "make_cache",
     "block_key",
-    "problem_token",
 ]
-
-
-def problem_token(problem) -> str:
-    """A cheap identity string separating unrelated problems' keys.
-
-    Problems may expose ``cache_token()`` for an exact identity; the
-    fallback (type + report name) cannot see factory parameters, which is
-    why the API driver also namespaces driver-created caches with the full
-    ``(problem, problem_params)`` pair.
-    """
-    token = getattr(problem, "cache_token", None)
-    if callable(token):
-        return str(token())
-    return f"{type(problem).__qualname__}:{getattr(problem, 'name', '')}"
 
 
 def block_key(namespace: str, problem, x: np.ndarray, samples: np.ndarray) -> str:
@@ -97,7 +65,8 @@ def block_key(namespace: str, problem, x: np.ndarray, samples: np.ndarray) -> st
     digest = hashlib.blake2b(digest_size=20)
     digest.update(namespace.encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(problem_token(problem).encode("utf-8"))
+    token = f"{type(problem).__qualname__}:{getattr(problem, 'name', '')}"
+    digest.update(token.encode("utf-8"))
     digest.update(b"\x00")
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
     samples = np.ascontiguousarray(np.asarray(samples, dtype=float))
@@ -156,45 +125,21 @@ class CacheStats:
 
 
 class EvaluationCache:
-    """Base class: key derivation, stats accounting, accounting policy.
+    """Base class: key derivation and stats accounting.
 
     Subclasses implement ``_get(key)`` / ``_put(key, rows)``.  Caches are
     resolved by name through :data:`CACHES` (``RunSpec.cache``,
     ``optimize(cache=...)``, ``repro run --cache``) and attached to an
     execution engine for the duration of a run; one cache instance may
     serve many runs (that is the warm-start point).
-
-    Parameters
-    ----------
-    count_hits:
-        ``True`` (default) keeps paper accounting intact: replayed rows
-        are still charged to the candidate's ledger category, and also
-        recorded under the ledger's ``cached`` column.  ``False`` makes
-        hits free — only the ``cached`` column moves — which changes the
-        reported simulation totals.
-    namespace:
-        Free-form string folded into every key; the API driver sets it to
-        the resolved problem name + factory parameters.
-    key:
-        Key granularity: ``"block"`` (default) memoizes whole sample
-        blocks, ``"sample"`` memoizes individual ``(design, sample-row)``
-        pairs so partially overlapping blocks replay their known rows.
-        With sample keying, hit/miss *counters* count rows, not blocks.
     """
 
     name = "base"
 
-    def __init__(
-        self,
-        count_hits: bool = True,
-        namespace: str = "",
-        key: str = "block",
-    ) -> None:
-        if key not in KEY_MODES:
-            raise ValueError(f"key must be one of {KEY_MODES}, got {key!r}")
-        self.count_hits = bool(count_hits)
-        self.namespace = str(namespace)
-        self.key_mode = key
+    def __init__(self) -> None:
+        #: Folded into every key; the API driver sets it on the caches it
+        #: creates (see the module docstring).
+        self.namespace = ""
         self.stats = CacheStats()
 
     # -- keying ------------------------------------------------------------
@@ -260,8 +205,6 @@ class LRUEvaluationCache(EvaluationCache):
         killed process leaves at most one torn line behind, which the next
         load drops with a warning.  Concurrent appenders are tolerated on
         the same best-effort basis.
-    count_hits / namespace / key:
-        See :class:`EvaluationCache`.
 
     Storage operations take an internal lock, so one instance may be
     shared across threads.  (The stats counters remain plain ints: racing
@@ -274,15 +217,9 @@ class LRUEvaluationCache(EvaluationCache):
         self,
         max_bytes: int | None = 256 * 2**20,
         spill_path=None,
-        count_hits: bool = True,
-        namespace: str = "",
-        key: str = "block",
     ) -> None:
-        super().__init__(count_hits=count_hits, namespace=namespace, key=key)
-        if max_bytes is not None and int(max_bytes) < 0:
-            raise ValueError(f"max_bytes must be >= 0 or None, got {max_bytes}")
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self.spill_path = None if spill_path is None else os.fspath(spill_path)
+        super().__init__()
+        self.max_bytes, self.spill_path = self.validate_params(max_bytes, spill_path)
         self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.RLock()
@@ -290,6 +227,21 @@ class LRUEvaluationCache(EvaluationCache):
         self._spill_needs_newline = False
         if self.spill_path is not None:
             self._load_spill()
+
+    @staticmethod
+    def validate_params(max_bytes: int | None = None, spill_path=None):
+        """``(max_bytes, spill_path)`` checked and normalized, opening no file.
+
+        The constructor passes both; spec validation passes what the spec
+        sets.
+        """
+        if max_bytes is not None:
+            max_bytes = check_count("max_bytes", max_bytes, 0)
+        if spill_path is None:
+            return max_bytes, None
+        if not isinstance(spill_path, (str, bytes, os.PathLike)):
+            raise TypeError(f"spill_path must be a file path, got {spill_path!r}")
+        return max_bytes, os.fspath(spill_path)
 
     # -- storage -----------------------------------------------------------
     def _get(self, key: str) -> np.ndarray | None:
@@ -415,66 +367,24 @@ class CachedRound:
     likes), then call :meth:`assemble` to splice the simulated rows back
     into full block order and memoize them.  The partition is computed in
     the parent process before any dispatch, so it is deterministic for
-    every backend and worker count.
-
-    Under block keying a block either fully hits or fully misses; under
-    sample keying (``cache.key_mode == "sample"``) a block may *partially*
-    hit, in which case :attr:`misses` carries a reduced block holding only
-    its unknown sample rows and :meth:`assemble` splices row by row.
-    Either way :attr:`hit_rows` reports, per pending block, how many of
-    its rows were replayed — :func:`~repro.engine.base.scatter_round`
-    turns that into ledger accounting.
+    every backend and worker count.  Each block either hits or misses
+    whole; :attr:`hit_rows` reports, per pending block, how many of its
+    rows were replayed, which :func:`~repro.engine.base.scatter_round`
+    turns into ledger accounting.
     """
 
     def __init__(self, cache: EvaluationCache, problem, pending) -> None:
         self.cache = cache
         self.pending = pending
-        self.sample_mode = getattr(cache, "key_mode", "block") == "sample"
-        #: Blocks that genuinely need the simulator, in round order; under
-        #: sample keying these may be *reduced* blocks (miss rows only).
-        self.misses: list[PendingRefinement] = []
+        self.keys = [cache.key(problem, b.state.x, b.samples) for b in pending]
+        self.rows = [cache.lookup(k, b.n_samples) for k, b in zip(self.keys, pending)]
+        #: Blocks that genuinely need the simulator, in round order.
+        self.misses = [b for b, rows in zip(pending, self.rows) if rows is None]
         #: Per-block replayed-row counts, aligned with the pending order.
-        self.hit_rows: list[int] = []
-        if self.sample_mode:
-            self._partition_samples(problem, pending)
-        else:
-            self.keys = [cache.key(problem, b.state.x, b.samples) for b in pending]
-            self.rows = [
-                cache.lookup(k, b.n_samples) for k, b in zip(self.keys, pending)
-            ]
-            self.misses = [b for b, rows in zip(pending, self.rows) if rows is None]
-            self.hit_rows = [
-                b.n_samples if rows is not None else 0
-                for b, rows in zip(pending, self.rows)
-            ]
-
-    def _partition_samples(self, problem, pending) -> None:
-        """Per-row partition: each sample row hits or misses on its own.
-
-        Row keys hash the 1-D sample row, whose shape repr differs from
-        any 2-D block's, so block-mode and sample-mode entries can never
-        collide even inside one shared spill file.
-        """
-        self._row_keys: list[list[str]] = []
-        self._row_cached: list[list[np.ndarray | None]] = []
-        for block in pending:
-            keys = [
-                self.cache.key(problem, block.state.x, block.samples[j])
-                for j in range(block.n_samples)
-            ]
-            cached = [self.cache.lookup(key, 1) for key in keys]
-            miss_index = [j for j, rows in enumerate(cached) if rows is None]
-            self._row_keys.append(keys)
-            self._row_cached.append(cached)
-            self.hit_rows.append(block.n_samples - len(miss_index))
-            if miss_index:
-                self.misses.append(
-                    PendingRefinement(
-                        block.state,
-                        block.samples[np.asarray(miss_index, dtype=np.intp)],
-                        block.category,
-                    )
-                )
+        self.hit_rows = [
+            b.n_samples if rows is not None else 0
+            for b, rows in zip(pending, self.rows)
+        ]
 
     def assemble(self, miss_performance: np.ndarray | None) -> np.ndarray:
         """Full-round performance matrix: cached rows + simulated rows.
@@ -483,8 +393,6 @@ class CachedRound:
         :attr:`misses` (``None`` when everything hit).  Simulated rows are
         memoized here, under the keys computed at partition time.
         """
-        if self.sample_mode:
-            return self._assemble_samples(miss_performance)
         parts = []
         offset = 0
         for key, block, rows in zip(self.keys, self.pending, self.rows):
@@ -494,18 +402,6 @@ class CachedRound:
                 offset = stop
                 self.cache.store(key, rows)
             parts.append(rows)
-        return np.concatenate(parts)
-
-    def _assemble_samples(self, miss_performance: np.ndarray | None) -> np.ndarray:
-        parts = []
-        offset = 0
-        for keys, cached in zip(self._row_keys, self._row_cached):
-            for key, rows in zip(keys, cached):
-                if rows is None:
-                    rows = miss_performance[offset : offset + 1]
-                    offset += 1
-                    self.cache.store(key, rows)
-                parts.append(np.atleast_2d(rows))
         return np.concatenate(parts)
 
 

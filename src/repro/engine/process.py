@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.engine.base import chunk_pending, stack_pending
 from repro.engine.serial import SerialEngine
+from repro.registry import check_count
 
 __all__ = ["ProcessPoolEngine", "make_process_pool", "pool_mp_context"]
 
@@ -96,12 +97,17 @@ class ProcessPoolEngine(SerialEngine):
     name = "process"
 
     def __init__(self, workers: int | None = None, min_dispatch_rows: int = 2) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.validate_params(workers)
         self.workers = workers if workers is not None else min(os.cpu_count() or 1, 8)
         self.min_dispatch_rows = int(min_dispatch_rows)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_problem = None
+
+    @staticmethod
+    def validate_params(workers: int | None = None, **_) -> None:
+        """The constructor's value checks, starting no worker process."""
+        if workers is not None:
+            check_count("workers", workers, 1)
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self, problem) -> ProcessPoolExecutor:

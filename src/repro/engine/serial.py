@@ -57,7 +57,7 @@ class SerialEngine(EvaluationEngine):
         round_ = CachedRound(self.cache, problem, pending)
         missed = self.simulate(problem, round_.misses) if round_.misses else None
         performance = round_.assemble(missed)
-        scatter_round(problem, pending, performance, round_.hit_rows, self.cache)
+        scatter_round(problem, pending, performance, round_.hit_rows)
 
     def simulate(self, problem, pending) -> np.ndarray:
         """Performance rows of the (non-empty) ``pending`` blocks, stacked

@@ -23,11 +23,9 @@ Design notes
   equality checks.
 * Warm-start caching replays performance rows the run (or a previous run)
   already computed.  Replayed rows are recorded under the separate
-  ``cached`` column; under the default ledger-faithful accounting they are
-  *still* charged to their category — the method needed those samples, the
-  machine just did not recompute them — so :attr:`SimulationLedger.total`
-  matches a cache-off run exactly.  Only the explicit
-  ``count_hits=False`` cache mode skips the charge.
+  ``cached`` column and are *still* charged to their category — the method
+  needed those samples, the machine just did not recompute them — so
+  :attr:`SimulationLedger.total` matches a cache-off run exactly.
 * Categories let experiments break the total down (stage-1 OCBA sims,
   stage-2 max-N sims, feasibility checks, local search, reference MC).  The
   *reference* category is excluded from :attr:`total` because the paper's
@@ -94,9 +92,9 @@ class SimulationLedger:
     def record_cached(self, n: int) -> None:
         """Record ``n`` sample rows replayed from a warm-start cache.
 
-        This is observability, not accounting: under the default
-        ledger-faithful policy the same rows are *also* charged to their
-        category via :meth:`charge`, so totals do not move.
+        This is observability, not accounting: the same rows are *also*
+        charged to their category via :meth:`charge`, so totals do not
+        move.
         """
         if n < 0:
             raise ValueError(f"cannot record a negative cached count: {n}")

@@ -28,19 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.registry import check_count
+
 __all__ = ["FidelityLadder", "MF_PARAM_KEYS"]
 
 #: Keys understood inside ``mf_params`` (RunSpec overrides / CLI --set).
 MF_PARAM_KEYS = ("eta", "r_min", "brackets")
-
-
-def _coerce_positive_int(name: str, value, minimum: int) -> int:
-    # bool is an int subclass; `"eta": true` is a mistake, not eta 1.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -72,14 +65,10 @@ class FidelityLadder:
     s_max: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "R", _coerce_positive_int("R", self.R, 1))
-        object.__setattr__(
-            self, "r_min", _coerce_positive_int("r_min", self.r_min, 1)
-        )
-        object.__setattr__(self, "eta", _coerce_positive_int("eta", self.eta, 2))
-        object.__setattr__(
-            self, "brackets", _coerce_positive_int("brackets", self.brackets, 1)
-        )
+        object.__setattr__(self, "R", check_count("R", self.R, 1))
+        object.__setattr__(self, "r_min", check_count("r_min", self.r_min, 1))
+        object.__setattr__(self, "eta", check_count("eta", self.eta, 2))
+        object.__setattr__(self, "brackets", check_count("brackets", self.brackets, 1))
         if self.r_min > self.R:
             raise ValueError(
                 f"r_min ({self.r_min}) must be <= the full fidelity R "

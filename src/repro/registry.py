@@ -11,14 +11,16 @@ without touching library code::
         ...
 
 Error messages always list the currently registered names, so a typo tells
-you what *is* available instead of just what is not.
+you what *is* available instead of just what is not.  Registered factories
+check their count parameters with :func:`check_count`.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Generic, Iterator, TypeVar
 
-__all__ = ["Registry", "DuplicateNameError", "UnknownNameError"]
+__all__ = ["Registry", "DuplicateNameError", "UnknownNameError", "check_count"]
 
 T = TypeVar("T")
 
@@ -29,6 +31,16 @@ class DuplicateNameError(ValueError):
 
 class UnknownNameError(ValueError):
     """A lookup name is not registered; the message lists what is."""
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless an integer >= ``minimum``."""
+    # bool is an int subclass; `"workers": true` is a mistake, not 1.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class Registry(Generic[T]):

@@ -76,48 +76,28 @@ def execute_run(payload: dict, *, progress=None, cancel=None) -> dict:
     """
     # Imported here so a forked worker reuses the parent's modules and a
     # spawned one imports cleanly without circular-import ordering issues.
-    from repro.api.driver import _cache_namespace, optimize, resolve_problem
+    from repro.api.driver import optimize, resolve_problem
     from repro.api.spec import RunSpec
     from repro.yieldsim import reference_yield
 
     spec = RunSpec.from_dict(payload["spec"])
-    # A per-run cache is created (and its spill loaded) inside this worker;
-    # with a shared spill_path the sweep's runs warm-start each other.  The
-    # problem is resolved before optimize() sees it, so the key namespace
-    # is derived from the spec's registry identity here.
-    cache_params = None
-    if spec.cache:
-        cache_params = dict(spec.cache_params)
-        cache_params.setdefault(
-            "namespace", _cache_namespace(spec.problem, spec.problem_params)
-        )
     run_index = int(payload["run_index"])
     optimizer_rng, reference_rng = run_streams(spec.seed, run_index)
     ledger = SimulationLedger()
-    # Resolve once and share between the optimizer and the reference MC —
-    # circuit-problem factories (MNA/topology setup) are not free.
-    problem = resolve_problem(spec.problem, spec.problem_params)
     bridge = (
         [_RunBridge(progress, cancel)]
         if progress is not None or cancel is not None
         else None
     )
+    # A per-run cache is created (and its spill loaded) inside this worker;
+    # with a shared spill_path the sweep's runs warm-start each other.
     started = time.perf_counter()
-    result = optimize(
-        problem,
-        method=spec.method,
-        rng=optimizer_rng,
-        ledger=ledger,
-        callbacks=bridge,
-        engine=spec.engine,
-        engine_params=spec.engine_params or None,
-        cache=spec.cache,
-        cache_params=cache_params,
-        **spec.overrides,
-    )
+    result = optimize(spec, rng=optimizer_rng, ledger=ledger, callbacks=bridge)
     elapsed = time.perf_counter() - started
+    # The reference MC builds its own copy of the problem: well under a
+    # millisecond even for the circuit problems.
     reference = reference_yield(
-        problem,
+        resolve_problem(spec.problem, spec.problem_params),
         result.best_x,
         n=int(payload["reference_n"]),
         rng=reference_rng,

@@ -14,8 +14,7 @@ Execution knobs (``engine``/``engine_params``/``cache``/``cache_params``/
 ``workers``) travel with the spec for convenience but are excluded from
 :meth:`SweepSpec.sweep_hash`: they change wall-clock, never results, so a
 store written by a 4-worker sweep resumes cleanly under 1 worker and vice
-versa.  (Caches only qualify because sweeps refuse the accounting-changing
-``count_hits=False`` mode.)
+versa.  (Caches qualify because replayed rows are still charged.)
 """
 
 from __future__ import annotations
@@ -222,11 +221,10 @@ class SweepSpec:
         Warm-start evaluation cache forwarded to every per-run
         :class:`RunSpec`.  With a ``spill_path`` cache parameter the runs
         of the sweep share one warm cache file (best-effort under
-        concurrent workers).  Sweeps require the default ledger-faithful
-        accounting (``count_hits=False`` is refused), which is what makes
-        the cache another execution knob: records stay byte-identical to
-        a cache-off sweep, so these fields are excluded from
-        :meth:`sweep_hash` too.
+        concurrent workers).  Replayed rows are still charged, which is
+        what makes the cache another execution knob: records stay
+        byte-identical to a cache-off sweep, so these fields are excluded
+        from :meth:`sweep_hash` too.
     workers:
         Default process count for the sweep executor (1 = serial);
         ``None`` lets the executor decide.  Excluded from
@@ -272,19 +270,6 @@ class SweepSpec:
                     f"must be >= 1, got {value}", field=key, spec="SweepSpec"
                 )
         _check_engine_and_cache(self, "SweepSpec")
-        if self.cache is not None and not self.cache_params.get("count_hits", True):
-            # Free-hit accounting changes the reported simulation totals,
-            # which would make the sweep's records non-comparable with the
-            # paper protocol *and* with stores written cache-off — exactly
-            # what sweep_hash interchangeability promises.  Refused here,
-            # loudly, rather than silently producing skewed tables.
-            raise SpecError(
-                "sweeps require ledger-faithful cache accounting; "
-                "count_hits=False would change the recorded simulation "
-                "totals (use a plain RunSpec for free-hit experiments)",
-                field="cache_params",
-                spec="SweepSpec",
-            )
 
     # -- derivation --------------------------------------------------------
     def with_workers(self, workers: int | None) -> "SweepSpec":

@@ -8,8 +8,7 @@ The load-bearing guarantees:
   counters move.
 * **Ledger faithfulness** — replayed rows are still charged to their
   category and additionally recorded under the ledger's ``cached`` column,
-  so the paper-accounting totals never change unless the run explicitly
-  opts into ``count_hits=False``.
+  so the paper-accounting totals never change.
 """
 
 import json
@@ -18,7 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, optimize
+from repro.api import (
+    RunSpec,
+    SpecError,
+    optimize,
+    validate_run_spec,
+    validate_sweep_spec,
+)
 from repro.engine import (
     CACHES,
     AutoEngine,
@@ -27,7 +32,7 @@ from repro.engine import (
     SerialEngine,
     make_cache,
 )
-from repro.engine.cache import KEY_MODES, block_key
+from repro.engine.cache import block_key
 from repro.ledger import SimulationLedger
 from repro.problems import make_quadratic_problem, make_sphere_problem
 from repro.sampling import make_sampler
@@ -116,6 +121,32 @@ class TestRegistryAndFactory:
     def test_negative_byte_budget_rejected(self):
         with pytest.raises(ValueError, match="max_bytes"):
             LRUEvaluationCache(max_bytes=-1)
+
+
+class TestRetiredOptions:
+    """Sample keying, free hits and a settable namespace are gone: the
+    cache keys whole blocks, always charges replayed rows, and only the
+    API driver sets the namespace."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"key": "sample"}, {"count_hits": False}, {"namespace": "x"}],
+        ids=["key", "count_hits", "namespace"],
+    )
+    def test_fail_at_the_door(self, params):
+        run = RunSpec(problem="sphere", cache="lru", cache_params=params)
+        sweep = SweepSpec(
+            methods=("moheco",),
+            problems=("sphere",),
+            cache="lru",
+            cache_params=params,
+        )
+        for validate, spec in ((validate_run_spec, run), (validate_sweep_spec, sweep)):
+            with pytest.raises(SpecError) as excinfo:
+                validate(spec)
+            assert excinfo.value.field == "cache_params"
+        with pytest.raises(TypeError):
+            make_cache("lru", **params)
 
 
 class TestKeying:
@@ -348,21 +379,6 @@ class TestLedgerFaithfulness:
         assert warm_ledger.total == cold_ledger.total
         assert warm_ledger.cached == warm_ledger.total
 
-    def test_count_hits_false_makes_hits_free(self):
-        problem = make_sphere_problem()
-        cache = LRUEvaluationCache(count_hits=False)
-        engine = SerialEngine()
-        engine.cache = cache
-
-        cold, cold_ledger = _states(problem)
-        engine.refine_round(problem, cold, [10] * len(cold))
-        assert cold_ledger.total > 0  # misses always charge
-
-        warm, warm_ledger = _states(problem)
-        engine.refine_round(problem, warm, [10] * len(warm))
-        assert warm_ledger.total == 0
-        assert warm_ledger.cached == cold_ledger.total
-
     def test_ledger_serialization_round_trips_cached(self):
         ledger = SimulationLedger()
         ledger.charge(10, category="stage1")
@@ -371,169 +387,6 @@ class TestLedgerFaithfulness:
         assert clone.cached == 7
         assert clone.total == 10
         assert ledger.snapshot().cached == 7
-
-
-class TestSampleKeyMode:
-    """``key="sample"`` replays individual rows out of partially-new blocks.
-
-    Block keying only hits when an *identical* block comes back; sample
-    keying hashes each row, so growing a candidate's sample set (the same
-    RNG stream, drawn further) replays the prefix and simulates only the
-    new rows.
-    """
-
-    def _round(self, problem, cache, gains, seed=0):
-        engine = SerialEngine()
-        engine.cache = cache
-        states, ledger = _states(problem, seed=seed)
-        engine.refine_round(problem, states, gains)
-        return _fingerprint(states, ledger), ledger
-
-    def test_key_mode_validated(self):
-        assert KEY_MODES == ("block", "sample")
-        with pytest.raises(ValueError, match="key"):
-            make_cache("lru", key="bogus")
-        assert make_cache("lru", key="sample").key_mode == "sample"
-
-    def test_row_key_distinct_from_one_row_block_key(self):
-        # A 1-row block and its row have identical bytes; the shape repr
-        # baked into the digest keeps their cache entries apart.
-        problem = make_sphere_problem()
-        cache = LRUEvaluationCache(key="sample")
-        x = np.zeros(problem.space.dimension)
-        row = np.arange(4.0)
-        assert cache.key(problem, x, row) != cache.key(problem, x, row[None, :])
-
-    @staticmethod
-    def _pending(problem, n_rows, seed=0):
-        from repro.yieldsim.estimator import PendingRefinement
-
-        class _Shell:
-            def __init__(self, x):
-                self.x = x
-
-        rng = np.random.default_rng(seed)
-        x = problem.space.clip(np.zeros(problem.space.dimension))
-        samples = rng.normal(size=(n_rows, problem.variation.dimension))
-        return PendingRefinement(_Shell(x), samples, "stage1")
-
-    def _evaluate(self, problem, cache, block):
-        from repro.engine.base import evaluate_pending
-        from repro.engine.cache import CachedRound
-
-        round_ = CachedRound(cache, problem, [block])
-        miss = evaluate_pending(problem, round_.misses) if round_.misses else None
-        return round_.assemble(miss), round_.hit_rows
-
-    def test_partial_block_hits_replay_known_rows(self):
-        problem = make_sphere_problem()
-        nine = self._pending(problem, 9)  # rows 0..8
-        four = self._pending(problem, 4)  # rows 0..3 (same stream prefix)
-        reference = np.array(
-            self._evaluate(problem, LRUEvaluationCache(key="sample"), nine)[0]
-        )
-
-        # Warm a sample-keyed cache with the 4-row block, then present the
-        # 9-row superset: the prefix replays, only rows 4..8 simulate.
-        sample_cache = LRUEvaluationCache(key="sample")
-        self._evaluate(problem, sample_cache, four)
-        before = sample_cache.stats.to_dict()
-        performance, hit_rows = self._evaluate(problem, sample_cache, nine)
-        delta = sample_cache.stats.delta(before)
-        np.testing.assert_array_equal(performance, reference)
-        assert hit_rows == [4]
-        assert delta["hit_rows"] == 4
-        assert delta["miss_rows"] == 5
-
-        # Block keying cannot serve any of this: the 9-row block is a new
-        # shape, so the whole block misses.
-        block_cache = LRUEvaluationCache(key="block")
-        self._evaluate(problem, block_cache, four)
-        before = block_cache.stats.to_dict()
-        performance, hit_rows = self._evaluate(problem, block_cache, nine)
-        delta = block_cache.stats.delta(before)
-        np.testing.assert_array_equal(performance, reference)
-        assert hit_rows == [0]
-        assert delta["hit_rows"] == 0
-        assert delta["miss_rows"] == 9
-
-    def test_interleaved_rows_splice_in_order(self):
-        # Hits and misses alternating inside one block: warm with the even
-        # rows, present all rows, and the splice must preserve row order.
-        problem = make_sphere_problem()
-        full = self._pending(problem, 8)
-        evens = type(full)(full.state, full.samples[::2], full.category)
-        cache = LRUEvaluationCache(key="sample")
-        even_rows, _ = self._evaluate(problem, cache, evens)
-        before = cache.stats.to_dict()
-        performance, hit_rows = self._evaluate(problem, cache, full)
-        delta = cache.stats.delta(before)
-        assert hit_rows == [4]
-        assert delta["hit_rows"] == 4 and delta["miss_rows"] == 4
-        np.testing.assert_array_equal(performance[::2], even_rows)
-        np.testing.assert_array_equal(
-            performance,
-            self._evaluate(problem, LRUEvaluationCache(key="sample"), full)[0],
-        )
-
-    def test_full_replay_still_works(self):
-        problem = make_sphere_problem()
-        cache = LRUEvaluationCache(key="sample")
-        cold, _ = self._round(problem, cache, [6] * 6)
-        before = cache.stats.to_dict()
-        warm, _ = self._round(problem, cache, [6] * 6)
-        delta = cache.stats.delta(before)
-        assert warm == cold
-        assert delta["miss_rows"] == 0 and delta["hit_rows"] == 6 * 6
-
-    @pytest.mark.parametrize("count_hits, expect_total", [(True, 9), (False, 5)])
-    def test_partial_replay_ledger_accounting(self, count_hits, expect_total):
-        # scatter_round's generalized accounting: a block with 4 of its 9
-        # rows replayed records cached=4 and charges 9 (ledger-faithful
-        # default) or only the 5 simulated rows (count_hits=False).
-        from repro.engine.base import scatter_round
-        from repro.yieldsim.estimator import PendingRefinement
-
-        problem = make_sphere_problem()
-        ledger = SimulationLedger()
-
-        class _State:
-            def __init__(self):
-                self.x = np.zeros(problem.space.dimension)
-                self.ledger = ledger
-
-            def absorb(self, *args, **kwargs):
-                pass
-
-        samples = np.random.default_rng(0).normal(
-            size=(9, problem.variation.dimension)
-        )
-        block = PendingRefinement(_State(), samples, "stage1")
-        performance = np.zeros((9, len(problem.specs)))
-        cache = LRUEvaluationCache(key="sample", count_hits=count_hits)
-        scatter_round(problem, [block], performance, [4], cache)
-        assert ledger.cached == 4
-        assert ledger.total == expect_total
-
-    def test_optimize_bit_identity_with_sample_cache(self):
-        baseline = optimize(problem="sphere", seed=5, **TINY).identity_dict()
-        cache = make_cache("lru", key="sample")
-        cold = optimize(problem="sphere", seed=5, cache=cache, **TINY)
-        warm = optimize(problem="sphere", seed=5, cache=cache, **TINY)
-        assert cold.identity_dict() == baseline
-        assert warm.identity_dict() == baseline
-        assert warm.cache_stats["hit_rows"] > 0
-
-    def test_run_spec_surface(self):
-        spec = RunSpec(
-            problem="sphere",
-            seed=5,
-            cache="lru",
-            cache_params={"key": "sample"},
-            overrides=TINY,
-        )
-        result = optimize(spec)
-        assert result.cache_stats["misses"] > 0
 
 
 class TestOptimizeBitIdentity:
@@ -574,14 +427,6 @@ class TestOptimizeBitIdentity:
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["hit_rows"] == cold.cache_stats["miss_rows"]
         assert warm.identity_dict() == cold.identity_dict()
-
-    def test_count_hits_false_changes_reported_totals(self):
-        cache = LRUEvaluationCache(count_hits=False)
-        kwargs = dict(method="moheco", seed=7, cache=cache, **TINY)
-        cold = optimize("sphere", **kwargs)
-        warm = optimize("sphere", **kwargs)
-        assert cold.n_simulations > 0
-        assert warm.n_simulations < cold.n_simulations
 
     def test_namespace_separates_problem_params(self, tmp_path):
         spill = str(tmp_path / "spill.jsonl")
@@ -676,13 +521,6 @@ class TestSweepSurface:
 
     def test_cache_excluded_from_sweep_hash(self):
         assert self._spec().sweep_hash() == self._spec(cache="lru").sweep_hash()
-
-    @pytest.mark.parametrize("value", [False, 0])
-    def test_count_hits_false_refused(self, value):
-        # 0 is what `--cache-param count_hits=0` parses to; any falsy value
-        # disables charging and must be refused, not just the literal False.
-        with pytest.raises(ValueError, match="ledger-faithful"):
-            self._spec(cache="lru", cache_params={"count_hits": value})
 
     def test_cache_params_require_cache(self):
         with pytest.raises(ValueError, match="cache_params"):

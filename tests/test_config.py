@@ -145,6 +145,42 @@ class TestValidation:
             validate_sweep_spec(sweep)
         assert excinfo.value.field == "methods[1].overrides"
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"bogus": 1}, "bogus"),
+            ({"pop_size": 2}, "pop_size"),
+            ({"max_generations": 0}, "max_generations"),
+            ({"patience": 0}, "patience"),
+            ({"n_train": 0}, "n_train"),
+        ],
+    )
+    def test_bad_pswcd_overrides_fail_at_validation(self, overrides, reason):
+        """pswcd's door applies the rule its run applies."""
+        from repro.api import (
+            MethodSpec,
+            RunSpec,
+            SpecError,
+            SweepSpec,
+            optimize,
+            validate_run_spec,
+            validate_sweep_spec,
+        )
+
+        spec = RunSpec(problem="sphere", method="pswcd", overrides=overrides)
+        with pytest.raises(SpecError, match=reason) as excinfo:
+            validate_run_spec(spec)
+        assert excinfo.value.field == "overrides"
+        sweep = SweepSpec(
+            methods=["moheco", MethodSpec("pswcd", overrides=overrides)],
+            problems=["sphere"],
+        )
+        with pytest.raises(SpecError, match=reason) as excinfo:
+            validate_sweep_spec(sweep)
+        assert excinfo.value.field == "methods[1].overrides"
+        with pytest.raises((TypeError, ValueError), match=reason):
+            optimize(spec)
+
     @pytest.mark.parametrize("max_generations", [0, -3])
     def test_sweep_wide_generation_cap_must_be_positive(self, max_generations):
         from repro.api import SpecError, SweepSpec

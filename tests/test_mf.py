@@ -286,9 +286,8 @@ class TestLadderDeterminism:
         # The warm run replayed rows; same ladder decisions regardless.
         assert warm.cache_stats["hit_rows"] > 0
 
-    def test_sample_keyed_cache_default_from_driver(self):
-        # The moheco_mf runner asks the driver for sample-level keying so
-        # rung-to-rung re-coverage replays row by row.
+    def test_name_resolved_cache_keeps_identity(self):
+        # The driver builds and namespaces the cache; results do not move.
         result = _run_mf(cache="lru")
         assert result.identity_dict() == _run_mf().identity_dict()
         assert result.cache_stats is not None
@@ -342,24 +341,36 @@ class TestComposedLadder:
         assert warm.identity_dict() == baseline.identity_dict()
         assert warm.cache_stats["hit_rows"] > 0
 
-    def test_cache_defaults_follow_the_backbone_allocation(self):
+    def test_ladder_backbones_replay_every_row_warm(self):
+        # Block keys are the one key scheme: a warm re-run of a ladder
+        # method replays every row (fresh samples are drawn per rung, so
+        # there is no partial overlap to key rows for).
         from repro.compose import register_composed_method
+        from repro.engine.cache import make_cache
 
-        assert METHODS.get("moheco_mf").cache_defaults == {"key": "sample"}
-        for name in ("moheco", "oo_only", "fixed_budget", "moheco_screened"):
-            assert getattr(METHODS.get(name), "cache_defaults", None) is None
+        register_composed_method(
+            "moheco_mf_screened_test",
+            {
+                "screener": "surrogate",
+                "proposer": "de",
+                "selection": "one_to_one",
+                "backbone": "moheco_mf",
+            },
+            description="test-only: screened ladder backbone",
+        )
         try:
-            runner = register_composed_method(
-                "moheco_mf_screened_test",
-                {
-                    "screener": "surrogate",
-                    "proposer": "de",
-                    "selection": "one_to_one",
-                    "backbone": "moheco_mf",
-                },
-                description="test-only: screened ladder backbone",
-            )
-            assert runner.cache_defaults == {"key": "sample"}
+            for method in ("moheco_mf", "moheco_mf_screened_test"):
+                baseline = _run_mf(method=method).identity_dict()
+                shared = make_cache("lru")
+                try:
+                    cold = _run_mf(method=method, cache=shared)
+                    warm = _run_mf(method=method, cache=shared)
+                finally:
+                    shared.close()
+                assert cold.identity_dict() == baseline, method
+                assert warm.identity_dict() == baseline, method
+                assert warm.cache_stats["miss_rows"] == 0, method
+                assert warm.cache_stats["hit_rows"] > 0, method
         finally:
             METHODS.unregister("moheco_mf_screened_test")
 

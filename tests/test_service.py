@@ -1,6 +1,7 @@
 """Optimization service: spec errors, job manager, HTTP round-trips, CLI."""
 
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -150,6 +151,42 @@ class TestSpecError:
                 cache_params={"spill_path": str(spill)},
             )
         )
+        assert not spill.exists()
+
+    @pytest.mark.parametrize(
+        "field, name, params",
+        [
+            ("engine", "process", {"workers": 0}),
+            ("engine", "process", {"workers": "two"}),
+            ("engine", "auto", {"pilot_rows": 0}),
+            ("cache", "lru", {"max_bytes": -5}),
+            ("cache", "lru", {"max_bytes": "abc"}),
+            ("cache", "lru", {"spill_path": 5}),
+        ],
+        ids=[
+            "process-workers-0",
+            "process-workers-str",
+            "auto-pilot_rows-0",
+            "lru-max_bytes-negative",
+            "lru-max_bytes-str",
+            "lru-spill_path-int",
+        ],
+    )
+    def test_bad_param_values_fail_at_validation(self, tmp_path, field, name, params):
+        # The constructors' own value checks run at the door; validating
+        # starts no worker and creates no spill file.
+        spill = tmp_path / "never.jsonl"
+        if field == "cache" and "spill_path" not in params:
+            params = {**params, "spill_path": str(spill)}
+        fields = {field: name, f"{field}_params": params}
+        for validate, spec in (
+            (validate_run_spec, RunSpec.from_dict(dict(TINY_RUN, **fields))),
+            (validate_sweep_spec, SweepSpec.from_dict(dict(TINY_SWEEP, **fields))),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                validate(spec)
+            assert excinfo.value.field == f"{field}_params"
+        assert not multiprocessing.active_children()
         assert not spill.exists()
 
     def test_sweep_engine_and_cache_params_bound_at_validation(self):
