@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Optimization service smoke: boot the HTTP job server, stream a run and
 # a sweep through it, check bit-identity with a direct optimize() call,
-# and make sure malformed specs answer structured 400s.
+# check that flags override a submitted spec file, and make sure malformed
+# specs answer structured 400s.
 set -euo pipefail
 
 cleanup() {
@@ -45,6 +46,21 @@ assert served.identity_dict() == direct.identity_dict(), (
     "service result diverged from direct optimize()"
 )
 print("bit-identity ok:", served.best_yield, served.n_simulations)
+EOF
+
+# Flags override a submitted spec file the way they override `repro run`'s:
+# the job's stored spec carries the --set value, not the file's.
+cat > run-spec.json <<'EOF'
+{"problem": "sphere", "seed": 7,
+ "overrides": {"pop_size": 10, "max_generations": 8}}
+EOF
+repro submit --url http://127.0.0.1:8032 --spec run-spec.json \
+  --set max_generations=3 --wait | tee submit-flags.ndjson
+python - <<'EOF'
+import json
+job = json.loads(open("submit-flags.ndjson").readline())
+assert job["spec"]["overrides"]["max_generations"] == 3, job["spec"]
+print("submit flags ok:", job["spec"]["overrides"])
 EOF
 
 # Submit a 2x2 sweep job and stream its events.

@@ -19,6 +19,21 @@ aggregate tables; ``list`` prints the registries so you can see what
 plugs in.  Both ``run`` and ``sweep`` take ``--json`` to emit the result
 as machine-readable JSON on stdout (progress lines move to stderr).
 
+Flags override a ``--spec`` file the same way for ``run``, ``sweep`` and
+``submit`` (:func:`build_spec`): ``--problem``/``--method`` replace the
+names (a sweep's whole axis), ``--set`` and ``--problem-param`` merge into
+the overrides and problem parameters (of every method and problem of a
+sweep), and ``--engine``/``--cache`` switch the backend and drop the old
+one's parameters.  A flag the spec has no field for, such as ``submit
+--seed`` with a sweep file, is an error, never dropped.  ``run`` and
+``sweep`` then check the spec at the service's door
+(:func:`~repro.api.errors.validate_run_spec` /
+:func:`~repro.api.errors.validate_sweep_spec`) before anything runs, so a
+bad spec prints the service's ``SpecError`` as one line::
+
+    $ repro run --problem sphere --set pop_size=2
+    error: RunSpec.overrides: pop_size must be >= 4 for DE, got 2
+
 The service family turns the same specs into long-lived jobs:
 ``serve`` starts the HTTP job server (:mod:`repro.service`), and the thin
 client commands — ``submit``, ``status``, ``result``, ``cancel`` — talk
@@ -30,19 +45,21 @@ to the service over ``urllib`` (``--url``, or ``REPRO_SERVICE_URL``)::
     repro result <job-id> --out result.json
     repro cancel <job-id>
 
-Installed as the ``repro`` console script.
+``submit`` posts the built spec and leaves the registry checks to the
+server.  Installed as the ``repro`` console script.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import json
 import os
 import sys
+from dataclasses import replace
 
 from repro.api.driver import optimize
+from repro.api.errors import SpecError, validate_run_spec
 from repro.api.registries import (
     list_caches,
     list_engines,
@@ -52,31 +69,26 @@ from repro.api.registries import (
 )
 from repro.api.spec import RunSpec
 from repro.core.callbacks import ProgressCallback, SweepProgressCallback
-from repro.sweep import MethodSpec, ProblemSpec, SweepSpec, run_sweep
+from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.store import StoreMismatchError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "build_spec"]
 
 
-def _parse_value(text: str):
-    """Best-effort literal parsing: ``"20"`` -> 20, ``"true"`` -> True."""
-    lowered = text.lower()
+def _assignment(text: str) -> tuple:
+    """One ``KEY=VALUE`` flag value, the value parsed as a literal where it
+    is one: ``"pop_size=20"`` -> ``("pop_size", 20)``, ``"x=true"`` ->
+    ``("x", True)``."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    lowered = value.lower()
     if lowered in ("true", "false"):
-        return lowered == "true"
+        return key, lowered == "true"
     try:
-        return ast.literal_eval(text)
+        return key, ast.literal_eval(value)
     except (ValueError, SyntaxError):
-        return text
-
-
-def _parse_assignments(pairs: list[str], flag: str) -> dict:
-    out = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"{flag} expects KEY=VALUE, got {pair!r}")
-        out[key] = _parse_value(value)
-    return out
+        return key, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,94 +99,125 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute one optimization run")
-    run.add_argument("--spec", help="RunSpec JSON file (flags override it)")
-    run.add_argument("--problem", help="problem registry name")
-    run.add_argument("--method", help="method registry name (default: moheco)")
-    run.add_argument("--seed", type=int, help="root seed of the run")
-    run.add_argument(
-        "--engine",
-        help="execution backend for the refinement rounds: 'serial' (fused "
-        "single-process dispatch, the default), 'process' (fused rounds "
-        "sharded across worker processes) or 'auto' (measures the per-"
-        "simulation cost on a pilot, then commits to serial or process); "
-        "all backends produce the identical seeded result",
+    # Flag groups shared by several commands, each defined once.
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    spec_flags.add_argument(
+        "--spec",
+        help="RunSpec or SweepSpec JSON file; the flags override it (submit "
+        "reads a file with 'methods' or 'problems' keys as a sweep)",
     )
-    run.add_argument(
-        "--engine-param",
-        dest="engine_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="engine factory parameter (repeatable), e.g. --engine-param workers=4",
-    )
-    run.add_argument(
-        "--cache",
-        help="warm-start evaluation cache for the refinement rounds: 'lru' "
-        "(content-addressed LRU with a byte budget and an optional JSONL "
-        "spill file shared across runs).  Ledger-faithful: "
-        "replayed rows are still charged, so results and simulation "
-        "totals match a cache-off run",
-    )
-    run.add_argument(
-        "--cache-param",
-        dest="cache_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="cache factory parameter (repeatable), e.g. "
-        "--cache-param spill_path=cache.jsonl --cache-param max_bytes=67108864",
-    )
-    run.add_argument("--out", help="write {'spec', 'result'} JSON here")
-    run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="method/config override (repeatable), e.g. --set pop_size=20",
-    )
-    run.add_argument(
-        "--problem-param",
-        dest="problem_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="problem factory parameter (repeatable), e.g. --problem-param sigma=0.2",
-    )
-    run.add_argument(
-        "--progress", action="store_true", help="stream per-generation progress"
-    )
-    run.add_argument(
-        "--quiet", action="store_true", help="suppress the summary line"
-    )
-    run.add_argument(
-        "--json",
-        action="store_true",
-        dest="json_output",
-        help="print {'spec', 'result'} JSON on stdout instead of the "
-        "summary (progress lines move to stderr)",
-    )
-
-    sweep = sub.add_parser(
-        "sweep", help="execute a replicated methods x problems x seeds grid"
-    )
-    sweep.add_argument("--spec", help="SweepSpec JSON file (flags override it)")
-    sweep.add_argument(
+    spec_flags.add_argument(
         "--problem",
         dest="problems",
         action="append",
         default=[],
         metavar="NAME",
-        help="problem registry name (repeatable: one grid row each)",
+        help="problem registry name (a sweep takes several: one grid row each)",
     )
-    sweep.add_argument(
+    spec_flags.add_argument(
         "--method",
         dest="methods",
         action="append",
         default=[],
         metavar="NAME",
-        help="method registry name (repeatable: one grid column each)",
+        help="method registry name, default moheco (a sweep takes several: "
+        "one grid column each)",
+    )
+    spec_flags.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        type=_assignment,
+        metavar="KEY=VALUE",
+        help="method/config override, applied to every method of a sweep "
+        "(repeatable), e.g. --set pop_size=20",
+    )
+    spec_flags.add_argument(
+        "--problem-param",
+        dest="problem_params",
+        action="append",
+        default=[],
+        type=_assignment,
+        metavar="KEY=VALUE",
+        help="problem factory parameter, applied to every problem of a sweep "
+        "(repeatable), e.g. --problem-param sigma=0.2",
+    )
+
+    execution_flags = argparse.ArgumentParser(add_help=False)
+    execution_flags.add_argument(
+        "--engine",
+        help="execution backend of every run: 'serial' (fused single-process "
+        "dispatch, the default), 'process' (fused rounds sharded across "
+        "worker processes) or 'auto' (measures the per-simulation cost on a "
+        "pilot, then commits to serial or process); all backends produce "
+        "the identical seeded result",
+    )
+    execution_flags.add_argument(
+        "--engine-param",
+        dest="engine_params",
+        action="append",
+        default=[],
+        type=_assignment,
+        metavar="KEY=VALUE",
+        help="engine factory parameter (repeatable), e.g. --engine-param workers=4",
+    )
+    execution_flags.add_argument(
+        "--cache",
+        help="warm-start evaluation cache of every run: 'lru' (content-"
+        "addressed LRU with a byte budget and an optional JSONL spill file "
+        "shared across runs).  Ledger-faithful: replayed rows are still "
+        "charged, so results and simulation totals match a cache-off run",
+    )
+    execution_flags.add_argument(
+        "--cache-param",
+        dest="cache_params",
+        action="append",
+        default=[],
+        type=_assignment,
+        metavar="KEY=VALUE",
+        help="cache factory parameter (repeatable), e.g. "
+        "--cache-param spill_path=cache.jsonl --cache-param max_bytes=67108864",
+    )
+
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument(
+        "--progress",
+        action="store_true",
+        help="stream progress: one line per generation of a run, one line "
+        "per finished run of a sweep",
+    )
+    output_flags.add_argument(
+        "--quiet", action="store_true", help="suppress the summary line"
+    )
+    output_flags.add_argument(
+        "--json",
+        action="store_true",
+        dest="json_output",
+        help="print the outcome as JSON on stdout instead of the summary: "
+        "{'spec', 'result'} for a run; the spec, per-run records and "
+        "counters for a sweep (progress lines move to stderr)",
+    )
+
+    url_flag = argparse.ArgumentParser(add_help=False)
+    url_flag.add_argument(
+        "--url",
+        default=None,
+        help="service base URL (default: $REPRO_SERVICE_URL, else "
+        "http://127.0.0.1:8032)",
+    )
+
+    run = sub.add_parser(
+        "run",
+        parents=[spec_flags, execution_flags, output_flags],
+        help="execute one optimization run",
+    )
+    run.add_argument("--out", help="write {'spec', 'result'} JSON here")
+
+    sweep = sub.add_parser(
+        "sweep",
+        parents=[spec_flags, execution_flags, output_flags],
+        help="execute a replicated methods x problems x seeds grid",
     )
     sweep.add_argument(
         "--runs", type=int, help="independent replications per grid cell"
@@ -185,48 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--max-generations", type=int, help="generation cap for every method"
-    )
-    sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="config override applied to every method (repeatable)",
-    )
-    sweep.add_argument(
-        "--problem-param",
-        dest="problem_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="factory parameter applied to every problem (repeatable)",
-    )
-    sweep.add_argument(
-        "--engine",
-        help="per-run execution backend (serial/process/auto); "
-        "seed-equivalent, combines with --workers sharding whole runs",
-    )
-    sweep.add_argument(
-        "--engine-param",
-        dest="engine_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="engine factory parameter (repeatable)",
-    )
-    sweep.add_argument(
-        "--cache",
-        help="per-run warm-start cache (lru); with a spill_path cache "
-        "parameter the runs of the sweep share one warm cache file",
-    )
-    sweep.add_argument(
-        "--cache-param",
-        dest="cache_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="cache factory parameter (repeatable)",
     )
     sweep.add_argument(
         "--workers",
@@ -244,22 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         "only missing ones execute",
     )
     sweep.add_argument(
-        "--progress", action="store_true", help="stream one line per run"
-    )
-    sweep.add_argument(
         "--no-tables",
         action="store_true",
         help="suppress the aggregate tables on stdout",
-    )
-    sweep.add_argument(
-        "--quiet", action="store_true", help="suppress the summary line"
-    )
-    sweep.add_argument(
-        "--json",
-        action="store_true",
-        dest="json_output",
-        help="print the sweep outcome (spec, per-run records, counters) as "
-        "JSON on stdout instead of tables (progress lines move to stderr)",
     )
 
     serve_parser = sub.add_parser(
@@ -289,42 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         "their own via the spec's cache fields)",
     )
 
-    def add_url(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--url",
-            default=None,
-            help="service base URL (default: $REPRO_SERVICE_URL, else "
-            "http://127.0.0.1:8032)",
-        )
-
     submit = sub.add_parser(
-        "submit", help="submit a run or sweep spec to the service"
+        "submit",
+        parents=[url_flag, spec_flags],
+        help="submit a run or sweep spec to the service",
     )
-    add_url(submit)
-    submit.add_argument(
-        "--spec",
-        help="RunSpec or SweepSpec JSON file (sweeps are recognised by "
-        "their 'methods'/'problems' keys)",
-    )
-    submit.add_argument("--problem", help="problem registry name (run jobs)")
-    submit.add_argument("--method", help="method registry name (default: moheco)")
-    submit.add_argument("--seed", type=int, help="root seed of the run")
-    submit.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="method/config override (repeatable)",
-    )
-    submit.add_argument(
-        "--problem-param",
-        dest="problem_params",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="problem factory parameter (repeatable)",
-    )
+    for command in (run, submit):
+        command.add_argument("--seed", type=int, help="root seed of the run")
     submit.add_argument(
         "--follow",
         action="store_true",
@@ -336,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="block until the job finishes and print its final status",
     )
 
-    status = sub.add_parser("status", help="show a service job's status")
-    add_url(status)
+    status = sub.add_parser(
+        "status", parents=[url_flag], help="show a service job's status"
+    )
     status.add_argument("job", help="job id (from submit)")
     status.add_argument(
         "--follow",
@@ -346,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     result_parser = sub.add_parser(
-        "result", help="fetch a finished service job's result"
+        "result", parents=[url_flag], help="fetch a finished service job's result"
     )
-    add_url(result_parser)
     result_parser.add_argument("job", help="job id (from submit)")
     result_parser.add_argument("--out", help="write the result JSON here")
 
-    cancel = sub.add_parser("cancel", help="cancel a queued or running job")
-    add_url(cancel)
+    cancel = sub.add_parser(
+        "cancel", parents=[url_flag], help="cancel a queued or running job"
+    )
     cancel.add_argument("job", help="job id (from submit)")
 
     lister = sub.add_parser("list", help="show the plugin registries")
@@ -366,93 +326,102 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_engine_flags(spec, args: argparse.Namespace):
-    """Merge ``--engine``/``--engine-param`` into a Run- or SweepSpec.
+def build_spec(args: argparse.Namespace) -> "RunSpec | SweepSpec":
+    """The spec a ``run``, ``sweep`` or ``submit`` command line describes.
 
-    One rule for both subcommands: switching backends invalidates the
-    spec's ``engine_params`` (they belong to the old backend); fresh
-    ``--engine-param`` values re-fill them.
+    The ``--spec`` file is a :class:`SweepSpec` for ``sweep`` (and for
+    ``submit`` when it has ``methods`` or ``problems`` keys), else a
+    :class:`RunSpec`; without a file the name flags make the spec.  Every
+    flag then overrides it the same way whichever command it came from.
+    A spec that does not parse raises :class:`SpecError`; a flag the spec
+    has no field for exits with an ``error:`` line naming it.  Registry
+    names are not resolved here: that is the validators' job.
     """
-    if args.engine:
-        spec = dataclasses.replace(spec, engine=args.engine, engine_params={})
-    if args.engine_params:
-        if spec.engine is None:
-            raise SystemExit("--engine-param requires --engine (or a spec engine)")
-        spec = dataclasses.replace(
-            spec,
-            engine_params={
-                **spec.engine_params,
-                **_parse_assignments(args.engine_params, "--engine-param"),
-            },
-        )
+    payload = {}
+    if args.spec:
+        try:
+            with open(args.spec, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"error: --spec {args.spec}: {error}") from error
+    is_object = isinstance(payload, dict)
+    sweep = args.command == "sweep" or (
+        args.command == "submit"
+        and is_object
+        and ("methods" in payload or "problems" in payload)
+    )
+    if is_object:  # anything else fails in from_dict, which says so
+        payload = {**payload, **_flag_fields(args, sweep)}
+    spec = (SweepSpec if sweep else RunSpec).from_dict(payload)
+    if args.overrides:
+        spec = _merged(spec, "overrides", dict(args.overrides), axis="methods")
+    if args.problem_params:
+        params = dict(args.problem_params)
+        spec = _merged(spec, "problem_params", params, axis="problems")
+    for backend in ("engine", "cache"):  # submit has no backend flags
+        name = getattr(args, backend, None)
+        params = dict(getattr(args, f"{backend}_params", ()))
+        if name:
+            # Switching backends drops the old one's parameters.
+            spec = replace(spec, **{backend: name, f"{backend}_params": {}})
+        if params:
+            if getattr(spec, backend) is None:
+                raise SystemExit(
+                    f"error: --{backend}-param requires --{backend} "
+                    f"(or a spec {backend})"
+                )
+            spec = _merged(spec, f"{backend}_params", params)
     return spec
 
 
-def _apply_cache_flags(spec, args: argparse.Namespace):
-    """Merge ``--cache``/``--cache-param`` into a Run- or SweepSpec.
+def _flag_fields(args: argparse.Namespace, sweep: bool) -> dict:
+    """The top-level spec fields the name and number flags set."""
+    if sweep:
+        if getattr(args, "seed", None) is not None:
+            raise SystemExit(
+                "error: --seed sets a run's seed; a sweep's root seed is its "
+                "base_seed"
+            )
+        # Grid flags replace the file's axes wholesale, one bare name each.
+        names = {"methods": args.methods, "problems": args.problems}
+        fields = {axis: given for axis, given in names.items() if given}
+        numbers = ("runs", "base_seed", "reference_n", "max_generations", "workers")
+    else:
+        names = {"problem": args.problems, "method": args.methods}
+        for key, given in names.items():
+            if len(given) > 1:
+                raise SystemExit(f"error: a run takes one --{key}, got {given}")
+        fields = {key: given[0] for key, given in names.items() if given}
+        numbers = ("seed",)
+    for name in numbers:
+        if getattr(args, name, None) is not None:  # submit has no sweep numbers
+            fields[name] = getattr(args, name)
+    return fields
 
-    Same semantics as the engine flags: switching caches invalidates the
-    spec's ``cache_params``; fresh ``--cache-param`` values re-fill them.
-    """
-    if args.cache:
-        spec = dataclasses.replace(spec, cache=args.cache, cache_params={})
-    if args.cache_params:
-        if spec.cache is None:
-            raise SystemExit("--cache-param requires --cache (or a spec cache)")
-        spec = dataclasses.replace(
-            spec,
-            cache_params={
-                **spec.cache_params,
-                **_parse_assignments(args.cache_params, "--cache-param"),
-            },
-        )
-    return spec
+
+def _merged(spec, field: str, extra: dict, axis: str | None = None):
+    """``spec`` with ``extra`` merged over its ``field`` dict; for a sweep
+    with an ``axis``, over that dict of every entry of the axis."""
+
+    def merge(entry):
+        return replace(entry, **{field: {**getattr(entry, field), **extra}})
+
+    if axis is not None and isinstance(spec, SweepSpec):
+        return replace(spec, **{axis: tuple(map(merge, getattr(spec, axis)))})
+    return merge(spec)
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = RunSpec.from_dict(json.load(handle))
-        flag_fields = {
-            key: value
-            for key, value in (
-                ("problem", args.problem),
-                ("method", args.method),
-                ("seed", args.seed),
-            )
-            if value is not None
-        }
-        if flag_fields:
-            spec = dataclasses.replace(spec, **flag_fields)
-    elif args.problem:
-        spec = RunSpec(
-            problem=args.problem,
-            method=args.method or "moheco",
-            seed=args.seed,
-        )
-    else:
-        raise SystemExit("run requires --problem or --spec")
-    spec = _apply_engine_flags(spec, args)
-    spec = _apply_cache_flags(spec, args)
-    if args.overrides:
-        spec = spec.with_overrides(**_parse_assignments(args.overrides, "--set"))
-    if args.problem_params:
-        spec = dataclasses.replace(
-            spec,
-            problem_params={
-                **spec.problem_params,
-                **_parse_assignments(args.problem_params, "--problem-param"),
-            },
-        )
-
+    spec = build_spec(args)
+    validate_run_spec(spec)
     # With --json, stdout belongs to the payload; progress moves to stderr.
     progress_print = _stderr_print if args.json_output else print
     callbacks = [ProgressCallback(print_fn=progress_print)] if args.progress else []
     try:
         result = optimize(spec, callbacks=callbacks)
     except (ValueError, TypeError) as error:
-        # User errors (unknown registry names, bad overrides) get the
-        # message without a traceback; genuine bugs still raise elsewhere.
+        # What the door cannot see (a problem parameter of the wrong type)
+        # still gets one line; genuine bugs still raise elsewhere.
         raise SystemExit(f"error: {error}") from error
 
     payload = {"spec": spec.to_dict(), "result": result.to_dict()}
@@ -500,82 +469,19 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    """Assemble the SweepSpec from ``--spec`` and/or flags.
-
-    Raises the registry/validation ``ValueError``s of the spec layer; the
-    caller converts them to the CLI's ``error: ...`` form.
-    """
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = SweepSpec.from_dict(json.load(handle))
-        # Grid flags override the file's axes wholesale (a bare name entry
-        # per flag), matching the scalar flags' override semantics.
-        if args.methods:
-            spec = dataclasses.replace(
-                spec, methods=tuple(MethodSpec(name) for name in args.methods)
-            )
-        if args.problems:
-            spec = dataclasses.replace(
-                spec, problems=tuple(ProblemSpec(name) for name in args.problems)
-            )
-    elif args.problems and args.methods:
-        spec = SweepSpec(
-            methods=tuple(MethodSpec(name) for name in args.methods),
-            problems=tuple(ProblemSpec(name) for name in args.problems),
-        )
-    else:
-        raise SystemExit("sweep requires --spec, or --problem plus --method")
-
-    flag_fields = {
-        key: value
-        for key, value in (
-            ("runs", args.runs),
-            ("base_seed", args.base_seed),
-            ("reference_n", args.reference_n),
-            ("max_generations", args.max_generations),
-            ("workers", args.workers),
-        )
-        if value is not None
-    }
-    if flag_fields:
-        spec = dataclasses.replace(spec, **flag_fields)
-    if args.overrides:
-        overrides = _parse_assignments(args.overrides, "--set")
-        spec = dataclasses.replace(
-            spec,
-            methods=tuple(
-                dataclasses.replace(m, overrides={**m.overrides, **overrides})
-                for m in spec.methods
-            ),
-        )
-    if args.problem_params:
-        params = _parse_assignments(args.problem_params, "--problem-param")
-        spec = dataclasses.replace(
-            spec,
-            problems=tuple(
-                dataclasses.replace(
-                    p, problem_params={**p.problem_params, **params}
-                )
-                for p in spec.problems
-            ),
-        )
-    return _apply_cache_flags(_apply_engine_flags(spec, args), args)
-
-
 def _stderr_print(*print_args, **print_kwargs) -> None:
     print(*print_args, file=sys.stderr, **print_kwargs)
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    spec = build_spec(args)
     progress_print = _stderr_print if args.json_output else print
     callbacks = (
         [SweepProgressCallback(print_fn=progress_print)] if args.progress else []
     )
     try:
-        # Spec assembly validates the grid (duplicate labels, runs >= 1,
-        # unknown keys, ...) — user errors, not tracebacks.
-        spec = _build_sweep_spec(args)
+        # run_sweep checks the spec at the service's door (validate_sweep_spec)
+        # before it opens the store.
         result = run_sweep(
             spec,
             store=args.out,
@@ -669,36 +575,10 @@ def _print_events(client, job_id: str) -> None:
 
 
 def _command_submit(args: argparse.Namespace) -> int:
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            raise SystemExit("error: the spec file must hold a JSON object")
-        # A sweep spec is unmistakable: it has grid axes.
-        is_sweep = "methods" in payload or "problems" in payload
-    elif args.problem:
-        payload = {
-            "problem": args.problem,
-            "method": args.method or "moheco",
-            "seed": args.seed,
-        }
-        is_sweep = False
-    else:
-        raise SystemExit("submit requires --spec or --problem")
-    if not args.spec:
-        if args.overrides:
-            payload["overrides"] = _parse_assignments(args.overrides, "--set")
-        if args.problem_params:
-            payload["problem_params"] = _parse_assignments(
-                args.problem_params, "--problem-param"
-            )
-
+    spec = build_spec(args)
     client = _service_client(args)
-    job = _service_errors(
-        lambda: client.submit_sweep(payload)
-        if is_sweep
-        else client.submit_run(payload)
-    )
+    submit = client.submit_sweep if isinstance(spec, SweepSpec) else client.submit_run
+    job = _service_errors(lambda: submit(spec.to_dict()))
     print(json.dumps(job), flush=True)
     if args.follow:
         _service_errors(lambda: _print_events(client, job["id"]))
@@ -795,6 +675,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except SpecError as error:
+        # A spec that does not parse or fails the door: the service's line.
+        raise SystemExit(f"error: {error}") from error
     except BrokenPipeError:
         # Piped into `head` & co.; die quietly like standard Unix tools.
         # Point stdout at devnull so the interpreter's exit-time flush of

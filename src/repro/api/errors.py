@@ -9,9 +9,10 @@ maps it to a 400 body clients can route on, and the CLI prints it as a
 
 :func:`validate_run_spec` / :func:`validate_sweep_spec` go one step past
 shape checking: they resolve every registry name (problem, method, engine,
-cache), bind the engine and cache parameter names to the resolved class
-and check their values, so a typo fails at submission time with the list
-of valid names — not minutes later inside a queued job.
+cache), bind the problem, engine and cache parameter names to the resolved
+factory and check the engine and cache values, so a typo fails at
+submission time with the list of valid names — not minutes later inside a
+queued job.
 """
 
 from __future__ import annotations
@@ -78,12 +79,13 @@ def _refuse(check, field: str, spec: str) -> None:
 
 
 def _check_params(registry, name: str, params: dict, field: str, spec: str) -> None:
-    """Bind ``params`` to the signature of the class registered as ``name``,
-    then run the class's ``validate_params`` hook on them, if it has one.
+    """Bind ``params`` to the signature of the factory registered as
+    ``name``, then run its ``validate_params`` hook on them, if it has one.
 
     Nothing is constructed: building an LRU cache would open its spill
-    file.  The built-in engines' and cache's hooks are the value checks
-    their constructors run, so the door and the run apply one rule.
+    file, and building a circuit problem takes a while.  The built-in
+    engines' and cache's hooks are the value checks their constructors
+    run, so the door and the run apply one rule.
     """
     if not params:
         return
@@ -141,8 +143,8 @@ def validate_run_spec(spec) -> None:
     """Resolve every registry name a :class:`RunSpec` references.
 
     Raises :class:`SpecError` (with the offending field) for unregistered
-    problem/method/engine/cache names, for engine/cache parameters the
-    resolved class does not accept (by name, or by value via its
+    problem/method/engine/cache names, for problem/engine/cache parameters
+    the resolved factory does not accept (by name, or by value via its
     ``validate_params`` hook), and for overrides the resolved method itself
     rejects (via its ``validate_overrides`` hook).  Shape errors (unknown
     keys, wrong types) are already raised by ``RunSpec.from_dict`` itself.
@@ -150,6 +152,9 @@ def validate_run_spec(spec) -> None:
     from repro.api.registries import METHODS, PROBLEMS
 
     _check_registry(PROBLEMS, spec.problem, "problem", "RunSpec")
+    _check_params(
+        PROBLEMS, spec.problem, spec.problem_params, "problem_params", "RunSpec"
+    )
     _check_registry(METHODS, spec.method, "method", "RunSpec")
     _check_overrides(
         METHODS.get(spec.method), spec.overrides, "overrides", "RunSpec"
@@ -172,7 +177,13 @@ def validate_sweep_spec(spec) -> None:
             "SweepSpec",
         )
     for index, problem in enumerate(spec.problems):
-        _check_registry(
-            PROBLEMS, problem.problem, f"problems[{index}].problem", "SweepSpec"
+        field = f"problems[{index}].problem"
+        _check_registry(PROBLEMS, problem.problem, field, "SweepSpec")
+        _check_params(
+            PROBLEMS,
+            problem.problem,
+            problem.problem_params,
+            f"{field}_params",
+            "SweepSpec",
         )
     _check_execution(spec, "SweepSpec")

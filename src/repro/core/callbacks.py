@@ -112,8 +112,6 @@ def wants_run_progress(callback: Callback) -> bool:
     if isinstance(callback, CallbackList):
         return any(wants_run_progress(member) for member in callback.callbacks)
     hook = callback.on_sweep_run_progress
-    # Unwrap bound methods so both class overrides and instance-assigned
-    # hooks (SweepProgressCallback's opt-in) are recognised.
     return getattr(hook, "__func__", hook) is not Callback.on_sweep_run_progress
 
 
@@ -205,21 +203,10 @@ class ProgressCallback(Callback):
 
 
 class SweepProgressCallback(Callback):
-    """Streams one line per completed sweep run (the CLI's ``--progress``).
+    """Streams one line per completed sweep run (the CLI's ``--progress``)."""
 
-    With ``generations=True`` (the CLI's ``--progress-generations``) it
-    also prints one indented line per generation *inside* each run —
-    including runs executing in sharded pool workers, whose records reach
-    the parent over the executor's progress queue.
-    """
-
-    def __init__(self, print_fn=print, generations: bool = False) -> None:
+    def __init__(self, print_fn=print) -> None:
         self.print_fn = print_fn
-        if generations:
-            # Bound only when asked for: the executor detects an overridden
-            # on_sweep_run_progress hook to decide whether to pay for the
-            # worker->parent bridge, and the base-class no-op must not count.
-            self.on_sweep_run_progress = self._print_generation
 
     def on_sweep_start(self, sweep, total: int, pending: int) -> None:
         resumed = total - pending
@@ -228,14 +215,6 @@ class SweepProgressCallback(Callback):
             f"sweep: {len(sweep.problems)} problem(s) x "
             f"{len(sweep.methods)} method(s) x {sweep.runs} run(s) = "
             f"{total} runs{note}"
-        )
-
-    def _print_generation(self, sweep, run, record: dict) -> None:
-        self.print_fn(
-            f"  [{run.key}] gen {record['generation']:3d}  "
-            f"yield {record['best_yield']:7.2%}  "
-            f"sims {record['simulations_total']}"
-            + ("  [LS]" if record.get("local_search_fired") else "")
         )
 
     def on_sweep_run_end(self, sweep, run, record, done: int, total: int) -> None:

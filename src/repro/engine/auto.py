@@ -34,6 +34,8 @@ seed-equivalent, so the decision only ever changes wall-clock.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 
@@ -79,7 +81,9 @@ class AutoEngine(SerialEngine):
         ipc_row_cost_seconds: float = DEFAULT_IPC_ROW_COST_SECONDS,
         round_overhead_seconds: float = DEFAULT_ROUND_OVERHEAD_SECONDS,
     ) -> None:
-        self.validate_params(workers, pilot_rows)
+        self.validate_params(
+            workers, pilot_rows, ipc_row_cost_seconds, round_overhead_seconds
+        )
         self.workers = workers
         self.pilot_rows = int(pilot_rows)
         self.ipc_row_cost_seconds = float(ipc_row_cost_seconds)
@@ -97,10 +101,30 @@ class AutoEngine(SerialEngine):
         self._timed_rounds = 0
 
     @staticmethod
-    def validate_params(workers: int | None = None, pilot_rows: int = 64, **_) -> None:
+    def validate_params(
+        workers: int | None = None,
+        pilot_rows: int = 64,
+        ipc_row_cost_seconds: float = DEFAULT_IPC_ROW_COST_SECONDS,
+        round_overhead_seconds: float = DEFAULT_ROUND_OVERHEAD_SECONDS,
+        **_,
+    ) -> None:
         """The constructor's value checks, starting no worker process."""
         ProcessPoolEngine.validate_params(workers)
         check_count("pilot_rows", pilot_rows, 1)
+        for name, value in (
+            ("ipc_row_cost_seconds", ipc_row_cost_seconds),
+            ("round_overhead_seconds", round_overhead_seconds),
+        ):
+            # bool is an int subclass; `true` is a mistake, not 1 second.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
 
     def simulate(self, problem, pending):
         if self._delegate is not None:

@@ -97,17 +97,20 @@ class ProcessPoolEngine(SerialEngine):
     name = "process"
 
     def __init__(self, workers: int | None = None, min_dispatch_rows: int = 2) -> None:
-        self.validate_params(workers)
+        self.validate_params(workers, min_dispatch_rows)
         self.workers = workers if workers is not None else min(os.cpu_count() or 1, 8)
         self.min_dispatch_rows = int(min_dispatch_rows)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_problem = None
 
     @staticmethod
-    def validate_params(workers: int | None = None, **_) -> None:
+    def validate_params(
+        workers: int | None = None, min_dispatch_rows: int = 2, **_
+    ) -> None:
         """The constructor's value checks, starting no worker process."""
         if workers is not None:
             check_count("workers", workers, 1)
+        check_count("min_dispatch_rows", min_dispatch_rows, 0)
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self, problem) -> ProcessPoolExecutor:

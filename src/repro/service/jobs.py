@@ -217,8 +217,6 @@ class JobManager:
         ``data_dir``) to every job that does not configure its own cache.
         Ledger-faithful, so it never changes results — only wall-clock —
         and concurrent tenants on the same problem warm-start each other.
-    cache_max_bytes:
-        Byte budget of each job's in-memory LRU view of the shared cache.
     """
 
     def __init__(
@@ -227,7 +225,6 @@ class JobManager:
         workers: int = 2,
         data_dir=None,
         shared_cache: bool = True,
-        cache_max_bytes: int = 256 * 1024 * 1024,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -240,7 +237,6 @@ class JobManager:
         self.spill_path = (
             os.path.join(self.data_dir, "cache-spill.jsonl") if shared_cache else None
         )
-        self.cache_max_bytes = int(cache_max_bytes)
         self.jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -382,13 +378,7 @@ class JobManager:
         """Cache fields injected into a job without its own cache config."""
         if configured_cache is not None or self.spill_path is None:
             return {}
-        return {
-            "cache": "lru",
-            "cache_params": {
-                "spill_path": self.spill_path,
-                "max_bytes": self.cache_max_bytes,
-            },
-        }
+        return {"cache": "lru", "cache_params": {"spill_path": self.spill_path}}
 
     def _execute_run_job(self, job: Job) -> None:
         from repro.api.driver import optimize

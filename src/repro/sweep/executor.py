@@ -28,6 +28,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
 from dataclasses import dataclass
 
+from repro.api.errors import validate_sweep_spec
 from repro.core.callbacks import Callback, CallbackList, wants_run_progress
 from repro.engine.process import make_process_pool, pool_mp_context
 from repro.ledger import SimulationLedger
@@ -302,18 +303,11 @@ def run_sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
     callbacks = CallbackList(callbacks)
 
-    # Resolve every registry name before touching the store: a typo'd
-    # problem/method must fail cleanly, not leave a header-only store
-    # behind that blocks the corrected rerun (FileExistsError without
-    # --resume, hash mismatch with it).
-    from repro.api.registries import ENGINES, METHODS, PROBLEMS
-
-    for method in spec.methods:
-        METHODS.get(method.method)
-    for problem in spec.problems:
-        PROBLEMS.get(problem.problem)
-    if spec.engine is not None:
-        ENGINES.get(spec.engine)
+    # Validate before touching the store: a typo'd name or a bad override
+    # must fail cleanly, not leave a header-only or partial store behind
+    # that blocks the corrected rerun (FileExistsError without --resume,
+    # hash mismatch with it).
+    validate_sweep_spec(spec)
 
     if workers > 1 and (spec.engine or "").lower() in ("process", "auto"):
         warnings.warn(

@@ -423,6 +423,26 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["run"])
 
+    @pytest.mark.parametrize(
+        "spec_text, flags, named",
+        [
+            ('{"problem": "sphere", "bogus": 1}', [], "RunSpec.bogus"),
+            ('{"problem": ', [], "--spec"),
+            (None, ["--problem", "sphere", "--set", "pop_size=2"], "RunSpec.overrides"),
+        ],
+        ids=["unknown-key", "malformed-json", "bad-override-value"],
+    )
+    def test_user_errors_exit_with_one_line(self, tmp_path, spec_text, flags, named):
+        if spec_text is not None:
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(spec_text)
+            flags = ["--spec", str(spec_file), *flags]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", *flags])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ") and "\n" not in message
+        assert named in message
+
     def test_bad_override_syntax(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "--problem", "sphere", "--set", "pop_size"])

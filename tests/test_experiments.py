@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import MethodSpec, ProblemSpec, SweepSpec, run_sweep, validate_sweep_spec
-from repro.api.cli import _build_sweep_spec, build_parser
+from repro.api.cli import build_parser, build_spec
 from repro.experiments import summary_row
 from repro.experiments.figures import format_fig6
 from repro.experiments.tables import (
@@ -59,7 +59,7 @@ class TestPaperSpecs:
         validate_sweep_spec(spec)
         assert spec.sweep_hash() == laptop_hash
         args = build_parser().parse_args(["sweep", "--spec", str(path), *self.PAPER_SCALE])
-        assert _build_sweep_spec(args).sweep_hash() == paper_hash
+        assert build_spec(args).sweep_hash() == paper_hash
 
 
 class TestReplication:

@@ -162,6 +162,9 @@ class TestSpecError:
             ("cache", "lru", {"max_bytes": -5}),
             ("cache", "lru", {"max_bytes": "abc"}),
             ("cache", "lru", {"spill_path": 5}),
+            ("engine", "auto", {"ipc_row_cost_seconds": "abc"}),
+            ("engine", "auto", {"round_overhead_seconds": -1.0}),
+            ("engine", "process", {"min_dispatch_rows": "x"}),
         ],
         ids=[
             "process-workers-0",
@@ -170,6 +173,9 @@ class TestSpecError:
             "lru-max_bytes-negative",
             "lru-max_bytes-str",
             "lru-spill_path-int",
+            "auto-ipc_row_cost_seconds-str",
+            "auto-round_overhead_seconds-negative",
+            "process-min_dispatch_rows-str",
         ],
     )
     def test_bad_param_values_fail_at_validation(self, tmp_path, field, name, params):
@@ -188,6 +194,28 @@ class TestSpecError:
             assert excinfo.value.field == f"{field}_params"
         assert not multiprocessing.active_children()
         assert not spill.exists()
+
+    def test_problem_params_bound_at_validation(self):
+        # Bound to the factory's signature, nothing built: a misspelled
+        # parameter names its field and the names the factory accepts.
+        bad = {"problem": "quadratic", "problem_params": {"no_such_param": 1}}
+        for validate, spec, field in (
+            (
+                validate_run_spec,
+                RunSpec.from_dict(dict(TINY_RUN, **bad)),
+                "problem_params",
+            ),
+            (
+                validate_sweep_spec,
+                SweepSpec.from_dict(dict(TINY_SWEEP, problems=["sphere", bad])),
+                "problems[1].problem_params",
+            ),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                validate(spec)
+            assert excinfo.value.field == field
+            assert "no_such_param" in excinfo.value.reason
+            assert "sigma_perf" in excinfo.value.reason.split("accepts")[1]
 
     def test_sweep_engine_and_cache_params_bound_at_validation(self):
         spec = SweepSpec.from_dict(
@@ -358,12 +386,15 @@ class TestJobManager:
                 manager.submit_run({"problem": "no_such_problem"})
             with pytest.raises(SpecError):
                 manager.submit_sweep(dict(TINY_SWEEP, seeds=[1]))
+            with pytest.raises(SpecError):
+                manager.submit_run(dict(TINY_RUN, problem_params={"no_such_param": 1}))
             assert manager.list_jobs() == []
 
     def test_failed_job_carries_error(self, tmp_path):
-        # Bad factory params pass name validation but blow up when the
-        # queued job resolves the problem at execution time.
-        bad = dict(TINY_RUN, problem_params={"no_such_param": 1})
+        # A factory parameter the signature accepts, with a value the
+        # factory cannot use, passes the door and blows up when the queued
+        # job builds the problem.
+        bad = dict(TINY_RUN, problem_params={"dimension": "abc"})
         with JobManager(workers=1, data_dir=str(tmp_path)) as manager:
             job = manager.submit_run(bad)
             list(manager.follow_events(job.id))
@@ -507,6 +538,40 @@ class TestServiceHTTP:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"] == "invalid_spec"
         assert excinfo.value.payload["field"] == "engine"
+
+    def test_cli_submit_applies_flags_over_a_spec_file(
+        self, service, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(TINY_RUN))
+        code = main(
+            [
+                "submit", "--url", service.base_url, "--spec", str(spec_path),
+                "--set", "max_generations=5",
+                "--problem-param", "sigma=0.3",
+                "--seed", "99",
+                "--wait",
+            ]
+        )
+        assert code == 0
+        job = json.loads(capsys.readouterr().out.splitlines()[0])
+        stored = service.status(job["id"])["spec"]
+        assert stored["overrides"] == {"max_generations": 5, "pop_size": 10}
+        assert stored["problem_params"] == {"sigma": 0.3}
+        assert stored["seed"] == 99
+
+    def test_cli_submit_refuses_a_run_flag_on_a_sweep_file(self, service, tmp_path):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(TINY_SWEEP))
+        before = len(service.jobs())
+        with pytest.raises(SystemExit, match="error: --seed"):
+            main(
+                [
+                    "submit", "--url", service.base_url,
+                    "--spec", str(spec_path), "--seed", "99",
+                ]
+            )
+        assert len(service.jobs()) == before
 
     def test_result_conflict_carries_retry_after(self, service):
         job = service.submit_run(SLOW_RUN)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import make_engine, optimize
+from repro.api import METHODS, make_engine, optimize, register_method
 from repro.api.cli import main
 from repro.engine import ENGINES, AutoEngine
 from repro.rng import independent_streams, run_streams
@@ -259,20 +259,27 @@ class TestResume:
 
 class TestFailureHandling:
     def test_worker_failure_persists_finished_runs(self, tmp_path):
-        # A bad override blows up inside the worker (registry names are
-        # validated upfront, so the failure must be config-level); the
-        # healthy runs that complete must still land in the store so
-        # resume only re-executes what never ran.
+        # The "boom" method fails inside the worker, at run time: it has no
+        # validate_overrides hook, so its override passes the door and only
+        # its runner refuses it.  The healthy runs that complete must still
+        # land in the store so resume only re-executes what never ran.
+        def refuse_overrides(problem, *, rng, ledger, callbacks, **overrides):
+            raise TypeError(f"unexpected overrides {sorted(overrides)}")
+
+        register_method("boom_for_test", refuse_overrides)
         spec = tiny_spec(
             methods=(
                 MethodSpec("moheco", label="ok", overrides={"pop_size": 8, "n_max": 100}),
-                MethodSpec("moheco", label="boom", overrides={"bogus_override": 1}),
+                MethodSpec("boom_for_test", label="boom", overrides={"bogus_override": 1}),
             ),
             runs=2,
         )
         path = tmp_path / "store.jsonl"
-        with pytest.raises(Exception, match="bogus_override"):
-            run_sweep(spec, workers=2, store=path)
+        try:
+            with pytest.raises(Exception, match="bogus_override"):
+                run_sweep(spec, workers=2, store=path)
+        finally:
+            METHODS.unregister("boom_for_test")
         survivors = ResultStore.load(path)
         assert 0 < len(survivors) <= 2
         assert all(r.method == "ok" for r in survivors.completed.values())
@@ -283,13 +290,21 @@ class TestFailureHandling:
             run_sweep(spec, workers=2)
 
     def test_unknown_names_fail_before_creating_the_store(self, tmp_path):
-        # A typo'd registry name must not leave a header-only store behind
-        # that blocks the corrected rerun.
+        # A typo'd registry name, or a second method's bad override, must
+        # not leave a header-only or partial store behind that blocks the
+        # corrected rerun.
         path = tmp_path / "store.jsonl"
-        bad = tiny_spec(problems=(ProblemSpec("no-such-problem"),))
-        with pytest.raises(ValueError, match="no-such-problem"):
-            run_sweep(bad, store=path)
-        assert not path.exists()
+        bad_override = (
+            MethodSpec("moheco", label="ok", overrides={"pop_size": 8}),
+            MethodSpec("moheco", label="tiny", overrides={"pop_size": 2}),
+        )
+        for bad, match in (
+            (tiny_spec(problems=(ProblemSpec("no-such-problem"),)), "no-such-problem"),
+            (tiny_spec(methods=bad_override), r"methods\[1\]\.overrides"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                run_sweep(bad, store=path)
+            assert not path.exists()
         good = run_sweep(tiny_spec(runs=1), store=path)  # no FileExistsError
         assert good.executed == 2
 
