@@ -26,6 +26,30 @@ warm=$(grep -oE "in [0-9]+ simulations" warm.log)
 echo "cold: $cold / warm: $warm"
 test "$cold" = "$warm"
 
+# Grouped partition: the fixed-budget baseline promotes all 12 feasible
+# candidates to n_max = 500 in one round (6,000 rows, more than two
+# 2,048-row slabs), which streams in slab-sized groups, each partitioned
+# against the cache on its own.  Warm, every block must still hit.
+run_grouped() {
+  repro run --problem sphere --method fixed_budget --seed 11 \
+    --set pop_size=30 \
+    --cache lru --cache-param spill_path=grouped-spill.jsonl
+}
+
+rm -f grouped-spill.jsonl
+run_grouped | tee grouped-cold.log
+grep -Eq "cache\[lru\]: hits=0 " grouped-cold.log
+rows=$(grep -oE "rows_simulated=[0-9]+" grouped-cold.log | cut -d= -f2)
+test "$rows" -gt 4096
+
+run_grouped | tee grouped-warm.log
+grep -Eq "cache\[lru\]: hits=[1-9][0-9]* misses=0 " grouped-warm.log
+
+cold=$(grep -oE "in [0-9]+ simulations" grouped-cold.log)
+warm=$(grep -oE "in [0-9]+ simulations" grouped-warm.log)
+echo "grouped cold: $cold / warm: $warm"
+test "$cold" = "$warm"
+
 # Cache benchmark (tiny budget): REPRO_BENCH_SMOKE shrinks the per-row
 # simulation pricing and skips the 1.5x warm-vs-cold bar (shared runners
 # are too noisy for wall-clock bars); identity and hit-count assertions

@@ -60,9 +60,10 @@ promotions, the fixed-budget baseline, memetic local search — is expressed
 as *rounds* of ``(candidate, k_i samples)`` requests and executed by a
 pluggable :class:`~repro.engine.base.EvaluationEngine`:
 
-* ``"serial"`` (default) fuses each round into one stacked
-  ``(sum(k_i), ...)`` vectorized dispatch;
-* ``"process"`` shards fused rounds across worker processes, for
+* ``"serial"`` (default) fuses each round into stacked
+  ``(sum(k_i), ...)`` vectorized dispatches, streamed in slab-sized
+  groups so a large round's samples never all sit in memory at once;
+* ``"process"`` shards each dispatch across worker processes, for
   simulation-bound circuit problems (``engine_params={"workers": N}``);
 * ``"auto"`` times a pilot of in-process rounds and commits to serial or
   process based on the measured per-simulation cost.

@@ -411,17 +411,36 @@ def _merged(spec, field: str, extra: dict, axis: str | None = None):
     return merge(spec)
 
 
+def _check_out(path: str | None) -> None:
+    """Exit with one ``error:`` line unless ``--out`` can be created, before
+    anything runs: a bad path must not cost a finished run."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"directory {directory} does not exist"
+    elif not os.access(directory, os.W_OK):
+        reason = f"directory {directory} is not writable"
+    else:
+        return
+    raise SystemExit(f"error: --out {path}: {reason}")
+
+
 def _command_run(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     validate_run_spec(spec)
+    _check_out(args.out)
     # With --json, stdout belongs to the payload; progress moves to stderr.
     progress_print = _stderr_print if args.json_output else print
     callbacks = [ProgressCallback(print_fn=progress_print)] if args.progress else []
     try:
         result = optimize(spec, callbacks=callbacks)
     except (ValueError, TypeError) as error:
-        # What the door cannot see (a problem parameter of the wrong type)
-        # still gets one line; genuine bugs still raise elsewhere.
+        # What the door cannot see (a third-party problem factory without
+        # a validate_params hook) still gets one line; genuine bugs still
+        # raise elsewhere.
         raise SystemExit(f"error: {error}") from error
 
     payload = {"spec": spec.to_dict(), "result": result.to_dict()}
@@ -475,6 +494,7 @@ def _stderr_print(*print_args, **print_kwargs) -> None:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     spec = build_spec(args)
+    _check_out(args.out)
     progress_print = _stderr_print if args.json_output else print
     callbacks = (
         [SweepProgressCallback(print_fn=progress_print)] if args.progress else []

@@ -10,9 +10,8 @@ maps it to a 400 body clients can route on, and the CLI prints it as a
 :func:`validate_run_spec` / :func:`validate_sweep_spec` go one step past
 shape checking: they resolve every registry name (problem, method, engine,
 cache), bind the problem, engine and cache parameter names to the resolved
-factory and check the engine and cache values, so a typo fails at
-submission time with the list of valid names — not minutes later inside a
-queued job.
+factory and check their values, so a typo fails at submission time with
+the list of valid names — not minutes later inside a queued job.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ def _check_params(registry, name: str, params: dict, field: str, spec: str) -> N
 
     Nothing is constructed: building an LRU cache would open its spill
     file, and building a circuit problem takes a while.  The built-in
-    engines' and cache's hooks are the value checks their constructors
-    run, so the door and the run apply one rule.
+    problems', engines' and cache's hooks are the value checks their
+    factories run, so the door and the run apply one rule.
     """
     if not params:
         return

@@ -306,7 +306,7 @@ class MOHECO:
     def _promote_all(self, individuals: list[Individual]) -> None:
         """Promote a batch of candidates in one fused stage-2 round.
 
-        All missing samples are refined together (one engine dispatch),
+        All missing samples are refined together (one engine round),
         then ``on_stage2_promotion`` fires once per candidate, in order —
         the promotions of every stage-1 policy funnel through here so
         callbacks see every promotion.

@@ -6,11 +6,16 @@ k_i samples)`` per round — and an :class:`~repro.engine.base.EvaluationEngine`
 decides *how* to execute it:
 
 * :class:`~repro.engine.serial.SerialEngine` (``"serial"``, the default) —
-  fuses each round into one stacked ``(sum(k_i), ...)`` dispatch.  Its
-  ``refine_round`` is the round template of every built-in backend; the
-  two below override only where the fused dispatch is simulated.
+  fuses each round into stacked ``(sum(k_i), ...)`` dispatches, streamed
+  in groups of at most one evaluator slab
+  (:data:`~repro.problems.base.SLAB_ROWS` rows) so that a stage-2 round of
+  tens of thousands of rows never holds more than one group's samples.
+  Its ``refine_round`` is the round template of every built-in backend;
+  the two below override only where (and in how large groups) the fused
+  dispatches are simulated.
 * :class:`~repro.engine.process.ProcessPoolEngine` (``"process"``) — shards
-  fused rounds across worker processes for simulation-bound problems.
+  each dispatch, one slab per worker, across worker processes for
+  simulation-bound problems.
 * :class:`~repro.engine.auto.AutoEngine` (``"auto"``) — measures the
   per-simulation cost on a pilot and commits to serial or process
   accordingly (the ``BENCH_engine.json`` trade-off, automated).
@@ -24,10 +29,10 @@ the simulations moves.  Engines resolve by name through :data:`ENGINES`
 
 Any backend can additionally carry a **warm-start evaluation cache**
 (:mod:`repro.engine.cache`, resolved by name through :data:`CACHES` /
-``RunSpec.cache`` / ``--cache``): rounds are partitioned into content-hash
-hits and misses in the parent, only the misses are simulated, and replayed
-rows are credited in the ledger's ``cached`` column without moving the
-paper-accounting totals.
+``RunSpec.cache`` / ``--cache``): each group of a round is partitioned
+into content-hash hits and misses in the parent, only the misses are
+simulated, and replayed rows are credited in the ledger's ``cached``
+column without moving the paper-accounting totals.
 """
 
 from repro.engine.auto import AutoEngine

@@ -7,9 +7,10 @@ process pool wins on simulation-bound circuit problems (hundreds of
 microseconds per MNA/AC solve) on a host with cores to spare.
 :class:`AutoEngine` makes that choice from *measured* workload shape
 instead of guesswork: the first rounds simulate in-process as a pilot
-(identically to :class:`~repro.engine.serial.SerialEngine`), timing the
-simulation dispatch and counting the rows each round stacks, and once
-enough rows are measured the engine commits.
+(identically to :class:`~repro.engine.serial.SerialEngine`), timing each
+simulation dispatch and counting the rows it stacks (a round larger than
+one group is several dispatches), and once enough rows are measured the
+engine commits.
 
 The commit uses a crossover model.  A round of ``R`` rows at per-row cost
 ``t`` takes ``R * t`` in-process; on a ``W``-worker pool it takes roughly
@@ -28,20 +29,21 @@ measured inputs and the resulting decision are recorded in
 Only :meth:`AutoEngine.simulate` is timed and delegated: the round
 template (draw, cache partition, scatter) stays the inherited serial one,
 so the committed backend never sees the warm-start cache and only ever
-simulates miss rows.  Determinism is untouched: every backend is
+simulates miss rows.  The template groups a round by the committed
+backend's :attr:`~AutoEngine.group_rows` (one slab while piloting), so
+once the pool is chosen a round of up to ``workers * SLAB_ROWS`` rows is
+still one dispatch.  Determinism is untouched: every backend is
 seed-equivalent, so the decision only ever changes wall-clock.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import time
 
 from repro.engine.process import ProcessPoolEngine
 from repro.engine.serial import SerialEngine
-from repro.registry import check_count
+from repro.registry import check_count, check_real
 
 __all__ = ["AutoEngine"]
 
@@ -111,20 +113,15 @@ class AutoEngine(SerialEngine):
         """The constructor's value checks, starting no worker process."""
         ProcessPoolEngine.validate_params(workers)
         check_count("pilot_rows", pilot_rows, 1)
-        for name, value in (
-            ("ipc_row_cost_seconds", ipc_row_cost_seconds),
-            ("round_overhead_seconds", round_overhead_seconds),
-        ):
-            # bool is an int subclass; `true` is a mistake, not 1 second.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or value < 0
-            ):
-                raise ValueError(
-                    f"{name} must be a finite number >= 0, got {value!r}"
-                )
+        check_real("ipc_row_cost_seconds", ipc_row_cost_seconds, 0.0)
+        check_real("round_overhead_seconds", round_overhead_seconds, 0.0)
+
+    @property
+    def group_rows(self) -> int:
+        """The committed backend's group; one slab while piloting."""
+        if self._delegate is not None:
+            return self._delegate.group_rows
+        return super().group_rows
 
     def simulate(self, problem, pending):
         if self._delegate is not None:

@@ -5,11 +5,14 @@ An :class:`EvaluationEngine` executes one *round* of refinement requests —
 — and updates every candidate's running yield estimate.  The OCBA loop,
 the pilot-``n0`` phase, stage-2 promotions and the fixed-budget baseline
 all submit their per-round work through this interface, which is what lets
-a backend fuse the simulations into one stacked dispatch
+a backend fuse many candidates' simulations into stacked dispatches
 (:class:`~repro.engine.serial.SerialEngine`, whose ``refine_round`` is the
-one round template the built-in backends share) and then simulate that
+one round template the built-in backends share) and then simulate each
 dispatch in-process or on worker processes
-(:class:`~repro.engine.process.ProcessPoolEngine`).
+(:class:`~repro.engine.process.ProcessPoolEngine`).  A stage-2 round can
+ask for tens of thousands of rows, so the template streams it in
+slab-sized groups — draw, simulate, scatter, drop — and a round's resident
+samples stay bounded by one group, not by the round.
 
 Reproducibility contract
 ------------------------
@@ -20,7 +23,8 @@ screener's classification stays local; a backend only simulates the border
 band and hands the performance rows back
 (:meth:`~repro.yieldsim.estimator.CandidateYieldState.absorb`).  Every
 backend therefore produces identical estimates for the same seed — fused,
-sharded, or not.
+grouped, sharded, or not.  A candidate appears at most once per round, so
+where a round is cut into groups never reorders its draw and its absorb.
 """
 
 from __future__ import annotations
@@ -36,29 +40,10 @@ from repro.yieldsim.estimator import CandidateYieldState, PendingRefinement
 __all__ = [
     "EvaluationEngine",
     "chunk_pending",
-    "collect_pending",
     "evaluate_pending",
     "scatter_round",
     "stack_pending",
 ]
-
-
-def collect_pending(
-    states: Sequence[CandidateYieldState],
-    gains: Sequence[int],
-    category: str | None = None,
-) -> list[PendingRefinement]:
-    """Draw + screen every candidate's block; return the non-empty bands.
-
-    Candidates are prepared in list order so each private RNG stream
-    advances exactly as the per-candidate path would advance it.
-    """
-    pending = []
-    for state, gain in zip(states, gains):
-        block = state.prepare(int(gain), category)
-        if block is not None:
-            pending.append(block)
-    return pending
 
 
 def stack_pending(pending) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -76,7 +61,8 @@ def stack_pending(pending) -> tuple[np.ndarray, list[int], np.ndarray]:
 
 
 def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
-    """Simulate a fused round: one stacked dispatch, no ledger side effects.
+    """Simulate a group of blocks as one stacked dispatch, no ledger side
+    effects.
 
     Stacks every pending block into one ``(sum(k_i), ...)`` pair matrix
     (each candidate's design row repeated for its own samples) and resolves
@@ -94,7 +80,7 @@ def chunk_pending(pending, chunk_rows: int) -> list[list]:
     Block boundaries are respected (grouped evaluator dispatch stays
     intact); a block larger than ``chunk_rows`` forms its own chunk.  The
     process pool cuts ``ceil(rows / workers)``-row chunks, one per worker,
-    so the boundaries depend only on the round and the worker count.
+    so the boundaries depend only on the group and the worker count.
     """
     chunks, current, rows = [], [], 0
     for block in pending:
@@ -117,7 +103,7 @@ def scatter_round(
     """Charge ledgers and feed each block its performance rows back.
 
     The margin matrix and the per-block pass counts are computed once on
-    the stacked round — two vectorized ops instead of one ``specs.margins``
+    the stacked group — two vectorized ops instead of one ``specs.margins``
     + one boolean reduction per candidate — and each state receives its
     pre-sliced share.
 
@@ -168,9 +154,9 @@ class EvaluationEngine(ABC):
 
     #: Optional warm-start cache consulted on every refinement round.  The
     #: MOHECO loop attaches the run's cache here (:mod:`repro.engine.cache`);
-    #: backends partition each round into hits and misses in the parent
-    #: process, simulate only the misses, and splice the replayed rows back
-    #: — ledger-faithfully — via :func:`scatter_round`.
+    #: backends partition each group of a round into hits and misses in the
+    #: parent process, simulate only the misses, and splice the replayed
+    #: rows back — ledger-faithfully — via :func:`scatter_round`.
     cache: EvaluationCache | None = None
 
     @abstractmethod
@@ -185,7 +171,8 @@ class EvaluationEngine(ABC):
 
         ``category`` overrides every state's ledger category for this round
         (stage-2 promotions charge ``"stage2"`` on stage-1 states); ``None``
-        keeps each state's own category.
+        keeps each state's own category.  A state appears at most once per
+        round.
         """
 
     def close(self) -> None:

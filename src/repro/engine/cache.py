@@ -360,9 +360,10 @@ class LRUEvaluationCache(EvaluationCache):
 
 
 class CachedRound:
-    """One refinement round partitioned into cache hits and misses.
+    """One group of a refinement round partitioned into cache hits and
+    misses.
 
-    Engines build this from the round's pending blocks, evaluate only
+    Engines build this from the group's pending blocks, evaluate only
     :attr:`misses` (stacked, chunked across workers — however the backend
     likes), then call :meth:`assemble` to splice the simulated rows back
     into full block order and memoize them.  The partition is computed in
@@ -387,7 +388,7 @@ class CachedRound:
         ]
 
     def assemble(self, miss_performance: np.ndarray | None) -> np.ndarray:
-        """Full-round performance matrix: cached rows + simulated rows.
+        """Full-group performance matrix: cached rows + simulated rows.
 
         ``miss_performance`` is the stacked result of evaluating
         :attr:`misses` (``None`` when everything hit).  Simulated rows are

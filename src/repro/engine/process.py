@@ -2,17 +2,23 @@
 
 For expensive circuit problems (MNA/AC amplifier simulation) the per-round
 evaluation dominates wall-clock; :class:`ProcessPoolEngine` splits the
-stacked miss blocks of each round into one contiguous chunk per worker —
+stacked miss blocks of each dispatch into one contiguous chunk per worker —
 respecting candidate-block boundaries so grouped evaluator dispatch stays
 intact — and simulates the chunks on a pool of worker processes.  Each
 chunk crosses the process boundary as three plain arrays, ``(designs,
 sizes, samples)`` (:func:`~repro.engine.base.stack_pending`).
 
+The inherited round template streams a round in groups; the pool's group
+holds one evaluator slab per worker, so a round of up to ``workers *
+SLAB_ROWS`` rows is still one dispatch that keeps every worker busy, and a
+larger one is several such dispatches whose samples never all sit in the
+parent at once.
+
 Determinism
 -----------
 Workers are *pure*: they receive chunks and return performance rows.  All
 RNG streams, screener state and ledger accounting stay in the parent; the
-chunk boundaries depend only on the round and the worker count; and chunk
+chunk boundaries depend only on the group and the worker count; and chunk
 results are reassembled in submission order — so a run is bit-for-bit
 reproducible for any worker count, including ``workers=1`` and the
 in-process :class:`~repro.engine.serial.SerialEngine`.
@@ -32,6 +38,7 @@ import numpy as np
 
 from repro.engine.base import chunk_pending, stack_pending
 from repro.engine.serial import SerialEngine
+from repro.problems.base import SLAB_ROWS
 from repro.registry import check_count
 
 __all__ = ["ProcessPoolEngine", "make_process_pool", "pool_mp_context"]
@@ -87,11 +94,11 @@ class ProcessPoolEngine(SerialEngine):
         at 8 — yield estimation rounds rarely stack enough work to feed
         more).
     min_dispatch_rows:
-        Rounds smaller than this many border-band samples are evaluated
-        in-process.  The default only keeps trivial one-sample rounds
-        local — on circuit problems even a small promotion round is worth
-        shipping; raise it when each simulation is cheap enough that IPC
-        would dominate.
+        Dispatches (a round's groups) smaller than this many border-band
+        samples are evaluated in-process.  The default only keeps trivial
+        one-sample rounds local — on circuit problems even a small
+        promotion round is worth shipping; raise it when each simulation
+        is cheap enough that IPC would dominate.
     """
 
     name = "process"
@@ -131,6 +138,11 @@ class ProcessPoolEngine(SerialEngine):
             self._pool_problem = None
 
     # -- dispatch ----------------------------------------------------------
+    @property
+    def group_rows(self) -> int:
+        """One evaluator slab per worker: a group is one full dispatch."""
+        return self.workers * SLAB_ROWS
+
     def simulate(self, problem, pending) -> np.ndarray:
         rows = sum(block.n_samples for block in pending)
         if self.workers == 1 or rows < self.min_dispatch_rows:

@@ -13,8 +13,8 @@ feasibility check.
 The loop is *round-oriented*: each iteration computes every candidate's
 gain, clamps the round to the remaining budget, and submits the whole
 round to an :class:`~repro.engine.base.EvaluationEngine` as one fused
-refinement — the engine decides whether that means one stacked vectorized
-dispatch (serial) or sharded worker processes.
+refinement — the engine decides whether that means stacked vectorized
+dispatches in-process (serial) or sharded worker processes.
 """
 
 from __future__ import annotations

@@ -24,15 +24,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ledger import SimulationLedger
+from repro.process.technology import Technology
 from repro.specs import SpecSet
 
-__all__ = ["YieldProblem"]
+__all__ = ["YieldProblem", "check_technology"]
 
 
 #: Rows per evaluator call.  Fixed slabs keep the evaluator's intermediate
-#: arrays, and with them peak memory, flat however large a fused round
-#: grows.
+#: arrays flat however many rows one call is given; the engines' round
+#: template (:class:`~repro.engine.serial.SerialEngine`) streams a round in
+#: groups of one slab (one per worker on a pool), so the round's drawn and
+#: stacked samples stay flat too, and with them peak memory, however large
+#: a stage-2 round grows.
 SLAB_ROWS = 2048
+
+
+def check_technology(tech=None) -> None:
+    """The circuit factories' value check, also their ``validate_params``.
+
+    ``tech`` is ``None`` (the factory builds its own technology) or a
+    :class:`~repro.process.technology.Technology`; a spec, being JSON,
+    can only ever pass the former.
+    """
+    if tech is not None and not isinstance(tech, Technology):
+        raise TypeError(f"tech must be a Technology instance, got {tech!r}")
 
 
 class YieldProblem:
@@ -89,9 +104,10 @@ class YieldProblem:
     ) -> np.ndarray:
         """Row-aligned evaluation: design ``X[i]`` at its own ``samples[i]``.
 
-        The one evaluation entry point.  Engines stack one OCBA round's
-        border-band samples for *all* candidates into a single ``(N, ...)``
-        pair matrix (each design row repeated for its own samples); one
+        The one evaluation entry point.  Engines stack a round's
+        border-band samples, one slab-sized group of candidates at a time,
+        into an ``(N, ...)`` pair matrix (each design row repeated for its
+        own samples); one
         design at ``n`` samples is ``np.broadcast_to(x, (n, d))``.  Exactly
         ``N`` simulations are charged — one per row, the unit the paper's
         Tables 2/4 count.  The evaluator is called once per

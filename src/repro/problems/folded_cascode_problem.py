@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.circuit.tech import C035Technology
 from repro.circuit.topologies import FoldedCascodeAmplifier
-from repro.problems.base import YieldProblem
+from repro.problems.base import YieldProblem, check_technology
 from repro.specs import Spec, SpecSet
 
 __all__ = ["make_folded_cascode_problem", "FOLDED_CASCODE_SPECS"]
@@ -36,5 +36,9 @@ FOLDED_CASCODE_SPECS = SpecSet(
 
 def make_folded_cascode_problem(tech: C035Technology | None = None) -> YieldProblem:
     """Build the example-1 problem (fresh technology unless provided)."""
+    check_technology(tech)
     amplifier = FoldedCascodeAmplifier(tech or C035Technology())
     return YieldProblem(amplifier, FOLDED_CASCODE_SPECS, name="folded_cascode_c035")
+
+
+make_folded_cascode_problem.validate_params = check_technology

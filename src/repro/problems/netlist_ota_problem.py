@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.circuit.tech import C035Technology
 from repro.circuit.topologies import NetlistTwoStageOTA
-from repro.problems.base import YieldProblem
+from repro.problems.base import YieldProblem, check_technology
 from repro.specs import Spec, SpecSet
 
 __all__ = ["make_netlist_ota_problem", "NETLIST_OTA_SPECS"]
@@ -39,5 +39,9 @@ NETLIST_OTA_SPECS = SpecSet(
 
 def make_netlist_ota_problem(tech: C035Technology | None = None) -> YieldProblem:
     """Build the netlist-backed OTA problem (fresh technology unless provided)."""
+    check_technology(tech)
     amplifier = NetlistTwoStageOTA(tech or C035Technology())
     return YieldProblem(amplifier, NETLIST_OTA_SPECS, name="netlist_ota_c035")
+
+
+make_netlist_ota_problem.validate_params = check_technology

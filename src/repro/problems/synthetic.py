@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from repro.problems.base import YieldProblem
+from repro.registry import check_count, check_real
 from repro.process.parameters import ParameterGroup, StatisticalParameter
 from repro.process.variation import IntraDieSpec, ProcessVariationModel
 from repro.circuit.topologies.base import DesignSpace
@@ -135,6 +136,19 @@ class _MeanCost:
         return np.mean(X, axis=1)
 
 
+def _check_params(**params) -> None:
+    """The synthetic factories' value checks, also their ``validate_params``.
+
+    ``dimension`` is an integer >= 1 and every other parameter a finite
+    real number, except that ``cost_bound`` may be ``None`` (its default).
+    """
+    for name, value in params.items():
+        if name == "dimension":
+            check_count(name, value, 1)
+        elif not (name == "cost_bound" and value is None):
+            check_real(name, value)
+
+
 def make_sphere_problem(
     dimension: int = 4, sigma: float = 0.15, center: float = 0.6
 ) -> YieldProblem:
@@ -143,6 +157,7 @@ def make_sphere_problem(
     The optimum ``x = c`` has yield ``Phi(1/sigma)`` (about 1 for the default
     sigma); yield decays smoothly away from the centre.
     """
+    _check_params(dimension=dimension, sigma=sigma, center=center)
     space = DesignSpace(
         [f"x{i}" for i in range(dimension)],
         np.zeros(dimension),
@@ -170,6 +185,12 @@ def make_quadratic_problem(
     so the best-yield design sits near the constraint surface — mimicking
     the paper's binding power spec.
     """
+    _check_params(
+        dimension=dimension,
+        sigma_perf=sigma_perf,
+        sigma_cost=sigma_cost,
+        cost_bound=cost_bound,
+    )
     space = DesignSpace(
         [f"x{i}" for i in range(dimension)],
         np.zeros(dimension),
@@ -191,3 +212,7 @@ def make_quadratic_problem(
         [Spec("perf", ">=", 1.0), Spec("cost", "<=", float(cost_bound))]
     )
     return YieldProblem(evaluator, specs, name=f"quadratic_d{dimension}")
+
+
+make_sphere_problem.validate_params = _check_params
+make_quadratic_problem.validate_params = _check_params

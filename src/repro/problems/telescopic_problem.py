@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.circuit.tech import N90Technology
 from repro.circuit.topologies import TwoStageTelescopicAmplifier
-from repro.problems.base import YieldProblem
+from repro.problems.base import YieldProblem, check_technology
 from repro.specs import Spec, SpecSet
 
 __all__ = ["make_telescopic_problem", "TELESCOPIC_SPECS"]
@@ -43,5 +43,9 @@ TELESCOPIC_SPECS = SpecSet(
 
 def make_telescopic_problem(tech: N90Technology | None = None) -> YieldProblem:
     """Build the example-2 problem (fresh technology unless provided)."""
+    check_technology(tech)
     amplifier = TwoStageTelescopicAmplifier(tech or N90Technology())
     return YieldProblem(amplifier, TELESCOPIC_SPECS, name="telescopic_n90")
+
+
+make_telescopic_problem.validate_params = check_technology

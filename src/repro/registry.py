@@ -12,15 +12,23 @@ without touching library code::
 
 Error messages always list the currently registered names, so a typo tells
 you what *is* available instead of just what is not.  Registered factories
-check their count parameters with :func:`check_count`.
+check their count and real-number parameters with :func:`check_count` and
+:func:`check_real`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Callable, Generic, Iterator, TypeVar
 
-__all__ = ["Registry", "DuplicateNameError", "UnknownNameError", "check_count"]
+__all__ = [
+    "Registry",
+    "DuplicateNameError",
+    "UnknownNameError",
+    "check_count",
+    "check_real",
+]
 
 T = TypeVar("T")
 
@@ -41,6 +49,21 @@ def check_count(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, minimum: float | None = None) -> float:
+    """``value`` as a ``float``; ``ValueError`` unless a finite real number
+    (``>= minimum`` when one is given)."""
+    # bool is an int subclass; `true` is a mistake, not 1.0.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return float(value)
 
 
 class Registry(Generic[T]):

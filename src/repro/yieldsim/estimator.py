@@ -10,7 +10,7 @@ pass/fail) but not toward the *cost* — exactly how the paper credits AS.
 
 Refinement is split into two halves so an
 :class:`~repro.engine.base.EvaluationEngine` can fuse many candidates'
-simulations into one dispatch:
+simulations into stacked dispatches:
 
 * :meth:`CandidateYieldState.prepare` draws the sample block from the
   candidate's private RNG stream, lets the screener resolve the certain

@@ -429,8 +429,18 @@ class TestCLI:
             ('{"problem": "sphere", "bogus": 1}', [], "RunSpec.bogus"),
             ('{"problem": ', [], "--spec"),
             (None, ["--problem", "sphere", "--set", "pop_size=2"], "RunSpec.overrides"),
+            (
+                None,
+                ["--problem", "sphere", "--problem-param", "dimension=abc"],
+                "RunSpec.problem_params",
+            ),
         ],
-        ids=["unknown-key", "malformed-json", "bad-override-value"],
+        ids=[
+            "unknown-key",
+            "malformed-json",
+            "bad-override-value",
+            "bad-problem-param-value",
+        ],
     )
     def test_user_errors_exit_with_one_line(self, tmp_path, spec_text, flags, named):
         if spec_text is not None:
@@ -442,6 +452,30 @@ class TestCLI:
         message = str(excinfo.value.code)
         assert message.startswith("error: ") and "\n" not in message
         assert named in message
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--problem", "sphere", "--set", "pop_size=8"],
+            ["sweep", "--problem", "sphere", "--method", "moheco", "--runs", "1"],
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, command):
+        import repro.api.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before checking --out")
+
+        monkeypatch.setattr(repro.api.cli, "optimize", never)
+        monkeypatch.setattr(repro.api.cli, "run_sweep", never)
+        out = tmp_path / "missing-dir" / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*command, "--out", str(out)])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"error: --out {out}: ") and "\n" not in message
+        assert "does not exist" in message
+        assert not out.parent.exists()
 
     def test_bad_override_syntax(self):
         with pytest.raises(SystemExit):

@@ -9,6 +9,7 @@ simulations moves.
 
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,15 +23,23 @@ from repro.engine import (
     ENGINES,
     AutoEngine,
     EvaluationEngine,
+    LRUEvaluationCache,
     ProcessPoolEngine,
     SerialEngine,
     make_engine,
 )
-from repro.engine.base import chunk_pending, evaluate_pending, stack_pending
+from repro.engine.base import (
+    chunk_pending,
+    evaluate_pending,
+    scatter_round,
+    stack_pending,
+)
+from repro.engine.cache import CachedRound
 from repro.core.callbacks import Callback
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
-from repro.problems import make_quadratic_problem, make_sphere_problem
+from repro.problems import make_problem, make_quadratic_problem, make_sphere_problem
+from repro.problems.base import SLAB_ROWS
 from repro.sampling import LinearMarginScreener, make_sampler
 from repro.yieldsim import CandidateYieldState
 from repro.yieldsim.estimator import PendingRefinement
@@ -217,6 +226,143 @@ class TestRoundTemplate:
         finally:
             for engine, _ in engines.values():
                 engine.close()
+
+
+def _whole_round(problem, states, gains, cache=None):
+    """The reference round: draw every block, then one stacked dispatch."""
+    pending = [state.prepare(gain) for state, gain in zip(states, gains)]
+    pending = [block for block in pending if block is not None]
+    if cache is None:
+        scatter_round(problem, pending, evaluate_pending(problem, pending))
+        return
+    round_ = CachedRound(cache, problem, pending)
+    missed = evaluate_pending(problem, round_.misses) if round_.misses else None
+    scatter_round(problem, pending, round_.assemble(missed), round_.hit_rows)
+
+
+def _record_dispatches(engine) -> list[int]:
+    """Rows of every ``engine.simulate`` call from now on."""
+    dispatches = []
+    simulate = engine.simulate
+
+    def recorded(problem, pending):
+        dispatches.append(sum(block.n_samples for block in pending))
+        return simulate(problem, pending)
+
+    engine.simulate = recorded
+    return dispatches
+
+
+class TestStreamedRounds:
+    """A round streams in groups of at most ``group_rows`` rows, unchanged."""
+
+    #: Per-candidate gains of the big round.  A 40-sample pilot trains every
+    #: candidate's screener first, which then resolves 51,245 of these
+    #: 55,788 samples; the 4,543 rows left are more than two slabs, and more
+    #: than one 2-worker dispatch.
+    GAINS = [6000, 4200, 5760, 6000, 240, 6000, 5988, 6000, 3600, 6000, 6000]
+    PILOT = [40] * len(GAINS)
+
+    def _cache_counts(self, cache):
+        stats = cache.stats
+        return (stats.hits, stats.misses, stats.hit_rows, stats.miss_rows)
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "lru"])
+    def test_round_over_two_slabs_matches_the_whole_round(self, backend):
+        problem = make_sphere_problem(sigma=1.0)
+        engine = (
+            ProcessPoolEngine(workers=2) if backend == "process" else SerialEngine()
+        )
+        reference_cache = None
+        passes = 1
+        if backend == "lru":
+            engine.cache = LRUEvaluationCache(max_bytes=None)
+            reference_cache = LRUEvaluationCache(max_bytes=None)
+            passes = 2  # cold, then warm on fresh states with the same streams
+        dispatches = _record_dispatches(engine)
+        try:
+            for warm in range(passes):
+                states, ledger = _states(problem, n=len(self.GAINS), screener=True)
+                reference, ref_ledger = _states(
+                    problem, n=len(self.GAINS), screener=True
+                )
+                for gains in (self.PILOT, self.GAINS):
+                    before = (ledger.total, len(dispatches))
+                    engine.refine_round(problem, states, gains)
+                    _whole_round(problem, reference, gains, reference_cache)
+                    assert _state_fingerprint(states, ledger) == _state_fingerprint(
+                        reference, ref_ledger
+                    )
+                    if reference_cache is not None:
+                        assert self._cache_counts(engine.cache) == (
+                            self._cache_counts(reference_cache)
+                        )
+                # The big round: screened, over two slabs, streamed in
+                # several dispatches of at most one group each.
+                assert ledger.total - before[0] > 2 * SLAB_ROWS
+                assert ledger.screened_out > 0
+                streamed = dispatches[before[1]:]
+                if warm:
+                    assert streamed == []  # every block replayed
+                else:
+                    assert len(streamed) > 1
+                    assert max(streamed) <= engine.group_rows
+        finally:
+            engine.close()
+        if backend == "lru":
+            # Cold: every block missed; warm: every block hit, none simulated.
+            blocks = 2 * len(self.GAINS)
+            assert self._cache_counts(engine.cache)[:2] == (blocks, blocks)
+            assert ledger.cached == ledger.total
+
+    def test_round_memory_stays_flat(self):
+        # Four slabs' worth of rows must not hold four slabs of samples.
+        problem = make_problem("telescopic")
+        engine = SerialEngine()
+        block = SLAB_ROWS // 4
+
+        def peak(n_blocks):
+            states, _ = _states(problem, n=n_blocks)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            engine.refine_round(problem, states, [block] * n_blocks)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        peak(1)  # lazy set-up is not a round's memory
+        tracemalloc.start()
+        try:
+            one_slab, four_slabs = peak(4), peak(16)
+        finally:
+            tracemalloc.stop()
+        assert four_slabs <= 1.3 * one_slab, (one_slab, four_slabs)
+
+    @pytest.mark.parametrize("backend", ["process", "auto"])
+    def test_pool_groups_one_slab_per_worker(self, backend):
+        problem = make_quadratic_problem()
+        if backend == "process":
+            engine = ProcessPoolEngine(workers=2)
+        else:
+            # Free IPC: the pilot's first dispatch commits to the pool.
+            engine = AutoEngine(
+                workers=2,
+                pilot_rows=1,
+                ipc_row_cost_seconds=0.0,
+                round_overhead_seconds=0.0,
+            )
+        try:
+            states, _ = _states(problem, n=2, seed=3)
+            engine.refine_round(problem, states, [10, 10])
+            dispatches = _record_dispatches(engine)
+            states, _ = _states(problem, n=8, seed=1)
+            engine.refine_round(problem, states, [500] * 8)
+            assert dispatches == [4000]  # fits 2 x SLAB_ROWS: one dispatch
+            states, _ = _states(problem, n=10, seed=2)
+            engine.refine_round(problem, states, [500] * 10)
+            assert dispatches == [4000, 4000, 1000]
+            pool_engine = engine if backend == "process" else engine._delegate
+            assert pool_engine._pool is not None
+        finally:
+            engine.close()
 
 
 class TestProcessPool:

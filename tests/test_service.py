@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.api import optimize
+from repro.api import PROBLEMS, optimize, register_problem
 from repro.api.cli import main
 from repro.api.errors import SpecError, validate_run_spec, validate_sweep_spec
 from repro.api.spec import RunSpec
@@ -217,6 +217,45 @@ class TestSpecError:
             assert "no_such_param" in excinfo.value.reason
             assert "sigma_perf" in excinfo.value.reason.split("accepts")[1]
 
+    @pytest.mark.parametrize(
+        "problem, params",
+        [
+            ("sphere", {"dimension": "abc"}),
+            ("sphere", {"dimension": 0}),
+            ("sphere", {"sigma": "wide"}),
+            ("quadratic", {"cost_bound": float("nan")}),
+            ("telescopic", {"tech": "n90"}),
+        ],
+        ids=[
+            "sphere-dimension-str",
+            "sphere-dimension-0",
+            "sphere-sigma-str",
+            "quadratic-cost_bound-nan",
+            "telescopic-tech-str",
+        ],
+    )
+    def test_problem_param_values_fail_at_validation(self, problem, params):
+        # The factory's own value check runs at the door; nothing is built.
+        bad = {"problem": problem, "problem_params": params}
+        for validate, spec, field in (
+            (
+                validate_run_spec,
+                RunSpec.from_dict(dict(TINY_RUN, **bad)),
+                "problem_params",
+            ),
+            (
+                validate_sweep_spec,
+                SweepSpec.from_dict(
+                    dict(TINY_SWEEP, problems=["sphere", dict(bad, label="bad")])
+                ),
+                "problems[1].problem_params",
+            ),
+        ):
+            with pytest.raises(SpecError) as excinfo:
+                validate(spec)
+            assert excinfo.value.field == field
+            assert next(iter(params)) in excinfo.value.reason
+
     def test_sweep_engine_and_cache_params_bound_at_validation(self):
         spec = SweepSpec.from_dict(
             dict(TINY_SWEEP, engine="auto", engine_params={"transfer": "shm"})
@@ -388,18 +427,26 @@ class TestJobManager:
                 manager.submit_sweep(dict(TINY_SWEEP, seeds=[1]))
             with pytest.raises(SpecError):
                 manager.submit_run(dict(TINY_RUN, problem_params={"no_such_param": 1}))
+            with pytest.raises(SpecError):
+                manager.submit_run(dict(TINY_RUN, problem_params={"dimension": "abc"}))
             assert manager.list_jobs() == []
 
     def test_failed_job_carries_error(self, tmp_path):
-        # A factory parameter the signature accepts, with a value the
-        # factory cannot use, passes the door and blows up when the queued
-        # job builds the problem.
-        bad = dict(TINY_RUN, problem_params={"dimension": "abc"})
-        with JobManager(workers=1, data_dir=str(tmp_path)) as manager:
-            job = manager.submit_run(bad)
-            list(manager.follow_events(job.id))
-            assert job.state == "failed"
-            assert job.error["type"] == "TypeError"
+        # A problem factory with no validate_params hook passes the door and
+        # blows up when the queued job builds the problem.
+        def broken_problem():
+            raise TypeError("this problem cannot be built")
+
+        register_problem("broken_for_test", broken_problem)
+        bad = dict(TINY_RUN, problem="broken_for_test")
+        try:
+            with JobManager(workers=1, data_dir=str(tmp_path)) as manager:
+                job = manager.submit_run(bad)
+                list(manager.follow_events(job.id))
+                assert job.state == "failed"
+                assert job.error["type"] == "TypeError"
+        finally:
+            PROBLEMS.unregister("broken_for_test")
 
     def test_bad_overrides_rejected_at_submission(self, tmp_path):
         # Since the validate_overrides hook, a stage-1 budget that cannot
