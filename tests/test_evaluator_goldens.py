@@ -1,8 +1,9 @@
-"""Pinned outputs of the two analytic circuit evaluators.
+"""Pinned outputs of the three circuit evaluators.
 
 ``tests/goldens/evaluators.json`` holds the sha256 of
 ``evaluate_pairs(X, samples).view(np.int64)`` for the folded-cascode and
-telescopic amplifiers at 1, 50, 700 and 2048 rows, in three shapes:
+telescopic amplifiers (closed-form models) and the netlist OTA (stacked
+MNA/AC solve) at 1, 50, 700 and 2048 rows, in three shapes:
 
 * ``pairs``: one random design per row, each at its own process sample;
 * ``shared``: one design row shared by every sample;
@@ -27,13 +28,18 @@ import pytest
 from test_goldens import fingerprint
 
 from repro.circuit.tech import C035Technology, N90Technology
-from repro.circuit.topologies import FoldedCascodeAmplifier, TwoStageTelescopicAmplifier
+from repro.circuit.topologies import (
+    FoldedCascodeAmplifier,
+    NetlistTwoStageOTA,
+    TwoStageTelescopicAmplifier,
+)
 
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "evaluators.json"
 
 CIRCUITS = {
     "folded_cascode": lambda: FoldedCascodeAmplifier(C035Technology()),
     "telescopic": lambda: TwoStageTelescopicAmplifier(N90Technology()),
+    "netlist_ota": lambda: NetlistTwoStageOTA(C035Technology()),
 }
 SHAPES = ("pairs", "shared", "nominal")
 ROWS = (1, 50, 700, 2048)
