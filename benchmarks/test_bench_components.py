@@ -5,6 +5,13 @@ they are cheap; they guard the substrate's throughput, on which every
 experiment's wall-clock depends.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,6 +130,73 @@ def test_netlist_ota_fused_evaluation(benchmark, ota, designs, rows):
     out = benchmark(ota.evaluate_pairs, X, samples)
     assert out.shape == (rows, 4)
     assert np.all(np.isfinite(out))
+
+
+#: One 480-row netlist-OTA round (the inputs of the ``(6, 480)`` fused case)
+#: in a fresh interpreter: its first call meets an allocator that has freed
+#: nothing large yet, so glibc maps every temporary above its 128 KiB mmap
+#: threshold afresh and faults its pages in.  The five calls that follow
+#: are the warm in-process case.  Prints one JSON line.
+FRESH_OTA_ROUND = """
+import hashlib, json, resource, time
+import numpy as np
+from repro.circuit.tech import C035Technology
+from repro.circuit.topologies import NetlistTwoStageOTA
+
+ota = NetlistTwoStageOTA(C035Technology())
+rng = np.random.default_rng(6)
+X = np.repeat(ota.design_space().sample(6, rng), 80, axis=0)
+samples = ota.variation.sample(len(X), rng)
+
+def call():
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    out = ota.evaluate_pairs(X, samples)
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return out, seconds * 1e3, faults
+
+out, fresh_ms, fresh_faults = call()
+warm = [call()[1:] for _ in range(5)]
+print(json.dumps({
+    "sha256": hashlib.sha256(out.view(np.int64).tobytes()).hexdigest(),
+    "fresh_ms": fresh_ms,
+    "fresh_minflt": fresh_faults,
+    "warm_ms": float(np.median([ms for ms, _ in warm])),
+    "warm_minflt": float(np.median([faults for _, faults in warm])),
+}))
+"""
+
+
+def test_netlist_ota_fresh_interpreter_evaluation(ota, capsys):
+    """The 480-row round's first call in a fresh interpreter, next to the
+    warm calls after it: ms and ``ru_minflt`` per call, printed even under
+    output capture.  The fresh interpreter must compute the in-process
+    rows."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_OTA_ROUND],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    report = json.loads(child.stdout)
+    rng = np.random.default_rng(6)
+    X = np.repeat(ota.design_space().sample(6, rng), 80, axis=0)
+    out = ota.evaluate_pairs(X, ota.variation.sample(len(X), rng))
+    assert report["sha256"] == hashlib.sha256(out.view(np.int64).tobytes()).hexdigest()
+    with capsys.disabled():
+        print(
+            f"\nnetlist_ota 480 rows: fresh interpreter {report['fresh_ms']:.1f} ms, "
+            f"{report['fresh_minflt']} minflt; warm {report['warm_ms']:.1f} ms, "
+            f"{report['warm_minflt']:.0f} minflt per call"
+        )
 
 
 @pytest.mark.benchmark(group="sampling")

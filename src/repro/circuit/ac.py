@@ -15,12 +15,27 @@ zeros cost nothing.  :class:`BatchACAnalysis` feeds it per-sample stamped
 systems in memory-bounded sample chunks, which is what keeps
 netlist-backed Monte-Carlo problems from being loop-bound.
 
+The elimination keeps its passes and temporaries few.  A capacitive
+entry's two parts are written straight into it, skipping the pass that
+only turns ``-0.0`` into ``+0.0`` where no product can be zero.  Row
+merges, updates and the back-substitution overwrite arrays that only the
+elimination holds, each step frees its temporaries when it returns, and
+the last division writes straight into the result, so a chunk holds at
+most ~7 grid-sized complex arrays at once, where allocating every step's
+result afresh held ~15.  On a 2-CPU Xeon VM, replayed ``ota_tight``
+benchmark calls of the netlist OTA (301 points, ``dim = 4``) then cost
+24 µs a row instead of 38 and take ~60 minor page faults per benchmark
+iteration instead of ~28k; a 480-row call made first in a fresh
+interpreter takes 26.6 ms instead of 32.5.
+
 Metric extraction makes one pass over each full-grid quantity it needs.
 A :class:`TransferFunction` computes ``|H|`` and the unity-gain crossing
 once, at first use, and caches both read-only; the phase margin then reads
-the phase only at the two grid points bracketing each curve's crossing,
-unwrapping the angle no further than the rightmost of them.  Every value
-equals the full-grid formula bit for bit.
+the phase only at the two grid points bracketing each curve's crossing.
+A curve whose points up to there are finite and all in one open
+half-plane (``Im > 0`` or ``Im < 0``) needs no unwrap correction, so its
+angle is read at those two points only; any other curve is unwrapped no
+further than the rightmost of them.  Every value equals the full-grid formula bit for bit.
 """
 
 from __future__ import annotations
@@ -47,12 +62,15 @@ _DEFAULT_GRID: np.ndarray | None = None
 
 #: Complex-entry budget of one stacked solve: samples are eliminated in
 #: chunks of at most ``budget / (n_freq * dim**2)``, so a large Monte-Carlo
-#: block cannot balloon memory (250k entries = 4 MiB of complex128), and
-#: one ``(chunk, n_freq)`` entry array stays small enough for a core's L2
-#: cache (about 50 rows of a 301-point grid at ``dim = 4``).  On a 2-CPU
-#: Xeon VM, halving the chunk from about 100 rows halved the page faults
-#: of a 480-row netlist-OTA call (smaller temporaries are reused instead of
-#: re-mapped) and made it ~15% faster; 2048-row calls did not change.
+#: block cannot balloon memory (250k entries = 4 MiB of complex128).  At a
+#: 301-point grid and ``dim = 4`` that is 51 rows, whose complex entries
+#: are 245 KB each.  The first call in a fresh interpreter pays for every
+#: temporary above glibc's 128 KiB mmap threshold as a fresh mapping,
+#: faulted in page by page, until a bigger block has been freed.  For a
+#: 480-row netlist-OTA call on a 2-CPU Xeon VM, 25-, 51- and 103-row
+#: chunks took 23.7, 19.4 and 21.9 ms as such a first call and 13.7, 12.4
+#: and 11.3 ms on later calls; over replayed ``ota_tight`` benchmark calls
+#: in one warm process, 103-row chunks came within 3% of 51-row ones.
 _SOLVE_ENTRY_BUDGET = 250_000
 
 
@@ -93,7 +111,8 @@ def _stacked_response(
     ``b`` is shared.  Returns the output node (or node-pair) response with
     shape ``(n_freq,)`` respectively ``(n_samples, n_freq)``; a grounded
     output is identically zero.  Samples are eliminated in chunks bounded
-    by :data:`_SOLVE_ENTRY_BUDGET`.
+    by :data:`_SOLVE_ENTRY_BUDGET`; without ``neg_idx`` each chunk's last
+    division writes straight into its rows of the result.
     """
     single = g.ndim == 2
     if single:
@@ -101,19 +120,30 @@ def _stacked_response(
     c = np.broadcast_to(c, g.shape)
     n_samples, dim = g.shape[0], g.shape[-1]
     omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    out = np.zeros((n_samples, len(omega)), dtype=complex)
     wanted = [i for i in (out_idx, neg_idx) if i is not None]
-    if wanted and n_samples:
-        chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(omega) * dim * dim, 1))
-        for start in range(0, n_samples, chunk):
-            stop = start + chunk
+    if not (wanted and n_samples):
+        out = np.zeros((n_samples, len(omega)), dtype=complex)
+        return out[0] if single else out
+    out = np.empty((n_samples, len(omega)), dtype=complex)
+    chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(omega) * dim * dim, 1))
+    for start in range(0, n_samples, chunk):
+        stop = start + chunk
+        rows = out[start:stop]
+        if neg_idx is None:
+            x = _eliminate(g[start:stop], c[start:stop], b, omega, out_idx, rows)
+            v = x[out_idx]
+        else:
             x = _eliminate(g[start:stop], c[start:stop], b, omega, min(wanted))
-            x = [0.0 if v is None else v for v in x]
-            v = x[out_idx] if out_idx is not None else 0.0
-            if neg_idx is not None:
-                v = v - x[neg_idx]
-            out[start:stop] = v
+            x = [0.0 if xi is None else xi for xi in x]
+            v = (x[out_idx] if out_idx is not None else 0.0) - x[neg_idx]
+        if v is not rows:
+            rows[...] = 0.0 if v is None else v
     return out[0] if single else out
+
+
+def _shape(*entries: np.ndarray) -> tuple:
+    """Broadcast shape of 2-D entries (each axis 1 or one common length)."""
+    return tuple(map(max, *(entry.shape for entry in entries)))
 
 
 def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[list]:
@@ -125,17 +155,23 @@ def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[lis
     carries capacitance.  A structural zero (zero in every system) is
     ``None``.
 
-    A capacitive entry is written part by part, as ``g + 0*c`` and
-    ``0 + omega*c``, without a complex multiply.  On a grid of finite,
-    non-negative frequencies (every analysis grid) that equals
-    ``g + (1j * omega) * c`` bit for bit: the complex product is
-    ``(0*c - omega*0) + j(0*0 + omega*c)``.
+    A capacitive entry is written part by part, without a complex
+    multiply: ``omega*c`` straight into its imaginary part, ``g + 0*c``
+    into its real part.  On a grid of finite, non-negative frequencies
+    (every analysis grid) that equals ``g + (1j * omega) * c`` bit for
+    bit: the complex product is ``(0*c - omega*0) + j(0*0 + omega*c)``.
+    Its ``+ 0.0`` turns a ``-0.0`` product into ``+0.0``; that second pass
+    over the imaginary part is skipped where no product can be zero, i.e.
+    where ``|c| * min(omega) > 0``, which bounds every ``|c| * omega`` on
+    the grid from below.
     """
     dim = g.shape[-1]
-    g_same = np.all(g == g[:1], axis=0)
-    c_same = np.all(c == c[:1], axis=0)
+    g_same = (g == g[:1]).all(axis=0)
+    c_same = (c == c[:1]).all(axis=0)
     g_zero = g_same & (g[0] == 0.0)
     c_zero = c_same & (c[0] == 0.0)
+    omega_low = omega.min() if omega.size else 0.0
+    no_zero_product = (np.abs(c) * omega_low > 0.0).all(axis=0)
 
     def column(m, same, i, j):
         return m[:1, i, j, None] if same[i, j] else m[:, i, j, None]
@@ -152,10 +188,11 @@ def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[lis
                 real = 0.0 * capacitance
                 if conductance is not None:
                     real = conductance + real
-                entry = np.empty(np.broadcast_shapes(real.shape, omega.shape), complex)
-                entry.real = real
+                entry = np.empty((len(real), len(omega)), complex)
                 np.multiply(omega, capacitance, out=entry.imag)
-                entry.imag += 0.0  # the product's 0*0 + omega*c: -0.0 turns +0.0
+                if not no_zero_product[i, j]:
+                    entry.imag += 0.0  # the product's 0*0 + omega*c
+                entry.real = real
             row.append(entry)
         rows.append(row)
     return rows
@@ -163,23 +200,77 @@ def _system_entries(g: np.ndarray, c: np.ndarray, omega: np.ndarray) -> list[lis
 
 def _cabs1(z: np.ndarray) -> np.ndarray:
     """``|Re z| + |Im z|``, the magnitude LAPACK's partial pivoting compares."""
-    return np.abs(z.real) + np.abs(z.imag)
+    magnitude = np.abs(z.real)
+    return np.add(magnitude, np.abs(z.imag), out=magnitude)
 
 
-def _where(mask: np.ndarray, a, b):
-    """``np.where`` over entries where ``None`` is a structural zero."""
+def _pivot_choice(magnitudes: list):
+    """Position of each system's pivot among the candidates' magnitudes.
+
+    The largest magnitude wins, the first one on ties (NaN never wins), as
+    in LAPACK.  Needs two or more candidates.  Returns an ``int`` when
+    every system picks the same position, else an array broadcastable to
+    the systems: boolean (``True`` = position 1) for two candidates,
+    integer for more.
+    """
+    best = magnitudes[0]
+    for pos, magnitude in enumerate(magnitudes[1:], start=1):
+        wins = magnitude > best
+        if pos < len(magnitudes) - 1:  # the last candidate's best is never read
+            best = np.where(wins, magnitude, best)
+        choice = wins if pos == 1 else np.where(wins, pos, choice)
+    if choice.dtype == bool:
+        if choice.all():
+            return 1
+        return choice if choice.any() else 0
+    first = int(choice.flat[0])
+    return first if (choice == first).all() else choice
+
+
+def _where(mask: np.ndarray, a, b, in_place: bool = False):
+    """``np.where(mask, a, b)`` over entries where ``None`` is a structural
+    zero; with ``in_place``, written into ``b`` when ``b`` has the result's
+    shape."""
     if a is None and b is None:
         return None
-    return np.where(mask, 0.0 if a is None else a, 0.0 if b is None else b)
+    if b is None:
+        return np.where(mask, a, 0.0)
+    if in_place and b.shape == _shape(mask, b if a is None else a, b):
+        np.copyto(b, 0.0 if a is None else a, where=mask)
+        return b
+    return np.where(mask, 0.0 if a is None else a, b)
 
 
-def _minus(a, b: np.ndarray) -> np.ndarray:
-    """``a - b`` where ``a`` may be a structural zero."""
-    return -b if a is None else a - b
+def _subtract_product(acc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``acc - x * y`` where ``acc`` may be a structural zero.
+
+    The result is written into the product, or into ``acc`` when only that
+    has the result's shape, so callers must not read ``acc`` afterwards.
+    """
+    product = x * y
+    if acc is None:
+        return np.negative(product, out=product)
+    shape = _shape(acc, product)
+    if product.shape == shape:
+        return np.subtract(acc, product, out=product)
+    return np.subtract(acc, product, out=acc if acc.shape == shape else None)
+
+
+def _divide(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """``x / y``, written into ``out`` when it is given and has the
+    result's shape."""
+    if out is not None and out.shape != _shape(x, y):
+        out = None
+    return np.divide(x, y, out=out)
 
 
 def _eliminate(
-    g: np.ndarray, c: np.ndarray, b: np.ndarray, omega: np.ndarray, lowest: int
+    g: np.ndarray,
+    c: np.ndarray,
+    b: np.ndarray,
+    omega: np.ndarray,
+    lowest: int,
+    out: np.ndarray | None = None,
 ) -> list:
     """Solution unknowns ``lowest..dim-1`` of ``S`` stacked systems over a grid.
 
@@ -189,7 +280,14 @@ def _eliminate(
     the same pivot row the rows swap outright, otherwise per system with
     ``np.where``.  Back-substitution stops at unknown ``lowest``; entries
     of the returned list are arrays broadcastable to ``(S, F)``, ``None``
-    for an unknown that is identically zero (or was not asked for).
+    for an unknown that is identically zero (or was not asked for).  When
+    ``out`` (``(S, F)``) is given and unknown ``lowest`` fills it, that
+    unknown is divided straight into ``out``.
+
+    Every entry array belongs to the elimination alone, so merges, updates
+    and the back-substitution overwrite their operands in place where the
+    shapes allow, and each step's temporaries are freed when it returns.
+    Every value comes from the same operation either way.
 
     Raises
     ------
@@ -204,53 +302,71 @@ def _eliminate(
         candidates = [i for i in range(k, dim) if a[i][k] is not None]
         if not candidates:
             raise np.linalg.LinAlgError("Singular matrix")
-        choice = np.zeros((1, 1), dtype=np.intp)
+        choice = 0
         if len(candidates) > 1:
-            best = _cabs1(a[candidates[0]][k])
-            for pos, i in enumerate(candidates[1:], start=1):
-                magnitude = _cabs1(a[i][k])
-                wins = magnitude > best
-                best = np.where(wins, magnitude, best)
-                choice = np.where(wins, pos, choice)
-        first = int(choice.flat[0])
-        if np.all(choice == first):
-            p = candidates[first]
+            choice = _pivot_choice([_cabs1(a[i][k]) for i in candidates])
+        if isinstance(choice, int):
+            p = candidates[choice]
             a[k], a[p] = a[p], a[k]
             rhs[k], rhs[p] = rhs[p], rhs[k]
         else:
-            old = {i: a[i][k:] + [rhs[i]] for i in {k, *candidates}}
-            new_k = old[k]
-            for pos, i in enumerate(candidates):
-                if i == k:
-                    continue
-                mask = choice == pos
-                new_k = [_where(mask, x, y) for x, y in zip(old[i], new_k)]
-                new_i = [_where(mask, x, y) for x, y in zip(old[k], old[i])]
-                a[i][k:], rhs[i] = new_i[:-1], new_i[-1]
-            a[k][k:], rhs[k] = new_k[:-1], new_k[-1]
+            _merge_pivot_rows(a, rhs, k, candidates, choice)
 
-        pivot = a[k][k]
-        if not np.all(pivot):
+        if not a[k][k].all():
             raise np.linalg.LinAlgError("Singular matrix")
         for i in range(k + 1, dim):
-            if a[i][k] is None:
-                continue
-            factor = a[i][k] / pivot
-            a[i][k] = None
-            for j in range(k + 1, dim):
-                if a[k][j] is not None:
-                    a[i][j] = _minus(a[i][j], factor * a[k][j])
-            if rhs[k] is not None:
-                rhs[i] = _minus(rhs[i], factor * rhs[k])
+            if a[i][k] is not None:
+                _eliminate_below(a, rhs, k, i)
 
     x = [None] * dim
     for i in range(dim - 1, lowest - 1, -1):
         acc = rhs[i]
         for j in range(dim - 1, i, -1):
             if a[i][j] is not None and x[j] is not None:
-                acc = _minus(acc, a[i][j] * x[j])
-        x[i] = None if acc is None else acc / a[i][i]
+                acc = _subtract_product(acc, a[i][j], x[j])
+        if acc is not None:
+            x[i] = _divide(acc, a[i][i], out=out if i == lowest else None)
     return x
+
+
+def _merge_pivot_rows(a: list, rhs: list, k: int, candidates: list, choice) -> None:
+    """Give every system its pivot row ``candidates[choice]`` as row ``k``.
+
+    Per system, row ``k`` and the chosen candidate row swap, column by
+    column from ``k`` on, the right-hand side appended as a last column.
+    Each merged entry of row ``k`` is a new array (the old one is read for
+    every candidate and freed a column later); candidate rows are merged
+    in place.
+    """
+    masks = {
+        i: choice if choice.dtype == bool and pos == 1 else choice == pos
+        for pos, i in enumerate(candidates)
+        if i != k
+    }
+    for i in (k, *masks):
+        a[i].append(rhs[i])
+    for j in range(k, len(a[k])):
+        old_k = merged = a[k][j]
+        for i, mask in masks.items():
+            merged = _where(mask, a[i][j], merged, merged is not old_k)
+            a[i][j] = _where(mask, old_k, a[i][j], True)
+        a[k][j] = merged
+    for i in (k, *masks):
+        rhs[i] = a[i].pop()
+
+
+def _eliminate_below(a: list, rhs: list, k: int, i: int) -> None:
+    """Subtract the multiple of pivot row ``k`` that zeroes ``a[i][k]``.
+
+    The factor is divided into ``a[i][k]``'s array, which row ``i`` drops.
+    """
+    factor = _divide(a[i][k], a[k][k], out=a[i][k])
+    a[i][k] = None
+    for j in range(k + 1, len(a)):
+        if a[k][j] is not None:
+            a[i][j] = _subtract_product(a[i][j], factor, a[k][j])
+    if rhs[k] is not None:
+        rhs[i] = _subtract_product(rhs[i], factor, rhs[k])
 
 
 def _unity_gain_frequency(frequencies: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -263,7 +379,7 @@ def _unity_gain_frequency(frequencies: np.ndarray, magnitude: np.ndarray) -> np.
     valid = above[..., 0] & ~above[..., -1]
     # First index at which |H| drops below unity (clipped so the k-1
     # neighbour always exists; invalid rows are masked out below).
-    k = np.clip(np.argmax(~above, axis=-1), 1, magnitude.shape[-1] - 1)
+    k = np.clip(np.argmin(above, axis=-1), 1, magnitude.shape[-1] - 1)
     m1 = np.take_along_axis(magnitude, (k - 1)[..., None], axis=-1)[..., 0]
     m2 = np.take_along_axis(magnitude, k[..., None], axis=-1)[..., 0]
     f1, f2 = frequencies[k - 1], frequencies[k]
@@ -274,28 +390,70 @@ def _unity_gain_frequency(frequencies: np.ndarray, magnitude: np.ndarray) -> np.
     return np.where(valid, fu, np.nan)
 
 
+def _in_one_half_plane(response: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Whether each curve's points up to column ``idx`` all lie in the open
+    upper or all in the open lower half-plane (``Im > 0`` or ``Im < 0``).
+
+    A curve with a non-finite point anywhere up to the largest ``idx``
+    reads ``False``, which only sends it down the exact path.
+    """
+    block = response[..., : idx.max(initial=1) + 1]
+    imag = block.imag
+    inside = imag < 0
+    upper = ~inside[..., 0]
+    if np.any(upper):
+        inside[upper] = imag[upper] > 0
+    first_out = np.argmin(inside, axis=-1)  # 0 when no point is outside
+    ok = inside[..., 0] & ((first_out == 0) | (first_out > idx))
+    return ok & np.isfinite(block.view(block.real.dtype)).all(axis=-1)
+
+
 def _unwrapped_phase_deg(response: np.ndarray, idx: np.ndarray) -> tuple:
     """Unwrapped phase [deg] at columns ``idx - 1`` and ``idx`` of each curve.
 
     ``response`` is ``(..., n)`` and ``idx`` ``(...)`` with entries in
     ``1..n-1``.  The result equals ``np.degrees(np.unwrap(np.angle(response)))``
-    gathered at those columns, bit for bit, at less cost.  ``np.unwrap``
-    adds a running sum of corrections, so the angle is read only up to
-    column ``max(idx)``.  A correction is zero wherever a step is below pi,
-    so only curves with a step of pi or more (or NaN) before their own
-    column go through ``np.unwrap``, whose ``np.mod`` pass is most of its
-    cost; no netlist-OTA curve of the ``ota_tight`` benchmark workload has
-    one before its crossing.  Only the gathered values become degrees.
+    gathered at those columns, bit for bit, at less cost.
+
+    Most curves need the angle at those two columns only.  When a curve's
+    points up to column ``idx`` are finite and all lie in one open
+    half-plane, every angle lies in ``[0, pi]`` or in ``[-pi, -0.0]``, so
+    every step is at most pi and every ``np.unwrap`` correction is ``+0.0``
+    (a step of exactly pi is kept as pi); adding it still turns a ``-0.0``
+    angle past column 0 into ``+0.0``.  Every other curve takes the full
+    path of :func:`_unwrapped_angle`.  No netlist-OTA curve of the
+    ``ota_tight`` benchmark workload needs it.  Only the gathered values
+    become degrees.
     """
-    angle = np.angle(response[..., : idx.max(initial=1) + 1])
+    cols = np.stack([idx - 1, idx], axis=-1)
+    angle = np.angle(np.take_along_axis(response, cols, axis=-1))
+    angle[..., 1] += 0.0
+    angle[idx > 1, 0] += 0.0
+    full = ~_in_one_half_plane(response, idx)
+    if np.any(full):
+        angle[full] = _unwrapped_angle(response[full], cols[full])
+    phase = np.degrees(angle)
+    return phase[..., 0], phase[..., 1]
+
+
+def _unwrapped_angle(response: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``np.unwrap(np.angle(response))`` gathered at columns ``cols``.
+
+    ``response`` is ``(m, n)`` and ``cols`` ``(m, 2)`` holds ``idx - 1`` and
+    ``idx`` of each curve.  ``np.unwrap`` adds a running sum of
+    corrections, so the angle is read only up to column ``max(idx)``.  A
+    correction is zero wherever a step is below pi, so only curves with a
+    step of pi or more (or NaN) before their own column go through
+    ``np.unwrap``, whose ``np.mod`` pass is most of its cost.
+    """
+    idx = cols[:, 1]
+    angle = np.angle(response[:, : idx.max(initial=1) + 1])
     kept = ~(np.abs(np.diff(angle, axis=-1)) < np.pi)  # np.unwrap's rule, NaN kept
     wraps = np.logical_or.accumulate(kept, axis=-1)
-    wraps = np.take_along_axis(wraps, (idx - 1)[..., None], axis=-1)[..., 0]
+    wraps = np.take_along_axis(wraps, (idx - 1)[:, None], axis=-1)[:, 0]
     angle[~wraps, 1:] += 0.0  # zero corrections still turn -0.0 into +0.0
     angle[wraps] = np.unwrap(angle[wraps], axis=-1)
-    cols = np.stack([idx - 1, idx], axis=-1)
-    phase = np.degrees(np.take_along_axis(angle, cols, axis=-1))
-    return phase[..., 0], phase[..., 1]
+    return np.take_along_axis(angle, cols, axis=-1)
 
 
 @dataclass

@@ -73,14 +73,18 @@ class Spec:
     def margin(self, value):
         """Signed normalised slack of ``value`` against this spec.
 
-        Positive = pass.  Works on scalars and arrays.
+        Positive = pass.  Works on scalars and arrays.  A slack too large
+        for the scale (a subnormal bound, say) saturates to ``+-inf``
+        without a floating-point warning; its sign is all that
+        :meth:`passes`-style decisions and violations read.
         """
         value = np.asarray(value, dtype=float)
-        if self.kind == ">=":
-            raw = value - self.bound
-        else:
-            raw = self.bound - value
-        out = raw / self.effective_scale
+        with np.errstate(over="ignore"):
+            if self.kind == ">=":
+                raw = value - self.bound
+            else:
+                raw = self.bound - value
+            out = raw / self.effective_scale
         if out.ndim == 0:
             return float(out)
         return out

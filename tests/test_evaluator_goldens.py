@@ -12,15 +12,22 @@ MNA/AC solve) at 1, 50, 700 and 2048 rows, in three shapes:
 
 A change to the evaluators' arithmetic that claims to change nothing must
 leave every hash as it is.  Like ``test_goldens.py``, the hashes are only
-checked on the platform that pinned them.
+checked on the platform that pinned them.  On any platform, every case
+must hash the same at one and at two BLAS/OpenMP threads.
 
 Regenerate (only for a change that is *meant* to alter results)::
 
     PYTHONPATH=src python tests/test_evaluator_goldens.py
+
+``--print`` writes the hashes of this interpreter to standard output as
+JSON instead.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +42,7 @@ from repro.circuit.topologies import (
 )
 
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "evaluators.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CIRCUITS = {
     "folded_cascode": lambda: FoldedCascodeAmplifier(C035Technology()),
@@ -100,11 +108,42 @@ def test_goldens_cover_every_case():
     assert set(stored) == {case_key(*case) for case in CASES}
 
 
+def test_hashes_do_not_depend_on_blas_threads():
+    """Every case hashes the same at 1 and 2 BLAS/OpenMP threads.
+
+    None of the evaluators calls BLAS or LAPACK, whose threaded kernels can
+    round differently per thread count; this keeps shortcuts such as ``@``,
+    ``einsum(optimize=...)`` or ``np.linalg`` out of them.  BLAS reads its
+    thread count when numpy loads it, so each count runs in a fresh
+    interpreter.
+    """
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        child = subprocess.run(
+            [sys.executable, __file__, "--print"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        runs.append(json.loads(child.stdout))
+    assert set(runs[0]) == {case_key(*case) for case in CASES}
+    assert runs[0] == runs[1]
+
+
 if __name__ == "__main__":
     amps = {name: build() for name, build in CIRCUITS.items()}
     cases = {
         case_key(c, s, r): output_hash(amps[c], s, r) for c, s, r in CASES
     }
+    if sys.argv[1:] == ["--print"]:
+        print(json.dumps(cases))
+        sys.exit()
     GOLDENS.parent.mkdir(exist_ok=True)
     GOLDENS.write_text(
         json.dumps({"fingerprint": fingerprint(), "cases": cases}, indent=2) + "\n"

@@ -1,5 +1,7 @@
 """Specification semantics: margins, pass/fail, violations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,25 @@ class TestSpec:
 
     def test_str(self):
         assert str(Spec("gain", ">=", 70.0, unit="dB")) == "gain >= 70 dB"
+
+    def test_overflowing_margin_saturates_without_warning(self):
+        # A subnormal bound is its own scale: 4.0 / 2.2e-308 overflows.
+        tiny = 2.2250738585072014e-308
+        lower, upper = Spec("m", ">=", tiny), Spec("m", "<=", tiny)
+        specs = SpecSet([lower])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lower.margin(4.0) == np.inf
+            assert lower.margin(-4.0) == -np.inf
+            assert upper.margin(4.0) == -np.inf
+            np.testing.assert_array_equal(
+                lower.margin(np.array([4.0, -4.0])), [np.inf, -np.inf]
+            )
+            assert lower.passes(4.0) == (lower.margin(4.0) >= 0.0)
+            np.testing.assert_array_equal(specs.passes([[4.0], [-4.0]]), [True, False])
+            np.testing.assert_array_equal(
+                specs.violation([[4.0], [-4.0]]), [0.0, np.inf]
+            )
 
 
 class TestSpecSet:
