@@ -26,7 +26,7 @@ result afresh held ~15.  On a 2-CPU Xeon VM, replayed ``ota_tight``
 benchmark calls of the netlist OTA (301 points, ``dim = 4``) then cost
 24 µs a row instead of 38 and take ~60 minor page faults per benchmark
 iteration instead of ~28k; a 480-row call made first in a fresh
-interpreter takes 26.6 ms instead of 32.5.
+interpreter takes 25.7 ms instead of 28.2.
 
 Metric extraction makes one pass over each full-grid quantity it needs.
 A :class:`TransferFunction` computes ``|H|`` and the unity-gain crossing
@@ -420,9 +420,10 @@ def _unwrapped_phase_deg(response: np.ndarray, idx: np.ndarray) -> tuple:
     half-plane, every angle lies in ``[0, pi]`` or in ``[-pi, -0.0]``, so
     every step is at most pi and every ``np.unwrap`` correction is ``+0.0``
     (a step of exactly pi is kept as pi); adding it still turns a ``-0.0``
-    angle past column 0 into ``+0.0``.  Every other curve takes the full
-    path of :func:`_unwrapped_angle`.  No netlist-OTA curve of the
-    ``ota_tight`` benchmark workload needs it.  Only the gathered values
+    angle past column 0 into ``+0.0``.  Every other curve is unwrapped by
+    :func:`_unwrapped_angle`.  No netlist-OTA curve of the ``ota_tight``
+    benchmark workload needs that; every one of the OTA's random-design
+    curves that does wraps before its crossing.  Only the gathered values
     become degrees.
     """
     cols = np.stack([idx - 1, idx], axis=-1)
@@ -439,21 +440,12 @@ def _unwrapped_phase_deg(response: np.ndarray, idx: np.ndarray) -> tuple:
 def _unwrapped_angle(response: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``np.unwrap(np.angle(response))`` gathered at columns ``cols``.
 
-    ``response`` is ``(m, n)`` and ``cols`` ``(m, 2)`` holds ``idx - 1`` and
-    ``idx`` of each curve.  ``np.unwrap`` adds a running sum of
-    corrections, so the angle is read only up to column ``max(idx)``.  A
-    correction is zero wherever a step is below pi, so only curves with a
-    step of pi or more (or NaN) before their own column go through
-    ``np.unwrap``, whose ``np.mod`` pass is most of its cost.
+    ``response`` is ``(m, n)`` and ``cols`` ``(m, 2)``.  ``np.unwrap`` adds
+    a running sum of corrections, so the angle is read and unwrapped only
+    up to the largest column asked for.
     """
-    idx = cols[:, 1]
-    angle = np.angle(response[:, : idx.max(initial=1) + 1])
-    kept = ~(np.abs(np.diff(angle, axis=-1)) < np.pi)  # np.unwrap's rule, NaN kept
-    wraps = np.logical_or.accumulate(kept, axis=-1)
-    wraps = np.take_along_axis(wraps, (idx - 1)[:, None], axis=-1)[:, 0]
-    angle[~wraps, 1:] += 0.0  # zero corrections still turn -0.0 into +0.0
-    angle[wraps] = np.unwrap(angle[wraps], axis=-1)
-    return np.take_along_axis(angle, cols, axis=-1)
+    angle = np.angle(response[:, : cols.max(initial=1) + 1])
+    return np.take_along_axis(np.unwrap(angle, axis=-1), cols, axis=-1)
 
 
 @dataclass
