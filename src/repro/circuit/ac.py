@@ -394,8 +394,9 @@ def _in_one_half_plane(response: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Whether each curve's points up to column ``idx`` all lie in the open
     upper or all in the open lower half-plane (``Im > 0`` or ``Im < 0``).
 
-    A curve with a non-finite point anywhere up to the largest ``idx``
-    reads ``False``, which only sends it down the exact path.
+    A curve whose points up to the largest ``idx`` do not sum to a finite
+    value (a non-finite point, or an overflow) reads ``False``, which only
+    sends it down the exact path.
     """
     block = response[..., : idx.max(initial=1) + 1]
     imag = block.imag
@@ -405,7 +406,7 @@ def _in_one_half_plane(response: np.ndarray, idx: np.ndarray) -> np.ndarray:
         inside[upper] = imag[upper] > 0
     first_out = np.argmin(inside, axis=-1)  # 0 when no point is outside
     ok = inside[..., 0] & ((first_out == 0) | (first_out > idx))
-    return ok & np.isfinite(block.view(block.real.dtype)).all(axis=-1)
+    return ok & np.isfinite(block.sum(axis=-1))
 
 
 def _unwrapped_phase_deg(response: np.ndarray, idx: np.ndarray) -> tuple:

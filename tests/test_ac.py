@@ -262,6 +262,15 @@ class TestPhaseReadBitIdentity:
         want = _reference_phase_margin(GRID, response)
         _assert_bitwise_equal(tf.phase_margin(), want)
 
+    def test_any_memory_layout(self):
+        response = _adversarial_responses(seed=3)
+        spaced = np.repeat(response, 2, axis=-1)[:, ::2]  # strided columns
+        want = _reference_phase_margin(GRID, response)
+        for layout in (np.asfortranarray(response), spaced):
+            with np.errstate(invalid="ignore"):
+                got = TransferFunction(GRID, layout).phase_margin()
+            _assert_bitwise_equal(got, want)
+
     def test_empty_batch(self):
         tf = TransferFunction(GRID, np.empty((0, len(GRID)), dtype=complex))
         _assert_bitwise_equal(tf.phase_at(10.0), np.empty(0))
