@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
-# Composed-method smoke: the surrogate-screened method must be
+# Screened-method smoke: the surrogate-screened method must be
 # discoverable, ledger-faithful, and cheaper than the unscreened run at
 # equal-or-better yield on a pinned circuit-priced workload.
 set -euo pipefail
 
-# The composed methods are discoverable, with descriptions and config
-# summaries (the registry prints one line per method).
+# The screened methods are discoverable, with their descriptions (the
+# registry prints one line per method).
 repro list methods | tee methods.log
 grep -q "moheco_screened" methods.log
-grep -q "moheco_lineasy" methods.log
 grep -q "fixed_budget_screened" methods.log
-grep -q "screener=surrogate" methods.log
-grep -q "proposer=line" methods.log
+grep -q "BagNet-style" methods.log
 
 # Screened vs unscreened on the same pinned workload (the smoke slice of
 # benchmarks/test_bench_compose.py): the screener must engage
@@ -47,7 +45,7 @@ print(
 )
 EOF
 
-# Compose benchmark (tiny budget): REPRO_BENCH_SMOKE shrinks to two
+# Screen benchmark (tiny budget): REPRO_BENCH_SMOKE shrinks to two
 # seeds and disarms the >=1.2x aggregate bar; the yield-parity and
 # ratio-above-1x assertions still run.
 REPRO_BENCH_SMOKE=1 pytest benchmarks/test_bench_compose.py -q -s

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Multi-fidelity ladder smoke: the ladder must beat the fixed-fidelity
 # baseline on sims-to-target, combine with the surrogate screen of a
-# composed method, stay bit-identical on a 2-worker process pool (cold and
+# screened method, stay bit-identical on a 2-worker process pool (cold and
 # warm cache), then run the tiny-budget mf benchmark.
 set -euo pipefail
 
@@ -36,7 +36,7 @@ print(
 )
 EOF
 
-# Stage 1 is a config value, so a composed method climbs the ladder too:
+# Stage 1 is a config value, so a screened method climbs the ladder too:
 # the surrogate screen prunes trials before the feasibility gate and the
 # survivors climb the rungs, in one run.
 repro run --problem netlist_ota --method moheco_screened --seed 23 \

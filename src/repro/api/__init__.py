@@ -23,10 +23,10 @@ Everything a user (or a deployment) needs is reachable from here:
   content-addressed replay of already-simulated sample blocks, with an
   LRU byte budget and an optional JSONL spill file shared across runs;
   ledger-faithful, selected via ``RunSpec.cache`` or ``--cache``.
-* **Composed methods** — :func:`register_composed_method` turns a
-  ``{screener, proposer, selection, backbone}`` config into a full method
-  entry (:mod:`repro.compose`); the parts plug in by name through the
-  :data:`SCREENERS` / :data:`PROPOSERS` / :data:`SELECTIONS` registries.
+* **Screened methods** — ``moheco_screened`` and
+  ``fixed_budget_screened`` run a MOHECO backbone with a BagNet-style
+  surrogate screen in front of the simulator, configured by the run's
+  ``screen_params`` (:mod:`repro.compose`).
 * **CLI** — ``python -m repro run --problem folded_cascode --seed 7 --out
   result.json`` (:mod:`repro.api.cli`).
 
@@ -63,21 +63,6 @@ from repro.api.registries import (
     register_sampler,
 )
 from repro.api.spec import RunSpec
-from repro.compose import (
-    PROPOSERS,
-    SCREENERS,
-    SELECTIONS,
-    get_proposer,
-    get_screener,
-    get_selection,
-    list_proposers,
-    list_screeners,
-    list_selections,
-    register_composed_method,
-    register_proposer,
-    register_screener,
-    register_selection,
-)
 from repro.engine import (
     CacheStats,
     EvaluationCache,
@@ -147,20 +132,6 @@ __all__ = [
     "register_cache",
     "get_cache",
     "list_caches",
-    # composed methods and their part registries
-    "SCREENERS",
-    "PROPOSERS",
-    "SELECTIONS",
-    "register_screener",
-    "get_screener",
-    "list_screeners",
-    "register_proposer",
-    "get_proposer",
-    "list_proposers",
-    "register_selection",
-    "get_selection",
-    "list_selections",
-    "register_composed_method",
     # engines
     "EvaluationEngine",
     "SerialEngine",

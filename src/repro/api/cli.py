@@ -637,11 +637,11 @@ def _command_cancel(args: argparse.Namespace) -> int:
 
 
 def _print_methods() -> None:
-    """One line per method: name, description, composed-config summary.
+    """One line per method: name and description.
 
-    The description comes from the runner's ``description`` attribute and
-    the config summary from ``compose_config`` — both attached by the
-    method registrations, so third-party methods opt in the same way.
+    The description comes from the runner's ``description`` attribute,
+    attached by the method registrations, so third-party methods opt in
+    the same way.
     """
     from repro.api.registries import get_method
 
@@ -651,13 +651,6 @@ def _print_methods() -> None:
     for name in names:
         runner = get_method(name)
         description = getattr(runner, "description", "") or "(no description)"
-        compose = getattr(runner, "compose_config", None)
-        if compose is not None:
-            parts = " ".join(
-                f"{field}={compose[field]}"
-                for field in ("screener", "proposer", "selection", "backbone")
-            )
-            description = f"{description} [{parts}]"
         print(f"  {name:<{width}}  {description}")
 
 

@@ -10,7 +10,7 @@ driven through :func:`repro.api.optimize`:
 * ``pswcd`` — the performance-specific worst-case-distance baseline of
   section 3.4, adapted to the common result type.
 
-The first three, ``moheco_mf`` and the composed methods form the MOHECO
+The first three, ``moheco_mf`` and the screened methods form the MOHECO
 family, registered from one backbone table by :mod:`repro.compose.method`.
 """
 

@@ -1,60 +1,15 @@
-"""Config-composed optimization methods (RDGEMO-style).
+"""The MOHECO method family and its optional surrogate screen.
 
-New methods are four-field configs — ``{screener, proposer, selection,
-backbone}`` — whose parts resolve by name from the :data:`SCREENERS` /
-:data:`PROPOSERS` / :data:`SELECTIONS` registries, so a new scenario in
-``repro list methods`` is ~10 lines of config rather than a driver.
-
-Importing this package registers the whole MOHECO method family — the
-four backbone methods (``moheco``, ``oo_only``, ``fixed_budget``,
-``moheco_mf``) and the shipped composed methods (``moheco_screened``,
-``moheco_lineasy``, ``fixed_budget_screened``) — and the built-in parts.
+:mod:`repro.compose.method` registers the family from one backbone table:
+the four backbone methods (``moheco``, ``oo_only``, ``fixed_budget``,
+``moheco_mf``) and the two screened ones (``moheco_screened``,
+``fixed_budget_screened``), which run a backbone with the BagNet-style
+:class:`~repro.compose.screeners.SurrogateScreener` in front of the
+feasibility gate.  :mod:`repro.api` imports it; this package itself only
+exports the screen, which :class:`~repro.core.moheco.MOHECO` builds from
+a run's ``screen_params``.
 """
 
-from repro.compose.parts import (
-    PROPOSERS,
-    SCREENERS,
-    SELECTIONS,
-    get_proposer,
-    get_screener,
-    get_selection,
-    list_proposers,
-    list_screeners,
-    list_selections,
-    make_proposer,
-    make_screener,
-    register_proposer,
-    register_screener,
-    register_selection,
-)
-from repro.compose.method import (
-    BACKBONES,
-    ComposedMOHECO,
-    register_composed_method,
-)
-from repro.compose.proposers import DEProposer, LineSubspaceProposer
-from repro.compose.screeners import NullScreener, SurrogateScreener
+from repro.compose.screeners import SurrogateScreener, make_screener
 
-__all__ = [
-    "SCREENERS",
-    "PROPOSERS",
-    "SELECTIONS",
-    "BACKBONES",
-    "register_screener",
-    "get_screener",
-    "list_screeners",
-    "register_proposer",
-    "get_proposer",
-    "list_proposers",
-    "register_selection",
-    "get_selection",
-    "list_selections",
-    "make_screener",
-    "make_proposer",
-    "ComposedMOHECO",
-    "register_composed_method",
-    "NullScreener",
-    "SurrogateScreener",
-    "DEProposer",
-    "LineSubspaceProposer",
-]
+__all__ = ["SurrogateScreener", "make_screener"]

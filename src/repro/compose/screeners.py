@@ -1,13 +1,13 @@
-"""Built-in candidate-pool screeners.
+"""The surrogate screen of a MOHECO run (``screen_params``).
 
-A screener sits between trial proposal (step 2) and the feasibility gate
+The screen sits between trial proposal (step 2) and the feasibility gate
 (step 3) of the MOHECO loop: it sees the raw trial matrix *before any
 simulation is charged* and decides which rows are worth simulating.
 Pruned rows never reach the feasibility check, so they cost zero
 simulations — the ledger's ``pruned`` column records them instead.
 
-Determinism contract: a screener's decisions must depend only on the
-run's seed and the (engine-invariant) estimation results — never on
+Determinism contract: the screen's decisions depend only on the run's
+seed and the (engine-invariant) estimation results — never on
 wall-clock, engine choice, worker count or cache state — because every
 decision lands on ``MOHECOResult.screen_trace``, which is part of the
 result *identity*.  The :class:`SurrogateScreener` satisfies this by
@@ -22,48 +22,12 @@ import math
 
 import numpy as np
 
-from repro.compose.parts import register_screener
 from repro.rng import ensure_rng, spawn
 from repro.surrogate.rsb import ResponseSurfaceYieldModel
 
-__all__ = ["NullScreener", "SurrogateScreener"]
+__all__ = ["SurrogateScreener", "make_screener"]
 
 
-@register_screener("none")
-class NullScreener:
-    """Keep every trial; record a trace entry so composed runs always
-    carry a non-``None`` ``screen_trace`` regardless of their screener.
-
-    Rejects *any* ``screen_params`` — a knob aimed at a method without a
-    screening stage is a config mistake worth failing loudly at
-    submission time.
-    """
-
-    def __init__(self, *, rng=None, **params) -> None:
-        if params:
-            raise ValueError(
-                f"the 'none' screener takes no screen_params, got "
-                f"{sorted(params)}"
-            )
-
-    def observe(self, x: np.ndarray, y: float) -> None:
-        """No training data to accumulate."""
-
-    def screen(self, xs: np.ndarray, generation: int):
-        """Keep-all mask plus the uniform trace record."""
-        n = len(xs)
-        record = {
-            "generation": int(generation),
-            "mode": "none",
-            "refit": False,
-            "train_rows": 0,
-            "keep": list(range(n)),
-            "pruned": [],
-        }
-        return np.ones(n, dtype=bool), record
-
-
-@register_screener("surrogate")
 class SurrogateScreener:
     """Online MLP/RSB yield discriminator pruning the trial pool.
 
@@ -228,3 +192,17 @@ class SurrogateScreener:
             "scores": [round(float(s), 9) for s in scores],
         }
         return mask, record
+
+
+def make_screener(screen_params: dict, *, rng=None) -> SurrogateScreener:
+    """The :class:`SurrogateScreener` a run's ``screen_params`` configure.
+
+    Unknown or out-of-range knobs raise ``ValueError`` here, which spec
+    validation surfaces as a structured
+    :class:`~repro.api.errors.SpecError` at submission time.
+    """
+    if not isinstance(screen_params, dict):
+        raise ValueError(
+            f"screen_params must be a dict of screener knobs, got {screen_params!r}"
+        )
+    return SurrogateScreener(**screen_params, rng=rng)

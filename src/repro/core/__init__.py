@@ -8,8 +8,9 @@
 * The same engine realises the paper's comparison methods and the
   multi-fidelity variant through two config switches: ``allocation``
   (the stage-1 budget policy: ``"ocba"``, ``"fixed"`` or ``"ladder"``)
-  and ``use_memetic`` (see :mod:`repro.compose.method` for the method
-  table).
+  and ``use_memetic``; its optional surrogate screen (``screen_params``)
+  gives the screened methods (see :mod:`repro.compose.method` for the
+  method table).
 """
 
 from repro.core.callbacks import (

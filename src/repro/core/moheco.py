@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compose.screeners import make_screener
 from repro.core.callbacks import Callback, CallbackList
 from repro.core.config import MOHECOConfig
 from repro.core.history import GenerationRecord, OptimizationHistory
@@ -115,10 +116,10 @@ class MOHECOResult:
     #: ladder decisions must be bit-identical across execution backends,
     #: worker counts and cache states.
     fidelity_trace: list | None = None
-    #: Per-generation screening record of a composed method
-    #: (:mod:`repro.compose`): surrogate refits, per-trial scores and
-    #: every prune/keep decision; ``None`` for methods without a screening
-    #: stage.  Like ``fidelity_trace`` this is part of the result
+    #: Per-generation record of a run with the surrogate screen
+    #: (``screen_params``, :mod:`repro.compose`): refits, per-trial scores
+    #: and every prune/keep decision; ``None`` for runs without the
+    #: screen.  Like ``fidelity_trace`` this is part of the result
     #: *identity*: prune decisions must be bit-identical across execution
     #: backends, worker counts and cache states.
     screen_trace: list | None = None
@@ -221,6 +222,10 @@ class MOHECO:
         Fidelity-ladder knobs ``{"eta", "r_min", "brackets"}`` (see
         :meth:`~repro.mf.ladder.FidelityLadder.from_params`); only valid
         with ``config.allocation == "ladder"``, rejected otherwise.
+    screen_params:
+        Knobs of the surrogate screen in front of the step-3 gate (see
+        :class:`~repro.compose.screeners.SurrogateScreener`); ``{}`` runs
+        the default screen and ``None`` (the default) runs no screen.
     """
 
     def __init__(
@@ -233,6 +238,7 @@ class MOHECO:
         engine: EvaluationEngine | str | None = None,
         cache: EvaluationCache | str | None = None,
         mf_params: dict | None = None,
+        screen_params: dict | None = None,
     ) -> None:
         self.problem = problem
         self.config = config or MOHECOConfig()
@@ -251,15 +257,21 @@ class MOHECO:
             cache, EvaluationCache
         )
         # A ladder allocation records every generation's climb; the record
-        # rides onto the result as ``fidelity_trace``.  Composed methods
-        # (:mod:`repro.compose`) do the same with their screening record
-        # via ``screen_trace``.
+        # rides onto the result as ``fidelity_trace``.
         self._ladder = ladder_allocation(self.config, mf_params)
-        self._screen_trace: list | None = None
         self.sampler = make_sampler(self.config.sampler, problem.variation)
         self.de = DifferentialEvolution(
             problem.space, f=self.config.de_f, cr=self.config.de_cr
         )
+        # The screen's stream is spawned last, before any population draw,
+        # so its decisions (the result's ``screen_trace``) depend only on
+        # the seed and the engine-invariant estimates, never on backend,
+        # worker count or cache state.
+        self._screener = None
+        self._screen_trace: list | None = None
+        if screen_params is not None:
+            self._screener = make_screener(screen_params, rng=spawn(self.rng))
+            self._screen_trace = []
 
     # -- candidate construction ------------------------------------------------
     def _new_individuals(
@@ -358,29 +370,32 @@ class MOHECO:
             )
         return report
 
-    # -- composable loop stages (overridden by :mod:`repro.compose`) -----------
-    def _propose_trials(
-        self, population: list[Individual], best_index: int
-    ) -> np.ndarray:
-        """Step 2: one trial vector per parent (DE operators by default)."""
-        return self.de.propose(
-            np.array([ind.x for ind in population]), best_index, self.rng
-        )
+    def _evaluate(self, xs: np.ndarray) -> tuple[list[Individual], OCBAReport]:
+        """Steps 3-7 for a candidate matrix: gate, then estimate.
 
-    def _make_trials(self, trial_xs: np.ndarray) -> list[Individual]:
-        """Step 3: turn trial vectors into individuals (feasibility-gated).
-
-        Composed methods interpose their screening stage here — pruned
-        trials never reach the feasibility check, so they charge zero
-        simulations.
+        With the screen on, every candidate the gate returned becomes its
+        training data: feasible ones with their current yield estimate,
+        infeasible ones as hard zeros.
         """
-        return self._new_individuals(trial_xs)
+        individuals = self._new_individuals(xs)
+        report = self._estimate_population(individuals)
+        if self._screener is not None:
+            for ind in individuals:
+                self._screener.observe(ind.x, ind.yield_value if ind.feasible else 0.0)
+        return individuals, report
 
-    def _select(
-        self, population: list[Individual], trials: list[Individual]
-    ) -> None:
-        """Step 8: one-to-one selection, in place (trial wins ties)."""
-        select_one_to_one(population, trials)
+    def _screen(self, trial_xs: np.ndarray, generation: int) -> np.ndarray:
+        """The keep mask over the trials; all of them without the screen.
+
+        A pruned trial never reaches the feasibility gate, so it charges
+        no simulation; the ledger's ``pruned`` column counts it instead.
+        """
+        if self._screener is None:
+            return np.ones(len(trial_xs), dtype=bool)
+        keep, record = self._screener.screen(trial_xs, generation)
+        self._screen_trace.append(record)
+        self.ledger.record_pruned(int(np.count_nonzero(~keep)))
+        return keep
 
     # -- selection helpers ------------------------------------------------------------
     @staticmethod
@@ -472,8 +487,7 @@ class MOHECO:
         self.callbacks.on_run_start(self)
 
         xs = self.de.init_population(cfg.pop_size, self.rng)
-        population = self._new_individuals(xs)
-        report = self._estimate_population(population)
+        population, report = self._evaluate(xs)
         self._record(history, 0, population, report, ls_fired=False, extra=[])
         stop_requested = self.callbacks.on_generation_end(self, history[-1])
 
@@ -486,18 +500,26 @@ class MOHECO:
         remaining = range(1, cfg.max_generations + 1) if not stop_requested else []
 
         for generation in remaining:
-            # Steps 1-2: base-vector selection + trial proposal (DE
-            # operators by default; composed methods may swap the proposer).
+            # Steps 1-2: base-vector selection + DE trial proposal.
             best_index = self._best_index(population)
-            trial_xs = self._propose_trials(population, best_index)
+            trial_xs = self.de.propose(
+                np.array([ind.x for ind in population]), best_index, self.rng
+            )
 
-            # Steps 3-7: (optional screening +) feasibility gate + staged
-            # yield estimation.
-            trials = self._make_trials(trial_xs)
-            report = self._estimate_population(trials)
+            # Steps 3-7: the optional screen, then the feasibility gate and
+            # staged yield estimation of the trials it kept.
+            keep = self._screen(trial_xs, generation)
+            kept, report = self._evaluate(trial_xs[keep])
 
-            # Step 8: one-to-one selection (trial wins ties, standard DE).
-            self._select(population, trials)
+            # Step 8: one-to-one selection (trial wins ties, standard DE).  A
+            # pruned trial holds its slot as an unevaluated placeholder,
+            # infeasible with infinite violation.
+            survivors = iter(kept)
+            trials = [
+                next(survivors) if k else Individual(x, False, float("inf"), None)
+                for k, x in zip(keep, trial_xs)
+            ]
+            select_one_to_one(population, trials)
 
             # Steps 9-10: adaptive memetic local search.  A failed search
             # suppresses re-triggering until the incumbent changes: repeating

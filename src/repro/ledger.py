@@ -14,11 +14,11 @@ Design notes
   cheap surrogate.  Skipped samples are recorded separately
   (``screened_out``) and never counted as simulations, mirroring how the
   paper credits AS with reducing the simulation count.
-* Surrogate screening (:mod:`repro.compose`) prunes whole *candidates*
-  before any of their samples are drawn.  Pruned candidates charge zero
-  simulations; the count of pruned candidates is recorded under the
-  ``pruned`` column so efficiency reports can show what the screener
-  saved.  Unlike ``cached`` the column is deterministic — prune decisions
+* The surrogate screen of a screened method (:mod:`repro.compose`)
+  prunes whole *candidates* before any of their samples are drawn.
+  Pruned candidates charge zero simulations; the count of pruned
+  candidates is recorded under the ``pruned`` column so efficiency
+  reports can show what the screener saved.  Unlike ``cached`` the column is deterministic — prune decisions
   are part of the result identity — so it participates in cross-backend
   equality checks.
 * Warm-start caching replays performance rows the run (or a previous run)

@@ -12,7 +12,7 @@ by the precision-weighted cross-rung fusion
 Survivors of the final rung sit at full stage-2 fidelity (``n_max``), so
 the surrounding loop — stage-2 promotion, memetic local search, stopping
 rules — runs exactly as in the paper's method.  Any MOHECO-family method,
-composed ones included, climbs the ladder under ``allocation="ladder"``.
+screened ones included, climbs the ladder under ``allocation="ladder"``.
 
 Every ladder decision (bracket, rung fidelities, gains, fused ranking,
 promotions) is recorded on ``MOHECOResult.fidelity_trace``, which is part

@@ -1,10 +1,10 @@
-"""Config-composed methods: part registries, screening, determinism.
+"""The surrogate screen of the screened methods: screening, determinism.
 
 The load-bearing contracts:
 
-* A composed method is *config*: its parts resolve by name from the
-  SCREENERS/PROPOSERS/SELECTIONS registries, and a custom part plus a
-  ~10-line config yields a full ``repro list methods`` entry.
+* ``moheco_screened`` and ``fixed_budget_screened`` are their backbones
+  with MOHECO's optional screen on (``screen_params``); without
+  ``screen_params`` (or with ``None``) they run the default screen.
 * Screening happens before the step-3 feasibility gate, so a pruned
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
@@ -28,23 +28,12 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.api.registries import METHODS
-from repro.compose import (
-    PROPOSERS,
-    SCREENERS,
-    SELECTIONS,
-    ComposedMOHECO,
-    NullScreener,
-    SurrogateScreener,
-    register_composed_method,
-    register_screener,
-)
-from repro.compose.method import select_greedy, select_one_to_one
+from repro.compose import SurrogateScreener
 from repro.core.config import MOHECOConfig
-from repro.core.moheco import MOHECOResult
+from repro.core.moheco import MOHECO, MOHECOResult, select_one_to_one
 from repro.core.state import Individual
 from repro.ledger import SimulationLedger
 from repro.problems import make_problem
-from repro.registry import UnknownNameError
 from repro.sweep.spec import SweepSpec
 
 # Small enough for sub-second runs, large enough to leave the screener's
@@ -61,108 +50,10 @@ def _run(method="moheco_screened", seed=11, screen_params=SCREEN, **kwargs):
     return optimize(spec, **kwargs)
 
 
-class TestPartRegistries:
-    def test_builtin_parts_registered(self):
-        assert {"none", "surrogate"} <= set(SCREENERS.names())
-        assert {"de", "line"} <= set(PROPOSERS.names())
-        assert {"one_to_one", "greedy"} <= set(SELECTIONS.names())
-
-    def test_composed_methods_registered(self):
-        for name in ("moheco_screened", "moheco_lineasy", "fixed_budget_screened"):
-            runner = METHODS.get(name)
-            assert runner.description
-            assert set(runner.compose_config) >= {
-                "screener",
-                "proposer",
-                "selection",
-                "backbone",
-            }
-
-    def test_unknown_part_lists_registered_names(self):
-        with pytest.raises(UnknownNameError, match="surrogate"):
-            SCREENERS.get("nope")
-
-    def test_custom_part_composes_into_a_method(self):
-        @register_screener("keep-odd-test")
-        class KeepOdd:
-            def __init__(self, *, rng=None, **params):
-                if params:
-                    raise ValueError(f"no knobs: {sorted(params)}")
-
-            def observe(self, x, y):
-                pass
-
-            def screen(self, xs, generation):
-                mask = np.arange(len(xs)) % 2 == 1
-                record = {
-                    "generation": int(generation),
-                    "mode": "keep-odd",
-                    "refit": False,
-                    "train_rows": 0,
-                    "keep": [int(i) for i in np.flatnonzero(mask)],
-                    "pruned": [int(i) for i in np.flatnonzero(~mask)],
-                }
-                return mask, record
-
-        try:
-            register_composed_method(
-                "moheco_keep_odd_test",
-                {
-                    "screener": "keep-odd-test",
-                    "proposer": "de",
-                    "selection": "one_to_one",
-                    "backbone": "moheco",
-                },
-                description="test-only: keep odd trial indices",
-            )
-            result = _run("moheco_keep_odd_test", screen_params=None)
-            assert all(rec["mode"] == "keep-odd" for rec in result.screen_trace)
-            assert result.ledger.pruned == 4 * result.generations
-        finally:
-            METHODS.unregister("moheco_keep_odd_test")
-            SCREENERS.unregister("keep-odd-test")
-
-    def test_register_composed_method_validates_config(self):
-        good = {
-            "screener": "none",
-            "proposer": "de",
-            "selection": "one_to_one",
-            "backbone": "moheco",
-        }
-        with pytest.raises(ValueError, match="missing field"):
-            register_composed_method("bad", {"screener": "none"}, description="x")
-        with pytest.raises(ValueError, match="unknown backbone"):
-            register_composed_method(
-                "bad", {**good, "backbone": "pswcd"}, description="x"
-            )
-        with pytest.raises(ValueError, match="unknown compose field"):
-            register_composed_method(
-                "bad", {**good, "typo": 1}, description="x"
-            )
-        with pytest.raises(UnknownNameError):
-            register_composed_method(
-                "bad", {**good, "proposer": "nope"}, description="x"
-            )
-        assert "bad" not in METHODS
-
-
-class TestNullScreener:
-    def test_keeps_everything_and_records(self):
-        screener = NullScreener(rng=0)
-        mask, record = screener.screen(np.zeros((5, 2)), generation=3)
-        assert mask.all()
-        assert record == {
-            "generation": 3,
-            "mode": "none",
-            "refit": False,
-            "train_rows": 0,
-            "keep": [0, 1, 2, 3, 4],
-            "pruned": [],
-        }
-
-    def test_rejects_any_params(self):
-        with pytest.raises(ValueError, match="no screen_params"):
-            NullScreener(keep_fraction=0.5)
+class TestScreenedMethods:
+    def test_screened_methods_registered(self):
+        for name in ("moheco_screened", "fixed_budget_screened"):
+            assert "surrogate" in METHODS.get(name).description
 
 
 class TestSurrogateScreener:
@@ -248,64 +139,6 @@ class TestSurrogateScreener:
             SurrogateScreener(rng=0, **params)
 
 
-class TestProposers:
-    def _population(self, optimizer, n=8, seed=0):
-        rng = np.random.default_rng(seed)
-        d = optimizer.problem.design_dimension
-        lower, upper = optimizer.de.space.lower, optimizer.de.space.upper
-        xs = lower + rng.uniform(0.1, 0.9, size=(n, d)) * (upper - lower)
-        return [Individual(x, True, 0.0, None) for x in xs]
-
-    def _optimizer(self, compose):
-        return ComposedMOHECO(
-            make_problem("quadratic"),
-            MOHECOConfig.moheco(n_max=100),
-            compose=compose,
-            rng=5,
-        )
-
-    def test_de_proposer_matches_backbone_operators(self):
-        compose = {
-            "screener": "none",
-            "proposer": "de",
-            "selection": "one_to_one",
-            "backbone": "moheco",
-        }
-        a = self._optimizer(compose)
-        b = self._optimizer(compose)
-        population = self._population(a)
-        trials = a._propose_trials(population, 0)
-        expected = b.de.propose(np.array([ind.x for ind in population]), 0, b.rng)
-        np.testing.assert_array_equal(trials, expected)
-
-    def test_line_proposer_moves_one_coordinate_of_best(self):
-        optimizer = self._optimizer(
-            {
-                "screener": "none",
-                "proposer": "line",
-                "selection": "one_to_one",
-                "backbone": "moheco",
-            }
-        )
-        population = self._population(optimizer)
-        best_index = 2
-        trials = optimizer._propose_trials(population, best_index)
-        best = population[best_index].x
-        lower, upper = optimizer.de.space.lower, optimizer.de.space.upper
-        for trial in trials:
-            changed = np.flatnonzero(trial != best)
-            assert len(changed) <= 1  # a zero differential changes nothing
-            assert np.all((trial >= lower) & (trial <= upper))
-
-    def test_line_proposer_param_validation(self):
-        from repro.compose import LineSubspaceProposer
-
-        with pytest.raises(ValueError, match="f must be"):
-            LineSubspaceProposer(f=3.0)
-        with pytest.raises(ValueError, match="only 'f'"):
-            LineSubspaceProposer(cr=0.5)
-
-
 class TestSelections:
     def _pair(self, parent_yield, trial_yield):
         class Fixed(Individual):
@@ -323,17 +156,6 @@ class TestSelections:
         population, trials = self._pair(0.5, 0.5)
         select_one_to_one(population, trials)
         assert population[0] is trials[0]
-
-    def test_one_to_one_part_is_the_backbone_rule(self):
-        from repro.core.moheco import select_one_to_one as backbone_rule
-
-        assert SELECTIONS.get("one_to_one") is backbone_rule
-
-    def test_greedy_parent_wins_ties(self):
-        population, trials = self._pair(0.5, 0.5)
-        parent = population[0]
-        select_greedy(population, trials)
-        assert population[0] is parent
 
 
 class TestComposedRun:
@@ -378,11 +200,21 @@ class TestComposedRun:
         unscreened = _run("moheco", screen_params=None)
         assert screened.n_simulations < unscreened.n_simulations
 
-    def test_screenerless_composed_method_still_traces(self):
-        result = _run("moheco_lineasy", screen_params=None)
-        assert result.screen_trace is not None
-        assert all(rec["mode"] == "none" for rec in result.screen_trace)
-        assert result.ledger.pruned == 0
+    def test_none_screen_params_run_the_default_screen(self):
+        # ``--set screen_params=None`` reaches the runner as a None value.
+        specs = [
+            RunSpec(
+                problem="quadratic",
+                method="moheco_screened",
+                seed=11,
+                overrides={**CONFIG, "screen_params": params},
+            )
+            for params in (None, {})
+        ]
+        validate_run_spec(specs[0])
+        default_none, default = (optimize(spec) for spec in specs)
+        assert default_none.screen_trace
+        assert default_none.identity_dict() == default.identity_dict()
 
     def test_result_roundtrip_preserves_screen_trace(self):
         result = _run()
@@ -400,17 +232,11 @@ class TestComposedRun:
         assert identity["ledger"]["pruned"] == result.ledger.pruned
 
     def test_composed_driver_runs_directly(self):
-        result = ComposedMOHECO(
+        result = MOHECO(
             make_problem("quadratic"),
             MOHECOConfig.moheco(n_max=100).with_overrides(
                 pop_size=8, max_generations=3, n0=20
             ),
-            compose={
-                "screener": "surrogate",
-                "proposer": "de",
-                "selection": "one_to_one",
-                "backbone": "moheco",
-            },
             screen_params=SCREEN,
             rng=3,
         ).run()
@@ -470,10 +296,8 @@ class TestSpecValidation:
             validate_run_spec(self._spec(screen_params="0.5"))
 
     def test_screen_params_on_screenerless_method(self):
-        with pytest.raises(SpecError, match="takes no screen_params"):
-            validate_run_spec(
-                self._spec("moheco_lineasy", screen_params={"min_train": 8})
-            )
+        with pytest.raises(SpecError, match="unknown config override.*screen_params"):
+            validate_run_spec(self._spec("moheco", screen_params={"min_train": 8}))
 
     def test_unknown_config_override_still_rejected(self):
         with pytest.raises(SpecError, match="unknown config override"):
@@ -500,13 +324,11 @@ class TestSpecValidation:
 
 
 class TestCLI:
-    def test_list_methods_shows_descriptions_and_configs(self, capsys):
+    def test_list_methods_shows_descriptions(self, capsys):
         assert cli_main(["list", "methods"]) == 0
         out = capsys.readouterr().out
-        for name in ("moheco_screened", "moheco_lineasy", "fixed_budget_screened"):
+        for name in ("moheco_screened", "fixed_budget_screened"):
             assert name in out
-        assert "screener=surrogate" in out
-        assert "proposer=line" in out
         assert "BagNet-style" in out
 
     def test_run_with_screen_params(self, tmp_path, capsys):

@@ -24,7 +24,6 @@ from repro.api import (
     validate_run_spec,
     validate_sweep_spec,
 )
-from repro.api.registries import METHODS
 from repro.core.moheco import MOHECOResult
 from repro.mf import FidelityLadder, RungSegment, fuse_segments
 from repro.ocba.allocation import clamp_gains, rung_allocation
@@ -312,7 +311,7 @@ def _run_screened_ladder(**kwargs):
 
 
 class TestComposedLadder:
-    """Any composed method climbs the ladder under allocation="ladder"."""
+    """A screened method climbs the ladder under allocation="ladder"."""
 
     def test_screen_and_ladder_both_act(self):
         result = _run_screened_ladder()
@@ -345,34 +344,23 @@ class TestComposedLadder:
         # Block keys are the one key scheme: a warm re-run of a ladder
         # method replays every row (fresh samples are drawn per rung, so
         # there is no partial overlap to key rows for).
-        from repro.compose import register_composed_method
         from repro.engine.cache import make_cache
 
-        register_composed_method(
-            "moheco_mf_screened_test",
-            {
-                "screener": "surrogate",
-                "proposer": "de",
-                "selection": "one_to_one",
-                "backbone": "moheco_mf",
-            },
-            description="test-only: screened ladder backbone",
-        )
-        try:
-            for method in ("moheco_mf", "moheco_mf_screened_test"):
-                baseline = _run_mf(method=method).identity_dict()
-                shared = make_cache("lru")
-                try:
-                    cold = _run_mf(method=method, cache=shared)
-                    warm = _run_mf(method=method, cache=shared)
-                finally:
-                    shared.close()
-                assert cold.identity_dict() == baseline, method
-                assert warm.identity_dict() == baseline, method
-                assert warm.cache_stats["miss_rows"] == 0, method
-                assert warm.cache_stats["hit_rows"] > 0, method
-        finally:
-            METHODS.unregister("moheco_mf_screened_test")
+        for method, overrides in (
+            ("moheco_mf", {}),
+            ("moheco_screened", {"allocation": "ladder"}),
+        ):
+            baseline = _run_mf(method=method, **overrides).identity_dict()
+            shared = make_cache("lru")
+            try:
+                cold = _run_mf(method=method, cache=shared, **overrides)
+                warm = _run_mf(method=method, cache=shared, **overrides)
+            finally:
+                shared.close()
+            assert cold.identity_dict() == baseline, method
+            assert warm.identity_dict() == baseline, method
+            assert warm.cache_stats["miss_rows"] == 0, method
+            assert warm.cache_stats["hit_rows"] > 0, method
 
 
 class TestSpecValidation:
