@@ -384,19 +384,6 @@ class MOHECO:
                 self._screener.observe(ind.x, ind.yield_value if ind.feasible else 0.0)
         return individuals, report
 
-    def _screen(self, trial_xs: np.ndarray, generation: int) -> np.ndarray:
-        """The keep mask over the trials; all of them without the screen.
-
-        A pruned trial never reaches the feasibility gate, so it charges
-        no simulation; the ledger's ``pruned`` column counts it instead.
-        """
-        if self._screener is None:
-            return np.ones(len(trial_xs), dtype=bool)
-        keep, record = self._screener.screen(trial_xs, generation)
-        self._screen_trace.append(record)
-        self.ledger.record_pruned(int(np.count_nonzero(~keep)))
-        return keep
-
     # -- selection helpers ------------------------------------------------------------
     @staticmethod
     def _best_index(population: list[Individual]) -> int:
@@ -507,8 +494,14 @@ class MOHECO:
             )
 
             # Steps 3-7: the optional screen, then the feasibility gate and
-            # staged yield estimation of the trials it kept.
-            keep = self._screen(trial_xs, generation)
+            # staged yield estimation of the trials it kept.  A pruned trial
+            # never reaches the gate, so it charges no simulation; the
+            # ledger's ``pruned`` column counts it instead.
+            keep = np.ones(len(trial_xs), dtype=bool)
+            if self._screener is not None:
+                keep, record = self._screener.screen(trial_xs, generation)
+                self._screen_trace.append(record)
+                self.ledger.record_pruned(int(np.count_nonzero(~keep)))
             kept, report = self._evaluate(trial_xs[keep])
 
             # Step 8: one-to-one selection (trial wins ties, standard DE).  A
