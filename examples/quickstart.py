@@ -18,7 +18,7 @@ the shell::
         --set pop_size=20 --set max_generations=40 --out result.json
 
 The Monte-Carlo refinement rounds execute on a pluggable backend
-(``--engine serial|process|auto``); backends are seed-equivalent,
+(``--engine serial|process``); backends are seed-equivalent,
 so picking one only changes the wall-clock — the demo proves it by
 re-running the same spec on the process pool and comparing results.
 

@@ -63,10 +63,9 @@ pluggable :class:`~repro.engine.base.EvaluationEngine`:
 * ``"serial"`` (default) fuses each round into stacked
   ``(sum(k_i), ...)`` vectorized dispatches, streamed in slab-sized
   groups so a large round's samples never all sit in memory at once;
-* ``"process"`` shards each dispatch across worker processes, for
-  simulation-bound circuit problems (``engine_params={"workers": N}``);
-* ``"auto"`` times a pilot of in-process rounds and commits to serial or
-  process based on the measured per-simulation cost.
+* ``"process"`` (opt-in) shards each dispatch across
+  ``engine_params={"workers": N}`` worker processes; it pays off only for
+  simulators costlier per row than a round trip to a worker.
 
 Every backend is seed-equivalent — sample draws stay in per-candidate RNG
 streams, so the result is bit-identical and only the wall-clock changes::
@@ -88,7 +87,7 @@ Package map
 * :mod:`repro.api` — the public facade: registries, RunSpec, optimize, CLI.
 * :mod:`repro.core` — the MOHECO engine, config, history, callbacks.
 * :mod:`repro.engine` — execution backends for the refinement rounds
-  (fused serial dispatch, process pool, auto).
+  (fused serial dispatch, process pool).
 * :mod:`repro.problems` — the paper's two circuits + synthetic problems.
 * :mod:`repro.circuit` — the analog evaluation substrate (devices, MNA,
   topologies, technologies).

@@ -148,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     execution_flags.add_argument(
         "--engine",
         help="execution backend of every run: 'serial' (fused single-process "
-        "dispatch, the default), 'process' (fused rounds sharded across "
-        "worker processes) or 'auto' (measures the per-simulation cost on a "
-        "pilot, then commits to serial or process); all backends produce "
-        "the identical seeded result",
+        "dispatch, the default) or 'process' (fused rounds sharded across "
+        "--engine-param workers=N processes; it pays off only for simulators "
+        "costlier per row than a round trip); both produce the identical "
+        "seeded result",
     )
     execution_flags.add_argument(
         "--engine-param",
@@ -464,19 +464,6 @@ def _command_run(args: argparse.Namespace) -> int:
             f"({result.generations} generations, {result.reason}{throughput})"
             + (f"; wrote {args.out}" if args.out else "")
         )
-        if result.engine_decision is not None:
-            decision = result.engine_decision
-            crossover = decision["crossover_cost_seconds"]
-            crossover_text = (
-                f"{crossover * 1e6:.0f}us" if crossover is not None else "inf"
-            )
-            print(
-                f"engine[auto]: chose {decision['chosen']} (measured "
-                f"{decision['pilot_cost_seconds'] * 1e6:.0f}us/row vs "
-                f"crossover {crossover_text} at "
-                f"{decision['mean_rows_per_round']:.0f} rows/round, "
-                f"workers={decision['workers']})"
-            )
         if result.cache_stats is not None:
             stats = result.cache_stats
             print(

@@ -112,7 +112,7 @@ def optimize(
         Factory kwargs when ``problem`` is a registry name.
     engine / engine_params:
         Execution backend for the refinement rounds: an engine-registry
-        name (``"serial"``, ``"process"``, ``"auto"``;
+        name (``"serial"`` or the opt-in ``"process"``;
         ``engine_params`` go to its factory, e.g. ``workers=4``) or a ready
         :class:`~repro.engine.base.EvaluationEngine` instance.  An engine
         argument overrides the spec's ``engine`` field.  Name-resolved

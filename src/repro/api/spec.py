@@ -108,11 +108,11 @@ class RunSpec:
     overrides:
         Method/config overrides (e.g. ``{"pop_size": 20, "n_max": 300}``).
     engine:
-        Execution-engine registry name (``"serial"``, ``"process"``,
-        ``"auto"``); ``None`` leaves the method's default (the fused
-        serial engine).  Engines never change the seeded result — only how
-        fast it is produced — so the field travels with the spec as a
-        deployment knob, not an algorithm knob.
+        Execution-engine registry name (``"serial"`` or ``"process"``);
+        ``None`` leaves the method's default (the fused serial engine).
+        Engines never change the seeded result — only how fast it is
+        produced — so the field travels with the spec as a deployment
+        knob, not an algorithm knob.
     engine_params:
         Keyword arguments for the engine factory (e.g. ``{"workers": 4}``).
     cache:

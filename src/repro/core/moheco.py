@@ -60,7 +60,7 @@ from repro.yieldsim.estimator import CandidateYieldState, YieldEstimate
 __all__ = ["MOHECO", "MOHECOResult", "result_identity", "select_one_to_one"]
 
 #: Result fields that describe how a run was produced, not what it is.
-OBSERVATIONAL_FIELDS = ("elapsed_seconds", "cache_stats", "engine_decision")
+OBSERVATIONAL_FIELDS = ("elapsed_seconds", "cache_stats")
 
 
 def result_identity(data: dict) -> dict:
@@ -104,10 +104,6 @@ class MOHECOResult:
     #: attached.  Purely observational — replayed rows are still charged,
     #: so the rest of the result is bit-identical with or without a cache.
     cache_stats: dict | None = None
-    #: The :class:`~repro.engine.auto.AutoEngine` commit record (measured
-    #: per-row cost, crossover cost, chosen backend); ``None`` for runs on
-    #: a hard-coded backend.  Observational, like ``cache_stats``.
-    engine_decision: dict | None = None
     #: Per-generation ladder record of a run whose stage 1 climbs a
     #: fidelity ladder (``allocation="ladder"``, :mod:`repro.mf`): bracket
     #: index, rung fidelities/gains, fused estimates and promotion
@@ -146,7 +142,6 @@ class MOHECOResult:
             "reason": str(self.reason),
             "elapsed_seconds": float(self.elapsed_seconds),
             "cache_stats": self.cache_stats,
-            "engine_decision": self.engine_decision,
             "fidelity_trace": self.fidelity_trace,
             "screen_trace": self.screen_trace,
             "history": self.history.to_dict(),
@@ -181,7 +176,6 @@ class MOHECOResult:
             ledger=SimulationLedger.from_dict(data.get("ledger", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
             cache_stats=data.get("cache_stats"),
-            engine_decision=data.get("engine_decision"),
             fidelity_trace=data.get("fidelity_trace"),
             screen_trace=data.get("screen_trace"),
         )
@@ -206,10 +200,10 @@ class MOHECO:
     engine:
         Execution backend for the refinement rounds — an
         :class:`~repro.engine.base.EvaluationEngine` instance or a name in
-        :data:`repro.engine.ENGINES` (``"serial"``, ``"process"``,
-        ``"auto"``).  Defaults to the fused
-        :class:`~repro.engine.serial.SerialEngine`; every backend is
-        seed-equivalent, so this is purely an execution choice.
+        :data:`repro.engine.ENGINES` (``"serial"``, ``"process"``).
+        Defaults to the fused :class:`~repro.engine.serial.SerialEngine`;
+        every backend is seed-equivalent, so this is purely an execution
+        choice.
     cache:
         Warm-start evaluation cache for the refinement rounds — an
         :class:`~repro.engine.cache.EvaluationCache` instance (typically
@@ -597,7 +591,6 @@ class MOHECO:
             cache_stats=(
                 cache.stats.delta(cache_stats_before) if cache is not None else None
             ),
-            engine_decision=getattr(self.engine, "decision", None),
             fidelity_trace=self._ladder.trace if self._ladder is not None else None,
             screen_trace=self._screen_trace,
         )

@@ -11,14 +11,12 @@ decides *how* to execute it:
   (:data:`~repro.problems.base.SLAB_ROWS` rows) so that a stage-2 round of
   tens of thousands of rows never holds more than one group's samples.
   Its ``refine_round`` is the round template of every built-in backend;
-  the two below override only where (and in how large groups) the fused
-  dispatches are simulated.
-* :class:`~repro.engine.process.ProcessPoolEngine` (``"process"``) — shards
-  each dispatch, one slab per worker, across worker processes for
-  simulation-bound problems.
-* :class:`~repro.engine.auto.AutoEngine` (``"auto"``) — measures the
-  per-simulation cost on a pilot and commits to serial or process
-  accordingly (the ``BENCH_engine.json`` trade-off, automated).
+  the pool below overrides only where (and in how large groups) the
+  fused dispatches are simulated.
+* :class:`~repro.engine.process.ProcessPoolEngine` (``"process"``, opt-in)
+  — shards each dispatch, one slab per worker, across ``workers`` worker
+  processes.  It pays off only when a row costs more than its IPC: on the
+  shipped problems serial is faster (``BENCH_engine.json``).
 
 All backends are seed-reproducible against each other: sample draws stay in
 per-candidate RNG streams in the parent process, so only the *execution* of
@@ -35,7 +33,6 @@ simulated, and replayed rows are credited in the ledger's ``cached``
 column without moving the paper-accounting totals.
 """
 
-from repro.engine.auto import AutoEngine
 from repro.engine.base import EvaluationEngine
 from repro.engine.cache import (
     CACHES,
@@ -52,7 +49,6 @@ __all__ = [
     "EvaluationEngine",
     "SerialEngine",
     "ProcessPoolEngine",
-    "AutoEngine",
     "ENGINES",
     "make_engine",
     "EvaluationCache",
@@ -66,7 +62,6 @@ __all__ = [
 ENGINES: Registry = Registry("engine")
 ENGINES.register("serial", SerialEngine)
 ENGINES.register("process", ProcessPoolEngine)
-ENGINES.register("auto", AutoEngine)
 
 
 def make_engine(kind, **kwargs) -> EvaluationEngine:

@@ -1,7 +1,7 @@
 """Process-pool backend: fused rounds sharded across worker processes.
 
-For expensive circuit problems (MNA/AC amplifier simulation) the per-round
-evaluation dominates wall-clock; :class:`ProcessPoolEngine` splits the
+An explicit opt-in for simulators that cost more per row than a round
+trip to a worker: :class:`ProcessPoolEngine` splits the
 stacked miss blocks of each dispatch into one contiguous chunk per worker —
 respecting candidate-block boundaries so grouped evaluator dispatch stays
 intact — and simulates the chunks on a pool of worker processes.  Each
@@ -92,32 +92,23 @@ class ProcessPoolEngine(SerialEngine):
     workers:
         Worker process count; defaults to the machine's CPU count (capped
         at 8 — yield estimation rounds rarely stack enough work to feed
-        more).
-    min_dispatch_rows:
-        Dispatches (a round's groups) smaller than this many border-band
-        samples are evaluated in-process.  The default only keeps trivial
-        one-sample rounds local — on circuit problems even a small
-        promotion round is worth shipping; raise it when each simulation
-        is cheap enough that IPC would dominate.
+        more).  With one worker, or for a one-row dispatch, the rows are
+        simulated in-process.
     """
 
     name = "process"
 
-    def __init__(self, workers: int | None = None, min_dispatch_rows: int = 2) -> None:
-        self.validate_params(workers, min_dispatch_rows)
+    def __init__(self, workers: int | None = None) -> None:
+        self.validate_params(workers)
         self.workers = workers if workers is not None else min(os.cpu_count() or 1, 8)
-        self.min_dispatch_rows = int(min_dispatch_rows)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_problem = None
 
     @staticmethod
-    def validate_params(
-        workers: int | None = None, min_dispatch_rows: int = 2, **_
-    ) -> None:
+    def validate_params(workers: int | None = None, **_) -> None:
         """The constructor's value checks, starting no worker process."""
         if workers is not None:
             check_count("workers", workers, 1)
-        check_count("min_dispatch_rows", min_dispatch_rows, 0)
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self, problem) -> ProcessPoolExecutor:
@@ -145,7 +136,7 @@ class ProcessPoolEngine(SerialEngine):
 
     def simulate(self, problem, pending) -> np.ndarray:
         rows = sum(block.n_samples for block in pending)
-        if self.workers == 1 or rows < self.min_dispatch_rows:
+        if self.workers == 1 or rows == 1:
             return super().simulate(problem, pending)
         pool = self._ensure_pool(problem)
         # Workers must not drag parent-side state (RNGs, ledgers,

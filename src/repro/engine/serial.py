@@ -20,10 +20,10 @@ its resident samples at one group (one evaluator slab,
 :data:`~repro.problems.base.SLAB_ROWS`) instead of the whole round.  Each
 candidate owns its RNG stream and screener and appears once per round, so
 its draw-then-absorb order, and every estimate and ledger total, is the
-same however the round is cut.  The process and auto engines subclass it
-and override only :meth:`~SerialEngine.simulate` (and the group size), so
-the draw order, the cache partition and the ledger charges are the same
-code on every backend.
+same however the round is cut.  The process engine subclasses it and
+overrides only :meth:`~SerialEngine.simulate` and the group size, so the
+draw order, the cache partition and the ledger charges are the same code
+on every backend.
 """
 
 from __future__ import annotations

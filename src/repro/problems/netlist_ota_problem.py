@@ -7,7 +7,7 @@ linear solve over the amplifier's MNA system (see
 :class:`~repro.circuit.topologies.netlist_ota.NetlistTwoStageOTA`).  Its
 rows are the most expensive of the built-in circuits, which makes it the
 benchmark of choice for the execution-engine layer (``BENCH_engine.json``
-records where its fused round sits against the serial/process crossover).
+records its fused round on the serial and process backends).
 
 Specifications (chosen so the feasible region is non-trivial but
 reachable, mirroring the paper's spec style)::

@@ -51,9 +51,8 @@ def check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def check_real(name: str, value, minimum: float | None = None) -> float:
-    """``value`` as a ``float``; ``ValueError`` unless a finite real number
-    (``>= minimum`` when one is given)."""
+def check_real(name: str, value) -> float:
+    """``value`` as a ``float``; ``ValueError`` unless a finite real number."""
     # bool is an int subclass; `true` is a mistake, not 1.0.
     if (
         isinstance(value, bool)
@@ -61,8 +60,6 @@ def check_real(name: str, value, minimum: float | None = None) -> float:
         or not math.isfinite(value)
     ):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return float(value)
 
 

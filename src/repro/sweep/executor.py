@@ -309,7 +309,7 @@ def run_sweep(
     # hash mismatch with it).
     validate_sweep_spec(spec)
 
-    if workers > 1 and (spec.engine or "").lower() in ("process", "auto"):
+    if workers > 1 and (spec.engine or "").lower() == "process":
         warnings.warn(
             f"sweep sharding (workers={workers}) with the per-run "
             f"engine={spec.engine!r} nests worker pools inside every sweep "

@@ -370,6 +370,15 @@ class TestResultSerialization:
             rebuilt.history.simulations_series(), result.history.simulations_series()
         )
 
+    def test_payload_with_engine_decision_still_loads(self, sphere):
+        # Result files written while MOHECOResult had an ``engine_decision``
+        # field carry it as null; the field is gone, the file still loads.
+        result = optimize(sphere, seed=6, **TINY)
+        data = json.loads(json.dumps(result.to_dict()))
+        data["engine_decision"] = None
+        rebuilt = MOHECOResult.from_dict(data)
+        assert rebuilt.identity_dict() == result.identity_dict()
+
 
 class TestCLI:
     def test_run_writes_result_json(self, tmp_path, capsys):
@@ -434,12 +443,14 @@ class TestCLI:
                 ["--problem", "sphere", "--problem-param", "dimension=abc"],
                 "RunSpec.problem_params",
             ),
+            (None, ["--problem", "sphere", "--engine", "auto"], "RunSpec.engine: "),
         ],
         ids=[
             "unknown-key",
             "malformed-json",
             "bad-override-value",
             "bad-problem-param-value",
+            "retired-engine",
         ],
     )
     def test_user_errors_exit_with_one_line(self, tmp_path, spec_text, flags, named):

@@ -26,7 +26,6 @@ from repro.api import (
 )
 from repro.engine import (
     CACHES,
-    AutoEngine,
     LRUEvaluationCache,
     ProcessPoolEngine,
     SerialEngine,
@@ -305,11 +304,7 @@ class TestEngineEquivalence:
     def test_cold_cache_matches_uncached_across_backends(self, problem_factory):
         problem = problem_factory()
         reference = self._run(problem, SerialEngine(), None)
-        for engine in (
-            SerialEngine(),
-            AutoEngine(pilot_rows=10),
-            ProcessPoolEngine(workers=2, min_dispatch_rows=1),
-        ):
+        for engine in (SerialEngine(), ProcessPoolEngine(workers=2)):
             assert self._run(problem, engine, LRUEvaluationCache()) == reference
 
     def test_warm_cache_matches_uncached_across_backends(self):
@@ -317,11 +312,7 @@ class TestEngineEquivalence:
         reference = self._run(problem, SerialEngine(), None)
         cache = LRUEvaluationCache()
         self._run(problem, SerialEngine(), cache)  # populate
-        for engine in (
-            SerialEngine(),
-            AutoEngine(pilot_rows=10),
-            ProcessPoolEngine(workers=2, min_dispatch_rows=1),
-        ):
+        for engine in (SerialEngine(), ProcessPoolEngine(workers=2)):
             before = cache.stats.to_dict()
             assert self._run(problem, engine, cache) == reference
             delta = cache.stats.delta(before)
@@ -331,36 +322,11 @@ class TestEngineEquivalence:
     def test_hit_partition_identical_for_all_backends(self):
         problem = make_sphere_problem()
         stats = []
-        for engine in (SerialEngine(), AutoEngine(), ProcessPoolEngine(workers=2)):
+        for engine in (SerialEngine(), ProcessPoolEngine(workers=2)):
             cache = LRUEvaluationCache()
             self._run(problem, engine, cache)
             stats.append(cache.stats.to_dict())
-        assert stats[0] == stats[1] == stats[2]
-
-    def test_auto_engine_carries_cache_through_commit(self):
-        # The cache stays with the round template: the committed delegate
-        # only simulates miss rows and never holds the cache, yet the run's
-        # hits, misses and result match a serial run's, cold and warm.
-        def run(engine, cache):
-            result = optimize("sphere", seed=4, engine=engine, cache=cache, **TINY)
-            return result.identity_dict(), result.cache_stats
-
-        serial_cache, auto_cache = LRUEvaluationCache(), LRUEvaluationCache()
-        engines = []
-        for _ in ("cold", "warm"):
-            engine = AutoEngine(
-                workers=2,
-                pilot_rows=10,
-                ipc_row_cost_seconds=0.0,
-                round_overhead_seconds=0.0,
-            )
-            engines.append(engine)
-            assert run(engine, auto_cache) == run(SerialEngine(), serial_cache)
-            engine.close()
-        cold = engines[0]
-        assert cold.chosen == "process"
-        assert cold._delegate.cache is None
-        assert auto_cache.stats.hits > 0
+        assert stats[0] == stats[1]
 
 
 class TestLedgerFaithfulness:

@@ -9,7 +9,7 @@ The load-bearing contracts:
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
 * ``screen_trace`` is part of the result identity: bit-identical across
-  serial/auto/process engines and cold/warm caches.
+  the serial and process engines and cold/warm caches.
 * Bad ``screen_params`` fail at spec-validation time as structured
   :class:`~repro.api.errors.SpecError`, not inside a queued run.
 """
@@ -253,10 +253,9 @@ class TestComposedRun:
 class TestDeterminism:
     def test_engines_bit_identical(self):
         baseline = _run(engine="serial")
-        for engine in ("auto", "process"):
-            result = _run(engine=engine)
-            assert result.identity_dict() == baseline.identity_dict(), engine
-            assert result.screen_trace == baseline.screen_trace, engine
+        result = _run(engine="process")
+        assert result.identity_dict() == baseline.identity_dict()
+        assert result.screen_trace == baseline.screen_trace
 
     def test_cold_and_warm_cache_agree(self):
         from repro.engine.cache import make_cache

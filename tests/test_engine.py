@@ -21,7 +21,6 @@ import repro.engine.process
 import repro.engine.serial
 from repro.engine import (
     ENGINES,
-    AutoEngine,
     EvaluationEngine,
     LRUEvaluationCache,
     ProcessPoolEngine,
@@ -101,7 +100,7 @@ def _block(x, samples, category="stage1"):
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert set(ENGINES.names()) == {"serial", "process", "auto"}
+        assert ENGINES.names() == ["process", "serial"]
 
     def test_make_engine_default_is_serial(self):
         assert isinstance(make_engine(None), SerialEngine)
@@ -121,7 +120,7 @@ class TestRegistry:
             make_engine(SerialEngine(), workers=2)
 
     def test_unknown_engine_lists_registered(self):
-        with pytest.raises(ValueError, match="auto.*process.*serial"):
+        with pytest.raises(ValueError, match="process.*serial"):
             make_engine("distributed")
 
     def test_engines_are_context_managers(self):
@@ -203,28 +202,18 @@ class TestRoundTemplate:
 
         monkeypatch.setattr(repro.engine.serial, "scatter_round", counted)
         problem = make_sphere_problem()
-        auto = AutoEngine(pilot_rows=40)
-        engines = {
-            "serial": (SerialEngine(), 1),
-            "process": (ProcessPoolEngine(workers=2, min_dispatch_rows=1), 1),
-            # 30 rows per round: the first round pilots, the second commits,
-            # the third runs on the committed delegate.
-            "auto": (auto, 3),
-        }
+        engines = {"serial": SerialEngine(), "process": ProcessPoolEngine(workers=2)}
         try:
-            for name, (engine, rounds) in engines.items():
+            for name, engine in engines.items():
                 states, _ = _states(problem, n=3)
-                for round_index in range(rounds):
-                    before = len(calls)
-                    engine.refine_round(problem, states, [10, 10, 10])
-                    assert len(calls) == before + 1, (name, round_index)
-                    assert all(state.n == 10 * (round_index + 1) for state in states)
-                    if engine is auto:
-                        assert (auto.chosen is None) == (round_index == 0)
+                before = len(calls)
+                engine.refine_round(problem, states, [10, 10, 10])
+                assert len(calls) == before + 1, name
+                assert all(state.n == 10 for state in states)
             # The rounds really left the parent.
-            assert engines["process"][0]._pool is not None
+            assert engines["process"]._pool is not None
         finally:
-            for engine, _ in engines.values():
+            for engine in engines.values():
                 engine.close()
 
 
@@ -336,19 +325,9 @@ class TestStreamedRounds:
             tracemalloc.stop()
         assert four_slabs <= 1.3 * one_slab, (one_slab, four_slabs)
 
-    @pytest.mark.parametrize("backend", ["process", "auto"])
-    def test_pool_groups_one_slab_per_worker(self, backend):
+    def test_pool_groups_one_slab_per_worker(self):
         problem = make_quadratic_problem()
-        if backend == "process":
-            engine = ProcessPoolEngine(workers=2)
-        else:
-            # Free IPC: the pilot's first dispatch commits to the pool.
-            engine = AutoEngine(
-                workers=2,
-                pilot_rows=1,
-                ipc_row_cost_seconds=0.0,
-                round_overhead_seconds=0.0,
-            )
+        engine = ProcessPoolEngine(workers=2)
         try:
             states, _ = _states(problem, n=2, seed=3)
             engine.refine_round(problem, states, [10, 10])
@@ -359,8 +338,7 @@ class TestStreamedRounds:
             states, _ = _states(problem, n=10, seed=2)
             engine.refine_round(problem, states, [500] * 10)
             assert dispatches == [4000, 4000, 1000]
-            pool_engine = engine if backend == "process" else engine._delegate
-            assert pool_engine._pool is not None
+            assert engine._pool is not None
         finally:
             engine.close()
 
@@ -447,9 +425,10 @@ class TestProcessPool:
 
     def test_tiny_rounds_stay_in_process(self):
         problem = make_sphere_problem()
-        engine = ProcessPoolEngine(workers=2, min_dispatch_rows=1000)
-        states, _ = _states(problem, n=3)
-        engine.refine_round(problem, states, [10, 10, 10])
+        engine = ProcessPoolEngine(workers=2)
+        states, _ = _states(problem, n=1)
+        engine.refine_round(problem, states, [1])
+        assert states[0].n == 1
         assert engine._pool is None
         engine.close()
 
@@ -498,25 +477,6 @@ class TestCrossBackendEquivalence:
         a, b = via_argument.to_dict(), via_spec.to_dict()
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
         assert a == b
-
-
-class TestCLIEngineLine:
-    def test_run_prints_the_auto_engine_line(self, capsys):
-        from repro.api.cli import main
-
-        code = main(
-            [
-                "run",
-                "--problem", "sphere",
-                "--seed", "7",
-                "--set", "pop_size=8",
-                "--set", "max_generations=4",
-                "--engine", "auto",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("engine[auto]: chose serial") for line in lines)
 
 
 class TestRunSpecEngine:

@@ -158,24 +158,16 @@ class TestSpecError:
         [
             ("engine", "process", {"workers": 0}),
             ("engine", "process", {"workers": "two"}),
-            ("engine", "auto", {"pilot_rows": 0}),
             ("cache", "lru", {"max_bytes": -5}),
             ("cache", "lru", {"max_bytes": "abc"}),
             ("cache", "lru", {"spill_path": 5}),
-            ("engine", "auto", {"ipc_row_cost_seconds": "abc"}),
-            ("engine", "auto", {"round_overhead_seconds": -1.0}),
-            ("engine", "process", {"min_dispatch_rows": "x"}),
         ],
         ids=[
             "process-workers-0",
             "process-workers-str",
-            "auto-pilot_rows-0",
             "lru-max_bytes-negative",
             "lru-max_bytes-str",
             "lru-spill_path-int",
-            "auto-ipc_row_cost_seconds-str",
-            "auto-round_overhead_seconds-negative",
-            "process-min_dispatch_rows-str",
         ],
     )
     def test_bad_param_values_fail_at_validation(self, tmp_path, field, name, params):
@@ -258,7 +250,7 @@ class TestSpecError:
 
     def test_sweep_engine_and_cache_params_bound_at_validation(self):
         spec = SweepSpec.from_dict(
-            dict(TINY_SWEEP, engine="auto", engine_params={"transfer": "shm"})
+            dict(TINY_SWEEP, engine="process", engine_params={"transfer": "shm"})
         )
         with pytest.raises(SpecError) as excinfo:
             validate_sweep_spec(spec)
@@ -568,23 +560,25 @@ class TestServiceHTTP:
         assert excinfo.value.payload["field"] == "cache_params"
 
     def test_remote_engine_is_refused_at_the_door(self, service):
-        reason = "unknown engine 'remote'; registered: auto, process, serial"
-        for validate, spec in (
-            (validate_run_spec, RunSpec.from_dict(dict(TINY_RUN, engine="remote"))),
-            (
-                validate_sweep_spec,
-                SweepSpec.from_dict(dict(TINY_SWEEP, engine="remote")),
-            ),
-        ):
-            with pytest.raises(SpecError) as excinfo:
-                validate(spec)
-            assert excinfo.value.field == "engine"
-            assert excinfo.value.reason == reason
-        with pytest.raises(ServiceError) as excinfo:
-            service.submit_run(dict(TINY_RUN, engine="remote"))
-        assert excinfo.value.status == 400
-        assert excinfo.value.payload["error"] == "invalid_spec"
-        assert excinfo.value.payload["field"] == "engine"
+        # Retired engines fail validation, never mid-run.
+        for name in ("remote", "auto"):
+            reason = f"unknown engine '{name}'; registered: process, serial"
+            for validate, spec in (
+                (validate_run_spec, RunSpec.from_dict(dict(TINY_RUN, engine=name))),
+                (
+                    validate_sweep_spec,
+                    SweepSpec.from_dict(dict(TINY_SWEEP, engine=name)),
+                ),
+            ):
+                with pytest.raises(SpecError) as excinfo:
+                    validate(spec)
+                assert excinfo.value.field == "engine"
+                assert excinfo.value.reason == reason
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_run(dict(TINY_RUN, engine=name))
+            assert excinfo.value.status == 400
+            assert excinfo.value.payload["error"] == "invalid_spec"
+            assert excinfo.value.payload["field"] == "engine"
 
     def test_cli_submit_applies_flags_over_a_spec_file(
         self, service, tmp_path, capsys

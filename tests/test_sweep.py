@@ -1,4 +1,4 @@
-"""Sweep orchestration: specs, store, executor, auto engine, CLI."""
+"""Sweep orchestration: specs, store, executor, CLI."""
 
 import json
 import warnings
@@ -6,9 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import METHODS, make_engine, optimize, register_method
+from repro.api import METHODS, optimize, register_method
 from repro.api.cli import main
-from repro.engine import ENGINES, AutoEngine
 from repro.rng import independent_streams, run_streams
 from repro.sweep import (
     MethodSpec,
@@ -326,12 +325,11 @@ class TestRunRecordPayload:
     def test_record_and_result_share_one_identity_rule(self):
         from repro.sweep import RunRecord
 
-        # auto + lru fill every observational field the rule drops.
+        # lru fills every observational field the rule drops.
         result = optimize(
-            "sphere", seed=7, engine="auto", cache="lru", pop_size=8,
-            n_max=100, max_generations=4,
+            "sphere", seed=7, cache="lru", pop_size=8, n_max=100,
+            max_generations=4,
         )
-        assert result.engine_decision is not None
         assert result.cache_stats is not None
         record = RunRecord(
             method="moheco", run_index=0, reported_yield=result.best_yield,
@@ -368,63 +366,6 @@ class TestCallbacks:
         run_sweep(spec, callbacks=[SweepProgressCallback(print_fn=lines.append)])
         assert any("sweep:" in line for line in lines)
         assert any("sweep done" in line for line in lines)
-
-
-class TestAutoEngine:
-    def test_registered(self):
-        assert "auto" in ENGINES.names()
-        assert isinstance(make_engine("auto"), AutoEngine)
-
-    def test_picks_serial_on_cheap_synthetic(self):
-        engine = make_engine("auto", workers=2)
-        result = optimize(
-            "sphere", seed=7, engine=engine, pop_size=8, n_max=100, max_generations=6
-        )
-        baseline = optimize(
-            "sphere", seed=7, pop_size=8, n_max=100, max_generations=6
-        )
-        assert engine.chosen == "serial"
-        assert engine.pilot_cost_seconds is not None
-        assert result.best_yield == baseline.best_yield
-        assert result.n_simulations == baseline.n_simulations
-        engine.close()
-
-    def test_forced_process_choice_is_seed_equivalent(self):
-        engine = make_engine(
-            "auto",
-            workers=2,
-            ipc_row_cost_seconds=0.0,
-            round_overhead_seconds=0.0,
-            pilot_rows=1,
-        )
-        result = optimize(
-            "sphere", seed=7, engine=engine, pop_size=8, n_max=100, max_generations=6
-        )
-        baseline = optimize(
-            "sphere", seed=7, pop_size=8, n_max=100, max_generations=6
-        )
-        assert engine.chosen == "process"
-        assert result.best_yield == baseline.best_yield
-        assert result.n_simulations == baseline.n_simulations
-        engine.close()
-
-    def test_single_cpu_stays_serial(self):
-        engine = AutoEngine(
-            workers=1,
-            ipc_row_cost_seconds=0.0,
-            round_overhead_seconds=0.0,
-            pilot_rows=1,
-        )
-        optimize("sphere", seed=7, engine=engine, pop_size=8, n_max=100,
-                 max_generations=4)
-        assert engine.chosen == "serial"
-        engine.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AutoEngine(workers=0)
-        with pytest.raises(ValueError):
-            AutoEngine(pilot_rows=0)
 
 
 class TestSweepCLI:
@@ -499,6 +440,6 @@ class TestSweepCLI:
         with pytest.raises(SystemExit, match="error:"):
             main([*self.ARGS, "--out", str(store)])
 
-    def test_list_engines_shows_auto(self, capsys):
+    def test_list_engines_shows_process(self, capsys):
         assert main(["list", "engines"]) == 0
-        assert "auto" in capsys.readouterr().out
+        assert "process" in capsys.readouterr().out
