@@ -18,9 +18,8 @@ overhead only pays off when each simulation is expensive — and is
 reported so the trade-off stays visible.  The ``circuit`` section runs
 the same fused round on the circuit-priced ``netlist_ota`` problem
 (batched MNA/AC solves, the costliest rows of the built-in circuits),
-where the measured per-row cost must sit *above* the engine-selection
-crossover and the process pool must therefore beat the serial dispatch
-wherever the crossover model predicts a pool win.
+where, on any host with 2 or more CPUs, the process pool must be at
+least as fast as the serial dispatch.
 
 Results land in ``BENCH_engine.json`` at the repo root (each test merges
 its section) so successive PRs can track the trajectory.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job
@@ -36,7 +35,6 @@ import numpy as np
 import pytest
 
 from repro.engine import EvaluationEngine, ProcessPoolEngine, SerialEngine
-from repro.engine.auto import AutoEngine
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
 from repro.problems import make_netlist_ota_problem, make_sphere_problem
@@ -51,9 +49,8 @@ OCBA_REPS = 3 if SMOKE else 20
 # Circuit-priced section: bigger rounds (the pool needs rows to shard),
 # fewer reps (each row is a stacked multi-frequency MNA solve).  On a
 # single-CPU host the pool is benchmarked with 2 workers for the record,
-# but it cannot beat serial there (no parallel hardware) — exactly what
-# the auto engine's crossover model predicts, so the supremacy assertion
-# only applies where the model says the pool should win.
+# but it cannot beat serial there (no parallel hardware), so the
+# supremacy assertion applies only on hosts with 2 or more CPUs.
 CIRCUIT_ROUND_GAIN = 8
 CIRCUIT_ROUND_REPS = 3 if SMOKE else 20
 CPUS = os.cpu_count() or 1
@@ -196,16 +193,13 @@ def test_serial_round_dispatch(benchmark):
     assert all(state.n > 0 for state in states)
 
 
-def test_circuit_priced_crossover():
-    """Serial vs process on the netlist OTA: the crossover made concrete.
+def test_circuit_priced_round():
+    """Serial vs process on the netlist OTA's 160-row fused round.
 
     The workload is the fused refinement round on ``netlist_ota`` — every
-    row a stacked multi-frequency MNA/AC solve.  The test measures the
-    serial per-row cost, evaluates the auto engine's crossover cost for
-    this round shape, verifies the workload really sits above it, and —
-    wherever the model predicts a pool win (>= 2 CPUs, i.e. CI) — requires
-    the process pool to be at least as fast as the fused serial dispatch:
-    the regression guard for the "make the process pool win" roadmap item.
+    row a stacked multi-frequency MNA/AC solve.  The test records the
+    serial per-row cost and, on any host with 2 or more CPUs (CI), requires
+    the process pool to be at least as fast as the fused serial dispatch.
     """
     problem = make_netlist_ota_problem()
     sampler = make_sampler("pmc", problem.variation)
@@ -230,18 +224,6 @@ def test_circuit_priced_crossover():
 
     serial = results["serial"]
     row_cost = serial["elapsed_seconds"] / serial["sims"]
-    # The crossover the auto engine would apply on *this* host: inf on a
-    # single CPU (its default worker count is 1 there — the pool can never
-    # win), finite once real parallelism exists.
-    auto_workers = min(CPUS, 8)
-    host_crossover = AutoEngine().crossover_cost_seconds(
-        auto_workers, rows_per_round
-    )
-    # The crossover at the benchmarked pool width, for the record.
-    pool_crossover = AutoEngine().crossover_cost_seconds(
-        CIRCUIT_WORKERS, rows_per_round
-    )
-    pool_should_win = row_cost >= host_crossover
     payload = {
         "problem": problem.name,
         "candidates": N_CANDIDATES,
@@ -252,9 +234,6 @@ def test_circuit_priced_crossover():
         "smoke": SMOKE,
         "round": results,
         "serial_row_cost_seconds": row_cost,
-        "crossover_cost_seconds": pool_crossover,
-        "row_cost_over_crossover": row_cost / pool_crossover,
-        "pool_should_win_here": pool_should_win,
         "speedup_process_vs_serial": results["process"]["sims_per_sec"]
         / serial["sims_per_sec"],
     }
@@ -265,33 +244,15 @@ def test_circuit_priced_crossover():
     )
     print(f"\ncircuit round ({rows_per_round} rows) {line}")
     print(
-        f"serial row cost {row_cost * 1e6:.0f}us vs crossover "
-        f"{pool_crossover * 1e6:.0f}us "
-        f"({row_cost / pool_crossover:.1f}x above); "
+        f"serial row cost {row_cost * 1e6:.0f}us; "
         f"process speedup {payload['speedup_process_vs_serial']:.2f}x"
     )
 
-    # The circuit workload must sit above the engine-selection crossover
-    # at the benchmarked pool width — otherwise the round is too cheap to
-    # prove anything about the pool.
-    assert row_cost >= pool_crossover, (
-        f"circuit round cost {row_cost * 1e6:.0f}us/row fell below the "
-        f"{pool_crossover * 1e6:.0f}us crossover; grow the workload"
-    )
-    # Where the model predicts a pool win (real parallel hardware), the
-    # process backend must not lose to serial.  On single-CPU hosts the
-    # model itself returns an infinite crossover — the auto engine would
-    # stay serial — so a pool loss there is the *expected* outcome, not a
-    # regression.
-    if pool_should_win:
+    # With real parallel hardware the process backend must not lose to
+    # serial.  On a single-CPU host a pool loss is the expected outcome.
+    if CPUS >= 2:
         assert results["process"]["sims_per_sec"] >= serial["sims_per_sec"], (
             "process pool slower than fused serial on the circuit-priced "
             f"round: {results['process']['sims_per_sec']:,.0f}/s vs "
             f"{serial['sims_per_sec']:,.0f}/s"
-        )
-    else:
-        print(
-            f"single-CPU host ({CPUS} core): crossover model "
-            "correctly keeps auto on serial; pool-supremacy assertion "
-            "applies on multi-core (CI) hosts"
         )
