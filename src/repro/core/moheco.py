@@ -106,8 +106,8 @@ class MOHECOResult:
     cache_stats: dict | None = None
     #: Per-generation ladder record of a run whose stage 1 climbs a
     #: fidelity ladder (``allocation="ladder"``, :mod:`repro.mf`): bracket
-    #: index, rung fidelities/gains, fused estimates and promotion
-    #: decisions; ``None`` under the other stage-1 policies.  Unlike the
+    #: index and, per rung, fidelity, members, gains, sample counts and
+    #: promotions; ``None`` under the other stage-1 policies.  Unlike the
     #: observational fields above this is part of the result *identity* —
     #: ladder decisions must be bit-identical across execution backends,
     #: worker counts and cache states.

@@ -7,14 +7,17 @@ feasible trial enters the bracket's cheap wide rung of a
 fused refinement round** through the ordinary engine layer (serial or
 process, both unchanged), OCBA allocates *within* a rung
 (:func:`~repro.ocba.allocation.rung_allocation`), and the top ``1/eta``
-by the precision-weighted cross-rung fusion
-(:func:`~repro.mf.fusion.fuse_segments`) climb to the next fidelity.
-Survivors of the final rung sit at full stage-2 fidelity (``n_max``), so
-the surrounding loop — stage-2 promotion, memetic local search, stopping
-rules — runs exactly as in the paper's method.  Any MOHECO-family method,
-screened ones included, climbs the ladder under ``allocation="ladder"``.
+by pooled yield estimate climb to the next fidelity.  Every rung draws
+unbiased samples of the same Bernoulli yield, so a candidate's pooled
+pass ratio over all its rungs (``CandidateYieldState.value``, the
+maximum-likelihood estimate) ranks it, as it is also its selection
+fitness and reported yield.  Survivors of the final rung sit at full
+stage-2 fidelity (``n_max``), so the surrounding loop — stage-2
+promotion, memetic local search, stopping rules — runs exactly as in the
+paper's method.  Any MOHECO-family method, screened ones included,
+climbs the ladder under ``allocation="ladder"``.
 
-Every ladder decision (bracket, rung fidelities, gains, fused ranking,
+Every ladder decision (bracket, rung fidelities, gains, counts,
 promotions) is recorded on ``MOHECOResult.fidelity_trace``, which is part
 of the result *identity*: it must be bit-identical across execution
 backends, worker counts and cache states.  That holds by construction —
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mf.fusion import RungSegment, fuse_segments
 from repro.mf.ladder import FidelityLadder
 from repro.ocba.allocation import rung_allocation
 
@@ -72,19 +74,19 @@ class LadderAllocation:
         holds indices into ``feasible`` — stable identifiers for the
         trace.  Rung 0 is the flat pilot (everyone raised to the opening
         fidelity); later rungs spend ``m_k * r_k - already_spent``
-        OCBA-weighted.  Each rung is exactly one fused engine round.
+        OCBA-weighted.  Each rung is exactly one fused engine round, after
+        which the top ``1/eta`` by pooled estimate (``state.value``, ties
+        to the lower index) climb to the next rung.
         """
         ladder = self.ladder
         generation = len(self.trace)
         s = ladder.bracket_for(generation)
         fidelities = ladder.rung_fidelities(s) if feasible else []
         members = list(range(len(feasible)))
-        segments: list[list[RungSegment]] = [[] for _ in feasible]
         rung_trace = []
 
         for k, fidelity in enumerate(fidelities):
             states = [feasible[i].state for i in members]
-            before = [state.estimate for state in states]
             counts = np.array([state.n for state in states], dtype=int)
             if k == 0:
                 gains = np.maximum(fidelity - counts, 0)
@@ -99,19 +101,9 @@ class LadderAllocation:
                 )
             if np.any(gains):
                 refine_round(states, [int(g) for g in gains], category="stage1")
-            for index, state, prior in zip(members, states, before):
-                now = state.estimate
-                if now.n > prior.n:
-                    segments[index].append(
-                        RungSegment(
-                            n=now.n - prior.n, passes=now.passes - prior.passes
-                        )
-                    )
-
-            fused = {index: fuse_segments(segments[index]) for index in members}
             if k < len(fidelities) - 1:
                 keep = ladder.survivors(len(members))
-                ranked = sorted(members, key=lambda i: (-fused[i], i))
+                ranked = sorted(members, key=lambda i: (-feasible[i].state.value, i))
                 promoted = sorted(ranked[:keep])
             else:
                 promoted = list(members)
@@ -121,21 +113,12 @@ class LadderAllocation:
                     "members": [int(i) for i in members],
                     "gains": [int(g) for g in gains],
                     "counts": [int(state.n) for state in states],
-                    "fused": [float(fused[i]) for i in members],
                     "promoted": [int(i) for i in promoted],
                 }
             )
             members = promoted
 
-        final_fused = [fuse_segments(history) for history in segments]
-        ranking = sorted(range(len(feasible)), key=lambda i: (-final_fused[i], i))
         self.trace.append(
-            {
-                "generation": int(generation),
-                "bracket": int(s),
-                "rungs": rung_trace,
-                "fused": [float(value) for value in final_fused],
-                "ranking": [int(i) for i in ranking],
-            }
+            {"generation": int(generation), "bracket": int(s), "rungs": rung_trace}
         )
         return len(fidelities)

@@ -1,4 +1,4 @@
-"""Multi-fidelity ladder: bracket arithmetic, fusion, determinism.
+"""Multi-fidelity ladder: bracket arithmetic, promotion, determinism.
 
 The load-bearing contracts:
 
@@ -6,13 +6,15 @@ The load-bearing contracts:
   the result *identity*, unlike the observational fields) is
   bit-identical across execution backends, worker counts and cache
   states.
-* Precision-weighted fusion drives promotion ranking only; the reported
-  yield stays the plain pooled estimate.
+* Each rung promotes its top ``1/eta`` by pooled yield estimate
+  (``CandidateYieldState.value``), the same number that is the
+  selection fitness and the reported yield.
 * Bad budgets and impossible schedules fail at spec-validation time as
   structured :class:`~repro.api.errors.SpecError`, not inside the run.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from repro.api import (
     validate_run_spec,
     validate_sweep_spec,
 )
+from repro.core.config import MOHECOConfig
 from repro.core.moheco import MOHECOResult
-from repro.mf import FidelityLadder, RungSegment, fuse_segments
+from repro.mf import FidelityLadder, LadderAllocation
 from repro.ocba.allocation import clamp_gains, rung_allocation
 from repro.sweep.spec import SweepSpec
 
@@ -107,41 +110,71 @@ class TestLadderArithmetic:
             FidelityLadder.from_params(500, 15, {"bogus": 1})
 
 
-class TestFusion:
-    def test_single_segment_is_its_own_estimate(self):
-        assert fuse_segments([RungSegment(n=40, passes=30)]) == pytest.approx(0.75)
+class _ScriptedState:
+    """The part of a ``CandidateYieldState`` a ladder reads, fed by a script.
 
-    def test_empty_history_matches_unsampled_convention(self):
-        assert fuse_segments([]) == 0.0
+    ``rates[k]`` is the pass rate of the samples rung ``k`` adds.
+    """
 
-    def test_high_fidelity_segment_dominates(self):
-        noisy = RungSegment(n=10, passes=2)  # 0.20 at tiny n
-        solid = RungSegment(n=500, passes=450)  # 0.90 at full fidelity
-        fused = fuse_segments([noisy, solid])
-        assert abs(fused - solid.value) < abs(fused - noisy.value)
+    def __init__(self, rates):
+        self.rates = rates
+        self.n = 0
+        self.passes = 0
 
-    def test_fused_value_is_a_convex_combination(self):
-        segments = [
-            RungSegment(n=19, passes=12),
-            RungSegment(n=37, passes=30),
-            RungSegment(n=111, passes=100),
+    @property
+    def value(self):
+        return self.passes / self.n if self.n else 0.0
+
+    @property
+    def std(self):
+        p = self.value
+        return math.sqrt(max(p * (1.0 - p), 1e-4))
+
+
+class _Candidate:
+    def __init__(self, rates):
+        self.state = _ScriptedState(rates)
+
+
+class TestLadderPromotion:
+    def test_each_rung_promotes_the_top_by_pooled_estimate(self):
+        # The paper-scale ladder: rungs of 19, 56, 167 and 500 samples,
+        # eta 3, so 18 candidates keep 6, then 2, then 1.
+        allocation = LadderAllocation(MOHECOConfig.moheco(allocation="ladder"))
+        # Candidate 0 reads 19/19 on the opening rung, then mostly fails.
+        # Candidate 1 ties it there and keeps passing.  Candidates 2-6 tie
+        # at 17/19, so the index decides which four of them climb.
+        feasible = [_Candidate([1.0, 0.2, 0.2, 0.2])]
+        feasible += [_Candidate([1.0, 0.9, 0.9, 0.9])]
+        feasible += [_Candidate([0.9] * 4) for _ in range(5)]
+        feasible += [_Candidate([0.5] * 4) for _ in range(11)]
+        readings = []
+
+        def refine_round(states, gains, category):
+            rung = len(readings)
+            for state, gain in zip(states, gains):
+                state.n += gain
+                state.passes += round(state.rates[rung] * gain)
+            readings.append([candidate.state.value for candidate in feasible])
+
+        assert allocation.climb(feasible, refine_round) == 4
+        (entry,) = allocation.trace
+        rungs = entry["rungs"]
+        assert [rung["fidelity"] for rung in rungs] == [19, 56, 167, 500]
+        assert len(readings) == len(rungs)
+        for rung, values in zip(rungs[:-1], readings):
+            keep = allocation.ladder.survivors(len(rung["members"]))
+            ranked = sorted(rung["members"], key=lambda i: (-values[i], i))
+            assert rung["promoted"] == sorted(ranked[:keep])
+        # Candidate 0's 56 samples pool to 41/130 and candidate 2's to
+        # 17/19, so 2 climbs past it; weighting each rung's reading by
+        # its inverse variance would have kept 0 for its 19/19 rung.
+        assert [rung["promoted"] for rung in rungs] == [
+            [0, 1, 2, 3, 4, 5],
+            [1, 2],
+            [1],
+            [1],
         ]
-        values = [segment.value for segment in segments]
-        fused = fuse_segments(segments)
-        assert min(values) <= fused <= max(values)
-
-    def test_degenerate_segments_stay_finite(self):
-        # 0 % and 100 % would have infinite precision without the floor.
-        fused = fuse_segments(
-            [RungSegment(n=20, passes=0), RungSegment(n=20, passes=20)]
-        )
-        assert 0.0 < fused < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n >= 1"):
-            RungSegment(n=0, passes=0)
-        with pytest.raises(ValueError, match="passes must be in"):
-            RungSegment(n=5, passes=6)
 
 
 class TestRungAllocation:
@@ -195,12 +228,19 @@ class TestMultiFidelityRun:
         result = _run_mf()
         assert result.fidelity_trace, "ladder must record every generation"
         for entry in result.fidelity_trace:
-            assert set(entry) == {"generation", "bracket", "rungs", "fused", "ranking"}
+            assert set(entry) == {"generation", "bracket", "rungs"}
             if not entry["rungs"]:
                 continue  # a generation with no feasible candidates
             # The final rung always reaches full fidelity for bracket s_max.
             assert entry["rungs"][-1]["fidelity"] == CONFIG["n_max"]
             for rung in entry["rungs"]:
+                assert set(rung) == {
+                    "fidelity",
+                    "members",
+                    "gains",
+                    "counts",
+                    "promoted",
+                }
                 assert set(rung["promoted"]) <= set(rung["members"])
                 assert len(rung["gains"]) == len(rung["members"])
 
@@ -224,14 +264,6 @@ class TestMultiFidelityRun:
         assert result.fidelity_trace is None
         assert result.identity_dict()["fidelity_trace"] is None
 
-    def test_promotion_follows_fused_ranking(self):
-        result = _run_mf()
-        for entry in result.fidelity_trace:
-            for rung in entry["rungs"][:-1]:
-                fused = dict(zip(rung["members"], rung["fused"]))
-                ranked = sorted(rung["members"], key=lambda i: (-fused[i], i))
-                assert rung["promoted"] == sorted(ranked[: len(rung["promoted"])])
-
     def test_mf_params_change_the_schedule(self):
         base = _run_mf()
         eta2 = _run_mf(mf_params={"eta": 2})
@@ -240,7 +272,6 @@ class TestMultiFidelityRun:
         assert [rung["fidelity"] for rung in first] == [30, 60, 120]
 
     def test_direct_class_matches_registry_entry(self):
-        from repro.core.config import MOHECOConfig
         from repro.core.moheco import MOHECO
         from repro.problems import make_problem
 
