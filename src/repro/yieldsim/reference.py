@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ledger import REFERENCE_CATEGORY, SimulationLedger
+from repro.rng import ensure_rng
 from repro.yieldsim.estimator import YieldEstimate
 
 __all__ = ["reference_yield"]
@@ -22,7 +23,7 @@ def reference_yield(
     problem,
     x: np.ndarray,
     n: int = 50_000,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | int | None = None,
     ledger: SimulationLedger | None = None,
     batch_size: int = 5_000,
 ) -> YieldEstimate:
@@ -30,6 +31,8 @@ def reference_yield(
 
     Batching bounds peak memory (the 123-variable problem at 50 k samples
     would otherwise materialise hundreds of MB of device arrays at once).
+    ``rng`` is a Generator or an integer seed; ``None`` draws from the
+    fixed seed ``2**32 - 1``, so default references are reproducible.
     Raises :class:`ValueError` unless ``n`` and ``batch_size`` are >= 1.
     """
     if n < 1 or batch_size < 1:
@@ -37,8 +40,7 @@ def reference_yield(
             f"reference MC needs n >= 1 and batch_size >= 1, got n={n}, "
             f"batch_size={batch_size}"
         )
-    if rng is None:
-        rng = np.random.default_rng(2**32 - 1)
+    rng = ensure_rng(2**32 - 1 if rng is None else rng)
     x = np.asarray(x, dtype=float)
     passes = 0
     remaining = int(n)

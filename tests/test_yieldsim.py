@@ -128,6 +128,17 @@ class TestReferenceYield:
         est = reference_yield(problem, x, n=30_000, rng=make_rng(1))
         assert est.value == pytest.approx(truth, abs=0.01)
 
+    def test_int_seed_matches_its_generator(self, problem):
+        x = np.full(4, 0.4)  # ~92.5 % yield: the count depends on the stream
+        seeded = reference_yield(problem, x, n=1000, rng=5)
+        assert seeded == reference_yield(
+            problem, x, n=1000, rng=np.random.default_rng(5)
+        )
+        # The default stream is the fixed seed 2**32 - 1.
+        assert reference_yield(problem, x, n=1000) == reference_yield(
+            problem, x, n=1000, rng=2**32 - 1
+        )
+
     @pytest.mark.parametrize(
         "n, batch_size", [(0, 5_000), (-5, 5_000), (10, 0), (10, -1)]
     )
