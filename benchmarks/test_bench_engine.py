@@ -22,9 +22,12 @@ where, on any host with 2 or more CPUs, the process pool must be at
 least as fast as the serial dispatch.
 
 Results land in ``BENCH_engine.json`` at the repo root (each test merges
-its section) so successive PRs can track the trajectory.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job
-does) to shrink the workload and skip the absolute speedup assertion,
-which is only meaningful on an unloaded machine at full scale.
+its section) so successive PRs can track the trajectory.  Set
+``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the sphere
+section's workload and skip its absolute 3x assertion, which is only
+meaningful on an unloaded machine at full scale.  The circuit section
+times the same 20 rounds at either scale, so the smoke run checks the
+number the full run records.
 """
 
 import json
@@ -47,12 +50,14 @@ ROUND_GAIN = 3  # samples per candidate per round: the OCBA-increment regime
 ROUND_REPS = 40 if SMOKE else 400
 OCBA_REPS = 3 if SMOKE else 20
 # Circuit-priced section: bigger rounds (the pool needs rows to shard),
-# fewer reps (each row is a stacked multi-frequency MNA solve).  On a
-# single-CPU host the pool is benchmarked with 2 workers for the record,
-# but it cannot beat serial there (no parallel hardware), so the
-# supremacy assertion applies only on hosts with 2 or more CPUs.
+# fewer reps (each row is a stacked multi-frequency MNA solve), and no
+# smoke shrink: 3 timed rounds read the process/serial ratio too noisily
+# to stand for the full run.  On a single-CPU host the pool is
+# benchmarked with 2 workers for the record, but it cannot beat serial
+# there (no parallel hardware), so the supremacy assertion applies only
+# on hosts with 2 or more CPUs.
 CIRCUIT_ROUND_GAIN = 8
-CIRCUIT_ROUND_REPS = 3 if SMOKE else 20
+CIRCUIT_ROUND_REPS = 20
 CPUS = os.cpu_count() or 1
 CIRCUIT_WORKERS = max(2, min(CPUS, 4))
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_engine.json")

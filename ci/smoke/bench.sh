@@ -4,9 +4,10 @@
 # (~4 s, so each hot path's shape and output assertions run on every PR,
 # not only nightly), then the engine's tiny-budget micro-benchmark plus
 # the persisted process-vs-serial assertion.  REPRO_BENCH_SMOKE shrinks the
-# workload and relaxes the 3x assertion: shared CI runners are too noisy
-# for absolute speedup bars.  Includes the circuit-priced round
-# (netlist_ota stacked MNA/AC solves).
+# sphere workload and relaxes its 3x assertion: shared CI runners are too
+# noisy for absolute speedup bars.  The circuit-priced round (netlist_ota
+# stacked MNA/AC solves) times the full run's 20 rounds, so the
+# process-vs-serial check reads the benchmark's own number.
 set -euo pipefail
 
 # Cold-import profile: what `import repro` loads and what each module costs
