@@ -12,7 +12,8 @@ MNA/AC solves) across several seeds; the baseline is ``fixed_budget``,
 the paper's state-of-the-art MC flow that prices every feasible candidate
 at the full ``n_fixed``.  The ladder instead opens every generation's
 bracket at a cheap wide rung and spends full fidelity only on the
-survivors that precision-weighted fusion keeps promoting.
+survivors whose pooled yield estimate keeps them in each rung's top
+``1/eta``.
 
 Acceptance bar (full scale): ``moheco_mf`` reaches the fixed-fidelity
 method's final yield on every seed, with >= 2x fewer charged simulations
