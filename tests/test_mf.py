@@ -166,9 +166,10 @@ class TestLadderPromotion:
             keep = allocation.ladder.survivors(len(rung["members"]))
             ranked = sorted(rung["members"], key=lambda i: (-values[i], i))
             assert rung["promoted"] == sorted(ranked[:keep])
-        # Candidate 0's 56 samples pool to 41/130 and candidate 2's to
-        # 17/19, so 2 climbs past it; weighting each rung's reading by
-        # its inverse variance would have kept 0 for its 19/19 rung.
+        # On the 56-sample rung candidate 0 pools to 41/130, below
+        # candidate 2's 17/19, so 2 climbs in its place; weighting each
+        # rung's reading by its inverse variance would have kept 0 for
+        # its 19/19 rung.
         assert [rung["promoted"] for rung in rungs] == [
             [0, 1, 2, 3, 4, 5],
             [1, 2],
