@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Multi-fidelity ladder smoke: the ladder must beat the fixed-fidelity
 # baseline on sims-to-target, combine with the surrogate screen of a
-# screened method, stay bit-identical on a 2-worker process pool (cold and
-# warm cache), then run the tiny-budget mf benchmark.
+# screened method, stay bit-identical with a cold and a warm cache, then
+# run the tiny-budget mf benchmark.
 set -euo pipefail
 
 # Tiny 2-bracket ladder on the circuit-priced problem: both runs stop at
@@ -57,18 +57,16 @@ print(
 )
 EOF
 
-# The fidelity_trace is part of the result identity: the same run
-# sharded across a 2-worker process pool — first against a cold cache
-# spill, then a warm one — must match the serial reference bit for bit,
-# while the warm replay serves every row from the spill instead of
-# simulating.  The cache keys whole sample blocks, so the spill holds one
-# line per block the cold run simulated.
+# The fidelity_trace is part of the result identity: the same run —
+# first against a cold cache spill, then a warm one — must match the
+# uncached reference bit for bit, while the warm replay serves every row
+# from the spill instead of simulating.  The cache keys whole sample
+# blocks, so the spill holds one line per block the cold run simulated.
 rm -f mf-spill.jsonl
-for out in mf-process-cold.json mf-process-warm.json; do
+for out in mf-cold.json mf-warm.json; do
   repro run --problem netlist_ota --method moheco_mf --seed 7 \
     --set pop_size=10 --set max_generations=6 \
     --set "mf_params={'eta': 2, 'brackets': 2}" \
-    --engine process --engine-param workers=2 \
     --cache lru --cache-param spill_path=mf-spill.jsonl \
     --out "$out"
 done
@@ -76,9 +74,7 @@ python - <<'EOF'
 import json
 from repro.core.moheco import MOHECOResult
 results = {
-    name: MOHECOResult.from_dict(
-        json.load(open(f"mf-process-{name}.json"))["result"]
-    )
+    name: MOHECOResult.from_dict(json.load(open(f"mf-{name}.json"))["result"])
     for name in ("cold", "warm")
 }
 serial = MOHECOResult.from_dict(

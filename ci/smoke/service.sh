@@ -83,17 +83,17 @@ test "$code" = 400
 grep -q '"error": "invalid_spec"' bad.json
 grep -q '"field": "pop_size"' bad.json
 
-# Engine parameters are bound at submission: a removed or misspelled
-# engine option answers 400 naming engine_params, never a failed job.
+# Specs have no engine fields: a payload that still carries engine and
+# engine_params answers 400 naming engine, never a failed job.
 code=$(curl -s -o bad-params.json -w "%{http_code}" \
   -X POST http://127.0.0.1:8032/v1/runs \
   -H 'Content-Type: application/json' \
   -d '{"problem": "sphere", "engine": "process", "engine_params": {"dispatch": "barrier"}}')
 test "$code" = 400
 grep -q '"error": "invalid_spec"' bad-params.json
-grep -q '"field": "engine_params"' bad-params.json
+grep -q '"field": "engine"' bad-params.json
 
-# An engine name that is not registered answers 400 naming engine.
+# So does an engine name alone.
 code=$(curl -s -o bad-engine.json -w "%{http_code}" \
   -X POST http://127.0.0.1:8032/v1/runs \
   -H 'Content-Type: application/json' \

@@ -17,11 +17,6 @@ the shell::
         --problem-param dimension=4 --problem-param sigma=0.2 \
         --set pop_size=20 --set max_generations=40 --out result.json
 
-The Monte-Carlo refinement rounds execute on a pluggable backend
-(``--engine serial|process``); backends are seed-equivalent,
-so picking one only changes the wall-clock — the demo proves it by
-re-running the same spec on the process pool and comparing results.
-
 Replicated evaluation — the paper's "runs with independent random
 numbers" — is one :class:`~repro.sweep.SweepSpec` handed to
 :func:`~repro.sweep.run_sweep`; the demo runs a tiny sweep twice (serial,
@@ -75,16 +70,6 @@ def main() -> None:
     print(f"50k-style reference MC yield:          {reference.value:.2%}")
     print(f"reported-vs-reference deviation:       "
           f"{abs(result.best_yield - reference.value):.2%}")
-
-    # Execution engines are seed-equivalent: the fused serial backend (the
-    # default above) and the process pool produce the same run, sample for
-    # sample — engines change how fast, never what.
-    pooled = optimize(spec.with_engine("process", workers=2))
-    assert pooled.identity_dict() == result.identity_dict()
-    print(f"\nfused serial engine: {result.elapsed_seconds:.2f}s "
-          f"({result.sims_per_second:,.0f} sims/s); process pool: "
-          f"{pooled.elapsed_seconds:.2f}s "
-          f"({pooled.sims_per_second:,.0f} sims/s) — same result")
 
     # The imperative form (a problem object, the method name and overrides
     # as keywords) reproduces the exact same run for the same seed.

@@ -49,33 +49,23 @@ The paper's Tables 1-4 are two such sweeps, checked in as JSON specs
 ``python -m repro sweep --spec <file>``.
 
 Results serialize losslessly (``result.to_dict()`` /
-``MOHECOResult.from_dict``), and third-party problems, methods, samplers,
-execution engines and caches plug in by name via
-``repro.api.register_*``.
+``MOHECOResult.from_dict``), and third-party problems, methods, samplers
+and caches plug in by name via ``repro.api.register_*``.
 
-Execution engines
------------------
+Execution engine
+----------------
 The Monte-Carlo refinement work — OCBA stage-1 rounds, stage-2
 promotions, the fixed-budget baseline, memetic local search — is expressed
-as *rounds* of ``(candidate, k_i samples)`` requests and executed by a
-pluggable :class:`~repro.engine.base.EvaluationEngine`:
+as *rounds* of ``(candidate, k_i samples)`` requests and executed by
+:class:`~repro.engine.serial.SerialEngine`, which fuses each round into
+stacked ``(sum(k_i), ...)`` vectorized dispatches, streamed in slab-sized
+groups so a large round's samples never all sit in memory at once.  Sample
+draws stay in per-candidate RNG streams, so any
+:class:`~repro.engine.base.EvaluationEngine` passed as
+``optimize(engine=...)`` gives the bit-identical result.  The parallel
+path is the sweep above: ``repro sweep --workers N`` shards whole runs.
 
-* ``"serial"`` (default) fuses each round into stacked
-  ``(sum(k_i), ...)`` vectorized dispatches, streamed in slab-sized
-  groups so a large round's samples never all sit in memory at once;
-* ``"process"`` (opt-in) shards each dispatch across
-  ``engine_params={"workers": N}`` worker processes; it pays off only for
-  simulators costlier per row than a round trip to a worker.
-
-Every backend is seed-equivalent — sample draws stay in per-candidate RNG
-streams, so the result is bit-identical and only the wall-clock changes::
-
-    optimize(RunSpec(problem="folded_cascode", seed=7,
-                     engine="process", engine_params={"workers": 4}))
-    # shell: python -m repro run --problem folded_cascode --seed 7 \
-    #            --engine process --engine-param workers=4
-
-Any backend can carry a **warm-start evaluation cache** (``cache="lru"``,
+The engine can carry a **warm-start evaluation cache** (``cache="lru"``,
 ``--cache lru``, optionally with a JSONL spill file shared across runs):
 repeated ``(design, sample-block)`` evaluations replay memoized rows
 instead of re-simulating.  Replayed rows stay ledger-faithful — charged to
@@ -86,8 +76,8 @@ Package map
 -----------
 * :mod:`repro.api` — the public facade: registries, RunSpec, optimize, CLI.
 * :mod:`repro.core` — the MOHECO engine, config, history, callbacks.
-* :mod:`repro.engine` — execution backends for the refinement rounds
-  (fused serial dispatch, process pool).
+* :mod:`repro.engine` — the fused serial engine for the refinement
+  rounds, and the warm-start cache.
 * :mod:`repro.problems` — the paper's two circuits + synthetic problems.
 * :mod:`repro.circuit` — the analog evaluation substrate (devices, MNA,
   topologies, technologies).

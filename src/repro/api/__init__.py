@@ -3,7 +3,7 @@
 Everything a user (or a deployment) needs is reachable from here:
 
 * **Registries** — :func:`register_method` / :func:`get_method` /
-  :func:`list_methods` (and the problem/sampler/engine/cache equivalents) let
+  :func:`list_methods` (and the problem/sampler/cache equivalents) let
   third-party scenarios plug in by name.
 * **RunSpec** — a declarative, JSON-round-trippable description of one run.
 * **optimize** — the single driver behind every entry point (sweeps,
@@ -15,10 +15,10 @@ Everything a user (or a deployment) needs is reachable from here:
   :class:`~repro.sweep.store.ResultStore`.
 * **Callbacks** — observe the generation loop: progress streaming, early
   stopping, checkpointing.
-* **Engines** — pluggable execution backends for the Monte-Carlo
-  refinement rounds (:mod:`repro.engine`): the fused ``"serial"`` default
-  and the opt-in sharded ``"process"`` pool — seed-equivalent, selected
-  via ``RunSpec.engine`` or ``--engine``.
+* **Engine** — :class:`~repro.engine.serial.SerialEngine` executes the
+  Monte-Carlo refinement rounds as fused, slab-grouped dispatches
+  (:mod:`repro.engine`); ``optimize(engine=...)`` takes any
+  :class:`~repro.engine.base.EvaluationEngine` instance.
 * **Caches** — warm-start evaluation caches (:mod:`repro.engine.cache`):
   content-addressed replay of already-simulated sample blocks, with an
   LRU byte budget and an optional JSONL spill file shared across runs;
@@ -42,22 +42,18 @@ from repro.api.driver import optimize, resolve_problem
 from repro.api.errors import SpecError, validate_run_spec, validate_sweep_spec
 from repro.api.registries import (
     CACHES,
-    ENGINES,
     METHODS,
     PROBLEMS,
     SAMPLERS,
     get_cache,
-    get_engine,
     get_method,
     get_problem,
     get_sampler,
     list_caches,
-    list_engines,
     list_methods,
     list_problems,
     list_samplers,
     register_cache,
-    register_engine,
     register_method,
     register_problem,
     register_sampler,
@@ -68,7 +64,6 @@ from repro.engine import (
     EvaluationCache,
     EvaluationEngine,
     LRUEvaluationCache,
-    ProcessPoolEngine,
     SerialEngine,
     make_cache,
     make_engine,
@@ -115,7 +110,6 @@ __all__ = [
     "METHODS",
     "PROBLEMS",
     "SAMPLERS",
-    "ENGINES",
     "register_method",
     "get_method",
     "list_methods",
@@ -125,17 +119,13 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    "register_engine",
-    "get_engine",
-    "list_engines",
     "CACHES",
     "register_cache",
     "get_cache",
     "list_caches",
-    # engines
+    # engine
     "EvaluationEngine",
     "SerialEngine",
-    "ProcessPoolEngine",
     "make_engine",
     # caches
     "EvaluationCache",

@@ -23,8 +23,8 @@ Flags override a ``--spec`` file the same way for ``run``, ``sweep`` and
 ``submit`` (:func:`build_spec`): ``--problem``/``--method`` replace the
 names (a sweep's whole axis), ``--set`` and ``--problem-param`` merge into
 the overrides and problem parameters (of every method and problem of a
-sweep), and ``--engine``/``--cache`` switch the backend and drop the old
-one's parameters.  A flag the spec has no field for, such as ``submit
+sweep), and ``--cache`` switches the cache and drops the old one's
+parameters.  A flag the spec has no field for, such as ``submit
 --seed`` with a sweep file, is an error, never dropped.  ``run`` and
 ``sweep`` then check the spec at the service's door
 (:func:`~repro.api.errors.validate_run_spec` /
@@ -62,7 +62,6 @@ from repro.api.driver import optimize
 from repro.api.errors import SpecError, validate_run_spec
 from repro.api.registries import (
     list_caches,
-    list_engines,
     list_methods,
     list_problems,
     list_samplers,
@@ -145,23 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     execution_flags = argparse.ArgumentParser(add_help=False)
-    execution_flags.add_argument(
-        "--engine",
-        help="execution backend of every run: 'serial' (fused single-process "
-        "dispatch, the default) or 'process' (fused rounds sharded across "
-        "--engine-param workers=N processes; it pays off only for simulators "
-        "costlier per row than a round trip); both produce the identical "
-        "seeded result",
-    )
-    execution_flags.add_argument(
-        "--engine-param",
-        dest="engine_params",
-        action="append",
-        default=[],
-        type=_assignment,
-        metavar="KEY=VALUE",
-        help="engine factory parameter (repeatable), e.g. --engine-param workers=4",
-    )
     execution_flags.add_argument(
         "--cache",
         help="warm-start evaluation cache of every run: 'lru' (content-"
@@ -320,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     lister.add_argument(
         "category",
         nargs="?",
-        choices=["methods", "problems", "samplers", "engines", "caches"],
+        choices=["methods", "problems", "samplers", "caches"],
         help="one registry (default: all)",
     )
     return parser
@@ -358,19 +340,15 @@ def build_spec(args: argparse.Namespace) -> "RunSpec | SweepSpec":
     if args.problem_params:
         params = dict(args.problem_params)
         spec = _merged(spec, "problem_params", params, axis="problems")
-    for backend in ("engine", "cache"):  # submit has no backend flags
-        name = getattr(args, backend, None)
-        params = dict(getattr(args, f"{backend}_params", ()))
-        if name:
-            # Switching backends drops the old one's parameters.
-            spec = replace(spec, **{backend: name, f"{backend}_params": {}})
-        if params:
-            if getattr(spec, backend) is None:
-                raise SystemExit(
-                    f"error: --{backend}-param requires --{backend} "
-                    f"(or a spec {backend})"
-                )
-            spec = _merged(spec, f"{backend}_params", params)
+    name = getattr(args, "cache", None)  # submit has no cache flags
+    params = dict(getattr(args, "cache_params", ()))
+    if name:
+        # Switching caches drops the old one's parameters.
+        spec = replace(spec, cache=name, cache_params={})
+    if params:
+        if spec.cache is None:
+            raise SystemExit("error: --cache-param requires --cache (or a spec cache)")
+        spec = _merged(spec, "cache_params", params)
     return spec
 
 
@@ -646,7 +624,6 @@ def _command_list(args: argparse.Namespace) -> int:
         "methods": list_methods,
         "problems": list_problems,
         "samplers": list_samplers,
-        "engines": list_engines,
         "caches": list_caches,
     }
     chosen = [args.category] if args.category else list(sections)

@@ -80,7 +80,6 @@ def optimize(
     callbacks: Callback | list[Callback] | None = None,
     problem_params: dict | None = None,
     engine: EvaluationEngine | str | None = None,
-    engine_params: dict | None = None,
     cache: EvaluationCache | str | None = None,
     cache_params: dict | None = None,
     **overrides,
@@ -110,15 +109,13 @@ def optimize(
         Loop observers (see :class:`~repro.core.callbacks.Callback`).
     problem_params:
         Factory kwargs when ``problem`` is a registry name.
-    engine / engine_params:
-        Execution backend for the refinement rounds: an engine-registry
-        name (``"serial"`` or the opt-in ``"process"``;
-        ``engine_params`` go to its factory, e.g. ``workers=4``) or a ready
-        :class:`~repro.engine.base.EvaluationEngine` instance.  An engine
-        argument overrides the spec's ``engine`` field.  Name-resolved
-        engines are closed when the run finishes; instances stay open (the
-        caller owns their worker pools).  Backends are seed-equivalent:
-        the result is identical, only the wall-clock changes.
+    engine:
+        Execution engine for the refinement rounds: ``None`` or
+        ``"serial"`` (the fused :class:`~repro.engine.serial.SerialEngine`)
+        or a ready :class:`~repro.engine.base.EvaluationEngine` instance.
+        Any other value raises :class:`ValueError`.  Engines are
+        seed-equivalent: the result is identical, only the wall-clock
+        changes.  Whole runs go parallel through ``repro sweep --workers``.
     cache / cache_params:
         Warm-start evaluation cache for the refinement rounds: a
         cache-registry name (``"lru"``; ``cache_params`` go to its
@@ -152,14 +149,9 @@ def optimize(
         method = spec.method
         problem, problem_params = spec.problem, spec.problem_params
         overrides = {**spec.overrides, **overrides}
-        if engine is None:
-            # An explicit engine= argument beats the spec's engine field
-            # (same precedence as seed=).
-            engine = spec.engine
-            if engine_params is None and spec.engine_params:
-                engine_params = spec.engine_params
         if cache is None:
-            # Same precedence story for the cache.
+            # An explicit cache= argument beats the spec's cache field
+            # (same precedence as seed=).
             cache = spec.cache
             if cache_params is None and spec.cache_params:
                 cache_params = spec.cache_params
@@ -172,16 +164,6 @@ def optimize(
     namespace = _cache_namespace(problem, problem_params)
     problem = resolve_problem(problem, problem_params)
 
-    if engine_params:
-        if engine is None:
-            raise TypeError(
-                "engine_params require an engine name (e.g. engine='process')"
-            )
-        if not isinstance(engine, str):
-            raise TypeError(
-                "engine_params only apply when the engine is resolved by name; "
-                "configure the engine instance directly instead"
-            )
     if cache_params:
         if cache is None:
             raise TypeError("cache_params require a cache name (e.g. cache='lru')")
@@ -192,8 +174,8 @@ def optimize(
             )
 
     runner = METHODS.get(method if method is not None else "moheco")
-    engine_obj = make_engine(engine, **(engine_params or {})) if engine is not None else None
-    owns_engine = engine_obj is not None and not isinstance(engine, EvaluationEngine)
+    # Third-party runners need not take an engine: pass one only when given.
+    engine_kwargs = {"engine": make_engine(engine)} if engine is not None else {}
     cache_obj = make_cache(cache, **(cache_params or {})) if cache is not None else None
     owns_cache = cache_obj is not None and not isinstance(cache, EvaluationCache)
     if owns_cache:
@@ -201,7 +183,6 @@ def optimize(
         # so one spill file can safely serve many problem configurations.
         cache_obj.namespace = namespace
     try:
-        engine_kwargs = {"engine": engine_obj} if engine_obj is not None else {}
         cache_kwargs = {"cache": cache_obj} if cache_obj is not None else {}
         return runner(
             problem,
@@ -215,5 +196,3 @@ def optimize(
     finally:
         if owns_cache:
             cache_obj.close()
-        if owns_engine:
-            engine_obj.close()

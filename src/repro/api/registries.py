@@ -1,10 +1,10 @@
-"""The five public plugin registries and their register/get/list helpers.
+"""The four public plugin registries and their register/get/list helpers.
 
-Samplers, problems, execution engines and evaluation caches live next to
-their implementations (:data:`repro.sampling.SAMPLERS`,
-:data:`repro.problems.PROBLEMS`, :data:`repro.engine.ENGINES`,
-:data:`repro.engine.CACHES`); the method registry is owned here.  All
-five share :class:`~repro.registry.Registry` semantics: case-insensitive
+Samplers, problems and evaluation caches live next to their
+implementations (:data:`repro.sampling.SAMPLERS`,
+:data:`repro.problems.PROBLEMS`, :data:`repro.engine.CACHES`); the method
+registry is owned here.  All four share
+:class:`~repro.registry.Registry` semantics: case-insensitive
 names, :class:`~repro.registry.DuplicateNameError` on re-registration, and
 unknown-name errors that list what *is* registered.
 
@@ -20,7 +20,7 @@ third-party algorithm — is driven identically by
 
 from __future__ import annotations
 
-from repro.engine import CACHES, ENGINES
+from repro.engine import CACHES
 from repro.problems import PROBLEMS
 from repro.registry import Registry
 from repro.sampling import SAMPLERS
@@ -29,7 +29,6 @@ __all__ = [
     "METHODS",
     "PROBLEMS",
     "SAMPLERS",
-    "ENGINES",
     "register_method",
     "get_method",
     "list_methods",
@@ -39,9 +38,6 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    "register_engine",
-    "get_engine",
-    "list_engines",
     "CACHES",
     "register_cache",
     "get_cache",
@@ -95,21 +91,6 @@ def get_sampler(name: str):
 def list_samplers() -> list[str]:
     """Sorted names of the registered samplers."""
     return SAMPLERS.names()
-
-
-def register_engine(name: str, engine_cls=None, *, overwrite: bool = False):
-    """Register an :class:`~repro.engine.base.EvaluationEngine` class."""
-    return ENGINES.register(name, engine_cls, overwrite=overwrite)
-
-
-def get_engine(name: str):
-    """The execution-engine class registered under ``name``."""
-    return ENGINES.get(name)
-
-
-def list_engines() -> list[str]:
-    """Sorted names of the registered execution engines."""
-    return ENGINES.names()
 
 
 def register_cache(name: str, cache_cls=None, *, overwrite: bool = False):

@@ -75,14 +75,24 @@ def _check_name(value, key: str, spec: str, *, optional: bool = False) -> None:
         )
 
 
-def _check_engine_and_cache(spec_obj, spec: str) -> None:
-    """The engine/cache fields a Run- or SweepSpec share."""
-    _check_name(spec_obj.engine, "engine", spec, optional=True)
-    _check_name(spec_obj.cache, "cache", spec, optional=True)
-    if spec_obj.engine_params and spec_obj.engine is None:
+def _check_seed(value, key: str, spec: str) -> None:
+    """A root-seed field: a non-negative integer, or ``None`` (entropy).
+
+    Checked by the constructor, so a negative seed fails at the door, not
+    in the first RNG call of a queued job or a sweep worker.
+    """
+    # bool is an int subclass; `"seed": true` is a mistake, not seed 1.
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 0
+    ):
         raise SpecError(
-            "engine_params require an engine name", field="engine_params", spec=spec
+            f"expected a non-negative integer, got {value!r}", field=key, spec=spec
         )
+
+
+def _check_cache_fields(spec_obj, spec: str) -> None:
+    """The cache fields a Run- or SweepSpec share."""
+    _check_name(spec_obj.cache, "cache", spec, optional=True)
     if spec_obj.cache_params and spec_obj.cache is None:
         raise SpecError(
             "cache_params require a cache name", field="cache_params", spec=spec
@@ -102,24 +112,17 @@ class RunSpec:
         Name in the method registry (e.g. ``"moheco"``, ``"oo_only"``,
         ``"fixed_budget"``, ``"pswcd"``).
     seed:
-        Root seed of the run; ``None`` draws OS entropy (irreproducible).
+        Root seed of the run, a non-negative integer; ``None`` draws OS
+        entropy (irreproducible).
     problem_params:
         Keyword arguments for the problem factory.
     overrides:
         Method/config overrides (e.g. ``{"pop_size": 20, "n_max": 300}``).
-    engine:
-        Execution-engine registry name (``"serial"`` or ``"process"``);
-        ``None`` leaves the method's default (the fused serial engine).
-        Engines never change the seeded result — only how fast it is
-        produced — so the field travels with the spec as a deployment
-        knob, not an algorithm knob.
-    engine_params:
-        Keyword arguments for the engine factory (e.g. ``{"workers": 4}``).
     cache:
         Warm-start evaluation-cache registry name (``"lru"``); ``None``
         disables caching.  Replayed rows are still charged, so a cache
         never changes the seeded result or the simulation totals — it is
-        a deployment knob like ``engine``.
+        a deployment knob, not an algorithm knob.
     cache_params:
         Keyword arguments for the cache factory (e.g. ``{"max_bytes":
         67108864, "spill_path": "cache.jsonl"}``).
@@ -132,8 +135,6 @@ class RunSpec:
     seed: int | None = None
     problem_params: dict = field(default_factory=dict)
     overrides: dict = field(default_factory=dict)
-    engine: str | None = None
-    engine_params: dict = field(default_factory=dict)
     cache: str | None = None
     cache_params: dict = field(default_factory=dict)
     tag: str | None = None
@@ -141,12 +142,12 @@ class RunSpec:
     def __post_init__(self) -> None:
         _check_name(self.problem, "problem", "RunSpec")
         _check_name(self.method, "method", "RunSpec")
-        _check_engine_and_cache(self, "RunSpec")
+        _check_seed(self.seed, "seed", "RunSpec")
+        _check_cache_fields(self, "RunSpec")
         # Detach from caller-owned dicts: a frozen, hashable spec must not
         # change identity when the caller later mutates what it passed in.
         object.__setattr__(self, "problem_params", copy.deepcopy(self.problem_params))
         object.__setattr__(self, "overrides", copy.deepcopy(self.overrides))
-        object.__setattr__(self, "engine_params", copy.deepcopy(self.engine_params))
         object.__setattr__(self, "cache_params", copy.deepcopy(self.cache_params))
 
     def __hash__(self) -> int:
@@ -164,10 +165,6 @@ class RunSpec:
         """Copy with a different seed (for replication sweeps)."""
         return replace(self, seed=seed)
 
-    def with_engine(self, engine: str | None, **engine_params) -> "RunSpec":
-        """Copy with a different execution backend (same seeded result)."""
-        return replace(self, engine=engine, engine_params=engine_params)
-
     def with_cache(self, cache: str | None, **cache_params) -> "RunSpec":
         """Copy with a different warm-start cache configuration."""
         return replace(self, cache=cache, cache_params=cache_params)
@@ -181,8 +178,6 @@ class RunSpec:
             "seed": self.seed,
             "problem_params": copy.deepcopy(self.problem_params),
             "overrides": copy.deepcopy(self.overrides),
-            "engine": self.engine,
-            "engine_params": copy.deepcopy(self.engine_params),
             "cache": self.cache,
             "cache_params": copy.deepcopy(self.cache_params),
             "tag": self.tag,
@@ -214,8 +209,6 @@ class RunSpec:
             seed=_coerce_int(data, "seed", "RunSpec"),
             problem_params=_coerce_dict(data, "problem_params", "RunSpec"),
             overrides=_coerce_dict(data, "overrides", "RunSpec"),
-            engine=data.get("engine"),
-            engine_params=_coerce_dict(data, "engine_params", "RunSpec"),
             cache=data.get("cache"),
             cache_params=_coerce_dict(data, "cache_params", "RunSpec"),
             tag=_coerce_text(data, "tag", "RunSpec"),

@@ -198,12 +198,12 @@ class MOHECO:
         Observers of the generation loop (a single
         :class:`~repro.core.callbacks.Callback` or a sequence).
     engine:
-        Execution backend for the refinement rounds — an
-        :class:`~repro.engine.base.EvaluationEngine` instance or a name in
-        :data:`repro.engine.ENGINES` (``"serial"``, ``"process"``).
-        Defaults to the fused :class:`~repro.engine.serial.SerialEngine`;
-        every backend is seed-equivalent, so this is purely an execution
-        choice.
+        Execution engine for the refinement rounds — an
+        :class:`~repro.engine.base.EvaluationEngine` instance, or ``None``
+        / ``"serial"`` for the fused
+        :class:`~repro.engine.serial.SerialEngine` (the default); any
+        other value raises :class:`ValueError`.  Engines are
+        seed-equivalent, so this is purely an execution choice.
     cache:
         Warm-start evaluation cache for the refinement rounds — an
         :class:`~repro.engine.cache.EvaluationCache` instance (typically
@@ -240,12 +240,8 @@ class MOHECO:
         self.rng = ensure_rng(rng)
         self.callbacks = CallbackList(callbacks)
         self.engine = make_engine(engine)
-        # Engines this constructor materialized (from None or a name) are
-        # ours to close when a run finishes; caller-supplied instances keep
-        # their worker pools alive for reuse.  Same ownership rule for the
-        # cache: name-resolved caches are closed (spill flushed) after the
-        # run, caller-supplied instances stay open for warm reuse.
-        self._owns_engine = not isinstance(engine, EvaluationEngine)
+        # Name-resolved caches are ours to close (spill flushed) after the
+        # run; caller-supplied instances stay open for warm reuse.
         self.cache = make_cache(cache)
         self._owns_cache = self.cache is not None and not isinstance(
             cache, EvaluationCache
@@ -450,11 +446,6 @@ class MOHECO:
                 self.engine.cache = previous_cache
             if self._owns_cache:
                 self.cache.close()
-            # Worker pools the constructor materialized must not outlive
-            # the run (closing is idempotent, and pools re-create lazily,
-            # so calling run() again still works).
-            if self._owns_engine:
-                self.engine.close()
 
     def _run(self) -> MOHECOResult:
         cfg = self.config

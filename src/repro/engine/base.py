@@ -1,30 +1,28 @@
-"""The execution-engine protocol and the round helpers every backend shares.
+"""The execution-engine protocol and the round helpers the engine uses.
 
 An :class:`EvaluationEngine` executes one *round* of refinement requests —
 ``(candidate state_i, k_i additional samples)`` for many candidates at once
 — and updates every candidate's running yield estimate.  The OCBA loop,
 the pilot-``n0`` phase, stage-2 promotions and the fixed-budget baseline
 all submit their per-round work through this interface, which is what lets
-a backend fuse many candidates' simulations into stacked dispatches
-(:class:`~repro.engine.serial.SerialEngine`, whose ``refine_round`` is the
-one round template the built-in backends share) and then simulate each
-dispatch in-process or on worker processes
-(:class:`~repro.engine.process.ProcessPoolEngine`).  A stage-2 round can
-ask for tens of thousands of rows, so the template streams it in
-slab-sized groups — draw, simulate, scatter, drop — and a round's resident
-samples stay bounded by one group, not by the round.
+:class:`~repro.engine.serial.SerialEngine` fuse many candidates'
+simulations into stacked dispatches.  A stage-2 round can ask for tens of
+thousands of rows, so the engine streams it in slab-sized groups — draw,
+simulate, scatter, drop — and a round's resident samples stay bounded by
+one group, not by the round.
 
 Reproducibility contract
 ------------------------
-Sample *generation* always happens in the caller's process, per candidate,
-from each candidate's private RNG stream
+Sample *generation* always happens per candidate, from each candidate's
+private RNG stream
 (:meth:`~repro.yieldsim.estimator.CandidateYieldState.prepare`), and the
-screener's classification stays local; a backend only simulates the border
-band and hands the performance rows back
-(:meth:`~repro.yieldsim.estimator.CandidateYieldState.absorb`).  Every
-backend therefore produces identical estimates for the same seed — fused,
-grouped, sharded, or not.  A candidate appears at most once per round, so
-where a round is cut into groups never reorders its draw and its absorb.
+screener's classification stays with the candidate; an engine only
+simulates the border band and hands the performance rows back
+(:meth:`~repro.yieldsim.estimator.CandidateYieldState.absorb`).  Any
+engine therefore produces identical estimates for the same seed — fused,
+grouped, or one candidate at a time.  A candidate appears at most once per
+round, so where a round is cut into groups never reorders its draw and its
+absorb.
 """
 
 from __future__ import annotations
@@ -37,27 +35,7 @@ import numpy as np
 from repro.engine.cache import EvaluationCache
 from repro.yieldsim.estimator import CandidateYieldState, PendingRefinement
 
-__all__ = [
-    "EvaluationEngine",
-    "chunk_pending",
-    "evaluate_pending",
-    "scatter_round",
-    "stack_pending",
-]
-
-
-def stack_pending(pending) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """A run of blocks as plain arrays: ``(designs, sizes, samples)``.
-
-    ``designs`` holds one design row per block, ``sizes`` each block's
-    sample count and ``samples`` the stacked sample rows — all a simulator
-    needs, and what the process pool ships to its workers.
-    """
-    return (
-        np.stack([block.state.x for block in pending]),
-        [block.n_samples for block in pending],
-        np.concatenate([block.samples for block in pending]),
-    )
+__all__ = ["EvaluationEngine", "evaluate_pending", "scatter_round"]
 
 
 def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
@@ -67,31 +45,12 @@ def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
     Stacks every pending block into one ``(sum(k_i), ...)`` pair matrix
     (each candidate's design row repeated for its own samples) and resolves
     it through ``problem.evaluate_pairs``.  Returns the stacked performance
-    matrix in block order.  Ledger charging is the caller's job (workers in
-    a process pool must not touch the parent's ledger).
+    matrix in block order; ledger charging is :func:`scatter_round`'s job.
     """
-    designs, sizes, samples = stack_pending(pending)
+    designs = np.stack([block.state.x for block in pending])
+    sizes = [block.n_samples for block in pending]
+    samples = np.concatenate([block.samples for block in pending])
     return problem.evaluate_pairs(np.repeat(designs, sizes, axis=0), samples)
-
-
-def chunk_pending(pending, chunk_rows: int) -> list[list]:
-    """Split blocks into contiguous chunks of roughly ``chunk_rows`` rows.
-
-    Block boundaries are respected (grouped evaluator dispatch stays
-    intact); a block larger than ``chunk_rows`` forms its own chunk.  The
-    process pool cuts ``ceil(rows / workers)``-row chunks, one per worker,
-    so the boundaries depend only on the group and the worker count.
-    """
-    chunks, current, rows = [], [], 0
-    for block in pending:
-        current.append(block)
-        rows += block.n_samples
-        if rows >= chunk_rows:
-            chunks.append(current)
-            current, rows = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 def scatter_round(
@@ -138,25 +97,17 @@ def scatter_round(
 class EvaluationEngine(ABC):
     """Executes rounds of candidate refinements against a problem.
 
-    Engines are resolved by name through :data:`repro.engine.ENGINES`
-    (``MOHECO(engine=...)``, ``RunSpec.engine``, ``repro run --engine``).
-    A third-party backend (``repro.api.register_engine``) implements
-    :meth:`refine_round`; the built-in ones subclass
-    :class:`~repro.engine.serial.SerialEngine` and override only where a
-    round's simulations run.  Engines hold no per-run state beyond
-    optional worker resources, so one engine instance can serve many runs;
-    call :meth:`close` (or use the engine as a context manager) to release
-    worker resources.
+    :class:`~repro.engine.serial.SerialEngine` is the built-in engine
+    (``MOHECO(engine=...)`` and ``optimize(engine=...)`` take any
+    instance); subclasses implement :meth:`refine_round`.  Engines hold no
+    per-run state, so one engine instance can serve many runs.
     """
-
-    #: Registry name of the backend.
-    name: str = "base"
 
     #: Optional warm-start cache consulted on every refinement round.  The
     #: MOHECO loop attaches the run's cache here (:mod:`repro.engine.cache`);
-    #: backends partition each group of a round into hits and misses in the
-    #: parent process, simulate only the misses, and splice the replayed
-    #: rows back — ledger-faithfully — via :func:`scatter_round`.
+    #: the engine partitions each group of a round into hits and misses,
+    #: simulates only the misses, and splices the replayed rows back —
+    #: ledger-faithfully — via :func:`scatter_round`.
     cache: EvaluationCache | None = None
 
     @abstractmethod
@@ -175,15 +126,5 @@ class EvaluationEngine(ABC):
         round.
         """
 
-    def close(self) -> None:
-        """Release backend resources (worker processes); idempotent."""
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-

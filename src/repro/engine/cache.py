@@ -2,9 +2,9 @@
 
 The paper's whole economy is the *number of circuit simulations*: OCBA
 exists to spend as few as possible.  Yet a deployment happily re-simulates
-work it has already paid for — re-running a study after a crash, replaying
-a sweep cell under a new aggregation, or A/B-ing an execution backend all
-recompute sample blocks whose performance rows are already known.  An
+work it has already paid for — re-running a study after a crash or
+replaying a sweep cell under a new aggregation both recompute sample
+blocks whose performance rows are already known.  An
 :class:`EvaluationCache` memoizes those rows, keyed on the *content* of the
 request — a hash over the design vector bytes and the sample-block bytes —
 so any evaluation that is bit-for-bit a repeat is served from memory (or
@@ -129,7 +129,7 @@ class EvaluationCache:
 
     Subclasses implement ``_get(key)`` / ``_put(key, rows)``.  Caches are
     resolved by name through :data:`CACHES` (``RunSpec.cache``,
-    ``optimize(cache=...)``, ``repro run --cache``) and attached to an
+    ``optimize(cache=...)``, ``repro run --cache``) and attached to the
     execution engine for the duration of a run; one cache instance may
     serve many runs (that is the warm-start point).
     """
@@ -363,14 +363,13 @@ class CachedRound:
     """One group of a refinement round partitioned into cache hits and
     misses.
 
-    Engines build this from the group's pending blocks, evaluate only
-    :attr:`misses` (stacked, chunked across workers — however the backend
-    likes), then call :meth:`assemble` to splice the simulated rows back
-    into full block order and memoize them.  The partition is computed in
-    the parent process before any dispatch, so it is deterministic for
-    every backend and worker count.  Each block either hits or misses
-    whole; :attr:`hit_rows` reports, per pending block, how many of its
-    rows were replayed, which :func:`~repro.engine.base.scatter_round`
+    The engine builds this from the group's pending blocks, evaluates only
+    :attr:`misses` (one stacked dispatch), then calls :meth:`assemble` to
+    splice the simulated rows back into full block order and memoize them.
+    The partition is computed before any dispatch, from the blocks'
+    content alone, so it is deterministic.  Each block either hits or
+    misses whole; :attr:`hit_rows` reports, per pending block, how many of
+    its rows were replayed, which :func:`~repro.engine.base.scatter_round`
     turns into ledger accounting.
     """
 
@@ -416,7 +415,7 @@ def make_cache(kind, **kwargs) -> EvaluationCache | None:
 
     Accepts an existing :class:`EvaluationCache` (returned unchanged;
     ``kwargs`` are rejected), a registry name (instantiated with
-    ``kwargs``), or ``None`` (no caching — unlike engines there is no
+    ``kwargs``), or ``None`` (no caching — unlike the engine there is no
     default instance, because reuse across runs is an explicit opt-in).
     """
     if kind is None:

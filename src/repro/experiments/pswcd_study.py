@@ -87,8 +87,6 @@ def run_pswcd_study(
         problem,
         method=spec.method,
         rng=spawn(rng),
-        engine=spec.engine,
-        engine_params=spec.engine_params or None,
         **spec.overrides,
     )
 

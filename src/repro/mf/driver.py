@@ -4,8 +4,8 @@ With ``MOHECOConfig.allocation == "ladder"``, :class:`~repro.core.moheco.MOHECO`
 replaces the flat stage-1 OCBA pass with a :class:`LadderAllocation`: every
 feasible trial enters the bracket's cheap wide rung of a
 :class:`~repro.mf.ladder.FidelityLadder`, each rung dispatches as **one
-fused refinement round** through the ordinary engine layer (serial or
-process, both unchanged), OCBA allocates *within* a rung
+fused refinement round** through the ordinary engine (unchanged), OCBA
+allocates *within* a rung
 (:func:`~repro.ocba.allocation.rung_allocation`), and the top ``1/eta``
 by pooled yield estimate climb to the next fidelity.  Every rung draws
 unbiased samples of the same Bernoulli yield, so a candidate's pooled
@@ -19,8 +19,8 @@ climbs the ladder under ``allocation="ladder"``.
 
 Every ladder decision (bracket, rung fidelities, gains, counts,
 promotions) is recorded on ``MOHECOResult.fidelity_trace``, which is part
-of the result *identity*: it must be bit-identical across execution
-backends, worker counts and cache states.  That holds by construction —
+of the result *identity*: it must be bit-identical across engines,
+sweep worker counts and cache states.  That holds by construction —
 the schedule is arithmetic over candidate estimates, and estimates are
 already engine-invariant (sample generation stays in-parent, per
 candidate, on private RNG streams).

@@ -13,8 +13,7 @@ feasibility check.
 The loop is *round-oriented*: each iteration computes every candidate's
 gain, clamps the round to the remaining budget, and submits the whole
 round to an :class:`~repro.engine.base.EvaluationEngine` as one fused
-refinement — the engine decides whether that means stacked vectorized
-dispatches in-process (serial) or sharded worker processes.
+refinement, which the engine executes as stacked vectorized dispatches.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def ocba_sequential(
     delta:
         Budget increment per allocation round (>= 1).
     engine:
-        Execution backend for the fused refinement rounds; ``None`` uses
+        Execution engine for the fused refinement rounds; ``None`` uses
         a :class:`~repro.engine.serial.SerialEngine`.
 
     Returns

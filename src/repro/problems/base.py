@@ -31,11 +31,10 @@ __all__ = ["YieldProblem", "check_technology"]
 
 
 #: Rows per evaluator call.  Fixed slabs keep the evaluator's intermediate
-#: arrays flat however many rows one call is given; the engines' round
-#: template (:class:`~repro.engine.serial.SerialEngine`) streams a round in
-#: groups of one slab (one per worker on a pool), so the round's drawn and
-#: stacked samples stay flat too, and with them peak memory, however large
-#: a stage-2 round grows.
+#: arrays flat however many rows one call is given; the engine
+#: (:class:`~repro.engine.serial.SerialEngine`) streams a round in groups
+#: of one slab, so the round's drawn and stacked samples stay flat too, and
+#: with them peak memory, however large a stage-2 round grows.
 SLAB_ROWS = 2048
 
 

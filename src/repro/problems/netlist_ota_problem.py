@@ -6,8 +6,7 @@ sample here is priced like a real simulator run: a multi-frequency complex
 linear solve over the amplifier's MNA system (see
 :class:`~repro.circuit.topologies.netlist_ota.NetlistTwoStageOTA`).  Its
 rows are the most expensive of the built-in circuits, which makes it the
-benchmark of choice for the execution-engine layer (``BENCH_engine.json``
-records its fused round on the serial and process backends).
+simulate-bound problem of the benchmarks.
 
 Specifications (chosen so the feasible region is non-trivial but
 reachable, mirroring the paper's spec style)::

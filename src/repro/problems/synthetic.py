@@ -114,10 +114,8 @@ class SyntheticEvaluator:
 class _CenteredQuadratic:
     """``offset - scale * ||x - c||^2`` per design row, as a picklable callable.
 
-    The synthetic factories used local closures here, which cannot cross a
-    process boundary; the :class:`~repro.engine.process.ProcessPoolEngine`
-    ships the problem to its workers, so the metric functions are plain
-    objects (the maths is unchanged, expression for expression).
+    A plain object rather than a local closure, so a synthetic problem can
+    be pickled into another process like any other problem object.
     """
 
     def __init__(self, center: np.ndarray, scale: float, offset: float) -> None:

@@ -1,19 +1,19 @@
 """Sweep execution: whole runs sharded across a process pool.
 
-The engine layer (:mod:`repro.engine`) parallelises *within* one run —
-fused Monte-Carlo rounds across workers.  This module parallelises *across*
-runs: the paper's "10 runs with independent random numbers" are
-embarrassingly parallel once each run's random streams derive from its own
-``(base_seed, run_index)`` pair (:func:`repro.rng.run_streams`), so an
-n-worker sweep is bit-identical to the serial one — same records, same
-summary statistics, same rendered tables — and only the wall-clock moves.
+This is the library's one parallel path.  Within a run the engine
+(:mod:`repro.engine`) fuses Monte-Carlo rounds in-process; this module
+parallelises *across* runs: the paper's "10 runs with independent random
+numbers" are embarrassingly parallel once each run's random streams
+derive from its own ``(base_seed, run_index)`` pair
+(:func:`repro.rng.run_streams`), so an n-worker sweep is bit-identical to
+the serial one — same records, same summary statistics, same rendered
+tables — and only the wall-clock moves.
 
-Workers follow the fork-friendly recipe of
-:class:`~repro.engine.process.ProcessPoolEngine`: they receive pure
-JSON-compatible payloads (a :class:`~repro.api.spec.RunSpec` dict plus the
-run index), resolve the problem through the registries in their own
-process, run :func:`repro.api.optimize` plus the reference MC, and ship a
-plain record dict back.  No live object crosses the pool boundary.
+Workers receive pure JSON-compatible payloads (a
+:class:`~repro.api.spec.RunSpec` dict plus the run index), resolve the
+problem through the registries in their own process, run
+:func:`repro.api.optimize` plus the reference MC, and ship a plain record
+dict back.  No live object crosses the pool boundary.
 
 Completed runs land incrementally in a resumable
 :class:`~repro.sweep.store.ResultStore`; killing a sweep after ``k`` runs
@@ -22,15 +22,19 @@ and re-running with ``resume=True`` executes only the missing ones.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
-import warnings
-from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 
 from repro.api.errors import validate_sweep_spec
 from repro.core.callbacks import Callback, CallbackList, wants_run_progress
-from repro.engine.process import make_process_pool, pool_mp_context
 from repro.ledger import SimulationLedger
 from repro.rng import run_streams
 from repro.sweep.records import MethodSummary, RunRecord
@@ -309,16 +313,6 @@ def run_sweep(
     # hash mismatch with it).
     validate_sweep_spec(spec)
 
-    if workers > 1 and (spec.engine or "").lower() == "process":
-        warnings.warn(
-            f"sweep sharding (workers={workers}) with the per-run "
-            f"engine={spec.engine!r} nests worker pools inside every sweep "
-            "worker and oversubscribes the CPUs; prefer the default serial "
-            "engine inside sharded sweeps",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
     owns_store = isinstance(store, (str, bytes)) or hasattr(store, "__fspath__")
     if owns_store:
         store = ResultStore.open(store, spec, resume=resume)
@@ -400,7 +394,13 @@ def run_sweep(
                 )
         else:
             runs_by_key = {run.key: run for run in pending}
-            context = pool_mp_context()
+            # fork inherits the parent's imported modules (registries,
+            # problem factories) for free; platforms without it spawn.  The
+            # bridge's queue and event must come from the pool's context.
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
             progress_queue = context.Queue() if stream_progress else None
             cancel_event = context.Event() if cancel is not None else None
             pool_kwargs = {}
@@ -434,8 +434,10 @@ def run_sweep(
                 drain_thread.start()
 
             try:
-                with make_process_pool(
-                    min(workers, len(pending)), **pool_kwargs
+                with ProcessPoolExecutor(
+                    max_workers=min(workers, len(pending)),
+                    mp_context=context,
+                    **pool_kwargs,
                 ) as pool:
                     futures = {
                         pool.submit(task, _payload(run)): run for run in pending

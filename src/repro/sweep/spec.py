@@ -3,18 +3,18 @@
 A :class:`SweepSpec` is the multi-run analogue of
 :class:`~repro.api.spec.RunSpec`: a methods × problems × seeds grid plus
 the protocol scale (reference-MC size, generation cap) and the execution
-knobs (engine, worker count), as plain JSON-compatible data.
+knobs (cache, worker count), as plain JSON-compatible data.
 :meth:`SweepSpec.expand` turns the grid into concrete per-run
 :class:`RunSpec`\\ s; the per-run random streams are *not* stored — they
 derive deterministically from ``(base_seed, run_index)`` via
 :func:`repro.rng.run_streams`, which is what lets a process-sharded sweep
 reproduce the serial loop bit for bit.
 
-Execution knobs (``engine``/``engine_params``/``cache``/``cache_params``/
-``workers``) travel with the spec for convenience but are excluded from
-:meth:`SweepSpec.sweep_hash`: they change wall-clock, never results, so a
-store written by a 4-worker sweep resumes cleanly under 1 worker and vice
-versa.  (Caches qualify because replayed rows are still charged.)
+Execution knobs (``cache``/``cache_params``/``workers``) travel with the
+spec for convenience but are excluded from :meth:`SweepSpec.sweep_hash`:
+they change wall-clock, never results, so a store written by a 4-worker
+sweep resumes cleanly under 1 worker and vice versa.  (Caches qualify
+because replayed rows are still charged.)
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass, field, fields, replace
 from repro.api.errors import SpecError
 from repro.api.spec import (
     RunSpec,
-    _check_engine_and_cache,
+    _check_cache_fields,
     _check_name,
+    _check_seed,
     _coerce_dict,
     _coerce_int,
     _coerce_text,
@@ -205,7 +206,7 @@ class SweepSpec:
         always sees the same random streams regardless of execution order
         or worker count.
     base_seed:
-        Root seed all per-run streams derive from.
+        Root seed all per-run streams derive from, a non-negative integer.
     reference_n:
         Sample count of the high-N reference MC every returned design is
         scored against (charged to the excluded ``reference`` ledger
@@ -214,17 +215,14 @@ class SweepSpec:
         Sweep-wide generation cap merged into every method's overrides
         (a method's own ``max_generations`` override wins); ``None``
         leaves the method defaults.
-    engine / engine_params:
-        Execution backend forwarded to every per-run :class:`RunSpec`
-        (seed-equivalent — excluded from :meth:`sweep_hash`).
     cache / cache_params:
         Warm-start evaluation cache forwarded to every per-run
         :class:`RunSpec`.  With a ``spill_path`` cache parameter the runs
         of the sweep share one warm cache file (best-effort under
         concurrent workers).  Replayed rows are still charged, which is
-        what makes the cache another execution knob: records stay
+        what makes the cache an execution knob: records stay
         byte-identical to a cache-off sweep, so these fields are excluded
-        from :meth:`sweep_hash` too.
+        from :meth:`sweep_hash`.
     workers:
         Default process count for the sweep executor (1 = serial);
         ``None`` lets the executor decide.  Excluded from
@@ -239,8 +237,6 @@ class SweepSpec:
     base_seed: int = 20100308
     reference_n: int = 20_000
     max_generations: int | None = None
-    engine: str | None = None
-    engine_params: dict = field(default_factory=dict)
     cache: str | None = None
     cache_params: dict = field(default_factory=dict)
     workers: int | None = None
@@ -251,7 +247,6 @@ class SweepSpec:
         problems = _grid_axis(self.problems, ProblemSpec, "problems")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "problems", problems)
-        object.__setattr__(self, "engine_params", copy.deepcopy(self.engine_params))
         object.__setattr__(self, "cache_params", copy.deepcopy(self.cache_params))
         for axis, entries in (("methods", methods), ("problems", problems)):
             labels = [entry.label for entry in entries]
@@ -269,7 +264,8 @@ class SweepSpec:
                 raise SpecError(
                     f"must be >= 1, got {value}", field=key, spec="SweepSpec"
                 )
-        _check_engine_and_cache(self, "SweepSpec")
+        _check_seed(self.base_seed, "base_seed", "SweepSpec")
+        _check_cache_fields(self, "SweepSpec")
 
     # -- derivation --------------------------------------------------------
     def with_workers(self, workers: int | None) -> "SweepSpec":
@@ -300,8 +296,6 @@ class SweepSpec:
                     seed=self.base_seed,
                     problem_params=problem.problem_params,
                     overrides=overrides,
-                    engine=self.engine,
-                    engine_params=self.engine_params,
                     cache=self.cache,
                     cache_params=self.cache_params,
                     tag=self.tag,
@@ -329,7 +323,7 @@ class SweepSpec:
     def sweep_hash(self) -> str:
         """Hash of the result-determining fields (store resume validation).
 
-        Execution knobs (``engine``, ``engine_params``, ``workers``) and
+        Execution knobs (``cache``, ``cache_params``, ``workers``) and
         the ``tag`` are excluded: two sweeps that differ only there produce
         byte-identical records, so their stores are interchangeable.
         """
@@ -354,8 +348,6 @@ class SweepSpec:
             "base_seed": self.base_seed,
             "reference_n": self.reference_n,
             "max_generations": self.max_generations,
-            "engine": self.engine,
-            "engine_params": copy.deepcopy(self.engine_params),
             "cache": self.cache,
             "cache_params": copy.deepcopy(self.cache_params),
             "workers": self.workers,
@@ -394,8 +386,6 @@ class SweepSpec:
             base_seed=_coerce_int(data, "base_seed", "SweepSpec", 20100308),
             reference_n=_coerce_int(data, "reference_n", "SweepSpec", 20_000),
             max_generations=_coerce_int(data, "max_generations", "SweepSpec"),
-            engine=data.get("engine"),
-            engine_params=_coerce_dict(data, "engine_params", "SweepSpec"),
             cache=data.get("cache"),
             cache_params=_coerce_dict(data, "cache_params", "SweepSpec"),
             workers=_coerce_int(data, "workers", "SweepSpec"),

@@ -11,7 +11,7 @@ Records append incrementally (flushed per line), so a sweep killed after
 ``k`` runs leaves ``k`` valid lines behind; reopening the same spec with
 ``resume=True`` replays those and executes only the missing runs.  The
 header hash covers exactly the result-determining fields of the spec —
-resuming under a different worker count or engine is fine, resuming a
+resuming under a different worker count or cache is fine, resuming a
 *different experiment* into the same file is refused loudly.
 
 A torn final line (the process died mid-write) is detected on reopen,

@@ -8,7 +8,7 @@
   to score accuracy (50 000 samples; charged to the excluded ``reference``
   ledger category).
 
-The execution engines (:mod:`repro.engine`) fuse refinement rounds across
+The execution engine (:mod:`repro.engine`) fuses refinement rounds across
 candidates through :class:`CandidateYieldState`'s ``prepare``/``absorb``
 halves.
 """

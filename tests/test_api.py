@@ -425,7 +425,7 @@ class TestCLI:
     def test_list_command(self, capsys):
         assert cli_main(["list"]) == 0
         output = capsys.readouterr().out
-        for needle in ("moheco", "sphere", "lhs", "serial"):
+        for needle in ("moheco", "sphere", "lhs", "lru"):
             assert needle in output
 
     def test_run_requires_problem_or_spec(self):
@@ -443,7 +443,8 @@ class TestCLI:
                 ["--problem", "sphere", "--problem-param", "dimension=abc"],
                 "RunSpec.problem_params",
             ),
-            (None, ["--problem", "sphere", "--engine", "auto"], "RunSpec.engine: "),
+            ('{"problem": "sphere", "engine": "process"}', [], "RunSpec.engine: "),
+            (None, ["--problem", "sphere", "--seed", "-1"], "RunSpec.seed: "),
         ],
         ids=[
             "unknown-key",
@@ -451,6 +452,7 @@ class TestCLI:
             "bad-override-value",
             "bad-problem-param-value",
             "retired-engine",
+            "negative-seed",
         ],
     )
     def test_user_errors_exit_with_one_line(self, tmp_path, spec_text, flags, named):

@@ -3,9 +3,8 @@
 The load-bearing guarantees:
 
 * **Bit-identity** — with the default ledger-faithful accounting, a cached
-  run (cold or warm, any backend, any worker count) produces exactly the
-  result of a cache-off run; only wall-clock and the observability
-  counters move.
+  run (cold or warm) produces exactly the result of a cache-off run; only
+  wall-clock and the observability counters move.
 * **Ledger faithfulness** — replayed rows are still charged to their
   category and additionally recorded under the ledger's ``cached`` column,
   so the paper-accounting totals never change.
@@ -24,13 +23,7 @@ from repro.api import (
     validate_run_spec,
     validate_sweep_spec,
 )
-from repro.engine import (
-    CACHES,
-    LRUEvaluationCache,
-    ProcessPoolEngine,
-    SerialEngine,
-    make_cache,
-)
+from repro.engine import CACHES, LRUEvaluationCache, SerialEngine, make_cache
 from repro.engine.cache import block_key
 from repro.ledger import SimulationLedger
 from repro.problems import make_quadratic_problem, make_sphere_problem
@@ -287,46 +280,33 @@ class TestSpillFile:
 
 
 class TestEngineEquivalence:
-    """Every backend, cached or not, produces bit-identical estimates."""
+    """The engine, cached or not, produces bit-identical estimates."""
 
     GAINS = [5, 0, 17, 3, 50, 1]
 
-    def _run(self, problem, engine, cache):
+    def _run(self, problem, cache):
+        engine = SerialEngine()
         engine.cache = cache
         states, ledger = _states(problem)
-        try:
-            engine.refine_round(problem, states, self.GAINS)
-        finally:
-            engine.close()
+        engine.refine_round(problem, states, self.GAINS)
         return _fingerprint(states, ledger)
 
     @pytest.mark.parametrize("problem_factory", [make_sphere_problem])
     def test_cold_cache_matches_uncached_across_backends(self, problem_factory):
         problem = problem_factory()
-        reference = self._run(problem, SerialEngine(), None)
-        for engine in (SerialEngine(), ProcessPoolEngine(workers=2)):
-            assert self._run(problem, engine, LRUEvaluationCache()) == reference
+        reference = self._run(problem, None)
+        assert self._run(problem, LRUEvaluationCache()) == reference
 
     def test_warm_cache_matches_uncached_across_backends(self):
         problem = make_sphere_problem()
-        reference = self._run(problem, SerialEngine(), None)
+        reference = self._run(problem, None)
         cache = LRUEvaluationCache()
-        self._run(problem, SerialEngine(), cache)  # populate
-        for engine in (SerialEngine(), ProcessPoolEngine(workers=2)):
-            before = cache.stats.to_dict()
-            assert self._run(problem, engine, cache) == reference
-            delta = cache.stats.delta(before)
-            assert delta["misses"] == 0
-            assert delta["hits"] == sum(1 for g in self.GAINS if g > 0)
-
-    def test_hit_partition_identical_for_all_backends(self):
-        problem = make_sphere_problem()
-        stats = []
-        for engine in (SerialEngine(), ProcessPoolEngine(workers=2)):
-            cache = LRUEvaluationCache()
-            self._run(problem, engine, cache)
-            stats.append(cache.stats.to_dict())
-        assert stats[0] == stats[1]
+        self._run(problem, cache)  # populate
+        before = cache.stats.to_dict()
+        assert self._run(problem, cache) == reference
+        delta = cache.stats.delta(before)
+        assert delta["misses"] == 0
+        assert delta["hits"] == sum(1 for g in self.GAINS if g > 0)
 
 
 class TestLedgerFaithfulness:
@@ -383,6 +363,19 @@ class TestOptimizeBitIdentity:
         assert warm.ledger.cached == warm.cache_stats["hit_rows"]
         # The run is genuinely local-search-heavy: NM fired at least once.
         assert any(g.local_search_fired for g in cold.history)
+
+    @pytest.mark.slow
+    def test_netlist_ota_cold_and_warm_runs_match_uncached(self):
+        # Circuit-priced rows: a cold cache run, then a warm re-run that
+        # replays hits, both land on the uncached identity.
+        config = dict(max_generations=3, pop_size=8, n0=20, n_max=120)
+        reference = optimize("netlist_ota", seed=3, **config).identity_dict()
+        cache = make_cache("lru")
+        cold = optimize("netlist_ota", seed=3, cache=cache, **config)
+        assert cold.identity_dict() == reference
+        warm = optimize("netlist_ota", seed=3, cache=cache, **config)
+        assert warm.identity_dict() == reference
+        assert warm.cache_stats["hits"] > 0  # the re-run actually replayed
 
     def test_shared_instance_reports_per_run_deltas(self):
         cache = LRUEvaluationCache()

@@ -9,7 +9,7 @@ The load-bearing contracts:
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
 * ``screen_trace`` is part of the result identity: bit-identical across
-  the serial and process engines and cold/warm caches.
+  engines and cold/warm caches.
 * Bad ``screen_params`` fail at spec-validation time as structured
   :class:`~repro.api.errors.SpecError`, not inside a queued run.
 """
@@ -35,6 +35,7 @@ from repro.core.state import Individual
 from repro.ledger import SimulationLedger
 from repro.problems import make_problem
 from repro.sweep.spec import SweepSpec
+from test_engine import PerCandidateEngine
 
 # Small enough for sub-second runs, large enough to leave the screener's
 # fallback mode within a couple of generations (8 parents/generation).
@@ -252,8 +253,9 @@ class TestComposedRun:
 
 class TestDeterminism:
     def test_engines_bit_identical(self):
+        # The fused engine against one refine per candidate.
         baseline = _run(engine="serial")
-        result = _run(engine="process")
+        result = _run(engine=PerCandidateEngine())
         assert result.identity_dict() == baseline.identity_dict()
         assert result.screen_trace == baseline.screen_trace
 

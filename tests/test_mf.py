@@ -4,8 +4,7 @@ The load-bearing contracts:
 
 * The ladder schedule is pure arithmetic — ``fidelity_trace`` (part of
   the result *identity*, unlike the observational fields) is
-  bit-identical across execution backends, worker counts and cache
-  states.
+  bit-identical across engines and cache states.
 * Each rung promotes its top ``1/eta`` by pooled yield estimate
   (``CandidateYieldState.value``), the same number that is the
   selection fitness and the reported yield.
@@ -31,6 +30,7 @@ from repro.core.moheco import MOHECOResult
 from repro.mf import FidelityLadder, LadderAllocation
 from repro.ocba.allocation import clamp_gains, rung_allocation
 from repro.sweep.spec import SweepSpec
+from test_engine import PerCandidateEngine
 
 # Small enough for sub-second runs, large enough for a 2-rung ladder.
 CONFIG = dict(
@@ -292,11 +292,12 @@ class TestMultiFidelityRun:
 
 
 class TestLadderDeterminism:
-    """The acceptance bar: bit-identical trace across every backend."""
+    """The acceptance bar: bit-identical trace across engines and caches."""
 
     def test_engines_agree(self):
+        # The fused engine against one refine per candidate.
         baseline = _run_mf(engine="serial")
-        result = _run_mf(engine="process")
+        result = _run_mf(engine=PerCandidateEngine())
         assert result.identity_dict() == baseline.identity_dict()
         assert result.fidelity_trace == baseline.fidelity_trace
 
@@ -352,7 +353,7 @@ class TestComposedLadder:
 
     def test_engines_agree(self):
         baseline = _run_screened_ladder(engine="serial")
-        result = _run_screened_ladder(engine="process")
+        result = _run_screened_ladder(engine=PerCandidateEngine())
         assert result.identity_dict() == baseline.identity_dict()
 
     def test_cold_and_warm_cache_agree(self):

@@ -68,7 +68,7 @@ class TestRunStreams:
 
 class TestSweepSpec:
     def test_json_round_trip(self):
-        spec = tiny_spec(engine="serial", tag="t")
+        spec = tiny_spec(cache="lru", tag="t")
         assert SweepSpec.from_json(spec.to_json()) == spec
 
     def test_bare_names_coerce(self):
@@ -86,7 +86,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             tiny_spec(runs=0)
         with pytest.raises(ValueError):
-            tiny_spec(engine_params={"workers": 2})  # no engine name
+            tiny_spec(cache_params={"max_bytes": 2})  # no cache name
         with pytest.raises(ValueError):
             tiny_spec(
                 methods=(MethodSpec("moheco"), MethodSpec("moheco"))
@@ -103,7 +103,7 @@ class TestSweepSpec:
     def test_hash_covers_results_not_execution(self):
         spec = tiny_spec()
         assert spec.sweep_hash() == tiny_spec(workers=4).sweep_hash()
-        assert spec.sweep_hash() == tiny_spec(engine="process").sweep_hash()
+        assert spec.sweep_hash() == tiny_spec(cache="lru").sweep_hash()
         assert spec.sweep_hash() == tiny_spec(tag="other").sweep_hash()
         assert spec.sweep_hash() != tiny_spec(runs=4).sweep_hash()
         assert spec.sweep_hash() != tiny_spec(base_seed=43).sweep_hash()
@@ -283,11 +283,6 @@ class TestFailureHandling:
         assert 0 < len(survivors) <= 2
         assert all(r.method == "ok" for r in survivors.completed.values())
 
-    def test_nested_pool_engine_warns(self):
-        spec = tiny_spec(runs=1, engine="process")
-        with pytest.warns(RuntimeWarning, match="nests worker pools"):
-            run_sweep(spec, workers=2)
-
     def test_unknown_names_fail_before_creating_the_store(self, tmp_path):
         # A typo'd registry name, or a second method's bad override, must
         # not leave a header-only or partial store behind that blocks the
@@ -440,6 +435,13 @@ class TestSweepCLI:
         with pytest.raises(SystemExit, match="error:"):
             main([*self.ARGS, "--out", str(store)])
 
-    def test_list_engines_shows_process(self, capsys):
-        assert main(["list", "engines"]) == 0
-        assert "process" in capsys.readouterr().out
+    def test_negative_base_seed_fails_before_creating_the_store(self, tmp_path):
+        store = tmp_path / "store.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.ARGS, "--base-seed", "-5", "--out", str(store)])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: SweepSpec.base_seed: ")
+        assert "\n" not in message
+        assert not store.exists()
+        # The corrected rerun is not blocked by a leftover store.
+        assert main([*self.ARGS, "--out", str(store), "--no-tables", "--quiet"]) == 0
