@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunSpec, SpecError, optimize
+from repro.api import RunSpec, optimize
 import repro.engine.serial
 from repro.engine import EvaluationEngine, LRUEvaluationCache, SerialEngine, make_engine
 from repro.engine.base import evaluate_pending, scatter_round
@@ -27,7 +27,6 @@ from repro.ocba import ocba_sequential
 from repro.problems import make_problem, make_quadratic_problem, make_sphere_problem
 from repro.problems.base import SLAB_ROWS
 from repro.sampling import LinearMarginScreener, make_sampler
-from repro.sweep import SweepSpec
 from repro.yieldsim import CandidateYieldState
 
 TINY = {"pop_size": 8, "max_generations": 4}
@@ -316,27 +315,6 @@ class TestRunSpecEngine:
         spec = RunSpec.from_dict({"problem": "sphere", "seed": 3})
         assert spec.seed == 3
         assert "engine" not in spec.to_dict()
-
-    @pytest.mark.parametrize(
-        "extra, field",
-        [
-            ({"engine": "serial"}, "engine"),
-            ({"engine": "process", "engine_params": {"workers": 2}}, "engine"),
-            ({"engine_params": {}}, "engine_params"),
-        ],
-        ids=["engine", "engine-and-params", "params"],
-    )
-    def test_spec_engine_fields_are_refused(self, extra, field):
-        # Spec JSON saved with engine fields must drop them before reuse.
-        sweep = {"methods": ["moheco"], "problems": ["sphere"]}
-        for spec_cls, payload in (
-            (RunSpec, {"problem": "sphere", **extra}),
-            (SweepSpec, {**sweep, **extra}),
-        ):
-            with pytest.raises(SpecError) as excinfo:
-                spec_cls.from_dict(payload)
-            assert excinfo.value.field == field
-            assert excinfo.value.spec == spec_cls.__name__
 
     def test_engine_params_rejected_with_engine_instance(self):
         # A leftover engine_params keyword is an unknown override, refused
