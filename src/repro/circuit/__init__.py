@@ -9,8 +9,9 @@ DESIGN.md, substitutions table).  It provides:
 * :mod:`repro.circuit.elements` / :mod:`repro.circuit.netlist` — circuit
   elements and netlist container.
 * :mod:`repro.circuit.mna` — modified nodal analysis: DC Newton solve and
-  complex AC solve.
-* :mod:`repro.circuit.ac` — transfer functions, Bode data, pole extraction.
+  stacked small-signal AC assembly.
+* :mod:`repro.circuit.ac` — one stacked AC analysis (a single circuit is a
+  stack of one): transfer functions, Bode data, pole extraction.
 * :mod:`repro.circuit.measures` — gain/GBW/phase-margin measurement helpers.
 * :mod:`repro.circuit.topologies` — the paper's two amplifiers as parametric
   generators with fast vectorised performance models.
@@ -20,12 +21,7 @@ DESIGN.md, substitutions table).  It provides:
 from repro.circuit.mosfet import DeviceArrays, MosfetModelCard
 from repro.circuit.netlist import Circuit
 from repro.circuit.mna import DCSolution, MNAAssembler, solve_dc
-from repro.circuit.ac import (
-    ACAnalysis,
-    BatchACAnalysis,
-    TransferFunction,
-    default_frequency_grid,
-)
+from repro.circuit.ac import ACAnalysis, TransferFunction, default_frequency_grid
 
 __all__ = [
     "MosfetModelCard",
@@ -35,7 +31,6 @@ __all__ = [
     "DCSolution",
     "solve_dc",
     "ACAnalysis",
-    "BatchACAnalysis",
     "TransferFunction",
     "default_frequency_grid",
 ]

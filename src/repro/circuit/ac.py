@@ -1,9 +1,12 @@
 """AC small-signal analysis: transfer functions, Bode data, poles.
 
 Given a circuit and a DC operating point, the small-signal system is
-``(G + j*omega*C) x = b_ac``.  :class:`ACAnalysis` solves it over a frequency
-grid and extracts the quantities analog designers measure: low-frequency
-gain, unity-gain frequency (GBW), phase margin, pole locations.
+``(G + j*omega*C) x = b_ac``.  :class:`ACAnalysis` solves a stack of such
+systems, one per operating point or Monte-Carlo sample of one topology, over
+a frequency grid; a single circuit is a stack of one.  A
+:class:`TransferFunction` then extracts the quantities analog designers
+measure: low-frequency gain, unity-gain frequency (GBW), phase margin; a
+one-system analysis also gives pole locations.
 
 The solve is *entrywise*: Gaussian elimination with per-system partial
 pivoting runs over the matrix entries, each a broadcast array over
@@ -11,7 +14,7 @@ pivoting runs over the matrix entries, each a broadcast array over
 (sample, frequency) system.  An entry keeps its natural shape — a scalar
 when it is equal across samples, one value per sample when only ``G``
 varies, the full grid only when it carries capacitance — and structural
-zeros cost nothing.  :class:`BatchACAnalysis` feeds it per-sample stamped
+zeros cost nothing.  :class:`ACAnalysis` feeds it per-sample stamped
 systems in memory-bounded sample chunks, which is what keeps
 netlist-backed Monte-Carlo problems from being loop-bound.
 
@@ -35,7 +38,8 @@ the phase only at the two grid points bracketing each curve's crossing.
 A curve whose points up to there are finite and all in one open
 half-plane (``Im > 0`` or ``Im < 0``) needs no unwrap correction, so its
 angle is read at those two points only; any other curve is unwrapped no
-further than the rightmost of them.  Every value equals the full-grid formula bit for bit.
+further than the rightmost of them.  A single curve is read as a batch of
+one.  Every value equals the full-grid formula bit for bit.
 """
 
 from __future__ import annotations
@@ -45,15 +49,10 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.circuit.mna import DCSolution, MNAAssembler
+from repro.circuit.mna import MNAAssembler
 from repro.circuit.netlist import Circuit
 
-__all__ = [
-    "ACAnalysis",
-    "BatchACAnalysis",
-    "TransferFunction",
-    "default_frequency_grid",
-]
+__all__ = ["ACAnalysis", "TransferFunction", "default_frequency_grid"]
 
 #: Decade span and resolution of the default analysis grid.
 _DEFAULT_GRID_ARGS = (0.0, 11.0, 661)
@@ -90,12 +89,6 @@ def default_frequency_grid() -> np.ndarray:
     return _DEFAULT_GRID
 
 
-def _as_frequency_grid(frequencies: np.ndarray | None) -> np.ndarray:
-    if frequencies is None:
-        return default_frequency_grid()
-    return np.asarray(frequencies, dtype=float)
-
-
 def _stacked_response(
     g: np.ndarray,
     c: np.ndarray,
@@ -104,26 +97,26 @@ def _stacked_response(
     out_idx: int | None,
     neg_idx: int | None,
 ) -> np.ndarray:
-    """Solve ``(G + j w C) x = b`` over a frequency grid, batched.
+    """Solve ``(G + j w C) x = b`` over a frequency grid for stacked systems.
 
-    ``g`` may be a single ``(dim, dim)`` system or a stacked
-    ``(n_samples, dim, dim)`` tensor; ``c`` has either of those shapes and
-    ``b`` is shared.  Returns the output node (or node-pair) response with
-    shape ``(n_freq,)`` respectively ``(n_samples, n_freq)``; a grounded
-    output is identically zero.  Samples are eliminated in chunks bounded
-    by :data:`_SOLVE_ENTRY_BUDGET`; without ``neg_idx`` each chunk's last
-    division writes straight into its rows of the result.
+    ``g`` and ``c`` are ``(n_samples, dim, dim)`` stacks and ``b`` is
+    shared.  Returns the output node (or node-pair) response, shape
+    ``(n_samples, n_freq)``; a grounded output is identically zero.
+    Samples are eliminated in chunks bounded by :data:`_SOLVE_ENTRY_BUDGET`;
+    without ``neg_idx`` each chunk's last division writes straight into its
+    rows of the result.
+
+    A row is the same bit for bit whatever stack or chunk surrounds it: a
+    chunk whose systems pick different pivot rows turns a structural zero
+    into an explicit ``+0.0`` that a one-system chunk skips, which can flip
+    the sign of an exactly zero part (``np.angle(-1 - 0j)`` is ``-pi``), so
+    the ``+ 0.0`` ending each chunk makes every zero part ``+0.0``.
     """
-    single = g.ndim == 2
-    if single:
-        g = g[None]
-    c = np.broadcast_to(c, g.shape)
     n_samples, dim = g.shape[0], g.shape[-1]
     omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
     wanted = [i for i in (out_idx, neg_idx) if i is not None]
-    if not (wanted and n_samples):
-        out = np.zeros((n_samples, len(omega)), dtype=complex)
-        return out[0] if single else out
+    if not wanted:
+        return np.zeros((n_samples, len(omega)), dtype=complex)
     out = np.empty((n_samples, len(omega)), dtype=complex)
     chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(omega) * dim * dim, 1))
     for start in range(0, n_samples, chunk):
@@ -138,7 +131,8 @@ def _stacked_response(
             v = (x[out_idx] if out_idx is not None else 0.0) - x[neg_idx]
         if v is not rows:
             rows[...] = 0.0 if v is None else v
-    return out[0] if single else out
+        rows += 0.0
+    return out
 
 
 def _shape(*entries: np.ndarray) -> tuple:
@@ -455,16 +449,16 @@ class TransferFunction:
 
     ``response`` is either a single curve of shape ``(n_freq,)`` or a
     batch of curves ``(n_samples, n_freq)`` sharing one grid (the shape
-    :meth:`BatchACAnalysis.transfer_batch` returns).  Every metric is
-    vectorized over the batch axis: scalar responses keep returning plain
-    floats, batched responses return arrays of shape ``(n_samples,)``.
+    :meth:`ACAnalysis.transfer` returns).  Every metric is vectorized over
+    the batch axis: a single curve is read as a batch of one and returns
+    plain floats, a batch returns arrays of shape ``(n_samples,)``.
 
     :attr:`magnitude` and the unity-gain crossing are each computed once,
     at first use, and cached as read-only arrays; :meth:`dc_gain`,
     :meth:`unity_gain_frequency` and :meth:`phase_margin` all read that
     cache (the first two return read-only views of it on a batch), so
-    metrics describe the response as it was at first use.  A
-    batched :meth:`phase_at` reads the phase only at the two grid points
+    metrics describe the response as it was at first use.
+    :meth:`phase_at` reads the phase only at the two grid points
     bracketing each query (see :func:`_unwrapped_phase_deg`) and equals
     :attr:`phase_deg` interpolated there, bit for bit.
     """
@@ -516,11 +510,11 @@ class TransferFunction:
     def phase_at(self, frequency):
         """Phase [deg] at ``frequency`` by log-frequency interpolation.
 
-        On a single curve, a scalar query returns a float and an array of
-        queries an array.  On a batch, ``frequency`` broadcasts against the
-        batch axis (one query per curve).  Non-positive grid points or
-        queries cannot be mapped to log-frequency and raise ``ValueError``
-        before any ``np.log``.
+        ``frequency`` broadcasts against the batch axis (one query per
+        curve).  A single curve is read as a batch of one: a scalar query
+        returns a float and an array of queries an array.  Non-positive
+        grid points or queries cannot be mapped to log-frequency and raise
+        ``ValueError`` before any ``np.log``.
         """
         if float(self.frequencies[0]) <= 0.0:
             raise ValueError(
@@ -534,15 +528,18 @@ class TransferFunction:
                 f"{frequency!r}"
             )
         log_f = np.log(self.frequencies)
-        if self.response.ndim == 1:
-            phase = np.interp(np.log(frequency), log_f, self.phase_deg)
-            return float(phase) if frequency.ndim == 0 else phase
-        query = np.broadcast_to(frequency, self.response.shape[:-1])
+        curves = np.atleast_2d(self.response)
+        shape = np.broadcast_shapes(frequency.shape, curves.shape[:-1])
+        query = np.broadcast_to(frequency, shape)
+        curves = np.broadcast_to(curves, shape + log_f.shape)
         x = np.clip(np.log(query), log_f[0], log_f[-1])
         idx = np.clip(np.searchsorted(log_f, x), 1, len(log_f) - 1)
-        below, above = _unwrapped_phase_deg(self.response, idx)
+        below, above = _unwrapped_phase_deg(curves, idx)
         x1, x2 = log_f[idx - 1], log_f[idx]
-        return below + (x - x1) / (x2 - x1) * (above - below)
+        phase = below + (x - x1) / (x2 - x1) * (above - below)
+        if self.response.ndim == 1 and frequency.ndim == 0:
+            return float(phase[0])
+        return phase
 
     def phase_margin(self):
         """Phase margin [deg] = 180 + phase at the unity-gain frequency.
@@ -561,85 +558,21 @@ class TransferFunction:
 
 
 class ACAnalysis:
-    """Small-signal analysis of a circuit at a DC operating point."""
+    """Small-signal analysis of stacked systems of one circuit topology.
 
-    def __init__(self, circuit: Circuit, dc: DCSolution) -> None:
-        self.circuit = circuit
-        self.dc = dc
-        assembler = MNAAssembler(circuit)
-        self._g, self._c, self._b = assembler.ac_system(dc.op)
-        self._nodemap = assembler.nodemap
-
-    # -- frequency response ---------------------------------------------------
-    def solve_at(self, frequency: float) -> np.ndarray:
-        """Complex solution vector at one frequency [Hz]."""
-        omega = 2.0 * np.pi * frequency
-        matrix = self._g + 1j * omega * self._c
-        return np.linalg.solve(matrix, self._b.astype(complex))
-
-    def transfer(
-        self,
-        output: str,
-        output_neg: str | None = None,
-        frequencies: np.ndarray | None = None,
-    ) -> TransferFunction:
-        """Transfer function from the AC excitation to a node (or node pair).
-
-        One stacked complex solve over the whole grid — no per-frequency
-        Python loop.
-
-        Parameters
-        ----------
-        output:
-            Output node name (positive terminal).
-        output_neg:
-            Optional negative terminal for differential outputs.
-        frequencies:
-            Frequency grid [Hz]; defaults to the shared
-            :func:`default_frequency_grid` (1 Hz .. 100 GHz, 60 pts/decade).
-        """
-        frequencies = _as_frequency_grid(frequencies)
-        out_idx = self._nodemap[output]
-        neg_idx = self._nodemap[output_neg] if output_neg is not None else None
-        response = _stacked_response(
-            self._g, self._c, self._b, frequencies, out_idx, neg_idx
-        )
-        return TransferFunction(frequencies, response)
-
-    # -- poles -------------------------------------------------------------------
-    def poles(self, max_hz: float = 1e14, min_hz: float = 1e-3) -> np.ndarray:
-        """Natural frequencies of the network [Hz], sorted by magnitude.
-
-        Solves the generalized eigenproblem ``(G + s C) x = 0`` on the full
-        MNA system (including source branch rows, whose zero capacitance
-        rows yield infinite eigenvalues that are discarded).  Numerically
-        huge eigenvalues beyond ``max_hz`` and gmin-artifact eigenvalues
-        below ``min_hz`` are filtered out.
-        """
-        from scipy.linalg import eigvals
-
-        eigenvalues = eigvals(-self._g, self._c)
-        s = eigenvalues[np.isfinite(eigenvalues)]
-        f = s / (2.0 * np.pi)
-        f = f[(np.abs(f) < max_hz) & (np.abs(f) > min_hz)]
-        return f[np.argsort(np.abs(f))]
-
-
-class BatchACAnalysis:
-    """Stacked small-signal analysis: many stamped systems, one dispatch.
-
-    Holds ``n_samples`` variants of one circuit topology — the same node
-    map and excitation, per-sample ``G`` (and optionally ``C``) matrices —
-    and solves all of them over a frequency grid in one entrywise
-    elimination over ``(n_samples, n_freq)`` arrays.  This is the primitive
-    netlist-backed Monte-Carlo evaluators build on: stamp unit element
-    patterns once, scale them per sample, and never loop in Python.
+    Holds ``n_samples`` variants of one topology — the same node map and
+    excitation, per-sample ``G`` (and optionally ``C``) matrices — and
+    solves all of them over a frequency grid in one entrywise elimination
+    over ``(n_samples, n_freq)`` arrays.  A single circuit at one DC
+    operating point is a stack of one:
+    ``ACAnalysis.from_circuit(circuit, [dc.op])``.  Netlist-backed
+    Monte-Carlo evaluators stamp unit element patterns once, scale them per
+    sample, and never loop in Python.
 
     Parameters
     ----------
     g:
-        Conductance tensor, shape ``(n_samples, dim, dim)`` (a single
-        ``(dim, dim)`` matrix is promoted to ``n_samples = 1``).
+        Conductance tensor, shape ``(n_samples, dim, dim)``.
     c:
         Capacitance matrices: ``(dim, dim)`` shared across samples or a
         per-sample ``(n_samples, dim, dim)`` tensor.
@@ -651,8 +584,6 @@ class BatchACAnalysis:
 
     def __init__(self, g: np.ndarray, c: np.ndarray, b: np.ndarray, nodemap) -> None:
         g = np.asarray(g, dtype=float)
-        if g.ndim == 2:
-            g = g[None, :, :]
         if g.ndim != 3 or g.shape[-1] != g.shape[-2]:
             raise ValueError(f"g must stack square matrices, got shape {g.shape}")
         c = np.asarray(c, dtype=float)
@@ -665,21 +596,20 @@ class BatchACAnalysis:
         if b.shape != g.shape[1:2]:
             raise ValueError(f"b must have shape {g.shape[1:2]}, got {b.shape}")
         self._g = g
-        self._c = c
+        self._c = np.broadcast_to(c, g.shape)
         self._b = b
         self._nodemap = nodemap
 
     @classmethod
-    def from_circuit(cls, circuit: Circuit, ops) -> "BatchACAnalysis":
+    def from_circuit(cls, circuit: Circuit, ops) -> "ACAnalysis":
         """Stamp one AC system per operating point of ``circuit``.
 
-        ``ops`` is a sequence of per-MOSFET operating-point mappings (one
-        per sample, as produced by DC solves); see
-        :meth:`~repro.circuit.mna.MNAAssembler.ac_system_batch`.
+        ``ops`` is a sequence of per-MOSFET operating-point mappings, one
+        per system (``[dc.op]`` for one DC solve); see
+        :meth:`~repro.circuit.mna.MNAAssembler.ac_system`.
         """
         assembler = MNAAssembler(circuit)
-        g, c, b = assembler.ac_system_batch(ops)
-        return cls(g, c, b, assembler.nodemap)
+        return cls(*assembler.ac_system(ops), assembler.nodemap)
 
     @property
     def n_samples(self) -> int:
@@ -687,28 +617,71 @@ class BatchACAnalysis:
         return self._g.shape[0]
 
     def solve_at(self, frequency: float) -> np.ndarray:
-        """Complex solution vectors at one frequency, shape ``(n_samples, dim)``."""
+        """Complex solution vectors at one frequency [Hz], ``(n_samples, dim)``.
+
+        One LAPACK solve per system: the reference the entrywise
+        elimination of :meth:`transfer` is checked against.
+        """
         omega = 2.0 * np.pi * frequency
         matrices = self._g + 1j * omega * self._c
         return np.linalg.solve(matrices, self._b.astype(complex)[:, None])[..., 0]
 
-    def transfer_batch(
+    def transfer(
         self,
         output: str,
         output_neg: str | None = None,
         frequencies: np.ndarray | None = None,
     ) -> TransferFunction:
-        """All samples' transfer functions in one stacked solve.
+        """Every system's transfer function from the AC excitation to a node
+        (or node pair), in one stacked solve.
 
-        Returns a batched :class:`TransferFunction` with ``response`` of
-        shape ``(n_samples, n_freq)`` whose metrics (``dc_gain``,
+        Returns a :class:`TransferFunction` with ``response`` of shape
+        ``(n_samples, n_freq)``, whose metrics (``dc_gain``,
         ``unity_gain_frequency``, ``phase_margin`` ...) evaluate vectorized
-        across the batch.
+        across the stack.
+
+        Parameters
+        ----------
+        output:
+            Output node name (positive terminal).
+        output_neg:
+            Optional negative terminal for differential outputs.
+        frequencies:
+            Frequency grid [Hz]; defaults to the shared
+            :func:`default_frequency_grid` (1 Hz .. 100 GHz, 60 pts/decade).
         """
-        frequencies = _as_frequency_grid(frequencies)
+        if frequencies is None:
+            frequencies = default_frequency_grid()
+        frequencies = np.asarray(frequencies, dtype=float)
         out_idx = self._nodemap[output]
         neg_idx = self._nodemap[output_neg] if output_neg is not None else None
         response = _stacked_response(
             self._g, self._c, self._b, frequencies, out_idx, neg_idx
         )
         return TransferFunction(frequencies, response)
+
+    def poles(self, max_hz: float = 1e14, min_hz: float = 1e-3) -> np.ndarray:
+        """Natural frequencies of a one-system analysis [Hz], by magnitude.
+
+        Solves the generalized eigenproblem ``(G + s C) x = 0`` on the full
+        MNA system (including source branch rows, whose zero capacitance
+        rows yield infinite eigenvalues that are discarded).  Numerically
+        huge eigenvalues beyond ``max_hz`` and gmin-artifact eigenvalues
+        below ``min_hz`` are filtered out.
+
+        Raises
+        ------
+        ValueError
+            If the analysis stacks more than one system.
+        """
+        if self.n_samples != 1:
+            raise ValueError(
+                f"poles() needs a one-system analysis, got {self.n_samples} systems"
+            )
+        from scipy.linalg import eigvals
+
+        eigenvalues = eigvals(-self._g[0], self._c[0])
+        s = eigenvalues[np.isfinite(eigenvalues)]
+        f = s / (2.0 * np.pi)
+        f = f[(np.abs(f) < max_hz) & (np.abs(f) > min_hz)]
+        return f[np.argsort(np.abs(f))]

@@ -2,7 +2,10 @@
 
 The assembler walks a :class:`~repro.circuit.netlist.Circuit`, assigns node
 and branch indices, and builds dense matrices (analog blocks are small, so
-dense LU via LAPACK is both simpler and faster than sparse here).
+dense LU via LAPACK is both simpler and faster than sparse here): the
+linearised DC system, and the small-signal AC systems stacked one per
+operating point, where a single circuit is a stack of one.  Both add their
+conductance to ground through :meth:`MNAAssembler.add_gmin`.
 
 DC solution uses damped Newton iteration on the companion-model linearised
 system, with a gmin-stepping fallback for stubborn bias points — the same
@@ -84,63 +87,47 @@ class MNAAssembler:
         b = np.zeros(n)
         for element in self.circuit.elements:
             element.stamp_dc(a, b, x, self.nodemap)
-        # gmin to ground on every node keeps the matrix non-singular when a
-        # node would otherwise float (e.g. between two capacitors).
-        for i in range(self.nodemap.n_nodes):
-            a[i, i] += gmin
+        self.add_gmin(a, gmin)
         return a, b
 
-    # -- AC ----------------------------------------------------------------
-    def ac_system(
-        self, op: dict[str, object]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Small-signal matrices (G, C) and AC excitation vector.
+    def add_gmin(self, a: np.ndarray, gmin: float = AC_GMIN) -> None:
+        """Add ``gmin`` from every node to ground to ``a``, in place.
 
-        ``op`` holds the MOSFET operating points from a DC solve.
+        ``a`` is one ``(size, size)`` matrix or a stack of them.  The
+        conductance keeps a matrix non-singular when a node would otherwise
+        float (e.g. between two capacitors).
         """
-        n = self.nodemap.size
-        g = np.zeros((n, n))
-        c = np.zeros((n, n))
-        b_ac = np.zeros(n)
-        for element in self.circuit.elements:
-            element.stamp_ac(g, c, b_ac, op, self.nodemap)
-        for i in range(self.nodemap.n_nodes):
-            g[i, i] += AC_GMIN
-        return g, c, b_ac
+        nodes = np.arange(self.nodemap.n_nodes)
+        a[..., nodes, nodes] += gmin
 
-    def ac_system_batch(
-        self, ops
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked small-signal systems for many operating points.
+    # -- AC ----------------------------------------------------------------
+    def ac_system(self, ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked small-signal systems, one per operating point.
 
-        ``ops`` is a sequence of per-element operating-point mappings (one
-        per Monte-Carlo sample).  Returns ``(G, C, b_ac)`` with ``G`` and
-        ``C`` stacked as ``(len(ops), dim, dim)`` tensors sharing one
-        excitation vector — the shape :class:`~repro.circuit.ac.BatchACAnalysis`
-        solves in a single batched dispatch.  The AC excitation must not
-        depend on the operating point (it never does: sources stamp fixed
-        ``ac`` values), which is asserted here.
+        ``ops`` is a sequence of per-MOSFET operating-point mappings from DC
+        solves (``[dc.op]`` for one circuit).  Returns ``(G, C, b_ac)`` with
+        ``G`` and ``C`` stacked as ``(len(ops), size, size)`` tensors sharing
+        one excitation vector, the shape :class:`~repro.circuit.ac.ACAnalysis`
+        solves.  The AC excitation must not depend on the operating point
+        (it never does: sources stamp fixed ``ac`` values), which is checked
+        here.
         """
         ops = list(ops)
         if not ops:
-            raise ValueError("ac_system_batch needs at least one operating point")
+            raise ValueError("ac_system needs at least one operating point")
         n = self.nodemap.size
-        g = np.zeros((len(ops), n, n))
-        c = np.zeros((len(ops), n, n))
-        b_ac = np.zeros(n)
+        g, c = np.zeros((2, len(ops), n, n))
+        b_ac = np.zeros((len(ops), n))
         for s, op in enumerate(ops):
-            b_s = b_ac if s == 0 else np.zeros(n)
             for element in self.circuit.elements:
-                element.stamp_ac(g[s], c[s], b_s, op, self.nodemap)
-            if s > 0 and not np.array_equal(b_s, b_ac):
-                raise ValueError(
-                    "AC excitation differs between operating points; stacked "
-                    "systems must share one RHS"
-                )
-        g[:, : self.nodemap.n_nodes, : self.nodemap.n_nodes] += (
-            AC_GMIN * np.eye(self.nodemap.n_nodes)
-        )
-        return g, c, b_ac
+                element.stamp_ac(g[s], c[s], b_ac[s], op, self.nodemap)
+        if not (b_ac == b_ac[0]).all():
+            raise ValueError(
+                "AC excitation differs between operating points; stacked "
+                "systems must share one RHS"
+            )
+        self.add_gmin(g)
+        return g, c, b_ac[0]
 
 
 def solve_dc(

@@ -7,7 +7,7 @@ resistance per stage, Miller compensation, load), stamps each varying
 element's unit pattern once per instance with
 :class:`~repro.circuit.mna.MNAAssembler`, scales the patterns by every
 (design, sample) row's element values, and solves all rows' AC systems in
-one :class:`~repro.circuit.ac.BatchACAnalysis`.  Each Monte-Carlo sample
+one :class:`~repro.circuit.ac.ACAnalysis`.  Each Monte-Carlo sample
 therefore costs a genuine 301-point complex linear solve — the role HSPICE
 plays in the paper — now tens of microseconds per row, several times the
 paper circuits' closed-form rows.
@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.ac import BatchACAnalysis
-from repro.circuit.mna import AC_GMIN, MNAAssembler
+from repro.circuit.ac import ACAnalysis
+from repro.circuit.mna import MNAAssembler
 from repro.circuit.netlist import Circuit
 from repro.circuit.topologies.base import AmplifierTopology, DesignSpace
 from repro.units import ratio_to_db
@@ -133,7 +133,8 @@ class NetlistTwoStageOTA(AmplifierTopology):
         is then the fixed part plus its element values times the patterns.
         """
         circuit = _netlist(dict.fromkeys(("gm1", "gm2", "ro1", "ro2", "cc"), 1.0))
-        nodemap = MNAAssembler(circuit).nodemap
+        assembler = MNAAssembler(circuit)
+        nodemap = assembler.nodemap
         n = nodemap.size
         g_fixed, c_fixed = np.zeros((2, n, n))
         g_unit, c_unit = np.zeros((2, len(_ELEMENTS), n, n))
@@ -145,7 +146,7 @@ class NetlistTwoStageOTA(AmplifierTopology):
                 element.stamp_ac(g_unit[e], c_unit[e], b, {}, nodemap)
             else:
                 element.stamp_ac(g_fixed, c_fixed, b, {}, nodemap)
-        g_fixed[np.diag_indices(nodemap.n_nodes)] += AC_GMIN
+        assembler.add_gmin(g_fixed)
         return g_fixed, c_fixed, b, nodemap, g_unit, c_unit
 
     # -- per-sample element values ------------------------------------------------
@@ -197,13 +198,13 @@ class NetlistTwoStageOTA(AmplifierTopology):
         cc = np.broadcast_to(v["cc"], power.shape)
         return {"gm1": gm1, "gm2": gm2, "go1": go1, "go2": go2, "cc": cc, "power": power}
 
-    def ac_analysis(self, values: dict[str, np.ndarray]) -> BatchACAnalysis:
+    def ac_analysis(self, values: dict[str, np.ndarray]) -> ACAnalysis:
         """One stamped AC system per row of :meth:`small_signal_values`."""
         g_fixed, c_fixed, b, nodemap, g_unit, c_unit = self._stamps
         elements = np.column_stack([values[name] for name in _ELEMENTS])
         g = g_fixed + np.einsum("se,eij->sij", elements, g_unit)
         c = c_fixed + np.einsum("se,eij->sij", elements, c_unit)
-        return BatchACAnalysis(g, c, b, nodemap)
+        return ACAnalysis(g, c, b, nodemap)
 
     # -- evaluation -------------------------------------------------------------
     def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -213,7 +214,7 @@ class NetlistTwoStageOTA(AmplifierTopology):
         All rows' AC systems are solved in one batched analysis.
         """
         values = self.small_signal_values(X, samples)
-        tf = self.ac_analysis(values).transfer_batch("out", frequencies=_GRID)
+        tf = self.ac_analysis(values).transfer("out", frequencies=_GRID)
         a0_db = ratio_to_db(np.maximum(tf.dc_gain(), 1e-12))
         gbw = np.nan_to_num(tf.unity_gain_frequency(), nan=0.0)
         pm = np.nan_to_num(tf.phase_margin(), nan=0.0)

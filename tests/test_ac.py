@@ -15,6 +15,11 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.tech import C035Technology
 
 
+def _analysis(circuit):
+    """A one-system analysis: the circuit at its DC point, a stack of one."""
+    return ACAnalysis.from_circuit(circuit, [solve_dc(circuit).op])
+
+
 def _rc_lowpass(r=1e3, c=1e-9):
     circuit = Circuit()
     circuit.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
@@ -27,29 +32,33 @@ class TestRCLowPass:
     def test_dc_gain_and_corner(self):
         r, c = 1e3, 1e-9
         circuit = _rc_lowpass(r, c)
-        analysis = ACAnalysis(circuit, solve_dc(circuit))
         f3db = 1.0 / (2 * np.pi * r * c)
-        tf = analysis.transfer("out", frequencies=np.logspace(2, 9, 200))
-        assert tf.dc_gain() == pytest.approx(1.0, rel=1e-3)
+        tf = _analysis(circuit).transfer("out", frequencies=np.logspace(2, 9, 200))
+        assert tf.response.shape == (1, 200)
+        assert tf.dc_gain()[0] == pytest.approx(1.0, rel=1e-3)
         # At the corner frequency the magnitude is 1/sqrt(2).
         idx = np.argmin(np.abs(tf.frequencies - f3db))
-        assert tf.magnitude[idx] == pytest.approx(1 / np.sqrt(2), rel=0.05)
+        assert tf.magnitude[0, idx] == pytest.approx(1 / np.sqrt(2), rel=0.05)
 
     def test_pole_extraction_matches_rc(self):
         r, c = 2e3, 0.5e-9
-        circuit = _rc_lowpass(r, c)
-        analysis = ACAnalysis(circuit, solve_dc(circuit))
-        poles = analysis.poles()
+        poles = _analysis(_rc_lowpass(r, c)).poles()
         f_pole = np.abs(poles[0])
         assert f_pole == pytest.approx(1.0 / (2 * np.pi * r * c), rel=1e-3)
 
+    def test_poles_need_a_one_system_analysis(self):
+        circuit = _rc_lowpass()
+        op = solve_dc(circuit).op
+        with pytest.raises(ValueError, match="one-system"):
+            ACAnalysis.from_circuit(circuit, [op, op]).poles()
+
     def test_phase_at_corner(self):
         r, c = 1e3, 1e-9
-        circuit = _rc_lowpass(r, c)
-        analysis = ACAnalysis(circuit, solve_dc(circuit))
-        tf = analysis.transfer("out", frequencies=np.logspace(2, 9, 400))
+        tf = _analysis(_rc_lowpass(r, c)).transfer(
+            "out", frequencies=np.logspace(2, 9, 400)
+        )
         f3db = 1.0 / (2 * np.pi * r * c)
-        assert tf.phase_at(f3db) == pytest.approx(-45.0, abs=2.0)
+        assert tf.phase_at(f3db)[0] == pytest.approx(-45.0, abs=2.0)
 
 
 class TestAmplifierTF:
@@ -61,25 +70,25 @@ class TestAmplifierTF:
         circuit.add_vccs("G1", "0", "out", "in", "0", gm=gm)
         circuit.add_resistor("RL", "out", "0", r)
         circuit.add_capacitor("CL", "out", "0", c)
-        return ACAnalysis(circuit, solve_dc(circuit))
+        return _analysis(circuit)
 
     def test_dc_gain(self):
         analysis = self._make()
         tf = analysis.transfer("out", frequencies=np.logspace(0, 11, 400))
-        assert tf.dc_gain() == pytest.approx(100.0, rel=1e-3)
+        assert tf.dc_gain()[0] == pytest.approx(100.0, rel=1e-3)
 
     def test_unity_gain_frequency(self):
         gm, c = 1e-3, 1e-12
         analysis = self._make(gm=gm, c=c)
         tf = analysis.transfer("out", frequencies=np.logspace(3, 11, 600))
-        assert tf.unity_gain_frequency() == pytest.approx(
+        assert tf.unity_gain_frequency()[0] == pytest.approx(
             gm / (2 * np.pi * c), rel=0.02
         )
 
     def test_phase_margin_single_pole_is_90(self):
         analysis = self._make()
         tf = analysis.transfer("out", frequencies=np.logspace(3, 11, 600))
-        assert tf.phase_margin() == pytest.approx(90.0, abs=3.0)
+        assert tf.phase_margin()[0] == pytest.approx(90.0, abs=3.0)
 
 
 class TestTransferFunctionEdges:
@@ -111,10 +120,10 @@ class TestMosfetAC:
         dc = solve_dc(circuit)
         op = dc.op["M1"]
         assert op.saturated
-        analysis = ACAnalysis(circuit, dc)
+        analysis = ACAnalysis.from_circuit(circuit, [dc.op])
         tf = analysis.transfer("d", frequencies=np.logspace(0, 5, 30))
         expected = op.gm / (1.0 / rd + op.gds)
-        assert tf.dc_gain() == pytest.approx(expected, rel=0.02)
+        assert tf.dc_gain()[0] == pytest.approx(expected, rel=0.02)
 
 
 # -- bit identity of the metric and entry fast paths ---------------------------
@@ -125,8 +134,8 @@ class TestMosfetAC:
 
 
 def _assert_bitwise_equal(got, want):
-    got, want = (np.ascontiguousarray(v, dtype=float) for v in (got, want))
-    assert got.shape == want.shape
+    got, want = (np.ascontiguousarray(v) for v in (got, want))
+    assert got.shape == want.shape and got.dtype == want.dtype
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -340,15 +349,28 @@ class TestSystemEntriesBitIdentity:
 
 
 class TestPhaseAtSingleCurve:
+    """A single curve is read as a batch of one and returns floats."""
+
     def test_array_query_on_one_curve(self):
         f = np.logspace(0, 6, 200)
         tf = TransferFunction(f, 100 / (1 + 1j * f / 1e3))
         got = tf.phase_at(np.array([1e2, 1e3]))
         assert got.shape == (2,)
-        want = np.interp(np.log([1e2, 1e3]), np.log(f), tf.phase_deg)
-        _assert_bitwise_equal(got, want)
+        curves = np.broadcast_to(tf.response, (2, len(f)))
+        _assert_bitwise_equal(got, _reference_phase_at(f, curves, [1e2, 1e3]))
         assert got[1] == pytest.approx(-45.0, abs=0.1)
-        assert isinstance(tf.phase_at(1e3), float)
+        scalar = tf.phase_at(1e3)
+        assert isinstance(scalar, float)
+        _assert_bitwise_equal(scalar, got[1])
+
+    def test_one_curve_reads_as_a_batch_of_one(self):
+        response = _adversarial_responses(seed=6)
+        with np.errstate(invalid="ignore"):
+            batch = TransferFunction(GRID, response).phase_margin()
+            for curve, want in zip(response, batch):
+                got = TransferFunction(GRID, curve).phase_margin()
+                assert isinstance(got, float)
+                _assert_bitwise_equal(got, want)
 
 
 class TestCachedMetrics:

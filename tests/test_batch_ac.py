@@ -1,31 +1,30 @@
-"""Batched AC path: stacked solves vs per-sample/per-frequency loops.
+"""Stacked AC path: stacked solves vs per-sample/per-frequency loops.
 
-The vectorized circuit core (PR 6) replaced the per-frequency Python loop
-in :class:`~repro.circuit.ac.ACAnalysis` and added the per-sample stacked
-:class:`~repro.circuit.ac.BatchACAnalysis`.  These tests pin the batched
-paths to slow explicit loops on real amplifier netlists — same topology,
-same operating points, solved one `(dim, dim)` system at a time — and
-require tolerance-tight agreement.
+:class:`~repro.circuit.ac.ACAnalysis` solves a stack of systems over a
+whole frequency grid in one entrywise elimination; a single circuit is a
+stack of one.  These tests pin that solve to slow explicit loops on real
+amplifier netlists and random stacks — same topology, same operating
+points, solved one `(dim, dim)` system at a time — and require
+tolerance-tight agreement with LAPACK, and bit-identical rows whatever
+the stack's size and chunking.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import ac
-from repro.circuit.ac import (
-    ACAnalysis,
-    BatchACAnalysis,
-    TransferFunction,
-    default_frequency_grid,
-)
+from repro.circuit.ac import ACAnalysis, TransferFunction, default_frequency_grid
 from repro.circuit.mna import MNAAssembler, solve_dc
 from repro.circuit.netlist import Circuit
 from repro.circuit.tech import C035Technology
 from repro.circuit.topologies import NetlistTwoStageOTA
 from repro.circuit.topologies.base import DesignSpace
 from repro.units import ratio_to_db
+from test_ac import _assert_bitwise_equal
 
 
 @pytest.fixture(scope="module")
@@ -71,25 +70,25 @@ AMPLIFIERS = {
 
 
 class TestStackedTransferEquivalence:
-    """`ACAnalysis.transfer` (stacked grid solve) vs the frequency loop."""
+    """A stack of one (stacked grid solve) vs the frequency loop."""
 
     @pytest.mark.parametrize("name", sorted(AMPLIFIERS))
     def test_single_system_matches_frequency_loop(self, tech, name):
         build, biases = AMPLIFIERS[name]
         circuit = build(tech, biases[0])
         dc = solve_dc(circuit)
-        analysis = ACAnalysis(circuit, dc)
+        analysis = ACAnalysis.from_circuit(circuit, [dc.op])
         grid = np.logspace(2, 10, 97)
         tf = analysis.transfer("out", frequencies=grid)
 
         assembler = MNAAssembler(circuit)
-        g, c, b = assembler.ac_system(dc.op)
-        reference = _loop_response(g, c, b, grid, assembler.nodemap["out"])
-        np.testing.assert_allclose(tf.response, reference, rtol=1e-11, atol=0.0)
+        g, c, b = assembler.ac_system([dc.op])
+        reference = _loop_response(g[0], c[0], b, grid, assembler.nodemap["out"])
+        np.testing.assert_allclose(tf.response[0], reference, rtol=1e-11, atol=0.0)
 
 
 class TestBatchACAnalysisEquivalence:
-    """`BatchACAnalysis` (per-sample tensor solve) vs per-sample loops."""
+    """A stack of operating points vs each one solved as a stack of one."""
 
     @pytest.mark.parametrize("name", sorted(AMPLIFIERS))
     def test_batch_matches_per_sample_analyses(self, tech, name):
@@ -100,40 +99,31 @@ class TestBatchACAnalysisEquivalence:
         solutions = [solve_dc(c) for c in circuits]
         grid = np.logspace(2, 10, 73)
 
-        batch = BatchACAnalysis.from_circuit(
-            circuits[0], [dc.op for dc in solutions]
-        )
+        batch = ACAnalysis.from_circuit(circuits[0], [dc.op for dc in solutions])
         assert batch.n_samples == len(biases)
-        tf_batch = batch.transfer_batch("out", frequencies=grid)
+        tf_batch = batch.transfer("out", frequencies=grid)
         assert tf_batch.response.shape == (len(biases), len(grid))
 
+        # Both sides run the one stacked solve and metric read, so every
+        # row and every derived metric agrees bit for bit.
         for s, (circuit, dc) in enumerate(zip(circuits, solutions)):
-            tf_one = ACAnalysis(circuit, dc).transfer("out", frequencies=grid)
-            np.testing.assert_allclose(
-                tf_batch.response[s], tf_one.response, rtol=1e-11, atol=0.0
+            tf_one = ACAnalysis.from_circuit(circuit, [dc.op]).transfer(
+                "out", frequencies=grid
             )
-            # Derived metrics must agree through the vectorized reductions.
-            assert tf_batch.dc_gain()[s] == pytest.approx(
-                tf_one.dc_gain(), rel=1e-9
-            )
-            fu_batch = tf_batch.unity_gain_frequency()[s]
-            fu_one = tf_one.unity_gain_frequency()
-            if np.isnan(fu_one):
-                assert np.isnan(fu_batch)
-            else:
-                assert fu_batch == pytest.approx(fu_one, rel=1e-9)
+            _assert_bitwise_equal(tf_batch.response[s], tf_one.response[0])
+            for metric in ("dc_gain", "unity_gain_frequency", "phase_margin"):
+                got = getattr(tf_batch, metric)()[s]
+                _assert_bitwise_equal(got, getattr(tf_one, metric)()[0])
 
     def test_solve_at_matches_loop(self, tech):
         build, biases = AMPLIFIERS["common_source"]
         circuits = [build(tech, vg) for vg in biases]
         solutions = [solve_dc(c) for c in circuits]
-        batch = BatchACAnalysis.from_circuit(
-            circuits[0], [dc.op for dc in solutions]
-        )
+        batch = ACAnalysis.from_circuit(circuits[0], [dc.op for dc in solutions])
         stacked = batch.solve_at(1e6)
         for s, (circuit, dc) in enumerate(zip(circuits, solutions)):
-            one = ACAnalysis(circuit, dc).solve_at(1e6)
-            np.testing.assert_allclose(stacked[s], one, rtol=1e-11, atol=0.0)
+            one = ACAnalysis.from_circuit(circuit, [dc.op]).solve_at(1e6)
+            np.testing.assert_allclose(stacked[s], one[0], rtol=1e-11, atol=0.0)
 
 
 #: Agreement of the entrywise elimination with the LAPACK loop, fixed from
@@ -183,8 +173,8 @@ def _permuted_stack(seed, n_samples=6, dim=5):
 def _stamped_stack(build, values):
     """Per-sample (G, C) of one linear netlist topology, and its node map."""
     assemblers = [MNAAssembler(build(*v)) for v in values]
-    g, c, b = zip(*(assembler.ac_system({}) for assembler in assemblers))
-    return np.stack(g), np.stack(c), b[0], assemblers[0].nodemap
+    g, c, b = zip(*(assembler.ac_system([{}]) for assembler in assemblers))
+    return np.concatenate(g), np.concatenate(c), b[0], assemblers[0].nodemap
 
 
 def _driven_rc(r, c_in, c_out):
@@ -236,13 +226,13 @@ class TestEntrywiseElimination:
     """The entrywise elimination vs one LAPACK solve per system."""
 
     def _batch(self, g, c, b):
-        return BatchACAnalysis(g, c, b, {f"n{i}": i for i in range(g.shape[-1])})
+        return ACAnalysis(g, c, b, {f"n{i}": i for i in range(g.shape[-1])})
 
     def test_pivot_rows_differ_between_samples(self):
         g, c, b = _permuted_stack(seed=21)
         pivot_rows = {int(np.argmax(np.abs(gs[:, 0]))) for gs in g}
         assert len(pivot_rows) > 1
-        tf = self._batch(g, c, b).transfer_batch("n3", frequencies=GRID)
+        tf = self._batch(g, c, b).transfer("n3", frequencies=GRID)
         np.testing.assert_allclose(
             tf.response, _lapack_loop(g, c, b, GRID, 3), rtol=ENTRYWISE_RTOL, atol=0.0
         )
@@ -260,14 +250,14 @@ class TestEntrywiseElimination:
         own = np.abs(g[:, x1, x1, None]) + w * np.abs(c[:, x1, x1, None])
         other = np.abs(g[:, out, x1, None]) + w * np.abs(c[:, out, x1, None])
         assert np.any(own > other) and np.any(own < other)
-        tf = analysis.transfer_batch("out", frequencies=topo.frequency_grid)
+        tf = analysis.transfer("out", frequencies=topo.frequency_grid)
         reference = _lapack_loop(g, c, b, topo.frequency_grid, out)
         np.testing.assert_allclose(tf.response, reference, rtol=ENTRYWISE_RTOL, atol=0.0)
 
     def test_per_sample_and_shared_capacitance(self):
         g, c, b = _permuted_stack(seed=24)
         for cap in (c, c[0]):
-            tf = self._batch(g, cap, b).transfer_batch("n1", frequencies=GRID)
+            tf = self._batch(g, cap, b).transfer("n1", frequencies=GRID)
             reference = _lapack_loop(g, cap, b, GRID, 1)
             np.testing.assert_allclose(tf.response, reference, rtol=ENTRYWISE_RTOL, atol=0.0)
 
@@ -275,7 +265,7 @@ class TestEntrywiseElimination:
     def test_linear_netlists(self, case):
         build, values, output, output_neg = LINEAR_NETLISTS[case]
         g, c, b, nodemap = _stamped_stack(build, values)
-        tf = BatchACAnalysis(g, c, b, nodemap).transfer_batch(output, output_neg, GRID)
+        tf = ACAnalysis(g, c, b, nodemap).transfer(output, output_neg, GRID)
         assert tf.response.shape == (len(values), len(GRID))
         neg_idx = None if output_neg is None else nodemap[output_neg]
         reference = _lapack_loop(g, c, b, GRID, nodemap[output], neg_idx)
@@ -293,7 +283,74 @@ class TestEntrywiseElimination:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
-                self._batch(g, c, b).transfer_batch("n0", frequencies=GRID)
+                self._batch(g, c, b).transfer("n0", frequencies=GRID)
+
+
+@st.composite
+def _random_stacks(draw):
+    """A nonsingular stack whose systems share their structural zeros.
+
+    ``G``'s pattern holds a permutation, so every system is structurally
+    nonsingular.  Magnitudes spread over two decades with random signs, so
+    partial pivoting picks different rows in different samples.  ``C``,
+    shared or per sample, crosses ``G`` mid-grid, and the grid starts at
+    0 Hz.  Also drawn: the output node (or node pair) and a smaller chunk.
+    """
+    dim = draw(st.integers(2, 5))
+    n_samples = draw(st.integers(1, 130))
+    n_freq = draw(st.integers(1, 6))
+    shared_c = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g_mask = rng.random((dim, dim)) < rng.uniform(0.2, 1.0)
+    g_mask[np.arange(dim), rng.permutation(dim)] = True
+    c_mask = rng.random((dim, dim)) < rng.uniform(0.0, 1.0)
+
+    def stamped(mask, samples, scale):
+        shape = (samples, dim, dim)
+        magnitude = scale * 10.0 ** rng.uniform(-1.0, 1.0, shape)
+        return np.where(mask, magnitude * rng.choice([-1.0, 1.0], shape), 0.0)
+
+    g = stamped(g_mask, n_samples, 1.0)
+    c = stamped(c_mask, 1 if shared_c else n_samples, 1.0 / (2.0 * np.pi * 1e4))
+    b = np.where(rng.random(dim) < 0.6, rng.normal(size=dim), 0.0)
+    b[rng.integers(dim)] = 1.0
+    grid = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(2.0, 6.0, n_freq - 1))])
+    out = draw(st.integers(0, dim - 1))
+    neg = draw(st.sampled_from([None, *range(dim)]).filter(lambda i: i != out))
+    chunk = draw(st.integers(1, n_samples))
+    return g, c[0] if shared_c else c, b, grid, out, neg, chunk
+
+
+class TestStackedSolveProperty:
+    """Every row of the one stacked solve, whatever the stack around it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_stacks())
+    def test_rows_match_stack_of_one_chunks_and_lapack(self, case):
+        g, c, b, grid, out, neg, chunk = case
+        c_full = np.broadcast_to(c, g.shape)
+        matrices = g[:, None] + 2j * np.pi * grid[:, None, None] * c_full[:, None]
+        assume(np.linalg.cond(matrices).max() < 1e4)
+        dim = g.shape[-1]
+        nodemap = {f"n{i}": i for i in range(dim)}
+        output = (f"n{out}", None if neg is None else f"n{neg}")
+
+        def response(g, c, budget=ac._SOLVE_ENTRY_BUDGET):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ac, "_SOLVE_ENTRY_BUDGET", budget)
+                return ACAnalysis(g, c, b, nodemap).transfer(*output, grid).response
+
+        stacked = response(g, c)
+        _assert_bitwise_equal(response(g, c, chunk * len(grid) * dim * dim), stacked)
+        for s in range(len(g)):
+            one = response(g[s : s + 1], c if c.ndim == 2 else c[s : s + 1])
+            _assert_bitwise_equal(one[0], stacked[s])
+
+        # One LAPACK solve per (sample, frequency) system; the error is
+        # relative to each solution's largest component.
+        x = np.linalg.solve(matrices, b[:, None])[..., 0]
+        want = x[..., out] - (0.0 if neg is None else x[..., neg])
+        assert np.all(np.abs(stacked - want) <= 1e-12 * np.abs(x).max(axis=-1))
 
 
 class TestNetlistOTABatchedEvaluation:
@@ -315,15 +372,13 @@ class TestNetlistOTABatchedEvaluation:
             c.add_vccs("G2", "out", "0", "x1", "0", values["gm2"][s])
             c.add_resistor("R2", "out", "0", 1.0 / values["go2"][s])
             c.add_capacitor("CL", "out", "0", 3.0e-12)
-            dc = solve_dc(c)
-            tf = ACAnalysis(c, dc).transfer(
-                "out", frequencies=topo.frequency_grid
-            )
+            analysis = ACAnalysis.from_circuit(c, [solve_dc(c).op])
+            tf = analysis.transfer("out", frequencies=topo.frequency_grid)
             rows.append(
                 [
-                    ratio_to_db(max(tf.dc_gain(), 1e-12)),
-                    np.nan_to_num(tf.unity_gain_frequency(), nan=0.0),
-                    np.nan_to_num(tf.phase_margin(), nan=0.0),
+                    ratio_to_db(max(tf.dc_gain()[0], 1e-12)),
+                    np.nan_to_num(tf.unity_gain_frequency()[0], nan=0.0),
+                    np.nan_to_num(tf.phase_margin()[0], nan=0.0),
                     values["power"][s],
                 ]
             )
@@ -404,7 +459,7 @@ class TestDefaultFrequencyGrid:
 
     def test_transfer_defaults_to_shared_grid(self, tech):
         circuit = _build_common_source(tech, 0.62)
-        tf = ACAnalysis(circuit, solve_dc(circuit)).transfer("out")
+        tf = ACAnalysis.from_circuit(circuit, [solve_dc(circuit).op]).transfer("out")
         assert tf.frequencies is default_frequency_grid()
 
 

@@ -57,7 +57,7 @@ circuit = Circuit()
 circuit.add_voltage_source("Vin", "in", "0", 0.0, ac=1.0)
 circuit.add_resistor("R1", "in", "out", 1e3)
 circuit.add_capacitor("C1", "out", "0", 1e-9)
-poles = ACAnalysis(circuit, solve_dc(circuit)).poles()
+poles = ACAnalysis.from_circuit(circuit, [solve_dc(circuit).op]).poles()
 assert abs(abs(poles[0]) * 2 * np.pi * 1e-6 - 1.0) < 1e-3, poles
 print("ok")
 """
