@@ -75,18 +75,22 @@ def _check_name(value, key: str, spec: str, *, optional: bool = False) -> None:
         )
 
 
-def _check_seed(value, key: str, spec: str) -> None:
-    """A root-seed field: a non-negative integer, or ``None`` (entropy).
+def _check_int(
+    value, key: str, spec: str, minimum: int, *, optional: bool = False
+) -> None:
+    """An integer field: an ``int``, not a ``bool``, at least ``minimum``
+    (or ``None`` if optional).
 
-    Checked by the constructor, so a negative seed fails at the door, not
-    in the first RNG call of a queued job or a sweep worker.
+    Checked by the constructor, so a negative seed or a zero run count
+    fails at the door, not in the first RNG call of a queued job or a sweep
+    worker, and a spec built in Python writes JSON its own parser reads.
     """
+    if optional and value is None:
+        return
     # bool is an int subclass; `"seed": true` is a mistake, not seed 1.
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, int) or value < 0
-    ):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise SpecError(
-            f"expected a non-negative integer, got {value!r}", field=key, spec=spec
+            f"expected an integer >= {minimum}, got {value!r}", field=key, spec=spec
         )
 
 
@@ -142,7 +146,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         _check_name(self.problem, "problem", "RunSpec")
         _check_name(self.method, "method", "RunSpec")
-        _check_seed(self.seed, "seed", "RunSpec")
+        _check_int(self.seed, "seed", "RunSpec", 0, optional=True)
         _check_cache_fields(self, "RunSpec")
         # Detach from caller-owned dicts: a frozen, hashable spec must not
         # change identity when the caller later mutates what it passed in.

@@ -111,10 +111,6 @@ class Circuit:
         """All MOSFET instances in the circuit."""
         return [e for e in self.elements if isinstance(e, Mosfet)]
 
-    def voltage_sources(self) -> list[VoltageSource]:
-        """All independent voltage sources."""
-        return [e for e in self.elements if isinstance(e, VoltageSource)]
-
     def total_gate_area(self) -> float:
         """Sum of W*L over all MOSFETs [m^2] (area estimation)."""
         return float(sum(m.w * m.l for m in self.mosfets()))

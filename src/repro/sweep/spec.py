@@ -22,14 +22,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from repro.api.errors import SpecError
 from repro.api.spec import (
     RunSpec,
     _check_cache_fields,
     _check_name,
-    _check_seed,
+    _check_int,
     _coerce_dict,
     _coerce_int,
     _coerce_text,
@@ -259,19 +259,12 @@ class SweepSpec:
                     f"duplicate labels in sweep: {labels}", field=axis, spec="SweepSpec"
                 )
         for key in ("runs", "reference_n", "max_generations", "workers"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise SpecError(
-                    f"must be >= 1, got {value}", field=key, spec="SweepSpec"
-                )
-        _check_seed(self.base_seed, "base_seed", "SweepSpec")
+            optional = key in ("max_generations", "workers")
+            _check_int(getattr(self, key), key, "SweepSpec", 1, optional=optional)
+        _check_int(self.base_seed, "base_seed", "SweepSpec", 0)
         _check_cache_fields(self, "SweepSpec")
 
     # -- derivation --------------------------------------------------------
-    def with_workers(self, workers: int | None) -> "SweepSpec":
-        """Copy with a different default worker count (same results)."""
-        return replace(self, workers=workers)
-
     def expand(self) -> list[SweepRun]:
         """The grid as concrete per-run items, in deterministic order.
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import METHODS, optimize, register_method
+from repro.api import METHODS, SpecError, optimize, register_method
 from repro.api.cli import main
 from repro.rng import independent_streams, run_streams
 from repro.sweep import (
@@ -70,6 +70,27 @@ class TestSweepSpec:
     def test_json_round_trip(self):
         spec = tiny_spec(cache="lru", tag="t")
         assert SweepSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0, "2"])
+    @pytest.mark.parametrize(
+        "key", ["runs", "reference_n", "max_generations", "workers"]
+    )
+    def test_counts_take_the_seed_rule(self, key, value):
+        # An int that is not a bool, at least 1: what the constructor
+        # accepts, its own to_json/from_json round trip reads back.
+        with pytest.raises(SpecError) as excinfo:
+            tiny_spec(**{key: value})
+        assert excinfo.value.field == key
+        spec = tiny_spec(**{key: 2})
+        assert SweepSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("key", ["runs", "reference_n", "base_seed"])
+    def test_required_integers_refuse_none(self, key):
+        # None would reach to_json as null, which from_json reads as the
+        # default (a base_seed of None would also draw OS entropy per run).
+        with pytest.raises(SpecError) as excinfo:
+            tiny_spec(**{key: None})
+        assert excinfo.value.field == key
 
     def test_bare_names_coerce(self):
         spec = SweepSpec.from_dict(
