@@ -21,9 +21,13 @@ from repro.circuit.topologies import (
     NetlistTwoStageOTA,
     TwoStageTelescopicAmplifier,
 )
+from repro.engine import SerialEngine
+from repro.ledger import SimulationLedger
 from repro.ocba import ocba_allocation
+from repro.problems import make_problem
 from repro.sampling import make_sampler
 from repro.surrogate import MLP, train_levenberg_marquardt
+from repro.yieldsim import CandidateYieldState
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +110,51 @@ def test_telescopic_fused_evaluation(benchmark, ts_setup, designs, rows):
     amp, _, _ = ts_setup
     out = benchmark(amp.evaluate_pairs, *_fused_round(amp, designs, rows, 8))
     assert out.shape == (rows, 8)
+
+
+#: A stage-2 group of ``paper_circuits``: four telescopic candidates
+#: promoted from their 15 pilot samples to ``n_max = 500``.
+STAGE2_CANDIDATES, STAGE2_GAIN = 4, 485
+
+
+@pytest.mark.benchmark(group="engine")
+def test_telescopic_stage2_round(benchmark, monkeypatch):
+    """One ``SerialEngine.refine_round`` over a stage-2 group: draw each
+    candidate's samples into the round buffer, simulate the group in one
+    evaluator call, scatter it.  The simulated rows must equal one
+    ``refine`` per candidate, bit for bit."""
+    problem = make_problem("telescopic")
+    designs = problem.space.sample(STAGE2_CANDIDATES, np.random.default_rng(9))
+    sampler = make_sampler("lhs", problem.variation)
+    engine = SerialEngine()
+    simulated, rounds = [], []
+    evaluate = problem.evaluate_pairs
+
+    def recorded(X, samples, *args):
+        simulated.append(evaluate(X, samples, *args))
+        return simulated[-1]
+
+    def fresh_states():
+        ledger = SimulationLedger()
+        return [
+            CandidateYieldState(
+                problem, x, sampler, np.random.default_rng(i), ledger, "stage2"
+            )
+            for i, x in enumerate(designs)
+        ]
+
+    def fresh_round():
+        rounds.append(fresh_states())
+        return (problem, rounds[-1], [STAGE2_GAIN] * STAGE2_CANDIDATES), {}
+
+    monkeypatch.setattr(problem, "evaluate_pairs", recorded)
+    benchmark.pedantic(engine.refine_round, setup=fresh_round, rounds=20)
+    fused = simulated[-1]
+    assert fused.shape[0] == rounds[-1][0].ledger.total == STAGE2_CANDIDATES * STAGE2_GAIN
+    for state in fresh_states():
+        state.refine(STAGE2_GAIN)
+    per_candidate = np.concatenate(simulated[-STAGE2_CANDIDATES:])
+    assert np.array_equal(fused.view(np.int64), per_candidate.view(np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -304,8 +304,8 @@ class Mosfet(Element):
         ids, gm, gds, gmbs = self.card.ids_and_derivatives(
             self.w, self.l, vgs, vds, vbs
         )
-        vov = self.card.vth0  # placeholder, refined below
-        # vdsat = overdrive at this bias (smoothed like the model).
+        # vdsat = the plain overdrive max(vgs - vth, 0) at the body-effect
+        # threshold, not the softplus-smoothed one of the current model.
         sqrt_term = np.sqrt(max(self.card.phi - vbs, 1e-6))
         vth = self.card.vth0 + self.card.gamma * (sqrt_term - np.sqrt(self.card.phi))
         vov = max(vgs - vth, 0.0)

@@ -143,10 +143,8 @@ class C035Technology(Technology):
         scores: np.ndarray,
     ) -> DeviceArrays:
         card = self.card(polarity)
-        pel = self.pelgrom[polarity]
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
         z_tox, z_vth, z_ld, z_wd = (scores[..., i] for i in range(4))
-        s_tox, s_vth, s_ld, s_wd = pel.sigmas(w, l)
 
         if polarity == "n":
             toxr = inter["TOXRn"]
@@ -165,32 +163,47 @@ class C035Technology(Technology):
             npeak = inter["NPEAKp"]
             ld_delta, wd_delta = inter["LDp"], inter["WDp"]
 
-        tox = card.tox * toxr * (1.0 + s_tox * z_tox)
-        cox = EPS_OX / np.maximum(tox, 1e-10)
+        # The (device, sample) arrays are computed in place on seven
+        # buffers, the four sigma arrays among them; the comments give the
+        # expressions.  Each step keeps its expression's operand pair, so
+        # every value is the expression's.
+        cox, vth, ld2, wd2 = self._work_buffers(polarity, w, l, inter, z_tox)
+        leff, weff, kp = (np.empty(cox.shape) for _ in range(3))
+
+        # cox = EPS_OX / max(tox * TOXR * (1 + s_tox * z_tox), 1e-10)
+        cox *= z_tox
+        cox += 1.0
+        cox *= card.tox * toxr
+        np.maximum(cox, 1e-10, out=cox)
+        np.divide(EPS_OX, cox, out=cox)
+
+        # vth = vth0 * VTH0R + _VTH_PER_NPEAK * NPEAK + s_vth * z_vth
+        vth *= z_vth
+        np.add(card.vth0 * vthr + _VTH_PER_NPEAK * npeak, vth, out=vth)
+
+        # leff = max(l + DELL - 2 * (ld + LD + s_ld * z_ld), 0.2 * l)
+        ld2 *= z_ld
+        ld2 += card.ld + ld_delta
+        ld2 *= 2.0
+        np.add(l, inter["DELL"], out=leff)
+        leff -= ld2
+        np.maximum(leff, np.multiply(0.2, l, out=ld2), out=leff)
+        # weff = max(w + DELW - 2 * (wd + WD + s_wd * z_wd), 0.2 * w)
+        wd2 *= z_wd
+        wd2 += card.wd + wd_delta
+        wd2 *= 2.0
+        np.add(w, inter["DELW"], out=weff)
+        weff -= wd2
+        np.maximum(weff, np.multiply(0.2, w, out=wd2), out=weff)
+
+        cj_scale = self._junction_scale(card, weff, cjr, cjswr, ld2, wd2, kp)
+
+        # lam = clm / leff;  kp = max(u0, 1e-4) * cox
+        lam = np.divide(card.clm, leff, out=wd2)
         u0 = card.u0 * (1.0 + deluo) * (1.0 - _U0_PER_NPEAK * npeak)
-        kp = np.maximum(u0, 1e-4) * cox
-
-        vth = (
-            card.vth0 * vthr
-            + _VTH_PER_NPEAK * npeak
-            + s_vth * z_vth
-        )
-
-        ld_eff = card.ld + ld_delta + s_ld * z_ld
-        wd_eff = card.wd + wd_delta + s_wd * z_wd
-        leff = np.maximum(l + inter["DELL"] - 2.0 * ld_eff, 0.2 * l)
-        weff = np.maximum(w + inter["DELW"] - 2.0 * wd_eff, 0.2 * w)
-
-        lam = card.clm / leff
+        np.multiply(np.maximum(u0, 1e-4), cox, out=kp)
         theta = card.theta * (1.0 + _THETA_PER_RDIFF * delrdiff)
         gamma = card.gamma * (1.0 + _GAMMA_PER_NPEAK * npeak)
-
-        # Blend the area/sidewall cap ratios into one junction-cap scale.
-        area = weff * card.ldiff
-        perimeter = 2.0 * (weff + card.ldiff)
-        nominal_cj = card.cj * area + card.cjsw * perimeter
-        varied_cj = card.cj * area * cjr + card.cjsw * perimeter * cjswr
-        cj_scale = varied_cj / np.maximum(nominal_cj, 1e-30)
 
         return DeviceArrays(
             card=card,

@@ -162,38 +162,76 @@ class N90Technology(Technology):
         scores: np.ndarray,
     ) -> DeviceArrays:
         card = self.card(polarity)
-        pel = self.pelgrom[polarity]
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
         z_tox, z_vth, z_ld, z_wd = (scores[..., i] for i in range(4))
-        s_tox, s_vth, s_ld, s_wd = pel.sigmas(w, l)
         t = polarity
+        # The (device, sample) arrays are computed in place on seven
+        # buffers, the four sigma arrays among them; the comments give the
+        # expressions.  Each step keeps its expression's operand pair, so
+        # every value is the expression's.
+        cox, vth, ld2, wd2 = self._work_buffers(polarity, w, l, inter, z_tox)
+        leff, weff, kp = (np.empty(cox.shape) for _ in range(3))
 
-        tox = card.tox * inter[f"TOXR{t}"] * (1.0 + s_tox * z_tox)
-        cox = EPS_OX / np.maximum(tox, 3e-10)
-        u0 = card.u0 * (1.0 + inter[f"DELUO{t}"]) * (1.0 - _U0_PER_NPEAK * inter[f"NPEAK{t}"])
-        kp = np.maximum(u0, 5e-4) * cox
+        # leff = max(l + DELL + XL - 2 * (ld + LD + s_ld * z_ld), 0.2 * l)
+        ld2 *= z_ld
+        ld2 += card.ld + inter[f"LD{t}"]
+        ld2 *= 2.0
+        np.add(l, inter["DELL"], out=leff)
+        leff += inter["XL"]
+        leff -= ld2
+        np.maximum(leff, np.multiply(0.2, l, out=ld2), out=leff)
+        # weff = max(w + DELW + XW - 2 * (wd + WD + s_wd * z_wd), 0.2 * w)
+        wd2 *= z_wd
+        wd2 += card.wd + inter[f"WD{t}"]
+        wd2 *= 2.0
+        np.add(w, inter["DELW"], out=weff)
+        weff += inter["XW"]
+        weff -= wd2
+        np.maximum(weff, np.multiply(0.2, w, out=wd2), out=weff)
 
-        ld_eff = card.ld + inter[f"LD{t}"] + s_ld * z_ld
-        wd_eff = card.wd + inter[f"WD{t}"] + s_wd * z_wd
-        leff = np.maximum(l + inter["DELL"] + inter["XL"] - 2.0 * ld_eff, 0.2 * l)
-        weff = np.maximum(w + inter["DELW"] + inter["XW"] - 2.0 * wd_eff, 0.2 * w)
+        cj_scale = self._junction_scale(
+            card, weff, inter[f"CJR{t}"], inter[f"CJSWR{t}"], ld2, wd2, kp
+        )
 
-        vth = (
+        # vth = vth0 * VTH0R + _VTH_PER_NPEAK * NPEAK + VOFF + 0.002 * NFACTOR
+        #       + LVTH * (lmin / leff) + WVTH * (wmin / weff) + s_vth * z_vth
+        vth *= z_vth
+        short, narrow = wd2, kp
+        np.divide(self.lmin, leff, out=short)
+        short *= inter[f"LVTH{t}"]
+        np.add(
             card.vth0 * inter[f"VTH0R{t}"]
             + _VTH_PER_NPEAK * inter[f"NPEAK{t}"]
             + inter[f"VOFF{t}"]
-            + 0.002 * inter[f"NFACTOR{t}"]
-            + inter[f"LVTH{t}"] * (self.lmin / leff)
-            + inter[f"WVTH{t}"] * (self.wmin / weff)
-            + s_vth * z_vth
+            + 0.002 * inter[f"NFACTOR{t}"],
+            short,
+            out=short,
         )
+        np.divide(self.wmin, weff, out=narrow)
+        narrow *= inter[f"WVTH{t}"]
+        short += narrow
+        np.add(short, vth, out=vth)
 
-        lam = (
-            card.clm
-            * inter[f"CLMR{t}"]
-            / leff
-            * (1.0 + _LAM_PER_ETA0 * inter[f"ETA0{t}"] * (self.lmin / leff))
-        )
+        # lam = max(clm * CLMR / leff
+        #           * (1 + _LAM_PER_ETA0 * ETA0 * (lmin / leff)), 1e-3)
+        lam, dibl = wd2, kp
+        np.divide(card.clm * inter[f"CLMR{t}"], leff, out=lam)
+        np.divide(self.lmin, leff, out=dibl)
+        dibl *= _LAM_PER_ETA0 * inter[f"ETA0{t}"]
+        dibl += 1.0
+        lam *= dibl
+        np.maximum(lam, 1e-3, out=lam)
+
+        # cox = EPS_OX / max(tox * TOXR * (1 + s_tox * z_tox), 3e-10),
+        # kp = max(u0, 5e-4) * cox
+        cox *= z_tox
+        cox += 1.0
+        cox *= card.tox * inter[f"TOXR{t}"]
+        np.maximum(cox, 3e-10, out=cox)
+        np.divide(EPS_OX, cox, out=cox)
+        u0 = card.u0 * (1.0 + inter[f"DELUO{t}"]) * (1.0 - _U0_PER_NPEAK * inter[f"NPEAK{t}"])
+        np.multiply(np.maximum(u0, 5e-4), cox, out=kp)
+
         theta = (
             card.theta
             * inter[f"THETAR{t}"]
@@ -202,12 +240,6 @@ class N90Technology(Technology):
             * (2.0 - inter[f"VSATR{t}"])
         )
         gamma = card.gamma * inter[f"K1R{t}"] * (1.0 + _GAMMA_PER_NPEAK * inter[f"NPEAK{t}"])
-
-        area = weff * card.ldiff
-        perimeter = 2.0 * (weff + card.ldiff)
-        nominal_cj = card.cj * area + card.cjsw * perimeter
-        varied_cj = card.cj * area * inter[f"CJR{t}"] + card.cjsw * perimeter * inter[f"CJSWR{t}"]
-        cj_scale = varied_cj / np.maximum(nominal_cj, 1e-30)
         cg_scale = 0.5 * (inter[f"CGDOR{t}"] + inter[f"CGSOR{t}"]) / inter[f"TOXR{t}"]
 
         return DeviceArrays(
@@ -216,7 +248,7 @@ class N90Technology(Technology):
             l=l,
             vth=vth,
             kp=kp,
-            lam=np.maximum(lam, 1e-3),
+            lam=lam,
             theta=np.maximum(theta, 0.0),
             weff=weff,
             leff=leff,

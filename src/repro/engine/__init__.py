@@ -7,7 +7,8 @@ decides *how* to execute it.  :class:`~repro.engine.serial.SerialEngine`
 is the one built-in engine: it fuses each round into stacked ``(sum(k_i),
 ...)`` dispatches, streamed in groups of at most one evaluator slab
 (:data:`~repro.problems.base.SLAB_ROWS` rows) so that a stage-2 round of
-tens of thousands of rows never holds more than one group's samples.
+tens of thousands of rows never holds more than one group's samples, in
+one buffer per round.
 Parallelism lives one level up: ``repro sweep --workers`` shards whole
 runs across processes (:mod:`repro.sweep.executor`).
 

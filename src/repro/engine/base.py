@@ -9,7 +9,13 @@ all submit their per-round work through this interface, which is what lets
 simulations into stacked dispatches.  A stage-2 round can ask for tens of
 thousands of rows, so the engine streams it in slab-sized groups — draw,
 simulate, scatter, drop — and a round's resident samples stay bounded by
-one group, not by the round.
+one group, not by the round.  :func:`evaluate_pending` takes the group's
+stacked samples from its caller: the serial engine's round buffer, whose
+rows the blocks' ``samples`` point at and the round's next group
+overwrites.  A block's ``samples`` are therefore valid only until its
+group is scattered; :func:`scatter_round` hands them to
+:meth:`~repro.yieldsim.estimator.CandidateYieldState.absorb`, and the
+acceptance-sampling screener keeps its own copy.
 
 Reproducibility contract
 ------------------------
@@ -38,18 +44,21 @@ from repro.yieldsim.estimator import CandidateYieldState, PendingRefinement
 __all__ = ["EvaluationEngine", "evaluate_pending", "scatter_round"]
 
 
-def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
+def evaluate_pending(
+    problem, pending: list[PendingRefinement], samples: np.ndarray
+) -> np.ndarray:
     """Simulate a group of blocks as one stacked dispatch, no ledger side
     effects.
 
-    Stacks every pending block into one ``(sum(k_i), ...)`` pair matrix
-    (each candidate's design row repeated for its own samples) and resolves
-    it through ``problem.evaluate_pairs``.  Returns the stacked performance
-    matrix in block order; ledger charging is :func:`scatter_round`'s job.
+    ``samples`` is the group's ``(sum(k_i), ...)`` sample matrix, the
+    blocks' rows in block order: the engine's round buffer, or
+    ``np.concatenate`` of the blocks' own arrays.  Each candidate's design
+    row is repeated for its own samples and the pairs resolve through
+    ``problem.evaluate_pairs``.  Returns the stacked performance matrix in
+    block order; ledger charging is :func:`scatter_round`'s job.
     """
     designs = np.stack([block.state.x for block in pending])
     sizes = [block.n_samples for block in pending]
-    samples = np.concatenate([block.samples for block in pending])
     return problem.evaluate_pairs(np.repeat(designs, sizes, axis=0), samples)
 
 

@@ -137,6 +137,47 @@ class Technology(ABC):
             return self.pmos
         raise ValueError(f"polarity must be 'n' or 'p', got {polarity!r}")
 
+    def _work_buffers(self, polarity, w, l, inter, z) -> list[np.ndarray]:
+        """The mismatch sigmas ``(tox_rel, vth, ld, wd)`` of :meth:`realize`
+        as four arrays of the realization's full shape, for it to compute
+        in place.
+
+        The full shape broadcasts the geometry, one score column ``z`` and
+        the inter-die arrays.  A sigma array of that shape is this call's
+        own and is returned as it is; a broadcasting one (a ``(k, 1)``
+        shared design, scalar geometry) is copied out to the full shape.
+        """
+        shape = np.broadcast_shapes(np.shape(w), np.shape(l), z.shape, np.shape(inter["DELL"]))
+        return [
+            sigma if np.shape(sigma) == shape else np.broadcast_to(sigma, shape).copy()
+            for sigma in self.pelgrom[polarity].sigmas(w, l)
+        ]
+
+    @staticmethod
+    def _junction_scale(card, weff, cjr, cjswr, area, perimeter, nominal) -> np.ndarray:
+        """The junction-cap scale of :meth:`realize`, which blends the
+        area/sidewall cap ratios ``cjr``/``cjswr`` into one factor::
+
+            (cj * area * cjr + cjsw * perimeter * cjswr)
+            / max(cj * area + cjsw * perimeter, 1e-30)
+
+        with ``area = weff * ldiff`` and ``perimeter = 2 * (weff + ldiff)``,
+        computed in place on the three work buffers; returns ``area``,
+        which holds it.
+        """
+        np.multiply(weff, card.ldiff, out=area)
+        area *= card.cj
+        np.add(weff, card.ldiff, out=perimeter)
+        perimeter *= 2.0
+        perimeter *= card.cjsw
+        np.add(area, perimeter, out=nominal)
+        np.maximum(nominal, 1e-30, out=nominal)
+        area *= cjr
+        perimeter *= cjswr
+        area += perimeter
+        area /= nominal
+        return area
+
     def variation_model(self, device_names: list[str]) -> ProcessVariationModel:
         """Build the full process space for a circuit's device list."""
         return ProcessVariationModel(self.inter, device_names, IntraDieSpec())

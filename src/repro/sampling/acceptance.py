@@ -73,6 +73,9 @@ class ScreenResult:
 class LinearMarginScreener:
     """Self-calibrating acceptance-sampling screener for one candidate.
 
+    :meth:`update` stores its own copy of the samples it trains on, since
+    the fit that reads them runs later and the caller may reuse the array.
+
     Parameters
     ----------
     specs:
@@ -114,8 +117,13 @@ class LinearMarginScreener:
         return self._n_train
 
     def update(self, samples: np.ndarray, margins: np.ndarray) -> None:
-        """Feed back simulated samples and their spec margins."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        """Feed back simulated samples and their spec margins.
+
+        The screener keeps its own copy of ``samples``: the engine hands
+        over rows of a round buffer that the round's next group overwrites,
+        and the fit reads them later.
+        """
+        samples = np.array(samples, dtype=float, ndmin=2)
         margins = np.atleast_2d(np.asarray(margins, dtype=float))
         self._x.append(samples)
         self._m.append(margins)

@@ -49,6 +49,8 @@ class PendingRefinement:
     Produced by :meth:`CandidateYieldState.prepare`; an evaluation engine
     simulates ``samples`` at ``state.x`` (charging ``category``) and feeds
     the performance rows back through :meth:`CandidateYieldState.absorb`.
+    The serial engine repoints ``samples`` at rows of its round buffer, so
+    they are valid only until the block has been absorbed.
     """
 
     state: "CandidateYieldState"

@@ -47,6 +47,22 @@ class TestTraining:
         with pytest.raises(ValueError):
             LinearMarginScreener(problem.specs, safety=0.0)
 
+    def test_owns_its_training_rows(self, problem):
+        # The engine hands over rows of a round buffer that the round's
+        # next group overwrites before the (lazy) fit reads them.
+        x = np.full(4, 0.5)
+        rng = np.random.default_rng(0)
+        samples = problem.variation.sample(200, rng)
+        margins = problem.specs.margins(_simulate(problem, x, samples))
+        fed, untouched = (LinearMarginScreener(problem.specs, min_train=30) for _ in range(2))
+        untouched.update(samples.copy(), margins)
+        fed.update(samples, margins)
+        samples[:] = problem.variation.sample(200, rng)
+        batch = problem.variation.sample(500, np.random.default_rng(1))
+        expected = untouched.classify(batch)
+        assert expected.n_screened > 0
+        assert np.array_equal(fed.classify(batch).labels, expected.labels)
+
 
 class TestClassification:
     def test_inactive_screener_simulates_everything(self, problem):

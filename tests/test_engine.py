@@ -175,15 +175,21 @@ class TestRoundTemplate:
             assert all(state.n == 10 for state in states)
 
 
+def _stacked(pending):
+    return np.concatenate([block.samples for block in pending])
+
+
 def _whole_round(problem, states, gains, cache=None):
     """The reference round: draw every block, then one stacked dispatch."""
     pending = [state.prepare(gain) for state, gain in zip(states, gains)]
     pending = [block for block in pending if block is not None]
     if cache is None:
-        scatter_round(problem, pending, evaluate_pending(problem, pending))
+        scatter_round(problem, pending, evaluate_pending(problem, pending, _stacked(pending)))
         return
     round_ = CachedRound(cache, problem, pending)
-    missed = evaluate_pending(problem, round_.misses) if round_.misses else None
+    missed = None
+    if round_.misses:
+        missed = evaluate_pending(problem, round_.misses, _stacked(round_.misses))
     scatter_round(problem, pending, round_.assemble(missed), round_.hit_rows)
 
 
@@ -192,9 +198,10 @@ def _record_dispatches(monkeypatch) -> list[int]:
     dispatches = []
     simulate = repro.engine.serial.evaluate_pending
 
-    def recorded(problem, pending):
+    def recorded(problem, pending, samples):
         dispatches.append(sum(block.n_samples for block in pending))
-        return simulate(problem, pending)
+        assert samples.shape[0] == dispatches[-1]
+        return simulate(problem, pending, samples)
 
     monkeypatch.setattr(repro.engine.serial, "evaluate_pending", recorded)
     return dispatches
@@ -208,6 +215,10 @@ class TestStreamedRounds:
     #: 55,788 samples; the 4,543 rows left are more than two slabs.
     GAINS = [6000, 4200, 5760, 6000, 240, 6000, 5988, 6000, 3600, 6000, 6000]
     PILOT = [40] * len(GAINS)
+    #: The round after the big one classifies with screeners refit on the
+    #: big round's rows, most of which later groups of that round
+    #: overwrote in the engine's round buffer.
+    AFTER = [2000] * len(GAINS)
 
     def _cache_counts(self, cache):
         stats = cache.stats
@@ -227,8 +238,8 @@ class TestStreamedRounds:
         for warm in range(passes):
             states, ledger = _states(problem, n=len(self.GAINS), screener=True)
             reference, ref_ledger = _states(problem, n=len(self.GAINS), screener=True)
-            for gains in (self.PILOT, self.GAINS):
-                before = (ledger.total, len(dispatches))
+
+            def refine(gains):
                 engine.refine_round(problem, states, gains)
                 _whole_round(problem, reference, gains, reference_cache)
                 assert _state_fingerprint(states, ledger) == _state_fingerprint(
@@ -238,6 +249,10 @@ class TestStreamedRounds:
                     assert self._cache_counts(engine.cache) == (
                         self._cache_counts(reference_cache)
                     )
+
+            refine(self.PILOT)
+            before = (ledger.total, len(dispatches))
+            refine(self.GAINS)
             # The big round: screened, over two slabs, streamed in several
             # dispatches of at most one group each.
             assert ledger.total - before[0] > 2 * SLAB_ROWS
@@ -248,32 +263,43 @@ class TestStreamedRounds:
             else:
                 assert len(streamed) > 1
                 assert max(streamed) <= SLAB_ROWS
+            refine(self.AFTER)
         if backend == "lru":
             # Cold: every block missed; warm: every block hit, none simulated.
-            blocks = 2 * len(self.GAINS)
+            blocks = 3 * len(self.GAINS)
             assert self._cache_counts(engine.cache)[:2] == (blocks, blocks)
             assert ledger.cached == ledger.total
 
+    #: Bound on a one-slab round's traced peak, in the slab's sample bytes
+    #: (``SLAB_ROWS`` rows of the process dimension).  Stacking a group's
+    #: blocks into a second array read 5.47 (telescopic) and 5.91
+    #: (folded_cascode); the round buffer reads 4.04 and 4.47.
+    ONE_SLAB_PEAK = 5.0
+
     def test_round_memory_stays_flat(self):
-        # Four slabs' worth of rows must not hold four slabs of samples.
-        problem = make_problem("telescopic")
-        engine = SerialEngine()
+        # Four slabs' worth of rows must not hold four slabs of samples,
+        # and one slab must not hold its samples twice.
         block = SLAB_ROWS // 4
+        for name in ("telescopic", "folded_cascode"):
+            problem = make_problem(name)
+            engine = SerialEngine()
 
-        def peak(n_blocks):
-            states, _ = _states(problem, n=n_blocks)
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            engine.refine_round(problem, states, [block] * n_blocks)
-            return tracemalloc.get_traced_memory()[1] - base
+            def peak(n_blocks):
+                states, _ = _states(problem, n=n_blocks)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                engine.refine_round(problem, states, [block] * n_blocks)
+                return tracemalloc.get_traced_memory()[1] - base
 
-        peak(1)  # lazy set-up is not a round's memory
-        tracemalloc.start()
-        try:
-            one_slab, four_slabs = peak(4), peak(16)
-        finally:
-            tracemalloc.stop()
-        assert four_slabs <= 1.3 * one_slab, (one_slab, four_slabs)
+            peak(1)  # lazy set-up is not a round's memory
+            tracemalloc.start()
+            try:
+                one_slab, four_slabs = peak(4), peak(16)
+            finally:
+                tracemalloc.stop()
+            assert four_slabs <= 1.3 * one_slab, (name, one_slab, four_slabs)
+            slab_bytes = SLAB_ROWS * problem.process_dimension * 8
+            assert one_slab < self.ONE_SLAB_PEAK * slab_bytes, (name, one_slab / slab_bytes)
 
 
 def _run(engine, problem="sphere", method="moheco", seed=7):
