@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the library's main design choices.
 
 Not figures from the paper, but the studies a reviewer would ask for:
 

@@ -24,7 +24,7 @@ import numpy as np
 from repro import Spec, SpecSet, YieldProblem, optimize, register_problem
 from repro.circuit.topologies.base import DesignSpace
 from repro.process.parameters import ParameterGroup, StatisticalParameter
-from repro.process.variation import IntraDieSpec, ProcessVariationModel
+from repro.process.variation import ProcessVariationModel
 
 
 class RCFilterEvaluator:
@@ -37,11 +37,11 @@ class RCFilterEvaluator:
     def __init__(self) -> None:
         group = ParameterGroup(
             [
-                StatisticalParameter.normal("dR", 0.0, 0.03, "resistor error"),
-                StatisticalParameter.normal("dC", 0.0, 0.05, "capacitor error"),
+                StatisticalParameter("dR", 0.0, 0.03, "resistor error"),
+                StatisticalParameter("dC", 0.0, 0.05, "capacitor error"),
             ]
         )
-        self.variation = ProcessVariationModel(group, [], IntraDieSpec(()))
+        self.variation = ProcessVariationModel(group, [])
 
     def design_space(self) -> DesignSpace:
         return DesignSpace(["r", "c"], [1e3, 10e-12], [1e6, 10e-9])

@@ -1,7 +1,9 @@
 """Self-contained analog circuit evaluation substrate.
 
-This package replaces the HSPICE + foundry-PDK stack the paper used (see
-DESIGN.md, substitutions table).  It provides:
+This package replaces the HSPICE + foundry-PDK stack the paper used:
+synthetic 0.35 um and 90 nm technologies stand in for the foundry models,
+and analytic topology evaluators, cross-checked against an MNA engine,
+stand in for the simulator.  It provides:
 
 * :mod:`repro.circuit.mosfet` — a Level-1-style MOSFET model with
   channel-length modulation and mobility degradation, plus vectorised

@@ -325,7 +325,9 @@ class DeviceArrays:
         self.gamma = np.asarray(card.gamma if gamma is None else gamma, dtype=float)
         self.phi = np.asarray(card.phi if phi is None else phi, dtype=float)
         self.nfactor = float(getattr(card, "nfactor", 1.4))
-        self.beta = self.kp * self.weff / self.leff
+        # kp * weff / leff with one allocation; leff has the product's shape.
+        self.beta = self.kp * self.weff
+        self.beta /= self.leff
         #: Attributes that carry the leading device axis of a stack.
         self._stacked = (
             tuple(name for name, value in vars(self).items()

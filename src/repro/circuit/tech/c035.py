@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.mosfet import EPS_OX, DeviceArrays, MosfetModelCard
-from repro.process.distributions import NormalDistribution
 from repro.process.parameters import ParameterGroup, StatisticalParameter
 from repro.process.technology import PelgromCoefficients, Technology
 
@@ -100,9 +99,7 @@ class C035Technology(Technology):
 
     # -- statistics ---------------------------------------------------------
     def build_inter_group(self) -> ParameterGroup:
-        def normal(name: str, mu: float, sigma: float, doc: str) -> StatisticalParameter:
-            return StatisticalParameter(name, NormalDistribution(mu, sigma), doc)
-
+        normal = StatisticalParameter
         return ParameterGroup(
             [
                 normal("TOXRn", 1.0, 0.015, "NMOS oxide-thickness ratio"),

@@ -44,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.mosfet import EPS_OX, DeviceArrays, MosfetModelCard
-from repro.process.distributions import NormalDistribution
 from repro.process.parameters import ParameterGroup, StatisticalParameter
 from repro.process.technology import PelgromCoefficients, Technology
 
@@ -106,9 +105,7 @@ class N90Technology(Technology):
 
     # -- statistics ---------------------------------------------------------
     def build_inter_group(self) -> ParameterGroup:
-        def normal(name: str, mu: float, sigma: float, doc: str = "") -> StatisticalParameter:
-            return StatisticalParameter(name, NormalDistribution(mu, sigma), doc)
-
+        normal = StatisticalParameter
         parameters = [
             normal("DELL", 0.0, 3e-9, "global drawn-length offset [m]"),
             normal("DELW", 0.0, 4e-9, "global drawn-width offset [m]"),

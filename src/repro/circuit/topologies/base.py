@@ -162,3 +162,19 @@ class AmplifierTopology(ABC):
         l = np.stack([d["l" + geometry] for _, geometry in stack])
         scores = self._variation.mismatch_stack(samples, [dev for dev, _ in stack])
         return self.tech.realize(polarity, w, l, inter, scores)
+
+
+def _mirror_current(vgs_ref, output):
+    """Current of a mirror output device at the reference diode's gate voltage.
+
+    The reference device is diode-connected at its current, which sets
+    ``vgs_ref``; the output device sees the same gate voltage, so VTH/beta
+    mismatch between the two maps into an output-current error via the
+    exact square-law-with-theta model.
+    """
+    return output.current_for_vov(vgs_ref - output.vth)
+
+
+def _parallel(r1, r2):
+    """Parallel resistance, safe for zeros."""
+    return r1 * r2 / np.maximum(r1 + r2, 1e-30)

@@ -46,7 +46,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.measures import phase_margin_deg
-from repro.circuit.topologies.base import AmplifierTopology, DesignSpace
+from repro.circuit.topologies.base import (
+    AmplifierTopology,
+    DesignSpace,
+    _mirror_current,
+    _parallel,
+)
 from repro.units import ratio_to_db
 
 __all__ = ["FoldedCascodeAmplifier"]
@@ -264,19 +269,3 @@ class FoldedCascodeAmplifier(AmplifierTopology):
 
         out = np.column_stack([a0_db, gbw, pm, os, power, satmargin])
         return out
-
-
-def _mirror_current(vgs_ref, output):
-    """Current of a mirror output device at the reference diode's gate voltage.
-
-    The reference device is diode-connected at its current, which sets
-    ``vgs_ref``; the output device sees the same gate voltage, so VTH/beta
-    mismatch between the two maps into an output-current error via the
-    exact square-law-with-theta model.
-    """
-    return output.current_for_vov(vgs_ref - output.vth)
-
-
-def _parallel(r1, r2):
-    """Parallel resistance, safe for zeros."""
-    return r1 * r2 / np.maximum(r1 + r2, 1e-30)

@@ -114,16 +114,6 @@ class NetlistTwoStageOTA(AmplifierTopology):
 
     # -- netlist ---------------------------------------------------------------
     @staticmethod
-    def nominal_values(x: np.ndarray) -> dict[str, float]:
-        """Element values implied by a design vector (nominal process)."""
-        return _nominal(dict(zip(_DESIGN_NAMES, np.asarray(x, dtype=float).tolist())))
-
-    @classmethod
-    def build_circuit(cls, x: np.ndarray) -> Circuit:
-        """The macro netlist at nominal element values."""
-        return _netlist(cls.nominal_values(x))
-
-    @staticmethod
     def _unit_stamps():
         """Fixed ``(G, C, b)``, node map and unit ``(G, C)`` stamps per element.
 

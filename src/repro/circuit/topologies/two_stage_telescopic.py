@@ -27,10 +27,10 @@ M11 sink current contributes systematic offset.
 
 Offset model: the paper's 0.05 mV specification implies an offset-reduced
 architecture; we model the reported offset as the raw input-referred
-mismatch offset divided by a fixed trim ratio (``OFFSET_TRIM_RATIO``),
-documented in DESIGN.md.  The raw offset combines input-pair VTH mismatch,
-load (M7/M8) VTH mismatch scaled by gm7/gm1, input-pair beta mismatch, and
-the stage-2 current-imbalance term referred through the stage-1 gain.
+mismatch offset divided by a fixed trim ratio (``OFFSET_TRIM_RATIO``).
+The raw offset combines input-pair VTH mismatch, load (M7/M8) VTH mismatch
+scaled by gm7/gm1, input-pair beta mismatch, and the stage-2
+current-imbalance term referred through the stage-1 gain.
 
 Metrics (column order)::
 
@@ -45,7 +45,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.measures import phase_margin_deg
-from repro.circuit.topologies.base import AmplifierTopology, DesignSpace
+from repro.circuit.topologies.base import (
+    AmplifierTopology,
+    DesignSpace,
+    _mirror_current,
+    _parallel,
+)
 from repro.units import ratio_to_db
 
 __all__ = ["TwoStageTelescopicAmplifier"]
@@ -334,13 +339,3 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         return np.column_stack(
             [a0_db, gbw, pm, os, power, area, offset, satmargin]
         )
-
-
-def _mirror_current(vgs_ref, output):
-    """Mirror output current at the reference diode's gate voltage (exact model)."""
-    return output.current_for_vov(vgs_ref - output.vth)
-
-
-def _parallel(r1, r2):
-    """Parallel resistance, safe for zeros."""
-    return r1 * r2 / np.maximum(r1 + r2, 1e-30)

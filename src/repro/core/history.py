@@ -5,7 +5,7 @@ Feeds three consumers:
 * the paper's Fig. 3 (an OCBA allocation snapshot of a typical population),
 * the RSB study of section 3.4 (per-iteration (x, yield) training data for
   the neural-network response surface), and
-* convergence diagnostics in EXPERIMENTS.md.
+* convergence diagnostics (best yield and simulations per generation).
 """
 
 from __future__ import annotations

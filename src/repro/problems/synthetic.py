@@ -26,7 +26,7 @@ from scipy.special import ndtr
 from repro.problems.base import YieldProblem
 from repro.registry import check_count, check_real
 from repro.process.parameters import ParameterGroup, StatisticalParameter
-from repro.process.variation import IntraDieSpec, ProcessVariationModel
+from repro.process.variation import ProcessVariationModel
 from repro.circuit.topologies.base import DesignSpace
 from repro.specs import Spec, SpecSet
 
@@ -67,9 +67,9 @@ class SyntheticEvaluator:
         self._space = space
         self._labels = list(metric_labels)
         group = ParameterGroup(
-            [StatisticalParameter.normal(f"xi_{label}") for label in metric_labels]
+            [StatisticalParameter(f"xi_{label}") for label in metric_labels]
         )
-        self.variation = ProcessVariationModel(group, [], IntraDieSpec(()))
+        self.variation = ProcessVariationModel(group, [])
 
     # -- evaluator protocol ----------------------------------------------------
     def design_space(self) -> DesignSpace:

@@ -1,11 +1,11 @@
 """Statistical process-variation modelling.
 
-This package models how fabrication varies device parameters:
+This package models how fabrication varies device parameters.  Every
+statistical variable is Gaussian:
 
-* :mod:`repro.process.distributions` — the marginal distributions that
-  statistical parameters follow, with inverse-CDF support so stratified
-  samplers (LHS, Sobol) can map uniform strata onto them.
-* :mod:`repro.process.parameters` — named statistical parameters and groups.
+* :mod:`repro.process.parameters` — named Gaussian parameters and ordered
+  groups of them, which draw Monte-Carlo samples and map uniform strata
+  (LHS, Sobol) through the Gaussian inverse CDF.
 * :mod:`repro.process.variation` — the inter-die / intra-die decomposition:
   inter-die variables shift all devices of a type together, intra-die
   (mismatch) variables perturb each device independently with Pelgrom area
@@ -14,26 +14,13 @@ This package models how fabrication varies device parameters:
   model cards with its statistical variation model.
 """
 
-from repro.process.distributions import (
-    Distribution,
-    LognormalDistribution,
-    NormalDistribution,
-    TruncatedNormalDistribution,
-    UniformDistribution,
-)
 from repro.process.parameters import ParameterGroup, StatisticalParameter
-from repro.process.variation import IntraDieSpec, ProcessVariationModel
+from repro.process.variation import ProcessVariationModel
 from repro.process.technology import Technology
 
 __all__ = [
-    "Distribution",
-    "NormalDistribution",
-    "LognormalDistribution",
-    "UniformDistribution",
-    "TruncatedNormalDistribution",
     "StatisticalParameter",
     "ParameterGroup",
     "ProcessVariationModel",
-    "IntraDieSpec",
     "Technology",
 ]

@@ -1,8 +1,10 @@
-"""Named statistical parameters and ordered groups of them.
+"""Named Gaussian process parameters and ordered groups of them.
 
-A :class:`StatisticalParameter` couples a name ("VTH0Rn") with its marginal
-distribution.  A :class:`ParameterGroup` is an ordered collection that maps
-between named parameters and the columns of sample matrices.
+A :class:`StatisticalParameter` couples a name ("VTH0Rn") with the mean and
+standard deviation of its Gaussian marginal.  A :class:`ParameterGroup` is an
+ordered collection, fixed when it is built, that maps between named
+parameters and the columns of sample matrices and keeps the means and
+standard deviations as two arrays.
 """
 
 from __future__ import annotations
@@ -10,37 +12,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.process.distributions import Distribution, NormalDistribution, _ndtri
+from scipy import special as _scipy_special
 
 __all__ = ["StatisticalParameter", "ParameterGroup"]
 
 
 @dataclass(frozen=True)
 class StatisticalParameter:
-    """One named statistical variable.
+    """One named Gaussian variable N(mu, sigma^2).
 
     Parameters
     ----------
     name:
         Unique identifier, e.g. ``"TOXRn"`` (inter-die oxide-thickness ratio
         for NMOS devices) or ``"M1.dVTH0"`` (mismatch of device M1).
-    distribution:
-        Marginal distribution of the variable.
+    mu, sigma:
+        Mean and standard deviation; ``sigma`` must be non-negative (0 makes
+        the variable a constant).
     description:
         Optional free-text documentation shown by ``describe()``.
     """
 
     name: str
-    distribution: Distribution
+    mu: float = 0.0
+    sigma: float = 1.0
     description: str = ""
 
-    @classmethod
-    def normal(
-        cls, name: str, mu: float = 0.0, sigma: float = 1.0, description: str = ""
-    ) -> "StatisticalParameter":
-        """Shorthand for a Gaussian parameter."""
-        return cls(name, NormalDistribution(mu, sigma), description)
+    def __post_init__(self) -> None:
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
 
 class ParameterGroup:
@@ -50,26 +50,15 @@ class ParameterGroup:
     ``(n_samples, len(group))``.
     """
 
-    def __init__(self, parameters: list[StatisticalParameter] | None = None) -> None:
-        self._parameters: list[StatisticalParameter] = []
+    def __init__(self, parameters: list[StatisticalParameter]) -> None:
+        self._parameters = list(parameters)
         self._index: dict[str, int] = {}
-        self._moments: tuple | None = None
-        for parameter in parameters or []:
-            self.add(parameter)
-
-    # -- construction -----------------------------------------------------
-    def add(self, parameter: StatisticalParameter) -> None:
-        """Append a parameter; names must be unique within the group."""
-        if parameter.name in self._index:
-            raise ValueError(f"duplicate parameter name: {parameter.name!r}")
-        self._index[parameter.name] = len(self._parameters)
-        self._parameters.append(parameter)
-        self._moments = None
-
-    def extend(self, parameters: list[StatisticalParameter]) -> None:
-        """Append several parameters."""
-        for parameter in parameters:
-            self.add(parameter)
+        for j, parameter in enumerate(self._parameters):
+            if parameter.name in self._index:
+                raise ValueError(f"duplicate parameter name: {parameter.name!r}")
+            self._index[parameter.name] = j
+        self._mu = np.array([p.mu for p in self._parameters], dtype=float)
+        self._sigma = np.array([p.sigma for p in self._parameters], dtype=float)
 
     # -- introspection ----------------------------------------------------
     def __len__(self) -> int:
@@ -93,50 +82,35 @@ class ParameterGroup:
         """Column index of parameter ``name``."""
         return self._index[name]
 
-    def column(self, samples: np.ndarray, name: str) -> np.ndarray:
-        """Extract the column of ``samples`` belonging to ``name``."""
-        return np.asarray(samples)[:, self._index[name]]
-
-    # -- moments (used by linearised screeners and LHS) ---------------------
+    # -- moments (used by linearised screeners) -----------------------------
     def means(self) -> np.ndarray:
-        """Vector of marginal means in column order."""
-        return np.array([parameter.distribution.mean for parameter in self._parameters])
+        """Vector of means in column order."""
+        return self._mu.copy()
 
     def stds(self) -> np.ndarray:
-        """Vector of marginal standard deviations in column order."""
-        return np.array([parameter.distribution.std for parameter in self._parameters])
+        """Vector of standard deviations in column order."""
+        return self._sigma.copy()
 
     # -- sampling -----------------------------------------------------------
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Independent Monte-Carlo draws, shape ``(n, len(group))``."""
+        """Independent Monte-Carlo draws, shape ``(n, len(group))``.
+
+        Each column is one ``rng.normal(mu_j, sigma_j, size=n)`` call, in
+        column order; that order fixes the stream every seeded result reads.
+        """
         if n < 0:
             raise ValueError(f"sample count must be non-negative, got {n}")
         out = np.empty((n, len(self._parameters)))
         for j, parameter in enumerate(self._parameters):
-            out[:, j] = parameter.distribution.sample(n, rng)
+            out[:, j] = rng.normal(parameter.mu, parameter.sigma, size=n)
         return out
 
-    def _gaussian_moments(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """Full-width ``(mu, sigma)`` — 0 and 1 on non-Gaussian columns — plus
-        ``[(column, distribution)]`` of every non-Gaussian parameter; cached
-        until the group grows."""
-        if self._moments is None:
-            dists = [p.distribution for p in self._parameters]
-            gaussian = [type(d) is NormalDistribution for d in dists]
-            self._moments = (
-                np.array([d.mu if g else 0.0 for d, g in zip(dists, gaussian)]),
-                np.array([d.sigma if g else 1.0 for d, g in zip(dists, gaussian)]),
-                [(j, d) for j, (d, g) in enumerate(zip(dists, gaussian)) if not g],
-            )
-        return self._moments
-
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Map a uniform(0,1) matrix onto the parameter space via inverse CDFs.
+        """Map a uniform(0,1) matrix onto the parameter space through the
+        Gaussian inverse CDF, ``mu + sigma * ndtri(u)`` per column.
 
         ``u`` has shape ``(n, len(group))``; used by LHS/Sobol samplers.
-        Every column maps in place on one clipped copy of ``u`` as
-        ``mu + sigma * ndtri(u)``; each non-Gaussian column is then
-        overwritten from its own distribution's ``ppf``.  ``u`` itself is
+        The map runs in place on one clipped copy of ``u``; ``u`` itself is
         never written.
         """
         u = np.asarray(u, dtype=float)
@@ -144,18 +118,26 @@ class ParameterGroup:
             raise ValueError(
                 f"uniform matrix must have shape (n, {len(self._parameters)}), got {u.shape}"
             )
-        mu, sigma, others = self._gaussian_moments()
         out = _ndtri(u, out=np.empty_like(u))
-        out *= sigma
-        out += mu
-        for j, dist in others:
-            out[:, j] = dist.ppf(u[:, j])
+        out *= self._sigma
+        out += self._mu
         return out
 
     def describe(self) -> str:
-        """Human-readable listing with distributions."""
+        """Human-readable listing, one ``name: N(mu, sigma)`` line each."""
         lines = []
         for parameter in self._parameters:
             note = f"  # {parameter.description}" if parameter.description else ""
-            lines.append(f"{parameter.name}: {parameter.distribution!r}{note}")
+            lines.append(
+                f"{parameter.name}: N(mu={parameter.mu:g}, sigma={parameter.sigma:g}){note}"
+            )
         return "\n".join(lines)
+
+
+def _ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal inverse CDF, clipped away from 0/1 for stability.
+
+    With ``out``, ``u`` is clipped into ``out``, which is then mapped in place.
+    """
+    u = np.clip(u, 1e-12, 1.0 - 1e-12, out=out)
+    return _scipy_special.ndtri(u, out=out)

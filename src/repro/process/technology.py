@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.circuit.mosfet import DeviceArrays, MosfetModelCard
 from repro.process.parameters import ParameterGroup
-from repro.process.variation import IntraDieSpec, ProcessVariationModel
+from repro.process.variation import ProcessVariationModel
 
 __all__ = ["PelgromCoefficients", "Technology"]
 
@@ -180,12 +180,12 @@ class Technology(ABC):
 
     def variation_model(self, device_names: list[str]) -> ProcessVariationModel:
         """Build the full process space for a circuit's device list."""
-        return ProcessVariationModel(self.inter, device_names, IntraDieSpec())
+        return ProcessVariationModel(self.inter, device_names)
 
     def realize_nominal(self, polarity: str, w: float, l: float) -> DeviceArrays:
         """Effective parameters at the nominal process point (n_samples=1)."""
-        inter = {name: np.array([self.inter[name].distribution.mean])
-                 for name in self.inter.names}
+        inter = {name: np.array([mu])
+                 for name, mu in zip(self.inter.names, self.inter.means())}
         scores = np.zeros((1, 4))
         return self.realize(polarity, w, l, inter, scores)
 

@@ -7,6 +7,8 @@ The paper's process spaces decompose into
 * **intra-die** (mismatch) variables — one draw per device, modelling local
   fluctuations.  The paper uses 4 per transistor: TOX, VTH0, LD, WD.
 
+Every variable is Gaussian.
+
 Layout
 ------
 A process sample is a row vector.  Columns are ordered *inter-die variables
@@ -25,33 +27,15 @@ example 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.process.distributions import NormalDistribution
 from repro.process.parameters import ParameterGroup, StatisticalParameter
 
-__all__ = ["IntraDieSpec", "ProcessVariationModel"]
+__all__ = ["ProcessVariationModel"]
 
-#: Default per-device mismatch variables, in the paper's order.
-DEFAULT_MISMATCH_VARS = ("dTOX", "dVTH0", "dLD", "dWD")
-
-
-@dataclass(frozen=True)
-class IntraDieSpec:
-    """Mismatch layout: which per-device variables exist.
-
-    The variables are dimensionless standard-normal scores; their physical
-    magnitude comes from the technology's Pelgrom coefficients.
-    """
-
-    variables: tuple[str, ...] = DEFAULT_MISMATCH_VARS
-
-    @property
-    def per_device(self) -> int:
-        """Number of mismatch variables per device."""
-        return len(self.variables)
+#: The per-device mismatch scores, in the paper's order.
+MISMATCH_VARS = ("dTOX", "dVTH0", "dLD", "dWD")
+_PER_DEVICE = len(MISMATCH_VARS)
 
 
 class ProcessVariationModel:
@@ -60,40 +44,31 @@ class ProcessVariationModel:
     Parameters
     ----------
     inter:
-        Group of inter-die statistical parameters (physical distributions).
+        Group of inter-die statistical parameters (physical units).
     device_names:
         Ordered names of the mismatch-carrying devices (the circuit's
-        transistors).
-    intra:
-        Which mismatch variables each device carries.
+        transistors); each carries the four :data:`MISMATCH_VARS` scores.
     """
 
-    def __init__(
-        self,
-        inter: ParameterGroup,
-        device_names: list[str],
-        intra: IntraDieSpec | None = None,
-    ) -> None:
+    def __init__(self, inter: ParameterGroup, device_names: list[str]) -> None:
         if len(set(device_names)) != len(device_names):
             raise ValueError(f"duplicate device names: {device_names}")
         self.inter = inter
         self.device_names = list(device_names)
-        self.intra = intra or IntraDieSpec()
         self._device_index = {name: i for i, name in enumerate(self.device_names)}
 
         # The full group (inter + standard-normal mismatch scores) drives
         # sampling; building it once fixes the column layout.
-        full = ParameterGroup(list(inter))
-        for device in self.device_names:
-            for var in self.intra.variables:
-                full.add(
-                    StatisticalParameter(
-                        f"{device}.{var}",
-                        NormalDistribution(0.0, 1.0),
-                        description=f"mismatch score of {var} on {device}",
-                    )
+        self._full = ParameterGroup(
+            list(inter)
+            + [
+                StatisticalParameter(
+                    f"{device}.{var}", description=f"mismatch score of {var} on {device}"
                 )
-        self._full = full
+                for device in self.device_names
+                for var in MISMATCH_VARS
+            ]
+        )
 
     # -- dimensions ---------------------------------------------------------
     @property
@@ -104,7 +79,7 @@ class ProcessVariationModel:
     @property
     def n_intra(self) -> int:
         """Number of intra-die (mismatch) variables."""
-        return len(self.device_names) * self.intra.per_device
+        return len(self.device_names) * _PER_DEVICE
 
     @property
     def dimension(self) -> int:
@@ -127,7 +102,7 @@ class ProcessVariationModel:
         return self._full.sample(n, rng)
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniform(0,1) variates through the marginal inverse CDFs."""
+        """Map uniform(0,1) variates through the Gaussian inverse CDF."""
         return self._full.from_uniform(u)
 
     def nominal(self) -> np.ndarray:
@@ -144,31 +119,24 @@ class ProcessVariationModel:
             name: samples[:, j] for j, name in enumerate(self.inter.names)
         }
 
-    def inter_matrix(self, samples: np.ndarray) -> np.ndarray:
-        """The inter-die block of ``samples``, shape ``(n, n_inter)``."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        return samples[:, : self.n_inter]
-
     def mismatch_scores(self, samples: np.ndarray, device: str) -> np.ndarray:
         """Standard-normal mismatch scores for one device.
 
-        Returns shape ``(n, per_device)`` with columns in
-        ``self.intra.variables`` order.
+        Returns shape ``(n, 4)`` with columns in :data:`MISMATCH_VARS` order.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        idx = self._device_index[device]
-        start = self.n_inter + idx * self.intra.per_device
-        return samples[:, start : start + self.intra.per_device]
+        start = self.n_inter + self._device_index[device] * _PER_DEVICE
+        return samples[:, start : start + _PER_DEVICE]
 
     def mismatch_stack(
         self, samples: np.ndarray, devices: list[str | None]
     ) -> np.ndarray:
-        """Mismatch scores of several devices, ``(len(devices), n, per_device)``.
+        """Mismatch scores of several devices, ``(len(devices), n, 4)``.
 
         A ``None`` entry is a mismatch-free replica and gets zero scores.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        scores = np.zeros((len(devices), samples.shape[0], self.intra.per_device))
+        scores = np.zeros((len(devices), samples.shape[0], _PER_DEVICE))
         for j, device in enumerate(devices):
             if device is not None:
                 scores[j] = self.mismatch_scores(samples, device)
@@ -177,12 +145,12 @@ class ProcessVariationModel:
     def mismatch_column(self, samples: np.ndarray, device: str, var: str) -> np.ndarray:
         """One mismatch score column, e.g. ``("M1", "dVTH0")``."""
         scores = self.mismatch_scores(samples, device)
-        return scores[:, self.intra.variables.index(var)]
+        return scores[:, MISMATCH_VARS.index(var)]
 
     def describe(self) -> str:
         """Summary string (counts per category)."""
         return (
             f"ProcessVariationModel: {self.dimension} variables = "
             f"{self.n_inter} inter-die + {self.n_intra} intra-die "
-            f"({len(self.device_names)} devices x {self.intra.per_device})"
+            f"({len(self.device_names)} devices x {_PER_DEVICE})"
         )

@@ -1,8 +1,9 @@
 """Scrambled Sobol sampling.
 
 A low-discrepancy alternative to LHS; not used by the paper's headline
-experiments but provided for ablations (DESIGN.md lists a sampler ablation
-bench) and available through :func:`repro.sampling.make_sampler`.
+experiments but provided for ablations (the sampler ablation in
+``benchmarks/test_bench_ablations.py``) and available through
+:func:`repro.sampling.make_sampler`.
 ``scipy.stats.qmc`` is imported at the first :meth:`SobolSampler.draw`, so
 registering the sampler does not load ``scipy.stats``.
 """

@@ -18,24 +18,7 @@ __all__ = [
     "ratio_to_db",
     "deg",
     "rad",
-    "MEGA",
-    "GIGA",
-    "KILO",
-    "MILLI",
-    "MICRO",
-    "NANO",
-    "PICO",
-    "FEMTO",
 ]
-
-KILO = 1e3
-MEGA = 1e6
-GIGA = 1e9
-MILLI = 1e-3
-MICRO = 1e-6
-NANO = 1e-9
-PICO = 1e-12
-FEMTO = 1e-15
 
 
 def ratio_to_db(ratio):

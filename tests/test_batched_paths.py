@@ -18,14 +18,7 @@ from repro.ocba.ranking import approximate_pcs
 from repro.problems import make_problem
 from repro.problems.base import SLAB_ROWS, YieldProblem
 from repro.problems.synthetic import SyntheticEvaluator
-from repro.process.distributions import (
-    LognormalDistribution,
-    NormalDistribution,
-    TruncatedNormalDistribution,
-    UniformDistribution,
-    _ndtri,
-)
-from repro.process.parameters import ParameterGroup, StatisticalParameter
+from repro.process.parameters import ParameterGroup, StatisticalParameter, _ndtri
 from repro.sampling.acceptance import LinearMarginScreener
 from repro.sampling.lhs import latin_hypercube_uniforms
 from repro.specs import Spec, SpecSet
@@ -136,48 +129,49 @@ class TestFeasibilityGate:
         assert batch_ledger.to_dict() == scalar_ledger.to_dict()
 
 
-def _mixed_group():
+def _gaussian_group():
+    """Columns at inter-die and mismatch scales, one of them ``sigma = 0``."""
     return ParameterGroup(
         [
-            StatisticalParameter("n0", NormalDistribution(1.0, 0.02)),
-            StatisticalParameter("ln", LognormalDistribution(0.1, 0.2)),
-            StatisticalParameter("n1", NormalDistribution(-3e-9, 4e-9)),
-            StatisticalParameter("un", UniformDistribution(-1.0, 2.0)),
-            StatisticalParameter(
-                "tn", TruncatedNormalDistribution(0.0, 1.0, -1.5, 2.5)
-            ),
-            StatisticalParameter("n2", NormalDistribution(0.0, 0.0)),
+            StatisticalParameter("n0", 1.0, 0.02),
+            StatisticalParameter("n1", -3e-9, 4e-9),
+            StatisticalParameter("n2", 0.0, 0.0),
+            StatisticalParameter("n3"),
         ]
     )
 
 
 def _assert_matches_per_column_ppf(group, u):
-    """``from_uniform(u)`` is int64-equal to each column's own ``ppf`` and
-    leaves ``u`` as it was."""
+    """``from_uniform(u)`` is int64-equal to each column's own
+    ``mu + sigma * _ndtri(u)`` and leaves ``u`` as it was."""
     before = u.copy()
     out = group.from_uniform(u)
     per_column = np.column_stack(
-        [param.distribution.ppf(before[:, j]) for j, param in enumerate(group)]
+        [param.mu + param.sigma * _ndtri(before[:, j]) for j, param in enumerate(group)]
     )
     assert np.array_equal(u.view(np.int64), before.view(np.int64))
     assert np.array_equal(out.view(np.int64), per_column.view(np.int64))
 
 
+class TestSample:
+    def test_circuit_variation_matches_per_column_draws(self, circuit):
+        """One ``rng.normal(mu_j, sigma_j, size=n)`` per column, in column
+        order: the stream every seeded PMC draw and reference yield reads."""
+        group = circuit.variation.full_group
+        drawn = group.sample(257, np.random.default_rng(14))
+        rng = np.random.default_rng(14)
+        per_column = np.column_stack(
+            [rng.normal(param.mu, param.sigma, size=257) for param in group]
+        )
+        assert np.array_equal(drawn.view(np.int64), per_column.view(np.int64))
+
+
 class TestFromUniform:
-    def test_mixed_families_match_per_column_ppf(self):
-        group = _mixed_group()
+    def test_gaussian_columns_match_per_column_ppf(self):
+        group = _gaussian_group()
         u = np.random.default_rng(10).uniform(size=(300, len(group)))
         u[:3] = [[0.0] * len(group), [1.0] * len(group), [0.5] * len(group)]
         _assert_matches_per_column_ppf(group, u)
-
-    def test_group_growth_resets_the_column_split(self):
-        group = _mixed_group()
-        u = np.random.default_rng(11).uniform(size=(5, len(group) + 1))
-        group.from_uniform(u[:, :-1])
-        group.add(StatisticalParameter.normal("late", 2.0, 0.5))
-        assert np.array_equal(
-            group.from_uniform(u)[:, -1], NormalDistribution(2.0, 0.5).ppf(u[:, -1])
-        )
 
     def test_circuit_variation_matches_per_column_ppf(self, circuit):
         group = circuit.variation.full_group

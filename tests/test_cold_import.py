@@ -45,11 +45,8 @@ assert not loaded, f"loaded on the import/run path: {loaded}"
 from repro.circuit.ac import ACAnalysis
 from repro.circuit.mna import solve_dc
 from repro.circuit.netlist import Circuit
-from repro.process.distributions import TruncatedNormalDistribution
 from repro.sampling import SobolSampler
 
-truncated = TruncatedNormalDistribution(1.0, 0.5, 0.0, 2.0)
-assert abs(truncated.ppf(np.array([0.5]))[0] - 1.0) < 1e-12
 problem = make_problem("sphere")
 u = SobolSampler(problem.variation).draw(8, np.random.default_rng(3))
 assert u.shape == (8, problem.variation.dimension)

@@ -2,8 +2,8 @@
 
 The fast topology evaluators use textbook expressions (cascode output
 resistance, pole frequencies).  These tests rebuild the same sub-circuits
-as netlists, solve them with the full MNA engine, and require agreement —
-the "golden reference" role DESIGN.md assigns to `repro.circuit.mna`.
+as netlists, solve them with the full MNA engine, and require agreement:
+`repro.circuit.mna` is the reference the fast evaluators are held to.
 """
 
 import numpy as np

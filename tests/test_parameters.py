@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.process.distributions import NormalDistribution, UniformDistribution
 from repro.process.parameters import ParameterGroup, StatisticalParameter
 
 
@@ -11,17 +10,23 @@ from repro.process.parameters import ParameterGroup, StatisticalParameter
 def group():
     return ParameterGroup(
         [
-            StatisticalParameter("a", NormalDistribution(1.0, 0.1)),
-            StatisticalParameter("b", UniformDistribution(0.0, 2.0)),
-            StatisticalParameter.normal("c", 0.0, 1.0),
+            StatisticalParameter("a", 1.0, 0.1),
+            StatisticalParameter("b", 2.0, 0.5, "a documented parameter"),
+            StatisticalParameter("c"),
         ]
     )
 
 
-class TestConstruction:
-    def test_duplicate_names_rejected(self, group):
+class TestStatisticalParameter:
+    def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            group.add(StatisticalParameter.normal("a"))
+            StatisticalParameter("x", 0.0, -1.0)
+
+
+class TestConstruction:
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="'a'"):
+            ParameterGroup([StatisticalParameter("a"), StatisticalParameter("a")])
 
     def test_names_preserve_order(self, group):
         assert group.names == ["a", "b", "c"]
@@ -29,20 +34,13 @@ class TestConstruction:
         assert "b" in group and "z" not in group
 
     def test_getitem(self, group):
-        assert group["a"].distribution.mean == pytest.approx(1.0)
-
-    def test_extend(self):
-        g = ParameterGroup()
-        g.extend([StatisticalParameter.normal("x"), StatisticalParameter.normal("y")])
-        assert len(g) == 2
+        assert group["a"].mu == pytest.approx(1.0)
 
 
 class TestMoments:
     def test_means_and_stds_column_order(self, group):
-        np.testing.assert_allclose(group.means(), [1.0, 1.0, 0.0])
-        np.testing.assert_allclose(
-            group.stds(), [0.1, 2.0 / np.sqrt(12.0), 1.0], rtol=1e-12
-        )
+        np.testing.assert_array_equal(group.means(), [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(group.stds(), [0.1, 0.5, 1.0])
 
 
 class TestSampling:
@@ -56,15 +54,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             group.sample(-1, np.random.default_rng(0))
 
-    def test_column_extraction(self, group):
-        samples = group.sample(50, np.random.default_rng(1))
-        np.testing.assert_array_equal(group.column(samples, "b"), samples[:, 1])
+    def test_sample_moments_match(self, group):
+        x = group.sample(60_000, np.random.default_rng(0))
+        bound = 4 * group.stds() / np.sqrt(60_000)
+        assert np.all(np.abs(x.mean(axis=0) - group.means()) < bound)
+        np.testing.assert_allclose(x.std(axis=0), group.stds(), rtol=0.05)
 
     def test_from_uniform_respects_marginals(self, group):
         u = np.full((1, 3), 0.5)
         mid = group.from_uniform(u)[0]
-        assert mid[0] == pytest.approx(1.0)   # normal median = mean
-        assert mid[1] == pytest.approx(1.0)   # uniform median = midpoint
+        np.testing.assert_allclose(mid, [1.0, 2.0, 0.0])  # median = mean
+
+    def test_from_uniform_keeps_extreme_u_finite(self, group):
+        assert np.isfinite(group.from_uniform(np.array([[0.0] * 3, [1.0] * 3]))).all()
 
     def test_from_uniform_shape_validation(self, group):
         with pytest.raises(ValueError):
@@ -74,3 +76,4 @@ class TestSampling:
         text = group.describe()
         for name in group.names:
             assert name in text
+        assert "a documented parameter" in text

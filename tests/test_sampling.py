@@ -18,7 +18,7 @@ from repro.sampling.lhs import latin_hypercube_uniforms
 @pytest.fixture(scope="module")
 def variation():
     inter = ParameterGroup(
-        [StatisticalParameter.normal(f"p{i}", 0.0, 1.0) for i in range(6)]
+        [StatisticalParameter(f"p{i}", 0.0, 1.0) for i in range(6)]
     )
     return ProcessVariationModel(inter, ["M1"])
 

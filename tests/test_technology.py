@@ -73,8 +73,7 @@ class TestRealize:
                       "cj_scale", "cg_scale", "gamma")
         base = {}
         for pol in ("n", "p"):
-            nominal = {n: np.array([tech.inter[n].distribution.mean])
-                       for n in tech.inter.names}
+            nominal = {p.name: np.array([p.mu]) for p in tech.inter}
             dev = tech.realize(pol, 20e-6, 0.5e-6, nominal, np.zeros((1, 4)))
             base[pol] = {q: np.asarray(getattr(dev, q)).reshape(-1)[0] for q in quantities}
 
@@ -82,9 +81,8 @@ class TestRealize:
         for name in tech.inter.names:
             moved = False
             for pol in ("n", "p"):
-                perturbed = {n: np.array([tech.inter[n].distribution.mean])
-                             for n in tech.inter.names}
-                sigma = max(tech.inter[name].distribution.std, 1e-12)
+                perturbed = {p.name: np.array([p.mu]) for p in tech.inter}
+                sigma = max(tech.inter[name].sigma, 1e-12)
                 perturbed[name] = perturbed[name] + 3.0 * sigma
                 dev = tech.realize(pol, 20e-6, 0.5e-6, perturbed, np.zeros((1, 4)))
                 for q in quantities:
@@ -98,8 +96,7 @@ class TestRealize:
 
     def test_mismatch_scores_shift_vth(self, tech_fixture, request):
         tech = request.getfixturevalue(tech_fixture)
-        nominal = {n: np.array([tech.inter[n].distribution.mean])
-                   for n in tech.inter.names}
+        nominal = {p.name: np.array([p.mu]) for p in tech.inter}
         plus = tech.realize("n", 20e-6, 1e-6, nominal,
                             np.array([[0.0, 3.0, 0.0, 0.0]]))
         ref = tech.realize("n", 20e-6, 1e-6, nominal, np.zeros((1, 4)))
@@ -125,8 +122,7 @@ class TestStackedRealize:
 
     def _stack(self, tech, polarity, per_row, n=64, k=5):
         rng = np.random.default_rng(21)
-        inter = {name: tech.inter[name].distribution.sample(n, rng)
-                 for name in tech.inter.names}
+        inter = {p.name: rng.normal(p.mu, p.sigma, size=n) for p in tech.inter}
         columns = n if per_row else 1
         w = rng.uniform(tech.wmin, 100e-6, size=(k, columns))
         l = rng.uniform(tech.lmin, 4e-6, size=(k, columns))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.units import MEGA, PICO, db_to_ratio, deg, rad, ratio_to_db
+from repro.units import db_to_ratio, deg, rad, ratio_to_db
 
 
 class TestDbConversions:
@@ -39,9 +39,3 @@ class TestAngles:
     def test_array(self):
         out = deg(np.array([0.0, np.pi / 2]))
         np.testing.assert_allclose(out, [0.0, 90.0])
-
-
-class TestPrefixes:
-    def test_values(self):
-        assert MEGA == 1e6
-        assert PICO == 1e-12

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.process.parameters import ParameterGroup, StatisticalParameter
-from repro.process.variation import IntraDieSpec, ProcessVariationModel
+from repro.process.variation import ProcessVariationModel
 
 
 @pytest.fixture
 def model():
     inter = ParameterGroup(
         [
-            StatisticalParameter.normal("TOXR", 1.0, 0.02),
-            StatisticalParameter.normal("VTHR", 1.0, 0.03),
+            StatisticalParameter("TOXR", 1.0, 0.02),
+            StatisticalParameter("VTHR", 1.0, 0.03),
         ]
     )
     return ProcessVariationModel(inter, ["M1", "M2", "M3"])
@@ -27,12 +27,12 @@ class TestLayout:
     def test_paper_variable_counts(self):
         # Example 1: 20 inter + 15 devices x 4 = 80; example 2: 47 + 19*4 = 123.
         inter20 = ParameterGroup(
-            [StatisticalParameter.normal(f"p{i}") for i in range(20)]
+            [StatisticalParameter(f"p{i}") for i in range(20)]
         )
         m1 = ProcessVariationModel(inter20, [f"M{i}" for i in range(15)])
         assert m1.dimension == 80
         inter47 = ParameterGroup(
-            [StatisticalParameter.normal(f"p{i}") for i in range(47)]
+            [StatisticalParameter(f"p{i}") for i in range(47)]
         )
         m2 = ProcessVariationModel(inter47, [f"M{i}" for i in range(19)])
         assert m2.dimension == 123
@@ -74,7 +74,7 @@ class TestSampling:
         s = model.sample(5, np.random.default_rng(2))
         inter = model.inter_values(s)
         np.testing.assert_array_equal(inter["TOXR"], s[:, 0])
-        np.testing.assert_array_equal(model.inter_matrix(s), s[:, :2])
+        np.testing.assert_array_equal(inter["VTHR"], s[:, 1])
 
     def test_mismatch_column(self, model):
         s = model.sample(5, np.random.default_rng(3))
@@ -91,14 +91,3 @@ class TestSampling:
 
     def test_describe(self, model):
         assert "14 variables" in model.describe()
-
-
-class TestIntraDieSpec:
-    def test_default_variables(self):
-        spec = IntraDieSpec()
-        assert spec.variables == ("dTOX", "dVTH0", "dLD", "dWD")
-        assert spec.per_device == 4
-
-    def test_custom_empty(self):
-        spec = IntraDieSpec(())
-        assert spec.per_device == 0
