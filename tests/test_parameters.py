@@ -50,6 +50,13 @@ class TestSampling:
         assert a.shape == (100, 3)
         np.testing.assert_array_equal(a, b)
 
+    def test_sampling_reproducible(self):
+        one = ParameterGroup([StatisticalParameter("x", 1.0, 0.1)])
+        a = one.sample(10, np.random.default_rng(3))
+        b = one.sample(10, np.random.default_rng(3))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a[:, 0], np.random.default_rng(3).normal(1.0, 0.1, size=10))
+
     def test_negative_count_rejected(self, group):
         with pytest.raises(ValueError):
             group.sample(-1, np.random.default_rng(0))
