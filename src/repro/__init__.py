@@ -49,8 +49,8 @@ The paper's Tables 1-4 are two such sweeps, checked in as JSON specs
 ``python -m repro sweep --spec <file>``.
 
 Results serialize losslessly (``result.to_dict()`` /
-``MOHECOResult.from_dict``), and third-party problems, methods, samplers
-and caches plug in by name via ``repro.api.register_*``.
+``MOHECOResult.from_dict``), and third-party problems, methods and
+samplers plug in by name via ``repro.api.register_*``.
 
 Execution engine
 ----------------
@@ -65,19 +65,12 @@ draws stay in per-candidate RNG streams, so any
 ``optimize(engine=...)`` gives the bit-identical result.  The parallel
 path is the sweep above: ``repro sweep --workers N`` shards whole runs.
 
-The engine can carry a **warm-start evaluation cache** (``cache="lru"``,
-``--cache lru``, optionally with a JSONL spill file shared across runs):
-repeated ``(design, sample-block)`` evaluations replay memoized rows
-instead of re-simulating.  Replayed rows stay ledger-faithful — charged to
-their category and reported under the separate ``cached`` column — so the
-paper-accounting totals and the seeded results are unchanged.
-
 Package map
 -----------
 * :mod:`repro.api` — the public facade: registries, RunSpec, optimize, CLI.
 * :mod:`repro.core` — the MOHECO engine, config, history, callbacks.
 * :mod:`repro.engine` — the fused serial engine for the refinement
-  rounds, and the warm-start cache.
+  rounds.
 * :mod:`repro.problems` — the paper's two circuits + synthetic problems.
 * :mod:`repro.circuit` — the analog evaluation substrate (devices, MNA,
   topologies, technologies).
@@ -108,7 +101,6 @@ from repro.core import (
     MOHECOConfig,
     MOHECOResult,
     Callback,
-    CheckpointCallback,
     EarlyStopOnYield,
     ProgressCallback,
 )
@@ -141,7 +133,6 @@ __all__ = [
     "Callback",
     "ProgressCallback",
     "EarlyStopOnYield",
-    "CheckpointCallback",
     # engine + data types
     "MOHECO",
     "MOHECOConfig",

@@ -3,7 +3,7 @@
 Everything a user (or a deployment) needs is reachable from here:
 
 * **Registries** — :func:`register_method` / :func:`get_method` /
-  :func:`list_methods` (and the problem/sampler/cache equivalents) let
+  :func:`list_methods` (and the problem/sampler equivalents) let
   third-party scenarios plug in by name.
 * **RunSpec** — a declarative, JSON-round-trippable description of one run.
 * **optimize** — the single driver behind every entry point (sweeps,
@@ -13,16 +13,12 @@ Everything a user (or a deployment) needs is reachable from here:
   :func:`~repro.sweep.executor.run_sweep`: whole runs sharded across a
   process pool, bit-identical to serial, with a resumable JSONL
   :class:`~repro.sweep.store.ResultStore`.
-* **Callbacks** — observe the generation loop: progress streaming, early
-  stopping, checkpointing.
+* **Callbacks** — observe the generation loop: progress streaming and
+  early stopping.
 * **Engine** — :class:`~repro.engine.serial.SerialEngine` executes the
   Monte-Carlo refinement rounds as fused, slab-grouped dispatches
   (:mod:`repro.engine`); ``optimize(engine=...)`` takes any
   :class:`~repro.engine.base.EvaluationEngine` instance.
-* **Caches** — warm-start evaluation caches (:mod:`repro.engine.cache`):
-  content-addressed replay of already-simulated sample blocks, with an
-  LRU byte budget and an optional JSONL spill file shared across runs;
-  ledger-faithful, selected via ``RunSpec.cache`` or ``--cache``.
 * **Screened methods** — ``moheco_screened`` and
   ``fixed_budget_screened`` run a MOHECO backbone with a BagNet-style
   surrogate screen in front of the simulator, configured by the run's
@@ -41,37 +37,24 @@ Quickstart
 from repro.api.driver import optimize, resolve_problem
 from repro.api.errors import SpecError, validate_run_spec, validate_sweep_spec
 from repro.api.registries import (
-    CACHES,
     METHODS,
     PROBLEMS,
     SAMPLERS,
-    get_cache,
     get_method,
     get_problem,
     get_sampler,
-    list_caches,
     list_methods,
     list_problems,
     list_samplers,
-    register_cache,
     register_method,
     register_problem,
     register_sampler,
 )
 from repro.api.spec import RunSpec
-from repro.engine import (
-    CacheStats,
-    EvaluationCache,
-    EvaluationEngine,
-    LRUEvaluationCache,
-    SerialEngine,
-    make_cache,
-    make_engine,
-)
+from repro.engine import EvaluationEngine, SerialEngine, make_engine
 from repro.core.callbacks import (
     Callback,
     CallbackList,
-    CheckpointCallback,
     EarlyStopOnYield,
     ProgressCallback,
     SweepProgressCallback,
@@ -119,24 +102,14 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    "CACHES",
-    "register_cache",
-    "get_cache",
-    "list_caches",
     # engine
     "EvaluationEngine",
     "SerialEngine",
     "make_engine",
-    # caches
-    "EvaluationCache",
-    "LRUEvaluationCache",
-    "CacheStats",
-    "make_cache",
     # callbacks
     "Callback",
     "CallbackList",
     "ProgressCallback",
     "SweepProgressCallback",
     "EarlyStopOnYield",
-    "CheckpointCallback",
 ]

@@ -21,11 +21,10 @@ as machine-readable JSON on stdout (progress lines move to stderr).
 
 Flags override a ``--spec`` file the same way for ``run``, ``sweep`` and
 ``submit`` (:func:`build_spec`): ``--problem``/``--method`` replace the
-names (a sweep's whole axis), ``--set`` and ``--problem-param`` merge into
-the overrides and problem parameters (of every method and problem of a
-sweep), and ``--cache`` switches the cache and drops the old one's
-parameters.  A flag the spec has no field for, such as ``submit
---seed`` with a sweep file, is an error, never dropped.  ``run`` and
+names (a sweep's whole axis), and ``--set`` and ``--problem-param`` merge
+into the overrides and problem parameters (of every method and problem of
+a sweep).  A flag the spec has no field for, such as ``submit --seed``
+with a sweep file, is an error, never dropped.  ``run`` and
 ``sweep`` then check the spec at the service's door
 (:func:`~repro.api.errors.validate_run_spec` /
 :func:`~repro.api.errors.validate_sweep_spec`) before anything runs, so a
@@ -60,12 +59,7 @@ from dataclasses import replace
 
 from repro.api.driver import optimize
 from repro.api.errors import SpecError, validate_run_spec
-from repro.api.registries import (
-    list_caches,
-    list_methods,
-    list_problems,
-    list_samplers,
-)
+from repro.api.registries import list_methods, list_problems, list_samplers
 from repro.api.spec import RunSpec
 from repro.core.callbacks import ProgressCallback, SweepProgressCallback
 from repro.sweep import SweepSpec, run_sweep
@@ -143,25 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable), e.g. --problem-param sigma=0.2",
     )
 
-    execution_flags = argparse.ArgumentParser(add_help=False)
-    execution_flags.add_argument(
-        "--cache",
-        help="warm-start evaluation cache of every run: 'lru' (content-"
-        "addressed LRU with a byte budget and an optional JSONL spill file "
-        "shared across runs).  Ledger-faithful: replayed rows are still "
-        "charged, so results and simulation totals match a cache-off run",
-    )
-    execution_flags.add_argument(
-        "--cache-param",
-        dest="cache_params",
-        action="append",
-        default=[],
-        type=_assignment,
-        metavar="KEY=VALUE",
-        help="cache factory parameter (repeatable), e.g. "
-        "--cache-param spill_path=cache.jsonl --cache-param max_bytes=67108864",
-    )
-
     output_flags = argparse.ArgumentParser(add_help=False)
     output_flags.add_argument(
         "--progress",
@@ -191,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        parents=[spec_flags, execution_flags, output_flags],
+        parents=[spec_flags, output_flags],
         help="execute one optimization run",
     )
     run.add_argument("--out", help="write {'spec', 'result'} JSON here")
 
     sweep = sub.add_parser(
         "sweep",
-        parents=[spec_flags, execution_flags, output_flags],
+        parents=[spec_flags, output_flags],
         help="execute a replicated methods x problems x seeds grid",
     )
     sweep.add_argument(
@@ -249,14 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--data-dir",
-        help="directory for job persistence and the shared cache spill "
-        "(default: a private temporary directory)",
-    )
-    serve_parser.add_argument(
-        "--no-shared-cache",
-        action="store_true",
-        help="disable the multi-tenant warm cache (jobs may still bring "
-        "their own via the spec's cache fields)",
+        help="directory for job persistence (default: a private temporary "
+        "directory)",
     )
 
     submit = sub.add_parser(
@@ -302,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     lister.add_argument(
         "category",
         nargs="?",
-        choices=["methods", "problems", "samplers", "caches"],
+        choices=["methods", "problems", "samplers"],
         help="one registry (default: all)",
     )
     return parser
@@ -340,15 +309,6 @@ def build_spec(args: argparse.Namespace) -> "RunSpec | SweepSpec":
     if args.problem_params:
         params = dict(args.problem_params)
         spec = _merged(spec, "problem_params", params, axis="problems")
-    name = getattr(args, "cache", None)  # submit has no cache flags
-    params = dict(getattr(args, "cache_params", ()))
-    if name:
-        # Switching caches drops the old one's parameters.
-        spec = replace(spec, cache=name, cache_params={})
-    if params:
-        if spec.cache is None:
-            raise SystemExit("error: --cache-param requires --cache (or a spec cache)")
-        spec = _merged(spec, "cache_params", params)
     return spec
 
 
@@ -377,14 +337,14 @@ def _flag_fields(args: argparse.Namespace, sweep: bool) -> dict:
     return fields
 
 
-def _merged(spec, field: str, extra: dict, axis: str | None = None):
-    """``spec`` with ``extra`` merged over its ``field`` dict; for a sweep
-    with an ``axis``, over that dict of every entry of the axis."""
+def _merged(spec, field: str, extra: dict, axis: str):
+    """``spec`` with ``extra`` merged over its ``field`` dict; for a sweep,
+    over that dict of every entry of ``axis``."""
 
     def merge(entry):
         return replace(entry, **{field: {**getattr(entry, field), **extra}})
 
-    if axis is not None and isinstance(spec, SweepSpec):
+    if isinstance(spec, SweepSpec):
         return replace(spec, **{axis: tuple(map(merge, getattr(spec, axis)))})
     return merge(spec)
 
@@ -442,14 +402,6 @@ def _command_run(args: argparse.Namespace) -> int:
             f"({result.generations} generations, {result.reason}{throughput})"
             + (f"; wrote {args.out}" if args.out else "")
         )
-        if result.cache_stats is not None:
-            stats = result.cache_stats
-            print(
-                f"cache[{spec.cache}]: hits={stats['hits']} "
-                f"misses={stats['misses']} rows_replayed={stats['hit_rows']} "
-                f"rows_simulated={stats['miss_rows']} "
-                f"entries={stats['entries']} bytes={stats['bytes']}"
-            )
     return 0
 
 
@@ -511,7 +463,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             args.port,
             workers=args.workers,
             data_dir=args.data_dir,
-            shared_cache=not args.no_shared_cache,
         )
     except (OSError, ValueError) as error:
         raise SystemExit(f"error: {error}") from error
@@ -624,7 +575,6 @@ def _command_list(args: argparse.Namespace) -> int:
         "methods": list_methods,
         "problems": list_problems,
         "samplers": list_samplers,
-        "caches": list_caches,
     }
     chosen = [args.category] if args.category else list(sections)
     for name in chosen:

@@ -9,13 +9,11 @@ through this function.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from repro.api.registries import METHODS, PROBLEMS
 from repro.api.spec import RunSpec
-from repro.engine import EvaluationCache, EvaluationEngine, make_cache, make_engine
+from repro.engine import EvaluationEngine, make_engine
 from repro.registry import Registry
 from repro.core.callbacks import Callback
 from repro.core.moheco import MOHECOResult
@@ -52,24 +50,6 @@ def resolve_problem(problem, problem_params: dict | None = None) -> YieldProblem
     return problem
 
 
-def _cache_namespace(problem, problem_params: dict | None) -> str:
-    """The key namespace of a driver-created cache; derived here alone.
-
-    Folding the resolved problem name + factory parameters into every key
-    keeps a shared spill file safe across sweep cells: ``sphere`` with
-    ``sigma=0.2`` can never replay rows computed for the default sigma.
-    Problems passed as ready-made objects have no factory identity here;
-    their keys fall back to the problem token alone.
-    """
-    if not isinstance(problem, str):
-        return ""
-    return json.dumps(
-        {"problem": problem, "problem_params": problem_params or {}},
-        sort_keys=True,
-        default=str,
-    )
-
-
 def optimize(
     problem,
     method: str | None = None,
@@ -80,8 +60,6 @@ def optimize(
     callbacks: Callback | list[Callback] | None = None,
     problem_params: dict | None = None,
     engine: EvaluationEngine | str | None = None,
-    cache: EvaluationCache | str | None = None,
-    cache_params: dict | None = None,
     **overrides,
 ) -> MOHECOResult:
     """Run one yield optimization and return its result.
@@ -116,17 +94,6 @@ def optimize(
         Any other value raises :class:`ValueError`.  Engines are
         seed-equivalent: the result is identical, only the wall-clock
         changes.  Whole runs go parallel through ``repro sweep --workers``.
-    cache / cache_params:
-        Warm-start evaluation cache for the refinement rounds: a
-        cache-registry name (``"lru"``; ``cache_params`` go to its
-        factory, e.g. ``max_bytes=..., spill_path=...``) or a ready
-        :class:`~repro.engine.cache.EvaluationCache` instance shared
-        across runs.  A cache argument overrides the spec's ``cache``
-        field.  Name-resolved caches are namespaced to the resolved
-        problem (+ params), and closed — spill flushed — when the run
-        finishes; instances are the caller's to share and close.  Replayed
-        rows are still charged, so the result is bit-identical to a
-        cache-off run.
     **overrides:
         Method/config overrides (``pop_size=20``, ``n_max=300``, ...).
 
@@ -149,50 +116,22 @@ def optimize(
         method = spec.method
         problem, problem_params = spec.problem, spec.problem_params
         overrides = {**spec.overrides, **overrides}
-        if cache is None:
-            # An explicit cache= argument beats the spec's cache field
-            # (same precedence as seed=).
-            cache = spec.cache
-            if cache_params is None and spec.cache_params:
-                cache_params = spec.cache_params
         if rng is None:
             # Explicit seed= beats the spec's seed (same precedence as the
             # non-spec path); rng= beats both.
             rng = seed if seed is not None else spec.seed
     elif rng is None:
         rng = seed
-    namespace = _cache_namespace(problem, problem_params)
     problem = resolve_problem(problem, problem_params)
-
-    if cache_params:
-        if cache is None:
-            raise TypeError("cache_params require a cache name (e.g. cache='lru')")
-        if not isinstance(cache, str):
-            raise TypeError(
-                "cache_params only apply when the cache is resolved by name; "
-                "configure the cache instance directly instead"
-            )
 
     runner = METHODS.get(method if method is not None else "moheco")
     # Third-party runners need not take an engine: pass one only when given.
     engine_kwargs = {"engine": make_engine(engine)} if engine is not None else {}
-    cache_obj = make_cache(cache, **(cache_params or {})) if cache is not None else None
-    owns_cache = cache_obj is not None and not isinstance(cache, EvaluationCache)
-    if owns_cache:
-        # Keys of driver-created caches carry the resolved problem identity,
-        # so one spill file can safely serve many problem configurations.
-        cache_obj.namespace = namespace
-    try:
-        cache_kwargs = {"cache": cache_obj} if cache_obj is not None else {}
-        return runner(
-            problem,
-            rng=rng,
-            ledger=ledger,
-            callbacks=callbacks,
-            **engine_kwargs,
-            **cache_kwargs,
-            **overrides,
-        )
-    finally:
-        if owns_cache:
-            cache_obj.close()
+    return runner(
+        problem,
+        rng=rng,
+        ledger=ledger,
+        callbacks=callbacks,
+        **engine_kwargs,
+        **overrides,
+    )

@@ -8,10 +8,10 @@ maps it to a 400 body clients can route on, and the CLI prints it as a
 (CLI error handling, tests) keeps working unchanged.
 
 :func:`validate_run_spec` / :func:`validate_sweep_spec` go one step past
-shape checking: they resolve every registry name (problem, method, cache),
-bind the problem and cache parameter names to the resolved factory and
-check their values, so a typo fails at submission time with the list of
-valid names — not minutes later inside a queued job.
+shape checking: they resolve every registry name (problem, method), bind
+the problem parameter names to the resolved factory and check their
+values, so a typo fails at submission time with the list of valid names —
+not minutes later inside a queued job.
 """
 
 from __future__ import annotations
@@ -81,10 +81,9 @@ def _check_params(registry, name: str, params: dict, field: str, spec: str) -> N
     """Bind ``params`` to the signature of the factory registered as
     ``name``, then run its ``validate_params`` hook on them, if it has one.
 
-    Nothing is constructed: building an LRU cache would open its spill
-    file, and building a circuit problem takes a while.  The built-in
-    problems' and cache's hooks are the value checks their factories run,
-    so the door and the run apply one rule.
+    Nothing is constructed: building a circuit problem takes a while.  The
+    built-in problems' hooks are the value checks their factories run, so
+    the door and the run apply one rule.
     """
     if not params:
         return
@@ -109,15 +108,6 @@ def _check_params(registry, name: str, params: dict, field: str, spec: str) -> N
         _refuse(lambda: validator(**params), field, spec)
 
 
-def _check_cache(spec, kind: str) -> None:
-    """The cache: the registry name, then the parameters."""
-    from repro.api.registries import CACHES
-
-    if spec.cache is not None:
-        _check_registry(CACHES, spec.cache, "cache", kind)
-        _check_params(CACHES, spec.cache, spec.cache_params, "cache_params", kind)
-
-
 def _check_overrides(runner, overrides: dict, field: str, spec: str) -> None:
     """Run the method's own overrides validator, if it declares one.
 
@@ -138,11 +128,11 @@ def validate_run_spec(spec) -> None:
     """Resolve every registry name a :class:`RunSpec` references.
 
     Raises :class:`SpecError` (with the offending field) for unregistered
-    problem/method/cache names, for problem/cache parameters the resolved
-    factory does not accept (by name, or by value via its
-    ``validate_params`` hook), and for overrides the resolved method itself
-    rejects (via its ``validate_overrides`` hook).  Shape errors (unknown
-    keys, wrong types) are already raised by ``RunSpec.from_dict`` itself.
+    problem/method names, for problem parameters the resolved factory does
+    not accept (by name, or by value via its ``validate_params`` hook), and
+    for overrides the resolved method itself rejects (via its
+    ``validate_overrides`` hook).  Shape errors (unknown keys, wrong types)
+    are already raised by ``RunSpec.from_dict`` itself.
     """
     from repro.api.registries import METHODS, PROBLEMS
 
@@ -154,7 +144,6 @@ def validate_run_spec(spec) -> None:
     _check_overrides(
         METHODS.get(spec.method), spec.overrides, "overrides", "RunSpec"
     )
-    _check_cache(spec, "RunSpec")
 
 
 def validate_sweep_spec(spec) -> None:
@@ -181,4 +170,3 @@ def validate_sweep_spec(spec) -> None:
             f"{field}_params",
             "SweepSpec",
         )
-    _check_cache(spec, "SweepSpec")

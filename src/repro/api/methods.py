@@ -68,7 +68,6 @@ def run_pswcd(
     ledger=None,
     callbacks=None,
     engine=None,
-    cache=None,
     **overrides,
 ):
     """PSWCD sizing, adapted to the common :class:`MOHECOResult` shape.
@@ -81,10 +80,9 @@ def run_pswcd(
     Callback support is partial: PSWCD drives a plain DE loop with no
     staged yield estimation, so only ``on_run_start`` and ``on_stop`` fire;
     generation-level observers (``ProgressCallback``, ``EarlyStopOnYield``)
-    have nothing to hook into here.  The ``engine`` and ``cache`` arguments
-    are likewise accepted but unused — PSWCD performs no Monte-Carlo
-    refinement rounds, so there is nothing for an execution backend to fuse
-    or for a warm-start cache to replay.
+    have nothing to hook into here.  The ``engine`` argument is likewise
+    accepted but unused — PSWCD performs no Monte-Carlo refinement rounds,
+    so there is nothing for an execution backend to fuse.
     """
     settings = _pswcd_settings(overrides)
     ledger = ledger if ledger is not None else SimulationLedger()

@@ -1,9 +1,8 @@
-"""The four public plugin registries and their register/get/list helpers.
+"""The three public plugin registries and their register/get/list helpers.
 
-Samplers, problems and evaluation caches live next to their
-implementations (:data:`repro.sampling.SAMPLERS`,
-:data:`repro.problems.PROBLEMS`, :data:`repro.engine.CACHES`); the method
-registry is owned here.  All four share
+Samplers and problems live next to their implementations
+(:data:`repro.sampling.SAMPLERS`, :data:`repro.problems.PROBLEMS`); the
+method registry is owned here.  All three share
 :class:`~repro.registry.Registry` semantics: case-insensitive
 names, :class:`~repro.registry.DuplicateNameError` on re-registration, and
 unknown-name errors that list what *is* registered.
@@ -20,7 +19,6 @@ third-party algorithm — is driven identically by
 
 from __future__ import annotations
 
-from repro.engine import CACHES
 from repro.problems import PROBLEMS
 from repro.registry import Registry
 from repro.sampling import SAMPLERS
@@ -38,10 +36,6 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    "CACHES",
-    "register_cache",
-    "get_cache",
-    "list_caches",
 ]
 
 #: Name -> optimization-method runner (see module docstring for signature).
@@ -92,17 +86,3 @@ def list_samplers() -> list[str]:
     """Sorted names of the registered samplers."""
     return SAMPLERS.names()
 
-
-def register_cache(name: str, cache_cls=None, *, overwrite: bool = False):
-    """Register an :class:`~repro.engine.cache.EvaluationCache` class."""
-    return CACHES.register(name, cache_cls, overwrite=overwrite)
-
-
-def get_cache(name: str):
-    """The evaluation-cache class registered under ``name``."""
-    return CACHES.get(name)
-
-
-def list_caches() -> list[str]:
-    """Sorted names of the registered evaluation caches."""
-    return CACHES.names()

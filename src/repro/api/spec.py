@@ -94,15 +94,6 @@ def _check_int(
         )
 
 
-def _check_cache_fields(spec_obj, spec: str) -> None:
-    """The cache fields a Run- or SweepSpec share."""
-    _check_name(spec_obj.cache, "cache", spec, optional=True)
-    if spec_obj.cache_params and spec_obj.cache is None:
-        raise SpecError(
-            "cache_params require a cache name", field="cache_params", spec=spec
-        )
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One optimization run, described declaratively.
@@ -122,14 +113,6 @@ class RunSpec:
         Keyword arguments for the problem factory.
     overrides:
         Method/config overrides (e.g. ``{"pop_size": 20, "n_max": 300}``).
-    cache:
-        Warm-start evaluation-cache registry name (``"lru"``); ``None``
-        disables caching.  Replayed rows are still charged, so a cache
-        never changes the seeded result or the simulation totals — it is
-        a deployment knob, not an algorithm knob.
-    cache_params:
-        Keyword arguments for the cache factory (e.g. ``{"max_bytes":
-        67108864, "spill_path": "cache.jsonl"}``).
     tag:
         Free-form label carried through to reports.
     """
@@ -139,20 +122,16 @@ class RunSpec:
     seed: int | None = None
     problem_params: dict = field(default_factory=dict)
     overrides: dict = field(default_factory=dict)
-    cache: str | None = None
-    cache_params: dict = field(default_factory=dict)
     tag: str | None = None
 
     def __post_init__(self) -> None:
         _check_name(self.problem, "problem", "RunSpec")
         _check_name(self.method, "method", "RunSpec")
         _check_int(self.seed, "seed", "RunSpec", 0, optional=True)
-        _check_cache_fields(self, "RunSpec")
         # Detach from caller-owned dicts: a frozen, hashable spec must not
         # change identity when the caller later mutates what it passed in.
         object.__setattr__(self, "problem_params", copy.deepcopy(self.problem_params))
         object.__setattr__(self, "overrides", copy.deepcopy(self.overrides))
-        object.__setattr__(self, "cache_params", copy.deepcopy(self.cache_params))
 
     def __hash__(self) -> int:
         # The dataclass-generated hash would choke on the dict fields; hash
@@ -169,10 +148,6 @@ class RunSpec:
         """Copy with a different seed (for replication sweeps)."""
         return replace(self, seed=seed)
 
-    def with_cache(self, cache: str | None, **cache_params) -> "RunSpec":
-        """Copy with a different warm-start cache configuration."""
-        return replace(self, cache=cache, cache_params=cache_params)
-
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-compatible representation."""
@@ -182,8 +157,6 @@ class RunSpec:
             "seed": self.seed,
             "problem_params": copy.deepcopy(self.problem_params),
             "overrides": copy.deepcopy(self.overrides),
-            "cache": self.cache,
-            "cache_params": copy.deepcopy(self.cache_params),
             "tag": self.tag,
         }
 
@@ -213,8 +186,6 @@ class RunSpec:
             seed=_coerce_int(data, "seed", "RunSpec"),
             problem_params=_coerce_dict(data, "problem_params", "RunSpec"),
             overrides=_coerce_dict(data, "overrides", "RunSpec"),
-            cache=data.get("cache"),
-            cache_params=_coerce_dict(data, "cache_params", "RunSpec"),
             tag=_coerce_text(data, "tag", "RunSpec"),
         )
 

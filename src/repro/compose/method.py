@@ -15,7 +15,7 @@ does); a screened method also takes the per-run ``screen_params`` dict.
 Screening happens *before* the step-3 feasibility check, so a pruned
 trial charges zero simulations; the ledger's ``pruned`` column counts
 them, and every decision is appended to ``MOHECOResult.screen_trace``
-(part of the result identity, bit-identical across engines and caches).
+(part of the result identity, bit-identical across engines).
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def moheco_runner(backbone: str, description: str, *, screened: bool = False):
         ledger=None,
         callbacks=None,
         engine=None,
-        cache=None,
         **overrides,
     ):
         config, mf_params, screen_params = split(overrides)
@@ -124,7 +123,6 @@ def moheco_runner(backbone: str, description: str, *, screened: bool = False):
             rng=rng,
             callbacks=callbacks,
             engine=engine,
-            cache=cache,
             mf_params=mf_params,
             screen_params=screen_params,
         ).run()

@@ -8,7 +8,7 @@ simulations — the ledger's ``pruned`` column records them instead.
 
 Determinism contract: the screen's decisions depend only on the run's
 seed and the (engine-invariant) estimation results — never on
-wall-clock, engine choice, worker count or cache state — because every
+wall-clock, engine choice or worker count — because every
 decision lands on ``MOHECOResult.screen_trace``, which is part of the
 result *identity*.  The :class:`SurrogateScreener` satisfies this by
 drawing all of its randomness from a private stream spawned from the
@@ -135,7 +135,7 @@ class SurrogateScreener:
         y = np.array(self._train_y[-self.max_train :])
         # A fresh model per refit with its own spawned stream: the RNG
         # consumption is a deterministic function of the refit count, so
-        # score sequences replay bit-identically across engines and caches.
+        # score sequences replay bit-identically across engines.
         self._model = ResponseSurfaceYieldModel(
             n_hidden=self.n_hidden,
             n_restarts=self.n_restarts,

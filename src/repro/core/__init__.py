@@ -16,7 +16,6 @@
 from repro.core.callbacks import (
     Callback,
     CallbackList,
-    CheckpointCallback,
     EarlyStopOnYield,
     ProgressCallback,
 )
@@ -36,5 +35,4 @@ __all__ = [
     "CallbackList",
     "ProgressCallback",
     "EarlyStopOnYield",
-    "CheckpointCallback",
 ]

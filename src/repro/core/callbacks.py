@@ -1,8 +1,8 @@
 """Observer protocol for the MOHECO generation loop.
 
 Callbacks turn the engine from a black box into an observable process:
-progress streaming, early stopping and checkpointing all hang off the same
-four hooks, which fire at well-defined points of the paper's Fig.-4 flow:
+progress streaming and early stopping hang off the same hooks, which fire
+at well-defined points of the paper's Fig.-4 flow:
 
 * :meth:`Callback.on_run_start` — before generation 0 is evaluated.
 * :meth:`Callback.on_generation_end` — after each generation's record is
@@ -35,8 +35,6 @@ sweep hooks (per-run hooks would arrive out of order from a process pool).
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Iterable
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "ProgressCallback",
     "SweepProgressCallback",
     "EarlyStopOnYield",
-    "CheckpointCallback",
     "wants_run_progress",
 ]
 
@@ -242,38 +239,3 @@ class EarlyStopOnYield(Callback):
 
     def on_generation_end(self, engine, record) -> bool:
         return record.best_yield >= self.target
-
-
-class CheckpointCallback(Callback):
-    """Writes the best-so-far state to a JSON file every ``every`` generations.
-
-    Snapshots are written to a sibling temp file and atomically renamed onto
-    ``path``, so a crash mid-write never destroys the previous checkpoint; a
-    final snapshot is written on stop with the full result.
-    """
-
-    def __init__(self, path, every: int = 1) -> None:
-        self.path = os.fspath(path)
-        self.every = max(1, int(every))
-
-    def _write(self, payload: dict) -> None:
-        tmp_path = f"{self.path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        os.replace(tmp_path, self.path)
-
-    def on_generation_end(self, engine, record) -> None:
-        if record.generation % self.every:
-            return
-        self._write(
-            {
-                "status": "running",
-                "generation": record.generation,
-                "best_yield": record.best_yield,
-                "best_violation": record.best_violation,
-                "simulations_total": record.simulations_total,
-            }
-        )
-
-    def on_stop(self, engine, result) -> None:
-        self._write({"status": "finished", "result": result.to_dict()})

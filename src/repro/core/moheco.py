@@ -44,7 +44,7 @@ from repro.core.callbacks import Callback, CallbackList
 from repro.core.config import MOHECOConfig
 from repro.core.history import GenerationRecord, OptimizationHistory
 from repro.core.state import Individual
-from repro.engine import EvaluationCache, EvaluationEngine, make_cache, make_engine
+from repro.engine import EvaluationEngine, make_engine
 from repro.ledger import SimulationLedger
 from repro.mf.driver import ladder_allocation
 from repro.ocba.sequential import OCBAReport, ocba_sequential
@@ -60,22 +60,16 @@ from repro.yieldsim.estimator import CandidateYieldState, YieldEstimate
 __all__ = ["MOHECO", "MOHECOResult", "result_identity", "select_one_to_one"]
 
 #: Result fields that describe how a run was produced, not what it is.
-OBSERVATIONAL_FIELDS = ("elapsed_seconds", "cache_stats")
+OBSERVATIONAL_FIELDS = ("elapsed_seconds",)
 
 
 def result_identity(data: dict) -> dict:
     """A :meth:`MOHECOResult.to_dict` payload minus its observational fields.
 
     The one identity rule for live results and for the payloads stored in
-    sweep records: drops :data:`OBSERVATIONAL_FIELDS` and the ledger's
-    ``cached`` column (how much was replayed, not what was computed).
+    sweep records: drops :data:`OBSERVATIONAL_FIELDS`.
     """
-    identity = {k: v for k, v in data.items() if k not in OBSERVATIONAL_FIELDS}
-    if isinstance(identity.get("ledger"), dict):
-        identity["ledger"] = {
-            k: v for k, v in identity["ledger"].items() if k != "cached"
-        }
-    return identity
+    return {k: v for k, v in data.items() if k not in OBSERVATIONAL_FIELDS}
 
 
 def select_one_to_one(population: list[Individual], trials: list[Individual]) -> None:
@@ -99,25 +93,20 @@ class MOHECOResult:
     ledger: SimulationLedger
     #: Wall-clock duration of the run (0 for results built by hand).
     elapsed_seconds: float = 0.0
-    #: Warm-start cache statistics for *this run* (hit/miss counters as
-    #: deltas, residency gauges absolute); ``None`` when no cache was
-    #: attached.  Purely observational — replayed rows are still charged,
-    #: so the rest of the result is bit-identical with or without a cache.
-    cache_stats: dict | None = None
     #: Per-generation ladder record of a run whose stage 1 climbs a
     #: fidelity ladder (``allocation="ladder"``, :mod:`repro.mf`): bracket
     #: index and, per rung, fidelity, members, gains, sample counts and
-    #: promotions; ``None`` under the other stage-1 policies.  Unlike the
-    #: observational fields above this is part of the result *identity* —
-    #: ladder decisions must be bit-identical across execution backends,
-    #: worker counts and cache states.
+    #: promotions; ``None`` under the other stage-1 policies.  Unlike
+    #: ``elapsed_seconds`` this is part of the result *identity* — ladder
+    #: decisions must be bit-identical across execution backends and
+    #: worker counts.
     fidelity_trace: list | None = None
     #: Per-generation record of a run with the surrogate screen
     #: (``screen_params``, :mod:`repro.compose`): refits, per-trial scores
     #: and every prune/keep decision; ``None`` for runs without the
     #: screen.  Like ``fidelity_trace`` this is part of the result
     #: *identity*: prune decisions must be bit-identical across execution
-    #: backends, worker counts and cache states.
+    #: backends and worker counts.
     screen_trace: list | None = None
 
     @property
@@ -141,7 +130,6 @@ class MOHECOResult:
             "n_simulations": int(self.n_simulations),
             "reason": str(self.reason),
             "elapsed_seconds": float(self.elapsed_seconds),
-            "cache_stats": self.cache_stats,
             "fidelity_trace": self.fidelity_trace,
             "screen_trace": self.screen_trace,
             "history": self.history.to_dict(),
@@ -149,19 +137,18 @@ class MOHECOResult:
         }
 
     def identity_dict(self) -> dict:
-        """:meth:`to_dict` minus wall-clock and cache-observability fields.
+        """:meth:`to_dict` minus the wall-clock field.
 
         This is the run's *result identity*: what must be byte-equal across
-        execution backends, worker counts, and cache states (warm vs cold).
-        Timing, the per-run cache stats and the ledger's ``cached`` column
-        legitimately differ — they describe how the result was produced,
+        execution backends and worker counts.  ``elapsed_seconds``
+        legitimately differs — it describes how the result was produced,
         not what it is.
         """
         return result_identity(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "MOHECOResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; keys it does not write are ignored."""
         estimate = data.get("best_estimate", {})
         return cls(
             best_x=np.asarray(data["best_x"], dtype=float),
@@ -175,7 +162,6 @@ class MOHECOResult:
             history=OptimizationHistory.from_dict(data.get("history", {})),
             ledger=SimulationLedger.from_dict(data.get("ledger", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            cache_stats=data.get("cache_stats"),
             fidelity_trace=data.get("fidelity_trace"),
             screen_trace=data.get("screen_trace"),
         )
@@ -204,14 +190,6 @@ class MOHECO:
         :class:`~repro.engine.serial.SerialEngine` (the default); any
         other value raises :class:`ValueError`.  Engines are
         seed-equivalent, so this is purely an execution choice.
-    cache:
-        Warm-start evaluation cache for the refinement rounds — an
-        :class:`~repro.engine.cache.EvaluationCache` instance (typically
-        shared across runs of the same problem; that is the point) or a
-        name in :data:`repro.engine.CACHES` (``"lru"``).
-        ``None`` (the default) disables caching.  Replayed rows are still
-        charged, so a cache never changes the seeded result or the
-        simulation totals — only the wall-clock.
     mf_params:
         Fidelity-ladder knobs ``{"eta", "r_min", "brackets"}`` (see
         :meth:`~repro.mf.ladder.FidelityLadder.from_params`); only valid
@@ -230,7 +208,6 @@ class MOHECO:
         rng: np.random.Generator | int | None = None,
         callbacks: Callback | list[Callback] | None = None,
         engine: EvaluationEngine | str | None = None,
-        cache: EvaluationCache | str | None = None,
         mf_params: dict | None = None,
         screen_params: dict | None = None,
     ) -> None:
@@ -240,12 +217,6 @@ class MOHECO:
         self.rng = ensure_rng(rng)
         self.callbacks = CallbackList(callbacks)
         self.engine = make_engine(engine)
-        # Name-resolved caches are ours to close (spill flushed) after the
-        # run; caller-supplied instances stay open for warm reuse.
-        self.cache = make_cache(cache)
-        self._owns_cache = self.cache is not None and not isinstance(
-            cache, EvaluationCache
-        )
         # A ladder allocation records every generation's climb; the record
         # rides onto the result as ``fidelity_trace``.
         self._ladder = ladder_allocation(self.config, mf_params)
@@ -255,8 +226,8 @@ class MOHECO:
         )
         # The screen's stream is spawned last, before any population draw,
         # so its decisions (the result's ``screen_trace``) depend only on
-        # the seed and the engine-invariant estimates, never on backend,
-        # worker count or cache state.
+        # the seed and the engine-invariant estimates, never on backend or
+        # worker count.
         self._screener = None
         self._screen_trace: list | None = None
         if screen_params is not None:
@@ -432,28 +403,8 @@ class MOHECO:
     # -- main loop -----------------------------------------------------------------------
     def run(self) -> MOHECOResult:
         """Execute the optimization and return the best design found."""
-        # The run's cache rides on the engine for the duration: every
-        # refinement round — OCBA, promotions, local search — consults it
-        # without any signature changes down the call chain.  A cache the
-        # caller attached to the engine directly is left alone.
-        previous_cache = self.engine.cache
-        if self.cache is not None:
-            self.engine.cache = self.cache
-        try:
-            return self._run()
-        finally:
-            if self.cache is not None:
-                self.engine.cache = previous_cache
-            if self._owns_cache:
-                self.cache.close()
-
-    def _run(self) -> MOHECOResult:
         cfg = self.config
         started_at = time.perf_counter()
-        # Stats are deltas against the attached cache's life so far: a
-        # cache warmed by earlier runs reports only *this* run's traffic.
-        cache = self.engine.cache
-        cache_stats_before = cache.stats.to_dict() if cache is not None else None
         history = OptimizationHistory()
         trigger = MemeticTrigger(cfg.ls_patience, cfg.yield_tolerance)
         self.callbacks.on_run_start(self)
@@ -579,9 +530,6 @@ class MOHECO:
             history=history,
             ledger=self.ledger,
             elapsed_seconds=time.perf_counter() - started_at,
-            cache_stats=(
-                cache.stats.delta(cache_stats_before) if cache is not None else None
-            ),
             fidelity_trace=self._ladder.trace if self._ladder is not None else None,
             screen_trace=self._screen_trace,
         )

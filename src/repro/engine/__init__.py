@@ -15,36 +15,15 @@ runs across processes (:mod:`repro.sweep.executor`).
 Sample draws stay in per-candidate RNG streams, so an engine only decides
 where the simulations run, never what they return: any
 :class:`~repro.engine.base.EvaluationEngine` instance passed as
-``optimize(engine=...)`` reproduces the seeded result.
-
-The engine can additionally carry a **warm-start evaluation cache**
-(:mod:`repro.engine.cache`, resolved by name through :data:`CACHES` /
-``RunSpec.cache`` / ``--cache``): each group of a round is partitioned
-into content-hash hits and misses, only the misses are simulated, and
-replayed rows are credited in the ledger's ``cached`` column without
-moving the paper-accounting totals.
+``optimize(engine=...)`` reproduces the seeded result.  Every row a
+round asks for is simulated and charged to its candidate's ledger
+category.
 """
 
 from repro.engine.base import EvaluationEngine
-from repro.engine.cache import (
-    CACHES,
-    CacheStats,
-    EvaluationCache,
-    LRUEvaluationCache,
-    make_cache,
-)
 from repro.engine.serial import SerialEngine
 
-__all__ = [
-    "EvaluationEngine",
-    "SerialEngine",
-    "make_engine",
-    "EvaluationCache",
-    "LRUEvaluationCache",
-    "CacheStats",
-    "CACHES",
-    "make_cache",
-]
+__all__ = ["EvaluationEngine", "SerialEngine", "make_engine"]
 
 
 def make_engine(kind) -> EvaluationEngine:

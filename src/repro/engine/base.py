@@ -38,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.cache import EvaluationCache
 from repro.yieldsim.estimator import CandidateYieldState, PendingRefinement
 
 __all__ = ["EvaluationEngine", "evaluate_pending", "scatter_round"]
@@ -51,8 +50,8 @@ def evaluate_pending(
     effects.
 
     ``samples`` is the group's ``(sum(k_i), ...)`` sample matrix, the
-    blocks' rows in block order: the engine's round buffer, or
-    ``np.concatenate`` of the blocks' own arrays.  Each candidate's design
+    blocks' rows in block order: the engine's round buffer, or a lone
+    block's own array.  Each candidate's design
     row is repeated for its own samples and the pairs resolve through
     ``problem.evaluate_pairs``.  Returns the stacked performance matrix in
     block order; ledger charging is :func:`scatter_round`'s job.
@@ -63,10 +62,7 @@ def evaluate_pending(
 
 
 def scatter_round(
-    problem,
-    pending: list[PendingRefinement],
-    performance: np.ndarray,
-    hit_rows: Sequence[int] | None = None,
+    problem, pending: list[PendingRefinement], performance: np.ndarray
 ) -> None:
     """Charge ledgers and feed each block its performance rows back.
 
@@ -74,12 +70,6 @@ def scatter_round(
     the stacked group — two vectorized ops instead of one ``specs.margins``
     + one boolean reduction per candidate — and each state receives its
     pre-sliced share.
-
-    ``hit_rows[i]`` counts the rows of block ``i`` that were replayed from
-    the warm-start cache instead of simulated (all of them or none).
-    Replayed rows are recorded under the ledger's ``cached`` column and
-    still charged to the block's category, so the paper-accounting totals
-    match a cache-off run exactly.
     """
     margins = problem.specs.margins(performance)
     passed = np.all(margins >= 0.0, axis=1)
@@ -87,11 +77,9 @@ def scatter_round(
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
     pass_counts = np.add.reduceat(passed, starts)
     offset = 0
-    for i, (block, size, n_passed) in enumerate(zip(pending, sizes, pass_counts)):
+    for block, size, n_passed in zip(pending, sizes, pass_counts):
         ledger = block.state.ledger
         if ledger is not None:
-            if hit_rows is not None and hit_rows[i]:
-                ledger.record_cached(int(hit_rows[i]))
             ledger.charge(size, category=block.category)
         stop = offset + size
         block.state.absorb(
@@ -111,13 +99,6 @@ class EvaluationEngine(ABC):
     instance); subclasses implement :meth:`refine_round`.  Engines hold no
     per-run state, so one engine instance can serve many runs.
     """
-
-    #: Optional warm-start cache consulted on every refinement round.  The
-    #: MOHECO loop attaches the run's cache here (:mod:`repro.engine.cache`);
-    #: the engine partitions each group of a round into hits and misses,
-    #: simulates only the misses, and splices the replayed rows back —
-    #: ledger-faithfully — via :func:`scatter_round`.
-    cache: EvaluationCache | None = None
 
     @abstractmethod
     def refine_round(

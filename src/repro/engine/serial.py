@@ -11,12 +11,12 @@ OCBA hot path (see ``benchmarks/test_bench_engine.py``).
 
 :meth:`SerialEngine.refine_round` streams a round in groups of at most
 :data:`~repro.problems.base.SLAB_ROWS` rows: prepare candidates in order
-until the next block would overflow the group, partition the group
-against the warm-start cache, :func:`~repro.engine.base.evaluate_pending`
-its misses, scatter it, drop it, go on.  A stage-2 round refines every
-promoted candidate to ``n_max`` samples and can reach tens of thousands of
-rows; grouping keeps its resident samples at one group (one evaluator
-slab) instead of the whole round.  Each candidate owns its RNG stream and
+until the next block would overflow the group,
+:func:`~repro.engine.base.evaluate_pending` it, scatter it, drop it, go
+on.  Every row a round asks for is simulated.  A stage-2 round refines
+every promoted candidate to ``n_max`` samples and can reach tens of
+thousands of rows; grouping keeps its resident samples at one group (one
+evaluator slab) instead of the whole round.  Each candidate owns its RNG stream and
 screener and appears once per round, so its draw-then-absorb order, and
 every estimate and ledger total, is the same however the round is cut.
 
@@ -30,8 +30,7 @@ simulated from the buffer's leading rows: a group never holds its samples
 twice.  The round's next group overwrites the buffer, which is why
 :meth:`~repro.sampling.acceptance.LinearMarginScreener.update` copies the
 rows it trains on.  A lone block wider than the buffer is simulated from
-its own array, and a cache's miss subset is stacked with
-``np.concatenate``.  The buffer lives for one call, so one engine instance
+its own array.  The buffer lives for one call, so one engine instance
 stays shareable across threads.
 """
 
@@ -40,20 +39,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.base import EvaluationEngine, evaluate_pending, scatter_round
-from repro.engine.cache import CachedRound
 from repro.problems.base import SLAB_ROWS
 
 __all__ = ["SerialEngine"]
 
 
 class SerialEngine(EvaluationEngine):
-    """Default engine: fused rounds, evaluated in-process.
-
-    With a warm-start cache attached each group is partitioned first: the
-    miss blocks form one (smaller) stacked dispatch, hit blocks replay
-    their memoized rows, and the splice preserves block order — so the
-    absorbed estimates are bit-identical to the cache-off path.
-    """
+    """Default engine: fused rounds, evaluated in-process."""
 
     def refine_round(self, problem, states, gains, category=None):
         # A group stacks at most SLAB_ROWS rows (a lone larger block forms
@@ -85,12 +77,4 @@ class SerialEngine(EvaluationEngine):
         # A lone block wider than the buffer is simulated from its own array.
         buffered = buffer is not None and rows <= len(buffer)
         samples = buffer[:rows] if buffered else group[0].samples
-        if self.cache is None:
-            scatter_round(problem, group, evaluate_pending(problem, group, samples))
-            return
-        round_ = CachedRound(self.cache, problem, group)
-        missed = None
-        if round_.misses:
-            stacked = np.concatenate([block.samples for block in round_.misses])
-            missed = evaluate_pending(problem, round_.misses, stacked)
-        scatter_round(problem, group, round_.assemble(missed), round_.hit_rows)
+        scatter_round(problem, group, evaluate_pending(problem, group, samples))

@@ -18,14 +18,9 @@ Design notes
   prunes whole *candidates* before any of their samples are drawn.
   Pruned candidates charge zero simulations; the count of pruned
   candidates is recorded under the ``pruned`` column so efficiency
-  reports can show what the screener saved.  Unlike ``cached`` the column is deterministic — prune decisions
-  are part of the result identity — so it participates in cross-backend
-  equality checks.
-* Warm-start caching replays performance rows the run (or a previous run)
-  already computed.  Replayed rows are recorded under the separate
-  ``cached`` column and are *still* charged to their category — the method
-  needed those samples, the machine just did not recompute them — so
-  :attr:`SimulationLedger.total` matches a cache-off run exactly.
+  reports can show what the screener saved.  The column is deterministic
+  — prune decisions are part of the result identity — so it participates
+  in cross-backend equality checks.
 * Categories let experiments break the total down (stage-1 OCBA sims,
   stage-2 max-N sims, feasibility checks, local search, reference MC).  The
   *reference* category is excluded from :attr:`total` because the paper's
@@ -49,7 +44,6 @@ class LedgerSnapshot:
     total: int
     by_category: dict[str, int]
     screened_out: int
-    cached: int = 0
     pruned: int = 0
 
     def delta(self, earlier: "LedgerSnapshot") -> int:
@@ -71,7 +65,6 @@ class SimulationLedger:
     def __init__(self) -> None:
         self._by_category: dict[str, int] = {}
         self._screened_out: int = 0
-        self._cached: int = 0
         self._pruned: int = 0
 
     # -- charging ---------------------------------------------------------
@@ -88,17 +81,6 @@ class SimulationLedger:
         if n < 0:
             raise ValueError(f"cannot record a negative screened count: {n}")
         self._screened_out += int(n)
-
-    def record_cached(self, n: int) -> None:
-        """Record ``n`` sample rows replayed from a warm-start cache.
-
-        This is observability, not accounting: the same rows are *also*
-        charged to their category via :meth:`charge`, so totals do not
-        move.
-        """
-        if n < 0:
-            raise ValueError(f"cannot record a negative cached count: {n}")
-        self._cached += int(n)
 
     def record_pruned(self, n: int) -> None:
         """Record ``n`` candidates a surrogate screener pruned unsimulated.
@@ -132,11 +114,6 @@ class SimulationLedger:
         return self._screened_out
 
     @property
-    def cached(self) -> int:
-        """Sample rows replayed from a warm-start evaluation cache."""
-        return self._cached
-
-    @property
     def pruned(self) -> int:
         """Candidates a surrogate screener pruned before simulation."""
         return self._pruned
@@ -155,7 +132,6 @@ class SimulationLedger:
             total=self.total,
             by_category=self.by_category(),
             screened_out=self._screened_out,
-            cached=self._cached,
             pruned=self._pruned,
         )
 
@@ -163,7 +139,6 @@ class SimulationLedger:
         """Zero all counters (used between experiment repetitions)."""
         self._by_category.clear()
         self._screened_out = 0
-        self._cached = 0
         self._pruned = 0
 
     # -- serialization -----------------------------------------------------
@@ -172,18 +147,17 @@ class SimulationLedger:
         return {
             "by_category": self.by_category(),
             "screened_out": self._screened_out,
-            "cached": self._cached,
             "pruned": self._pruned,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationLedger":
-        """Rebuild a ledger from :meth:`to_dict` output."""
+        """Rebuild a ledger from :meth:`to_dict` output (other keys are
+        ignored)."""
         ledger = cls()
         for category, count in data.get("by_category", {}).items():
             ledger.charge(int(count), category=category)
         ledger.record_screened(int(data.get("screened_out", 0)))
-        ledger.record_cached(int(data.get("cached", 0)))
         ledger.record_pruned(int(data.get("pruned", 0)))
         return ledger
 
@@ -191,6 +165,5 @@ class SimulationLedger:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self._by_category.items()))
         return (
             f"SimulationLedger(total={self.total}, {parts}, "
-            f"screened={self._screened_out}, cached={self._cached}, "
-            f"pruned={self._pruned})"
+            f"screened={self._screened_out}, pruned={self._pruned})"
         )

@@ -19,8 +19,8 @@ climbs the ladder under ``allocation="ladder"``.
 
 Every ladder decision (bracket, rung fidelities, gains, counts,
 promotions) is recorded on ``MOHECOResult.fidelity_trace``, which is part
-of the result *identity*: it must be bit-identical across engines,
-sweep worker counts and cache states.  That holds by construction —
+of the result *identity*: it must be bit-identical across engines and
+sweep worker counts.  That holds by construction —
 the schedule is arithmetic over candidate estimates, and estimates are
 already engine-invariant (sample generation stays in-parent, per
 candidate, on private RNG streams).

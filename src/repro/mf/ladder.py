@@ -19,8 +19,8 @@ candidates badly.
 
 The schedule is pure arithmetic over ``(R, r_min, eta, brackets)``: no
 RNG, no measurement, no engine state.  Every ladder decision is therefore
-bit-identical across execution backends, worker counts and cache states —
-the property ``MOHECOResult.fidelity_trace`` asserts in CI.
+bit-identical across execution backends and worker counts — the property
+``MOHECOResult.fidelity_trace`` asserts in CI.
 """
 
 from __future__ import annotations

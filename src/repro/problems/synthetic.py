@@ -137,12 +137,18 @@ class _MeanCost:
 def _check_params(**params) -> None:
     """The synthetic factories' value checks, also their ``validate_params``.
 
-    ``dimension`` is an integer >= 1 and every other parameter a finite
-    real number, except that ``cost_bound`` may be ``None`` (its default).
+    ``dimension`` is an integer >= 1, the noise scales ``sigma``,
+    ``sigma_perf`` and ``sigma_cost`` are finite and non-negative (the rule
+    of :class:`~repro.process.parameters.StatisticalParameter`), and every
+    other parameter is a finite real number, except that ``cost_bound``
+    may be ``None`` (its default).
     """
     for name, value in params.items():
         if name == "dimension":
             check_count(name, value, 1)
+        elif name.startswith("sigma"):
+            if check_real(name, value) < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         elif not (name == "cost_bound" and value is None):
             check_real(name, value)
 

@@ -1,8 +1,8 @@
 """Named plugin registries.
 
-The public API resolves methods, problems, samplers and caches by
-name through :class:`Registry` instances, so third-party scenarios plug in
-without touching library code::
+The public API resolves methods, problems and samplers by name through
+:class:`Registry` instances, so third-party scenarios plug in without
+touching library code::
 
     from repro.api import register_problem
 

@@ -6,10 +6,8 @@ adds the missing production pieces and nothing else:
 
 * :class:`~repro.service.jobs.JobManager` — validation at the door
   (structured :class:`~repro.api.errors.SpecError`), a FIFO job queue and
-  worker pool, per-job event logs, cooperative cancellation, a shared
-  ledger-faithful warm cache (one LRU spill file across all tenants), and
-  per-job persistence through the sweep
-  :class:`~repro.sweep.store.ResultStore`.
+  worker pool, per-job event logs, cooperative cancellation, and per-job
+  persistence through the sweep :class:`~repro.sweep.store.ResultStore`.
 * :class:`~repro.service.server.ServiceServer` / ``serve()`` — the
   stdlib-only HTTP surface: submit, poll, stream NDJSON progress, fetch,
   cancel (``repro serve``).

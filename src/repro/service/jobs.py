@@ -20,12 +20,6 @@ wire" and "a result is ready to fetch":
   polled by the MOHECO loop's ``on_generation_end`` hook (run jobs) or by
   the sweep executor's ``cancel`` flag (sweep jobs); the run winds down
   after its current generation.
-* **A shared warm cache** — jobs that do not bring their own cache get the
-  manager's LRU cache with one spill file shared across *all* jobs, so
-  concurrent tenants hammering the same problem warm-start each other.
-  The cache is ledger-faithful, so results stay bit-identical
-  (``MOHECOResult.identity_dict()``) to a direct ``optimize()`` call with
-  the same spec and seed.
 * **Persistence** — events append to ``job-<id>.events.ndjson``, run
   results land in ``job-<id>.json``, and sweep jobs write their records
   through the resumable JSONL :class:`~repro.sweep.store.ResultStore`
@@ -34,7 +28,6 @@ wire" and "a result is ready to fetch":
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import queue
@@ -83,8 +76,7 @@ class Job:
         self.id = job_id
         #: ``"run"`` or ``"sweep"``.
         self.kind = kind
-        #: The spec payload exactly as submitted (the injected shared
-        #: cache is execution detail, not identity — see JobManager).
+        #: The spec payload as validated (``RunSpec``/``SweepSpec.to_dict``).
         self.spec = spec
         self.state = "queued"
         self.created = time.time()
@@ -210,22 +202,15 @@ class JobManager:
         order.
     data_dir:
         Directory for per-job persistence (events NDJSON, result JSON,
-        sweep ResultStores) and the shared cache spill file.  ``None``
-        creates a private temporary directory that :meth:`close` removes.
-    shared_cache:
-        Attach the manager's shared warm cache (an LRU spill file under
-        ``data_dir``) to every job that does not configure its own cache.
-        Ledger-faithful, so it never changes results — only wall-clock —
-        and concurrent tenants on the same problem warm-start each other.
+        sweep ResultStores).  ``None`` creates a private temporary
+        directory that :meth:`close` removes.
+
+    A job computes exactly what a direct :func:`repro.api.optimize` (or
+    :func:`repro.sweep.run_sweep`) call with the same spec computes: the
+    manager changes where and when work runs, never its result.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int = 2,
-        data_dir=None,
-        shared_cache: bool = True,
-    ) -> None:
+    def __init__(self, *, workers: int = 2, data_dir=None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._tempdir = None
@@ -234,9 +219,6 @@ class JobManager:
             data_dir = self._tempdir.name
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
-        self.spill_path = (
-            os.path.join(self.data_dir, "cache-spill.jsonl") if shared_cache else None
-        )
         self.jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -374,19 +356,10 @@ class JobManager:
         self._persist_event(job, job.emit("state", state="running"))
         return True
 
-    def _shared_cache_fields(self, configured_cache) -> dict:
-        """Cache fields injected into a job without its own cache config."""
-        if configured_cache is not None or self.spill_path is None:
-            return {}
-        return {"cache": "lru", "cache_params": {"spill_path": self.spill_path}}
-
     def _execute_run_job(self, job: Job) -> None:
         from repro.api.driver import optimize
 
         spec = RunSpec.from_dict(job.spec)
-        injected = self._shared_cache_fields(spec.cache)
-        if injected:
-            spec = dataclasses.replace(spec, **injected)
         bridge = _RunJobBridge(job, on_event=lambda e: self._persist_event(job, e))
         result = optimize(spec, callbacks=[bridge])
         job.result = {"spec": job.spec, "result": result.to_dict()}
@@ -407,9 +380,6 @@ class JobManager:
         from repro.sweep.executor import run_sweep
 
         spec = SweepSpec.from_dict(job.spec)
-        injected = self._shared_cache_fields(spec.cache)
-        if injected:
-            spec = dataclasses.replace(spec, **injected)
         job.store_path = os.path.join(self.data_dir, f"job-{job.id}.store.jsonl")
         bridge = _SweepJobBridge(job, on_event=lambda e: self._persist_event(job, e))
         result = run_sweep(

@@ -94,8 +94,6 @@ def execute_run(payload: dict, *, progress=None, cancel=None) -> dict:
         if progress is not None or cancel is not None
         else None
     )
-    # A per-run cache is created (and its spill loaded) inside this worker;
-    # with a shared spill_path the sweep's runs warm-start each other.
     started = time.perf_counter()
     result = optimize(spec, rng=optimizer_rng, ledger=ledger, callbacks=bridge)
     elapsed = time.perf_counter() - started

@@ -51,19 +51,6 @@ class RunRecord:
         """|reported - reference| — the quantity of Tables 1 and 3."""
         return abs(self.reported_yield - self.reference_yield)
 
-    @property
-    def cache_stats(self) -> dict | None:
-        """Warm-start cache statistics of the run, from the result payload.
-
-        ``None`` when no cache was attached (or the producer dropped the
-        result).  Observational, like ``wall_seconds``: with a spill file
-        shared across sweep workers, hit counts depend on scheduling, so
-        the stats are excluded from :meth:`identity_dict`.
-        """
-        if not isinstance(self.result, dict):
-            return None
-        return self.result.get("cache_stats")
-
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-compatible representation (one ResultStore line's payload)."""

@@ -3,18 +3,17 @@
 A :class:`SweepSpec` is the multi-run analogue of
 :class:`~repro.api.spec.RunSpec`: a methods × problems × seeds grid plus
 the protocol scale (reference-MC size, generation cap) and the execution
-knobs (cache, worker count), as plain JSON-compatible data.
+knob (worker count), as plain JSON-compatible data.
 :meth:`SweepSpec.expand` turns the grid into concrete per-run
 :class:`RunSpec`\\ s; the per-run random streams are *not* stored — they
 derive deterministically from ``(base_seed, run_index)`` via
 :func:`repro.rng.run_streams`, which is what lets a process-sharded sweep
 reproduce the serial loop bit for bit.
 
-Execution knobs (``cache``/``cache_params``/``workers``) travel with the
-spec for convenience but are excluded from :meth:`SweepSpec.sweep_hash`:
-they change wall-clock, never results, so a store written by a 4-worker
-sweep resumes cleanly under 1 worker and vice versa.  (Caches qualify
-because replayed rows are still charged.)
+The execution knob ``workers`` travels with the spec for convenience but
+is excluded from :meth:`SweepSpec.sweep_hash`: it changes wall-clock,
+never results, so a store written by a 4-worker sweep resumes cleanly
+under 1 worker and vice versa.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field, fields
 from repro.api.errors import SpecError
 from repro.api.spec import (
     RunSpec,
-    _check_cache_fields,
     _check_name,
     _check_int,
     _coerce_dict,
@@ -215,14 +213,6 @@ class SweepSpec:
         Sweep-wide generation cap merged into every method's overrides
         (a method's own ``max_generations`` override wins); ``None``
         leaves the method defaults.
-    cache / cache_params:
-        Warm-start evaluation cache forwarded to every per-run
-        :class:`RunSpec`.  With a ``spill_path`` cache parameter the runs
-        of the sweep share one warm cache file (best-effort under
-        concurrent workers).  Replayed rows are still charged, which is
-        what makes the cache an execution knob: records stay
-        byte-identical to a cache-off sweep, so these fields are excluded
-        from :meth:`sweep_hash`.
     workers:
         Default process count for the sweep executor (1 = serial);
         ``None`` lets the executor decide.  Excluded from
@@ -237,8 +227,6 @@ class SweepSpec:
     base_seed: int = 20100308
     reference_n: int = 20_000
     max_generations: int | None = None
-    cache: str | None = None
-    cache_params: dict = field(default_factory=dict)
     workers: int | None = None
     tag: str | None = None
 
@@ -247,7 +235,6 @@ class SweepSpec:
         problems = _grid_axis(self.problems, ProblemSpec, "problems")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "problems", problems)
-        object.__setattr__(self, "cache_params", copy.deepcopy(self.cache_params))
         for axis, entries in (("methods", methods), ("problems", problems)):
             labels = [entry.label for entry in entries]
             if not labels:
@@ -262,7 +249,6 @@ class SweepSpec:
             optional = key in ("max_generations", "workers")
             _check_int(getattr(self, key), key, "SweepSpec", 1, optional=optional)
         _check_int(self.base_seed, "base_seed", "SweepSpec", 0)
-        _check_cache_fields(self, "SweepSpec")
 
     # -- derivation --------------------------------------------------------
     def expand(self) -> list[SweepRun]:
@@ -289,8 +275,6 @@ class SweepSpec:
                     seed=self.base_seed,
                     problem_params=problem.problem_params,
                     overrides=overrides,
-                    cache=self.cache,
-                    cache_params=self.cache_params,
                     tag=self.tag,
                 )
                 for run_index in range(self.runs):
@@ -316,9 +300,9 @@ class SweepSpec:
     def sweep_hash(self) -> str:
         """Hash of the result-determining fields (store resume validation).
 
-        Execution knobs (``cache``, ``cache_params``, ``workers``) and
-        the ``tag`` are excluded: two sweeps that differ only there produce
-        byte-identical records, so their stores are interchangeable.
+        The execution knob ``workers`` and the ``tag`` are excluded: two
+        sweeps that differ only there produce byte-identical records, so
+        their stores are interchangeable.
         """
         payload = {
             "methods": [m.to_dict() for m in self.methods],
@@ -341,8 +325,6 @@ class SweepSpec:
             "base_seed": self.base_seed,
             "reference_n": self.reference_n,
             "max_generations": self.max_generations,
-            "cache": self.cache,
-            "cache_params": copy.deepcopy(self.cache_params),
             "workers": self.workers,
             "tag": self.tag,
         }
@@ -379,8 +361,6 @@ class SweepSpec:
             base_seed=_coerce_int(data, "base_seed", "SweepSpec", 20100308),
             reference_n=_coerce_int(data, "reference_n", "SweepSpec", 20_000),
             max_generations=_coerce_int(data, "max_generations", "SweepSpec"),
-            cache=data.get("cache"),
-            cache_params=_coerce_dict(data, "cache_params", "SweepSpec"),
             workers=_coerce_int(data, "workers", "SweepSpec"),
             tag=_coerce_text(data, "tag", "SweepSpec"),
         )

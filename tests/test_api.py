@@ -379,6 +379,20 @@ class TestResultSerialization:
         rebuilt = MOHECOResult.from_dict(data)
         assert rebuilt.identity_dict() == result.identity_dict()
 
+    def test_payload_with_cache_fields_still_loads(self, sphere):
+        # Result files written while runs could replay rows from a
+        # warm-start cache carry its per-run stats and the ledger's
+        # "cached" column; neither was part of the identity, and loading
+        # drops both.
+        result = optimize(sphere, seed=6, **TINY)
+        data = json.loads(json.dumps(result.to_dict()))
+        data["cache_stats"] = {"hits": 2, "misses": 5, "hit_rows": 30}
+        data["ledger"]["cached"] = 30
+        rebuilt = MOHECOResult.from_dict(data)
+        assert rebuilt.identity_dict() == result.identity_dict()
+        assert rebuilt.to_dict() == result.to_dict()
+        assert "cached" not in rebuilt.to_dict()["ledger"]
+
 
 class TestCLI:
     def test_run_writes_result_json(self, tmp_path, capsys):
@@ -425,12 +439,28 @@ class TestCLI:
     def test_list_command(self, capsys):
         assert cli_main(["list"]) == 0
         output = capsys.readouterr().out
-        for needle in ("moheco", "sphere", "lhs", "lru"):
+        for needle in ("moheco", "sphere", "lhs"):
             assert needle in output
 
     def test_run_requires_problem_or_spec(self):
         with pytest.raises(SystemExit):
             cli_main(["run"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--problem", "sphere", "--cache", "lru"],
+            ["sweep", "--problem", "sphere", "--cache-param", "max_bytes=5"],
+            ["serve", "--no-shared-cache"],
+            ["list", "caches"],
+        ],
+        ids=["run-cache", "sweep-cache-param", "serve-no-shared-cache", "list-caches"],
+    )
+    def test_retired_cache_flags_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2  # argparse's usage error
+        assert "cache" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spec_text, flags, named",
@@ -443,7 +473,17 @@ class TestCLI:
                 ["--problem", "sphere", "--problem-param", "dimension=abc"],
                 "RunSpec.problem_params",
             ),
+            (
+                None,
+                ["--problem", "sphere", "--problem-param", "sigma=-1"],
+                "RunSpec.problem_params: sigma must be non-negative",
+            ),
             ('{"problem": "sphere", "engine": "process"}', [], "RunSpec.engine: "),
+            (
+                '{"problem": "sphere", "cache": null, "cache_params": {}}',
+                [],
+                "RunSpec.cache: ",
+            ),
             (None, ["--problem", "sphere", "--seed", "-1"], "RunSpec.seed: "),
         ],
         ids=[
@@ -451,7 +491,9 @@ class TestCLI:
             "malformed-json",
             "bad-override-value",
             "bad-problem-param-value",
+            "negative-sigma",
             "retired-engine",
+            "retired-cache-keys",
             "negative-seed",
         ],
     )

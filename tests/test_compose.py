@@ -9,7 +9,7 @@ The load-bearing contracts:
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
 * ``screen_trace`` is part of the result identity: bit-identical across
-  engines and cold/warm caches.
+  engines.
 * Bad ``screen_params`` fail at spec-validation time as structured
   :class:`~repro.api.errors.SpecError`, not inside a queued run.
 """
@@ -258,21 +258,6 @@ class TestDeterminism:
         result = _run(engine=PerCandidateEngine())
         assert result.identity_dict() == baseline.identity_dict()
         assert result.screen_trace == baseline.screen_trace
-
-    def test_cold_and_warm_cache_agree(self):
-        from repro.engine.cache import make_cache
-
-        baseline = _run()
-        shared = make_cache("lru")
-        try:
-            cold = _run(cache=shared)
-            warm = _run(cache=shared)
-        finally:
-            shared.close()
-        assert cold.identity_dict() == baseline.identity_dict()
-        assert warm.identity_dict() == baseline.identity_dict()
-        assert warm.screen_trace == baseline.screen_trace
-        assert warm.cache_stats["hits"] > 0
 
 
 class TestSpecValidation:

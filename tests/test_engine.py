@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from repro.api import RunSpec, optimize
 import repro.engine.serial
-from repro.engine import EvaluationEngine, LRUEvaluationCache, SerialEngine, make_engine
+from repro.engine import EvaluationEngine, SerialEngine, make_engine
 from repro.engine.base import evaluate_pending, scatter_round
-from repro.engine.cache import CachedRound
 from repro.core.callbacks import Callback
 from repro.core.config import MOHECOConfig
 from repro.core.moheco import MOHECO
@@ -165,32 +164,21 @@ class TestRoundTemplate:
 
         monkeypatch.setattr(repro.engine.serial, "scatter_round", counted)
         problem = make_sphere_problem()
-        for cache in (None, LRUEvaluationCache()):
-            engine = SerialEngine()
-            engine.cache = cache
-            states, _ = _states(problem, n=3)
-            before = len(calls)
-            engine.refine_round(problem, states, [10, 10, 10])
-            assert len(calls) == before + 1, cache
-            assert all(state.n == 10 for state in states)
+        states, _ = _states(problem, n=3)
+        SerialEngine().refine_round(problem, states, [10, 10, 10])
+        assert len(calls) == 1
+        assert all(state.n == 10 for state in states)
 
 
 def _stacked(pending):
     return np.concatenate([block.samples for block in pending])
 
 
-def _whole_round(problem, states, gains, cache=None):
+def _whole_round(problem, states, gains):
     """The reference round: draw every block, then one stacked dispatch."""
     pending = [state.prepare(gain) for state, gain in zip(states, gains)]
     pending = [block for block in pending if block is not None]
-    if cache is None:
-        scatter_round(problem, pending, evaluate_pending(problem, pending, _stacked(pending)))
-        return
-    round_ = CachedRound(cache, problem, pending)
-    missed = None
-    if round_.misses:
-        missed = evaluate_pending(problem, round_.misses, _stacked(round_.misses))
-    scatter_round(problem, pending, round_.assemble(missed), round_.hit_rows)
+    scatter_round(problem, pending, evaluate_pending(problem, pending, _stacked(pending)))
 
 
 def _record_dispatches(monkeypatch) -> list[int]:
@@ -220,55 +208,31 @@ class TestStreamedRounds:
     #: overwrote in the engine's round buffer.
     AFTER = [2000] * len(GAINS)
 
-    def _cache_counts(self, cache):
-        stats = cache.stats
-        return (stats.hits, stats.misses, stats.hit_rows, stats.miss_rows)
-
-    @pytest.mark.parametrize("backend", ["serial", "lru"])
-    def test_round_over_two_slabs_matches_the_whole_round(self, backend, monkeypatch):
+    def test_round_over_two_slabs_matches_the_whole_round(self, monkeypatch):
         problem = make_sphere_problem(sigma=1.0)
         engine = SerialEngine()
-        reference_cache = None
-        passes = 1
-        if backend == "lru":
-            engine.cache = LRUEvaluationCache(max_bytes=None)
-            reference_cache = LRUEvaluationCache(max_bytes=None)
-            passes = 2  # cold, then warm on fresh states with the same streams
         dispatches = _record_dispatches(monkeypatch)
-        for warm in range(passes):
-            states, ledger = _states(problem, n=len(self.GAINS), screener=True)
-            reference, ref_ledger = _states(problem, n=len(self.GAINS), screener=True)
+        states, ledger = _states(problem, n=len(self.GAINS), screener=True)
+        reference, ref_ledger = _states(problem, n=len(self.GAINS), screener=True)
 
-            def refine(gains):
-                engine.refine_round(problem, states, gains)
-                _whole_round(problem, reference, gains, reference_cache)
-                assert _state_fingerprint(states, ledger) == _state_fingerprint(
-                    reference, ref_ledger
-                )
-                if reference_cache is not None:
-                    assert self._cache_counts(engine.cache) == (
-                        self._cache_counts(reference_cache)
-                    )
+        def refine(gains):
+            engine.refine_round(problem, states, gains)
+            _whole_round(problem, reference, gains)
+            assert _state_fingerprint(states, ledger) == _state_fingerprint(
+                reference, ref_ledger
+            )
 
-            refine(self.PILOT)
-            before = (ledger.total, len(dispatches))
-            refine(self.GAINS)
-            # The big round: screened, over two slabs, streamed in several
-            # dispatches of at most one group each.
-            assert ledger.total - before[0] > 2 * SLAB_ROWS
-            assert ledger.screened_out > 0
-            streamed = dispatches[before[1]:]
-            if warm:
-                assert streamed == []  # every block replayed
-            else:
-                assert len(streamed) > 1
-                assert max(streamed) <= SLAB_ROWS
-            refine(self.AFTER)
-        if backend == "lru":
-            # Cold: every block missed; warm: every block hit, none simulated.
-            blocks = 3 * len(self.GAINS)
-            assert self._cache_counts(engine.cache)[:2] == (blocks, blocks)
-            assert ledger.cached == ledger.total
+        refine(self.PILOT)
+        before = (ledger.total, len(dispatches))
+        refine(self.GAINS)
+        # The big round: screened, over two slabs, streamed in several
+        # dispatches of at most one group each.
+        assert ledger.total - before[0] > 2 * SLAB_ROWS
+        assert ledger.screened_out > 0
+        streamed = dispatches[before[1]:]
+        assert len(streamed) > 1
+        assert max(streamed) <= SLAB_ROWS
+        refine(self.AFTER)
 
     #: Bound on a one-slab round's traced peak, in the slab's sample bytes
     #: (``SLAB_ROWS`` rows of the process dimension).  Stacking a group's

@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 * The ladder schedule is pure arithmetic — ``fidelity_trace`` (part of
   the result *identity*, unlike the observational fields) is
-  bit-identical across engines and cache states.
+  bit-identical across engines.
 * Each rung promotes its top ``1/eta`` by pooled yield estimate
   (``CandidateYieldState.value``), the same number that is the
   selection fitness and the reported yield.
@@ -292,7 +292,7 @@ class TestMultiFidelityRun:
 
 
 class TestLadderDeterminism:
-    """The acceptance bar: bit-identical trace across engines and caches."""
+    """The acceptance bar: bit-identical trace across engines."""
 
     def test_engines_agree(self):
         # The fused engine against one refine per candidate.
@@ -300,26 +300,6 @@ class TestLadderDeterminism:
         result = _run_mf(engine=PerCandidateEngine())
         assert result.identity_dict() == baseline.identity_dict()
         assert result.fidelity_trace == baseline.fidelity_trace
-
-    def test_cold_and_warm_cache_agree(self):
-        baseline = _run_mf()
-        from repro.engine.cache import make_cache
-
-        shared = make_cache("lru")
-        cold = _run_mf(cache=shared)
-        warm = _run_mf(cache=shared)
-        shared.close()
-        assert cold.identity_dict() == baseline.identity_dict()
-        assert warm.identity_dict() == baseline.identity_dict()
-        assert warm.fidelity_trace == baseline.fidelity_trace
-        # The warm run replayed rows; same ladder decisions regardless.
-        assert warm.cache_stats["hit_rows"] > 0
-
-    def test_name_resolved_cache_keeps_identity(self):
-        # The driver builds and namespaces the cache; results do not move.
-        result = _run_mf(cache="lru")
-        assert result.identity_dict() == _run_mf().identity_dict()
-        assert result.cache_stats is not None
 
 
 def _run_screened_ladder(**kwargs):
@@ -355,42 +335,6 @@ class TestComposedLadder:
         baseline = _run_screened_ladder(engine="serial")
         result = _run_screened_ladder(engine=PerCandidateEngine())
         assert result.identity_dict() == baseline.identity_dict()
-
-    def test_cold_and_warm_cache_agree(self):
-        from repro.engine.cache import make_cache
-
-        baseline = _run_screened_ladder()
-        shared = make_cache("lru")
-        try:
-            cold = _run_screened_ladder(cache=shared)
-            warm = _run_screened_ladder(cache=shared)
-        finally:
-            shared.close()
-        assert cold.identity_dict() == baseline.identity_dict()
-        assert warm.identity_dict() == baseline.identity_dict()
-        assert warm.cache_stats["hit_rows"] > 0
-
-    def test_ladder_backbones_replay_every_row_warm(self):
-        # Block keys are the one key scheme: a warm re-run of a ladder
-        # method replays every row (fresh samples are drawn per rung, so
-        # there is no partial overlap to key rows for).
-        from repro.engine.cache import make_cache
-
-        for method, overrides in (
-            ("moheco_mf", {}),
-            ("moheco_screened", {"allocation": "ladder"}),
-        ):
-            baseline = _run_mf(method=method, **overrides).identity_dict()
-            shared = make_cache("lru")
-            try:
-                cold = _run_mf(method=method, cache=shared, **overrides)
-                warm = _run_mf(method=method, cache=shared, **overrides)
-            finally:
-                shared.close()
-            assert cold.identity_dict() == baseline, method
-            assert warm.identity_dict() == baseline, method
-            assert warm.cache_stats["miss_rows"] == 0, method
-            assert warm.cache_stats["hit_rows"] > 0, method
 
 
 class TestSpecValidation:

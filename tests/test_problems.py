@@ -92,6 +92,24 @@ class TestSyntheticGroundTruth:
         assert feasible and violation == 0.0
         assert problem.evaluator.analytic_yield(x, problem.specs) > 0.99
 
+    @pytest.mark.parametrize(
+        "factory, params",
+        [
+            (make_sphere_problem, {"sigma": -0.15}),
+            (make_quadratic_problem, {"sigma_perf": -0.2}),
+            (make_quadratic_problem, {"sigma_cost": -0.05}),
+        ],
+        ids=["sphere-sigma", "quadratic-sigma_perf", "quadratic-sigma_cost"],
+    )
+    def test_negative_noise_scale_rejected(self, factory, params):
+        # A negative scale mirrors every analytic yield: sigma = -0.15 put
+        # the sphere's optimum at ~1e-11 where 0.15 puts it at ~1.  The
+        # rule is StatisticalParameter's: non-negative, so 0 still builds.
+        (name,) = params
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            factory(**params)
+        factory(**{name: 0.0})
+
     def test_sphere_corner_is_infeasible(self):
         problem = make_sphere_problem()
         feasible, violation = problem.nominal_feasibility(np.zeros(4))

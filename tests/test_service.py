@@ -86,6 +86,12 @@ MALFORMED_SPECS = [
     ("run", dict(TINY_RUN, method=7), "method"),
     ("run", dict(TINY_RUN, seed=-1), "seed"),
     ("sweep", dict(TINY_SWEEP, base_seed=-5), "base_seed"),
+    # The retired warm-start cache's fields, as an older to_json() wrote
+    # them, and each on its own.
+    ("run", dict(TINY_RUN, cache=None, cache_params={}), "cache"),
+    ("run", dict(TINY_RUN, cache_params={"max_bytes": 5}), "cache_params"),
+    ("sweep", dict(TINY_SWEEP, cache=None, cache_params={}), "cache"),
+    ("sweep", dict(TINY_SWEEP, cache_params={"spill_path": "x"}), "cache_params"),
 ]
 
 
@@ -138,55 +144,28 @@ class TestSpecError:
         assert excinfo.value.field == "problem"
         assert "not_a_problem" in excinfo.value.reason
 
-    def test_engine_and_cache_params_bound_at_validation(self):
-        # Specs have no engine parameters to bind: the key itself is refused.
-        with pytest.raises(SpecError) as excinfo:
-            RunSpec.from_dict(dict(TINY_RUN, engine_params={"workerz": 2}))
-        assert excinfo.value.field == "engine_params"
-        spec = RunSpec(problem="sphere", cache="lru", cache_params={"max_byts": 5})
-        with pytest.raises(SpecError) as excinfo:
-            validate_run_spec(spec)
-        assert excinfo.value.field == "cache_params"
-        assert "max_bytes" in excinfo.value.reason
+    def test_params_are_bound_not_constructed(self):
+        # Validating a spec binds and checks the problem parameters; it
+        # never builds the problem.
+        built = []
 
-    def test_params_are_bound_not_constructed(self, tmp_path):
-        # A cache spill file must not be opened by validating the spec.
-        spill = tmp_path / "never.jsonl"
-        validate_run_spec(
-            RunSpec(
-                problem="sphere", cache="lru", cache_params={"spill_path": str(spill)}
+        def counted_problem(sigma: float = 0.15):
+            built.append(sigma)
+            return PROBLEMS.get("sphere")(sigma=sigma)
+
+        register_problem("counted_for_test", counted_problem)
+        try:
+            validate_run_spec(
+                RunSpec(problem="counted_for_test", problem_params={"sigma": 0.2})
             )
-        )
-        assert not spill.exists()
-
-    @pytest.mark.parametrize(
-        "field, name, params",
-        [
-            ("cache", "lru", {"max_bytes": -5}),
-            ("cache", "lru", {"max_bytes": "abc"}),
-            ("cache", "lru", {"spill_path": 5}),
-        ],
-        ids=[
-            "lru-max_bytes-negative",
-            "lru-max_bytes-str",
-            "lru-spill_path-int",
-        ],
-    )
-    def test_bad_param_values_fail_at_validation(self, tmp_path, field, name, params):
-        # The constructors' own value checks run at the door; validating
-        # creates no spill file.
-        spill = tmp_path / "never.jsonl"
-        if "spill_path" not in params:
-            params = {**params, "spill_path": str(spill)}
-        fields = {field: name, f"{field}_params": params}
-        for validate, spec in (
-            (validate_run_spec, RunSpec.from_dict(dict(TINY_RUN, **fields))),
-            (validate_sweep_spec, SweepSpec.from_dict(dict(TINY_SWEEP, **fields))),
-        ):
             with pytest.raises(SpecError) as excinfo:
-                validate(spec)
-            assert excinfo.value.field == f"{field}_params"
-        assert not spill.exists()
+                validate_run_spec(
+                    RunSpec(problem="counted_for_test", problem_params={"sigmaa": 1})
+                )
+            assert excinfo.value.field == "problem_params"
+        finally:
+            PROBLEMS.unregister("counted_for_test")
+        assert built == []
 
     def test_problem_params_bound_at_validation(self):
         # Bound to the factory's signature, nothing built: a misspelled
@@ -216,6 +195,9 @@ class TestSpecError:
             ("sphere", {"dimension": "abc"}),
             ("sphere", {"dimension": 0}),
             ("sphere", {"sigma": "wide"}),
+            ("sphere", {"sigma": -0.15}),
+            ("quadratic", {"sigma_perf": -0.2}),
+            ("quadratic", {"sigma_cost": -1}),
             ("quadratic", {"cost_bound": float("nan")}),
             ("telescopic", {"tech": "n90"}),
         ],
@@ -223,6 +205,9 @@ class TestSpecError:
             "sphere-dimension-str",
             "sphere-dimension-0",
             "sphere-sigma-str",
+            "sphere-sigma-negative",
+            "quadratic-sigma_perf-negative",
+            "quadratic-sigma_cost-negative",
             "quadratic-cost_bound-nan",
             "telescopic-tech-str",
         ],
@@ -248,18 +233,6 @@ class TestSpecError:
                 validate(spec)
             assert excinfo.value.field == field
             assert next(iter(params)) in excinfo.value.reason
-
-    def test_sweep_engine_and_cache_params_bound_at_validation(self):
-        with pytest.raises(SpecError) as excinfo:
-            SweepSpec.from_dict(dict(TINY_SWEEP, engine_params={"transfer": "shm"}))
-        assert excinfo.value.field == "engine_params"
-        assert excinfo.value.spec == "SweepSpec"
-        spec = SweepSpec.from_dict(
-            dict(TINY_SWEEP, cache="lru", cache_params={"keys": "sample"})
-        )
-        with pytest.raises(SpecError) as excinfo:
-            validate_sweep_spec(spec)
-        assert excinfo.value.field == "cache_params"
 
     def test_sweep_method_index_in_field(self):
         spec = SweepSpec.from_dict(
@@ -290,6 +263,7 @@ class TestSpecError:
         with pytest.raises(SpecError) as excinfo:
             parse(payload)
         assert excinfo.value.field == field
+        assert excinfo.value.spec == ("RunSpec" if kind == "run" else "SweepSpec")
 
 
 class TestSweepProgressBridge:
@@ -371,23 +345,6 @@ class TestJobManager:
             service_result = MOHECOResult.from_dict(job.result["result"])
         direct = optimize(RunSpec.from_dict(TINY_RUN))
         assert service_result.identity_dict() == direct.identity_dict()
-
-    def test_shared_cache_injected_and_warm(self, tmp_path):
-        with JobManager(workers=1, data_dir=str(tmp_path)) as manager:
-            first = manager.submit_run(TINY_RUN)
-            second = manager.submit_run(TINY_RUN)
-            for job in (first, second):
-                list(manager.follow_events(job.id))
-                assert job.state == "succeeded"
-            # The job's identity spec stays as submitted...
-            assert first.spec["cache"] is None
-            # ...but execution used the shared spill: the second job warm-starts.
-            stats = second.result["result"]["cache_stats"]
-            assert stats["hits"] > 0
-            assert (
-                first.result["result"]["best_yield"]
-                == second.result["result"]["best_yield"]
-            )
 
     def test_cancel_while_queued_never_runs(self, tmp_path):
         # One worker pinned on a slow job -> the second job sits queued.
@@ -484,15 +441,6 @@ class TestServiceHTTP:
         replay = list(service.events(job["id"], start=len(events) - 1, follow=False))
         assert replay == events[-1:]
 
-    def test_concurrent_tenants_share_the_warm_cache(self, service):
-        spec = dict(TINY_RUN, seed=303)
-        first = service.submit_run(spec)
-        service.wait(first["id"], timeout=120)
-        second = service.submit_run(spec)
-        service.wait(second["id"], timeout=120)
-        stats = service.result(second["id"])["result"]["result"]["cache_stats"]
-        assert stats["hits"] > 0
-
     def test_sweep_round_trip(self, service):
         job = service.submit_sweep(TINY_SWEEP)
         events = list(service.events(job["id"]))
@@ -551,12 +499,6 @@ class TestServiceHTTP:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"] == "invalid_spec"
         assert excinfo.value.payload["field"] == "engine"
-        with pytest.raises(ServiceError) as excinfo:
-            service.submit_sweep(
-                dict(TINY_SWEEP, cache="lru", cache_params={"max_byts": 5})
-            )
-        assert excinfo.value.status == 400
-        assert excinfo.value.payload["field"] == "cache_params"
 
     def test_remote_engine_is_refused_at_the_door(self, service):
         # Retired engines fail at the door, never mid-run.

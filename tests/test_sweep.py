@@ -68,7 +68,7 @@ class TestRunStreams:
 
 class TestSweepSpec:
     def test_json_round_trip(self):
-        spec = tiny_spec(cache="lru", tag="t")
+        spec = tiny_spec(workers=2, tag="t")
         assert SweepSpec.from_json(spec.to_json()) == spec
 
     @pytest.mark.parametrize("value", [True, 2.5, 0, "2"])
@@ -107,8 +107,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             tiny_spec(runs=0)
         with pytest.raises(ValueError):
-            tiny_spec(cache_params={"max_bytes": 2})  # no cache name
-        with pytest.raises(ValueError):
             tiny_spec(
                 methods=(MethodSpec("moheco"), MethodSpec("moheco"))
             )  # duplicate labels
@@ -124,7 +122,6 @@ class TestSweepSpec:
     def test_hash_covers_results_not_execution(self):
         spec = tiny_spec()
         assert spec.sweep_hash() == tiny_spec(workers=4).sweep_hash()
-        assert spec.sweep_hash() == tiny_spec(cache="lru").sweep_hash()
         assert spec.sweep_hash() == tiny_spec(tag="other").sweep_hash()
         assert spec.sweep_hash() != tiny_spec(runs=4).sweep_hash()
         assert spec.sweep_hash() != tiny_spec(base_seed=43).sweep_hash()
@@ -235,6 +232,31 @@ class TestResume:
         assert replayed.reused == spec.total_runs
         assert replayed.tables() == full.tables()
 
+    def test_store_with_retired_cache_fields_resumes(self, tmp_path, serial_result):
+        # Stores written while specs had a warm-start cache carry "cache":
+        # null and "cache_params": {} in the header's spec, and
+        # "cache_stats" and the ledger's "cached" column in every result.
+        # sweep_hash never covered the two spec fields, and it still reads
+        # what those stores wrote, so such a store resumes.
+        spec = tiny_spec()
+        assert spec.sweep_hash() == "dd195762b0fafa98"
+        path = tmp_path / "store.jsonl"
+        run_sweep(spec, workers=1, store=path)
+        header, *runs = map(json.loads, path.read_text().splitlines())
+        header["spec"].update(cache=None, cache_params={})
+        for line in runs:
+            line["record"]["result"]["cache_stats"] = None
+            line["record"]["result"]["ledger"]["cached"] = 0
+        kept = [header] + runs[:2]
+        path.write_text("".join(json.dumps(line) + "\n" for line in kept))
+        resumed = run_sweep(spec, store=path, resume=True)
+        assert (resumed.reused, resumed.executed) == (2, spec.total_runs - 2)
+        assert resumed.tables() == serial_result.tables()
+        for record, fresh in zip(resumed.records, serial_result.records):
+            assert MOHECOResult.from_dict(record.result).identity_dict() == (
+                MOHECOResult.from_dict(fresh.result).identity_dict()
+            )
+
     def test_caller_supplied_store_must_match_spec(self, tmp_path):
         spec = tiny_spec(runs=1)
         path = tmp_path / "store.jsonl"
@@ -341,12 +363,10 @@ class TestRunRecordPayload:
     def test_record_and_result_share_one_identity_rule(self):
         from repro.sweep import RunRecord
 
-        # lru fills every observational field the rule drops.
         result = optimize(
-            "sphere", seed=7, cache="lru", pop_size=8, n_max=100,
-            max_generations=4,
+            "sphere", seed=7, pop_size=8, n_max=100, max_generations=4
         )
-        assert result.cache_stats is not None
+        assert result.elapsed_seconds > 0.0  # the field the rule drops
         record = RunRecord(
             method="moheco", run_index=0, reported_yield=result.best_yield,
             reference_yield=1.0, n_simulations=result.n_simulations,
