@@ -21,6 +21,7 @@ from repro.circuit.topologies import (
     NetlistTwoStageOTA,
     TwoStageTelescopicAmplifier,
 )
+from repro.circuit.topologies.base import DesignSpace
 from repro.engine import SerialEngine
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_allocation
@@ -175,6 +176,39 @@ def test_netlist_ota_fused_evaluation(benchmark, ota, designs, rows):
     ``ota_tight``) and a full 2048-row slab: each row one 301-point AC solve."""
     rng = np.random.default_rng(6)
     X = np.repeat(ota.design_space().sample(designs, rng), rows // designs, axis=0)
+    samples = ota.variation.sample(len(X), rng)
+    out = benchmark(ota.evaluate_pairs, X, samples)
+    assert out.shape == (rows, 4)
+    assert np.all(np.isfinite(out))
+
+
+#: The design ``e2ebench/workloads.py`` boxes ``ota_tight`` around (the
+#: ``best_x`` of a full paper-config run), and the box's half-width as a
+#: share of each variable's range.
+OTA_TIGHT_CENTER = [
+    2.056875249165074e-05, 8.71624648715202e-05, 0.3438972763955166,
+    0.10724679716759553, 5.136739714004364e-13,
+]
+BOX_HALF_WIDTH = 0.005
+
+
+@pytest.mark.benchmark(group="evaluator")
+@pytest.mark.parametrize("designs, rows", [(6, 480), (8, 2048)])
+def test_netlist_ota_clustered_evaluation(benchmark, ota, designs, rows):
+    """The rounds of ``test_netlist_ota_fused_evaluation`` with every design
+    in ``ota_tight``'s box: a converging search's rows, whose unity-gain
+    crossings bunch within a few grid points where full-space designs
+    spread over dozens."""
+    rng = np.random.default_rng(6)
+    space = ota.design_space()
+    half = BOX_HALF_WIDTH * (space.upper - space.lower)
+    center = np.asarray(OTA_TIGHT_CENTER)
+    box = DesignSpace(
+        space.names,
+        np.maximum(center - half, space.lower),
+        np.minimum(center + half, space.upper),
+    )
+    X = np.repeat(box.sample(designs, rng), rows // designs, axis=0)
     samples = ota.variation.sample(len(X), rng)
     out = benchmark(ota.evaluate_pairs, X, samples)
     assert out.shape == (rows, 4)

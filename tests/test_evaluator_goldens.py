@@ -3,12 +3,17 @@
 ``tests/goldens/evaluators.json`` holds the sha256 of
 ``evaluate_pairs(X, samples).view(np.int64)`` for the folded-cascode and
 telescopic amplifiers (closed-form models) and the netlist OTA (stacked
-MNA/AC solve) at 1, 50, 700 and 2048 rows, in three shapes:
+MNA/AC solve) at 1, 50, 700 and 2048 rows, in four shapes:
 
 * ``pairs``: one random design per row, each at its own process sample;
 * ``shared``: one design row shared by every sample;
 * ``nominal``: one random design per row, all at the nominal process
-  point (the feasibility gate's shape).
+  point (the feasibility gate's shape);
+* ``clustered``: 8 designs drawn within +-0.5 % of each variable's range
+  around one random design (the box ``e2ebench/workloads.py`` puts
+  ``ota_tight`` in), each row at its own process sample.  Full-space
+  designs spread the netlist OTA's unity-gain crossings over the grid;
+  clustered ones bunch them, as in a converging optimization.
 
 A change to the evaluators' arithmetic that claims to change nothing must
 leave every hash as it is.  Like ``test_goldens.py``, the hashes are only
@@ -40,6 +45,7 @@ from repro.circuit.topologies import (
     NetlistTwoStageOTA,
     TwoStageTelescopicAmplifier,
 )
+from repro.circuit.topologies.base import DesignSpace
 
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "evaluators.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -49,9 +55,12 @@ CIRCUITS = {
     "telescopic": lambda: TwoStageTelescopicAmplifier(N90Technology()),
     "netlist_ota": lambda: NetlistTwoStageOTA(C035Technology()),
 }
-SHAPES = ("pairs", "shared", "nominal")
+SHAPES = ("pairs", "shared", "nominal", "clustered")
 ROWS = (1, 50, 700, 2048)
 CASES = [(c, s, r) for c in CIRCUITS for s in SHAPES for r in ROWS]
+#: Designs of a ``clustered`` case, and the half-width of their box as a
+#: share of each variable's range.
+CLUSTER_DESIGNS, CLUSTER_HALF_WIDTH = 8, 0.005
 
 
 def case_key(circuit: str, shape: str, rows: int) -> str:
@@ -68,6 +77,17 @@ def case_inputs(amp, shape: str, rows: int) -> tuple[np.ndarray, np.ndarray]:
     if shape == "nominal":
         nominal = amp.variation.nominal()
         return designs, np.broadcast_to(nominal, (rows, nominal.size))
+    if shape == "clustered":
+        space = amp.design_space()
+        half = CLUSTER_HALF_WIDTH * (space.upper - space.lower)
+        box = DesignSpace(
+            space.names,
+            np.maximum(designs[0] - half, space.lower),
+            np.minimum(designs[0] + half, space.upper),
+        )
+        cluster = box.sample(CLUSTER_DESIGNS, rng)
+        per_design = -(-rows // CLUSTER_DESIGNS)
+        return np.repeat(cluster, per_design, axis=0)[:rows], samples
     return designs, samples
 
 
