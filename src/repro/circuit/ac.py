@@ -40,6 +40,21 @@ half-plane (``Im > 0`` or ``Im < 0``) needs no unwrap correction, so its
 angle is read at those two points only; any other curve is unwrapped no
 further than the rightmost of them.  A single curve is read as a batch of
 one.  Every value equals the full-grid formula bit for bit.
+
+The three loop metrics thus read no point of a curve past one beyond its
+first failure of ``|H| >= 1`` (the second point covers a crossing that
+rounds past the first), except its last point, whose ``|H|`` says whether
+the curve crosses inside the grid at all.  :meth:`ACAnalysis.loop_metrics`
+solves only those points (see :func:`_bounded_response`) and reads them
+through the same functions, fed the ``|H|`` its crossing search took.  On
+the netlist OTA's 301-point grid the left-out points are the dearest: past
+the crossings of ``ota_tight``'s designs (points 220-231) the systems
+start to pick different pivot rows, which forces row merges.  A 2048-row
+call of designs in ``ota_tight``'s box solves 79% of its points and costs
+9.8 µs a row instead of 14.7, a 480-row call 11.0 instead of 14.5, and
+full-space designs, whose crossings spread, 19.3-19.7 instead of
+22.3-22.8 (2-CPU Xeon VM, one BLAS thread, medians of 10 alternating
+component-benchmark repetitions).
 """
 
 from __future__ import annotations
@@ -71,6 +86,10 @@ _DEFAULT_GRID: np.ndarray | None = None
 #: and 11.3 ms on later calls; over replayed ``ota_tight`` benchmark calls
 #: in one warm process, 103-row chunks came within 3% of 51-row ones.
 _SOLVE_ENTRY_BUDGET = 250_000
+
+#: Grid points a bounded solve's chunk solves past the furthest point that
+#: the curves before it read (see :func:`_bounded_response`).
+_CROSSING_MARGIN = 4
 
 
 def default_frequency_grid() -> np.ndarray:
@@ -106,33 +125,149 @@ def _stacked_response(
     without ``neg_idx`` each chunk's last division writes straight into its
     rows of the result.
 
-    A row is the same bit for bit whatever stack or chunk surrounds it: a
-    chunk whose systems pick different pivot rows turns a structural zero
-    into an explicit ``+0.0`` that a one-system chunk skips, which can flip
-    the sign of an exactly zero part (``np.angle(-1 - 0j)`` is ``-pi``), so
-    the ``+ 0.0`` ending each chunk makes every zero part ``+0.0``.
+    A row is the same bit for bit whatever stack, chunk or other grid
+    points surround it: a chunk whose systems pick different pivot rows
+    turns a structural zero into an explicit ``+0.0`` that a one-system
+    chunk skips, which can flip the sign of an exactly zero part
+    (``np.angle(-1 - 0j)`` is ``-pi``), so the ``+ 0.0`` ending each chunk
+    makes every zero part ``+0.0``.
     """
-    n_samples, dim = g.shape[0], g.shape[-1]
+    n_samples = g.shape[0]
     omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    out = np.empty((n_samples, len(omega)), dtype=complex)
+    chunk = _chunk_rows(len(omega), g.shape[-1])
+    for start in range(0, n_samples, chunk):
+        rows = slice(start, start + chunk)
+        _solve_into(out[rows], g[rows], c[rows], b, omega, out_idx, neg_idx)
+    return out
+
+
+def _chunk_rows(n_freq: int, dim: int) -> int:
+    """Systems per row chunk of a solve over ``n_freq`` points (see
+    :data:`_SOLVE_ENTRY_BUDGET`)."""
+    return max(1, _SOLVE_ENTRY_BUDGET // max(n_freq * dim * dim, 1))
+
+
+def _solve_into(
+    out: np.ndarray,
+    g: np.ndarray,
+    c: np.ndarray,
+    b: np.ndarray,
+    omega: np.ndarray,
+    out_idx: int | None,
+    neg_idx: int | None,
+) -> None:
+    """Write one chunk's output response over ``omega`` into ``out`` (``(S, F)``).
+
+    Without ``neg_idx`` the last division writes straight into ``out``.  The
+    closing ``+ 0.0`` makes every zero part ``+0.0`` (see
+    :func:`_stacked_response`).
+    """
     wanted = [i for i in (out_idx, neg_idx) if i is not None]
     if not wanted:
-        return np.zeros((n_samples, len(omega)), dtype=complex)
-    out = np.empty((n_samples, len(omega)), dtype=complex)
-    chunk = max(1, _SOLVE_ENTRY_BUDGET // max(len(omega) * dim * dim, 1))
-    for start in range(0, n_samples, chunk):
-        stop = start + chunk
-        rows = out[start:stop]
-        if neg_idx is None:
-            x = _eliminate(g[start:stop], c[start:stop], b, omega, out_idx, rows)
-            v = x[out_idx]
+        out[...] = 0.0
+        return
+    if neg_idx is None:
+        x = _eliminate(g, c, b, omega, out_idx, out)
+        v = x[out_idx]
+    else:
+        x = _eliminate(g, c, b, omega, min(wanted))
+        x = [0.0 if xi is None else xi for xi in x]
+        v = (x[out_idx] if out_idx is not None else 0.0) - x[neg_idx]
+    if v is not out:
+        out[...] = 0.0 if v is None else v
+    out += 0.0
+
+
+def _bounded_response(
+    g: np.ndarray,
+    c: np.ndarray,
+    b: np.ndarray,
+    frequencies: np.ndarray,
+    out_idx: int | None,
+    neg_idx: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_stacked_response` at the columns the loop metrics read, and
+    its ``|H|`` there; zero at every other column.
+
+    A curve's metrics read its columns up to one past its first failure of
+    ``|H| >= 1``, and its last column (see :meth:`ACAnalysis.loop_metrics`).
+    The first row chunk solves the whole grid, as :func:`_stacked_response`
+    does.  Each later chunk solves the columns that the furthest-reaching
+    curve seen so far read, plus :data:`_CROSSING_MARGIN` more; a curve that
+    has not failed early enough by then finishes over the rest of the grid.
+    The last column of every other curve is solved once, in one stack of its
+    own, after the chunks.  A chunk whose reach would leave at most the last
+    column unsolved solves the whole grid.
+
+    Every solved value equals :func:`_stacked_response`'s bit for bit (a
+    row is the same whatever surrounds it; see there).
+    """
+    n_samples, n_freq, dim = g.shape[0], len(frequencies), g.shape[-1]
+    omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    response = np.empty((n_samples, n_freq), dtype=complex)
+    magnitude = np.empty((n_samples, n_freq))
+    reach = 0  # most leading columns any curve seen so far reads
+    last_only = []  # rows whose last column is still to solve
+    start = 0
+    while start < n_samples:
+        width = reach + _CROSSING_MARGIN if reach else n_freq
+        if width >= n_freq - 1:
+            width = n_freq
+        stop = start + _chunk_rows(width, dim)
+        rows = slice(start, stop)
+        block = response[rows]
+        if width == n_freq:
+            _solve_into(block, g[rows], c[rows], b, omega, out_idx, neg_idx)
         else:
-            x = _eliminate(g[start:stop], c[start:stop], b, omega, min(wanted))
-            x = [0.0 if xi is None else xi for xi in x]
-            v = (x[out_idx] if out_idx is not None else 0.0) - x[neg_idx]
-        if v is not rows:
-            rows[...] = 0.0 if v is None else v
-        rows += 0.0
-    return out
+            # Solved into a buffer of its own: ufuncs writing straight into
+            # the block's strided leading columns loop once per row.
+            head = np.empty((len(block), width), dtype=complex)
+            _solve_into(head, g[rows], c[rows], b, omega[:width], out_idx, neg_idx)
+            block[:, :width] = head
+            block[:, width:] = 0.0
+        np.abs(block, out=magnitude[rows])
+        if width == n_freq and stop >= n_samples:
+            break  # nothing left to bound
+        reads = _columns_read(magnitude[rows])
+        if width < n_freq:
+            done = reads <= width
+            last_only.append(start + np.flatnonzero(done))
+            if not done.all():
+                rest = start + np.flatnonzero(~done)
+                tail = _stacked_response(
+                    g[rest], c[rest], b, frequencies[width:], out_idx, neg_idx
+                )
+                response[rest, width:] = tail
+                magnitude[rest, width:] = np.abs(tail)
+                reads[~done] = _columns_read(magnitude[rest])
+        bounded = reads[reads < n_freq]
+        if bounded.size:
+            reach = max(reach, int(bounded.max()))
+        start = stop
+    rows = np.concatenate(last_only) if last_only else ()
+    if len(rows):
+        if rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(rows[0], rows[-1] + 1)  # contiguous: no gather
+        last = _stacked_response(
+            g[rows], c[rows], b, frequencies[-1:], out_idx, neg_idx
+        )[:, 0]
+        response[rows, -1] = last
+        magnitude[rows, -1] = np.abs(last)
+    return response, magnitude
+
+
+def _columns_read(magnitude: np.ndarray) -> np.ndarray:
+    """Leading columns of each ``|H|`` row that the loop metrics read.
+
+    That is every column up to one past the first where ``|H| >= 1`` fails
+    (``nan`` fails), as :func:`_unity_gain_frequency` finds it; a row with no
+    failure reads one column more than it has.
+    """
+    above = magnitude >= 1.0
+    first = np.argmin(above, axis=-1)
+    failed = (first > 0) | ~above[:, 0]
+    return np.where(failed, first + 2, magnitude.shape[-1] + 1)
 
 
 def _shape(*entries: np.ndarray) -> tuple:
@@ -516,45 +651,60 @@ class TransferFunction:
         grid points or queries cannot be mapped to log-frequency and raise
         ``ValueError`` before any ``np.log``.
         """
-        if float(self.frequencies[0]) <= 0.0:
-            raise ValueError(
-                "phase_at needs a strictly positive frequency grid for "
-                f"log interpolation; grid starts at {self.frequencies[0]!r}"
-            )
-        frequency = np.asarray(frequency, dtype=float)
-        if np.any(frequency <= 0.0):
-            raise ValueError(
-                f"frequency must be positive for log interpolation, got "
-                f"{frequency!r}"
-            )
-        log_f = np.log(self.frequencies)
-        curves = np.atleast_2d(self.response)
-        shape = np.broadcast_shapes(frequency.shape, curves.shape[:-1])
-        query = np.broadcast_to(frequency, shape)
-        curves = np.broadcast_to(curves, shape + log_f.shape)
-        x = np.clip(np.log(query), log_f[0], log_f[-1])
-        idx = np.clip(np.searchsorted(log_f, x), 1, len(log_f) - 1)
-        below, above = _unwrapped_phase_deg(curves, idx)
-        x1, x2 = log_f[idx - 1], log_f[idx]
-        phase = below + (x - x1) / (x2 - x1) * (above - below)
-        if self.response.ndim == 1 and frequency.ndim == 0:
-            return float(phase[0])
-        return phase
+        return _phase_at(self.frequencies, self.response, frequency)
 
     def phase_margin(self):
         """Phase margin [deg] = 180 + phase at the unity-gain frequency.
 
         ``nan`` when no unity-gain crossing exists in the analysed band.
         """
-        fu = self._unity_crossing
-        finite = np.isfinite(fu)
-        if not np.any(finite):
-            return self._scalarize(np.full(fu.shape, np.nan))
-        # nan crossings query the grid start, whose bracketing columns every
-        # curve reads anyway, and are masked back to nan afterwards.
-        safe = np.where(finite, fu, self.frequencies[0])
-        pm = 180.0 + np.asarray(self.phase_at(safe))
-        return self._scalarize(np.where(finite, pm, np.nan))
+        return self._scalarize(
+            _phase_margin(self.frequencies, self.response, self._unity_crossing)
+        )
+
+
+def _phase_at(frequencies: np.ndarray, response: np.ndarray, frequency):
+    """:meth:`TransferFunction.phase_at` of the curves ``response``."""
+    if float(frequencies[0]) <= 0.0:
+        raise ValueError(
+            "phase_at needs a strictly positive frequency grid for "
+            f"log interpolation; grid starts at {frequencies[0]!r}"
+        )
+    frequency = np.asarray(frequency, dtype=float)
+    if np.any(frequency <= 0.0):
+        raise ValueError(
+            f"frequency must be positive for log interpolation, got "
+            f"{frequency!r}"
+        )
+    log_f = np.log(frequencies)
+    curves = np.atleast_2d(response)
+    shape = np.broadcast_shapes(frequency.shape, curves.shape[:-1])
+    query = np.broadcast_to(frequency, shape)
+    curves = np.broadcast_to(curves, shape + log_f.shape)
+    x = np.clip(np.log(query), log_f[0], log_f[-1])
+    idx = np.clip(np.searchsorted(log_f, x), 1, len(log_f) - 1)
+    below, above = _unwrapped_phase_deg(curves, idx)
+    x1, x2 = log_f[idx - 1], log_f[idx]
+    phase = below + (x - x1) / (x2 - x1) * (above - below)
+    if response.ndim == 1 and frequency.ndim == 0:
+        return float(phase[0])
+    return phase
+
+
+def _phase_margin(
+    frequencies: np.ndarray, response: np.ndarray, crossing: np.ndarray
+) -> np.ndarray:
+    """180 + each curve's phase [deg] at its unity-gain ``crossing``
+    (:func:`_unity_gain_frequency` of its ``|H|``); ``nan`` where the
+    crossing is ``nan``."""
+    finite = np.isfinite(crossing)
+    if not np.any(finite):
+        return np.full(crossing.shape, np.nan)
+    # nan crossings query the grid start, whose bracketing columns every
+    # curve reads anyway, and are masked back to nan afterwards.
+    safe = np.where(finite, crossing, frequencies[0])
+    pm = 180.0 + np.asarray(_phase_at(frequencies, response, safe))
+    return np.where(finite, pm, np.nan)
 
 
 class ACAnalysis:
@@ -626,6 +776,15 @@ class ACAnalysis:
         matrices = self._g + 1j * omega * self._c
         return np.linalg.solve(matrices, self._b.astype(complex)[:, None])[..., 0]
 
+    def _probe(self, output, output_neg, frequencies) -> tuple:
+        """The grid (default: :func:`default_frequency_grid`) and the node
+        indices of an output (or node pair)."""
+        if frequencies is None:
+            frequencies = default_frequency_grid()
+        out_idx = self._nodemap[output]
+        neg_idx = self._nodemap[output_neg] if output_neg is not None else None
+        return np.asarray(frequencies, dtype=float), out_idx, neg_idx
+
     def transfer(
         self,
         output: str,
@@ -650,15 +809,42 @@ class ACAnalysis:
             Frequency grid [Hz]; defaults to the shared
             :func:`default_frequency_grid` (1 Hz .. 100 GHz, 60 pts/decade).
         """
-        if frequencies is None:
-            frequencies = default_frequency_grid()
-        frequencies = np.asarray(frequencies, dtype=float)
-        out_idx = self._nodemap[output]
-        neg_idx = self._nodemap[output_neg] if output_neg is not None else None
+        frequencies, out_idx, neg_idx = self._probe(output, output_neg, frequencies)
         response = _stacked_response(
             self._g, self._c, self._b, frequencies, out_idx, neg_idx
         )
         return TransferFunction(frequencies, response)
+
+    def loop_metrics(
+        self,
+        output: str,
+        output_neg: str | None = None,
+        frequencies: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every system's DC gain, unity-gain frequency [Hz] and phase
+        margin [deg], each of shape ``(n_samples,)``.
+
+        Equal bit for bit to the ``dc_gain()``, ``unity_gain_frequency()``
+        and ``phase_margin()`` of :meth:`transfer` with the same arguments,
+        on an increasing grid, while solving only the grid points they
+        read: each curve's points up to one past the first where
+        ``|H| >= 1`` fails, and its last point (see
+        :func:`_bounded_response`).  A call that fits in one row chunk
+        solves the whole grid, as :meth:`transfer` does.  A later chunk
+        leaves out the points its curves' metrics never read, so a system
+        that is singular only there gets metrics here, where
+        :meth:`transfer` raises ``LinAlgError``.
+        """
+        frequencies, out_idx, neg_idx = self._probe(output, output_neg, frequencies)
+        response, magnitude = _bounded_response(
+            self._g, self._c, self._b, frequencies, out_idx, neg_idx
+        )
+        crossing = _unity_gain_frequency(frequencies, magnitude)
+        return (
+            magnitude[:, 0].copy(),
+            crossing,
+            _phase_margin(frequencies, response, crossing),
+        )
 
     def poles(self, max_hz: float = 1e14, min_hz: float = 1e-3) -> np.ndarray:
         """Natural frequencies of a one-system analysis [Hz], by magnitude.

@@ -7,9 +7,13 @@ resistance per stage, Miller compensation, load), stamps each varying
 element's unit pattern once per instance with
 :class:`~repro.circuit.mna.MNAAssembler`, scales the patterns by every
 (design, sample) row's element values, and solves all rows' AC systems in
-one :class:`~repro.circuit.ac.ACAnalysis`.  Each Monte-Carlo sample
-therefore costs a genuine 301-point complex linear solve — the role HSPICE
-plays in the paper — now tens of microseconds per row, several times the
+one :class:`~repro.circuit.ac.ACAnalysis`, at the grid points its three
+loop metrics read (:meth:`~repro.circuit.ac.ACAnalysis.loop_metrics`):
+up to one past each curve's unity-gain crossing, and the last.  Each
+Monte-Carlo sample therefore costs a genuine complex linear solve over most
+of a 301-point grid — the role HSPICE plays in the paper — about 10-11 µs
+a row for designs as clustered as a converging search's and 19-20 µs for
+designs spread over the whole space (2-CPU Xeon VM), several times the
 paper circuits' closed-form rows.
 
 Topology (single-ended small-signal equivalent)::
@@ -204,10 +208,10 @@ class NetlistTwoStageOTA(AmplifierTopology):
         All rows' AC systems are solved in one batched analysis.
         """
         values = self.small_signal_values(X, samples)
-        tf = self.ac_analysis(values).transfer("out", frequencies=_GRID)
-        a0_db = ratio_to_db(np.maximum(tf.dc_gain(), 1e-12))
-        gbw = np.nan_to_num(tf.unity_gain_frequency(), nan=0.0)
-        pm = np.nan_to_num(tf.phase_margin(), nan=0.0)
+        dc, fu, pm = self.ac_analysis(values).loop_metrics("out", frequencies=_GRID)
+        a0_db = ratio_to_db(np.maximum(dc, 1e-12))
+        gbw = np.nan_to_num(fu, nan=0.0)
+        pm = np.nan_to_num(pm, nan=0.0)
         return np.column_stack([a0_db, gbw, pm, values["power"]])
 
 

@@ -271,6 +271,30 @@ class TestPhaseReadBitIdentity:
         want = _reference_phase_margin(GRID, response)
         _assert_bitwise_equal(tf.phase_margin(), want)
 
+    def test_metrics_read_nothing_past_one_beyond_the_crossing(self):
+        # The bound ACAnalysis.loop_metrics solves to: every column up to one
+        # past a curve's first failure of |H| >= 1 (nan fails), and the last
+        # column.  Zeroing every other column leaves all three metrics as
+        # they are, on curves that wrap, hold nan and inf, or never fail.
+        never_fails = np.full((1, len(GRID)), 3.0 - 1.0j)
+        response = np.vstack(
+            [_adversarial_responses(seed=7), _wrap_free_responses(), never_fails]
+        )
+        with np.errstate(invalid="ignore"):
+            above = np.abs(response) >= 1.0
+        first = np.argmin(above, axis=-1)
+        failed = ~above[np.arange(len(response)), first]
+        bounded = response.copy()
+        for curve, k in zip(bounded[failed], first[failed]):
+            curve[k + 2 : -1] = 0.0
+        zeroed = np.any(bounded != response, axis=-1)
+        assert zeroed.sum() > 10
+        assert not failed[-1]  # a curve that never fails keeps every column
+        full, cut = TransferFunction(GRID, response), TransferFunction(GRID, bounded)
+        with np.errstate(invalid="ignore"):
+            for metric in ("dc_gain", "unity_gain_frequency", "phase_margin"):
+                _assert_bitwise_equal(getattr(cut, metric)(), getattr(full, metric)())
+
     def test_any_memory_layout(self):
         response = _adversarial_responses(seed=3)
         spaced = np.repeat(response, 2, axis=-1)[:, ::2]  # strided columns

@@ -286,21 +286,14 @@ class TestEntrywiseElimination:
                 self._batch(g, c, b).transfer("n0", frequencies=GRID)
 
 
-@st.composite
-def _random_stacks(draw):
-    """A nonsingular stack whose systems share their structural zeros.
+def _stack(rng, dim, n_samples, shared_c=False):
+    """``G``, ``C`` and ``b`` of systems that share their structural zeros.
 
     ``G``'s pattern holds a permutation, so every system is structurally
     nonsingular.  Magnitudes spread over two decades with random signs, so
     partial pivoting picks different rows in different samples.  ``C``,
-    shared or per sample, crosses ``G`` mid-grid, and the grid starts at
-    0 Hz.  Also drawn: the output node (or node pair) and a smaller chunk.
+    shared or per sample, crosses ``G`` at 10 kHz.
     """
-    dim = draw(st.integers(2, 5))
-    n_samples = draw(st.integers(1, 130))
-    n_freq = draw(st.integers(1, 6))
-    shared_c = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g_mask = rng.random((dim, dim)) < rng.uniform(0.2, 1.0)
     g_mask[np.arange(dim), rng.permutation(dim)] = True
     c_mask = rng.random((dim, dim)) < rng.uniform(0.0, 1.0)
@@ -314,11 +307,24 @@ def _random_stacks(draw):
     c = stamped(c_mask, 1 if shared_c else n_samples, 1.0 / (2.0 * np.pi * 1e4))
     b = np.where(rng.random(dim) < 0.6, rng.normal(size=dim), 0.0)
     b[rng.integers(dim)] = 1.0
+    return g, c[0] if shared_c else c, b
+
+
+@st.composite
+def _random_stacks(draw):
+    """A nonsingular stack (see :func:`_stack`) on a grid that starts at
+    0 Hz, with the output node (or node pair) and a smaller chunk."""
+    dim = draw(st.integers(2, 5))
+    n_samples = draw(st.integers(1, 130))
+    n_freq = draw(st.integers(1, 6))
+    shared_c = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, c, b = _stack(rng, dim, n_samples, shared_c)
     grid = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(2.0, 6.0, n_freq - 1))])
     out = draw(st.integers(0, dim - 1))
     neg = draw(st.sampled_from([None, *range(dim)]).filter(lambda i: i != out))
     chunk = draw(st.integers(1, n_samples))
-    return g, c[0] if shared_c else c, b, grid, out, neg, chunk
+    return g, c, b, grid, out, neg, chunk
 
 
 class TestStackedSolveProperty:
@@ -351,6 +357,114 @@ class TestStackedSolveProperty:
         x = np.linalg.solve(matrices, b[:, None])[..., 0]
         want = x[..., out] - (0.0 if neg is None else x[..., neg])
         assert np.all(np.abs(stacked - want) <= 1e-12 * np.abs(x).max(axis=-1))
+
+
+@st.composite
+def _metric_stacks(draw):
+    """Stacks whose curves sit anywhere around ``|H| = 1``, on a positive grid.
+
+    Each system of a :func:`_stack` is scaled as a whole by a factor over
+    six decades, so that its curve may stay above 1 (never cross), start
+    below 1, or cross anywhere, at column 1 and at the last column included.
+    Some systems may be all ``nan``; their curves are ``nan`` throughout.
+    Also drawn: the rows of a chunk and the margin of the bounded solve.
+    """
+    dim = draw(st.integers(1, 4))
+    n_samples = draw(st.integers(1, 40))
+    n_freq = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, c, b = _stack(rng, dim, n_samples)
+    level = 10.0 ** rng.uniform(-3.0, 3.0, (n_samples, 1, 1))
+    g, c = level * g, level * c
+    g[rng.random(n_samples) < draw(st.sampled_from([0.0, 0.1]))] = np.nan
+    grid = np.sort(10.0 ** rng.uniform(2.0, 6.0, n_freq))
+    out = draw(st.integers(0, dim - 1))
+    neg = draw(st.sampled_from([None, *range(dim)]).filter(lambda i: i != out))
+    chunk, margin = draw(st.integers(1, n_samples)), draw(st.integers(0, 4))
+    return g, c, b, grid, out, neg, chunk, margin
+
+
+def _metrics(tf):
+    return tf.dc_gain(), tf.unity_gain_frequency(), tf.phase_margin()
+
+
+class TestLoopMetrics:
+    """``loop_metrics`` solves only the grid points the three metrics read,
+    and equals the full-grid ``transfer()`` metrics bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_metric_stacks())
+    def test_equal_to_transfer_metrics(self, case):
+        g, c, b, grid, out, neg, chunk, margin = case
+        finite = ~np.isnan(g).any(axis=(1, 2))
+        if finite.any():
+            jwc = 2j * np.pi * grid[:, None, None] * c[finite, None]
+            matrices = g[finite, None] + jwc
+            assume(np.linalg.cond(matrices).max() < 1e4)
+        dim = g.shape[-1]
+        analysis = ACAnalysis(g, c, b, {f"n{i}": i for i in range(dim)})
+        output = (f"n{out}", None if neg is None else f"n{neg}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _metrics(analysis.transfer(*output, grid))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ac, "_SOLVE_ENTRY_BUDGET", chunk * len(grid) * dim * dim)
+                patch.setattr(ac, "_CROSSING_MARGIN", margin)
+                got = analysis.loop_metrics(*output, grid)
+        for got_metric, want_metric in zip(got, want):
+            _assert_bitwise_equal(got_metric, want_metric)
+
+    def test_last_point_of_a_bounded_curve_is_solved(self, monkeypatch):
+        # A band-stop response (a high-pass node minus a low-pass node, at
+        # 2 V) dips below 1 mid-grid and ends at 2: its metrics read its
+        # last point, whose |H| >= 1 leaves it without a unity crossing.
+        def band_stop(ca, cb):
+            c = Circuit("band_stop")
+            c.add_voltage_source("Vin", "in", "0", 0.0, ac=2.0)
+            c.add_capacitor("Ca", "in", "a", ca)
+            c.add_resistor("Ra", "a", "0", 1e3)
+            c.add_resistor("Rb", "in", "b", 1e3)
+            c.add_capacitor("Cb", "b", "0", cb)
+            return c
+
+        grid = np.logspace(0, 8, 41)
+        g, c, b, nodemap = _stamped_stack(band_stop, [(1e-9, 1e-6), (1.1e-9, 1e-6)])
+        analysis = ACAnalysis(g, c, b, nodemap)
+        monkeypatch.setattr(ac, "_SOLVE_ENTRY_BUDGET", len(grid) * g.shape[-1] ** 2)
+        with np.errstate(invalid="ignore"):
+            want = _metrics(analysis.transfer("a", "b", grid))
+            got = analysis.loop_metrics("a", "b", grid)
+        for got_metric, want_metric in zip(got, want):
+            _assert_bitwise_equal(got_metric, want_metric)
+        full = analysis.transfer("a", "b", grid).magnitude
+        assert np.all(full[:, 0] >= 1.0) and np.all(full[:, -1] >= 1.0)
+        assert np.all(full.min(axis=-1) < 1.0) and np.all(np.isnan(got[1]))
+
+    def test_system_singular_past_its_crossing(self, monkeypatch):
+        # Two systems of one low-pass block (a unity crossing at column 12)
+        # beside a block whose pivot is exactly zero at column 20 in the
+        # second system: g_w + (w c)^2 with g_w = -(w* c)^2.  The output
+        # does not depend on that block, but a solve through column 20
+        # meets its zero pivot.
+        grid = np.logspace(0, 6, 25)
+        w_star = 2.0 * np.pi * grid[20]
+        g, c = np.zeros((2, 2, 3, 3))
+        g[:, 0, 0], c[:, 0, 0] = 0.1, 1.0 / (2.0 * np.pi * 1e3)
+        g[:, 1, 1], c[:, 1, 2], c[:, 2, 1] = 1.0, 1e-8, 1e-8
+        g[:, 2, 2] = 1.0, -((w_star * 1e-8) * (w_star * 1e-8))
+        nodemap = {"n0": 0, "n1": 1, "n2": 2}
+        analysis = ACAnalysis(g, c, np.array([1.0, 0.0, 0.0]), nodemap)
+        with pytest.raises(np.linalg.LinAlgError):
+            analysis.transfer("n0", frequencies=grid)
+        with pytest.raises(np.linalg.LinAlgError):  # one chunk: the whole grid
+            analysis.loop_metrics("n0", frequencies=grid)
+        # One system a chunk: the second solves only its leading points.
+        monkeypatch.setattr(ac, "_SOLVE_ENTRY_BUDGET", len(grid) * 9)
+        got = analysis.loop_metrics("n0", frequencies=grid)
+        first = ACAnalysis(g[:1], c[:1], analysis._b, nodemap)
+        regular = first.transfer("n0", frequencies=grid)
+        assert 11 < np.searchsorted(grid, regular.unity_gain_frequency()[0]) < 20
+        for got_metric, want_metric in zip(got, _metrics(regular)):
+            _assert_bitwise_equal(got_metric, np.repeat(want_metric, 2))
 
 
 class TestNetlistOTABatchedEvaluation:
@@ -421,6 +535,47 @@ class TestNetlistOTABatchedEvaluation:
             outputs.append(topo.evaluate_pairs(X, samples))
         one_chunk, chunked = (out.view(np.int64) for out in outputs)
         np.testing.assert_array_equal(one_chunk, chunked)
+
+    def test_bounded_metrics_equal_the_full_grid_ones(self, monkeypatch):
+        # Several row chunks of full-space designs and of designs clustered
+        # in a +-0.5 % box: the later chunks stop a few points past the
+        # crossings seen so far.
+        topo = NetlistTwoStageOTA(C035Technology())
+        space = topo.design_space()
+        rng = np.random.default_rng(17)
+        half = 0.005 * (space.upper - space.lower)
+        center = space.sample(1, rng)[0]
+        box = DesignSpace(
+            space.names,
+            np.maximum(center - half, space.lower),
+            np.minimum(center + half, space.upper),
+        )
+        X = np.repeat(np.vstack([space.sample(3, rng), box.sample(3, rng)]), 50, axis=0)
+        samples = topo.variation.sample(len(X), rng)
+        analysis = topo.ac_analysis(topo.small_signal_values(X, samples))
+        grid = topo.frequency_grid
+        want = _metrics(analysis.transfer("out", frequencies=grid))
+        solved, absolute = [0], [0]
+        solve, magnitude = ac._solve_into, np.abs
+
+        def counted_solve(out, *args):
+            solved[0] += out.size
+            return solve(out, *args)
+
+        def counted_abs(x, *args, **kwargs):
+            absolute[0] += np.size(x) if np.iscomplexobj(x) else 0
+            return magnitude(x, *args, **kwargs)
+
+        monkeypatch.setattr(ac, "_solve_into", counted_solve)
+        monkeypatch.setattr(ac.np, "abs", counted_abs)
+        got = analysis.loop_metrics("out", frequencies=grid)
+        monkeypatch.undo()
+        for got_metric, want_metric in zip(got, want):
+            _assert_bitwise_equal(got_metric, want_metric)
+        assert solved[0] < 0.95 * X.shape[0] * len(grid)
+        # The metrics read the |H| that the crossing search took: one pass
+        # over each chunk, plus the points solved after it.
+        assert absolute[0] < 1.05 * X.shape[0] * len(grid)
 
     def test_one_call_reads_each_full_grid_metric_once(self, monkeypatch):
         topo = NetlistTwoStageOTA(C035Technology())
