@@ -61,15 +61,29 @@ __all__ = ["MOHECO", "MOHECOResult", "result_identity", "select_one_to_one"]
 
 #: Result fields that describe how a run was produced, not what it is.
 OBSERVATIONAL_FIELDS = ("elapsed_seconds",)
+#: Fields of the retired warm-start cache that payloads written before its
+#: retirement still carry: the run's ``cache_stats`` and its ledger's
+#: ``cached`` count.  Neither was ever part of a result's identity.
+RETIRED_FIELDS = ("cache_stats",)
+RETIRED_LEDGER_FIELDS = ("cached",)
 
 
 def result_identity(data: dict) -> dict:
     """A :meth:`MOHECOResult.to_dict` payload minus its observational fields.
 
     The one identity rule for live results and for the payloads stored in
-    sweep records: drops :data:`OBSERVATIONAL_FIELDS`.
+    sweep records: drops :data:`OBSERVATIONAL_FIELDS`, and the retired
+    cache fields an older payload carries, so it compares equal to the same
+    run written now.
     """
-    return {k: v for k, v in data.items() if k not in OBSERVATIONAL_FIELDS}
+    dropped = OBSERVATIONAL_FIELDS + RETIRED_FIELDS
+    identity = {k: v for k, v in data.items() if k not in dropped}
+    ledger = identity.get("ledger")
+    if isinstance(ledger, dict):
+        identity["ledger"] = {
+            k: v for k, v in ledger.items() if k not in RETIRED_LEDGER_FIELDS
+        }
+    return identity
 
 
 def select_one_to_one(population: list[Individual], trials: list[Individual]) -> None:

@@ -99,10 +99,18 @@ class SyntheticEvaluator:
         return np.array([g(x)[0] for g in self._g_funcs])
 
     def analytic_yield(self, x: np.ndarray, specs: SpecSet) -> float:
-        """Exact yield of design ``x`` under ``specs``."""
+        """Exact yield of design ``x`` under ``specs``.
+
+        A metric whose noise scale is zero passes or fails outright, as its
+        sampled values do: its factor is 1 when the noise-free value meets
+        the bound (equality passes, as in :meth:`SpecSet.passes`), else 0.
+        """
         g = self.noise_free(x)
         total = 1.0
         for j, spec in enumerate(specs):
+            if self._sigmas[j] == 0.0:
+                total *= float(spec.passes(g[j]))
+                continue
             if spec.kind == ">=":
                 z = (g[j] - spec.bound) / self._sigmas[j]
             else:

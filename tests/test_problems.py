@@ -1,5 +1,7 @@
 """Yield problems: wiring, ledger accounting, synthetic ground truth."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,40 @@ class TestSyntheticGroundTruth:
         with pytest.raises(ValueError, match=f"{name} must be non-negative"):
             factory(**params)
         factory(**{name: 0.0})
+
+    @pytest.mark.parametrize(
+        "factory, params, x",
+        [
+            (make_sphere_problem, {"sigma": 0.0}, np.full(4, 0.6)),
+            (make_sphere_problem, {"sigma": 0.0}, np.full(4, 0.9)),
+            (make_quadratic_problem, {"sigma_cost": 0.0}, np.full(5, 0.68)),
+            (make_quadratic_problem, {"sigma_perf": 0.0}, np.full(5, 0.2)),
+            (make_quadratic_problem, {"sigma_perf": 0.0, "sigma_cost": 0.0},
+             np.full(5, 0.68)),
+            (make_quadratic_problem, {"sigma_perf": 0.0, "sigma_cost": 0.0},
+             np.full(5, 0.7)),
+        ],
+        ids=["sphere-optimum", "sphere-outside", "quadratic-cost-on-bound",
+             "quadratic-perf-fails", "quadratic-noise-free-passes",
+             "quadratic-noise-free-fails"],
+    )
+    def test_zero_noise_scale_is_a_step(self, factory, params, x):
+        # A zero scale used to divide the margin by zero: nan with a
+        # RuntimeWarning when the margin is exactly zero, a warning at
+        # the sphere's optimum.  The factor is now the pass indicator of
+        # the noise-free value, which every sampled value equals.
+        problem = factory(**params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analytic = problem.evaluator.analytic_yield(x, problem.specs)
+        assert np.isfinite(analytic)
+        samples = problem.variation.sample(2_000, np.random.default_rng(5))
+        X = np.broadcast_to(x, (len(samples), x.size))
+        passed = problem.specs.passes(problem.evaluate_pairs(X, samples))
+        if len(params) == len(problem.specs):  # every metric noise-free
+            assert analytic == float(np.mean(passed)) in (0.0, 1.0)
+        else:
+            assert analytic == pytest.approx(float(np.mean(passed)), abs=0.03)
 
     def test_sphere_corner_is_infeasible(self):
         problem = make_sphere_problem()

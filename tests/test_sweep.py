@@ -375,6 +375,35 @@ class TestRunRecordPayload:
         )
         assert record.identity_dict()["result"] == result.identity_dict()
 
+    def test_record_written_before_the_cache_retired_has_the_same_identity(self):
+        from repro.sweep import RunRecord
+
+        # A record as stores wrote it while runs could use a warm-start
+        # cache: its result carries "cache_stats" and its ledger "cached".
+        older = {
+            "method": "moheco", "problem": "sphere", "run_index": 0,
+            "reported_yield": 1.0, "reference_yield": 0.99, "n_simulations": 840,
+            "generations": 4, "reason": "yield_100", "wall_seconds": 0.2,
+            "result": {
+                "best_x": [0.6, 0.61, 0.59, 0.6], "best_yield": 1.0,
+                "best_estimate": {"passes": 100, "n": 100}, "generations": 4,
+                "n_simulations": 840, "reason": "yield_100",
+                "elapsed_seconds": 0.19, "cache_stats": None,
+                "fidelity_trace": None, "screen_trace": None,
+                "history": {"records": []},
+                "ledger": {
+                    "by_category": {"feasibility": 40, "stage1": 800},
+                    "screened_out": 12, "cached": 0, "pruned": 0,
+                },
+            },
+        }
+        current = json.loads(json.dumps(older))
+        del current["result"]["cache_stats"], current["result"]["ledger"]["cached"]
+        assert RunRecord.from_dict(older).identity_dict() == (
+            RunRecord.from_dict(current).identity_dict()
+        )
+        assert "cached" in older["result"]["ledger"]  # the payload is not edited
+
 
 class TestCallbacks:
     def test_sweep_hooks_fire(self):
