@@ -51,9 +51,9 @@ the netlist OTA's 301-point grid the left-out points are the dearest: past
 the crossings of ``ota_tight``'s designs (points 220-231) the systems
 start to pick different pivot rows, which forces row merges.  A 2048-row
 call of designs in ``ota_tight``'s box solves 79% of its points and costs
-9.8 µs a row instead of 14.7, a 480-row call 11.0 instead of 14.5, and
-full-space designs, whose crossings spread, 19.3-19.7 instead of
-22.3-22.8 (2-CPU Xeon VM, one BLAS thread, medians of 10 alternating
+8.6 µs a row instead of 11.8, a 480-row call 10.2 instead of 12.8, and
+full-space designs, whose crossings spread, 16.4-18.1 instead of
+18.8-19.4 (2-CPU Xeon VM, one BLAS thread, medians of 10 alternating
 component-benchmark repetitions).
 """
 

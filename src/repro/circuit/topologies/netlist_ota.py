@@ -11,8 +11,8 @@ one :class:`~repro.circuit.ac.ACAnalysis`, at the grid points its three
 loop metrics read (:meth:`~repro.circuit.ac.ACAnalysis.loop_metrics`):
 up to one past each curve's unity-gain crossing, and the last.  Each
 Monte-Carlo sample therefore costs a genuine complex linear solve over most
-of a 301-point grid — the role HSPICE plays in the paper — about 10-11 µs
-a row for designs as clustered as a converging search's and 19-20 µs for
+of a 301-point grid — the role HSPICE plays in the paper — about 9-10 µs
+a row for designs as clustered as a converging search's and 16-18 µs for
 designs spread over the whole space (2-CPU Xeon VM), several times the
 paper circuits' closed-form rows.
 
