@@ -20,9 +20,9 @@ Everything a user (or a deployment) needs is reachable from here:
   (:mod:`repro.engine`); ``optimize(engine=...)`` takes any
   :class:`~repro.engine.base.EvaluationEngine` instance.
 * **Screened methods** — ``moheco_screened`` and
-  ``fixed_budget_screened`` run a MOHECO backbone with a BagNet-style
-  surrogate screen in front of the simulator, configured by the run's
-  ``screen_params`` (:mod:`repro.compose`).
+  ``fixed_budget_screened`` run ``moheco`` and ``fixed_budget`` with a
+  BagNet-style surrogate screen in front of the simulator, configured by
+  the run's ``screen_params`` (:mod:`repro.compose`).
 * **CLI** — ``python -m repro run --problem folded_cascode --seed 7 --out
   result.json`` (:mod:`repro.api.cli`).
 

@@ -512,7 +512,9 @@ def _unity_gain_frequency(frequencies: np.ndarray, magnitude: np.ndarray) -> np.
     m1 = np.take_along_axis(magnitude, (k - 1)[..., None], axis=-1)[..., 0]
     m2 = np.take_along_axis(magnitude, k[..., None], axis=-1)[..., 0]
     f1, f2 = frequencies[k - 1], frequencies[k]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A row with no crossing is masked to nan below, but its two bracket
+    # magnitudes may be near-equal: then ``t`` is huge and ``exp`` overflows.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # log-linear interpolation of log|H| vs log f
         t = np.log(m1) / (np.log(m1) - np.log(m2))
         fu = np.exp(np.log(f1) + t * (np.log(f2) - np.log(f1)))

@@ -9,8 +9,8 @@
   multi-fidelity variant through two config switches: ``allocation``
   (the stage-1 budget policy: ``"ocba"``, ``"fixed"`` or ``"ladder"``)
   and ``use_memetic``; its optional surrogate screen (``screen_params``)
-  gives the screened methods (see :mod:`repro.compose.method` for the
-  method table).
+  gives the screened methods (see :data:`repro.api.methods.MOHECO_FAMILY`
+  for the method table).
 """
 
 from repro.core.callbacks import (

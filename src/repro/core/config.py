@@ -9,7 +9,10 @@ sim_ave is set to 35 in all the experiments."
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import dataclass, fields
+
+from repro.registry import check_real
 
 __all__ = ["ALLOCATIONS", "MOHECOConfig"]
 
@@ -82,6 +85,19 @@ class MOHECOConfig:
     yield_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        # Types first, by annotation: an ``int`` field takes the rule of
+        # ``repro.registry.check_count`` (a bool is not a count), a
+        # ``float`` field that of ``check_real``; the range checks follow.
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if field.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+            if field.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if field.type == "float":
+                check_real(name, value)
         if self.allocation not in ALLOCATIONS:
             raise ValueError(
                 f"allocation must be one of {', '.join(ALLOCATIONS)}, "
@@ -136,33 +152,3 @@ class MOHECOConfig:
                 f"max_generations must be >= 1, got {self.max_generations}; "
                 "the initial population alone is not a run"
             )
-
-    # -- named variants (the paper's compared methods) --------------------------
-    def with_overrides(self, **kwargs) -> "MOHECOConfig":
-        """Copy with some fields replaced."""
-        return replace(self, **kwargs)
-
-    # -- serialization -----------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-compatible representation (all fields are scalars)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MOHECOConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
-    @classmethod
-    def moheco(cls, n_max: int = 500, **kwargs) -> "MOHECOConfig":
-        """The full method (OO + memetic)."""
-        return cls(use_memetic=True, n_max=n_max, **kwargs)
-
-    @classmethod
-    def oo_only(cls, n_max: int = 500, **kwargs) -> "MOHECOConfig":
-        """OO + AS + LHS, no memetic operators."""
-        return cls(use_memetic=False, n_max=n_max, **kwargs)
-
-    @classmethod
-    def fixed_budget(cls, n_fixed: int = 500, **kwargs) -> "MOHECOConfig":
-        """AS + LHS with the same sample count for every feasible candidate."""
-        return cls(allocation="fixed", use_memetic=False, n_max=n_fixed, **kwargs)

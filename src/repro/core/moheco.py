@@ -7,13 +7,16 @@ config switches: ``allocation`` picks the stage-1 budget policy and
 ==========================  ================================================
 method                      config
 ==========================  ================================================
-MOHECO                      ``MOHECOConfig.moheco(n_max=500)``
-OO + AS + LHS               ``MOHECOConfig.oo_only(n_max=500)``
-AS + LHS, N sims            ``MOHECOConfig.fixed_budget(n_fixed=N)``
-                            (``allocation="fixed"``)
-multi-fidelity MOHECO       ``MOHECOConfig.moheco(allocation="ladder")``
-                            plus the run's ``mf_params`` (:mod:`repro.mf`)
+MOHECO                      ``MOHECOConfig()`` (``n_max=500``)
+OO + AS + LHS               ``MOHECOConfig(use_memetic=False)``
+AS + LHS, N sims            ``MOHECOConfig(allocation="fixed",
+                            use_memetic=False, n_max=N)``
+multi-fidelity MOHECO       ``MOHECOConfig(allocation="ladder")`` plus the
+                            run's ``mf_params`` (:mod:`repro.mf`)
 ==========================  ================================================
+
+The registered methods of this family are the rows of
+:data:`repro.api.methods.MOHECO_FAMILY`.
 
 Flow per generation (paper steps 1-11):
 

@@ -15,22 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import RunSpec, optimize, resolve_problem
+from repro.api import optimize
 from repro.baselines import pswcd_analysis
+from repro.problems import make_folded_cascode_problem
 from repro.rng import ensure_rng, spawn
 from repro.yieldsim import reference_yield
 
-__all__ = ["PSWCDStudyResult", "run_pswcd_study", "backbone_spec"]
-
-
-def backbone_spec(max_generations: int = 80) -> RunSpec:
-    """The MOHECO trajectory the study draws its designs from, as a spec."""
-    return RunSpec(
-        problem="folded_cascode",
-        method="moheco",
-        overrides={"max_generations": max_generations},
-        tag="pswcd-study-backbone",
-    )
+__all__ = ["PSWCDStudyResult", "run_pswcd_study"]
 
 
 @dataclass
@@ -71,23 +62,14 @@ def run_pswcd_study(
     n_train: int = 300,
     reference_n: int = 5000,
     max_generations: int = 80,
-    spec: RunSpec | None = None,
 ) -> PSWCDStudyResult:
-    """Assess PSWCD bounds on designs drawn from a MOHECO trajectory.
-
-    ``spec`` swaps the backbone run (default :func:`backbone_spec`); the
-    study's own ``seed`` stays in charge of the random streams.
-    """
+    """Assess PSWCD bounds on designs drawn from a MOHECO trajectory."""
     rng = ensure_rng(seed)
-    spec = spec if spec is not None else backbone_spec(max_generations)
-    # One problem instance serves the backbone run, the PSWCD analyses and
+    # One problem instance serves the MOHECO run, the PSWCD analyses and
     # the reference MCs below.
-    problem = resolve_problem(spec.problem, spec.problem_params)
+    problem = make_folded_cascode_problem()
     result = optimize(
-        problem,
-        method=spec.method,
-        rng=spawn(rng),
-        **spec.overrides,
+        problem, "moheco", rng=spawn(rng), max_generations=max_generations
     )
 
     # Collect distinct feasible designs spanning the yield range.

@@ -15,26 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import RunSpec, optimize
+from repro.api import optimize
+from repro.problems import make_folded_cascode_problem
 from repro.rng import ensure_rng, spawn
 from repro.surrogate import ResponseSurfaceYieldModel
 
-__all__ = ["RSBStudyResult", "run_rsb_study", "backbone_spec"]
-
-
-def backbone_spec(max_generations: int = 120) -> RunSpec:
-    """The study's backbone MOHECO run, as a declarative spec.
-
-    The study trains its response-surface models on one "typical MOHECO
-    run"; this is that run, expressed through the unified API so it can be
-    archived, re-executed from the CLI, or swapped for another problem.
-    """
-    return RunSpec(
-        problem="folded_cascode",
-        method="moheco",
-        overrides={"max_generations": max_generations},
-        tag="rsb-study-backbone",
-    )
+__all__ = ["RSBStudyResult", "run_rsb_study"]
 
 
 @dataclass
@@ -70,16 +56,15 @@ def run_rsb_study(
     n_checkpoints: int = 6,
     n_hidden: int = 20,
     max_generations: int = 120,
-    spec: RunSpec | None = None,
 ) -> RSBStudyResult:
-    """Run the study on a fresh typical MOHECO trajectory.
-
-    ``spec`` swaps the backbone run (default :func:`backbone_spec`); the
-    study's own ``seed`` stays in charge of the random streams.
-    """
+    """Run the study on a fresh typical MOHECO trajectory."""
     rng = ensure_rng(seed)
-    spec = spec if spec is not None else backbone_spec(max_generations)
-    result = optimize(spec, rng=spawn(rng))
+    result = optimize(
+        make_folded_cascode_problem(),
+        "moheco",
+        rng=spawn(rng),
+        max_generations=max_generations,
+    )
     history = result.history
 
     # Usable checkpoints: generations with data both before and at k+1.

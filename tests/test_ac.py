@@ -1,5 +1,7 @@
 """AC analysis: transfer functions, unity-gain measures, pole extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,17 @@ class TestTransferFunctionEdges:
         )
         assert np.isnan(tf.unity_gain_frequency())
         assert np.isnan(tf.phase_margin())
+
+    def test_near_flat_curve_below_unity_reads_nan_silently(self):
+        """The two bracket magnitudes of a curve that never crosses may be
+        nearly equal; the interpolation's overflow must not warn."""
+        frequencies = np.logspace(0, 3, 4)
+        magnitude = np.array([[0.5, 0.5 * (1 + 1e-15), 0.4, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_unity_gain_frequency(frequencies, magnitude)).all()
+            tf = TransferFunction(frequencies=frequencies, response=magnitude[0] + 0j)
+            assert np.isnan(tf.unity_gain_frequency())
 
     def test_magnitude_db(self):
         tf = TransferFunction(

@@ -235,9 +235,7 @@ class TestComposedRun:
     def test_composed_driver_runs_directly(self):
         result = MOHECO(
             make_problem("quadratic"),
-            MOHECOConfig.moheco(n_max=100).with_overrides(
-                pop_size=8, max_generations=3, n0=20
-            ),
+            MOHECOConfig(n_max=100, pop_size=8, max_generations=3, n0=20),
             screen_params=SCREEN,
             rng=3,
         ).run()

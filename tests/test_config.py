@@ -1,8 +1,12 @@
-"""MOHECO configuration: defaults, validation, method variants."""
+"""MOHECO configuration: defaults, validation, the method table."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core import MOHECOConfig
+from repro.api import METHODS, RunSpec, optimize, validate_run_spec
+from repro.api.methods import MOHECO_FAMILY
+from repro.core import Callback, MOHECOConfig
 
 
 class TestDefaults:
@@ -116,6 +120,12 @@ class TestValidation:
             ({"max_generations": 0}, "max_generations"),
             ({"max_generations": -3}, "max_generations"),
             ({"sampler": "bogus"}, "bogus"),
+            ({"pop_size": 10.5}, "pop_size must be an integer"),
+            ({"max_generations": 2.5}, "max_generations must be an integer"),
+            ({"n0": 15.5}, "n0 must be an integer"),
+            ({"use_memetic": "no"}, "use_memetic must be a bool"),
+            ({"stage2_threshold": True}, "stage2_threshold must be a finite"),
+            ({"n_max": "500"}, "n_max must be an integer"),
         ],
     )
     def test_bad_run_settings_fail_at_validation(self, overrides, reason):
@@ -192,27 +202,59 @@ class TestValidation:
         assert excinfo.value.field == "max_generations"
 
 
-class TestVariants:
-    def test_moheco(self):
-        config = MOHECOConfig.moheco(n_max=700)
-        assert config.allocation == "ocba" and config.use_memetic
-        assert config.n_max == 700
+#: Method -> (allocation, use_memetic, screened): the paper's compared
+#: methods (Table 1's MOHECO, OO+AS+LHS and AS+LHS rows) and the three
+#: extensions, as the method table must build them.
+FAMILY = {
+    "moheco": ("ocba", True, False),
+    "oo_only": ("ocba", False, False),
+    "fixed_budget": ("fixed", False, False),
+    "moheco_mf": ("ladder", True, False),
+    "moheco_screened": ("ocba", True, True),
+    "fixed_budget_screened": ("fixed", False, True),
+}
 
-    def test_oo_only(self):
-        config = MOHECOConfig.oo_only()
-        assert config.allocation == "ocba" and not config.use_memetic
 
-    def test_fixed_budget(self):
-        config = MOHECOConfig.fixed_budget(n_fixed=300)
-        assert config.allocation == "fixed" and not config.use_memetic
-        assert config.n_max == 300
+class ConfigRecorder(Callback):
+    def on_run_start(self, engine):
+        self.config = engine.config
 
-    def test_ladder_is_an_allocation_of_the_moheco_factory(self):
-        config = MOHECOConfig.moheco(allocation="ladder")
-        assert config.allocation == "ladder" and config.use_memetic
 
-    def test_with_overrides_copies(self):
-        base = MOHECOConfig()
-        tweaked = base.with_overrides(pop_size=10)
-        assert tweaked.pop_size == 10
-        assert base.pop_size == 50
+class TestMethodTable:
+    def test_table_lists_the_family(self):
+        assert set(MOHECO_FAMILY) == set(FAMILY)
+
+    @pytest.mark.parametrize("method", sorted(FAMILY))
+    def test_config_matches_preset_row(self, method):
+        presets, screened, description = MOHECO_FAMILY[method]
+        recorder = ConfigRecorder()
+        result = optimize(
+            "sphere", method, seed=1, callbacks=recorder, pop_size=8, max_generations=1
+        )
+        assert recorder.config == replace(
+            MOHECOConfig(**presets), pop_size=8, max_generations=1
+        )
+        allocation, use_memetic, expect_screen = FAMILY[method]
+        assert recorder.config.allocation == allocation
+        assert recorder.config.use_memetic is use_memetic
+        assert screened is expect_screen
+        assert (result.screen_trace is not None) is expect_screen
+        assert METHODS.get(method).description == description
+
+    @pytest.mark.parametrize("method", sorted(FAMILY))
+    def test_config_is_built_in_one_step(self, method):
+        """Overrides meet the presets in one build: a budget below the
+        default ``sim_ave`` is valid once ``sim_ave`` comes down with it."""
+        budget = "n_fixed" if FAMILY[method][0] == "fixed" else "n_max"
+        overrides = {budget: 20, "sim_ave": 10, "n0": 5}
+        spec = RunSpec(
+            problem="sphere",
+            method=method,
+            seed=1,
+            overrides={**overrides, "pop_size": 8, "max_generations": 2},
+        )
+        validate_run_spec(spec)
+        recorder = ConfigRecorder()
+        result = optimize(spec, callbacks=recorder)
+        assert (recorder.config.n_max, recorder.config.sim_ave) == (20, 10)
+        assert 0 < result.best_estimate.n <= 20

@@ -93,7 +93,7 @@ class TestRegistry:
             with pytest.raises(ValueError, match="'serial'"):
                 optimize("sphere", seed=1, engine=name, **TINY)
             with pytest.raises(ValueError, match="'serial'"):
-                MOHECO(problem, MOHECOConfig.moheco(**TINY), rng=1, engine=name)
+                MOHECO(problem, MOHECOConfig(**TINY), rng=1, engine=name)
 
 
 class TestFusedRounds:

@@ -80,9 +80,7 @@ class TestMethodEquivalences:
     def test_oo_only_is_moheco_without_memetic(self):
         problem = make_sphere_problem(sigma=0.2)
         a = optimize(problem, "oo_only", rng=13, pop_size=8, max_generations=10)
-        config = MOHECOConfig.oo_only().with_overrides(
-            pop_size=8, max_generations=10
-        )
+        config = MOHECOConfig(use_memetic=False, pop_size=8, max_generations=10)
         b = MOHECO(problem, config, rng=13).run()
         np.testing.assert_array_equal(a.best_x, b.best_x)
         assert a.n_simulations == b.n_simulations

@@ -140,7 +140,7 @@ class TestLadderPromotion:
     def test_each_rung_promotes_the_top_by_pooled_estimate(self):
         # The paper-scale ladder: rungs of 19, 56, 167 and 500 samples,
         # eta 3, so 18 candidates keep 6, then 2, then 1.
-        allocation = LadderAllocation(MOHECOConfig.moheco(allocation="ladder"))
+        allocation = LadderAllocation(MOHECOConfig(allocation="ladder"))
         # Candidate 0 reads 19/19 on the opening rung, then mostly fails.
         # Candidate 1 ties it there and keeps passing.  Candidates 2-6 tie
         # at 17/19, so the index decides which four of them climb.
@@ -276,7 +276,7 @@ class TestMultiFidelityRun:
         from repro.core.moheco import MOHECO
         from repro.problems import make_problem
 
-        config = MOHECOConfig.moheco(
+        config = MOHECOConfig(
             n_max=CONFIG["n_max"],
             allocation="ladder",
             max_generations=CONFIG["max_generations"],
@@ -286,7 +286,7 @@ class TestMultiFidelityRun:
         direct = MOHECO(make_problem("quadratic"), config, rng=CONFIG["seed"]).run()
         registry = _run_mf()
         assert direct.identity_dict() == registry.identity_dict()
-        # moheco_mf is the moheco backbone with allocation="ladder".
+        # moheco_mf is moheco with allocation="ladder".
         via_moheco = _run_mf(method="moheco", allocation="ladder")
         assert via_moheco.identity_dict() == registry.identity_dict()
 

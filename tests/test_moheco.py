@@ -167,9 +167,6 @@ class TestStages:
             allocation="fixed", use_memetic=False, n_max=100,
             pop_size=8, max_generations=3,
         )
-        assert config == MOHECOConfig.fixed_budget(n_fixed=100).with_overrides(
-            pop_size=8, max_generations=3
-        )
         engine = MOHECO(sphere, config, rng=11)
         result = engine.run()
         # All estimated candidates carry exactly n_fixed samples.
