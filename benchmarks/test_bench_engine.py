@@ -12,6 +12,9 @@ engine fuses):
 * ``ocba``: a full ``ocba_sequential`` run (pilot + allocation rounds),
   which dilutes the dispatch win with the shared per-candidate RNG-stream
   draws and the allocation maths that both arms pay identically.
+  ``ocba_sequential`` runs every round on ``SerialEngine``, so each arm
+  is swapped in as ``SerialEngine.refine_round`` for its runs and the
+  fused template is restored afterwards.
 
 Results land in ``BENCH_engine.json`` at the repo root (each test merges
 its section) so successive PRs can track the trajectory.  Set
@@ -27,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import EvaluationEngine, SerialEngine
+from repro.engine import SerialEngine
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
 from repro.problems import make_sphere_problem
@@ -43,7 +46,7 @@ CPUS = os.cpu_count() or 1
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_engine.json")
 
 
-class _PerCandidateLoop(EvaluationEngine):
+class _PerCandidateLoop:
     """The unfused reference: one full draw-screen-simulate per candidate."""
 
     def refine_round(self, problem, states, gains, category=None):
@@ -90,14 +93,17 @@ def _bench_round(problem, sampler, engine):
 
 
 def _bench_ocba(problem, sampler, engine):
-    """Throughput of full OCBA stage-1 runs (paper settings)."""
+    """Throughput of full OCBA stage-1 runs (paper settings), every round
+    through ``engine``'s ``refine_round``."""
     prebuilt = [_build_states(problem, sampler, seed=r) for r in range(OCBA_REPS)]
     total = 0
-    started = time.perf_counter()
-    for states in prebuilt:
-        report = ocba_sequential(states, total_budget=700, n0=15, delta=50, engine=engine)
-        total += report.total_samples
-    elapsed = time.perf_counter() - started
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SerialEngine, "refine_round", type(engine).refine_round)
+        started = time.perf_counter()
+        for states in prebuilt:
+            report = ocba_sequential(states, total_budget=700, n0=15, delta=50)
+            total += report.total_samples
+        elapsed = time.perf_counter() - started
     return {"sims": total, "elapsed_seconds": elapsed, "sims_per_sec": total / elapsed}
 
 

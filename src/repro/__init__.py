@@ -55,15 +55,17 @@ samplers plug in by name via ``repro.api.register_*``.
 Execution engine
 ----------------
 The Monte-Carlo refinement work — OCBA stage-1 rounds, stage-2
-promotions, the fixed-budget baseline, memetic local search — is expressed
-as *rounds* of ``(candidate, k_i samples)`` requests and executed by
-:class:`~repro.engine.serial.SerialEngine`, which fuses each round into
-stacked ``(sum(k_i), ...)`` vectorized dispatches, streamed in slab-sized
-groups so a large round's samples never all sit in memory at once.  Sample
-draws stay in per-candidate RNG streams, so any
-:class:`~repro.engine.base.EvaluationEngine` passed as
-``optimize(engine=...)`` gives the bit-identical result.  The parallel
-path is the sweep above: ``repro sweep --workers N`` shards whole runs.
+promotions, the fixed-budget baseline, the fidelity ladder, memetic local
+search — is expressed as *rounds* of ``(candidate, k_i samples)``
+requests, and every round runs on
+:class:`~repro.engine.serial.SerialEngine`, which fuses it into stacked
+``(sum(k_i), ...)`` vectorized dispatches, streamed in slab-sized groups
+so a large round's samples never all sit in memory at once.  Sample draws
+stay in per-candidate RNG streams, so a fused round gives the same
+estimates, bit for bit, as one ``state.refine`` per candidate.  There is
+no engine to choose: ``optimize`` accepts ``engine="serial"`` and nothing
+else.  The parallel path is the sweep above: ``repro sweep --workers N``
+shards whole runs.
 
 Package map
 -----------

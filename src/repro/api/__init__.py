@@ -15,10 +15,10 @@ Everything a user (or a deployment) needs is reachable from here:
   :class:`~repro.sweep.store.ResultStore`.
 * **Callbacks** — observe the generation loop: progress streaming and
   early stopping.
-* **Engine** — :class:`~repro.engine.serial.SerialEngine` executes the
-  Monte-Carlo refinement rounds as fused, slab-grouped dispatches
-  (:mod:`repro.engine`); ``optimize(engine=...)`` takes any
-  :class:`~repro.engine.base.EvaluationEngine` instance.
+* **Engine** — every Monte-Carlo refinement round runs as fused,
+  slab-grouped dispatches on :class:`~repro.engine.serial.SerialEngine`
+  (``from repro.engine import SerialEngine``); ``optimize`` accepts
+  ``engine="serial"`` and nothing else.
 * **Screened methods** — ``moheco_screened`` and
   ``fixed_budget_screened`` run ``moheco`` and ``fixed_budget`` with a
   BagNet-style surrogate screen in front of the simulator, configured by
@@ -51,7 +51,6 @@ from repro.api.registries import (
     register_sampler,
 )
 from repro.api.spec import RunSpec
-from repro.engine import EvaluationEngine, SerialEngine, make_engine
 from repro.core.callbacks import (
     Callback,
     CallbackList,
@@ -102,10 +101,6 @@ __all__ = [
     "register_sampler",
     "get_sampler",
     "list_samplers",
-    # engine
-    "EvaluationEngine",
-    "SerialEngine",
-    "make_engine",
     # callbacks
     "Callback",
     "CallbackList",

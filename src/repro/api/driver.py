@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.api.registries import METHODS, PROBLEMS
 from repro.api.spec import RunSpec
-from repro.engine import EvaluationEngine, make_engine
 from repro.registry import Registry
 from repro.core.callbacks import Callback
 from repro.core.moheco import MOHECOResult
@@ -59,7 +58,7 @@ def optimize(
     ledger: SimulationLedger | None = None,
     callbacks: Callback | list[Callback] | None = None,
     problem_params: dict | None = None,
-    engine: EvaluationEngine | str | None = None,
+    engine: str | None = None,
     **overrides,
 ) -> MOHECOResult:
     """Run one yield optimization and return its result.
@@ -88,12 +87,10 @@ def optimize(
     problem_params:
         Factory kwargs when ``problem`` is a registry name.
     engine:
-        Execution engine for the refinement rounds: ``None`` or
-        ``"serial"`` (the fused :class:`~repro.engine.serial.SerialEngine`)
-        or a ready :class:`~repro.engine.base.EvaluationEngine` instance.
-        Any other value raises :class:`ValueError`.  Engines are
-        seed-equivalent: the result is identical, only the wall-clock
-        changes.  Whole runs go parallel through ``repro sweep --workers``.
+        ``None`` or ``"serial"``; either way every refinement round runs
+        on :class:`~repro.engine.serial.SerialEngine`.  Any other value,
+        an engine instance included, raises :class:`ValueError`.  Whole
+        runs go parallel through ``repro sweep --workers``.
     **overrides:
         Method/config overrides (``pop_size=20``, ``n_max=300``, ...).
 
@@ -102,6 +99,11 @@ def optimize(
     MOHECOResult
         The common result type all registered methods produce.
     """
+    if engine is not None and engine != "serial":
+        raise ValueError(
+            f"unknown engine {engine!r}; expected 'serial' or None (to run in "
+            "parallel, shard whole runs with repro sweep --workers)"
+        )
     if isinstance(problem, RunSpec):
         spec = problem
         if problem_params:
@@ -125,13 +127,4 @@ def optimize(
     problem = resolve_problem(problem, problem_params)
 
     runner = METHODS.get(method if method is not None else "moheco")
-    # Third-party runners need not take an engine: pass one only when given.
-    engine_kwargs = {"engine": make_engine(engine)} if engine is not None else {}
-    return runner(
-        problem,
-        rng=rng,
-        ledger=ledger,
-        callbacks=callbacks,
-        **engine_kwargs,
-        **overrides,
-    )
+    return runner(problem, rng=rng, ledger=ledger, callbacks=callbacks, **overrides)

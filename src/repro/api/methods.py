@@ -123,15 +123,7 @@ def _moheco_runner(presets: dict, screened: bool, description: str):
         config = MOHECOConfig(**{**presets, **aliased, **overrides})
         return config, mf_params, screen_params
 
-    def runner(
-        problem,
-        *,
-        rng=None,
-        ledger=None,
-        callbacks=None,
-        engine=None,
-        **overrides,
-    ):
+    def runner(problem, *, rng=None, ledger=None, callbacks=None, **overrides):
         config, mf_params, screen_params = split(overrides)
         return MOHECO(
             problem,
@@ -139,7 +131,6 @@ def _moheco_runner(presets: dict, screened: bool, description: str):
             ledger=ledger,
             rng=rng,
             callbacks=callbacks,
-            engine=engine,
             mf_params=mf_params,
             screen_params=screen_params,
         ).run()
@@ -188,15 +179,7 @@ def _pswcd_settings(overrides: dict) -> dict:
 
 
 @register_method("pswcd")
-def run_pswcd(
-    problem,
-    *,
-    rng=None,
-    ledger=None,
-    callbacks=None,
-    engine=None,
-    **overrides,
-):
+def run_pswcd(problem, *, rng=None, ledger=None, callbacks=None, **overrides):
     """PSWCD sizing, adapted to the common :class:`MOHECOResult` shape.
 
     ``best_yield`` is the method's own (pessimistic) worst-case yield bound
@@ -207,9 +190,7 @@ def run_pswcd(
     Callback support is partial: PSWCD drives a plain DE loop with no
     staged yield estimation, so only ``on_run_start`` and ``on_stop`` fire;
     generation-level observers (``ProgressCallback``, ``EarlyStopOnYield``)
-    have nothing to hook into here.  The ``engine`` argument is likewise
-    accepted but unused — PSWCD performs no Monte-Carlo refinement rounds,
-    so there is nothing for an execution backend to fuse.
+    have nothing to hook into here.
     """
     settings = _pswcd_settings(overrides)
     ledger = ledger if ledger is not None else SimulationLedger()

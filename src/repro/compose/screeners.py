@@ -7,8 +7,8 @@ Pruned rows never reach the feasibility check, so they cost zero
 simulations — the ledger's ``pruned`` column records them instead.
 
 Determinism contract: the screen's decisions depend only on the run's
-seed and the (engine-invariant) estimation results — never on
-wall-clock, engine choice or worker count — because every
+seed and the estimation results — never on wall-clock, on how a round
+is grouped or on a sweep's worker count — because every
 decision lands on ``MOHECOResult.screen_trace``, which is part of the
 result *identity*.  The :class:`SurrogateScreener` satisfies this by
 drawing all of its randomness from a private stream spawned from the
@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from repro.registry import check_count, check_real
 from repro.rng import ensure_rng, spawn
 from repro.surrogate.rsb import ResponseSurfaceYieldModel
 
@@ -62,6 +63,10 @@ class SurrogateScreener:
     max_train:
         Cap on training rows (most recent win), bounding refit cost on
         long runs.
+
+    Every knob but ``keep_fraction`` is a count and must be an integer;
+    ``keep_fraction`` must be a finite number.  A bool or any other type
+    is refused, never coerced.
     """
 
     def __init__(
@@ -84,34 +89,17 @@ class SurrogateScreener:
                 "keep_fraction, min_train, min_keep, refit_every, n_hidden, "
                 "n_restarts, max_iterations, max_train"
             )
-        keep_fraction = float(keep_fraction)
+        keep_fraction = check_real("keep_fraction", keep_fraction)
         if not 0.0 < keep_fraction <= 1.0:
             raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-        min_train = int(min_train)
-        if min_train < 2:
-            raise ValueError(f"min_train must be >= 2, got {min_train}")
-        min_keep = int(min_keep)
-        if min_keep < 1:
-            raise ValueError(f"min_keep must be >= 1, got {min_keep}")
-        refit_every = int(refit_every)
-        if refit_every < 1:
-            raise ValueError(f"refit_every must be >= 1, got {refit_every}")
-        for name, value in (
-            ("n_hidden", int(n_hidden)),
-            ("n_restarts", int(n_restarts)),
-            ("max_iterations", int(max_iterations)),
-            ("max_train", int(max_train)),
-        ):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
         self.keep_fraction = keep_fraction
-        self.min_train = min_train
-        self.min_keep = min_keep
-        self.refit_every = refit_every
-        self.n_hidden = int(n_hidden)
-        self.n_restarts = int(n_restarts)
-        self.max_iterations = int(max_iterations)
-        self.max_train = int(max_train)
+        self.min_train = check_count("min_train", min_train, 2)
+        self.min_keep = check_count("min_keep", min_keep, 1)
+        self.refit_every = check_count("refit_every", refit_every, 1)
+        self.n_hidden = check_count("n_hidden", n_hidden, 1)
+        self.n_restarts = check_count("n_restarts", n_restarts, 1)
+        self.max_iterations = check_count("max_iterations", max_iterations, 1)
+        self.max_train = check_count("max_train", max_train, 1)
         self.rng = ensure_rng(rng)
         self._train_x: list[np.ndarray] = []
         self._train_y: list[float] = []
@@ -135,7 +123,7 @@ class SurrogateScreener:
         y = np.array(self._train_y[-self.max_train :])
         # A fresh model per refit with its own spawned stream: the RNG
         # consumption is a deterministic function of the refit count, so
-        # score sequences replay bit-identically across engines.
+        # score sequences replay bit-identically from run to run.
         self._model = ResponseSurfaceYieldModel(
             n_hidden=self.n_hidden,
             n_restarts=self.n_restarts,

@@ -47,7 +47,7 @@ from repro.core.callbacks import Callback, CallbackList
 from repro.core.config import MOHECOConfig
 from repro.core.history import GenerationRecord, OptimizationHistory
 from repro.core.state import Individual
-from repro.engine import EvaluationEngine, make_engine
+from repro.engine import SerialEngine
 from repro.ledger import SimulationLedger
 from repro.mf.driver import ladder_allocation
 from repro.ocba.sequential import OCBAReport, ocba_sequential
@@ -200,13 +200,6 @@ class MOHECO:
     callbacks:
         Observers of the generation loop (a single
         :class:`~repro.core.callbacks.Callback` or a sequence).
-    engine:
-        Execution engine for the refinement rounds — an
-        :class:`~repro.engine.base.EvaluationEngine` instance, or ``None``
-        / ``"serial"`` for the fused
-        :class:`~repro.engine.serial.SerialEngine` (the default); any
-        other value raises :class:`ValueError`.  Engines are
-        seed-equivalent, so this is purely an execution choice.
     mf_params:
         Fidelity-ladder knobs ``{"eta", "r_min", "brackets"}`` (see
         :meth:`~repro.mf.ladder.FidelityLadder.from_params`); only valid
@@ -224,7 +217,6 @@ class MOHECO:
         ledger: SimulationLedger | None = None,
         rng: np.random.Generator | int | None = None,
         callbacks: Callback | list[Callback] | None = None,
-        engine: EvaluationEngine | str | None = None,
         mf_params: dict | None = None,
         screen_params: dict | None = None,
     ) -> None:
@@ -233,7 +225,6 @@ class MOHECO:
         self.ledger = ledger if ledger is not None else SimulationLedger()
         self.rng = ensure_rng(rng)
         self.callbacks = CallbackList(callbacks)
-        self.engine = make_engine(engine)
         # A ladder allocation records every generation's climb; the record
         # rides onto the result as ``fidelity_trace``.
         self._ladder = ladder_allocation(self.config, mf_params)
@@ -243,8 +234,8 @@ class MOHECO:
         )
         # The screen's stream is spawned last, before any population draw,
         # so its decisions (the result's ``screen_trace``) depend only on
-        # the seed and the engine-invariant estimates, never on backend or
-        # worker count.
+        # the seed and the estimates, never on how a round is grouped or
+        # on a sweep's worker count.
         self._screener = None
         self._screen_trace: list | None = None
         if screen_params is not None:
@@ -282,21 +273,17 @@ class MOHECO:
             individuals.append(Individual(x, bool(ok), float(violation), state))
         return individuals
 
-    # -- engine-driven refinement ---------------------------------------------
+    # -- fused refinement -----------------------------------------------------
     def _refine_round(
         self, states: list, gains: list[int], category: str | None = None
     ) -> None:
-        """Submit one fused refinement round to the execution engine."""
-        self.engine.refine_round(self.problem, states, gains, category=category)
-
-    def _promote(self, individual: Individual) -> None:
-        """Move a candidate to stage 2: full n_max sample count."""
-        self._promote_all([individual])
+        """One fused refinement round: promotions, the ladder, local search."""
+        SerialEngine().refine_round(self.problem, states, gains, category=category)
 
     def _promote_all(self, individuals: list[Individual]) -> None:
         """Promote a batch of candidates in one fused stage-2 round.
 
-        All missing samples are refined together (one engine round),
+        All missing samples are refined together (one fused round),
         then ``on_stage2_promotion`` fires once per candidate, in order —
         the promotions of every stage-1 policy funnel through here so
         callbacks see every promotion.
@@ -330,7 +317,6 @@ class MOHECO:
                 total_budget=cfg.sim_ave * len(feasible),
                 n0=cfg.n0,
                 delta=cfg.delta,
-                engine=self.engine,
             )
         # The fixed-budget baseline promotes everyone: n_max outright, as one
         # fused stage-2 round, with promotion callbacks firing as for the
@@ -535,7 +521,7 @@ class MOHECO:
         # Final answer always carries stage-2 accuracy.
         best = population[self._best_index(population)]
         if best.feasible and best.state is not None:
-            self._promote(best)
+            self._promote_all([best])
 
         result = MOHECOResult(
             best_x=best.x.copy(),

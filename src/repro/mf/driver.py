@@ -4,7 +4,9 @@ With ``MOHECOConfig.allocation == "ladder"``, :class:`~repro.core.moheco.MOHECO`
 replaces the flat stage-1 OCBA pass with a :class:`LadderAllocation`: every
 feasible trial enters the bracket's cheap wide rung of a
 :class:`~repro.mf.ladder.FidelityLadder`, each rung dispatches as **one
-fused refinement round** through the ordinary engine (unchanged), OCBA
+fused refinement round** through ``MOHECO._refine_round``
+(:meth:`SerialEngine.refine_round
+<repro.engine.serial.SerialEngine.refine_round>`, as every round), OCBA
 allocates *within* a rung
 (:func:`~repro.ocba.allocation.rung_allocation`), and the top ``1/eta``
 by pooled yield estimate climb to the next fidelity.  Every rung draws
@@ -19,11 +21,12 @@ climbs the ladder under ``allocation="ladder"``.
 
 Every ladder decision (bracket, rung fidelities, gains, counts,
 promotions) is recorded on ``MOHECOResult.fidelity_trace``, which is part
-of the result *identity*: it must be bit-identical across engines and
-sweep worker counts.  That holds by construction —
-the schedule is arithmetic over candidate estimates, and estimates are
-already engine-invariant (sample generation stays in-parent, per
-candidate, on private RNG streams).
+of the result *identity*: it must be bit-identical between the fused
+round and a per-candidate ``state.refine`` loop, and across sweep worker
+counts.  That holds by construction — the schedule is arithmetic over
+candidate estimates, and estimates do not depend on how a round is
+grouped (sample generation stays per candidate, on private RNG
+streams).
 """
 
 from __future__ import annotations
@@ -70,11 +73,12 @@ class LadderAllocation:
         """Climb one bracket with a generation's feasible candidates.
 
         ``refine_round(states, gains, category=...)`` runs one fused
-        engine round; returns the number of rungs climbed.  ``members``
+        round (``MOHECO._refine_round``; a test can feed scripted states
+        through its own); returns the number of rungs climbed.  ``members``
         holds indices into ``feasible`` — stable identifiers for the
         trace.  Rung 0 is the flat pilot (everyone raised to the opening
         fidelity); later rungs spend ``m_k * r_k - already_spent``
-        OCBA-weighted.  Each rung is exactly one fused engine round, after
+        OCBA-weighted.  Each rung is exactly one fused round, after
         which the top ``1/eta`` by pooled estimate (``state.value``, ties
         to the lower index) climb to the next rung.
         """

@@ -12,8 +12,9 @@ feasibility check.
 
 The loop is *round-oriented*: each iteration computes every candidate's
 gain, clamps the round to the remaining budget, and submits the whole
-round to an :class:`~repro.engine.base.EvaluationEngine` as one fused
-refinement, which the engine executes as stacked vectorized dispatches.
+round to :meth:`SerialEngine.refine_round
+<repro.engine.serial.SerialEngine.refine_round>` as one fused refinement,
+executed as stacked vectorized dispatches.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.base import EvaluationEngine
 from repro.engine.serial import SerialEngine
 from repro.ocba.allocation import clamp_gains, ocba_allocation
 from repro.yieldsim.estimator import CandidateYieldState
@@ -54,7 +54,6 @@ def ocba_sequential(
     total_budget: int,
     n0: int = 15,
     delta: int = 50,
-    engine: EvaluationEngine | None = None,
 ) -> OCBAReport:
     """Distribute ``total_budget`` samples across candidate estimates.
 
@@ -68,9 +67,6 @@ def ocba_sequential(
         Initial samples per candidate.
     delta:
         Budget increment per allocation round (>= 1).
-    engine:
-        Execution engine for the fused refinement rounds; ``None`` uses
-        a :class:`~repro.engine.serial.SerialEngine`.
 
     Returns
     -------
@@ -101,7 +97,7 @@ def ocba_sequential(
         )
     if total_budget < 0:
         raise ValueError(f"total budget must be non-negative, got {total_budget}")
-    engine = engine if engine is not None else SerialEngine()
+    engine = SerialEngine()
     problem = states[0].problem
 
     def counts() -> np.ndarray:

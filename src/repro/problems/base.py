@@ -12,8 +12,10 @@ A problem couples
   simulation-count tables report.
 
 :meth:`YieldProblem.evaluate_pairs` is the one evaluation entry point:
-engine rounds, per-candidate refinement, the reference MC and the PSWCD
-analysis all call it, and the step-3 feasibility gate evaluates through the
+fused refinement rounds
+(:meth:`SerialEngine.refine_round <repro.engine.serial.SerialEngine.refine_round>`),
+per-candidate refinement, the reference MC and the PSWCD analysis all
+call it, and the step-3 feasibility gate evaluates through the
 same slabbed rows.  The per-sample indicator ``J(x, xi) in {0, 1}`` of the
 paper is ``specs.passes`` of those rows; yield is its mean over the process
 distribution.
@@ -31,7 +33,7 @@ __all__ = ["YieldProblem", "check_technology"]
 
 
 #: Rows per evaluator call.  Fixed slabs keep the evaluator's intermediate
-#: arrays flat however many rows one call is given; the engine
+#: arrays flat however many rows one call is given; the fused round
 #: (:class:`~repro.engine.serial.SerialEngine`) streams a round in groups
 #: of one slab, held in one ``min(SLAB_ROWS, sum(gains))``-row sample
 #: buffer per round, so the round's drawn and stacked samples stay flat
@@ -104,7 +106,7 @@ class YieldProblem:
     ) -> np.ndarray:
         """Row-aligned evaluation: design ``X[i]`` at its own ``samples[i]``.
 
-        The one evaluation entry point.  Engines stack a round's
+        The one evaluation entry point.  A fused round stacks its
         border-band samples, one slab-sized group of candidates at a time,
         into an ``(N, ...)`` pair matrix (each design row repeated for its
         own samples); one

@@ -8,9 +8,8 @@
   to score accuracy (50 000 samples; charged to the excluded ``reference``
   ledger category).
 
-The execution engine (:mod:`repro.engine`) fuses refinement rounds across
-candidates through :class:`CandidateYieldState`'s ``prepare``/``absorb``
-halves.
+The fused round (:mod:`repro.engine`) refines many candidates at once
+through :class:`CandidateYieldState`'s ``prepare``/``absorb`` halves.
 """
 
 from repro.yieldsim.estimator import (

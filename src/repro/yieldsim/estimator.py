@@ -8,9 +8,9 @@ the estimate, charging only the simulations the screener could not avoid.
 Screened samples count toward the *estimate* (they are classified
 pass/fail) but not toward the *cost* — exactly how the paper credits AS.
 
-Refinement is split into two halves so an
-:class:`~repro.engine.base.EvaluationEngine` can fuse many candidates'
-simulations into stacked dispatches:
+Refinement is split into two halves so
+:meth:`SerialEngine.refine_round <repro.engine.serial.SerialEngine.refine_round>`
+can fuse many candidates' simulations into stacked dispatches:
 
 * :meth:`CandidateYieldState.prepare` draws the sample block from the
   candidate's private RNG stream, lets the screener resolve the certain
@@ -20,10 +20,11 @@ simulations into stacked dispatches:
   performance rows back into the running estimate.
 
 ``refine(k)`` composes the two with an immediate local evaluation through
-``problem.evaluate_pairs``, one candidate at a time.  Because each
-candidate owns a private generator, the draw streams are independent of
-how (or where) the pending blocks are eventually simulated — the
-foundation of the cross-backend reproducibility guarantee.
+``problem.evaluate_pairs``, one candidate at a time: the per-candidate
+reference the fused round is tested against.  Because each candidate owns
+a private generator, the draw streams are independent of how the pending
+blocks are grouped for simulation, so fused and per-candidate rounds give
+bit-identical estimates.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ _VARIANCE_FLOOR = 1e-4
 class PendingRefinement:
     """A candidate's border-band samples awaiting simulation.
 
-    Produced by :meth:`CandidateYieldState.prepare`; an evaluation engine
+    Produced by :meth:`CandidateYieldState.prepare`; the fused round
     simulates ``samples`` at ``state.x`` (charging ``category``) and feeds
     the performance rows back through :meth:`CandidateYieldState.absorb`.
-    The serial engine repoints ``samples`` at rows of its round buffer, so
-    they are valid only until the block has been absorbed.
+    It repoints ``samples`` at rows of its round buffer, so they are valid
+    only until the block has been absorbed.
     """
 
     state: "CandidateYieldState"
@@ -245,8 +246,8 @@ class CandidateYieldState:
 
         Draws fresh samples, lets the screener resolve the certain ones, and
         simulates the border band locally; returns the updated estimate.
-        Engines fuse the same two halves (:meth:`prepare` / :meth:`absorb`)
-        across candidates instead.
+        The fused round runs the same two halves (:meth:`prepare` /
+        :meth:`absorb`) across candidates instead.
         """
         pending = self.prepare(n_additional, category)
         if pending is None:
@@ -256,10 +257,3 @@ class CandidateYieldState:
             X, pending.samples, self.ledger, pending.category
         )
         return self.absorb(pending.samples, performance)
-
-    def refine_to(self, n_target: int, category: str | None = None) -> YieldEstimate:
-        """Refine until the estimate incorporates at least ``n_target``."""
-        missing = n_target - self._n
-        if missing > 0:
-            self.refine(missing, category)
-        return self.estimate

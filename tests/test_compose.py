@@ -8,8 +8,8 @@ The load-bearing contracts:
 * Screening happens before the step-3 feasibility gate, so a pruned
   trial charges **zero** simulations — the ledger's ``pruned`` column
   counts it instead.
-* ``screen_trace`` is part of the result identity: bit-identical across
-  engines.
+* ``screen_trace`` is part of the result identity: bit-identical between
+  the fused round and one refine per candidate.
 * Bad ``screen_params`` fail at spec-validation time as structured
   :class:`~repro.api.errors.SpecError`, not inside a queued run.
 """
@@ -35,7 +35,7 @@ from repro.core.state import Individual
 from repro.ledger import SimulationLedger
 from repro.problems import make_problem
 from repro.sweep.spec import SweepSpec
-from test_engine import PerCandidateEngine
+from test_engine import use_per_candidate_rounds
 
 # Small enough for sub-second runs, large enough to leave the screener's
 # fallback mode within a couple of generations (8 parents/generation).
@@ -250,10 +250,11 @@ class TestComposedRun:
 
 
 class TestDeterminism:
-    def test_engines_bit_identical(self):
-        # The fused engine against one refine per candidate.
-        baseline = _run(engine="serial")
-        result = _run(engine=PerCandidateEngine())
+    def test_engines_bit_identical(self, monkeypatch):
+        # The fused round against one refine per candidate.
+        baseline = _run()
+        use_per_candidate_rounds(monkeypatch)
+        result = _run()
         assert result.identity_dict() == baseline.identity_dict()
         assert result.screen_trace == baseline.screen_trace
 
@@ -270,6 +271,22 @@ class TestSpecValidation:
     def test_bad_knob_value(self):
         with pytest.raises(SpecError, match="keep_fraction"):
             validate_run_spec(self._spec(screen_params={"keep_fraction": 2.0}))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"keep_fraction": True}, "keep_fraction must be a finite number"),
+            ({"min_train": "30"}, "min_train must be an integer"),
+            ({"n_hidden": 8.7}, "n_hidden must be an integer"),
+            ({"refit_every": 1.9}, "refit_every must be an integer"),
+            ({"max_train": False}, "max_train must be an integer"),
+        ],
+    )
+    def test_bad_knob_type(self, params, message):
+        # Refused, not coerced: True would run as keep_fraction 1.0 and
+        # 8.7 as 8 hidden units.
+        with pytest.raises(SpecError, match=message):
+            validate_run_spec(self._spec(screen_params=params))
 
     def test_unknown_knob(self):
         with pytest.raises(SpecError, match="unknown screen_params"):

@@ -1,13 +1,18 @@
-"""The execution engine: fused rounds, slab groups, engine equivalence.
+"""The fused round template: slab groups, per-candidate equivalence.
 
-The load-bearing guarantee: the fused serial engine and the per-candidate
-``state.refine`` loop it is checked against produce *bit-identical* seeded
-results, because sample generation stays in per-candidate RNG streams and
-only the execution of the simulations moves.
+The load-bearing guarantee: ``SerialEngine.refine_round`` and the
+per-candidate ``state.refine`` loop it is checked against produce
+*bit-identical* seeded results, because sample generation stays in
+per-candidate RNG streams and only the grouping of the simulations moves.
+The reference loop is swapped in with
+``monkeypatch.setattr(SerialEngine, "refine_round", ...)``, the seam
+e2ebench's tracer also wraps.
 """
 
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro.api import RunSpec, optimize
 import repro.engine.serial
-from repro.engine import EvaluationEngine, SerialEngine, make_engine
-from repro.engine.base import evaluate_pending, scatter_round
+from repro.engine import SerialEngine
+from repro.engine.serial import evaluate_pending, scatter_round
 from repro.core.callbacks import Callback
 from repro.core.config import MOHECOConfig
 from repro.core.moheco import MOHECO
@@ -31,13 +36,16 @@ from repro.yieldsim import CandidateYieldState
 TINY = {"pop_size": 8, "max_generations": 4}
 
 
-class PerCandidateEngine(EvaluationEngine):
-    """The reference the fused engine must match: one refine per candidate."""
+def per_candidate_round(self, problem, states, gains, category=None):
+    """The reference a fused round must match: one refine per candidate."""
+    for state, gain in zip(states, gains):
+        if gain > 0:
+            state.refine(int(gain), category)
 
-    def refine_round(self, problem, states, gains, category=None):
-        for state, gain in zip(states, gains):
-            if gain > 0:
-                state.refine(int(gain), category)
+
+def use_per_candidate_rounds(monkeypatch) -> None:
+    """Run every later round of the test through :func:`per_candidate_round`."""
+    monkeypatch.setattr(SerialEngine, "refine_round", per_candidate_round)
 
 
 def _states(problem, n=6, seed=0, sampler="lhs", screener=False, ledger=None):
@@ -73,27 +81,30 @@ def _state_fingerprint(states, ledger):
 
 
 class TestRegistry:
-    """``make_engine``: an instance, ``None`` or ``"serial"``, nothing else."""
-
-    def test_make_engine_default_is_serial(self):
-        assert isinstance(make_engine(None), SerialEngine)
-
-    def test_make_engine_accepts_serial_by_name(self):
-        assert isinstance(make_engine("serial"), SerialEngine)
-
-    def test_make_engine_passes_instances_through(self):
-        engine = PerCandidateEngine()
-        assert make_engine(engine) is engine
+    """``optimize(engine=)``: ``None`` or ``"serial"``, nothing else; no
+    engine argument below it."""
 
     def test_unknown_engine_lists_registered(self):
-        problem = make_sphere_problem()
         for name in ("process", "auto", "remote", "distributed"):
             with pytest.raises(ValueError, match="'serial'"):
-                make_engine(name)
-            with pytest.raises(ValueError, match="'serial'"):
                 optimize("sphere", seed=1, engine=name, **TINY)
-            with pytest.raises(ValueError, match="'serial'"):
-                MOHECO(problem, MOHECOConfig(**TINY), rng=1, engine=name)
+
+    def test_serial_by_name_is_the_default(self):
+        # The call e2ebench/run.py makes.
+        assert (
+            optimize("sphere", seed=1, engine="serial", **TINY).identity_dict()
+            == optimize("sphere", seed=1, **TINY).identity_dict()
+        )
+
+    def test_no_engine_instance_or_argument_below_optimize(self):
+        with pytest.raises(ValueError, match="'serial'"):
+            optimize("sphere", seed=1, engine=SerialEngine(), **TINY)
+        problem = make_sphere_problem()
+        with pytest.raises(TypeError, match="engine"):
+            MOHECO(problem, MOHECOConfig(**TINY), rng=1, engine="serial")
+        states, _ = _states(problem, n=2)
+        with pytest.raises(TypeError, match="engine"):
+            ocba_sequential(states, total_budget=60, engine=SerialEngine())
 
 
 class TestFusedRounds:
@@ -136,11 +147,12 @@ class TestFusedRounds:
         assert ledger.count("stage2") == 12
         assert ledger.count("stage1") == 0
 
-    def test_empty_round_is_a_no_op(self):
+    def test_empty_round_is_a_no_op(self, monkeypatch):
         problem = make_sphere_problem()
         states, ledger = _states(problem, n=3)
-        for engine in (PerCandidateEngine(), SerialEngine()):
-            engine.refine_round(problem, states, [0, 0, 0])
+        SerialEngine().refine_round(problem, states, [0, 0, 0])
+        use_per_candidate_rounds(monkeypatch)
+        SerialEngine().refine_round(problem, states, [0, 0, 0])
         assert ledger.total == 0
         assert all(state.n == 0 for state in states)
 
@@ -153,6 +165,16 @@ class TestRoundTemplate:
         assert "refine_round" in vars(SerialEngine)
         assert vars(repro.engine.serial)["scatter_round"] is scatter_round
         assert vars(repro.engine.serial)["evaluate_pending"] is evaluate_pending
+        # The tracer wraps each target as ``vars(owner)[attribute]``: a
+        # target that moved or was renamed breaks every traced run.
+        path = Path(__file__).resolve().parents[1] / "e2ebench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("e2ebench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.PATCHES
+        for layer, owner, attribute, _ in tracing.PATCHES:
+            assert attribute in vars(owner), (layer, owner, attribute)
+            assert callable(vars(owner)[attribute]), (layer, owner, attribute)
 
     def test_every_engine_scatters_each_round_once(self, monkeypatch):
         calls = []
@@ -266,38 +288,24 @@ class TestStreamedRounds:
             assert one_slab < self.ONE_SLAB_PEAK * slab_bytes, (name, one_slab / slab_bytes)
 
 
-def _run(engine, problem="sphere", method="moheco", seed=7):
-    """One seeded run as JSON; ``engine`` goes to ``optimize(engine=...)``."""
+def _run(problem="sphere", method="moheco", seed=7):
+    """One seeded run as JSON."""
     spec = RunSpec(problem=problem, method=method, seed=seed, overrides=dict(TINY))
-    payload = optimize(spec, engine=engine).to_dict()
-    # Wall-clock is the one legitimately engine-dependent field.
+    payload = optimize(spec).to_dict()
+    # Wall-clock is the one field that differs between equal runs.
     payload.pop("elapsed_seconds")
     return json.dumps(payload, sort_keys=True)
 
 
 class TestCrossBackendEquivalence:
-    """Same RunSpec + seed => bit-identical results on every engine."""
+    """Same RunSpec + seed => bit-identical results, fused or per candidate."""
 
     @pytest.mark.parametrize("problem", ["sphere", "quadratic"])
     @pytest.mark.parametrize("method", ["moheco", "oo_only", "fixed_budget"])
-    def test_serial_matches_legacy(self, problem, method):
-        assert _run("serial", problem=problem, method=method) == _run(
-            PerCandidateEngine(), problem=problem, method=method
-        )
-
-    def test_engine_argument_overrides_spec(self):
-        # A spec carries no engine: the argument's engine runs every round.
-        rounds = []
-
-        class CountingEngine(PerCandidateEngine):
-            def refine_round(self, problem, states, gains, category=None):
-                rounds.append(1)
-                super().refine_round(problem, states, gains, category)
-
-        spec = RunSpec(problem="sphere", seed=7, overrides=dict(TINY))
-        via_argument = optimize(spec, engine=CountingEngine())
-        assert rounds
-        assert via_argument.identity_dict() == optimize(spec).identity_dict()
+    def test_serial_matches_legacy(self, problem, method, monkeypatch):
+        fused = _run(problem=problem, method=method)
+        use_per_candidate_rounds(monkeypatch)
+        assert _run(problem=problem, method=method) == fused
 
 
 class TestRunSpecEngine:
@@ -313,7 +321,7 @@ class TestRunSpecEngine:
             optimize(
                 "sphere",
                 seed=1,
-                engine=SerialEngine(),
+                engine="serial",
                 engine_params={"workers": 2},
                 **TINY,
             )
@@ -363,14 +371,17 @@ class TestBudgetClamp:
         assert report.total_samples == 75
         assert report.rounds == 0
 
-    def test_clamped_round_identical_across_backends(self):
+    def test_clamped_round_identical_across_backends(self, monkeypatch):
         problem = make_sphere_problem()
-        fingerprints = []
-        for engine in (PerCandidateEngine(), SerialEngine()):
+
+        def fingerprint():
             states, ledger = _states(problem, n=5, seed=9)
-            ocba_sequential(states, total_budget=333, n0=15, delta=50, engine=engine)
-            fingerprints.append(_state_fingerprint(states, ledger))
-        assert fingerprints[0] == fingerprints[1]
+            ocba_sequential(states, total_budget=333, n0=15, delta=50)
+            return _state_fingerprint(states, ledger)
+
+        fused = fingerprint()
+        use_per_candidate_rounds(monkeypatch)
+        assert fingerprint() == fused
 
 
 class TestPromotionCallbacks:
@@ -403,17 +414,3 @@ class TestPromotionCallbacks:
         recorder = self.Recorder()
         optimize("sphere", seed=3, callbacks=[recorder], **TINY)
         assert recorder.promoted
-
-
-class TestCustomEngines:
-    def test_third_party_engine_plugs_in(self):
-        calls = []
-
-        class CountingEngine(EvaluationEngine):
-            def refine_round(self, problem, states, gains, category=None):
-                calls.append(int(np.sum(gains)))
-                PerCandidateEngine().refine_round(problem, states, gains, category)
-
-        result = optimize("sphere", seed=5, engine=CountingEngine(), **TINY)
-        assert calls, "the engine must have executed rounds"
-        assert result.best_yield > 0.0

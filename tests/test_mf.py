@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 * The ladder schedule is pure arithmetic — ``fidelity_trace`` (part of
   the result *identity*, unlike the observational fields) is
-  bit-identical across engines.
+  bit-identical between the fused round and one refine per candidate.
 * Each rung promotes its top ``1/eta`` by pooled yield estimate
   (``CandidateYieldState.value``), the same number that is the
   selection fitness and the reported yield.
@@ -30,7 +30,7 @@ from repro.core.moheco import MOHECOResult
 from repro.mf import FidelityLadder, LadderAllocation
 from repro.ocba.allocation import clamp_gains, rung_allocation
 from repro.sweep.spec import SweepSpec
-from test_engine import PerCandidateEngine
+from test_engine import use_per_candidate_rounds
 
 # Small enough for sub-second runs, large enough for a 2-rung ladder.
 CONFIG = dict(
@@ -292,12 +292,13 @@ class TestMultiFidelityRun:
 
 
 class TestLadderDeterminism:
-    """The acceptance bar: bit-identical trace across engines."""
+    """The acceptance bar: bit-identical trace, fused or per candidate."""
 
-    def test_engines_agree(self):
-        # The fused engine against one refine per candidate.
-        baseline = _run_mf(engine="serial")
-        result = _run_mf(engine=PerCandidateEngine())
+    def test_engines_agree(self, monkeypatch):
+        # The fused round against one refine per candidate.
+        baseline = _run_mf()
+        use_per_candidate_rounds(monkeypatch)
+        result = _run_mf()
         assert result.identity_dict() == baseline.identity_dict()
         assert result.fidelity_trace == baseline.fidelity_trace
 
@@ -331,9 +332,10 @@ class TestComposedLadder:
         # Without the ladder the same method has no fidelity trace.
         assert _run_screened_ladder(allocation="ocba").fidelity_trace is None
 
-    def test_engines_agree(self):
-        baseline = _run_screened_ladder(engine="serial")
-        result = _run_screened_ladder(engine=PerCandidateEngine())
+    def test_engines_agree(self, monkeypatch):
+        baseline = _run_screened_ladder()
+        use_per_candidate_rounds(monkeypatch)
+        result = _run_screened_ladder()
         assert result.identity_dict() == baseline.identity_dict()
 
 

@@ -57,12 +57,6 @@ class TestCandidateYieldState:
         assert state.n == 75
         assert state.n_simulated == 75
 
-    def test_refine_to_idempotent(self, problem):
-        state = _state(problem, np.full(4, 0.6))
-        state.refine_to(100)
-        state.refine_to(50)  # already above target
-        assert state.n == 100
-
     def test_negative_refine_rejected(self, problem):
         with pytest.raises(ValueError):
             _state(problem, np.full(4, 0.6)).refine(-1)
