@@ -1,6 +1,6 @@
 """Observer protocol for the MOHECO generation loop.
 
-Callbacks turn the engine from a black box into an observable process:
+Callbacks turn the optimizer from a black box into an observable process:
 progress streaming and early stopping hang off the same hooks, which fire
 at well-defined points of the paper's Fig.-4 flow:
 
@@ -50,22 +50,22 @@ __all__ = [
 class Callback:
     """Base observer; override any subset of the hooks."""
 
-    def on_run_start(self, engine) -> None:
+    def on_run_start(self, optimizer) -> None:
         """The run is about to evaluate its initial population."""
 
-    def on_generation_end(self, engine, record) -> bool | None:
+    def on_generation_end(self, optimizer, record) -> bool | None:
         """A :class:`~repro.core.history.GenerationRecord` was written.
 
         Return ``True`` to request an early stop after this generation.
         """
 
-    def on_stage2_promotion(self, engine, individual) -> None:
+    def on_stage2_promotion(self, optimizer, individual) -> None:
         """``individual`` was promoted to stage-2 accuracy."""
 
-    def on_local_search(self, engine, generation: int, incumbent, improved) -> None:
+    def on_local_search(self, optimizer, generation: int, incumbent, improved) -> None:
         """A local search fired around ``incumbent`` at ``generation``."""
 
-    def on_stop(self, engine, result) -> None:
+    def on_stop(self, optimizer, result) -> None:
         """The run produced ``result`` (a :class:`MOHECOResult`)."""
 
     # -- sweep level -------------------------------------------------------
@@ -132,28 +132,28 @@ class CallbackList(Callback):
         """Add one more observer."""
         self.callbacks.append(callback)
 
-    def on_run_start(self, engine) -> None:
+    def on_run_start(self, optimizer) -> None:
         for callback in self.callbacks:
-            callback.on_run_start(engine)
+            callback.on_run_start(optimizer)
 
-    def on_generation_end(self, engine, record) -> bool:
+    def on_generation_end(self, optimizer, record) -> bool:
         stop = False
         for callback in self.callbacks:
-            if callback.on_generation_end(engine, record):
+            if callback.on_generation_end(optimizer, record):
                 stop = True
         return stop
 
-    def on_stage2_promotion(self, engine, individual) -> None:
+    def on_stage2_promotion(self, optimizer, individual) -> None:
         for callback in self.callbacks:
-            callback.on_stage2_promotion(engine, individual)
+            callback.on_stage2_promotion(optimizer, individual)
 
-    def on_local_search(self, engine, generation: int, incumbent, improved) -> None:
+    def on_local_search(self, optimizer, generation: int, incumbent, improved) -> None:
         for callback in self.callbacks:
-            callback.on_local_search(engine, generation, incumbent, improved)
+            callback.on_local_search(optimizer, generation, incumbent, improved)
 
-    def on_stop(self, engine, result) -> None:
+    def on_stop(self, optimizer, result) -> None:
         for callback in self.callbacks:
-            callback.on_stop(engine, result)
+            callback.on_stop(optimizer, result)
 
     def on_sweep_start(self, sweep, total: int, pending: int) -> None:
         for callback in self.callbacks:
@@ -179,7 +179,7 @@ class ProgressCallback(Callback):
         self.print_fn = print_fn
         self.every = max(1, int(every))
 
-    def on_generation_end(self, engine, record) -> None:
+    def on_generation_end(self, optimizer, record) -> None:
         if record.generation % self.every:
             return
         self.print_fn(
@@ -192,7 +192,7 @@ class ProgressCallback(Callback):
             + ("  [LS]" if record.local_search_fired else "")
         )
 
-    def on_stop(self, engine, result) -> None:
+    def on_stop(self, optimizer, result) -> None:
         self.print_fn(
             f"done: yield {result.best_yield:.2%} after {result.generations} "
             f"generations, {result.n_simulations} simulations ({result.reason})"
@@ -237,5 +237,5 @@ class EarlyStopOnYield(Callback):
             raise ValueError(f"target yield must be in (0, 1], got {target}")
         self.target = float(target)
 
-    def on_generation_end(self, engine, record) -> bool:
+    def on_generation_end(self, optimizer, record) -> bool:
         return record.best_yield >= self.target

@@ -144,14 +144,14 @@ class _RunJobBridge(Callback):
         if self.on_event is not None:
             self.on_event(event)
 
-    def on_generation_end(self, engine, record) -> bool:
+    def on_generation_end(self, optimizer, record) -> bool:
         data = record.to_dict()
         self._emit(
             "generation", **{key: data[key] for key in _GENERATION_EVENT_FIELDS}
         )
         return self.job.cancel_event.is_set()
 
-    def on_local_search(self, engine, generation, incumbent, improved) -> None:
+    def on_local_search(self, optimizer, generation, incumbent, improved) -> None:
         self._emit(
             "local_search", generation=int(generation), improved=improved is not None
         )

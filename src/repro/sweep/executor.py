@@ -57,7 +57,7 @@ class _RunBridge(Callback):
         self.progress = progress
         self.cancel = cancel
 
-    def on_generation_end(self, engine, record) -> bool:
+    def on_generation_end(self, optimizer, record) -> bool:
         if self.progress is not None:
             self.progress(record.to_dict())
         return bool(self.cancel is not None and self.cancel())
