@@ -70,7 +70,7 @@ shards whole runs.
 Package map
 -----------
 * :mod:`repro.api` — the public facade: registries, RunSpec, optimize, CLI.
-* :mod:`repro.core` — the MOHECO engine, config, history, callbacks.
+* :mod:`repro.core` — the MOHECO loop, config, history, callbacks.
 * :mod:`repro.engine` — the fused serial engine for the refinement
   rounds.
 * :mod:`repro.problems` — the paper's two circuits + synthetic problems.
