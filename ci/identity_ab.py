@@ -23,6 +23,7 @@ environment.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -54,9 +55,13 @@ def child_hashes(tree: str) -> dict:
     import test_evaluator_goldens as evaluators
     import test_goldens as goldens
 
+    # Trees from before the acceptance-sampling-off goldens key a run by
+    # its problem, method and seed alone.
+    key_fields = len(inspect.signature(goldens.run_key).parameters)
     hashes = {}
-    for problem, method, seed, overrides in goldens.RUNS:
-        key = f"identity.json:{goldens.run_key(problem, method, seed)}"
+    for run in goldens.RUNS:
+        problem, method, seed, overrides = run
+        key = f"identity.json:{goldens.run_key(*run[:key_fields])}"
         hashes[key] = goldens.pinned_run(problem, method, seed, overrides)["sha256"]
     amps = {name: build() for name, build in evaluators.CIRCUITS.items()}
     for circuit, shape, rows in evaluators.CASES:

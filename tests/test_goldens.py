@@ -3,7 +3,8 @@
 ``tests/goldens/identity.json`` holds the sha256 of
 ``MOHECOResult.identity_dict()`` for each method x circuit problem below
 (every MOHECO-family method on all three circuits, except that
-``fixed_budget_screened`` is pinned on the folded cascode only), produced
+``fixed_budget_screened`` is pinned on the folded cascode only, plus
+``moheco`` with acceptance sampling off on both paper circuits), produced
 by this file run as a script.  A performance or refactoring change that
 claims to change nothing must leave every hash as it is.
 
@@ -47,6 +48,18 @@ RUNS = [
     ("telescopic", "fixed_budget", 11, {"max_generations": 12}),
     ("telescopic", "moheco_mf", 11, {"max_generations": 14}),
     ("telescopic", "moheco_screened", 11, {"max_generations": 14}),
+    (
+        "folded_cascode",
+        "moheco",
+        11,
+        {"max_generations": 40, "ls_patience": 2, "use_acceptance_sampling": False},
+    ),
+    (
+        "telescopic",
+        "moheco",
+        11,
+        {"max_generations": 60, "use_acceptance_sampling": False},
+    ),
     ("netlist_ota", "moheco", 7, {"max_generations": 10}),
     ("netlist_ota", "oo_only", 7, {"max_generations": 10}),
     ("netlist_ota", "fixed_budget", 7, {"max_generations": 10}),
@@ -71,8 +84,14 @@ def fingerprint() -> dict:
     }
 
 
-def run_key(problem: str, method: str, seed: int) -> str:
-    return f"{problem}/{method}/seed{seed}"
+def run_key(
+    problem: str, method: str, seed: int, overrides: dict | None = None
+) -> str:
+    """``problem/method/seedN``, plus ``/as_off`` when acceptance sampling is off."""
+    key = f"{problem}/{method}/seed{seed}"
+    if overrides and overrides.get("use_acceptance_sampling") is False:
+        key += "/as_off"
+    return key
 
 
 def pinned_run(problem: str, method: str, seed: int, overrides: dict) -> dict:
@@ -104,10 +123,10 @@ def goldens():
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "problem,method,seed,overrides", RUNS, ids=[run_key(*run[:3]) for run in RUNS]
+    "problem,method,seed,overrides", RUNS, ids=[run_key(*run) for run in RUNS]
 )
 def test_identity_matches_golden(goldens, problem, method, seed, overrides):
-    golden = goldens[run_key(problem, method, seed)]
+    golden = goldens[run_key(problem, method, seed, overrides)]
     assert golden["overrides"] == overrides
     actual = pinned_run(problem, method, seed, overrides)
     assert actual["ledger"] == golden["ledger"]
@@ -117,7 +136,7 @@ def test_identity_matches_golden(goldens, problem, method, seed, overrides):
 def test_goldens_cover_every_run_and_leave_the_infeasible_phase():
     """Host-independent check that the pinned runs exercise each stage."""
     runs = _load()["runs"]
-    assert set(runs) == {run_key(*run[:3]) for run in RUNS}
+    assert set(runs) == {run_key(*run) for run in RUNS}
     for problem in ("folded_cascode", "telescopic"):
         ledgers = [g["ledger"] for key, g in runs.items() if key.startswith(problem)]
         assert any(lg.get("stage1") and lg.get("stage2") for lg in ledgers), problem
@@ -129,7 +148,9 @@ def test_goldens_cover_every_run_and_leave_the_infeasible_phase():
 
 if __name__ == "__main__":
     pinned = {
-        run_key(problem, method, seed): pinned_run(problem, method, seed, overrides)
+        run_key(problem, method, seed, overrides): pinned_run(
+            problem, method, seed, overrides
+        )
         for problem, method, seed, overrides in RUNS
     }
     GOLDENS.parent.mkdir(exist_ok=True)
