@@ -51,7 +51,7 @@ from repro.engine import SerialEngine
 from repro.ledger import SimulationLedger
 from repro.mf.driver import ladder_allocation
 from repro.ocba.sequential import OCBAReport, ocba_sequential
-from repro.optim.constraints import deb_better
+from repro.optim.constraints import deb_key
 from repro.optim.de import DifferentialEvolution
 from repro.optim.memetic import MemeticTrigger
 from repro.optim.nelder_mead import nelder_mead_maximize
@@ -90,9 +90,13 @@ def result_identity(data: dict) -> dict:
 
 
 def select_one_to_one(population: list[Individual], trials: list[Individual]) -> None:
-    """Step 8: standard DE one-to-one replacement, in place; the trial wins ties."""
+    """Step 8: standard DE one-to-one replacement, in place; the trial wins ties.
+
+    A parent stays only when its Deb key is strictly greater; keys a NaN
+    violation leaves unordered therefore hand the slot to the trial.
+    """
     for i, trial in enumerate(trials):
-        if not deb_better(population[i].fitness(), trial.fitness()):
+        if not deb_key(population[i]) > deb_key(trial):
             population[i] = trial
 
 
@@ -351,11 +355,8 @@ class MOHECO:
     # -- selection helpers ------------------------------------------------------------
     @staticmethod
     def _best_index(population: list[Individual]) -> int:
-        best = 0
-        for i in range(1, len(population)):
-            if deb_better(population[i].fitness(), population[best].fitness()):
-                best = i
-        return best
+        """Step 1: the first member with the largest Deb key."""
+        return max(range(len(population)), key=lambda i: deb_key(population[i]))
 
     # -- local search (steps 9-10) -------------------------------------------------------
     def _local_search(self, incumbent: Individual) -> Individual | None:
@@ -393,14 +394,10 @@ class MOHECO:
             initial_step=self.config.ls_initial_step,
             max_evaluations=self.config.ls_max_evaluations,
         )
-        if not evaluated:
-            return None
-        best = evaluated[0]
-        for candidate in evaluated[1:]:
-            if deb_better(candidate.fitness(), best.fitness()):
-                best = candidate
-        if deb_better(best.fitness(), incumbent.fitness()):
-            return best
+        if evaluated:
+            best = max(evaluated, key=deb_key)
+            if deb_key(best) > deb_key(incumbent):
+                return best
         return None
 
     # -- main loop -----------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optim.constraints import FitnessView
 from repro.yieldsim.estimator import CandidateYieldState, YieldEstimate
 
 __all__ = ["Individual"]
@@ -63,14 +62,6 @@ class Individual:
     def n_samples(self) -> int:
         """Samples incorporated in the candidate's estimate."""
         return 0 if self.state is None else self.state.n
-
-    def fitness(self) -> FitnessView:
-        """The slice selection looks at (Deb's rules)."""
-        return FitnessView(
-            feasible=self.feasible,
-            violation=self.violation,
-            objective=self.yield_value,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,7 +2,7 @@
 
 * :mod:`repro.optim.constraints` — Deb's selection-based constraint
   handling (the paper's mechanism from [16], shown effective for analog
-  sizing in [9]).
+  sizing in [9]) as one sort key, :func:`deb_key`.
 * :mod:`repro.optim.de` — differential evolution: mutation/crossover
   operators usable step-by-step (as MOHECO needs) plus a standalone
   optimizer loop for deterministic objectives.
@@ -12,14 +12,13 @@
   local search is worth its simulation cost.
 """
 
-from repro.optim.constraints import FitnessView, deb_better
+from repro.optim.constraints import deb_key
 from repro.optim.de import DifferentialEvolution, DEResult
 from repro.optim.nelder_mead import NelderMeadResult, nelder_mead_maximize
 from repro.optim.memetic import MemeticTrigger
 
 __all__ = [
-    "FitnessView",
-    "deb_better",
+    "deb_key",
     "DifferentialEvolution",
     "DEResult",
     "nelder_mead_maximize",

@@ -9,46 +9,28 @@ rules rather than penalty functions:
 
 The rules need no penalty weights, which is why they compose well with DE
 for analog sizing (paper reference [9]).
+
+The three rules are one lexicographic order, so :func:`deb_key` turns a
+member into a sort key: ``a`` beats ``b`` exactly when
+``deb_key(a) > deb_key(b)``, and ``max(members, key=deb_key)`` is the
+first of the best members.  A NaN violation beats nothing and loses to
+nothing among infeasible members, as ``<`` on NaN does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["FitnessView", "deb_better"]
+__all__ = ["deb_key"]
 
 
-@dataclass(frozen=True)
-class FitnessView:
-    """The slice of a candidate that selection looks at.
+def deb_key(member) -> tuple[int, float]:
+    """Deb's rules as a sort key: larger is better.
 
-    Attributes
-    ----------
-    feasible:
-        Nominal-point feasibility (violation == 0).
-    violation:
-        Aggregate normalised constraint violation (0 when feasible).
-    objective:
-        The maximised objective — here, estimated yield.
+    ``member`` carries ``feasible`` (nominal-point feasibility),
+    ``violation`` (aggregate normalised constraint violation, 0 when
+    feasible) and ``yield_value`` (the maximised objective).  The key is
+    ``(1, yield_value)`` for a feasible member and ``(0, -violation)``
+    otherwise.
     """
-
-    feasible: bool
-    violation: float
-    objective: float
-
-
-def deb_better(a: FitnessView, b: FitnessView, tolerance: float = 0.0) -> bool:
-    """True when candidate ``a`` is strictly better than ``b``.
-
-    ``tolerance`` guards objective comparisons against Monte-Carlo noise:
-    ``a`` must beat ``b`` by more than ``tolerance`` to count as better
-    (used by the improvement trackers, not by survival selection).
-    """
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if a.feasible:  # both feasible -> higher objective wins
-        return a.objective > b.objective + tolerance
-    # both infeasible -> smaller violation wins
-    return a.violation < b.violation
+    if member.feasible:
+        return 1, member.yield_value
+    return 0, -member.violation

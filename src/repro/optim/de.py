@@ -82,16 +82,15 @@ class DifferentialEvolution:
     ) -> np.ndarray:
         """Donor vectors for every population member (DE/best/1)."""
         population = np.asarray(population, dtype=float)
-        n, d = population.shape
-        donors = np.empty_like(population)
-        base = population[best_index]
-        for i in range(n):
-            candidates = [j for j in range(n) if j != i]
-            # Three indices are drawn although best/1 uses two: the draw
-            # size is part of every seeded run's random stream.
-            r1, r2, _ = rng.choice(candidates, size=3, replace=False)
-            donors[i] = base + self.f * (population[r1] - population[r2])
-        return donors
+        n = len(population)
+        # Member i draws three positions among the n - 1 others; moving the
+        # positions at or past i up by one skips i itself.  Three are drawn
+        # although best/1 uses two: the draw size is part of every seeded
+        # run's random stream.
+        picks = np.array([rng.choice(n - 1, size=3, replace=False) for _ in range(n)])
+        picks += picks >= np.arange(n)[:, None]
+        r1, r2 = picks[:, 0], picks[:, 1]
+        return population[best_index] + self.f * (population[r1] - population[r2])
 
     def crossover(
         self, population: np.ndarray, donors: np.ndarray, rng: np.random.Generator

@@ -1,41 +1,90 @@
 """Optimizers: Deb rules, DE operators, Nelder-Mead, memetic trigger."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.circuit.topologies.base import DesignSpace
+from repro.core.moheco import MOHECO, select_one_to_one
 from repro.optim import (
     DifferentialEvolution,
-    FitnessView,
     MemeticTrigger,
-    deb_better,
+    deb_key,
     nelder_mead_maximize,
 )
 
 
-def _fv(feasible, violation, objective):
-    return FitnessView(feasible=feasible, violation=violation, objective=objective)
+def _member(feasible, violation, yield_value):
+    return SimpleNamespace(
+        feasible=feasible, violation=violation, yield_value=yield_value
+    )
+
+
+def _deb_better(a, b):
+    """Deb's three rules as a pairwise comparator: the key's reference."""
+    if a.feasible and not b.feasible:
+        return True
+    if not a.feasible and b.feasible:
+        return False
+    if a.feasible:
+        return a.yield_value > b.yield_value
+    return a.violation < b.violation
+
+
+def _better(a, b):
+    return deb_key(a) > deb_key(b)
+
+
+def _random_members(rng, count):
+    """Members with many ties, infinite and NaN violations."""
+    violations = [0.0, 0.25, 0.5, 3.0, float("inf"), float("nan")]
+    yields = [0.0, 0.5, 0.9, 1.0]
+    return [
+        _member(True, 0.0, float(rng.choice(yields)))
+        if rng.random() < 0.5
+        else _member(False, float(rng.choice(violations)), 0.0)
+        for _ in range(count)
+    ]
 
 
 class TestDebRules:
     def test_feasible_beats_infeasible(self):
-        assert deb_better(_fv(True, 0.0, 0.1), _fv(False, 0.01, 0.99))
-        assert not deb_better(_fv(False, 0.01, 0.99), _fv(True, 0.0, 0.1))
+        assert _better(_member(True, 0.0, 0.1), _member(False, 0.01, 0.99))
+        assert not _better(_member(False, 0.01, 0.99), _member(True, 0.0, 0.1))
 
     def test_feasible_compare_objective(self):
-        assert deb_better(_fv(True, 0.0, 0.9), _fv(True, 0.0, 0.8))
-        assert not deb_better(_fv(True, 0.0, 0.8), _fv(True, 0.0, 0.9))
-        assert not deb_better(_fv(True, 0.0, 0.8), _fv(True, 0.0, 0.8))  # tie
+        assert _better(_member(True, 0.0, 0.9), _member(True, 0.0, 0.8))
+        assert not _better(_member(True, 0.0, 0.8), _member(True, 0.0, 0.9))
+        assert not _better(_member(True, 0.0, 0.8), _member(True, 0.0, 0.8))  # tie
 
     def test_infeasible_compare_violation(self):
-        assert deb_better(_fv(False, 0.1, 0.0), _fv(False, 0.5, 0.0))
-        assert not deb_better(_fv(False, 0.5, 0.0), _fv(False, 0.1, 0.0))
+        assert _better(_member(False, 0.1, 0.0), _member(False, 0.5, 0.0))
+        assert not _better(_member(False, 0.5, 0.0), _member(False, 0.1, 0.0))
 
-    def test_tolerance_guards_noise(self):
-        assert not deb_better(_fv(True, 0.0, 0.901), _fv(True, 0.0, 0.9),
-                              tolerance=0.01)
-        assert deb_better(_fv(True, 0.0, 0.92), _fv(True, 0.0, 0.9),
-                          tolerance=0.01)
+    def test_key_matches_the_rules_with_ties_inf_and_nan(self):
+        members = _random_members(np.random.default_rng(0), 80)
+        for a in members:
+            for b in members:
+                assert _better(a, b) == _deb_better(a, b), (a, b)
+
+    def test_selection_matches_the_rules_with_ties_inf_and_nan(self):
+        """Best member and one-to-one selection, against comparator loops."""
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            population = _random_members(rng, 8)
+            trials = _random_members(rng, 8)
+            best = 0
+            for i in range(1, len(population)):
+                if _deb_better(population[i], population[best]):
+                    best = i
+            assert MOHECO._best_index(population) == best
+            expected = [
+                parent if _deb_better(parent, trial) else trial
+                for parent, trial in zip(population, trials)
+            ]
+            select_one_to_one(population, trials)
+            assert all(a is b for a, b in zip(population, expected))
 
 
 @pytest.fixture
@@ -113,6 +162,27 @@ class TestDEOperators:
         donors = de.mutate(pop, best_index=2, rng=rng)
         # With F ~ 0 every donor collapses onto the best member.
         np.testing.assert_allclose(donors, np.tile(pop[2], (8, 1)), atol=1e-6)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 20, 50, 51, 100])
+    def test_mutate_matches_the_list_draw_bit_for_bit(self, space, n):
+        """Index draws give the donors and the stream of the list-based draw."""
+        de = DifferentialEvolution(space)
+        pop = de.init_population(n, np.random.default_rng(n))
+
+        def list_mutate(best_index, rng):
+            donors = np.empty_like(pop)
+            for i in range(n):
+                candidates = [j for j in range(n) if j != i]
+                r1, r2, _ = rng.choice(candidates, size=3, replace=False)
+                donors[i] = pop[best_index] + de.f * (pop[r1] - pop[r2])
+            return donors
+
+        for seed in range(400):
+            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            donors = de.mutate(pop, seed % n, fast)
+            expected = list_mutate(seed % n, reference)
+            assert donors.tobytes() == expected.tobytes()
+            assert fast.integers(2**62) == reference.integers(2**62)
 
 
 class TestDEOptimize:

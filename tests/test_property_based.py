@@ -1,5 +1,7 @@
 """Property-based tests (Hypothesis) on core invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from repro.circuit.topologies.base import DesignSpace
 from repro.ledger import SimulationLedger
 from repro.ocba import equal_allocation, ocba_allocation
-from repro.optim.constraints import FitnessView, deb_better
+from repro.optim.constraints import deb_key
 from repro.sampling.lhs import latin_hypercube_uniforms
 from repro.specs import Spec, SpecSet
 from repro.units import db_to_ratio, ratio_to_db
@@ -86,27 +88,47 @@ class TestOCBAProperties:
         assert alloc.max() - alloc.min() <= 1
 
 
+def _deb_better(a, b):
+    """Deb's three rules as a pairwise comparator: the key's reference."""
+    if a.feasible and not b.feasible:
+        return True
+    if not a.feasible and b.feasible:
+        return False
+    if a.feasible:
+        return a.yield_value > b.yield_value
+    return a.violation < b.violation
+
+
+def _better(a, b):
+    return deb_key(a) > deb_key(b)
+
+
 class TestDebProperties:
-    fitness = st.builds(
-        FitnessView,
+    member = st.builds(
+        SimpleNamespace,
         feasible=st.booleans(),
-        violation=st.floats(0.0, 100.0, allow_nan=False),
-        objective=st.floats(0.0, 1.0, allow_nan=False),
+        violation=st.floats(0.0, 100.0, allow_nan=False)
+        | st.sampled_from([0.0, 1.0, float("inf"), float("nan")]),
+        yield_value=st.floats(0.0, 1.0, allow_nan=False) | st.sampled_from([0.0, 1.0]),
     )
 
-    @given(fitness, fitness)
+    @given(member, member)
     def test_antisymmetry(self, a, b):
         # a and b cannot both be strictly better than each other.
-        assert not (deb_better(a, b) and deb_better(b, a))
+        assert not (_better(a, b) and _better(b, a))
 
-    @given(fitness)
+    @given(member)
     def test_irreflexive(self, a):
-        assert not deb_better(a, a)
+        assert not _better(a, a)
 
-    @given(fitness, fitness, fitness)
+    @given(member, member, member)
     def test_transitivity(self, a, b, c):
-        if deb_better(a, b) and deb_better(b, c):
-            assert deb_better(a, c)
+        if _better(a, b) and _better(b, c):
+            assert _better(a, c)
+
+    @given(member, member)
+    def test_key_matches_the_rules(self, a, b):
+        assert _better(a, b) == _deb_better(a, b)
 
 
 class TestYieldEstimateProperties:
