@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import optimize
 from repro.circuit.tech import C035Technology, N90Technology
 from repro.circuit.topologies import (
     FoldedCascodeAmplifier,
@@ -22,9 +23,12 @@ from repro.circuit.topologies import (
     TwoStageTelescopicAmplifier,
 )
 from repro.circuit.topologies.base import DesignSpace
+from repro.core.moheco import MOHECO, select_one_to_one
+from repro.core.state import Individual
 from repro.engine import SerialEngine
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_allocation
+from repro.optim import DifferentialEvolution
 from repro.problems import make_problem
 from repro.sampling import make_sampler
 from repro.surrogate import MLP, train_levenberg_marquardt
@@ -280,6 +284,59 @@ def test_netlist_ota_fresh_interpreter_evaluation(ota, capsys):
             f"{report['fresh_minflt']} minflt; warm {report['warm_ms']:.1f} ms, "
             f"{report['warm_minflt']:.0f} minflt per call"
         )
+
+
+@pytest.fixture(scope="module")
+def fc_generation():
+    """A 50-member ``folded_cascode`` population and its 50 trials.
+
+    Half of each are feasible designs of a seed-11 ``moheco`` run, each
+    with a 15-sample yield estimate; the other half are random designs,
+    infeasible at the nominal point.
+    """
+    problem = make_problem("folded_cascode")
+    history = optimize(problem, "moheco", rng=11, max_generations=40).history
+    feasible_xs = np.concatenate([record.evaluated_x for record in history])[:50]
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([feasible_xs, problem.space.sample(50, rng)])
+    feasible, violation = problem.nominal_feasibility_batch(xs)
+    assert feasible[:50].all() and not feasible[50:].any()
+    sampler = make_sampler("lhs", problem.variation)
+    members = []
+    for x, ok, v in zip(xs, feasible, violation):
+        state = None
+        if ok:
+            state = CandidateYieldState(problem, x, sampler, np.random.default_rng(8))
+            state.refine(15)
+        members.append(Individual(x, bool(ok), float(v), state))
+    order = rng.permutation(100)
+    population = [members[i] for i in order[:50]]
+    trials = [members[i] for i in order[50:]]
+    return DifferentialEvolution(problem.space), population, trials
+
+
+@pytest.mark.benchmark(group="moheco")
+def test_in_parent_generation_step(benchmark, fc_generation):
+    """Steps 1-2 and 8 of one generation: the base vector, the DE trials and
+    one-to-one selection, with the best-member reads the loop makes after
+    selection (local search, history record, stopping rule)."""
+    de, population, trials = fc_generation
+    rng = np.random.default_rng(9)
+
+    def generation():
+        survivors = list(population)
+        best_index = MOHECO._best_index(survivors)
+        trial_xs = de.propose(np.array([ind.x for ind in survivors]), best_index, rng)
+        select_one_to_one(survivors, trials)
+        for _ in range(3):
+            best_index = MOHECO._best_index(survivors)
+        return trial_xs, survivors, best_index
+
+    trial_xs, survivors, best_index = benchmark(generation)
+    assert trial_xs.shape == (50, de.space.dimension)
+    assert de.space.contains(trial_xs).all()
+    assert survivors[best_index].feasible
+    assert all(s is p or s is t for s, p, t in zip(survivors, population, trials))
 
 
 @pytest.mark.benchmark(group="sampling")
