@@ -290,9 +290,9 @@ def test_netlist_ota_fresh_interpreter_evaluation(ota, capsys):
 def fc_generation():
     """A 50-member ``folded_cascode`` population and its 50 trials.
 
-    Half of each are feasible designs of a seed-11 ``moheco`` run, each
-    with a 15-sample yield estimate; the other half are random designs,
-    infeasible at the nominal point.
+    Both are shuffled together from 50 feasible designs of a seed-11
+    ``moheco`` run, each with a 15-sample yield estimate, and 50 random
+    designs, infeasible at the nominal point.
     """
     problem = make_problem("folded_cascode")
     history = optimize(problem, "moheco", rng=11, max_generations=40).history
